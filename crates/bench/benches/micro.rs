@@ -107,6 +107,19 @@ pub fn bench_engine(results: &mut Vec<(String, f64)>) {
         println!("{name:<44} {:>10.2} M events/s", eps / 1e6);
         results.push((name.to_string(), eps));
     }
+
+    // The heap is the wheel's ordering oracle; if it also wins on speed it
+    // should be the production queue. Same process, same messages.
+    let (heap_typed, wheel_typed) = (results[1].1, results[3].1);
+    if wheel_typed < heap_typed {
+        eprintln!(
+            "FAIL: engine/wheel_typed ({:.2} M events/s) is slower than its oracle \
+             engine/heap_typed ({:.2} M events/s)",
+            wheel_typed / 1e6,
+            heap_typed / 1e6
+        );
+        std::process::exit(1);
+    }
 }
 
 // ---- data-structure microbenchmarks (ported from the criterion suite) ----

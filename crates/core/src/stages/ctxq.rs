@@ -12,10 +12,12 @@
 //! the steady state neither allocates nor hashes), keeping the engine
 //! round trip allocation-free.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use flextoe_nfp::{dma_req, DmaDir, FpcTimer};
-use flextoe_sim::{try_cast, CounterHandle, Ctx, Duration, Msg, Node, NodeId, Stats, WorkToken};
+use flextoe_sim::{
+    try_cast, CounterHandle, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Stats, WorkToken,
+};
 
 use crate::costs;
 use crate::hostmem::{AppToNic, NicToApp, SharedCtxQueue};
@@ -44,7 +46,7 @@ enum Pending {
 pub struct CtxqStage {
     cfg: SharedCfg,
     fpc: FpcTimer,
-    contexts: HashMap<u16, CtxRegistration>,
+    contexts: FxHashMap<u16, CtxRegistration>,
     work_pool: SharedWorkPool,
     pool: usize,
     /// Contexts with undrained to-NIC entries, waiting for pool space.
@@ -76,7 +78,7 @@ impl CtxqStage {
         CtxqStage {
             fpc: FpcTimer::new(cfg.platform.clock, cfg.platform.threads_per_fpc),
             cfg,
-            contexts: HashMap::new(),
+            contexts: FxHashMap::default(),
             work_pool,
             pool: DESC_POOL,
             dirty: VecDeque::new(),

@@ -5,12 +5,12 @@
 //! baselines").
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use flextoe_apps::{SockEvent, StackApi, StackOp};
 use flextoe_core::hostmem::{AppToNic, SharedBuf};
-use flextoe_sim::{try_cast, Ctx, Duration, Msg, NodeId};
+use flextoe_sim::{try_cast, Ctx, Duration, FxHashMap, Msg, NodeId};
 use flextoe_wire::Ip4;
 
 use crate::costs::StackCosts;
@@ -30,7 +30,7 @@ pub struct AppSock {
 #[derive(Default)]
 pub struct AppSide {
     pub events: VecDeque<SockEvent>,
-    pub socks: HashMap<u32, AppSock>,
+    pub socks: FxHashMap<u32, AppSock>,
     pub to_stack: VecDeque<AppToNic>,
 }
 

@@ -6,8 +6,9 @@
 //! second-level cache in CLS". Both structures are implemented here and
 //! reused for the EMEM SRAM cache model.
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use flextoe_sim::FxHashMap;
 
 const NIL: usize = usize::MAX;
 
@@ -21,7 +22,7 @@ struct Entry<K, V> {
 /// A fixed-capacity LRU cache (arena-backed doubly-linked list, O(1) ops).
 pub struct LruCache<K: Eq + Hash + Clone, V> {
     cap: usize,
-    map: HashMap<K, usize>,
+    map: FxHashMap<K, usize>,
     entries: Vec<Entry<K, V>>,
     head: usize, // most recently used
     tail: usize, // least recently used
@@ -35,7 +36,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         assert!(cap > 0);
         LruCache {
             cap,
-            map: HashMap::with_capacity(cap),
+            map: FxHashMap::with_capacity_and_hasher(cap, Default::default()),
             entries: Vec::with_capacity(cap.min(4096)),
             head: NIL,
             tail: NIL,

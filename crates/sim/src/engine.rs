@@ -547,8 +547,9 @@ const BURST_CAP: u64 = 64;
 pub struct MsgBurst {
     to: NodeId,
     first: Option<Msg>,
-    /// Deadline limit (`run_until`): events after it stay queued.
-    limit: Option<Time>,
+    /// Deadline limit (`run_until`; `Time::MAX` otherwise): events after
+    /// it stay queued.
+    limit: Time,
     /// Events yielded so far (the first message counts).
     count: u64,
     last_time: Time,
@@ -598,6 +599,13 @@ pub(crate) struct Ev {
     pub(crate) msg: Msg,
 }
 
+// Two cache lines, both copied twice per event (into the wheel's arena on
+// push, out to the handler on pop). `Msg` is 72 bytes, set by
+// `Nbi(NbiFrame)`: a 56-byte `Frame` (a `Vec` plus an `Option<FrameMeta>`)
+// and 16 bytes of group / sequence number, the enum tag riding in a niche.
+// A fatter variant should be boxed or pooled instead of growing every event.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 96);
+
 impl PartialEq for Ev {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
@@ -643,23 +651,31 @@ impl Queue {
         }
     }
 
+    /// Pop the earliest event if it is due no later than `deadline`
+    /// (`Time::MAX`: unconditionally). One call per engine step — the
+    /// wheel never stages or rotates past a deadline it declines at.
     #[inline]
-    fn pop(&mut self) -> Option<Ev> {
+    fn pop_due(&mut self, deadline: Time) -> Option<Ev> {
         match self {
-            Queue::Wheel(w) => w.pop(),
-            Queue::Heap(h) => h.pop(),
+            Queue::Wheel(w) => w.pop_due(deadline),
+            Queue::Heap(h) => {
+                if h.peek()?.time > deadline {
+                    return None;
+                }
+                h.pop()
+            }
         }
     }
 
-    /// Pop the front event only if it targets `to` (and, when `limit` is
-    /// given, is due no later than it) — the burst-continuation probe.
+    /// Pop the front event only if it targets `to` and is due no later
+    /// than `limit` — the burst-continuation probe.
     #[inline]
-    fn pop_front_if(&mut self, to: NodeId, limit: Option<Time>) -> Option<Ev> {
+    fn pop_front_if(&mut self, to: NodeId, limit: Time) -> Option<Ev> {
         match self {
             Queue::Wheel(w) => w.pop_front_if(to, limit),
             Queue::Heap(h) => {
                 let front = h.peek()?;
-                if front.to != to || limit.is_some_and(|l| front.time > l) {
+                if front.to != to || front.time > limit {
                     return None;
                 }
                 h.pop()
@@ -962,7 +978,7 @@ impl Sim {
         // queued: purge the ones addressed to ghost nodes, keys intact,
         // on a fresh queue (draining may have rotated the wheel window).
         let mut kept = Vec::with_capacity(self.queue.len());
-        while let Some(ev) = self.queue.pop() {
+        while let Some(ev) = self.queue.pop_due(Time::MAX) {
             if owned[ev.to] {
                 kept.push(ev);
             }
@@ -1012,17 +1028,17 @@ impl Sim {
     /// (see [`Node::on_batch`]). Returns `false` when the queue is empty
     /// or the simulation was halted.
     pub fn step(&mut self) -> bool {
-        self.step_limit(None)
+        self.step_limit(Time::MAX)
     }
 
-    /// [`Sim::step`] with an optional burst deadline: burst continuation
-    /// never delivers an event later than `limit` (the first event is the
-    /// caller's responsibility — `run_until` checks `next_time` first).
-    fn step_limit(&mut self, limit: Option<Time>) -> bool {
+    /// [`Sim::step`] under a deadline: neither the first event nor a burst
+    /// continuation is delivered later than `limit`. Also returns `false`
+    /// when the earliest queued event is due after `limit`.
+    fn step_limit(&mut self, limit: Time) -> bool {
         if self.halt {
             return false;
         }
-        let Some(ev) = self.queue.pop() else {
+        let Some(ev) = self.queue.pop_due(limit) else {
             return false;
         };
         debug_assert!(ev.time >= self.time, "event queue time reversal");
@@ -1116,16 +1132,10 @@ impl Sim {
     /// direct-drain path). Bursts are deadline-limited, so the post-burst
     /// clock never overshoots `deadline`.
     pub fn run_until(&mut self, deadline: Time) {
-        while let Some(t) = self.queue.next_time() {
-            if t > deadline || self.halt {
-                break;
-            }
-            self.step_limit(Some(deadline));
-        }
+        while self.step_limit(deadline) {}
         if !self.halt {
-            self.time = self
-                .time
-                .max(deadline.min(self.next_event_time().unwrap_or(deadline)));
+            // nothing due at or before `deadline` is left queued
+            self.time = self.time.max(deadline);
         }
     }
 
@@ -1255,6 +1265,37 @@ mod tests {
             sim.run();
             assert_eq!(sim.node_ref::<Recorder>(r).seen, vec![1, 2, 3]);
         });
+    }
+
+    /// A deadline that declines the only queued event must leave the
+    /// wheel where the clock stops: the next schedule lands *before* the
+    /// declined event. Rotating the window to a far-future (overflow-heap)
+    /// event would put `base` past it; staging a later in-window bucket
+    /// would put the cursor past it; a bucket that *starts* by the deadline
+    /// may be staged, and the new event then merges in ahead of its run.
+    #[test]
+    fn run_until_short_of_the_next_event_keeps_earlier_times_schedulable() {
+        let cases = [
+            // (deadline, declined event): ms-scale is beyond the ~67 us window
+            (Time::from_us(5), Time::from_ms(3)),
+            (Time::from_us(5), Time::from_us(50)),
+            (Time(4500), Time(5000)),
+        ];
+        for (d, far) in cases {
+            both_kinds(|kind| {
+                let mut sim = Sim::with_queue(1, kind);
+                let r = sim.add_node(Recorder { seen: vec![] });
+                sim.schedule(far, r, 2u32);
+                sim.run_until(d);
+                assert_eq!(sim.now(), d);
+                assert_eq!(sim.next_event_time(), Some(far));
+                sim.schedule(d + Duration::from_ps(100), r, 1u32);
+                assert_eq!(sim.next_event_time(), Some(d + Duration::from_ps(100)));
+                sim.run();
+                assert_eq!(sim.node_ref::<Recorder>(r).seen, vec![1, 2]);
+                assert_eq!(sim.now(), far);
+            });
+        }
     }
 
     struct Halter;

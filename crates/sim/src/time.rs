@@ -272,7 +272,19 @@ impl Clock {
     /// Duration of `n` cycles in this domain (rounded up to whole ps).
     #[inline]
     pub fn cycles(&self, n: u64) -> Duration {
-        // ps = n * 1e12 / hz, computed with 128-bit intermediate to avoid overflow.
+        // ps = n * 1e12 / hz. Per-event cycle counts (hops, stage costs) are
+        // small, so the product fits a u64 and the divide stays a hardware
+        // one; only huge counts pay the 128-bit (`__udivti3`) path.
+        if n <= Self::NARROW_MAX_CYCLES {
+            Duration((n * PS_PER_S).div_ceil(self.hz))
+        } else {
+            self.cycles_wide(n)
+        }
+    }
+    /// Largest `n` for which `n * PS_PER_S` fits a `u64` (18_446_744).
+    const NARROW_MAX_CYCLES: u64 = u64::MAX / PS_PER_S;
+    /// [`Clock::cycles`] with a 128-bit intermediate: exact for every `n`.
+    fn cycles_wide(&self, n: u64) -> Duration {
         let ps = (n as u128 * PS_PER_S as u128).div_ceil(self.hz as u128);
         Duration(ps as u64)
     }
@@ -346,6 +358,33 @@ mod tests {
         let d = c.cycles(3);
         assert!(d.ps() * c.hz() >= 3 * 1_000_000_000_000 - c.hz());
         assert_eq!(c.cycles(0), Duration::ZERO);
+    }
+
+    /// The 64-bit fast path and the 128-bit path are the same function:
+    /// every clock domain, small counts, a pseudo-random sweep, and both
+    /// sides of the overflow boundary.
+    #[test]
+    fn clock_cycles_narrow_and_wide_paths_agree() {
+        let all = [
+            clocks::FPC_800MHZ,
+            clocks::FPC_1200MHZ,
+            clocks::HOST_2GHZ,
+            clocks::X86_2350MHZ,
+            clocks::BLUEFIELD_800MHZ,
+            Clock::new(1),
+            Clock::new(333_333_333),
+        ];
+        const EDGE: u64 = Clock::NARROW_MAX_CYCLES;
+        assert_eq!(EDGE, 18_446_744);
+        let mut rng = crate::rng::Rng::new(0xC10C);
+        for c in all {
+            let sweep = (0..4096)
+                .chain((0..4096).map(|_| rng.below(EDGE + 1)))
+                .chain(EDGE - 64..=EDGE + 64);
+            for n in sweep {
+                assert_eq!(c.cycles(n), c.cycles_wide(n), "{c:?} n={n}");
+            }
+        }
     }
 
     #[test]

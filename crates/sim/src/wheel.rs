@@ -25,10 +25,21 @@
 //! and its staging area drain, the window rotates: `base` jumps to the
 //! earliest overflow timestamp and due overflow events migrate in.
 //!
-//! Because a bucket spans `W` picoseconds, its events are staged into a
-//! sorted `ready` run when the cursor reaches it (an O(1) buffer swap; the
-//! 4 ns bucket width makes multi-event buckets rare, so the sort usually
-//! short-circuits).
+//! Because a bucket spans `W` picoseconds, its events are staged as a
+//! sorted `ready` run when the cursor reaches it (the 4 ns bucket width
+//! makes multi-event buckets rare, so the sort usually short-circuits).
+//!
+//! # Storage
+//!
+//! Queued events live in one arena (`slab`), linked into per-bucket FIFO
+//! lists through `u32` indices; a bucket is just a `(head, tail)` pair and
+//! freed slots go onto a LIFO free list. The arena therefore holds as many
+//! slots as were ever queued *at once* — a few hundred in-flight events
+//! that stay cache-resident — no matter how many of the 16384 buckets a
+//! run sweeps through. Staging unlinks a bucket's list into `ready` as
+//! slot indices sorted by key — an event is copied twice in its life, into
+//! its slot on push and out of it on pop, which frees the slot. Overflow
+//! migration links into the same lists.
 //!
 //! # Same-slot direct drain
 //!
@@ -50,7 +61,11 @@
 //! (rotation happens only while delivering an event at the new base), and
 //! every push (including cross-shard imports, which a conservative
 //! synchronizer admits strictly after the shard's clock) is at or after
-//! the clock. `bucket_of` debug-asserts this.
+//! the clock. `bucket_of` debug-asserts this. `EventWheel::pop_due`
+//! keeps the rule under a deadline: it stages or rotates only when the
+//! next bucket's start (or the overflow front) is itself due, so a
+//! declined pop never moves `base` or the cursor past the instant the
+//! engine's clock stops at.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -65,7 +80,7 @@ const SHIFT: u32 = 12;
 const NBUCKETS: usize = 16384;
 const SPAN: u64 = (NBUCKETS as u64) << SHIFT;
 
-/// Placeholder written over a popped slot of the staging run.
+/// Placeholder left in an arena slot once its event is popped.
 fn dummy_ev() -> Ev {
     Ev {
         time: Time(0),
@@ -75,9 +90,44 @@ fn dummy_ev() -> Ev {
     }
 }
 
+/// End-of-list marker of the arena's `u32` links.
+const NIL: u32 = u32::MAX;
+
+/// One bucket of the current window: an intrusive FIFO list in the arena
+/// (`head == NIL` when empty; `tail` is meaningful only otherwise).
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
+
+/// An arena slot: a queued event plus its list link — the next event of
+/// its bucket, or the next free slot while on the free list (where `ev`
+/// is a `dummy_ev`).
+struct Slot {
+    ev: Ev,
+    next: u32,
+}
+
+/// The slots of the list starting at `head`, in link order.
+fn chain(slab: &[Slot], head: u32) -> impl Iterator<Item = u32> + '_ {
+    let live = |slot: u32| (slot != NIL).then_some(slot);
+    std::iter::successors(live(head), move |&slot| live(slab[slot as usize].next))
+}
+
 pub(crate) struct EventWheel {
     /// Unsorted per-bucket event lists for the current window.
-    buckets: Vec<Vec<Ev>>,
+    buckets: Vec<Bucket>,
+    /// The arena behind every bucket list; grows only when the free list
+    /// is empty, so its length is the peak number of wheeled events.
+    slab: Vec<Slot>,
+    /// Head of the LIFO free list threaded through `Slot::next`.
+    free: u32,
     /// One occupancy bit per bucket, for fast next-bucket scans.
     occ: Vec<u64>,
     /// Absolute time (ps) of bucket 0 of the current window.
@@ -87,9 +137,10 @@ pub(crate) struct EventWheel {
     /// True once bucket `cursor` has been drained into `ready`; new events
     /// due in that bucket must then merge into `ready`, not the bucket.
     ready_active: bool,
-    /// The staged (sorted) events of bucket `cursor`; `ready_pos` is the
-    /// next undelivered index.
-    ready: Vec<Ev>,
+    /// The staged events of bucket `cursor`: their arena slots, sorted by
+    /// `(time, seq)`; `ready_pos` is the next undelivered index. An event
+    /// stays in its slot until it is popped.
+    ready: Vec<u32>,
     ready_pos: usize,
     /// Same-slot direct-drain lane: events pushed into bucket `cursor`
     /// *while it is being drained*, kept `(time, seq)`-sorted (append-only
@@ -105,7 +156,9 @@ pub(crate) struct EventWheel {
 impl EventWheel {
     pub(crate) fn new() -> EventWheel {
         EventWheel {
-            buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
+            buckets: vec![EMPTY; NBUCKETS],
+            slab: Vec::new(),
+            free: NIL,
             occ: vec![0; NBUCKETS / 64],
             base: 0,
             cursor: 0,
@@ -129,13 +182,33 @@ impl EventWheel {
     }
 
     #[inline]
-    fn mark(&mut self, idx: usize) {
-        self.occ[idx >> 6] |= 1 << (idx & 63);
-    }
-
-    #[inline]
     fn unmark(&mut self, idx: usize) {
         self.occ[idx >> 6] &= !(1 << (idx & 63));
+    }
+
+    /// Append `ev` to bucket `idx`'s list, reusing a freed slot if any.
+    #[inline]
+    fn link(&mut self, idx: usize, ev: Ev) {
+        let slot = if self.free != NIL {
+            let slot = self.free;
+            let s = &mut self.slab[slot as usize];
+            self.free = s.next;
+            *s = Slot { ev, next: NIL };
+            slot
+        } else {
+            let slot = self.slab.len();
+            assert!(slot < NIL as usize, "event arena outgrew its u32 links");
+            self.slab.push(Slot { ev, next: NIL });
+            slot as u32
+        };
+        let b = &mut self.buckets[idx];
+        if b.head == NIL {
+            b.head = slot;
+            self.occ[idx >> 6] |= 1 << (idx & 63);
+        } else {
+            self.slab[b.tail as usize].next = slot;
+        }
+        b.tail = slot;
     }
 
     #[inline]
@@ -162,9 +235,15 @@ impl EventWheel {
                 self.hot.insert(pos, ev);
             }
         } else {
-            self.buckets[idx].push(ev);
-            self.mark(idx);
+            self.link(idx, ev);
         }
+    }
+
+    /// The first bucket not yet staged: the cursor's, or the one after it
+    /// once the cursor's has been.
+    #[inline]
+    fn scan_from(&self) -> usize {
+        self.cursor + self.ready_active as usize
     }
 
     /// Find the next occupied bucket at or after `from` (bitmap scan).
@@ -187,48 +266,46 @@ impl EventWheel {
     }
 
     /// Make the staged front (`ready[ready_pos]` merged with the hot
-    /// deque) the globally earliest event (staging / rotating as needed).
-    /// Returns false iff the queue is empty. Split so the staged-run hit —
-    /// the per-pop common case — inlines into the engine's step loop.
+    /// deque) the globally earliest event, staging / rotating as needed —
+    /// but only onto work that starts at or before `limit` (ps). Returns
+    /// false when nothing is staged and nothing stageable is due (always
+    /// the case for an empty queue). Split so the staged-run hit — the
+    /// per-pop common case — inlines into the engine's step loop.
     #[inline(always)]
-    fn ensure_front(&mut self) -> bool {
+    fn ensure_front(&mut self, limit: u64) -> bool {
         if self.ready_pos < self.ready.len() || !self.hot.is_empty() {
             return true;
         }
-        self.ensure_front_slow()
+        self.ensure_front_slow(limit)
     }
 
-    /// Stage the next bucket / rotate the window (out-of-line).
-    fn ensure_front_slow(&mut self) -> bool {
+    /// Stage the next bucket / rotate the window (out-of-line). Neither
+    /// happens past `limit`: the caller's clock stops there, later pushes
+    /// may land anywhere after it, and they must still find their bucket
+    /// at or after the cursor of a window whose `base` is not in their
+    /// future.
+    fn ensure_front_slow(&mut self, limit: u64) -> bool {
         loop {
-            if self.ready_pos < self.ready.len() || !self.hot.is_empty() {
-                return true;
-            }
             if self.len == 0 {
                 return false;
             }
-            let from = if self.ready_active {
-                self.cursor + 1
-            } else {
-                self.cursor
-            };
-            if let Some(idx) = self.next_occupied(from) {
+            if let Some(idx) = self.next_occupied(self.scan_from()) {
+                if self.base + ((idx as u64) << SHIFT) > limit {
+                    return false;
+                }
                 self.cursor = idx;
                 self.ready_active = true;
                 self.unmark(idx);
-                // O(1) staging: swap the bucket's contents in, handing the
-                // bucket the retired run's capacity for reuse.
-                self.ready.clear();
-                self.ready_pos = 0;
-                std::mem::swap(&mut self.ready, &mut self.buckets[idx]);
-                if self.ready.len() > 1 {
-                    self.ready.sort_unstable_by_key(|e| (e.time, e.seq));
-                }
+                self.stage(idx);
                 return true;
             }
             // wheel empty: rotate the window to the earliest overflow event
             debug_assert!(!self.overflow.is_empty(), "len > 0 but nothing queued");
-            self.base = self.overflow.peek().expect("overflow non-empty").time.ps();
+            let front = self.overflow.peek().expect("overflow non-empty").time.ps();
+            if front > limit {
+                return false;
+            }
+            self.base = front;
             self.cursor = 0;
             self.ready_active = false;
             while let Some(ev) = self.overflow.peek() {
@@ -237,56 +314,50 @@ impl EventWheel {
                 }
                 let ev = self.overflow.pop().expect("peeked");
                 let idx = self.bucket_of(ev.time.ps());
-                self.buckets[idx].push(ev);
-                self.mark(idx);
+                self.link(idx, ev);
             }
         }
     }
 
-    /// After `ensure_front`: does the hot deque hold the earliest event?
-    /// Both runs are `(time, seq)`-sorted, so comparing fronts suffices.
+    /// Unlink bucket `idx`'s list into the (exhausted) `ready` run, sorted.
+    fn stage(&mut self, idx: usize) {
+        self.ready.clear();
+        self.ready_pos = 0;
+        let head = std::mem::replace(&mut self.buckets[idx], EMPTY).head;
+        self.ready.extend(chain(&self.slab, head));
+        if self.ready.len() > 1 {
+            let slab = &self.slab;
+            self.ready.sort_unstable_by_key(|&s| {
+                let e = &slab[s as usize].ev;
+                (e.time, e.seq)
+            });
+        }
+    }
+
+    /// The front of the staged `ready` run, if any is left.
+    #[inline]
+    fn ready_front(&self) -> Option<&Ev> {
+        let slot = *self.ready.get(self.ready_pos)?;
+        Some(&self.slab[slot as usize].ev)
+    }
+
+    /// Does the hot deque hold the earliest staged event? Both runs are
+    /// `(time, seq)`-sorted, so comparing fronts suffices.
     #[inline]
     fn hot_first(&self) -> bool {
-        match (self.ready.get(self.ready_pos), self.hot.front()) {
+        match (self.ready_front(), self.hot.front()) {
             (Some(r), Some(h)) => (h.time, h.seq) < (r.time, r.seq),
             (None, _) => true,
             (_, None) => false,
         }
     }
 
-    /// Remove and return the front event. Caller must have established it
-    /// exists via `ensure_front`. The hot deque is empty in the vastly
-    /// common case, so that test guards the merge logic.
+    /// Remove and return the staged front — the earlier of the `ready`
+    /// remainder's and the hot deque's fronts — if there is one and it
+    /// satisfies `want`. The hot deque is empty in the vastly common case,
+    /// so that test guards the merge logic.
     #[inline(always)]
-    fn take_front(&mut self) -> Ev {
-        self.len -= 1;
-        if !self.hot.is_empty() && self.hot_first() {
-            self.hot.pop_front().expect("hot_first implies non-empty")
-        } else {
-            let pos = self.ready_pos;
-            self.ready_pos += 1;
-            std::mem::replace(&mut self.ready[pos], dummy_ev())
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn pop(&mut self) -> Option<Ev> {
-        if !self.ensure_front() {
-            return None;
-        }
-        Some(self.take_front())
-    }
-
-    /// Pop the front event only if it is addressed to `to` (and due no
-    /// later than `limit`, when given) — the engine's burst-continuation
-    /// probe. Deliberately looks only at the *staged* runs (the `ready`
-    /// remainder and the hot deque): when both are exhausted it declines
-    /// rather than rotating the window, so a failed probe — the common
-    /// case — costs a bounds check and a compare, and never disturbs the
-    /// wheel. Declining to coalesce is always order-safe; the next `pop`
-    /// does the staging work instead.
-    #[inline(always)]
-    pub(crate) fn pop_front_if(&mut self, to: NodeId, limit: Option<Time>) -> Option<Ev> {
+    fn take_staged_if(&mut self, want: impl FnOnce(&Ev) -> bool) -> Option<Ev> {
         let hot_first = !self.hot.is_empty() && self.hot_first();
         let front = if hot_first {
             // hot events live in the cursor bucket, which precedes every
@@ -294,49 +365,63 @@ impl EventWheel {
             // exhausted the hot front is still the global front
             self.hot.front().expect("checked non-empty")
         } else {
-            self.ready.get(self.ready_pos)?
+            self.ready_front()?
         };
-        if front.to != to || limit.is_some_and(|l| front.time > l) {
+        if !want(front) {
             return None;
         }
         self.len -= 1;
         Some(if hot_first {
             self.hot.pop_front().expect("checked non-empty")
         } else {
-            let pos = self.ready_pos;
+            let slot = self.ready[self.ready_pos];
             self.ready_pos += 1;
-            std::mem::replace(&mut self.ready[pos], dummy_ev())
+            let s = &mut self.slab[slot as usize];
+            s.next = std::mem::replace(&mut self.free, slot);
+            std::mem::replace(&mut s.ev, dummy_ev())
         })
     }
 
+    /// Pop the earliest event if it is due no later than `deadline` — the
+    /// engine's per-step pop (`Time::MAX` for an unbounded run). A declined
+    /// pop leaves `base` and the cursor at or before `deadline` (see
+    /// `ensure_front_slow`), which is where the caller's clock stops.
+    #[inline(always)]
+    pub(crate) fn pop_due(&mut self, deadline: Time) -> Option<Ev> {
+        if !self.ensure_front(deadline.ps()) {
+            return None;
+        }
+        self.take_staged_if(|e| e.time <= deadline)
+    }
+
+    /// Pop the front event only if it is addressed to `to` and due no
+    /// later than `limit` — the engine's burst-continuation probe.
+    /// Deliberately looks only at the *staged* runs (the `ready` remainder
+    /// and the hot deque): when both are exhausted it declines rather than
+    /// rotating the window, so a failed probe — the common case — costs a
+    /// bounds check and a compare, and never disturbs the wheel. Declining
+    /// to coalesce is always order-safe; the next `pop_due` does the
+    /// staging work instead.
+    #[inline(always)]
+    pub(crate) fn pop_front_if(&mut self, to: NodeId, limit: Time) -> Option<Ev> {
+        self.take_staged_if(|e| e.to == to && e.time <= limit)
+    }
+
     /// Earliest queued timestamp without mutating the wheel (public
-    /// `next_event_time` API; the hot path uses `ensure_front`).
+    /// `next_event_time` API; the hot path uses `pop_due`).
     pub(crate) fn next_time(&self) -> Option<Time> {
-        let staged = match (self.ready.get(self.ready_pos), self.hot.front()) {
-            (Some(r), Some(h)) => Some(if (h.time, h.seq) < (r.time, r.seq) {
-                h.time
-            } else {
-                r.time
-            }),
-            (Some(r), None) => Some(r.time),
-            (None, Some(h)) => Some(h.time),
+        let staged = match (self.ready_front(), self.hot.front()) {
+            (Some(r), Some(h)) => Some(r.time.min(h.time)),
+            (Some(e), None) | (None, Some(e)) => Some(e.time),
             (None, None) => None,
         };
         if staged.is_some() {
             return staged;
         }
-        let from = if self.ready_active {
-            self.cursor + 1
-        } else {
-            self.cursor
-        };
-        if let Some(idx) = self.next_occupied(from) {
-            let t = self.buckets[idx]
-                .iter()
-                .map(|e| (e.time.ps(), e.seq))
-                .min()
-                .expect("occupied bucket is non-empty");
-            return Some(Time(t.0));
+        if let Some(idx) = self.next_occupied(self.scan_from()) {
+            return chain(&self.slab, self.buckets[idx].head)
+                .map(|slot| self.slab[slot as usize].ev.time)
+                .min();
         }
         self.overflow.peek().map(|e| e.time)
     }
@@ -345,6 +430,17 @@ impl EventWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EventWheel {
+        fn pop(&mut self) -> Option<Ev> {
+            self.pop_due(Time::MAX)
+        }
+
+        /// Events linked into bucket `idx` (not yet staged).
+        fn list_len(&self, idx: usize) -> usize {
+            chain(&self.slab, self.buckets[idx].head).count()
+        }
+    }
 
     fn ev(t: u64, seq: u64) -> Ev {
         Ev {
@@ -356,46 +452,108 @@ mod tests {
     }
 
     /// Differential test against a sorted reference, with pushes
-    /// interleaved into pops the way a running simulation does it.
+    /// interleaved into pops the way a running simulation does it — and
+    /// `next_time` checked against the reference before every pop. The
+    /// delay mix crowds events into shared buckets, both near ones (linked
+    /// lists longer than one) and far ones (overflow siblings that migrate
+    /// into one bucket); the coverage flags prove both were hit.
     #[test]
     fn matches_sorted_reference_under_interleaving() {
+        use std::collections::BTreeSet;
         let mut rng = crate::rng::Rng::new(0xCAFE);
+        let mut peeked_multi_event_bucket = false;
+        let mut migrated_into_shared_bucket = false;
         for _case in 0..50 {
             let mut wheel = EventWheel::new();
-            let mut reference: Vec<(u64, u64)> = Vec::new();
+            let mut pending: BTreeSet<(u64, u64)> = BTreeSet::new();
             let mut seq = 0u64;
-            let mut out = Vec::new();
+            let mut delivered = 0;
             // seed a few initial events
             for _ in 0..10 {
                 let t = rng.below(1000) * 100;
                 wheel.push(ev(t, seq));
-                reference.push((t, seq));
+                pending.insert((t, seq));
                 seq += 1;
             }
-            while let Some(e) = wheel.pop() {
-                let now = e.time.ps();
-                out.push((now, e.seq));
+            loop {
+                assert_eq!(
+                    wheel.next_time(),
+                    pending.first().map(|&(t, _)| Time(t)),
+                    "next_time disagrees with the reference"
+                );
+                if wheel.ready_pos >= wheel.ready.len() && wheel.hot.is_empty() {
+                    peeked_multi_event_bucket |= wheel
+                        .next_occupied(wheel.scan_from())
+                        .is_some_and(|idx| wheel.list_len(idx) > 1);
+                }
+                let base = wheel.base;
+                let popped = wheel.pop().map(|e| (e.time.ps(), e.seq));
+                assert_eq!(popped, pending.pop_first());
+                let Some((now, _)) = popped else { break };
+                if wheel.base != base {
+                    // the window rotated, so everything wheeled (bucket 0
+                    // staged into `ready`, the rest linked) just migrated
+                    migrated_into_shared_bucket |=
+                        wheel.ready.len() > 1 || (0..NBUCKETS).any(|i| wheel.list_len(i) > 1);
+                }
+                delivered += 1;
                 // occasionally schedule follow-ups relative to now,
                 // spanning zero-delay, in-window and overflow distances
-                if out.len() < 400 && rng.chance(0.7) {
+                if delivered < 400 && rng.chance(0.7) {
                     let n = rng.below(3) + 1;
                     for _ in 0..n {
-                        let d = match rng.below(4) {
+                        let d = match rng.below(6) {
                             0 => 0,
                             1 => rng.below(1 << SHIFT),
                             2 => rng.below(SPAN),
-                            _ => SPAN + rng.below(SPAN * 4),
+                            3 => SPAN + rng.below(SPAN * 4),
+                            // a handful of nearby buckets, shared
+                            4 => ((2 + rng.below(4)) << SHIFT) + rng.below(1 << SHIFT),
+                            // far-future siblings within one bucket width
+                            _ => SPAN * 2 + rng.below(1 << SHIFT),
                         };
                         wheel.push(ev(now + d, seq));
-                        reference.push((now + d, seq));
+                        pending.insert((now + d, seq));
                         seq += 1;
                     }
                 }
             }
-            reference.sort_unstable();
-            assert_eq!(out, reference);
             assert_eq!(wheel.len(), 0);
         }
+        assert!(peeked_multi_event_bucket && migrated_into_shared_bucket);
+    }
+
+    /// Arena slots recycle: storage tracks the events queued at once, not
+    /// the buckets or windows a run sweeps through.
+    #[test]
+    fn arena_is_bounded_by_peak_occupancy() {
+        const K: usize = 64;
+        let mut rng = crate::rng::Rng::new(0xA2E4A);
+        let mut wheel = EventWheel::new();
+        for seq in 0..K as u64 {
+            wheel.push(ev(rng.below(SPAN), seq));
+        }
+        let mut rotations = 0;
+        for seq in K as u64..K as u64 + 1_000_000 {
+            let base = wheel.base;
+            let now = wheel.pop().expect("K events queued").time.ps();
+            rotations += (wheel.base != base) as u32;
+            // mostly in-window delays over many distinct buckets, with a
+            // steady trickle through the overflow heap
+            let d = if rng.chance(0.05) {
+                SPAN + rng.below(SPAN)
+            } else {
+                rng.below(SPAN / 4)
+            };
+            wheel.push(ev(now + d, seq));
+            assert_eq!(wheel.len(), K);
+        }
+        assert!(rotations > 100, "only {rotations} window rotations");
+        assert!(
+            wheel.slab.len() <= K,
+            "{} arena slots for {K} events",
+            wheel.slab.len()
+        );
     }
 
     #[test]
@@ -553,21 +711,18 @@ mod tests {
         wheel.push(mk(100, 0, 1));
         wheel.push(mk(110, 1, 2));
         // nothing staged yet: the probe declines rather than staging
-        assert!(wheel.pop_front_if(1, None).is_none());
+        assert!(wheel.pop_front_if(1, Time::MAX).is_none());
         assert_eq!(wheel.pop().map(|e| e.seq), Some(0));
         // staged front is for node 2: probe for node 1 fails, node 2 hits
-        assert!(wheel.pop_front_if(1, None).is_none());
+        assert!(wheel.pop_front_if(1, Time::MAX).is_none());
         // deadline below the front time declines too
-        assert!(wheel.pop_front_if(2, Some(Time(105))).is_none());
-        assert_eq!(
-            wheel.pop_front_if(2, Some(Time(110))).map(|e| e.seq),
-            Some(1)
-        );
+        assert!(wheel.pop_front_if(2, Time(105)).is_none());
+        assert_eq!(wheel.pop_front_if(2, Time(110)).map(|e| e.seq), Some(1));
         assert_eq!(wheel.len(), 0);
         // hot-deque front is probe-visible after the staged run empties
         wheel.push(mk(100, 2, 7));
         assert_eq!(wheel.pop().map(|e| e.seq), Some(2));
         wheel.push(mk(100, 3, 7));
-        assert_eq!(wheel.pop_front_if(7, None).map(|e| e.seq), Some(3));
+        assert_eq!(wheel.pop_front_if(7, Time::MAX).map(|e| e.seq), Some(3));
     }
 }
