@@ -1,5 +1,5 @@
 //! Microbenchmarks on the data-path's hot structures — the engine's event
-//! core (typed messages + event wheel vs. boxed messages + binary heap),
+//! core (the event wheel vs. its binary-heap ordering oracle),
 //! the checksum/CRC paths, segment build/parse, the reorder buffer, the
 //! Carousel wheel, the protocol state machine, and the eBPF VM.
 //!
@@ -59,31 +59,18 @@ use enginebench::{
 
 pub fn bench_engine(results: &mut Vec<(String, f64)>) {
     println!("-- engine: {PIPE_EVENTS} events through a 6-stage pipeline ring --");
-    let combos = [
-        (
-            "engine/heap_boxed (pre-optimization baseline)",
-            QueueKind::Heap,
-            false,
-        ),
-        ("engine/heap_typed", QueueKind::Heap, true),
-        ("engine/wheel_boxed", QueueKind::Wheel, false),
+    for (name, kind) in [
+        ("engine/heap_typed (ordering oracle)", QueueKind::Heap),
         (
             "engine/wheel_typed (default configuration)",
             QueueKind::Wheel,
-            true,
         ),
-    ];
-    for (name, kind, typed) in combos {
-        let eps = best_of(3, kind, typed);
+    ] {
+        let eps = best_of(3, kind);
         println!("{name:<44} {:>10.2} M events/s", eps / 1e6);
         results.push((name.to_string(), eps));
     }
-    let base = results[0].1;
-    let best = results[3].1;
-    println!(
-        "engine/speedup (wheel+typed vs heap+boxed)   {:>10.2}x",
-        best / base
-    );
+    let (heap_typed, wheel_typed) = (results[0].1, results[1].1);
 
     println!("-- switch: {SWITCH_FRAMES} frames through one ECMP leaf hop --");
     for (name, tagged, sketched) in [
@@ -97,20 +84,17 @@ pub fn bench_engine(results: &mut Vec<(String, f64)>) {
     }
 
     println!("-- dispatch: {DISPATCH_EVENTS} raw token deliveries --");
-    for (name, nodes, burst) in [
-        ("dispatch/self_send_burst (direct drain)", 1, true),
-        ("dispatch/self_send_noburst", 1, false),
-        ("dispatch/ring8_burst (singleton probes)", 8, true),
-        ("dispatch/ring8_noburst", 8, false),
+    for (name, nodes) in [
+        ("dispatch/self_send (staged-bucket inserts)", 1),
+        ("dispatch/ring8 (one bucket per delivery)", 8),
     ] {
-        let eps = dispatch_best_of(2, nodes, burst);
+        let eps = dispatch_best_of(2, nodes);
         println!("{name:<44} {:>10.2} M events/s", eps / 1e6);
         results.push((name.to_string(), eps));
     }
 
     // The heap is the wheel's ordering oracle; if it also wins on speed it
     // should be the production queue. Same process, same messages.
-    let (heap_typed, wheel_typed) = (results[1].1, results[3].1);
     if wheel_typed < heap_typed {
         eprintln!(
             "FAIL: engine/wheel_typed ({:.2} M events/s) is slower than its oracle \

@@ -154,43 +154,7 @@ pub fn run_cc_one(seed: u64, algo: CcAlgo, fold: FoldSpec, scale: CcScale) -> Al
             .zip(&prev)
             .map(|(t, p)| t.saturating_sub(*p))
             .collect();
-        window_deltas.push(deltas.clone());
-        if std::env::var("FLEXTOE_CC_DEBUG").is_ok() {
-            let ivals: Vec<u64> = clients
-                .iter()
-                .map(|ep| {
-                    let nic = &ep.flextoe.as_ref().unwrap().0;
-                    sim.node_ref::<flextoe_core::stages::schedn::SchedNode>(nic.sched)
-                        .carousel
-                        .rate_of(0)
-                })
-                .collect();
-            let (_, qavg) = sim
-                .node_ref::<Switch>(sw)
-                .queue_occupancy(0, sim.now().as_ns());
-            let proto: Vec<String> = clients
-                .iter()
-                .map(|ep| {
-                    let nic = &ep.flextoe.as_ref().unwrap().0;
-                    let table = nic.table.borrow();
-                    match table.get(0) {
-                        Some(e) => format!(
-                            "sent={} avail={} win={} una={} rto={}",
-                            e.proto.tx_sent,
-                            e.proto.tx_avail,
-                            e.proto.remote_win,
-                            e.proto.snd_una().0,
-                            sim.stats.get_named("ctrl.rto_fired"),
-                        ),
-                        None => "gone".into(),
-                    }
-                })
-                .collect();
-            eprintln!(
-                "w{:>3} deltas {:?} intervals {:?} qavg {:.0} {:?}",
-                w, deltas, ivals, qavg, proto
-            );
-        }
+        window_deltas.push(deltas);
         prev = totals.clone();
         if w + 1 == warmup_windows {
             at_warmup = totals;
@@ -312,11 +276,10 @@ pub fn cc_json(seed: u64, scale: CcScale, results: &[AlgoOutcome]) -> String {
 }
 
 /// The `cc` experiment: sweep, print, write `BENCH_cc.json`.
-/// `--smoke` (or the legacy `FLEXTOE_CC_SMOKE=1`) selects the short CI
-/// configuration; `--seed`/`--out` override the defaults.
+/// `--smoke` selects the short CI configuration; `--seed`/`--out`
+/// override the defaults.
 pub fn cc(opts: &crate::cli::RunOpts) {
-    let smoke = opts.smoke || std::env::var("FLEXTOE_CC_SMOKE").is_ok_and(|v| v == "1");
-    let scale = if smoke {
+    let scale = if opts.smoke {
         CcScale::smoke()
     } else {
         CcScale::full()
@@ -328,7 +291,7 @@ pub fn cc(opts: &crate::cli::RunOpts) {
         scale.senders,
         BOTTLENECK_BPS / 1_000_000_000,
         ECN_K / 1024,
-        if smoke { " [smoke]" } else { "" }
+        if opts.smoke { " [smoke]" } else { "" }
     );
     println!(
         "{:<8} {:<7} {:>9} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>9} {:>9}",

@@ -5,22 +5,10 @@
 //!
 //! Shared by `benches/micro.rs` (interactive runs) and the
 //! `bench-pipeline` experiment (which records `BENCH_pipeline.json`).
-//! `typed = false` replays the pre-typed engine's cost model: every hop
-//! re-boxes the work item (`Msg::Custom`) and the receiver downcasts —
-//! exactly what `Box<dyn Any>` messages did.
 
 use std::time::Instant;
 
-use flextoe_sim::{
-    cast, Ctx, Duration, IntoMsg, Msg, Node, NodeId, QueueKind, Sim, Time, WorkToken,
-};
-
-/// Stand-in for the old boxed `PipelineMsg` payload.
-pub struct LegacyWork {
-    pub entry_seq: u64,
-    pub state: [u64; 6],
-}
-flextoe_sim::custom_msg!(LegacyWork);
+use flextoe_sim::{Ctx, Duration, Msg, Node, NodeId, QueueKind, Sim, Time, WorkToken};
 
 struct Stage {
     next: NodeId,
@@ -33,15 +21,6 @@ impl Node for Stage {
         self.seen += 1;
         match msg {
             Msg::Work(tok) => ctx.send(self.next, self.hop, tok),
-            m @ Msg::Custom(_) => {
-                // old-engine cost model: unbox, touch, re-box
-                let w = cast::<LegacyWork>(m);
-                let w = LegacyWork {
-                    entry_seq: w.entry_seq.wrapping_add(1),
-                    state: w.state,
-                };
-                ctx.send(self.next, self.hop, w);
-            }
             m => panic!("stage: unexpected {}", m.variant_name()),
         }
     }
@@ -58,7 +37,7 @@ impl Node for SlowTimer {
 pub const PIPE_EVENTS: u64 = 2_000_000;
 
 /// Build and run the synthetic pipeline; returns events/sec of wall time.
-pub fn pipeline_events_per_sec(kind: QueueKind, typed: bool) -> f64 {
+pub fn pipeline_events_per_sec(kind: QueueKind) -> f64 {
     let mut sim = Sim::with_queue(7, kind);
     // FlexTOE-ish stage hops: intra-island CLS hops, a PCIe DMA hop and
     // the wire serialization of an MTU frame at 40 Gbps
@@ -78,41 +57,26 @@ pub fn pipeline_events_per_sec(kind: QueueKind, typed: bool) -> f64 {
     sim.schedule(Time::ZERO, timer, flextoe_sim::Tick);
     // 64 packets in flight, entering staggered like line-rate arrivals
     for p in 0..64u64 {
-        let at = Time::from_ns(p * 300);
-        if typed {
-            sim.schedule(
-                at,
-                stages[0],
-                WorkToken {
-                    slot: p as u32,
-                    entry_seq: Some(p),
-                },
-            );
-        } else {
-            sim.schedule(
-                at,
-                stages[0],
-                LegacyWork {
-                    entry_seq: p,
-                    state: [p; 6],
-                }
-                .into_msg(),
-            );
-        }
+        sim.schedule(
+            Time::from_ns(p * 300),
+            stages[0],
+            WorkToken {
+                slot: p as u32,
+                entry_seq: Some(p),
+            },
+        );
     }
     let t0 = Instant::now();
     while sim.events_processed() < PIPE_EVENTS && sim.step() {}
     let secs = t0.elapsed().as_secs_f64();
-    // burst delivery may overshoot the target by a few events (one step
-    // drains a whole burst); the rate uses the exact count either way
-    assert!(sim.events_processed() >= PIPE_EVENTS);
-    sim.events_processed() as f64 / secs
+    assert_eq!(sim.events_processed(), PIPE_EVENTS);
+    PIPE_EVENTS as f64 / secs
 }
 
 /// Best-of-n measurement (benchmarks want the least-disturbed run).
-pub fn best_of(n: u32, kind: QueueKind, typed: bool) -> f64 {
+pub fn best_of(n: u32, kind: QueueKind) -> f64 {
     (0..n)
-        .map(|_| pipeline_events_per_sec(kind, typed))
+        .map(|_| pipeline_events_per_sec(kind))
         .fold(0.0f64, f64::max)
 }
 
@@ -120,12 +84,10 @@ pub fn best_of(n: u32, kind: QueueKind, typed: bool) -> f64 {
 //
 // Raw delivery overhead, stripped of all protocol work: nodes that do
 // nothing but forward a token. `nodes = 1` is a zero-delay self-send chain
-// — every send lands in the wheel slot currently being drained, so the
-// whole run lives on the same-slot direct-drain lane and (with bursting)
-// in long per-node bursts. `nodes = 8` hands the token round-robin with a
-// small hop, the worst case for coalescing: every delivery is a singleton
-// and the burst probe always fails. The gap between the two bounds what
-// burst-mode delivery can and cannot save.
+// — every send lands in the wheel bucket currently being drained, so the
+// whole run is inserts into the staged run and never stages or rotates.
+// `nodes = 8` hands the token round-robin with a small hop, so every
+// delivery links into a later bucket and stages it.
 
 /// Events per dispatch-micro measurement.
 pub const DISPATCH_EVENTS: u64 = 2_000_000;
@@ -145,10 +107,9 @@ impl Node for Forwarder {
 }
 
 /// Events/sec of wall time for the dispatch micro.
-pub fn dispatch_events_per_sec(nodes: usize, burst: bool) -> f64 {
+pub fn dispatch_events_per_sec(nodes: usize) -> f64 {
     assert!(nodes >= 1);
     let mut sim = Sim::with_queue(7, QueueKind::Wheel);
-    sim.set_burst(burst);
     let ids: Vec<NodeId> = (0..nodes).map(|_| sim.reserve_node()).collect();
     let hop = if nodes == 1 {
         Duration::ZERO
@@ -168,14 +129,14 @@ pub fn dispatch_events_per_sec(nodes: usize, burst: bool) -> f64 {
     let t0 = Instant::now();
     while sim.events_processed() < DISPATCH_EVENTS && sim.step() {}
     let secs = t0.elapsed().as_secs_f64();
-    assert!(sim.events_processed() >= DISPATCH_EVENTS);
-    sim.events_processed() as f64 / secs
+    assert_eq!(sim.events_processed(), DISPATCH_EVENTS);
+    DISPATCH_EVENTS as f64 / secs
 }
 
 /// Best-of-n for the dispatch micro.
-pub fn dispatch_best_of(n: u32, nodes: usize, burst: bool) -> f64 {
+pub fn dispatch_best_of(n: u32, nodes: usize) -> f64 {
     (0..n)
-        .map(|_| dispatch_events_per_sec(nodes, burst))
+        .map(|_| dispatch_events_per_sec(nodes))
         .fold(0.0f64, f64::max)
 }
 

@@ -764,9 +764,9 @@ pub fn ablate_reorder() {
 
 // ---------------------------------------------------------------------------
 
-/// Engine perf snapshot: micro events/sec (wheel+typed vs the heap+boxed
-/// reconstruction of the pre-optimization engine), the switch-forwarding
-/// micro (fabric fast path), plus an end-to-end echo run with wall-clock
+/// Engine perf snapshot: micro events/sec (the wheel vs. its heap
+/// oracle, the dispatch micro), the switch-forwarding micro (fabric fast
+/// path), plus an end-to-end echo run with wall-clock
 /// and simulated rates. Emits `BENCH_pipeline.json` so future PRs can
 /// track regressions. `--seed` varies the echo run; `--out` redirects
 /// the artifact. Because every number here is a wall-clock measurement,
@@ -780,32 +780,22 @@ pub fn bench_pipeline(opts: &crate::cli::RunOpts) {
 
     println!("# bench-pipeline — engine event-core performance snapshot");
 
-    // --- micros: pipeline ring variants + the switch hop ------------------
-    // The true pre-PR engine (seed Box<dyn Any> + BinaryHeap + buffered
-    // send path), measured on this host from a git worktree at the seed
-    // commit with the same ring workload. The in-tree heap_boxed
-    // reconstruction below is *conservative*: it still benefits from this
-    // PR's direct-push send path, so it runs faster than the real seed.
-    const SEED_BASELINE_EPS: f64 = 12_620_000.0;
+    // --- micros: pipeline ring on both queues + the switch hop ------------
     enum Micro {
-        Ring(QueueKind, bool),
+        Ring(QueueKind),
         /// Switch-forwarding micro: (tagged, sketched).
         Switch(bool, bool),
-        /// Engine-dispatch micro: (nodes, burst).
-        Dispatch(usize, bool),
+        /// Engine-dispatch micro: forwarder nodes in the ring.
+        Dispatch(usize),
     }
     let variants = [
-        Micro::Ring(QueueKind::Heap, false),
-        Micro::Ring(QueueKind::Heap, true),
-        Micro::Ring(QueueKind::Wheel, false),
-        Micro::Ring(QueueKind::Wheel, true),
+        Micro::Ring(QueueKind::Heap),
+        Micro::Ring(QueueKind::Wheel),
         Micro::Switch(false, false),
         Micro::Switch(true, false),
         Micro::Switch(true, true),
-        Micro::Dispatch(1, true),
-        Micro::Dispatch(1, false),
-        Micro::Dispatch(8, true),
-        Micro::Dispatch(8, false),
+        Micro::Dispatch(1),
+        Micro::Dispatch(8),
     ];
     // Micros are *wall-clock* measurements: fanning them out over every
     // core would measure mutual contention, not the engine. They run
@@ -813,24 +803,18 @@ pub fn bench_pipeline(opts: &crate::cli::RunOpts) {
     // e.g. a quick comparative run where absolute numbers don't matter).
     let micro_jobs = opts.jobs.unwrap_or(1);
     let measured = crate::par::run_indexed(micro_jobs, variants.len(), |i| match variants[i] {
-        Micro::Ring(kind, typed) => crate::enginebench::best_of(5, kind, typed),
+        Micro::Ring(kind) => crate::enginebench::best_of(5, kind),
         Micro::Switch(tagged, sketched) => crate::enginebench::switch_best_of(3, tagged, sketched),
-        Micro::Dispatch(nodes, burst) => crate::enginebench::dispatch_best_of(3, nodes, burst),
+        Micro::Dispatch(nodes) => crate::enginebench::dispatch_best_of(3, nodes),
     });
-    let (heap_boxed, heap_typed, wheel_boxed, wheel_typed) =
-        (measured[0], measured[1], measured[2], measured[3]);
-    let (switch_raw, switch_tagged, switch_sketched) = (measured[4], measured[5], measured[6]);
-    let (self_burst, self_noburst, ring8_burst, ring8_noburst) =
-        (measured[7], measured[8], measured[9], measured[10]);
-    let speedup = wheel_typed / heap_boxed;
-    let speedup_vs_seed = wheel_typed / SEED_BASELINE_EPS;
+    let (heap_typed, wheel_typed) = (measured[0], measured[1]);
+    let (switch_raw, switch_tagged, switch_sketched) = (measured[2], measured[3], measured[4]);
+    let (self_send, ring8) = (measured[5], measured[6]);
     println!(
-        "engine micro: seed {:.2}M  heap+boxed {:.2}M  wheel+typed {:.2}M  speedup {:.2}x (vs seed {:.2}x)",
-        SEED_BASELINE_EPS / 1e6,
-        heap_boxed / 1e6,
+        "engine micro: heap+typed {:.2}M  wheel+typed {:.2}M  (wheel x{:.2})",
+        heap_typed / 1e6,
         wheel_typed / 1e6,
-        speedup,
-        speedup_vs_seed
+        wheel_typed / heap_typed
     );
     let sketch_overhead = 1.0 - switch_sketched / switch_tagged;
     println!(
@@ -842,12 +826,9 @@ pub fn bench_pipeline(opts: &crate::cli::RunOpts) {
         sketch_overhead * 100.0,
     );
     println!(
-        "dispatch micro: self-send {:.2}M (noburst {:.2}M, burst x{:.2})  ring8 {:.2}M (noburst {:.2}M)",
-        self_burst / 1e6,
-        self_noburst / 1e6,
-        self_burst / self_noburst,
-        ring8_burst / 1e6,
-        ring8_noburst / 1e6,
+        "dispatch micro: self-send {:.2}M  ring8 {:.2}M events/s",
+        self_send / 1e6,
+        ring8 / 1e6,
     );
 
     // --- e2e: FlexTOE<->FlexTOE echo, wall + simulated rates --------------
@@ -884,12 +865,12 @@ pub fn bench_pipeline(opts: &crate::cli::RunOpts) {
         res.rps, sim_events, wall, wall_eps / 1e6, p50_us, p99_us
     );
 
-    // --- prof: per-kind delivery counts + burst-length histogram ----------
+    // --- prof: per-kind delivery counts -----------------------------------
     // A dedicated profiler-armed replay of the same echo scenario: the
     // best-of-2 timing runs above stay unperturbed, and since profiling
     // never changes simulated results the counts describe exactly the run
     // measured above (the replay's event count is asserted to match).
-    let (prof_kinds, prof_burst) = {
+    let prof_kinds = {
         let mut psim = Sim::new(opts.seed.unwrap_or(7));
         psim.set_prof(true);
         let (ea, eb) = build_pair(
@@ -917,36 +898,22 @@ pub fn bench_pipeline(opts: &crate::cli::RunOpts) {
             sim_events,
             "prof replay must reproduce the measured run"
         );
-        (psim.prof_kind_dump(), psim.prof_burst_hist())
+        psim.prof_kind_dump()
     };
     let prof_kinds_json = prof_kinds
         .iter()
         .map(|(name, n)| format!("\"{name}\": {n}"))
         .collect::<Vec<_>>()
         .join(", ");
-    let prof_burst_json = prof_burst
-        .iter()
-        .map(|(len, n)| format!("\"{len}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(", ");
     let top = prof_kinds.first().map(|(n, _)| *n).unwrap_or("-");
-    println!(
-        "prof: {} msg kinds delivered (top {top}), {} burst-length buckets",
-        prof_kinds.len(),
-        prof_burst.len()
-    );
+    println!("prof: {} msg kinds delivered (top {top})", prof_kinds.len());
 
     // --- machine-readable snapshot ----------------------------------------
     let json = format!(
-        "{{\n  \"benchmark\": \"pipeline\",\n  \"engine_micro\": {{\n    \"events\": {},\n    \"seed_baseline_eps\": {:.0},\n    \"heap_boxed_eps\": {:.0},\n    \"heap_typed_eps\": {:.0},\n    \"wheel_boxed_eps\": {:.0},\n    \"wheel_typed_eps\": {:.0},\n    \"speedup_wheel_typed_vs_heap_boxed\": {:.3},\n    \"speedup_wheel_typed_vs_seed\": {:.3},\n    \"notes\": \"seed_baseline_eps is the true pre-PR engine (Box<dyn Any>+BinaryHeap+buffered sends) measured from a git worktree at the seed commit on this host; heap_boxed reconstructs it in-tree but still benefits from this PR's direct-push send path, so it over-estimates the baseline\"\n  }},\n  \"switch_micro\": {{\n    \"config\": \"one ECMP leaf hop, 64 flows, 130B frames, 2 uplinks\",\n    \"frames\": {},\n    \"raw_frames_per_sec\": {:.0},\n    \"tagged_frames_per_sec\": {:.0},\n    \"speedup_tagged_vs_raw\": {:.3},\n    \"sketched_frames_per_sec\": {:.0},\n    \"sketch_overhead_frac\": {:.4}\n  }},\n  \"engine_dispatch\": {{\n    \"config\": \"token forwarders; self_send = 1 node zero-delay (all same-slot direct drain), ring8 = 8 nodes 25ns hops (all singleton bursts)\",\n    \"events\": {},\n    \"self_send_burst_eps\": {:.0},\n    \"self_send_noburst_eps\": {:.0},\n    \"ring8_burst_eps\": {:.0},\n    \"ring8_noburst_eps\": {:.0},\n    \"burst_speedup_self_send\": {:.3},\n    \"burst_speedup_ring8\": {:.3}\n  }},\n  \"e2e_echo\": {{\n    \"config\": \"FlexTOE<->FlexTOE, 16 conns, 64B echo, 30ms simulated\",\n    \"simulated_rps\": {:.0},\n    \"simulated_goodput_bps\": {:.0},\n    \"sim_events\": {},\n    \"wall_secs\": {:.3},\n    \"wall_events_per_sec\": {:.0},\n    \"latency_us_p50\": {:.1},\n    \"latency_us_p99\": {:.1}\n  }},\n  \"prof\": {{\n    \"config\": \"profiler-armed replay of the e2e echo run (FLEXTOE_SIM_PROF counts; simulated results identical)\",\n    \"events\": {},\n    \"msg_kinds\": {{{}}},\n    \"burst_hist\": {{{}}}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"pipeline\",\n  \"engine_micro\": {{\n    \"events\": {},\n    \"heap_typed_eps\": {:.0},\n    \"wheel_typed_eps\": {:.0}\n  }},\n  \"switch_micro\": {{\n    \"config\": \"one ECMP leaf hop, 64 flows, 130B frames, 2 uplinks\",\n    \"frames\": {},\n    \"raw_frames_per_sec\": {:.0},\n    \"tagged_frames_per_sec\": {:.0},\n    \"speedup_tagged_vs_raw\": {:.3},\n    \"sketched_frames_per_sec\": {:.0},\n    \"sketch_overhead_frac\": {:.4}\n  }},\n  \"engine_dispatch\": {{\n    \"config\": \"token forwarders; self_send = 1 node zero-delay (every send an insert into the staged bucket), ring8 = 8 nodes 25ns hops (every delivery stages a bucket)\",\n    \"events\": {},\n    \"self_send_eps\": {:.0},\n    \"ring8_eps\": {:.0}\n  }},\n  \"e2e_echo\": {{\n    \"config\": \"FlexTOE<->FlexTOE, 16 conns, 64B echo, 30ms simulated\",\n    \"simulated_rps\": {:.0},\n    \"simulated_goodput_bps\": {:.0},\n    \"sim_events\": {},\n    \"wall_secs\": {:.3},\n    \"wall_events_per_sec\": {:.0},\n    \"latency_us_p50\": {:.1},\n    \"latency_us_p99\": {:.1}\n  }},\n  \"prof\": {{\n    \"config\": \"profiler-armed replay of the e2e echo run (FLEXTOE_SIM_PROF counts; simulated results identical)\",\n    \"msg_kinds\": {{{}}},\n    \"events\": {}\n  }}\n}}\n",
         crate::enginebench::PIPE_EVENTS,
-        SEED_BASELINE_EPS,
-        heap_boxed,
         heap_typed,
-        wheel_boxed,
         wheel_typed,
-        speedup,
-        speedup_vs_seed,
         crate::enginebench::SWITCH_FRAMES,
         switch_raw,
         switch_tagged,
@@ -954,12 +921,8 @@ pub fn bench_pipeline(opts: &crate::cli::RunOpts) {
         switch_sketched,
         sketch_overhead,
         crate::enginebench::DISPATCH_EVENTS,
-        self_burst,
-        self_noburst,
-        ring8_burst,
-        ring8_noburst,
-        self_burst / self_noburst,
-        ring8_burst / ring8_noburst,
+        self_send,
+        ring8,
         res.rps,
         res.goodput_bps,
         sim_events,
@@ -967,9 +930,8 @@ pub fn bench_pipeline(opts: &crate::cli::RunOpts) {
         wall_eps,
         p50_us,
         p99_us,
-        sim_events,
         prof_kinds_json,
-        prof_burst_json,
+        sim_events,
     );
     let path = opts.out_path("BENCH_pipeline.json");
     std::fs::write(&path, &json).expect("write BENCH_pipeline.json");

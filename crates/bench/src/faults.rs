@@ -13,7 +13,7 @@
 //! dead_requests`), no session holds an in-flight request, and the
 //! FlexTOE pool gauges (work slots, pktbuf segments) are back to zero
 //! in-flight across every NIC. `BENCH_faults.json` is byte-identical per
-//! seed across runs, `--jobs` values, and the burst vs. reference engine.
+//! seed across runs, `--jobs` values, and the wheel vs. reference-heap queue.
 
 use flextoe_apps::{CloseAll, FramedServerConfig, SessionConfig};
 use flextoe_core::PoolGauges;

@@ -834,3 +834,14 @@ pub fn with_wall_extras(
     s.push_str("\n}\n");
     s
 }
+
+#[cfg(test)]
+mod tests {
+    /// CI strips wall lines with the one shell definition in
+    /// `ci/strip_wall.sh`; it must carry exactly this key list.
+    #[test]
+    fn ci_strip_wall_carries_wall_keys_re() {
+        let script = include_str!("../../../ci/strip_wall.sh");
+        assert!(script.contains(super::WALL_KEYS_RE));
+    }
+}

@@ -29,7 +29,7 @@
 //!   how many frames were rank-steered.
 //!
 //! `BENCH_telemetry.json` minus its wall block is byte-identical per seed
-//! across runs, `--jobs` values, and the burst vs. reference engine.
+//! across runs, `--jobs` values, and the wheel vs. reference-heap queue.
 
 use flextoe_apps::{CloseAll, FramedServerConfig, SessionConfig};
 use flextoe_netsim::{Collector, Switch, TelemetrySpec};

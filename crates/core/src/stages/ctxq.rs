@@ -116,11 +116,7 @@ impl CtxqStage {
             }
         };
         if self.cfg.platform.hw_dma {
-            ctx.send_boxed(
-                self.engine,
-                d,
-                Msg::Xfer(dma_req(bytes, dir, ctx.self_id(), token)),
-            );
+            ctx.send(self.engine, d, dma_req(bytes, dir, ctx.self_id(), token));
         } else {
             let to = ctx.self_id();
             ctx.wake(d, flextoe_sim::XferDone { token, to });
@@ -240,8 +236,8 @@ impl CtxqStage {
     }
 }
 
-impl CtxqStage {
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+impl Node for CtxqStage {
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         match msg {
             Msg::Doorbell(db) => {
                 self.doorbells += 1;
@@ -297,16 +293,6 @@ impl CtxqStage {
             }
         }
     }
-}
-
-impl Node for CtxqStage {
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        self.deliver(ctx, msg);
-    }
-
-    // Doorbell/credit/completion trains coalesce through the default
-    // `on_batch` loop: per-event state here is already slab-indexed and
-    // free-listed, so there is nothing left to hoist per burst.
 
     fn on_attach(&mut self, stats: &mut Stats) {
         self.notify_drops = Some(stats.counter("ctxq.notify_drops"));

@@ -230,8 +230,7 @@ fn payload_base(frame: &[u8]) -> usize {
 }
 
 impl DmaStage {
-    /// One delivery against an already-borrowed work pool
-    /// ([`Node::on_batch`] borrows it once per burst).
+    /// One delivery against the borrowed work pool.
     fn deliver(&mut self, ctx: &mut Ctx<'_>, msg: Msg, pool: &mut WorkPool) {
         match msg {
             // a work item arriving from post-processing
@@ -323,7 +322,10 @@ impl DmaStage {
 }
 
 impl Node for DmaStage {
-    crate::stages::pool_batched_delivery!();
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        let pool = std::rc::Rc::clone(&self.pool);
+        self.deliver(ctx, msg, &mut pool.borrow_mut());
+    }
 
     fn name(&self) -> String {
         "dma-stage".to_string()

@@ -145,33 +145,6 @@ impl PipeCfg {
 
 pub type SharedCfg = Rc<PipeCfg>;
 
-/// Generates the `on_msg`/`on_batch` pair shared by every stage that
-/// processes pooled work items in place: clone the shared work-pool
-/// handle, borrow the pool once per delivery (or once per whole burst),
-/// and route both entry points through the stage's `deliver`.
-macro_rules! pool_batched_delivery {
-    () => {
-        fn on_msg(&mut self, ctx: &mut ::flextoe_sim::Ctx<'_>, msg: ::flextoe_sim::Msg) {
-            let pool = ::std::rc::Rc::clone(&self.pool);
-            self.deliver(ctx, msg, &mut pool.borrow_mut());
-        }
-
-        fn on_batch(
-            &mut self,
-            ctx: &mut ::flextoe_sim::Ctx<'_>,
-            burst: &mut ::flextoe_sim::MsgBurst,
-        ) {
-            // one pool borrow for the whole burst instead of one per event
-            let pool = ::std::rc::Rc::clone(&self.pool);
-            let mut pool = pool.borrow_mut();
-            while let Some(msg) = burst.next(ctx) {
-                self.deliver(ctx, msg, &mut pool);
-            }
-        }
-    };
-}
-pub(crate) use pool_batched_delivery;
-
 // ---- inter-stage messages ------------------------------------------------
 //
 // The hot messages (work tokens, NBI frames, transfer completions,

@@ -124,8 +124,7 @@ impl PostStage {
 }
 
 impl PostStage {
-    /// One delivery against an already-borrowed work pool
-    /// ([`Node::on_batch`] borrows it once per burst).
+    /// One delivery against the borrowed work pool.
     fn deliver(&mut self, ctx: &mut Ctx<'_>, msg: Msg, pool: &mut WorkPool) {
         let Msg::Work(token) = msg else {
             panic!("post-stage: unexpected message {}", msg.variant_name())
@@ -383,7 +382,10 @@ impl PostStage {
 }
 
 impl Node for PostStage {
-    crate::stages::pool_batched_delivery!();
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        let pool = std::rc::Rc::clone(&self.pool);
+        self.deliver(ctx, msg, &mut pool.borrow_mut());
+    }
 
     fn on_attach(&mut self, stats: &mut Stats) {
         self.ccp_events = Some(stats.counter("ccp.events"));

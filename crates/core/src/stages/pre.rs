@@ -317,8 +317,7 @@ pub fn fixup_checksums(frame: &mut [u8]) {
 }
 
 impl PreStage {
-    /// One delivery against an already-borrowed work pool
-    /// ([`Node::on_batch`] borrows it once per burst).
+    /// One delivery against the borrowed work pool.
     fn deliver(&mut self, ctx: &mut Ctx<'_>, msg: Msg, pool: &mut WorkPool) {
         let Msg::Work(token) = msg else {
             panic!("pre-stage: unexpected message {}", msg.variant_name())
@@ -335,7 +334,10 @@ impl PreStage {
 }
 
 impl Node for PreStage {
-    crate::stages::pool_batched_delivery!();
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        let pool = std::rc::Rc::clone(&self.pool);
+        self.deliver(ctx, msg, &mut pool.borrow_mut());
+    }
 
     fn on_attach(&mut self, stats: &mut Stats) {
         self.malformed_ctr = Some(stats.counter("pre.malformed"));

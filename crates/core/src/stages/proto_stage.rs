@@ -117,8 +117,7 @@ impl ProtoStage {
 }
 
 impl ProtoStage {
-    /// One delivery against an already-borrowed work pool
-    /// ([`Node::on_batch`] borrows it once per burst).
+    /// One delivery against the borrowed work pool.
     fn deliver(&mut self, ctx: &mut Ctx<'_>, msg: Msg, pool: &mut WorkPool) {
         let Msg::Work(token) = msg else {
             panic!("proto-stage: unexpected message {}", msg.variant_name())
@@ -270,7 +269,10 @@ impl ProtoStage {
 }
 
 impl Node for ProtoStage {
-    crate::stages::pool_batched_delivery!();
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        let pool = std::rc::Rc::clone(&self.pool);
+        self.deliver(ctx, msg, &mut pool.borrow_mut());
+    }
 
     fn on_attach(&mut self, stats: &mut Stats) {
         self.counters = Some(ProtoCounters {

@@ -135,8 +135,7 @@ impl SeqrNode {
 }
 
 impl SeqrNode {
-    /// One delivery against an already-borrowed work pool ([`Node::on_batch`]
-    /// borrows it once per burst).
+    /// One delivery against the borrowed work pool.
     fn deliver(&mut self, ctx: &mut Ctx<'_>, msg: Msg, pool: &mut WorkPool) {
         match msg {
             // raw ingress frame from the MAC
@@ -223,7 +222,10 @@ impl SeqrNode {
 }
 
 impl Node for SeqrNode {
-    crate::stages::pool_batched_delivery!();
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        let pool = std::rc::Rc::clone(&self.pool);
+        self.deliver(ctx, msg, &mut pool.borrow_mut());
+    }
 
     fn on_attach(&mut self, stats: &mut Stats) {
         self.exhausted_counter = Some(stats.counter("nic.pool_exhausted"));

@@ -888,8 +888,8 @@ impl HostStackNode {
     }
 }
 
-impl HostStackNode {
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+impl Node for HostStackNode {
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         // hot paths first: typed variants match without the repack boxes
         // the legacy try_cast chain below would pay
         let msg = match msg {
@@ -972,16 +972,6 @@ impl HostStackNode {
         let p = flextoe_sim::cast::<PumpTx>(msg);
         self.pump_tx(ctx, p.conn);
     }
-}
-
-impl Node for HostStackNode {
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        self.deliver(ctx, msg);
-    }
-
-    // Trains of line-rate ingress frames coalesce through the default
-    // `on_batch` loop (one node checkout, one Ctx); the per-frame demux
-    // state is per-connection, so there is nothing to hoist per burst.
 
     fn name(&self) -> String {
         format!("hoststack-{}", self.kind.name())

@@ -6,7 +6,7 @@
 //! packet losses in the network by randomly dropping packets … with a
 //! fixed probability" — that is this node.
 
-use flextoe_sim::{CounterHandle, Ctx, Duration, Msg, MsgBurst, Node, NodeId, Stats};
+use flextoe_sim::{CounterHandle, Ctx, Duration, Msg, Node, NodeId, Stats};
 use flextoe_wire::Frame;
 
 /// Gilbert–Elliott two-state bursty-loss parameters. The link is in a
@@ -134,20 +134,6 @@ impl Link {
         }
     }
 
-    /// No fault model active: forwarding is a pure delay (and, because
-    /// `Rng::chance(0.0)` never draws, skipping the fault checks leaves
-    /// the deterministic random stream untouched).
-    #[inline]
-    fn faults_inert(&self) -> bool {
-        self.faults.drop_chance <= 0.0
-            && self.faults.corrupt_chance <= 0.0
-            && self.faults.size_limit.is_none()
-            && self.faults.dup_chance <= 0.0
-            && self.faults.jitter == Duration::ZERO
-            && self.faults.latency_mult <= 1
-            && self.faults.ge.is_none()
-    }
-
     /// One-way delivery delay for one copy: propagation inflated by the
     /// limp factor plus a fresh jitter draw (when a jitter bound is set).
     /// Jitter is the *only* per-copy draw, so the draw order stays fixed:
@@ -267,21 +253,6 @@ impl Node for Link {
         ctx.send(self.to, delay, frame);
         if let Some((copy, dup_delay)) = dup {
             ctx.send(self.to, dup_delay, copy);
-        }
-    }
-
-    fn on_batch(&mut self, ctx: &mut Ctx<'_>, burst: &mut MsgBurst) {
-        while let Some(msg) = burst.next(ctx) {
-            match msg {
-                // healthy-link fast path: skip the per-frame fault checks
-                // (re-checked per message — SetFaults / SetLinkUp can
-                // arrive mid-burst)
-                Msg::Frame(frame) if self.up && self.faults_inert() => {
-                    self.forwarded += 1;
-                    ctx.send(self.to, self.propagation, frame);
-                }
-                m => self.on_msg(ctx, m),
-            }
         }
     }
 

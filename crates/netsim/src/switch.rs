@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use flextoe_sim::{CounterHandle, Ctx, Duration, FxHashMap, Msg, MsgBurst, Node, NodeId, Stats};
+use flextoe_sim::{CounterHandle, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Stats};
 use flextoe_telemetry::SwitchSketch;
 use flextoe_wire::{
     ecmp_basis, ecmp_hash_with_basis, Ecn, Frame, FrameMeta, Ip4, Ipv4Packet, MacAddr, ETH_HDR_LEN,
@@ -627,10 +627,9 @@ fn mark_ce_raw(frame: &mut [u8]) -> bool {
     }
 }
 
-impl Switch {
-    /// One delivery with the stat handles already resolved
-    /// ([`Node::on_batch`] hoists the lookup out of the loop).
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, msg: Msg, counters: SwitchCounters) {
+impl Node for Switch {
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        let counters = self.counters.expect("switch attached to a sim");
         let frame = match msg {
             Msg::Token(port) => {
                 // always clear the serialization state — a kill between
@@ -710,20 +709,6 @@ impl Switch {
                     ctx.pool.put(frame.into_bytes());
                 }
             },
-        }
-    }
-}
-
-impl Node for Switch {
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        let counters = self.counters.expect("switch attached to a sim");
-        self.deliver(ctx, msg, counters);
-    }
-
-    fn on_batch(&mut self, ctx: &mut Ctx<'_>, burst: &mut MsgBurst) {
-        let counters = self.counters.expect("switch attached to a sim");
-        while let Some(msg) = burst.next(ctx) {
-            self.deliver(ctx, msg, counters);
         }
     }
 

@@ -5,9 +5,7 @@
 //! small fixed NBI latency. "After DMA completes, it issues the segment to
 //! the NBI (TX), which transmits and frees it" (§3.1.2).
 
-use flextoe_sim::{
-    BoundedQueue, CounterHandle, Ctx, Duration, Msg, MsgBurst, Node, NodeId, Stats, Time,
-};
+use flextoe_sim::{BoundedQueue, CounterHandle, Ctx, Duration, Msg, Node, NodeId, Stats, Time};
 use flextoe_wire::Frame;
 
 /// A frame submitted by the data-path for transmission (re-exported from
@@ -75,14 +73,12 @@ impl MacPort {
     }
 }
 
-impl MacPort {
-    /// One delivery with the overflow-drop handle already resolved
-    /// ([`Node::on_batch`] hoists the lookup out of the loop).
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, msg: Msg, tx_drops: CounterHandle) {
+impl Node for MacPort {
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         match msg {
             Msg::MacTx(tx) => {
                 if let Err(frame) = self.egress_q.push(tx.0) {
-                    ctx.stats.inc(tx_drops);
+                    ctx.stats.inc(self.tx_drops.expect("mac attached to a sim"));
                     ctx.pool.put(frame.into_bytes());
                 }
                 self.start_tx(ctx);
@@ -98,22 +94,6 @@ impl MacPort {
                 ctx.send(self.rx_to, NBI_INGRESS_LATENCY, frame);
             }
             m => panic!("mac-port: unexpected message {}", m.variant_name()),
-        }
-    }
-}
-
-impl Node for MacPort {
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        let tx_drops = self.tx_drops.expect("mac attached to a sim");
-        self.deliver(ctx, msg, tx_drops);
-    }
-
-    fn on_batch(&mut self, ctx: &mut Ctx<'_>, burst: &mut MsgBurst) {
-        // back-to-back NBI submissions and TX-done tokens coalesce; each
-        // message still charges its own serialization slot in order
-        let tx_drops = self.tx_drops.expect("mac attached to a sim");
-        while let Some(msg) = burst.next(ctx) {
-            self.deliver(ctx, msg, tx_drops);
         }
     }
 

@@ -47,10 +47,11 @@
 //!
 //! The default event queue is a bucketed event wheel (calendar queue,
 //! [`crate::wheel`]) with a binary-heap overflow for far-future timers;
-//! [`Sim::with_reference_queue`] selects the plain `BinaryHeap` reference
-//! scheduler instead. Both deliver the exact same total order —
-//! `(time, enqueue seq)` — which the integration suite proves by
-//! differential testing.
+//! [`QueueKind::Heap`] (or `FLEXTOE_SIM_REFERENCE=1`) selects the plain
+//! `BinaryHeap` reference scheduler instead. Both run under the same step
+//! loop — pop, check out the node, [`Node::on_msg`], restore — and deliver
+//! the exact same total order, `(time, enqueue seq)`, which the
+//! integration suite proves by differential testing.
 
 use std::any::Any;
 use std::cmp::Ordering;
@@ -385,38 +386,6 @@ pub trait Node: Any {
     /// Handle a message delivered at the current simulation time.
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg);
 
-    /// Handle a **burst continuation**: after [`Node::on_msg`] handled a
-    /// delivery, the engine probes the queue front; when the very next
-    /// ready event is addressed to this node too, the remaining run of
-    /// consecutive same-node events is drained through one `on_batch`
-    /// call — the node checkout and the [`Ctx`] are reused instead of
-    /// being rebuilt per event. (The first message always goes through
-    /// `on_msg`: singleton deliveries — the common case — pay nothing for
-    /// the coalescing machinery beyond one failed probe.)
-    ///
-    /// The default implementation drains the burst through [`Node::on_msg`]
-    /// one message at a time, so plain nodes behave identically with
-    /// bursting on or off. Hot nodes override this to hoist per-event work
-    /// (pool borrows, counter handles) out of the inner loop — routing
-    /// both `on_msg` and `on_batch` through one shared `deliver` helper.
-    ///
-    /// # Ordering contract
-    ///
-    /// [`MsgBurst::next`] yields exactly the messages the per-event engine
-    /// would have delivered, in the same order and at the same times
-    /// ([`Ctx::now`] advances per message): each call re-probes the queue
-    /// front, so a send issued mid-burst to *another* node ends the burst
-    /// at precisely the point the global `(time, enqueue-seq)` order
-    /// requires. An override must (a) call `next` until it returns `None`
-    /// and (b) be observationally identical to the default loop — same
-    /// sends in the same order, same statistics. No reordering or
-    /// cross-message fusion is permitted.
-    fn on_batch(&mut self, ctx: &mut Ctx<'_>, burst: &mut MsgBurst) {
-        while let Some(msg) = burst.next(ctx) {
-            self.on_msg(ctx, msg);
-        }
-    }
-
     /// Called once when the node joins a simulation
     /// ([`Sim::add_node`] / [`Sim::fill_node`]). Nodes resolve their
     /// [`crate::CounterHandle`]s here so per-event paths never pay a
@@ -455,9 +424,6 @@ pub struct Ctx<'a> {
     /// elements (switches, links, MAC queues) return dropped frames.
     pub pool: &'a mut PktBufPool,
     halt: &'a mut bool,
-    /// Per-kind delivered-event counters, present only under
-    /// `FLEXTOE_SIM_PROF=1` (burst continuations count through here).
-    prof_kinds: Option<&'a mut [u64; N_MSG_KINDS]>,
 }
 
 impl<'a> Ctx<'a> {
@@ -507,13 +473,6 @@ impl<'a> Ctx<'a> {
         self.push(self.now + delay, to, msg.into_msg());
     }
 
-    /// Send an already-converted message (kept for call sites that build
-    /// a [`Msg`] up front).
-    #[inline]
-    pub fn send_boxed(&mut self, to: NodeId, delay: Duration, msg: Msg) {
-        self.push(self.now + delay, to, msg);
-    }
-
     /// Send `msg` to node `to` at an absolute instant (>= now).
     #[inline]
     pub fn send_at<M: IntoMsg>(&mut self, to: NodeId, at: Time, msg: M) {
@@ -532,61 +491,6 @@ impl<'a> Ctx<'a> {
     /// terminators, e.g. "stop after N requests").
     pub fn halt(&mut self) {
         *self.halt = true;
-    }
-}
-
-/// Ceiling on events delivered per [`Node::on_batch`] call. Keeps
-/// [`Sim::step`] bounded (so `run_with_limit`'s runaway-loop guard still
-/// fires on zero-delay cycles) without measurably limiting coalescing —
-/// real bursts are far shorter.
-const BURST_CAP: u64 = 64;
-
-/// The lazily-drained event burst handed to [`Node::on_batch`]: the event
-/// that started the delivery plus every immediately following queue-front
-/// event addressed to the same node.
-pub struct MsgBurst {
-    to: NodeId,
-    first: Option<Msg>,
-    /// Deadline limit (`run_until`; `Time::MAX` otherwise): events after
-    /// it stay queued.
-    limit: Time,
-    /// Events yielded so far (the first message counts).
-    count: u64,
-    last_time: Time,
-}
-
-impl MsgBurst {
-    /// The next message of the burst, or `None` when the queue front moves
-    /// to another node, passes the deadline, hits the burst cap, or the
-    /// simulation was halted. Advances [`Ctx::now`] to the message's
-    /// delivery time.
-    #[inline]
-    pub fn next(&mut self, ctx: &mut Ctx<'_>) -> Option<Msg> {
-        if let Some(m) = self.first.take() {
-            return Some(m);
-        }
-        if *ctx.halt || self.count >= BURST_CAP {
-            return None;
-        }
-        let ev = ctx.queue.pop_front_if(self.to, self.limit)?;
-        debug_assert!(ev.time >= self.last_time, "burst time reversal");
-        ctx.now = ev.time;
-        self.count += 1;
-        self.last_time = ev.time;
-        if let Some(kinds) = ctx.prof_kinds.as_deref_mut() {
-            kinds[ev.msg.kind_idx()] += 1;
-        }
-        Some(ev.msg)
-    }
-
-    /// The node this burst is addressed to.
-    pub fn to(&self) -> NodeId {
-        self.to
-    }
-
-    /// Messages delivered through this burst so far.
-    pub fn delivered(&self) -> u64 {
-        self.count
     }
 }
 
@@ -667,22 +571,6 @@ impl Queue {
         }
     }
 
-    /// Pop the front event only if it targets `to` and is due no later
-    /// than `limit` — the burst-continuation probe.
-    #[inline]
-    fn pop_front_if(&mut self, to: NodeId, limit: Time) -> Option<Ev> {
-        match self {
-            Queue::Wheel(w) => w.pop_front_if(to, limit),
-            Queue::Heap(h) => {
-                let front = h.peek()?;
-                if front.to != to || front.time > limit {
-                    return None;
-                }
-                h.pop()
-            }
-        }
-    }
-
     fn next_time(&self) -> Option<Time> {
         match self {
             Queue::Wheel(w) => w.next_time(),
@@ -696,6 +584,12 @@ impl Queue {
             Queue::Heap(h) => h.len(),
         }
     }
+}
+
+/// `node_mut` / `node_ref` asked for `N`, but slot `id` holds the node
+/// registered as `name` (a harness wiring bug).
+fn wrong_node_type<N>(id: NodeId, name: &str) -> ! {
+    panic!("node {id} is {name}, not {}", std::any::type_name::<N>())
 }
 
 /// The simulation: event queue + nodes + RNG streams and statistics.
@@ -729,11 +623,6 @@ pub struct Sim {
     pub frame_pool: PktBufPool,
     events_processed: u64,
     halt: bool,
-    /// Per-node delivery coalescing (`step` drains bursts through
-    /// [`Node::on_batch`]). On by default; `set_burst(false)` — or the
-    /// `FLEXTOE_SIM_REFERENCE=1` / `FLEXTOE_SIM_NOBURST=1` environment
-    /// knobs — select strict per-event delivery for differential runs.
-    burst: bool,
     /// Wall-clock self-profiling (`FLEXTOE_SIM_PROF=1`): per-node
     /// (ns, events) accumulated around each delivery. Off by default —
     /// the check is one predictable branch per event.
@@ -741,9 +630,6 @@ pub struct Sim {
     pub prof: Vec<(u64, u64)>,
     /// Delivered-event counts per [`Msg`] kind (profiling only).
     prof_kinds: [u64; N_MSG_KINDS],
-    /// Burst-length histogram (profiling only): index = burst length,
-    /// capped at [`BURST_CAP`].
-    prof_burst: Vec<u64>,
 }
 
 impl Sim {
@@ -752,18 +638,11 @@ impl Sim {
         Sim::with_queue(seed, QueueKind::Wheel)
     }
 
-    /// New simulation on the reference `BinaryHeap` scheduler.
-    pub fn with_reference_queue(seed: u64) -> Sim {
-        Sim::with_queue(seed, QueueKind::Heap)
-    }
-
     pub fn with_queue(seed: u64, kind: QueueKind) -> Sim {
         let env_on = |name: &str| std::env::var_os(name).is_some_and(|v| v == "1");
-        // FLEXTOE_SIM_REFERENCE=1 forces the reference configuration
-        // (BinaryHeap scheduler, per-event delivery) regardless of what
-        // the caller selected — CI uses it to diff whole experiments
-        // against the burst engine. FLEXTOE_SIM_NOBURST=1 disables only
-        // the coalescing.
+        // FLEXTOE_SIM_REFERENCE=1 forces the reference `BinaryHeap`
+        // scheduler regardless of what the caller selected — CI uses it
+        // to diff whole experiments against the wheel.
         let reference = env_on("FLEXTOE_SIM_REFERENCE");
         let kind = if reference { QueueKind::Heap } else { kind };
         Sim {
@@ -785,23 +664,10 @@ impl Sim {
             frame_pool: PktBufPool::new(SIM_POOL_BOUND),
             events_processed: 0,
             halt: false,
-            burst: !reference && !env_on("FLEXTOE_SIM_NOBURST"),
             prof_enabled: env_on("FLEXTOE_SIM_PROF"),
             prof: Vec::new(),
             prof_kinds: [0; N_MSG_KINDS],
-            prof_burst: Vec::new(),
         }
-    }
-
-    /// Enable/disable per-node delivery coalescing (on by default). The
-    /// delivery order — and therefore every simulated result — is
-    /// identical either way; only wall-clock behavior differs.
-    pub fn set_burst(&mut self, on: bool) {
-        self.burst = on;
-    }
-
-    pub fn burst_enabled(&self) -> bool {
-        self.burst
     }
 
     /// Enable/disable the event profiler programmatically (same switch
@@ -843,16 +709,13 @@ impl Sim {
         v
     }
 
-    /// Burst-length histogram (requires `FLEXTOE_SIM_PROF=1`): non-empty
-    /// `(burst length, bursts)` entries, ascending. The last bucket
-    /// aggregates bursts at the engine's cap.
+    /// Shim for `benchmark/`, which still reads a delivery-length
+    /// histogram and was out of bounds for the PR that removed delivery
+    /// coalescing: every delivery is one event, so this is
+    /// `[(1, profiled deliveries)]`. Goes with the benchmark's
+    /// `sim.burst_singleton_frac`.
     pub fn prof_burst_hist(&self) -> Vec<(usize, u64)> {
-        self.prof_burst
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(len, &n)| (len, n))
-            .collect()
+        vec![(1, self.prof.iter().map(|&(_, n)| n).sum())]
     }
 
     pub fn now(&self) -> Time {
@@ -915,13 +778,8 @@ impl Sim {
             .as_mut()
             .unwrap_or_else(|| panic!("node {id} is vacant"));
         let any: &mut dyn Any = node.as_mut();
-        any.downcast_mut::<N>().unwrap_or_else(|| {
-            panic!(
-                "node {id} is {}, not {}",
-                std::any::type_name::<N>(),
-                std::any::type_name::<N>()
-            )
-        })
+        any.downcast_mut::<N>()
+            .unwrap_or_else(|| wrong_node_type::<N>(id, &self.node_names[id]))
     }
 
     /// Shared access to a concrete node.
@@ -931,7 +789,7 @@ impl Sim {
             .unwrap_or_else(|| panic!("node {id} is vacant"));
         let any: &dyn Any = node.as_ref();
         any.downcast_ref::<N>()
-            .unwrap_or_else(|| panic!("node {id} has unexpected type"))
+            .unwrap_or_else(|| wrong_node_type::<N>(id, &self.node_names[id]))
     }
 
     /// Schedule a message from outside any handler (experiment kick-off).
@@ -1023,17 +881,14 @@ impl Sim {
         self.nodes.len()
     }
 
-    /// Deliver the next event — and, with bursting enabled, every
-    /// immediately following queue-front event addressed to the same node
-    /// (see [`Node::on_batch`]). Returns `false` when the queue is empty
-    /// or the simulation was halted.
+    /// Deliver the next event. Returns `false` when the queue is empty or
+    /// the simulation was halted.
     pub fn step(&mut self) -> bool {
         self.step_limit(Time::MAX)
     }
 
-    /// [`Sim::step`] under a deadline: neither the first event nor a burst
-    /// continuation is delivered later than `limit`. Also returns `false`
-    /// when the earliest queued event is due after `limit`.
+    /// [`Sim::step`] under a deadline: also returns `false` when the
+    /// earliest queued event is due after `limit`.
     fn step_limit(&mut self, limit: Time) -> bool {
         if self.halt {
             return false;
@@ -1055,82 +910,36 @@ impl Sim {
         if self.prof_enabled {
             self.prof_kinds[ev.msg.kind_idx()] += 1;
         }
-        let mut count = 1u64;
-        let mut last_time = ev.time;
-        {
-            let mut ctx = Ctx {
-                now: self.time,
-                self_id: to,
-                queue: &mut self.queue,
-                send_seq: &mut self.send_seqs[to],
-                seq_base: node_band(to),
-                owned: self.owned.as_deref(),
-                exports: &mut self.exports,
-                rng: &mut self.node_rngs[to],
-                stats: &mut self.stats,
-                pool: &mut self.frame_pool,
-                halt: &mut self.halt,
-                prof_kinds: if self.prof_enabled {
-                    Some(&mut self.prof_kinds)
-                } else {
-                    None
-                },
-            };
-            // Deliver the first message through the plain path: bursts of
-            // one are by far the common case, and this keeps them free of
-            // any coalescing overhead beyond a single follow-up probe.
-            node.on_msg(&mut ctx, ev.msg);
-            if self.burst && !*ctx.halt {
-                // the probe: is the very next event ours too?
-                if let Some(ev2) = ctx.queue.pop_front_if(to, limit) {
-                    ctx.now = ev2.time;
-                    if let Some(kinds) = ctx.prof_kinds.as_deref_mut() {
-                        kinds[ev2.msg.kind_idx()] += 1;
-                    }
-                    let mut burst = MsgBurst {
-                        to,
-                        first: Some(ev2.msg),
-                        limit,
-                        count: 2,
-                        last_time: ev2.time,
-                    };
-                    node.on_batch(&mut ctx, &mut burst);
-                    if let Some(m) = burst.first.take() {
-                        // an on_batch override that never called next()
-                        // violates the drain contract; deliver the
-                        // stranded message rather than losing it
-                        debug_assert!(false, "on_batch left its burst undrained");
-                        node.on_msg(&mut ctx, m);
-                    }
-                    count = burst.count;
-                    last_time = burst.last_time;
-                }
-            }
-        }
-        self.time = last_time;
-        self.events_processed += count;
+        let mut ctx = Ctx {
+            now: self.time,
+            self_id: to,
+            queue: &mut self.queue,
+            send_seq: &mut self.send_seqs[to],
+            seq_base: node_band(to),
+            owned: self.owned.as_deref(),
+            exports: &mut self.exports,
+            rng: &mut self.node_rngs[to],
+            stats: &mut self.stats,
+            pool: &mut self.frame_pool,
+            halt: &mut self.halt,
+        };
+        node.on_msg(&mut ctx, ev.msg);
+        self.events_processed += 1;
         if let Some(t0) = t0 {
             if self.prof.len() <= to {
                 self.prof.resize(to + 1, (0, 0));
             }
             let p = &mut self.prof[to];
             p.0 += t0.elapsed().as_nanos() as u64;
-            p.1 += count;
-            let cap = BURST_CAP as usize;
-            if self.prof_burst.len() <= cap {
-                self.prof_burst.resize(cap + 1, 0);
-            }
-            self.prof_burst[(count as usize).min(cap)] += 1;
+            p.1 += 1;
         }
         self.nodes[to] = Some(node);
         true
     }
 
     /// Run until the queue drains, the halt flag is set, or `deadline` is
-    /// reached (events at exactly `deadline` are delivered — including
-    /// ones scheduled *during* the final burst via the same-slot
-    /// direct-drain path). Bursts are deadline-limited, so the post-burst
-    /// clock never overshoots `deadline`.
+    /// reached. Events at exactly `deadline` are delivered — including
+    /// ones a handler schedules for that instant while it is being drained.
     pub fn run_until(&mut self, deadline: Time) {
         while self.step_limit(deadline) {}
         if !self.halt {
@@ -1272,7 +1081,7 @@ mod tests {
     /// declined event. Rotating the window to a far-future (overflow-heap)
     /// event would put `base` past it; staging a later in-window bucket
     /// would put the cursor past it; a bucket that *starts* by the deadline
-    /// may be staged, and the new event then merges in ahead of its run.
+    /// may be staged, and the new event is then inserted ahead of its run.
     #[test]
     fn run_until_short_of_the_next_event_keeps_earlier_times_schedulable() {
         let cases = [
@@ -1359,8 +1168,10 @@ mod tests {
         assert_eq!(run(1234, QueueKind::Wheel), run(1234, QueueKind::Heap));
     }
 
+    /// One event per step on either queue, so a zero-delay self-send loop
+    /// — which never leaves the wheel's staged bucket — still runs into
+    /// `run_with_limit`'s guard.
     #[test]
-    #[should_panic(expected = "event limit")]
     fn zero_delay_loop_detected() {
         struct Looper;
         impl Node for Looper {
@@ -1368,10 +1179,41 @@ mod tests {
                 ctx.wake(Duration::ZERO, Tick);
             }
         }
+        both_kinds(|kind| {
+            let mut sim = Sim::with_queue(1, kind);
+            let l = sim.add_node(Looper);
+            sim.schedule(Time::ZERO, l, Tick);
+            let run = std::panic::AssertUnwindSafe(|| sim.run_with_limit(1000));
+            let err = std::panic::catch_unwind(run).expect_err("the guard must trip");
+            let text = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(text.contains("event limit 1000 exceeded"), "{text}");
+        });
+    }
+
+    /// A type mismatch names what the slot holds (its registered name)
+    /// and what the caller asked for.
+    struct Named;
+    impl Node for Named {
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _msg: Msg) {}
+        fn name(&self) -> String {
+            "named-node".to_string()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 is named-node, not flextoe_sim::engine::tests::Halter")]
+    fn node_mut_type_mismatch_names_both_types() {
         let mut sim = Sim::new(1);
-        let l = sim.add_node(Looper);
-        sim.schedule(Time::ZERO, l, Tick);
-        sim.run_with_limit(1000);
+        let id = sim.add_node(Named);
+        sim.node_mut::<Halter>(id);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 is named-node, not flextoe_sim::engine::tests::Halter")]
+    fn node_ref_type_mismatch_names_both_types() {
+        let mut sim = Sim::new(1);
+        let id = sim.add_node(Named);
+        sim.node_ref::<Halter>(id);
     }
 
     #[test]
@@ -1407,12 +1249,12 @@ mod tests {
     }
 
     /// A handler that fires at exactly the `run_until` deadline and
-    /// schedules zero-delay work (which arrives via the wheel's same-slot
-    /// direct-drain lane) still gets that work delivered inside the same
-    /// `run_until` call — events at exactly `deadline` are in scope no
-    /// matter which path they took into the queue.
+    /// schedules zero-delay work (which the wheel inserts into its staged
+    /// bucket) still gets that work delivered inside the same `run_until`
+    /// call — events at exactly `deadline` are in scope no matter which
+    /// path they took into the queue.
     #[test]
-    fn run_until_delivers_deadline_events_from_direct_drain() {
+    fn run_until_delivers_zero_delay_sends_at_the_deadline() {
         struct Chain {
             peer: NodeId,
             left: u32,
@@ -1442,76 +1284,10 @@ mod tests {
         });
     }
 
-    /// Bursting is transparent: per-event delivery (reference) and burst
-    /// delivery produce identical logs and identical `events_processed`.
+    /// `ctx.halt()` in the middle of a same-timestamp train stops the run
+    /// there and leaves the rest of the train queued.
     #[test]
-    fn burst_and_per_event_delivery_are_identical() {
-        let run = |burst: bool| {
-            let mut sim = Sim::new(7);
-            sim.set_burst(burst);
-            let r = sim.add_node(Recorder { seen: vec![] });
-            // several same-timestamp trains (classic burst shape) plus
-            // spread-out singles
-            for i in 0..40u32 {
-                sim.schedule(Time::from_ns((i / 8) as u64 * 100), r, i);
-            }
-            sim.run();
-            (
-                sim.node_ref::<Recorder>(r).seen.clone(),
-                sim.events_processed(),
-            )
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    /// A node overriding `on_batch` sees every message of its burst, in
-    /// order, with `Ctx::now` advancing per message.
-    #[test]
-    fn on_batch_override_observes_whole_burst() {
-        struct Batcher {
-            bursts: Vec<Vec<(u64, u64)>>, // per burst: (ns, token)
-        }
-        impl Node for Batcher {
-            fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-                let Msg::Token(v) = msg else { panic!() };
-                self.bursts.push(vec![(ctx.now().as_ns(), v)]);
-            }
-            fn on_batch(&mut self, ctx: &mut Ctx<'_>, burst: &mut MsgBurst) {
-                let mut got = Vec::new();
-                while let Some(msg) = burst.next(ctx) {
-                    let Msg::Token(v) = msg else { panic!() };
-                    got.push((ctx.now().as_ns(), v));
-                }
-                self.bursts.push(got);
-            }
-        }
-        let mut sim = Sim::new(1);
-        let b = sim.add_node(Batcher { bursts: vec![] });
-        let other = sim.add_node(Recorder { seen: vec![] });
-        for i in 0..5u64 {
-            sim.schedule(Time::from_ns(10), b, i);
-        }
-        // an interleaved event for another node at a later time ends the
-        // burst there
-        sim.schedule(Time::from_ns(20), other, 99u32);
-        sim.schedule(Time::from_ns(30), b, 7u64);
-        sim.run();
-        let bursts = &sim.node_ref::<Batcher>(b).bursts;
-        // the first message of a train goes through on_msg (singleton
-        // fast path); the rest of the run arrives as one on_batch call
-        assert_eq!(bursts[0], vec![(10, 0)]);
-        assert_eq!(
-            bursts[1],
-            vec![(10, 1), (10, 2), (10, 3), (10, 4)],
-            "rest of the same-time train in one burst continuation"
-        );
-        assert_eq!(bursts[2], vec![(30, 7)]);
-        assert_eq!(sim.events_processed(), 7);
-    }
-
-    /// `ctx.halt()` inside a burst stops further burst continuation.
-    #[test]
-    fn halt_ends_burst_immediately() {
+    fn halt_mid_train_leaves_the_rest_queued() {
         struct HaltOnSecond {
             seen: u32,
         }
@@ -1523,16 +1299,23 @@ mod tests {
                 }
             }
         }
-        let mut sim = Sim::new(1);
-        let h = sim.add_node(HaltOnSecond { seen: 0 });
-        for _ in 0..5 {
-            sim.schedule(Time::from_ns(1), h, Tick);
-        }
-        sim.run();
-        assert!(sim.halted());
-        assert_eq!(sim.node_ref::<HaltOnSecond>(h).seen, 2);
-        assert_eq!(sim.events_processed(), 2);
-        assert_eq!(sim.events_pending(), 3);
+        both_kinds(|kind| {
+            let mut sim = Sim::with_queue(1, kind);
+            let h = sim.add_node(HaltOnSecond { seen: 0 });
+            for _ in 0..5 {
+                sim.schedule(Time::from_ns(1), h, Tick);
+            }
+            sim.run();
+            assert!(sim.halted());
+            assert_eq!(sim.node_ref::<HaltOnSecond>(h).seen, 2);
+            assert_eq!(sim.events_processed(), 2);
+            assert_eq!(sim.events_pending(), 3);
+            // the run resumes where it stopped
+            sim.clear_halt();
+            sim.run();
+            assert_eq!(sim.node_ref::<HaltOnSecond>(h).seen, 5);
+            assert_eq!(sim.events_pending(), 0);
+        });
     }
 
     /// Ownership masks turn cross-boundary frames into exports with the

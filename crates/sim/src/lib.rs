@@ -39,8 +39,8 @@ pub mod time;
 pub mod wheel;
 
 pub use engine::{
-    cast, try_cast, Ctx, Doorbell, Envelope, FreeDesc, FsUpdate, IntoMsg, MacTx, Msg, MsgBurst,
-    NbiFrame, Node, NodeId, QueueKind, ReportBatchToken, Sim, Tick, WorkToken, XferDone, XferReq,
+    cast, try_cast, Ctx, Doorbell, Envelope, FreeDesc, FsUpdate, IntoMsg, MacTx, Msg, NbiFrame,
+    Node, NodeId, QueueKind, ReportBatchToken, Sim, Tick, WorkToken, XferDone, XferReq,
     MSG_KIND_NAMES, N_MSG_KINDS,
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};

@@ -26,8 +26,9 @@
 //! earliest overflow timestamp and due overflow events migrate in.
 //!
 //! Because a bucket spans `W` picoseconds, its events are staged as a
-//! sorted `ready` run when the cursor reaches it (the 4 ns bucket width
-//! makes multi-event buckets rare, so the sort usually short-circuits).
+//! sorted `ready` run when the cursor reaches it (at the 4 ns bucket width
+//! 58–79% of the buckets staged on the benchmark workloads hold a single
+//! event and skip the sort).
 //!
 //! # Storage
 //!
@@ -41,21 +42,21 @@
 //! its slot on push and out of it on pop, which frees the slot. Overflow
 //! migration links into the same lists.
 //!
-//! # Same-slot direct drain
+//! # Sends into the staged bucket
 //!
-//! A handler that schedules new work due inside the *current* bucket — a
+//! A handler that schedules work due inside the *current* bucket — a
 //! zero-delay hop, a doorbell, an `FsUpdate`, a same-cycle stage handoff —
-//! takes the **hot deque** instead of the wheel proper: no bucket hashing,
-//! no occupancy-bitmap update, no staging sort. Seq keys are banded per
-//! source node (engine docs), so they are not globally monotone; the deque
-//! is kept `(time, seq)`-sorted by full-key insertion, where zero-delay
-//! self-sends — the common case — still append in O(1) (one source's keys
-//! are monotone within one timestamp). Popping merges the deque with the
-//! staged `ready` run by comparing fronts — two sorted runs, so every pop
-//! yields the minimum queued key: exactly the reference heap's greedy
-//! order. The deque is always empty by the time the cursor advances past
-//! its bucket, so hot events can never be overtaken by later buckets or
-//! the overflow heap.
+//! finds that bucket already unlinked into `ready`. The event takes an
+//! arena slot like any other and is inserted by `(time, seq)` into the
+//! undelivered part of `ready`, so there is one sorted run and a pop is
+//! always `ready[ready_pos]`. Seq keys are banded per source node (engine
+//! docs), so they are not globally monotone and the insert searches by
+//! full key; the common case, a zero-delay chain with nothing later left
+//! in its bucket, lands at the end. The delivered prefix of `ready` is
+//! reclaimed on the same path, once it outweighs the undelivered tail, so
+//! a zero-delay chain that never leaves its bucket runs in constant space. `ready` is always exhausted by the time the
+//! cursor advances, so a same-bucket send can never be overtaken by later
+//! buckets or the overflow heap.
 //!
 //! Pushes below `base` cannot happen — `base` never passes the sim clock
 //! (rotation happens only while delivering an event at the new base), and
@@ -67,9 +68,9 @@
 //! declined pop never moves `base` or the cursor past the instant the
 //! engine's clock stops at.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-use crate::engine::{Ev, Msg, NodeId};
+use crate::engine::{Ev, Msg};
 use crate::time::Time;
 
 /// log2 of the bucket width in picoseconds (4096 ps ≈ 4 ns).
@@ -135,18 +136,13 @@ pub(crate) struct EventWheel {
     /// Bucket currently staged in `ready`.
     cursor: usize,
     /// True once bucket `cursor` has been drained into `ready`; new events
-    /// due in that bucket must then merge into `ready`, not the bucket.
+    /// due in that bucket are then inserted into `ready`, not the bucket.
     ready_active: bool,
     /// The staged events of bucket `cursor`: their arena slots, sorted by
     /// `(time, seq)`; `ready_pos` is the next undelivered index. An event
     /// stays in its slot until it is popped.
     ready: Vec<u32>,
     ready_pos: usize,
-    /// Same-slot direct-drain lane: events pushed into bucket `cursor`
-    /// *while it is being drained*, kept `(time, seq)`-sorted (append-only
-    /// in the common zero-delay case). Merged with `ready` on pop; always
-    /// empty when the cursor moves on.
-    hot: VecDeque<Ev>,
     /// Far-future events (time >= base + SPAN). `Ev`'s reversed `Ord`
     /// makes this max-heap pop earliest-first.
     overflow: BinaryHeap<Ev>,
@@ -165,7 +161,6 @@ impl EventWheel {
             ready_active: false,
             ready: Vec::new(),
             ready_pos: 0,
-            hot: VecDeque::new(),
             overflow: BinaryHeap::new(),
             len: 0,
         }
@@ -186,10 +181,10 @@ impl EventWheel {
         self.occ[idx >> 6] &= !(1 << (idx & 63));
     }
 
-    /// Append `ev` to bucket `idx`'s list, reusing a freed slot if any.
+    /// Store `ev` in the arena, reusing a freed slot if any.
     #[inline]
-    fn link(&mut self, idx: usize, ev: Ev) {
-        let slot = if self.free != NIL {
+    fn alloc(&mut self, ev: Ev) -> u32 {
+        if self.free != NIL {
             let slot = self.free;
             let s = &mut self.slab[slot as usize];
             self.free = s.next;
@@ -200,7 +195,13 @@ impl EventWheel {
             assert!(slot < NIL as usize, "event arena outgrew its u32 links");
             self.slab.push(Slot { ev, next: NIL });
             slot as u32
-        };
+        }
+    }
+
+    /// Append `ev` to bucket `idx`'s list.
+    #[inline]
+    fn link(&mut self, idx: usize, ev: Ev) {
+        let slot = self.alloc(ev);
         let b = &mut self.buckets[idx];
         if b.head == NIL {
             b.head = slot;
@@ -221,22 +222,37 @@ impl EventWheel {
         }
         let idx = self.bucket_of(t);
         if idx == self.cursor && self.ready_active {
-            // Same-slot direct drain: the cursor bucket is already staged,
-            // so the event joins the hot deque instead of the wheel. Seq
-            // keys are banded per source (not globally monotone), so the
-            // deque is kept `(time, seq)`-sorted by full-key comparison;
-            // zero-delay self-sends — the common case — still append,
-            // since one source's keys are monotone at one timestamp.
-            let key = (ev.time, ev.seq);
-            if self.hot.back().is_none_or(|b| (b.time, b.seq) <= key) {
-                self.hot.push_back(ev);
-            } else {
-                let pos = self.hot.partition_point(|e| (e.time, e.seq) <= key);
-                self.hot.insert(pos, ev);
-            }
+            self.insert_staged(ev);
         } else {
             self.link(idx, ev);
         }
+    }
+
+    /// Insert `ev`, due in the already staged cursor bucket, into the
+    /// undelivered part of `ready` by `(time, seq)`. Seq keys are banded
+    /// per source (not globally monotone), so the position comes from a
+    /// full-key search; a zero-delay chain with nothing later left in its
+    /// bucket — the common case — lands at the end. Not `#[inline]`: 6% of
+    /// the benchmark workloads' pushes come here, and this body inlined
+    /// into every `send` measured 2% slower on `echo_pair`.
+    fn insert_staged(&mut self, ev: Ev) {
+        // The only path that grows `ready` between two stagings, so the
+        // delivered prefix is reclaimed here once it outweighs the tail it
+        // precedes (each shift moves fewer slots than were popped since
+        // the last; an exhausted run is simply cleared).
+        let live = self.ready.len() - self.ready_pos;
+        if self.ready_pos > live {
+            self.ready.drain(..self.ready_pos);
+            self.ready_pos = 0;
+        }
+        let key = (ev.time, ev.seq);
+        let slot = self.alloc(ev);
+        let slab = &self.slab;
+        let at = self.ready[self.ready_pos..].partition_point(|&s| {
+            let e = &slab[s as usize].ev;
+            (e.time, e.seq) <= key
+        });
+        self.ready.insert(self.ready_pos + at, slot);
     }
 
     /// The first bucket not yet staged: the cursor's, or the one after it
@@ -265,26 +281,15 @@ impl EventWheel {
         }
     }
 
-    /// Make the staged front (`ready[ready_pos]` merged with the hot
-    /// deque) the globally earliest event, staging / rotating as needed —
-    /// but only onto work that starts at or before `limit` (ps). Returns
-    /// false when nothing is staged and nothing stageable is due (always
-    /// the case for an empty queue). Split so the staged-run hit — the
-    /// per-pop common case — inlines into the engine's step loop.
-    #[inline(always)]
-    fn ensure_front(&mut self, limit: u64) -> bool {
-        if self.ready_pos < self.ready.len() || !self.hot.is_empty() {
-            return true;
-        }
-        self.ensure_front_slow(limit)
-    }
-
-    /// Stage the next bucket / rotate the window (out-of-line). Neither
-    /// happens past `limit`: the caller's clock stops there, later pushes
-    /// may land anywhere after it, and they must still find their bucket
-    /// at or after the cursor of a window whose `base` is not in their
-    /// future.
-    fn ensure_front_slow(&mut self, limit: u64) -> bool {
+    /// With `ready` exhausted, stage the next occupied bucket, rotating
+    /// the window if the wheel is empty — but only onto work that starts
+    /// at or before `limit` (ps): the caller's clock stops there, later
+    /// pushes may land anywhere after it, and they must still find their
+    /// bucket at or after the cursor of a window whose `base` is not in
+    /// their future. Returns false when nothing stageable is due (always
+    /// the case for an empty queue). Out of line, so that the staged-run
+    /// hit — the per-pop common case — inlines into the engine's step loop.
+    fn stage_next(&mut self, limit: u64) -> bool {
         loop {
             if self.len == 0 {
                 return false;
@@ -334,89 +339,31 @@ impl EventWheel {
         }
     }
 
-    /// The front of the staged `ready` run, if any is left.
-    #[inline]
-    fn ready_front(&self) -> Option<&Ev> {
-        let slot = *self.ready.get(self.ready_pos)?;
-        Some(&self.slab[slot as usize].ev)
-    }
-
-    /// Does the hot deque hold the earliest staged event? Both runs are
-    /// `(time, seq)`-sorted, so comparing fronts suffices.
-    #[inline]
-    fn hot_first(&self) -> bool {
-        match (self.ready_front(), self.hot.front()) {
-            (Some(r), Some(h)) => (h.time, h.seq) < (r.time, r.seq),
-            (None, _) => true,
-            (_, None) => false,
-        }
-    }
-
-    /// Remove and return the staged front — the earlier of the `ready`
-    /// remainder's and the hot deque's fronts — if there is one and it
-    /// satisfies `want`. The hot deque is empty in the vastly common case,
-    /// so that test guards the merge logic.
-    #[inline(always)]
-    fn take_staged_if(&mut self, want: impl FnOnce(&Ev) -> bool) -> Option<Ev> {
-        let hot_first = !self.hot.is_empty() && self.hot_first();
-        let front = if hot_first {
-            // hot events live in the cursor bucket, which precedes every
-            // unstaged bucket and the overflow heap: with `ready`
-            // exhausted the hot front is still the global front
-            self.hot.front().expect("checked non-empty")
-        } else {
-            self.ready_front()?
-        };
-        if !want(front) {
-            return None;
-        }
-        self.len -= 1;
-        Some(if hot_first {
-            self.hot.pop_front().expect("checked non-empty")
-        } else {
-            let slot = self.ready[self.ready_pos];
-            self.ready_pos += 1;
-            let s = &mut self.slab[slot as usize];
-            s.next = std::mem::replace(&mut self.free, slot);
-            std::mem::replace(&mut s.ev, dummy_ev())
-        })
-    }
-
     /// Pop the earliest event if it is due no later than `deadline` — the
     /// engine's per-step pop (`Time::MAX` for an unbounded run). A declined
     /// pop leaves `base` and the cursor at or before `deadline` (see
-    /// `ensure_front_slow`), which is where the caller's clock stops.
+    /// `stage_next`), which is where the caller's clock stops.
     #[inline(always)]
     pub(crate) fn pop_due(&mut self, deadline: Time) -> Option<Ev> {
-        if !self.ensure_front(deadline.ps()) {
+        if self.ready_pos >= self.ready.len() && !self.stage_next(deadline.ps()) {
             return None;
         }
-        self.take_staged_if(|e| e.time <= deadline)
-    }
-
-    /// Pop the front event only if it is addressed to `to` and due no
-    /// later than `limit` — the engine's burst-continuation probe.
-    /// Deliberately looks only at the *staged* runs (the `ready` remainder
-    /// and the hot deque): when both are exhausted it declines rather than
-    /// rotating the window, so a failed probe — the common case — costs a
-    /// bounds check and a compare, and never disturbs the wheel. Declining
-    /// to coalesce is always order-safe; the next `pop_due` does the
-    /// staging work instead.
-    #[inline(always)]
-    pub(crate) fn pop_front_if(&mut self, to: NodeId, limit: Time) -> Option<Ev> {
-        self.take_staged_if(|e| e.to == to && e.time <= limit)
+        let slot = self.ready[self.ready_pos];
+        let s = &mut self.slab[slot as usize];
+        if s.ev.time > deadline {
+            return None;
+        }
+        self.ready_pos += 1;
+        self.len -= 1;
+        s.next = std::mem::replace(&mut self.free, slot);
+        Some(std::mem::replace(&mut s.ev, dummy_ev()))
     }
 
     /// Earliest queued timestamp without mutating the wheel (public
     /// `next_event_time` API; the hot path uses `pop_due`).
     pub(crate) fn next_time(&self) -> Option<Time> {
-        let staged = match (self.ready_front(), self.hot.front()) {
-            (Some(r), Some(h)) => Some(r.time.min(h.time)),
-            (Some(e), None) | (None, Some(e)) => Some(e.time),
-            (None, None) => None,
-        };
-        if staged.is_some() {
-            return staged;
+        if let Some(&slot) = self.ready.get(self.ready_pos) {
+            return Some(self.slab[slot as usize].ev.time);
         }
         if let Some(idx) = self.next_occupied(self.scan_from()) {
             return chain(&self.slab, self.buckets[idx].head)
@@ -481,7 +428,7 @@ mod tests {
                     pending.first().map(|&(t, _)| Time(t)),
                     "next_time disagrees with the reference"
                 );
-                if wheel.ready_pos >= wheel.ready.len() && wheel.hot.is_empty() {
+                if wheel.ready_pos >= wheel.ready.len() {
                     peeked_multi_event_bucket |= wheel
                         .next_occupied(wheel.scan_from())
                         .is_some_and(|idx| wheel.list_len(idx) > 1);
@@ -593,25 +540,26 @@ mod tests {
         wheel.push(ev(120, 1));
         assert_eq!(wheel.pop().map(|e| e.seq), Some(0));
         // bucket 0 is staged now; a zero-delay follow-up at t=100 must
-        // still come before the t=120 event (hot-deque direct drain)
+        // still come before the t=120 event
         wheel.push(ev(100, 2));
         assert_eq!(wheel.pop().map(|e| (e.time.ps(), e.seq)), Some((100, 2)));
         assert_eq!(wheel.pop().map(|e| (e.time.ps(), e.seq)), Some((120, 1)));
     }
 
-    /// The hot deque merges with the staged run in exact `(time, seq)`
-    /// order, including the rare out-of-time-order same-slot insert.
+    /// Sends into the staged bucket join its run in exact `(time, seq)`
+    /// order, including the rare insert ahead of earlier same-bucket sends.
     #[test]
-    fn hot_deque_merges_with_staged_run() {
+    fn same_bucket_sends_insert_into_staged_run() {
         let mut wheel = EventWheel::new();
         for (t, q) in [(100u64, 0u64), (200, 1), (300, 2)] {
             wheel.push(ev(t, q));
         }
         assert_eq!(wheel.pop().map(|e| e.seq), Some(0));
-        // same-slot sends while draining: monotone appends...
+        // same-bucket sends while draining: one between the staged
+        // events, one more later on...
         wheel.push(ev(150, 3));
         wheel.push(ev(250, 4));
-        // ...and one earlier-time insert that must sort into the deque
+        // ...and one that must sort in ahead of both
         wheel.push(ev(120, 5));
         let order: Vec<(u64, u64)> =
             std::iter::from_fn(|| wheel.pop().map(|e| (e.time.ps(), e.seq))).collect();
@@ -622,12 +570,12 @@ mod tests {
         assert_eq!(wheel.len(), 0);
     }
 
-    /// Banded seq keys are not globally monotone: a same-slot send from a
-    /// low-band source must insert before staged higher-band events at
-    /// the same timestamp, and the hot deque must order same-time pushes
-    /// by full key, not arrival.
+    /// Banded seq keys are not globally monotone: a same-bucket send from
+    /// a low-band source must insert before staged higher-band events at
+    /// the same timestamp, and same-time pushes must order by full key,
+    /// not arrival.
     #[test]
-    fn hot_deque_orders_banded_seqs_at_equal_time() {
+    fn staged_run_orders_banded_seqs_at_equal_time() {
         const BAND: u64 = 1 << 40;
         let mut wheel = EventWheel::new();
         wheel.push(ev(100, 9 * BAND));
@@ -697,32 +645,46 @@ mod tests {
         }
     }
 
-    /// `pop_front_if` only surfaces staged-front events for the right
-    /// node, never rotates the window, and honors the deadline limit.
+    /// Reclaiming the delivered prefix shifts the undelivered tail to the
+    /// front of `ready`; an insert on the same push must still land at its
+    /// key's place in that tail.
     #[test]
-    fn pop_front_if_is_a_safe_probe() {
+    fn reclaiming_the_prefix_keeps_the_tail_in_order() {
         let mut wheel = EventWheel::new();
-        let mk = |t: u64, seq: u64, to: usize| Ev {
-            time: Time(t),
-            seq,
-            to,
-            msg: Msg::Tick,
-        };
-        wheel.push(mk(100, 0, 1));
-        wheel.push(mk(110, 1, 2));
-        // nothing staged yet: the probe declines rather than staging
-        assert!(wheel.pop_front_if(1, Time::MAX).is_none());
-        assert_eq!(wheel.pop().map(|e| e.seq), Some(0));
-        // staged front is for node 2: probe for node 1 fails, node 2 hits
-        assert!(wheel.pop_front_if(1, Time::MAX).is_none());
-        // deadline below the front time declines too
-        assert!(wheel.pop_front_if(2, Time(105)).is_none());
-        assert_eq!(wheel.pop_front_if(2, Time(110)).map(|e| e.seq), Some(1));
+        for (t, q) in [(100u64, 0u64), (110, 1), (120, 2), (140, 3), (150, 4)] {
+            wheel.push(ev(t, q));
+        }
+        for q in 0..3 {
+            assert_eq!(wheel.pop().map(|e| e.seq), Some(q));
+        }
+        // three delivered, two left: this push compacts, then inserts
+        // between the two survivors
+        wheel.push(ev(145, 5));
+        assert_eq!((wheel.ready_pos, wheel.ready.len()), (0, 3));
+        // and this one lands ahead of all of them
+        wheel.push(ev(130, 6));
+        let order: Vec<(u64, u64)> =
+            std::iter::from_fn(|| wheel.pop().map(|e| (e.time.ps(), e.seq))).collect();
+        assert_eq!(order, vec![(130, 6), (140, 3), (145, 5), (150, 4)]);
         assert_eq!(wheel.len(), 0);
-        // hot-deque front is probe-visible after the staged run empties
-        wheel.push(mk(100, 2, 7));
-        assert_eq!(wheel.pop().map(|e| e.seq), Some(2));
-        wheel.push(mk(100, 3, 7));
-        assert_eq!(wheel.pop_front_if(7, Time::MAX).map(|e| e.seq), Some(3));
+    }
+
+    /// A zero-delay chain that never leaves its bucket runs in constant
+    /// space. Two tokens are in flight, so `ready` is never exhausted when
+    /// a send arrives: only reclaiming the delivered prefix bounds it.
+    #[test]
+    fn zero_delay_chain_runs_in_constant_space() {
+        let mut wheel = EventWheel::new();
+        wheel.push(ev(100, 0));
+        wheel.push(ev(100, 1));
+        for seq in 2..1_000_002u64 {
+            let e = wheel.pop().expect("two tokens in flight");
+            assert_eq!((e.time.ps(), e.seq), (100, seq - 2));
+            wheel.push(ev(100, seq));
+            assert!(wheel.ready_pos < wheel.ready.len(), "left the staged run");
+            assert!(wheel.ready.len() <= 4, "ready: {}", wheel.ready.len());
+            assert!(wheel.slab.len() <= 3, "arena: {}", wheel.slab.len());
+        }
+        assert_eq!(wheel.len(), 2);
     }
 }

@@ -71,17 +71,4 @@ fn main() {
             n as f64 / ev as f64 * 100.0
         );
     }
-    let bursts: u64 = sim.prof_burst_hist().iter().map(|&(_, n)| n).sum();
-    println!(
-        "\n{:<12} {:>10} {:>6}   ({bursts} bursts)",
-        "burst len", "count", "%"
-    );
-    for (len, n) in sim.prof_burst_hist() {
-        println!(
-            "{:<12} {:>10} {:>5.1}%",
-            len,
-            n,
-            n as f64 / bursts as f64 * 100.0
-        );
-    }
 }

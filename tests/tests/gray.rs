@@ -3,8 +3,8 @@
 //! backpressure, and SYN admission control — every scenario must shed
 //! load as *counted* degraded modes, keep exactly-once delivery, hold
 //! the buffer-conservation invariant through exhaustion and recovery,
-//! and never panic. Runs under both engines (CI repeats the suite with
-//! `FLEXTOE_SIM_REFERENCE=1`).
+//! and never panic. Runs on both event queues (CI repeats the suite on
+//! the heap oracle with `FLEXTOE_SIM_REFERENCE=1`).
 
 use flextoe_apps::{CloseAll, FramedServerConfig, SessionConfig};
 use flextoe_bench::faults::buf_balance;

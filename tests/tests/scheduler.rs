@@ -61,16 +61,7 @@ impl Node for Hopper {
 }
 
 fn random_workload(seed: u64, kind: QueueKind) -> (Vec<(u64, usize, u64)>, u64, u64) {
-    random_workload_cfg(seed, kind, true)
-}
-
-fn random_workload_cfg(
-    seed: u64,
-    kind: QueueKind,
-    burst: bool,
-) -> (Vec<(u64, usize, u64)>, u64, u64) {
     let mut sim = Sim::with_queue(seed, kind);
-    sim.set_burst(burst);
     let log: Log = Rc::new(RefCell::new(Vec::new()));
     let budget = Rc::new(RefCell::new(20_000u32));
     let ids: Vec<NodeId> = (0..8).map(|_| sim.reserve_node()).collect();
@@ -94,42 +85,18 @@ fn random_workload_cfg(
     (entries, events, end)
 }
 
-/// The wheel delivers byte-identically to the heap reference: same
-/// delivery log (time, node, payload), same event count, same end time.
+/// The wheel delivers byte-identically to the heap reference on random
+/// node graphs whose handlers mix zero-delay, same-bucket, in-window and
+/// far-future (overflow) sends: same delivery log (time, node, payload),
+/// same event count, same end time.
 #[test]
 fn wheel_matches_heap_on_random_workloads() {
-    for seed in [1u64, 7, 42, 0xDEAD, 991] {
+    for seed in [1u64, 7, 42, 0xDEAD, 991, 2, 11, 77, 4242, 0xBEEF] {
         let wheel = random_workload(seed, QueueKind::Wheel);
         let heap = random_workload(seed, QueueKind::Heap);
         assert_eq!(wheel.1, heap.1, "event counts diverged for seed {seed}");
         assert_eq!(wheel.2, heap.2, "end times diverged for seed {seed}");
         assert_eq!(wheel.0, heap.0, "delivery order diverged for seed {seed}");
-    }
-}
-
-/// Property: the burst engine (wheel + same-slot direct drain + per-node
-/// delivery coalescing) delivers byte-identically to the strict reference
-/// (`BinaryHeap` scheduler, per-event delivery) on random node graphs
-/// whose handlers mix zero-delay, same-slot (sub-bucket), in-window and
-/// far-future (overflow) sends — same delivery log, same
-/// `events_processed`, same end time.
-#[test]
-fn burst_engine_matches_strict_reference_on_random_dags() {
-    for seed in [2u64, 11, 77, 4242, 0xBEEF] {
-        let burst = random_workload_cfg(seed, QueueKind::Wheel, true);
-        let reference = random_workload_cfg(seed, QueueKind::Heap, false);
-        assert_eq!(
-            burst.1, reference.1,
-            "events_processed diverged for seed {seed}"
-        );
-        assert_eq!(burst.2, reference.2, "end times diverged for seed {seed}");
-        assert_eq!(
-            burst.0, reference.0,
-            "delivery order diverged for seed {seed}"
-        );
-        // and coalescing itself must be transparent on the same scheduler
-        let noburst = random_workload_cfg(seed, QueueKind::Wheel, false);
-        assert_eq!(burst, noburst, "bursting changed a wheel run, seed {seed}");
     }
 }
 
@@ -146,15 +113,7 @@ fn wheel_is_deterministic_across_runs() {
 // ---- property: the full data-path is scheduler-independent ---------------
 
 fn echo_fingerprint(kind: QueueKind) -> (u64, u64, u64, u64, u64, u64, usize, usize) {
-    echo_fingerprint_cfg(kind, true)
-}
-
-fn echo_fingerprint_cfg(
-    kind: QueueKind,
-    burst: bool,
-) -> (u64, u64, u64, u64, u64, u64, usize, usize) {
     let mut sim = Sim::with_queue(7, kind);
-    sim.set_burst(burst);
     let (a, b) = default_setup(&mut sim);
     let server = sim.add_node(Server::new(
         ServerConfig {
@@ -211,16 +170,6 @@ fn full_pipeline_identical_on_both_schedulers() {
     let wheel = echo_fingerprint(QueueKind::Wheel);
     let heap = echo_fingerprint(QueueKind::Heap);
     assert_eq!(wheel, heap, "wheel and heap runs diverged");
-}
-
-/// The full data-path — including every node that overrides `on_batch`
-/// (stages, links, MACs, host stacks) — is identical between the default
-/// burst engine and the strict per-event reference.
-#[test]
-fn full_pipeline_identical_burst_vs_reference() {
-    let burst = echo_fingerprint_cfg(QueueKind::Wheel, true);
-    let reference = echo_fingerprint_cfg(QueueKind::Heap, false);
-    assert_eq!(burst, reference, "burst engine diverged from reference");
 }
 
 // ---- pool hygiene --------------------------------------------------------

@@ -10,10 +10,9 @@
 //! (including the degenerate 1-shard cut and one-node-per-shard), and
 //! the real topo-level scale/faults scenarios.
 //!
-//! Engine coverage: the whole file is engine-agnostic — CI runs it once
-//! on the burst engine and once with `FLEXTOE_SIM_REFERENCE=1` (the
-//! Heap + no-burst reference configuration), so both engines prove the
-//! same identity.
+//! Queue coverage: the whole file is queue-agnostic — CI runs it once on
+//! the event wheel and once with `FLEXTOE_SIM_REFERENCE=1` (the
+//! `BinaryHeap` ordering oracle), so both prove the same identity.
 
 use flextoe_bench::faults::{run_faults_point, FaultsOutcome, FaultsPlan};
 use flextoe_bench::scale::{run_scale_point, ScaleOutcome};
@@ -24,7 +23,7 @@ use flextoe_wire::Frame;
 
 // ---------------------------------------------------------------------
 // Random node graphs: groups with arbitrary internal edges (including
-// zero-delay same-slot sends); inter-group edges only carry Frames with
+// zero-delay same-bucket sends); inter-group edges only carry Frames with
 // delay ≥ the lookahead, mirroring the link-cut discipline
 // `partition_fabric` enforces on real fabrics.
 // ---------------------------------------------------------------------
@@ -122,8 +121,8 @@ fn build_graph(seed: u64) -> (Sim, Vec<u32>) {
     }
     let n = group_of.len();
 
-    // Edge lists: intra-group edges may be zero-delay (same-slot direct
-    // drain in the burst engine); inter-group edges respect lookahead.
+    // Edge lists: intra-group edges may be zero-delay (inserts into the
+    // wheel's staged bucket); inter-group edges respect lookahead.
     let mut edges: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
     for (node, item) in edges.iter_mut().enumerate() {
         let g = group_of[node] as usize;
