@@ -8,6 +8,8 @@
 //! the per-request *cycle* budget charged to the host core is the Table 1
 //! application share.
 
+use std::collections::VecDeque;
+
 use flextoe_nfp::{Cost, FpcTimer};
 use flextoe_sim::{Ctx, Duration, FxHashMap, Histogram, Msg, Node, Time};
 use flextoe_wire::Ip4;
@@ -43,11 +45,13 @@ struct KvConn {
     backlog: Vec<u8>,
 }
 
+/// A parsed request's response, parked until its processing-done
+/// self-wake (`Msg::Token(conn)`) fires. The single application core
+/// finishes requests in issue order, so the wakes pop this queue FIFO.
 struct KvRespond {
     conn: u32,
     resp: Vec<u8>,
 }
-flextoe_sim::custom_msg!(KvRespond);
 
 pub struct KvServerApp<S: StackApi> {
     cfg: KvServerConfig,
@@ -56,6 +60,9 @@ pub struct KvServerApp<S: StackApi> {
     core: FpcTimer,
     store: FxHashMap<Vec<u8>, Vec<u8>>,
     conns: FxHashMap<u32, KvConn>,
+    responses: VecDeque<KvRespond>,
+    /// Readiness events of the message being handled (storage reused).
+    events: Vec<SockEvent>,
     pub gets: u64,
     pub sets: u64,
     pub hits: u64,
@@ -71,6 +78,8 @@ impl<S: StackApi + 'static> KvServerApp<S> {
             init: Some(init),
             store: FxHashMap::default(),
             conns: FxHashMap::default(),
+            responses: VecDeque::new(),
+            events: Vec::new(),
             gets: 0,
             sets: 0,
             hits: 0,
@@ -136,19 +145,23 @@ impl<S: StackApi + 'static> KvServerApp<S> {
 
     fn drain_rx(&mut self, ctx: &mut Ctx<'_>, conn: u32) {
         let stack = self.stack.as_mut().unwrap();
-        let data = stack.recv(ctx, conn, u32::MAX);
+        // receive straight onto the connection's unparsed bytes
+        let mut rx = match self.conns.get_mut(&conn) {
+            Some(st) => std::mem::take(&mut st.rx),
+            None => Vec::new(),
+        };
+        stack.recv(ctx, conn, u32::MAX, &mut rx);
         let overhead = stack.host_overhead(StackOp::Recv)
             + stack.host_overhead(StackOp::Send)
             + stack.host_overhead(StackOp::Poll);
-        let Some(st) = self.conns.get_mut(&conn) else {
+        if !self.conns.contains_key(&conn) {
             return;
-        };
-        st.rx.extend_from_slice(&data);
-        let mut rx = std::mem::take(&mut self.conns.get_mut(&conn).unwrap().rx);
+        }
         while let Some(resp) = self.parse_request(&mut rx) {
             let cycles = self.cfg.app_cycles + overhead;
             let done = self.core.execute(ctx.now(), Cost::new(cycles, 0));
-            ctx.wake(done.saturating_since(ctx.now()), KvRespond { conn, resp });
+            self.responses.push_back(KvRespond { conn, resp });
+            ctx.wake(done.saturating_since(ctx.now()), u64::from(conn));
         }
         if let Some(st) = self.conns.get_mut(&conn) {
             st.rx = rx;
@@ -178,34 +191,38 @@ impl<S: StackApi + 'static> Node for KvServerApp<S> {
             self.stack = Some(stack);
             return;
         }
-        let msg = match self.stack.as_mut().unwrap().on_msg(ctx, msg) {
-            Ok(events) => {
-                for ev in events {
-                    match ev {
-                        SockEvent::Accepted { conn, .. } => {
-                            self.conns.insert(
-                                conn,
-                                KvConn {
-                                    rx: Vec::new(),
-                                    backlog: Vec::new(),
-                                },
-                            );
-                        }
-                        SockEvent::Readable { conn, .. } => self.drain_rx(ctx, conn),
-                        SockEvent::Writable { conn, .. } => self.push(ctx, conn, Vec::new()),
-                        SockEvent::Eof { conn } => {
-                            self.stack.as_mut().unwrap().close(ctx, conn);
-                            self.conns.remove(&conn);
-                        }
-                        _ => {}
-                    }
+        if let Msg::Token(conn) = msg {
+            let r = self.responses.pop_front().expect("a response per wake");
+            debug_assert_eq!(u64::from(r.conn), conn, "wakes fire in issue order");
+            self.push(ctx, r.conn, r.resp);
+            return;
+        }
+        let mut events = std::mem::take(&mut self.events);
+        let handed_back = self.stack.as_mut().unwrap().on_msg(ctx, msg, &mut events);
+        for ev in events.drain(..) {
+            match ev {
+                SockEvent::Accepted { conn, .. } => {
+                    self.conns.insert(
+                        conn,
+                        KvConn {
+                            rx: Vec::new(),
+                            backlog: Vec::new(),
+                        },
+                    );
                 }
-                return;
+                SockEvent::Readable { conn, .. } => self.drain_rx(ctx, conn),
+                SockEvent::Writable { conn, .. } => self.push(ctx, conn, Vec::new()),
+                SockEvent::Eof { conn } => {
+                    self.stack.as_mut().unwrap().close(ctx, conn);
+                    self.conns.remove(&conn);
+                }
+                _ => {}
             }
-            Err(m) => m,
-        };
-        let r = flextoe_sim::cast::<KvRespond>(msg);
-        self.push(ctx, r.conn, r.resp);
+        }
+        self.events = events;
+        if let Err(m) = handed_back {
+            flextoe_sim::mismatch("a stack message or a response wake", &m);
+        }
     }
 
     fn name(&self) -> String {
@@ -260,6 +277,8 @@ pub struct MemtierApp<S: StackApi> {
     init: Option<StackInit<S>>,
     conns: Vec<MtConn>,
     by_id: FxHashMap<u32, usize>,
+    /// Readiness events of the message being handled (storage reused).
+    events: Vec<SockEvent>,
     op_counter: u64,
     pub latency: Histogram,
     pub completed: u64,
@@ -276,6 +295,7 @@ impl<S: StackApi + 'static> MemtierApp<S> {
             init: Some(init),
             conns: Vec::new(),
             by_id: FxHashMap::default(),
+            events: Vec::new(),
             op_counter: 0,
             latency: Histogram::new(),
             completed: 0,
@@ -346,9 +366,8 @@ impl<S: StackApi + 'static> MemtierApp<S> {
             return;
         };
         let stack = self.stack.as_mut().unwrap();
-        let data = stack.recv(ctx, conn, u32::MAX);
         let st = &mut self.conns[slot];
-        st.rx.extend_from_slice(&data);
+        stack.recv(ctx, conn, u32::MAX, &mut st.rx);
         if Self::response_complete(&st.rx) {
             if st.expect_get {
                 debug_assert!(
@@ -389,25 +408,27 @@ impl<S: StackApi + 'static> Node for MemtierApp<S> {
             self.stack = Some(stack);
             return;
         }
-        if let Ok(events) = self.stack.as_mut().unwrap().on_msg(ctx, msg) {
-            for ev in events {
-                match ev {
-                    SockEvent::Connected { conn, .. } => {
-                        let slot = self.conns.len();
-                        self.conns.push(MtConn {
-                            conn,
-                            sent_at: ctx.now(),
-                            rx: Vec::new(),
-                            expect_get: false,
-                        });
-                        self.by_id.insert(conn, slot);
-                        self.next_request(ctx, slot);
-                    }
-                    SockEvent::Readable { conn, .. } => self.on_readable(ctx, conn),
-                    _ => {}
+        let mut events = std::mem::take(&mut self.events);
+        // anything the stack hands back is not for this client: ignored
+        let _ = self.stack.as_mut().unwrap().on_msg(ctx, msg, &mut events);
+        for ev in events.drain(..) {
+            match ev {
+                SockEvent::Connected { conn, .. } => {
+                    let slot = self.conns.len();
+                    self.conns.push(MtConn {
+                        conn,
+                        sent_at: ctx.now(),
+                        rx: Vec::new(),
+                        expect_get: false,
+                    });
+                    self.by_id.insert(conn, slot);
+                    self.next_request(ctx, slot);
                 }
+                SockEvent::Readable { conn, .. } => self.on_readable(ctx, conn),
+                _ => {}
             }
         }
+        self.events = events;
     }
 
     fn name(&self) -> String {

@@ -121,12 +121,16 @@ struct FramedConn {
     backlog: u32,
 }
 
-/// Application processing of one request finished; transmit its response.
-struct Respond {
-    conn: u32,
-    resp: u32,
+/// Two words in one self-wake `Msg::Token`. The framed server's wake is
+/// `(conn, resp)`: "application processing of one request on `conn`
+/// finished; transmit its `resp` bytes".
+pub(crate) fn pack_token(hi: u32, lo: u32) -> u64 {
+    u64::from(hi) << 32 | u64::from(lo)
 }
-flextoe_sim::custom_msg!(Respond);
+
+pub(crate) fn unpack_token(t: u64) -> (u32, u32) {
+    ((t >> 32) as u32, t as u32)
+}
 
 /// Serves the framed open-loop protocol: parses request headers, consumes
 /// request payloads, responds with the requested number of bytes after
@@ -137,6 +141,10 @@ pub struct FramedServerApp<S: StackApi> {
     init: Option<StackInit<S>>,
     core: FpcTimer,
     conns: FxHashMap<u32, FramedConn>,
+    /// Readiness events of the message being handled (storage reused).
+    events: Vec<SockEvent>,
+    /// Header bytes on their way from `recv` into a connection's `hdr`.
+    scratch: Vec<u8>,
     pub requests: u64,
     pub accepted: u64,
     pub bytes_in: u64,
@@ -155,6 +163,8 @@ impl<S: StackApi + 'static> FramedServerApp<S> {
             stack: None,
             init: Some(init),
             conns: FxHashMap::default(),
+            events: Vec::new(),
+            scratch: Vec::with_capacity(FRAME_HDR as usize),
             requests: 0,
             accepted: 0,
             bytes_in: 0,
@@ -173,8 +183,8 @@ impl<S: StackApi + 'static> FramedServerApp<S> {
         self.conns.len()
     }
 
-    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<SockEvent>) {
-        for ev in events {
+    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: &mut Vec<SockEvent>) {
+        for ev in events.drain(..) {
             match ev {
                 SockEvent::Accepted { conn, .. } => {
                     self.accepted += 1;
@@ -218,13 +228,14 @@ impl<S: StackApi + 'static> FramedServerApp<S> {
             if st.hdr_have < FRAME_HDR as usize {
                 // the header travels as real bytes: read exactly the rest
                 let want = FRAME_HDR - st.hdr_have as u32;
-                let data = stack.recv(ctx, conn, want);
-                if data.is_empty() {
+                self.scratch.clear();
+                let got = stack.recv(ctx, conn, want, &mut self.scratch);
+                if got == 0 {
                     return;
                 }
-                st.hdr[st.hdr_have..st.hdr_have + data.len()].copy_from_slice(&data);
-                st.hdr_have += data.len();
-                self.bytes_in += data.len() as u64;
+                st.hdr[st.hdr_have..st.hdr_have + got].copy_from_slice(&self.scratch);
+                st.hdr_have += got;
+                self.bytes_in += got as u64;
                 if st.hdr_have < FRAME_HDR as usize {
                     continue; // maybe more readable bytes
                 }
@@ -264,7 +275,7 @@ impl<S: StackApi + 'static> FramedServerApp<S> {
                 + stack.host_overhead(StackOp::Send)
                 + stack.host_overhead(StackOp::Poll);
             let done = self.core.execute(ctx.now(), Cost::new(cycles, 0));
-            ctx.wake(done.saturating_since(ctx.now()), Respond { conn, resp });
+            ctx.wake(done.saturating_since(ctx.now()), pack_token(conn, resp));
         }
     }
 
@@ -294,15 +305,18 @@ impl<S: StackApi + 'static> Node for FramedServerApp<S> {
             self.stack = Some(stack);
             return;
         }
-        let msg = match self.stack.as_mut().unwrap().on_msg(ctx, msg) {
-            Ok(events) => {
-                self.handle_events(ctx, events);
-                return;
-            }
-            Err(m) => m,
-        };
-        let r = flextoe_sim::cast::<Respond>(msg);
-        self.push_response(ctx, r.conn, r.resp);
+        if let Msg::Token(t) = msg {
+            let (conn, resp) = unpack_token(t);
+            self.push_response(ctx, conn, resp);
+            return;
+        }
+        let mut events = std::mem::take(&mut self.events);
+        let handed_back = self.stack.as_mut().unwrap().on_msg(ctx, msg, &mut events);
+        self.handle_events(ctx, &mut events);
+        self.events = events;
+        if let Err(m) = handed_back {
+            flextoe_sim::mismatch("a stack message or a response wake", &m);
+        }
     }
 
     fn name(&self) -> String {
@@ -348,10 +362,20 @@ impl Default for OpenLoopConfig {
     }
 }
 
-/// Unsent request bytes: literal header bytes, then descriptor-only bulk.
-enum TxChunk {
-    Lit(Vec<u8>, usize),
+/// Unsent request bytes: the literal header (and how much of it went
+/// out), then descriptor-only bulk.
+pub(crate) enum TxChunk {
+    Lit([u8; FRAME_HDR as usize], usize),
     Pad(u32),
+}
+
+/// The 16 bytes of real data at the head of a framed request.
+pub(crate) fn frame_header(extra_req: u32, resp: u32, seq: u32) -> [u8; FRAME_HDR as usize] {
+    let mut hdr = [0; FRAME_HDR as usize];
+    for (word, v) in hdr.chunks_exact_mut(4).zip([MAGIC, extra_req, resp, seq]) {
+        word.copy_from_slice(&v.to_le_bytes());
+    }
+    hdr
 }
 
 struct OlConn {
@@ -366,8 +390,8 @@ struct OlConn {
     alive: bool,
 }
 
-struct NextArrival;
-flextoe_sim::custom_msg!(NextArrival);
+/// Self-wake of the Poisson arrival process.
+const NEXT_ARRIVAL: u64 = 0;
 
 /// Test/experiment control: stop generating and close every connection
 /// (FIN; the control planes tear the flows down once both sides drain).
@@ -382,6 +406,8 @@ pub struct OpenLoopClientApp<S: StackApi> {
     init: Option<StackInit<S>>,
     conns: Vec<OlConn>,
     by_id: FxHashMap<u32, usize>,
+    /// Readiness events of the message being handled (storage reused).
+    events: Vec<SockEvent>,
     rr: usize,
     started_conns: u32,
     seq: u32,
@@ -412,6 +438,7 @@ impl<S: StackApi + 'static> OpenLoopClientApp<S> {
             init: Some(init),
             conns: Vec::new(),
             by_id: FxHashMap::default(),
+            events: Vec::new(),
             rr: 0,
             started_conns: 0,
             seq: 0,
@@ -470,7 +497,7 @@ impl<S: StackApi + 'static> OpenLoopClientApp<S> {
 
     fn schedule_arrival(&mut self, ctx: &mut Ctx<'_>) {
         let gap = ctx.rng.exp(1.0 / self.cfg.rate_rps);
-        ctx.wake(Duration::from_secs_f64(gap), NextArrival);
+        ctx.wake(Duration::from_secs_f64(gap), NEXT_ARRIVAL);
     }
 
     /// Generate one request on the next live connection (round-robin).
@@ -492,11 +519,7 @@ impl<S: StackApi + 'static> OpenLoopClientApp<S> {
         let req = self.cfg.req_size.sample(ctx.rng).max(FRAME_HDR);
         let resp = self.cfg.resp_size.sample(ctx.rng).max(1);
         self.seq = self.seq.wrapping_add(1);
-        let mut hdr = Vec::with_capacity(FRAME_HDR as usize);
-        hdr.extend_from_slice(&MAGIC.to_le_bytes());
-        hdr.extend_from_slice(&(req - FRAME_HDR).to_le_bytes());
-        hdr.extend_from_slice(&resp.to_le_bytes());
-        hdr.extend_from_slice(&self.seq.to_le_bytes());
+        let hdr = frame_header(req - FRAME_HDR, resp, self.seq);
         let st = &mut self.conns[slot];
         st.outstanding.push_back((ctx.now(), resp));
         st.tx.push_back(TxChunk::Lit(hdr, 0));
@@ -585,8 +608,8 @@ impl<S: StackApi + 'static> OpenLoopClientApp<S> {
         }
     }
 
-    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<SockEvent>) {
-        for ev in events {
+    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: &mut Vec<SockEvent>) {
+        for ev in events.drain(..) {
             match ev {
                 SockEvent::Connected { conn, .. } => {
                     self.connected += 1;
@@ -645,37 +668,29 @@ impl<S: StackApi + 'static> Node for OpenLoopClientApp<S> {
             self.connect_next(ctx);
             return;
         }
-        let msg = match msg {
-            Msg::Tick => {
-                self.connect_next(ctx);
-                return;
+        match msg {
+            Msg::Tick => self.connect_next(ctx),
+            Msg::Token(NEXT_ARRIVAL) => {
+                if self.closing {
+                    return; // arrival process parked
+                }
+                self.generate(ctx);
+                self.schedule_arrival(ctx);
             }
-            m => m,
-        };
-        let msg = match self.stack.as_mut().unwrap().on_msg(ctx, msg) {
-            Ok(events) => {
-                self.handle_events(ctx, events);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match flextoe_sim::try_cast::<CloseAll>(msg) {
-            Ok(_) => {
+            msg => {
+                let mut events = std::mem::take(&mut self.events);
+                let handed_back = self.stack.as_mut().unwrap().on_msg(ctx, msg, &mut events);
+                self.handle_events(ctx, &mut events);
+                self.events = events;
+                let Err(msg) = handed_back else { return };
+                let _ = flextoe_sim::cast::<CloseAll>(msg);
                 self.closing = true;
                 let stack = self.stack.as_mut().unwrap();
                 for c in &self.conns {
                     stack.close(ctx, c.conn);
                 }
-                return;
             }
-            Err(m) => m,
-        };
-        let _ = flextoe_sim::cast::<NextArrival>(msg);
-        if self.closing {
-            return; // arrival process parked
         }
-        self.generate(ctx);
-        self.schedule_arrival(ctx);
     }
 
     fn name(&self) -> String {

@@ -53,12 +53,6 @@ struct ServerConn {
     backlog: u32,
 }
 
-/// A response is ready to transmit (application processing finished).
-struct Respond {
-    conn: u32,
-}
-flextoe_sim::custom_msg!(Respond);
-
 /// An RPC server: accepts connections, consumes fixed-size requests,
 /// responds after simulated application processing.
 pub struct RpcServerApp<S: StackApi> {
@@ -67,6 +61,10 @@ pub struct RpcServerApp<S: StackApi> {
     init: Option<StackInit<S>>,
     core: FpcTimer,
     conns: FxHashMap<u32, ServerConn>,
+    /// Readiness events of the message being handled (storage reused).
+    events: Vec<SockEvent>,
+    /// Echo bytes between `recv` and `send` (storage reused).
+    scratch: Vec<u8>,
     pub requests: u64,
     pub accepted: u64,
     pub bytes_in: u64,
@@ -81,6 +79,8 @@ impl<S: StackApi + 'static> RpcServerApp<S> {
             stack: None,
             init: Some(init),
             conns: FxHashMap::default(),
+            events: Vec::new(),
+            scratch: Vec::new(),
             requests: 0,
             accepted: 0,
             bytes_in: 0,
@@ -93,8 +93,8 @@ impl<S: StackApi + 'static> RpcServerApp<S> {
         self.core.busy
     }
 
-    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<SockEvent>) {
-        for ev in events {
+    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: &mut Vec<SockEvent>) {
+        for ev in events.drain(..) {
             match ev {
                 SockEvent::Accepted { conn, .. } => {
                     self.accepted += 1;
@@ -126,10 +126,11 @@ impl<S: StackApi + 'static> RpcServerApp<S> {
             return;
         };
         if self.cfg.echo_data {
-            let data = stack.recv(ctx, conn, u32::MAX);
-            self.bytes_in += data.len() as u64;
-            st.pending_in += data.len() as u32;
-            st.data.extend(data);
+            self.scratch.clear();
+            let n = stack.recv(ctx, conn, u32::MAX, &mut self.scratch);
+            self.bytes_in += n as u64;
+            st.pending_in += n as u32;
+            st.data.extend(&self.scratch);
         } else {
             let n = stack.recv_bytes(ctx, conn, u32::MAX);
             self.bytes_in += n as u64;
@@ -144,7 +145,8 @@ impl<S: StackApi + 'static> RpcServerApp<S> {
                 + stack.host_overhead(StackOp::Send)
                 + stack.host_overhead(StackOp::Poll);
             let done = self.core.execute(ctx.now(), Cost::new(cycles, 0));
-            ctx.wake(done.saturating_since(ctx.now()), Respond { conn });
+            // self-wake: the response is ready once processing finishes
+            ctx.wake(done.saturating_since(ctx.now()), u64::from(conn));
         }
     }
 
@@ -161,13 +163,11 @@ impl<S: StackApi + 'static> RpcServerApp<S> {
                 if n == 0 {
                     break;
                 }
-                let chunk: Vec<u8> = st.data.drain(..n as usize).collect();
-                let sent = stack.send(ctx, conn, &chunk) as u32;
-                // un-drained remainder goes back to the front
-                for b in chunk[sent as usize..].iter().rev() {
-                    st.data.push_front(*b);
-                }
-                sent
+                self.scratch.clear();
+                self.scratch.extend(st.data.range(..n as usize));
+                let sent = stack.send(ctx, conn, &self.scratch);
+                st.data.drain(..sent);
+                sent as u32
             } else {
                 stack.send_bytes(ctx, conn, st.backlog)
             };
@@ -189,16 +189,18 @@ impl<S: StackApi + 'static> Node for RpcServerApp<S> {
             self.stack = Some(stack);
             return;
         }
-        let msg = match self.stack.as_mut().unwrap().on_msg(ctx, msg) {
-            Ok(events) => {
-                self.handle_events(ctx, events);
-                return;
-            }
-            Err(m) => m,
-        };
-        let r = flextoe_sim::cast::<Respond>(msg);
-        let resp = self.cfg.resp_size;
-        self.push_response(ctx, r.conn, resp);
+        if let Msg::Token(conn) = msg {
+            let resp = self.cfg.resp_size;
+            self.push_response(ctx, conn as u32, resp);
+            return;
+        }
+        let mut events = std::mem::take(&mut self.events);
+        let handed_back = self.stack.as_mut().unwrap().on_msg(ctx, msg, &mut events);
+        self.handle_events(ctx, &mut events);
+        self.events = events;
+        if let Err(m) = handed_back {
+            flextoe_sim::mismatch("a stack message or a response wake", &m);
+        }
     }
 
     fn name(&self) -> String {
@@ -263,8 +265,8 @@ struct ClientConn {
     tx_backlog: u32,
 }
 
-struct NextArrival;
-flextoe_sim::custom_msg!(NextArrival);
+/// Self-wake of the open-loop arrival process.
+const NEXT_ARRIVAL: u64 = 0;
 
 pub struct RpcClientApp<S: StackApi> {
     cfg: ClientConfig,
@@ -272,6 +274,8 @@ pub struct RpcClientApp<S: StackApi> {
     init: Option<StackInit<S>>,
     conns: Vec<ClientConn>,
     by_id: FxHashMap<u32, usize>,
+    /// Readiness events of the message being handled (storage reused).
+    events: Vec<SockEvent>,
     rr: usize,
     started_conns: u32,
     pub connected: u32,
@@ -294,6 +298,7 @@ impl<S: StackApi + 'static> RpcClientApp<S> {
             init: Some(init),
             conns: Vec::new(),
             by_id: FxHashMap::default(),
+            events: Vec::new(),
             rr: 0,
             started_conns: 0,
             connected: 0,
@@ -390,8 +395,8 @@ impl<S: StackApi + 'static> RpcClientApp<S> {
         }
     }
 
-    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<SockEvent>) {
-        for ev in events {
+    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: &mut Vec<SockEvent>) {
+        for ev in events.drain(..) {
             match ev {
                 SockEvent::Connected { conn, .. } => {
                     self.connected += 1;
@@ -414,7 +419,7 @@ impl<S: StackApi + 'static> RpcClientApp<S> {
                             // one arrival process, started by the first conn
                             if self.connected == 1 {
                                 let gap = ctx.rng.exp(1.0 / rate_rps);
-                                ctx.wake(Duration::from_secs_f64(gap), NextArrival);
+                                ctx.wake(Duration::from_secs_f64(gap), NEXT_ARRIVAL);
                             }
                         }
                     }
@@ -458,31 +463,28 @@ impl<S: StackApi + 'static> Node for RpcClientApp<S> {
             self.connect_next(ctx);
             return;
         }
-        // Tick is a typed variant: match it before handing the message to
-        // the stack, avoiding the repack allocation of a failed try_cast
-        let msg = match msg {
-            Msg::Tick => {
-                self.connect_next(ctx);
-                return;
+        match msg {
+            Msg::Tick => self.connect_next(ctx),
+            Msg::Token(NEXT_ARRIVAL) => {
+                if let LoadMode::Open { rate_rps } = self.cfg.mode {
+                    if !self.conns.is_empty() {
+                        let slot = self.rr % self.conns.len();
+                        self.rr += 1;
+                        self.issue(ctx, slot);
+                    }
+                    let gap = ctx.rng.exp(1.0 / rate_rps);
+                    ctx.wake(Duration::from_secs_f64(gap), NEXT_ARRIVAL);
+                }
             }
-            m => m,
-        };
-        let msg = match self.stack.as_mut().unwrap().on_msg(ctx, msg) {
-            Ok(events) => {
-                self.handle_events(ctx, events);
-                return;
+            msg => {
+                let mut events = std::mem::take(&mut self.events);
+                let handed_back = self.stack.as_mut().unwrap().on_msg(ctx, msg, &mut events);
+                self.handle_events(ctx, &mut events);
+                self.events = events;
+                if let Err(m) = handed_back {
+                    flextoe_sim::mismatch("a stack message, Tick or an arrival wake", &m);
+                }
             }
-            Err(m) => m,
-        };
-        let _ = flextoe_sim::cast::<NextArrival>(msg);
-        if let LoadMode::Open { rate_rps } = self.cfg.mode {
-            if !self.conns.is_empty() {
-                let slot = self.rr % self.conns.len();
-                self.rr += 1;
-                self.issue(ctx, slot);
-            }
-            let gap = ctx.rng.exp(1.0 / rate_rps);
-            ctx.wake(Duration::from_secs_f64(gap), NextArrival);
         }
     }
 

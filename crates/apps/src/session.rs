@@ -16,11 +16,9 @@ use std::collections::VecDeque;
 use flextoe_sim::{Ctx, Duration, FxHashMap, Histogram, Msg, Node, Time};
 use flextoe_wire::Ip4;
 
-use crate::openloop::{CloseAll, FRAME_HDR};
+use crate::openloop::{frame_header, pack_token, unpack_token, CloseAll, TxChunk, FRAME_HDR};
 use crate::rpc::StackInit;
 use crate::stack::{SockEvent, StackApi};
-
-const MAGIC: u32 = 0x4652_5043; // "FRPC" — shared with openloop
 
 #[derive(Clone, Copy, Debug)]
 pub struct SessionConfig {
@@ -71,12 +69,6 @@ enum SessState {
     Parked,
 }
 
-/// Unsent request bytes: literal header, then descriptor-only bulk.
-enum TxChunk {
-    Lit(Vec<u8>, usize),
-    Pad(u32),
-}
-
 struct Session {
     state: SessState,
     /// Invalidates stale timers across state transitions.
@@ -92,15 +84,6 @@ struct Session {
     tx: VecDeque<TxChunk>,
 }
 
-/// Per-session timer (reconnect backoff or think time); `epoch` must
-/// match the session's current epoch or the wake is stale and ignored.
-#[derive(Clone, Copy)]
-struct SessWake {
-    session: u32,
-    epoch: u32,
-}
-flextoe_sim::custom_msg!(SessWake);
-
 /// Closed-loop framed-RPC client with automatic reconnect.
 pub struct SessionClientApp<S: StackApi> {
     cfg: SessionConfig,
@@ -108,6 +91,8 @@ pub struct SessionClientApp<S: StackApi> {
     init: Option<StackInit<S>>,
     sessions: Vec<Session>,
     by_conn: FxHashMap<u32, usize>,
+    /// Readiness events of the message being handled (storage reused).
+    events: Vec<SockEvent>,
     started: u32,
     seq: u32,
     closing: bool,
@@ -139,6 +124,7 @@ impl<S: StackApi + 'static> SessionClientApp<S> {
             init: Some(init),
             sessions: Vec::new(),
             by_conn: FxHashMap::default(),
+            events: Vec::new(),
             started: 0,
             seq: 0,
             closing: false,
@@ -226,13 +212,7 @@ impl<S: StackApi + 'static> SessionClientApp<S> {
         s.attempt += 1;
         let (epoch, attempt) = (s.epoch, s.attempt);
         let delay = self.backoff(ctx, attempt);
-        ctx.wake(
-            delay,
-            SessWake {
-                session: session as u32,
-                epoch,
-            },
-        );
+        ctx.wake(delay, pack_token(session as u32, epoch));
     }
 
     /// Issue the session's next request (closed loop: exactly one out).
@@ -240,11 +220,7 @@ impl<S: StackApi + 'static> SessionClientApp<S> {
         let req = self.cfg.req_size.max(FRAME_HDR);
         let resp = self.cfg.resp_size.max(1);
         self.seq = self.seq.wrapping_add(1);
-        let mut hdr = Vec::with_capacity(FRAME_HDR as usize);
-        hdr.extend_from_slice(&MAGIC.to_le_bytes());
-        hdr.extend_from_slice(&(req - FRAME_HDR).to_le_bytes());
-        hdr.extend_from_slice(&resp.to_le_bytes());
-        hdr.extend_from_slice(&self.seq.to_le_bytes());
+        let hdr = frame_header(req - FRAME_HDR, resp, self.seq);
         let s = &mut self.sessions[session];
         debug_assert!(s.outstanding.is_none(), "closed loop: one request out");
         s.outstanding = Some((ctx.now(), resp));
@@ -320,19 +296,16 @@ impl<S: StackApi + 'static> SessionClientApp<S> {
         let s = &mut self.sessions[session];
         s.epoch = s.epoch.wrapping_add(1);
         let epoch = s.epoch;
-        ctx.wake(
-            self.cfg.think,
-            SessWake {
-                session: session as u32,
-                epoch,
-            },
-        );
+        ctx.wake(self.cfg.think, pack_token(session as u32, epoch));
     }
 
-    fn on_wake(&mut self, ctx: &mut Ctx<'_>, w: SessWake) {
-        let session = w.session as usize;
+    /// A per-session timer fired (reconnect backoff or think time, sent
+    /// as the self-wake token `(session, epoch)`); `epoch` must match the
+    /// session's current epoch or the wake is stale and ignored.
+    fn on_wake(&mut self, ctx: &mut Ctx<'_>, session: u32, epoch: u32) {
+        let session = session as usize;
         let s = &mut self.sessions[session];
-        if s.epoch != w.epoch || self.closing {
+        if s.epoch != epoch || self.closing {
             return; // stale timer (state changed since it was armed)
         }
         match s.state {
@@ -355,8 +328,25 @@ impl<S: StackApi + 'static> SessionClientApp<S> {
         }
     }
 
-    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<SockEvent>) {
-        for ev in events {
+    /// CloseAll: park every session for good and FIN the live connections.
+    fn close_all(&mut self, ctx: &mut Ctx<'_>) {
+        self.closing = true;
+        let stack = self.stack.as_mut().unwrap();
+        for s in &mut self.sessions {
+            if let SessState::Live { conn } = s.state {
+                self.by_conn.remove(&conn);
+                stack.close(ctx, conn);
+            }
+            s.state = SessState::Parked;
+            if s.outstanding.take().is_some() {
+                self.dead_requests += 1;
+            }
+            s.tx.clear();
+        }
+    }
+
+    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: &mut Vec<SockEvent>) {
+        for ev in events.drain(..) {
             match ev {
                 SockEvent::Connected { conn, opaque } => {
                     let session = opaque as usize;
@@ -416,45 +406,22 @@ impl<S: StackApi + 'static> Node for SessionClientApp<S> {
             self.connect_next(ctx);
             return;
         }
-        let msg = match msg {
-            Msg::Tick => {
-                self.connect_next(ctx);
-                return;
+        match msg {
+            Msg::Tick => self.connect_next(ctx),
+            Msg::Token(t) => {
+                let (session, epoch) = unpack_token(t);
+                self.on_wake(ctx, session, epoch);
             }
-            m => m,
-        };
-        let msg = match self.stack.as_mut().unwrap().on_msg(ctx, msg) {
-            Ok(events) => {
-                self.handle_events(ctx, events);
-                return;
+            msg => {
+                let mut events = std::mem::take(&mut self.events);
+                let handed_back = self.stack.as_mut().unwrap().on_msg(ctx, msg, &mut events);
+                self.handle_events(ctx, &mut events);
+                self.events = events;
+                let Err(msg) = handed_back else { return };
+                let _ = flextoe_sim::cast::<CloseAll>(msg);
+                self.close_all(ctx);
             }
-            Err(m) => m,
-        };
-        let msg = match flextoe_sim::try_cast::<CloseAll>(msg) {
-            Ok(_) => {
-                self.closing = true;
-                let mut to_close = Vec::new();
-                for s in &mut self.sessions {
-                    if let SessState::Live { conn } = s.state {
-                        to_close.push(conn);
-                        self.by_conn.remove(&conn);
-                    }
-                    s.state = SessState::Parked;
-                    if s.outstanding.take().is_some() {
-                        self.dead_requests += 1;
-                    }
-                    s.tx.clear();
-                }
-                let stack = self.stack.as_mut().unwrap();
-                for conn in to_close {
-                    stack.close(ctx, conn);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let w = flextoe_sim::cast::<SessWake>(msg);
-        self.on_wake(ctx, *w);
+        }
     }
 
     fn name(&self) -> String {

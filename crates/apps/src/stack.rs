@@ -12,7 +12,6 @@
 //! Fig. 8 scalability and Table 1 breakdowns emerge.
 
 use flextoe_control::AppReply;
-use flextoe_core::stages::AppNotify;
 use flextoe_core::NicHandle;
 use flextoe_libtoe::LibToe;
 pub use flextoe_libtoe::SockEvent;
@@ -33,12 +32,20 @@ pub enum StackOp {
 pub trait StackApi {
     fn listen(&mut self, ctx: &mut Ctx<'_>, port: u16);
     fn connect(&mut self, ctx: &mut Ctx<'_>, ip: Ip4, port: u16, opaque: u64);
-    /// Intercept stack-owned messages (control replies, wakeups); returns
-    /// readiness events, or gives the message back if it isn't ours.
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) -> Result<Vec<SockEvent>, Msg>;
+    /// Intercept stack-owned messages (control replies, wakeups):
+    /// appends readiness events to the application's `events`, or gives
+    /// the message back if it isn't ours.
+    fn on_msg(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        msg: Msg,
+        events: &mut Vec<SockEvent>,
+    ) -> Result<(), Msg>;
     fn send(&mut self, ctx: &mut Ctx<'_>, conn: u32, data: &[u8]) -> usize;
     fn send_bytes(&mut self, ctx: &mut Ctx<'_>, conn: u32, len: u32) -> u32;
-    fn recv(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32) -> Vec<u8>;
+    /// Append up to `max` readable bytes to the application's `out`;
+    /// returns the count.
+    fn recv(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32, out: &mut Vec<u8>) -> usize;
     fn recv_bytes(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32) -> u32;
     fn close(&mut self, ctx: &mut Ctx<'_>, conn: u32);
     /// Host-core cycles this stack spends per operation (driver + TCP/IP
@@ -73,18 +80,17 @@ impl StackApi for FlexToeStack {
     fn connect(&mut self, ctx: &mut Ctx<'_>, ip: Ip4, port: u16, opaque: u64) {
         self.lib.connect(ctx, ip, port, opaque);
     }
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) -> Result<Vec<SockEvent>, Msg> {
-        let msg = match try_cast::<AppReply>(msg) {
-            Ok(reply) => return Ok(vec![self.lib.on_reply(*reply)]),
-            Err(m) => m,
-        };
-        match try_cast::<AppNotify>(msg) {
-            Ok(_) => {
-                let _ = ctx;
-                Ok(self.lib.poll())
-            }
-            Err(m) => Err(m),
+    fn on_msg(
+        &mut self,
+        _ctx: &mut Ctx<'_>,
+        msg: Msg,
+        events: &mut Vec<SockEvent>,
+    ) -> Result<(), Msg> {
+        match msg {
+            Msg::AppNotify(_) => self.lib.poll(events),
+            msg => events.push(self.lib.on_reply(*try_cast::<AppReply>(msg)?)),
         }
+        Ok(())
     }
     fn send(&mut self, ctx: &mut Ctx<'_>, conn: u32, data: &[u8]) -> usize {
         self.lib.send(ctx, conn, data)
@@ -92,8 +98,8 @@ impl StackApi for FlexToeStack {
     fn send_bytes(&mut self, ctx: &mut Ctx<'_>, conn: u32, len: u32) -> u32 {
         self.lib.send_bytes(ctx, conn, len)
     }
-    fn recv(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32) -> Vec<u8> {
-        self.lib.recv(ctx, conn, max)
+    fn recv(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32, out: &mut Vec<u8>) -> usize {
+        self.lib.recv(ctx, conn, max, out)
     }
     fn recv_bytes(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32) -> u32 {
         self.lib.recv_bytes(ctx, conn, max)
@@ -124,8 +130,13 @@ impl StackApi for Box<dyn StackApi> {
     fn connect(&mut self, ctx: &mut Ctx<'_>, ip: Ip4, port: u16, opaque: u64) {
         (**self).connect(ctx, ip, port, opaque)
     }
-    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) -> Result<Vec<SockEvent>, Msg> {
-        (**self).on_msg(ctx, msg)
+    fn on_msg(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        msg: Msg,
+        events: &mut Vec<SockEvent>,
+    ) -> Result<(), Msg> {
+        (**self).on_msg(ctx, msg, events)
     }
     fn send(&mut self, ctx: &mut Ctx<'_>, conn: u32, data: &[u8]) -> usize {
         (**self).send(ctx, conn, data)
@@ -133,8 +144,8 @@ impl StackApi for Box<dyn StackApi> {
     fn send_bytes(&mut self, ctx: &mut Ctx<'_>, conn: u32, len: u32) -> u32 {
         (**self).send_bytes(ctx, conn, len)
     }
-    fn recv(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32) -> Vec<u8> {
-        (**self).recv(ctx, conn, max)
+    fn recv(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32, out: &mut Vec<u8>) -> usize {
+        (**self).recv(ctx, conn, max, out)
     }
     fn recv_bytes(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32) -> u32 {
         (**self).recv_bytes(ctx, conn, max)
@@ -147,5 +158,125 @@ impl StackApi for Box<dyn StackApi> {
     }
     fn stack_name(&self) -> &'static str {
         (**self).stack_name()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use flextoe_sim::{Doorbell, FsUpdate, IntoMsg, Node, Sim, Tick, Time};
+
+    use super::*;
+    use crate::{
+        FramedServerApp, KvServerApp, OpenLoopClientApp, RpcClientApp, RpcServerApp,
+        SessionClientApp,
+    };
+
+    /// A stack that owns no message: everything is handed back.
+    struct Unplugged;
+
+    impl StackApi for Unplugged {
+        fn listen(&mut self, _: &mut Ctx<'_>, _: u16) {}
+        fn connect(&mut self, _: &mut Ctx<'_>, _: Ip4, _: u16, _: u64) {}
+        fn on_msg(&mut self, _: &mut Ctx<'_>, msg: Msg, _: &mut Vec<SockEvent>) -> Result<(), Msg> {
+            Err(msg)
+        }
+        fn send(&mut self, _: &mut Ctx<'_>, _: u32, _: &[u8]) -> usize {
+            0
+        }
+        fn send_bytes(&mut self, _: &mut Ctx<'_>, _: u32, _: u32) -> u32 {
+            0
+        }
+        fn recv(&mut self, _: &mut Ctx<'_>, _: u32, _: u32, _: &mut Vec<u8>) -> usize {
+            0
+        }
+        fn recv_bytes(&mut self, _: &mut Ctx<'_>, _: u32, _: u32) -> u32 {
+            0
+        }
+        fn close(&mut self, _: &mut Ctx<'_>, _: u32) {}
+        fn host_overhead(&self, _: StackOp) -> u64 {
+            0
+        }
+        fn stack_name(&self) -> &'static str {
+            "unplugged"
+        }
+    }
+
+    /// Start `app`, then hand it `msg`; the panic text if it panics.
+    fn deliver(app: impl Node, msg: impl IntoMsg) -> Option<String> {
+        let mut sim = Sim::new(1);
+        let id = sim.add_node(app);
+        sim.schedule(Time::ZERO, id, Tick); // first message starts the app
+        sim.schedule(Time::from_us(1), id, msg);
+        let panic = catch_unwind(AssertUnwindSafe(|| sim.run())).err()?;
+        Some(
+            panic
+                .downcast_ref::<String>()
+                .expect("formatted panic")
+                .clone(),
+        )
+    }
+
+    /// With the per-request messages typed, an application matches on
+    /// `Msg` instead of downcasting — and a typed variant nobody sends it
+    /// (a wiring bug) still dies loudly, naming the variant, instead of
+    /// being taken for a self-wake or dropped.
+    #[test]
+    fn apps_reject_typed_variants_they_have_no_handler_for() {
+        fn init() -> crate::StackInit<Unplugged> {
+            Box::new(|_, _| Unplugged)
+        }
+        let panics = [
+            deliver(
+                RpcServerApp::new(Default::default(), init()),
+                Doorbell { ctx: 0 },
+            ),
+            deliver(
+                RpcClientApp::new(Default::default(), init()),
+                Doorbell { ctx: 0 },
+            ),
+            // the arrival self-wake is `Token(0)`; any other token is foreign
+            deliver(RpcClientApp::new(Default::default(), init()), 7u64),
+            deliver(
+                FramedServerApp::new(Default::default(), init()),
+                FsUpdate {
+                    conn: 0,
+                    sendable: 1,
+                },
+            ),
+            deliver(
+                OpenLoopClientApp::new(Default::default(), init()),
+                Doorbell { ctx: 0 },
+            ),
+            deliver(
+                SessionClientApp::new(Default::default(), init()),
+                Doorbell { ctx: 0 },
+            ),
+            deliver(
+                KvServerApp::new(Default::default(), init()),
+                Doorbell { ctx: 0 },
+            ),
+        ];
+        for (i, p) in panics.iter().enumerate() {
+            let text = p.as_deref().unwrap_or("no panic");
+            assert!(
+                text.starts_with("message type mismatch: expected ")
+                    && text.ends_with(" variant")
+                    && (text.contains("got Doorbell")
+                        || text.contains("got FsUpdate")
+                        || text.contains("got Token")),
+                "app {i}: {text}"
+            );
+        }
+        // and the self-wakes they do own are still accepted
+        assert_eq!(
+            deliver(RpcServerApp::new(Default::default(), init()), 7u64),
+            None
+        );
+        assert_eq!(
+            deliver(RpcClientApp::new(Default::default(), init()), 0u64),
+            None
+        );
     }
 }

@@ -213,6 +213,15 @@ struct SynRetry {
 }
 flextoe_sim::custom_msg!(SynRetry);
 
+/// Work lists of one [`ControlPlane::control_iteration`], kept between
+/// ticks for their storage.
+#[derive(Default)]
+struct ScanScratch {
+    conns: Vec<u32>,
+    to_teardown: Vec<u32>,
+    to_abort: Vec<u32>,
+}
+
 pub struct ControlPlane {
     counters: Option<CtrlCounters>,
     cfg: CtrlConfig,
@@ -229,6 +238,7 @@ pub struct ControlPlane {
     /// `cfg.fold` compiled once for every flow install.
     compiled_fold: Option<(std::rc::Rc<Vec<Insn>>, [u32; flextoe_ccp::fold::N_STATE])>,
     rto: RtoTracker,
+    scan: ScanScratch,
     kernel_q: SharedCtxQueue,
     registered_kernel_q: bool,
     cc_armed: bool,
@@ -277,6 +287,7 @@ impl ControlPlane {
             registry: Registry::builtin(),
             compiled_fold,
             rto,
+            scan: ScanScratch::default(),
             kernel_q: flextoe_core::hostmem::shared_ctxq(1024),
             registered_kernel_q: false,
             cc_armed: false,
@@ -826,8 +837,13 @@ impl ControlPlane {
     // ---- control loop (RTO / teardown; no longer a stats harvest) -----------
 
     fn control_iteration(&mut self, ctx: &mut Ctx<'_>) {
-        let conns: Vec<u32> = self.nic.table.borrow().iter().map(|(c, _)| c).collect();
-        if conns.is_empty() {
+        // the three work lists are members so a tick reuses their storage
+        let mut scan = std::mem::take(&mut self.scan);
+        scan.conns.clear();
+        scan.conns
+            .extend(self.nic.table.borrow().iter().map(|(c, _)| c));
+        if scan.conns.is_empty() {
+            self.scan = scan;
             // going quiet: deliver any still-open batch now — with no
             // flows and no further ticks, nothing else would flush it
             let open = self.nic.ccp.borrow_mut().flush_open();
@@ -837,9 +853,7 @@ impl ControlPlane {
             self.cc_armed = false;
             return;
         }
-        let mut to_teardown = Vec::new();
-        let mut to_abort = Vec::new();
-        for conn in conns {
+        for &conn in &scan.conns {
             let table = self.nic.table.borrow();
             let Some(entry) = table.get(conn) else {
                 continue;
@@ -854,7 +868,7 @@ impl ControlPlane {
             drop(table);
 
             if closed {
-                to_teardown.push(conn);
+                scan.to_teardown.push(conn);
                 continue;
             }
 
@@ -883,15 +897,16 @@ impl ControlPlane {
                         self.apply_rate(ctx, conn, old, new);
                     }
                 }
-                RtoVerdict::GiveUp => to_abort.push(conn),
+                RtoVerdict::GiveUp => scan.to_abort.push(conn),
             }
         }
-        for conn in to_teardown {
+        for conn in scan.to_teardown.drain(..) {
             self.teardown_now(ctx, conn);
         }
-        for conn in to_abort {
+        for conn in scan.to_abort.drain(..) {
             self.abort_now(ctx, conn);
         }
+        self.scan = scan;
         // backstop: a report appended by a flow that then went idle would
         // otherwise sit in the open batch forever
         let now_us = ctx.now().as_us() as u32;
@@ -982,11 +997,16 @@ struct CtrlCounters {
 
 impl Node for ControlPlane {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        // batched congestion reports are the hot control-plane message:
-        // match the typed variant directly, no downcast
+        // batched congestion reports and the control tick are the warm
+        // control-plane messages: match the typed variants directly, no
+        // downcast (which would box the payload to hand it over)
         let msg = match msg {
             Msg::Report(token) => {
                 self.on_report_batch(ctx, token);
+                return;
+            }
+            Msg::Tick => {
+                self.control_iteration(ctx);
                 return;
             }
             m => m,
@@ -994,13 +1014,6 @@ impl Node for ControlPlane {
         let msg = match try_cast::<Redirect>(msg) {
             Ok(r) => {
                 self.on_redirect(ctx, r.0.into_bytes());
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match try_cast::<Tick>(msg) {
-            Ok(_) => {
-                self.control_iteration(ctx);
                 return;
             }
             Err(m) => m,

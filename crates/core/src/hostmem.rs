@@ -19,10 +19,22 @@ use std::rc::Rc;
 /// buffer index is `pos % size`. Producers and consumers track their own
 /// positions; the buffer itself is raw storage, exactly like a hugepage
 /// region.
+///
+/// Like a hugepage region it is committed lazily: `size` is the logical
+/// extent every position wraps at, `data` the prefix that has ever been
+/// written, grown geometrically by [`PayloadBuf::write`]. Bytes beyond it
+/// read as zero, so a lazy buffer is indistinguishable from a zero-filled
+/// one — a descriptor-only socket (`send_bytes`) never commits a byte.
 #[derive(Debug)]
 pub struct PayloadBuf {
+    size: u32,
     data: Vec<u8>,
 }
+
+/// Smallest non-empty commit, one page: keeps 16-byte header writes from
+/// walking the doubling ladder one rung per request (four doublings take
+/// a 64 KiB socket buffer from here to fully committed).
+const MIN_COMMIT: usize = 4096;
 
 impl PayloadBuf {
     pub fn new(size: u32) -> PayloadBuf {
@@ -31,46 +43,61 @@ impl PayloadBuf {
             "size must be a power of two"
         );
         PayloadBuf {
-            data: vec![0; size as usize],
+            size,
+            data: Vec::new(),
         }
     }
 
     pub fn size(&self) -> u32 {
-        self.data.len() as u32
+        self.size
     }
 
+    /// Split `len` bytes at linear position `pos` into the run up to the
+    /// wrap point and the run after it: `(start, first, rest)`.
     #[inline]
-    fn idx(&self, pos: u32) -> usize {
-        (pos as usize) & (self.data.len() - 1)
+    fn split(&self, pos: u32, len: usize) -> (usize, usize, usize) {
+        let size = self.size as usize;
+        assert!(len <= size, "access larger than buffer");
+        let start = (pos as usize) & (size - 1);
+        let first = (size - start).min(len);
+        (start, first, len - first)
     }
 
     /// Copy `src` into the buffer at linear position `pos` (wraps).
     pub fn write(&mut self, pos: u32, src: &[u8]) {
-        assert!(src.len() <= self.data.len(), "write larger than buffer");
-        let start = self.idx(pos);
-        let first = (self.data.len() - start).min(src.len());
+        if src.is_empty() {
+            return;
+        }
+        let (start, first, rest) = self.split(pos, src.len());
+        // a wrapping write touches the last byte: commit everything
+        let end = if rest > 0 {
+            self.size as usize
+        } else {
+            start + first
+        };
+        if end > self.data.len() {
+            // powers of two, so at least doubling and never past `size`
+            let floor = MIN_COMMIT.min(self.size as usize);
+            self.data.resize(end.next_power_of_two().max(floor), 0);
+        }
         self.data[start..start + first].copy_from_slice(&src[..first]);
-        if first < src.len() {
-            self.data[..src.len() - first].copy_from_slice(&src[first..]);
-        }
+        self.data[..rest].copy_from_slice(&src[first..]);
     }
 
-    /// Copy `len` bytes at linear position `pos` into `dst` (wraps).
+    /// Copy `dst.len()` bytes at linear position `pos` into `dst` (wraps).
     pub fn read(&self, pos: u32, dst: &mut [u8]) {
-        assert!(dst.len() <= self.data.len(), "read larger than buffer");
-        let start = self.idx(pos);
-        let first = (self.data.len() - start).min(dst.len());
-        dst[..first].copy_from_slice(&self.data[start..start + first]);
-        if first < dst.len() {
-            let rest = dst.len() - first;
-            dst[first..].copy_from_slice(&self.data[..rest]);
-        }
+        let (start, first, _) = self.split(pos, dst.len());
+        let (head, tail) = dst.split_at_mut(first);
+        self.read_run(start, head);
+        self.read_run(0, tail);
     }
 
-    pub fn read_vec(&self, pos: u32, len: u32) -> Vec<u8> {
-        let mut v = vec![0; len as usize];
-        self.read(pos, &mut v);
-        v
+    /// One non-wrapping run: committed bytes, then zeros.
+    fn read_run(&self, start: usize, dst: &mut [u8]) {
+        let committed = self.data.get(start..).unwrap_or(&[]);
+        let have = committed.len().min(dst.len());
+        dst[..have].copy_from_slice(&committed[..have]);
+        dst[have..].fill(0);
     }
 }
 
@@ -95,17 +122,8 @@ pub enum AppToNic {
     Retransmit { conn: u32 },
 }
 
-/// Notifications the NIC data-path delivers to libTOE (§3.1.3 "Notify").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NicToApp {
-    /// `len` new bytes are readable in the socket RX buffer.
-    RxAvail { conn: u32, len: u32, fin: bool },
-    /// `len` bytes of the socket TX buffer were acknowledged and freed.
-    TxFreed { conn: u32, len: u32 },
-    /// The control plane gave up on the connection (RTO retry budget
-    /// exhausted) and tore it down; the application must stop using it.
-    Aborted { conn: u32 },
-}
+// Defined beside `Msg::Notify`, which carries one inline.
+pub use flextoe_sim::NicToApp;
 
 /// One direction of a context queue (bounded, in host shared memory).
 #[derive(Debug)]
@@ -147,15 +165,8 @@ impl<T> CtxQueueInner<T> {
         self.q.is_empty()
     }
 
-    /// Drain up to `n` entries (doorbell batching).
-    pub fn pop_batch(&mut self, n: usize) -> Vec<T> {
-        let mut out = Vec::new();
-        self.pop_batch_into(n, &mut out);
-        out
-    }
-
-    /// [`Self::pop_batch`] into a caller-owned buffer (hot callers recycle
-    /// the buffer instead of allocating per doorbell).
+    /// Drain up to `n` entries into a caller-owned buffer (doorbell
+    /// batching; callers recycle the buffer instead of allocating).
     pub fn pop_batch_into(&mut self, n: usize, out: &mut Vec<T>) {
         let take = n.min(self.q.len());
         out.extend(self.q.drain(..take));
@@ -188,6 +199,56 @@ pub fn shared_ctxq(capacity: usize) -> SharedCtxQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PayloadBuf {
+        fn read_vec(&self, pos: u32, len: u32) -> Vec<u8> {
+            let mut v = vec![0xAA; len as usize];
+            self.read(pos, &mut v);
+            v
+        }
+    }
+
+    /// Lazy commit is invisible: against an eagerly zero-filled model,
+    /// random wrapping writes and reads (free-running positions, lengths
+    /// up to the whole buffer) return identical bytes, and the committed
+    /// prefix never exceeds the logical size.
+    #[test]
+    fn lazy_commit_matches_eager_buffer() {
+        let mut rng = flextoe_sim::Rng::new(0x1a2b);
+        for size in [1u32, 16, 2048, 1 << 16] {
+            let mut lazy = PayloadBuf::new(size);
+            let mut eager = vec![0u8; size as usize];
+            assert!(lazy.data.is_empty(), "nothing committed before a write");
+            for step in 0..400u32 {
+                let pos = rng.next_u32();
+                // mostly small accesses, sometimes the whole buffer
+                let max = if step % 7 == 0 { size } else { size.min(64) };
+                let len = rng.range(0, max as u64) as u32;
+                if rng.below(2) == 0 {
+                    let src: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8 | 1).collect();
+                    lazy.write(pos, &src);
+                    for (i, b) in src.iter().enumerate() {
+                        eager[(pos.wrapping_add(i as u32) % size) as usize] = *b;
+                    }
+                } else {
+                    let want: Vec<u8> = (0..len)
+                        .map(|i| eager[(pos.wrapping_add(i) % size) as usize])
+                        .collect();
+                    assert_eq!(lazy.read_vec(pos, len), want, "size {size} step {step}");
+                }
+                assert!(lazy.data.len() <= size as usize);
+                assert_eq!(lazy.size(), size);
+            }
+            assert_eq!(lazy.read_vec(0, size), eager, "size {size} final");
+        }
+    }
+
+    #[test]
+    fn descriptor_only_traffic_commits_nothing() {
+        let b = PayloadBuf::new(1 << 16);
+        assert_eq!(b.read_vec(u32::MAX - 3, 8), vec![0; 8]);
+        assert_eq!(b.data.capacity(), 0);
+    }
 
     #[test]
     fn write_read_roundtrip() {
@@ -232,7 +293,9 @@ mod tests {
         assert_eq!(q.full_rejects, 1);
         assert_eq!(q.pop(), Some(1));
         q.push(3).unwrap();
-        assert_eq!(q.pop_batch(10), vec![2, 3]);
+        let mut batch = Vec::new();
+        q.pop_batch_into(10, &mut batch);
+        assert_eq!(batch, vec![2, 3]);
         assert!(q.is_empty());
     }
 

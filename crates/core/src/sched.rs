@@ -40,9 +40,36 @@ pub struct Trigger {
     pub bytes_est: u32,
 }
 
+/// End-of-list / empty-slot marker in the entry arena.
+const NIL: u32 = u32::MAX;
+
+/// One queued wheel entry, linked to the next one in its slot (or, when
+/// free, to the next free entry). Entries are linked rather than the
+/// connections themselves because lazy removal lets a connection sit in
+/// two places for a while: `unregister` leaves its entry queued, and a
+/// `register` that reuses the id before that entry is popped starts a
+/// fresh one.
+#[derive(Clone, Copy)]
+struct Entry {
+    conn: u32,
+    next: u32,
+}
+
+/// A wheel slot: FIFO of entries as `(head, tail)` links into the arena.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
+
 pub struct Carousel {
     granularity: Duration,
-    slots: Vec<VecDeque<u32>>,
+    slots: Vec<Slot>,
+    /// Entry arena shared by every slot; grows to the peak number of
+    /// wheel-queued entries and recycles through `free` (LIFO), so a
+    /// paced flow's first visit to a slot costs nothing.
+    entries: Vec<Entry>,
+    free: u32,
     /// One bit per slot: set iff the slot's queue is non-empty. Keeps
     /// [`Carousel::earliest_work`] and [`Carousel::advance`] off the
     /// O(slots) linear scan that used to dominate simulation wall time —
@@ -72,7 +99,15 @@ impl Carousel {
         assert!(n_slots >= 2 && granularity > Duration::ZERO);
         Carousel {
             granularity,
-            slots: (0..n_slots).map(|_| VecDeque::new()).collect(),
+            slots: vec![
+                Slot {
+                    head: NIL,
+                    tail: NIL
+                };
+                n_slots
+            ],
+            entries: Vec::new(),
+            free: NIL,
             occupied: vec![0; n_slots.div_ceil(64)],
             cur_slot: 0,
             wheel_base: Time::ZERO,
@@ -91,9 +126,50 @@ impl Carousel {
 
     #[inline]
     fn sync_slot(&mut self, slot: usize) {
-        if self.slots[slot].is_empty() {
+        if self.slots[slot].head == NIL {
             self.occupied[slot / 64] &= !(1 << (slot % 64));
         }
+    }
+
+    /// Append `conn` to `slot`'s FIFO.
+    fn slot_push(&mut self, slot: usize, conn: u32) {
+        let entry = Entry { conn, next: NIL };
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            self.free = self.entries[idx as usize].next;
+            self.entries[idx as usize] = entry;
+            idx
+        } else {
+            self.entries.push(entry);
+            (self.entries.len() - 1) as u32
+        };
+        let s = &mut self.slots[slot];
+        if s.head == NIL {
+            s.head = idx;
+        } else {
+            self.entries[s.tail as usize].next = idx;
+        }
+        s.tail = idx;
+    }
+
+    /// The connection at the head of `slot`'s FIFO.
+    #[inline]
+    fn slot_front(&self, slot: usize) -> Option<u32> {
+        let head = self.slots[slot].head;
+        (head != NIL).then(|| self.entries[head as usize].conn)
+    }
+
+    /// Pop the head of `slot`'s FIFO, returning its entry to the free list.
+    fn slot_pop(&mut self, slot: usize) -> Option<u32> {
+        let head = self.slots[slot].head;
+        if head == NIL {
+            return None;
+        }
+        let Entry { conn, next } = self.entries[head as usize];
+        self.slots[slot].head = next;
+        self.entries[head as usize].next = self.free;
+        self.free = head;
+        Some(conn)
     }
 
     /// Offset (in slots, from `cur_slot`) of the nearest occupied slot,
@@ -194,7 +270,7 @@ impl Carousel {
         // Clamp beyond-horizon deadlines to the furthest slot.
         let offset = offset_slots.min(n - 1);
         let slot = (self.cur_slot + offset) % n;
-        self.slots[slot].push_back(conn);
+        self.slot_push(slot, conn);
         self.wheel_len += 1;
         self.mark_slot(slot);
     }
@@ -217,7 +293,7 @@ impl Carousel {
         }
         while self.wheel_base + self.granularity <= now {
             let elapsed_slots = ((now - self.wheel_base).ps() / self.granularity.ps()) as usize;
-            if self.slots[self.cur_slot].is_empty() {
+            if self.slots[self.cur_slot].head == NIL {
                 // jump straight to the next occupied slot (or to `now` if
                 // nothing is due before it)
                 let skip = match self.next_occupied_offset() {
@@ -230,7 +306,7 @@ impl Carousel {
                 continue;
             }
             // everything in the current slot is due
-            while let Some(conn) = self.slots[self.cur_slot].pop_front() {
+            while let Some(conn) = self.slot_pop(self.cur_slot) {
                 self.wheel_len -= 1;
                 self.rr.push_back(conn);
             }
@@ -245,7 +321,7 @@ impl Carousel {
         self.advance(now);
         // Current slot's flows are due too (deadline passed within slot).
         while self.wheel_len > 0 {
-            let Some(conn) = self.slots[self.cur_slot].front().copied() else {
+            let Some(conn) = self.slot_front(self.cur_slot) else {
                 break;
             };
             let due = self
@@ -254,7 +330,7 @@ impl Carousel {
                 .map(|c| c.next_send <= now)
                 .unwrap_or(true);
             if due {
-                self.slots[self.cur_slot].pop_front();
+                self.slot_pop(self.cur_slot);
                 self.wheel_len -= 1;
                 self.rr.push_back(conn);
             } else {
@@ -445,6 +521,203 @@ mod tests {
             }
         }
         assert!(fired, "clamped flow starved");
+    }
+
+    /// The scheduler as first written: one `VecDeque` per slot, the wheel
+    /// rotated one slot at a time. The oracle for the arena-linked slots
+    /// and the occupancy-bitmap skips.
+    struct DequeModel {
+        granularity: Duration,
+        slots: Vec<VecDeque<u32>>,
+        cur_slot: usize,
+        wheel_base: Time,
+        rr: VecDeque<u32>,
+        conns: Vec<ConnSched>,
+        empty_pops: u64,
+    }
+
+    impl DequeModel {
+        fn new(granularity: Duration, n_slots: usize) -> DequeModel {
+            DequeModel {
+                granularity,
+                slots: vec![VecDeque::new(); n_slots],
+                cur_slot: 0,
+                wheel_base: Time::ZERO,
+                rr: VecDeque::new(),
+                conns: Vec::new(),
+                empty_pops: 0,
+            }
+        }
+
+        fn conn_mut(&mut self, conn: u32) -> &mut ConnSched {
+            let idx = conn as usize;
+            if idx >= self.conns.len() {
+                self.conns.resize(idx + 1, ConnSched::default());
+            }
+            &mut self.conns[idx]
+        }
+
+        fn register(&mut self, conn: u32) {
+            *self.conn_mut(conn) = ConnSched {
+                registered: true,
+                ..Default::default()
+            };
+        }
+
+        fn unregister(&mut self, conn: u32) {
+            if let Some(c) = self.conns.get_mut(conn as usize) {
+                c.registered = false;
+                c.sendable = 0;
+            }
+        }
+
+        fn set_rate(&mut self, conn: u32, interval: u64) {
+            self.conn_mut(conn).interval_ps_per_byte = interval;
+        }
+
+        fn enqueue(&mut self, conn: u32, at: Time, now: Time) {
+            if self.conns[conn as usize].interval_ps_per_byte == 0 {
+                self.rr.push_back(conn);
+                return;
+            }
+            self.advance(now);
+            let n = self.slots.len();
+            let offset = if at <= self.wheel_base {
+                0
+            } else {
+                ((at - self.wheel_base).ps() / self.granularity.ps()) as usize
+            };
+            self.slots[(self.cur_slot + offset.min(n - 1)) % n].push_back(conn);
+        }
+
+        fn update_sendable(&mut self, conn: u32, sendable: u32, now: Time) {
+            let c = self.conn_mut(conn);
+            if !c.registered {
+                return;
+            }
+            c.sendable = sendable;
+            if sendable > 0 && !c.queued {
+                c.queued = true;
+                let at = c.next_send.max(now);
+                self.enqueue(conn, at, now);
+            }
+        }
+
+        fn advance(&mut self, now: Time) {
+            while self.wheel_base + self.granularity <= now {
+                let due = std::mem::take(&mut self.slots[self.cur_slot]);
+                self.rr.extend(due);
+                self.cur_slot = (self.cur_slot + 1) % self.slots.len();
+                self.wheel_base += self.granularity;
+            }
+        }
+
+        fn next_trigger(&mut self, now: Time, mss: u32) -> Option<Trigger> {
+            self.advance(now);
+            while let Some(&conn) = self.slots[self.cur_slot].front() {
+                if self.conns[conn as usize].next_send > now {
+                    break;
+                }
+                self.slots[self.cur_slot].pop_front();
+                self.rr.push_back(conn);
+            }
+            while let Some(conn) = self.rr.pop_front() {
+                let c = &mut self.conns[conn as usize];
+                if !c.registered || c.sendable == 0 {
+                    c.queued = false;
+                    self.empty_pops += 1;
+                    continue;
+                }
+                let bytes = c.sendable.min(mss);
+                c.sendable -= bytes;
+                if c.interval_ps_per_byte > 0 {
+                    c.next_send = c.next_send.max(now)
+                        + Duration::from_ps(bytes as u64 * c.interval_ps_per_byte);
+                }
+                if c.sendable > 0 {
+                    let at = c.next_send;
+                    self.enqueue(conn, at, now);
+                } else {
+                    c.queued = false;
+                }
+                return Some(Trigger {
+                    conn,
+                    bytes_est: bytes,
+                });
+            }
+            None
+        }
+
+        fn earliest_work(&self, now: Time) -> Option<Time> {
+            if !self.rr.is_empty() {
+                return Some(now);
+            }
+            let n = self.slots.len();
+            (0..n)
+                .find(|i| !self.slots[(self.cur_slot + i) % n].is_empty())
+                .map(|i| (self.wheel_base + self.granularity * i as u64).max(now))
+        }
+    }
+
+    /// Random register / unregister / `set_rate` / `update_sendable` /
+    /// `next_trigger` streams, ids re-registered while a stale entry is
+    /// still queued included: the arena-linked wheel emits the identical
+    /// trigger sequence, wake-up times and stale-pop count, and its entry
+    /// arena holds exactly the peak number of wheel-queued entries.
+    #[test]
+    fn linked_slots_match_the_deque_model() {
+        for seed in 0..8u64 {
+            let mut rng = flextoe_sim::Rng::new(0xca70 + seed);
+            // a short horizon makes beyond-horizon clamping and wrap-around
+            // routine; 4 to 64 ids keep slots shared
+            let n_slots = [16, 64, 200][seed as usize % 3];
+            let n_conns = 4 + 4 * seed as u32 * seed as u32 % 61;
+            let mut wheel = Carousel::new(Duration::from_us(1), n_slots);
+            let mut model = DequeModel::new(Duration::from_us(1), n_slots);
+            let mut now = Time::ZERO;
+            let mut triggers = 0u64;
+            let mut peak_queued = 0;
+            for step in 0..20_000 {
+                now += Duration::from_ns(rng.range(0, 1500));
+                let conn = rng.below(n_conns as u64) as u32;
+                match rng.below(16) {
+                    0 => {
+                        wheel.register(conn);
+                        model.register(conn);
+                    }
+                    1 => {
+                        wheel.unregister(conn);
+                        model.unregister(conn);
+                    }
+                    2 | 3 => {
+                        // uncongested, lightly paced, or paced past the horizon
+                        let interval = [0, 700, 5_000, 400_000][rng.below(4) as usize];
+                        wheel.set_rate(conn, interval);
+                        model.set_rate(conn, interval);
+                    }
+                    4..=8 => {
+                        let sendable = rng.range(0, 4 * MSS as u64) as u32;
+                        wheel.update_sendable(conn, sendable, now);
+                        model.update_sendable(conn, sendable, now);
+                    }
+                    _ => {
+                        let (a, b) = (wheel.next_trigger(now, MSS), model.next_trigger(now, MSS));
+                        assert_eq!(a, b, "seed {seed} step {step}");
+                        triggers += a.is_some() as u64;
+                    }
+                }
+                assert_eq!(
+                    wheel.earliest_work(now),
+                    model.earliest_work(now),
+                    "seed {seed} step {step}"
+                );
+                peak_queued = peak_queued.max(wheel.wheel_len);
+            }
+            assert_eq!(wheel.empty_pops, model.empty_pops, "seed {seed}");
+            assert_eq!(wheel.triggers, triggers);
+            assert!(triggers > 1000, "seed {seed}: only {triggers} triggers");
+            assert_eq!(wheel.entries.len(), peak_queued, "arena == peak queued");
+        }
     }
 
     #[test]

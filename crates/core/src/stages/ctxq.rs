@@ -16,13 +16,13 @@ use std::collections::VecDeque;
 
 use flextoe_nfp::{dma_req, DmaDir, FpcTimer};
 use flextoe_sim::{
-    try_cast, CounterHandle, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Stats, WorkToken,
+    cast, CounterHandle, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Stats, WorkToken,
 };
 
 use crate::costs;
 use crate::hostmem::{AppToNic, NicToApp, SharedCtxQueue};
 use crate::segment::{HcWork, SharedWorkPool, Work};
-use crate::stages::{AppNotify, NotifyJob, RegisterCtx, SharedCfg};
+use crate::stages::{AppNotify, RegisterCtx, SharedCfg};
 
 /// Descriptor-buffer pool size (flow control of host interactions).
 pub const DESC_POOL: usize = 256;
@@ -263,21 +263,7 @@ impl Node for CtxqStage {
                     None => {}
                 }
             }
-            msg => {
-                let msg = match try_cast::<RegisterCtx>(msg) {
-                    Ok(reg) => {
-                        self.register(
-                            reg.ctx,
-                            CtxRegistration {
-                                queue: reg.queue,
-                                app: reg.app,
-                            },
-                        );
-                        return;
-                    }
-                    Err(m) => m,
-                };
-                let job = flextoe_sim::cast::<NotifyJob>(msg);
+            Msg::Notify(job) => {
                 // DMA the notification descriptor into the host queue
                 let d = self.exec(ctx, costs::CTXQ_STAGE);
                 self.issue(
@@ -289,6 +275,16 @@ impl Node for CtxqStage {
                         desc: job.desc,
                     },
                     d,
+                );
+            }
+            msg => {
+                let reg = cast::<RegisterCtx>(msg);
+                self.register(
+                    reg.ctx,
+                    CtxRegistration {
+                        queue: reg.queue,
+                        app: reg.app,
+                    },
                 );
             }
         }

@@ -147,47 +147,18 @@ pub type SharedCfg = Rc<PipeCfg>;
 
 // ---- inter-stage messages ------------------------------------------------
 //
-// The hot messages (work tokens, NBI frames, transfer completions,
-// FS updates, doorbells, descriptor credits) are typed `flextoe_sim::Msg`
-// variants — allocation-free. Only the cold control-plane messages below
-// travel as `Msg::Custom`.
+// Everything sent per frame, per request or per CC report (work tokens,
+// NBI frames, transfer completions, FS updates, doorbells, descriptor
+// credits, notification jobs, application wake-ups, scheduler MMIO) is a
+// typed `flextoe_sim::Msg` variant — allocation-free. Only the cold
+// set-up messages below travel as `Msg::Custom`.
 
-// Re-exported so existing `flextoe_core::stages::{Doorbell, …}` imports
-// keep working.
-pub use flextoe_sim::{Doorbell, FreeDesc, FsUpdate};
+// Re-exported so `flextoe_core::stages::{Doorbell, …}` imports work.
+pub use flextoe_sim::{AppNotify, Doorbell, FreeDesc, FsUpdate, NotifyJob, SchedCtl};
 
 /// A frame redirected to the control plane (non-data-path segments,
 /// XDP_REDIRECT verdicts).
 pub struct Redirect(pub flextoe_wire::Frame);
-
-/// Control plane → scheduler messages (rate programming is MMIO, §3.4).
-pub enum SchedCtl {
-    Register {
-        conn: u32,
-        group: usize,
-    },
-    Unregister {
-        conn: u32,
-    },
-    /// Pacing interval in ps/byte (0 = uncongested). The control plane
-    /// precomputes this — the NFP cannot divide.
-    SetRate {
-        conn: u32,
-        interval_ps_per_byte: u64,
-    },
-}
-
-/// Context-queue stage → application node: MSI-X/eventfd wakeup.
-pub struct AppNotify {
-    pub ctx: u16,
-}
-
-/// DMA stage → context-queue stage: deliver a notification descriptor to
-/// an application context queue (after its payload DMA completed).
-pub struct NotifyJob {
-    pub ctx: u16,
-    pub desc: crate::hostmem::NicToApp,
-}
 
 /// Register an application context with the context-queue stage (done by
 /// the control plane at application startup, §D).
@@ -198,4 +169,4 @@ pub struct RegisterCtx {
     pub app: Option<flextoe_sim::NodeId>,
 }
 
-flextoe_sim::custom_msg!(Redirect, SchedCtl, AppNotify, NotifyJob, RegisterCtx);
+flextoe_sim::custom_msg!(Redirect, RegisterCtx);

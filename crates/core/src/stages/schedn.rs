@@ -121,9 +121,8 @@ impl Node for SchedNode {
                     .update_sendable(up.conn, up.sendable, ctx.now());
                 self.pump(ctx);
             }
-            msg => {
-                let ctl = flextoe_sim::cast::<SchedCtl>(msg);
-                match *ctl {
+            Msg::SchedCtl(ctl) => {
+                match ctl {
                     SchedCtl::Register { conn, group } => {
                         self.carousel.register(conn);
                         if self.groups.len() <= conn as usize {
@@ -139,6 +138,7 @@ impl Node for SchedNode {
                 }
                 self.pump(ctx);
             }
+            m => flextoe_sim::mismatch("Tick, FsUpdate or SchedCtl", &m),
         }
     }
 

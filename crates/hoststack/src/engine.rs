@@ -19,14 +19,14 @@ use flextoe_core::hostmem::{shared_buf, AppToNic, SharedBuf};
 use flextoe_core::proto::{self, RxSummary};
 use flextoe_core::ProtoState;
 use flextoe_nfp::{Cost, FpcTimer};
-use flextoe_sim::{try_cast, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Tick, Time};
+use flextoe_sim::{try_cast, AppNotify, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Tick, Time};
 use flextoe_wire::{
     Ecn, FourTuple, Frame, Ip4, MacAddr, SegmentSpec, SegmentView, SeqNum, TcpFlags, TcpOptions,
     MSS_WITH_TS,
 };
 
 use crate::costs::{StackCosts, StackKind};
-use crate::shared::{AppSock, HostConnect, HostListen, HostSyscall, HostWake, SharedAppSide};
+use crate::shared::{AppSock, HostConnect, HostListen, SharedAppSide};
 use flextoe_apps::SockEvent;
 
 const MSS: u32 = MSS_WITH_TS as u32;
@@ -95,12 +95,6 @@ struct PendingPassive {
     port: u16,
 }
 
-/// Resume transmission after backpressure.
-struct PumpTx {
-    conn: u32,
-}
-flextoe_sim::custom_msg!(PumpTx);
-
 pub struct HostStackNode {
     pub kind: StackKind,
     costs: StackCosts,
@@ -115,6 +109,9 @@ pub struct HostStackNode {
     /// Extra fixed latency per packet (Chelsio's ASIC pipeline).
     nic_latency: Duration,
     conns: Vec<Option<HostConn>>,
+    /// Application sides by the context id assigned at their first
+    /// listen/connect ([`crate::AppSide::ctx`]).
+    sides: Vec<SharedAppSide>,
     lookup: FxHashMap<FourTuple, u32>,
     listeners: FxHashMap<u16, Listener>,
     active: FxHashMap<FourTuple, PendingActive>,
@@ -173,6 +170,7 @@ impl HostStackNode {
             core: FpcTimer::new(clock, threads),
             nic_latency,
             conns: Vec::new(),
+            sides: Vec::new(),
             lookup: FxHashMap::default(),
             listeners: FxHashMap::default(),
             active: FxHashMap::default(),
@@ -261,7 +259,8 @@ impl HostStackNode {
         loop {
             c.clamp_window();
             if budget == 0 {
-                ctx.wake(Duration::from_us(1), PumpTx { conn: id });
+                // self-wake: resume this connection after backpressure
+                ctx.wake(Duration::from_us(1), u64::from(id));
                 break;
             }
             let Some(seg) = proto::tx_next(&mut c.ps, MSS) else {
@@ -269,7 +268,6 @@ impl HostStackNode {
             };
             budget -= 1;
             sent_any = true;
-            let payload = c.tx_buf.borrow().read_vec(seg.buf_pos, seg.len);
             let mut spec = spec_for(my_mac, my_ip, &c);
             spec.seq = seg.seq;
             spec.ack = seg.ack;
@@ -280,9 +278,11 @@ impl HostStackNode {
                 timestamp: Some((now.as_us() as u32, seg.ts_echo)),
                 ..Default::default()
             };
-            spec.payload_len = payload.len();
-            let frame = spec.emit_frame_into(ctx.pool.take(), |b| b.copy_from_slice(&payload));
-            let cost = self.pkt_cost_len(payload.len());
+            spec.payload_len = seg.len as usize;
+            let tx_buf = c.tx_buf.borrow();
+            let frame = spec.emit_frame_into(ctx.pool.take(), |b| tx_buf.read(seg.buf_pos, b));
+            drop(tx_buf);
+            let cost = self.pkt_cost_len(seg.len as usize);
             let d = self.charge(now, cost);
             self.emit(ctx, d, frame);
         }
@@ -303,7 +303,6 @@ impl HostStackNode {
             let len = c.ps.tx_sent.min(MSS);
             let una = c.ps.snd_una();
             let pos = c.ps.tx_pos.wrapping_sub(c.ps.tx_sent);
-            let payload = c.tx_buf.borrow().read_vec(pos, len);
             let mut spec = spec_for(my_mac, my_ip, &c);
             spec.seq = una;
             spec.ack = c.ps.ack;
@@ -313,8 +312,10 @@ impl HostStackNode {
                 timestamp: Some((now.as_us() as u32, c.ps.next_ts)),
                 ..Default::default()
             };
-            spec.payload_len = payload.len();
-            let frame = spec.emit_frame_into(ctx.pool.take(), |b| b.copy_from_slice(&payload));
+            spec.payload_len = len as usize;
+            let tx_buf = c.tx_buf.borrow();
+            let frame = spec.emit_frame_into(ctx.pool.take(), |b| tx_buf.read(pos, b));
+            drop(tx_buf);
             let cost = self.pkt_cost();
             let d = self.charge(now, cost);
             self.emit(ctx, d, frame);
@@ -333,10 +334,10 @@ impl HostStackNode {
         let kind = self.kind;
         let cost = self.pkt_cost_len(view.payload_len);
         let d = self.charge(now, cost);
-        let Some(mut c) = self.take(id) else {
+        let Some(mut conn) = self.take(id) else {
             return;
         };
-        let c = &mut c;
+        let c = &mut conn;
         let mut sum = RxSummary {
             seq: view.seq,
             ack: view.ack,
@@ -360,8 +361,7 @@ impl HostStackNode {
             let out = proto::rx_segment(&mut c.ps, &sum);
             let _ = out;
             // duplicate ACK to trigger sender retransmission
-            let taken = std::mem::replace(c, dummy_conn());
-            self.put(id, taken);
+            self.put(id, conn);
             self.send_ack(ctx, id, d, false);
             return;
         }
@@ -478,8 +478,7 @@ impl HostStackNode {
             }
         }
 
-        let taken = std::mem::replace(c, dummy_conn());
-        self.put(id, taken);
+        self.put(id, conn);
         if out.send_ack {
             self.send_ack(ctx, id, d, out.ecn_echo);
         }
@@ -820,11 +819,11 @@ impl HostStackNode {
         for tuple in give_up {
             let p = self.active.remove(&tuple).unwrap();
             self.connect_give_ups += 1;
-            p.side
-                .borrow_mut()
-                .events
+            let mut side = p.side.borrow_mut();
+            side.events
                 .push_back(SockEvent::ConnectFailed { opaque: p.opaque });
-            ctx.send(p.app, Duration::from_us(1), HostWake);
+            let wake = AppNotify { ctx: side.ctx };
+            ctx.send(p.app, Duration::from_us(1), wake);
         }
         for tuple in retry {
             let Some(&dst_mac) = self
@@ -859,9 +858,22 @@ impl HostStackNode {
         }
     }
 
-    fn on_syscall(&mut self, ctx: &mut Ctx<'_>, side: SharedAppSide) {
-        let descs: Vec<AppToNic> = side.borrow_mut().to_stack.drain(..).collect();
-        for desc in descs {
+    /// First listen/connect of an application side: assign its context id.
+    fn register_side(&mut self, side: &SharedAppSide) {
+        if !self.sides.iter().any(|s| std::rc::Rc::ptr_eq(s, side)) {
+            side.borrow_mut().ctx = u16::try_from(self.sides.len()).expect("context ids are u16");
+            self.sides.push(side.clone());
+        }
+    }
+
+    fn on_syscall(&mut self, ctx: &mut Ctx<'_>, side_ctx: u16) {
+        let side = self.sides[side_ctx as usize].clone();
+        // one descriptor at a time (handling one never queues another);
+        // the `let` ends the borrow before a handler re-borrows the side
+        loop {
+            let Some(desc) = side.borrow_mut().to_stack.pop_front() else {
+                break;
+            };
             match desc {
                 AppToNic::TxAppend { conn, len } => {
                     if let Some(Some(c)) = self.conns.get_mut(conn as usize) {
@@ -890,8 +902,8 @@ impl HostStackNode {
 
 impl Node for HostStackNode {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        // hot paths first: typed variants match without the repack boxes
-        // the legacy try_cast chain below would pay
+        // everything per packet or per request is a typed variant; only
+        // listen/connect take the downcast chain below
         let msg = match msg {
             Msg::Frame(frame) => {
                 self.on_frame(ctx, frame);
@@ -901,17 +913,19 @@ impl Node for HostStackNode {
                 self.rto_scan(ctx);
                 return;
             }
-            m => m,
-        };
-        let msg = match try_cast::<HostSyscall>(msg) {
-            Ok(s) => {
-                self.on_syscall(ctx, s.side);
+            Msg::Doorbell(db) => {
+                self.on_syscall(ctx, db.ctx);
                 return;
             }
-            Err(m) => m,
+            Msg::Token(conn) => {
+                self.pump_tx(ctx, conn as u32);
+                return;
+            }
+            m => m,
         };
         let msg = match try_cast::<HostListen>(msg) {
             Ok(l) => {
+                self.register_side(&l.side);
                 self.listeners.insert(
                     l.port,
                     Listener {
@@ -925,6 +939,7 @@ impl Node for HostStackNode {
         };
         let msg = match try_cast::<HostConnect>(msg) {
             Ok(c) => {
+                self.register_side(&c.side);
                 let local_port = self.next_port;
                 self.next_port = self.next_port.wrapping_add(1).max(42_000);
                 let iss = ctx.rng.next_u32();
@@ -969,34 +984,14 @@ impl Node for HostStackNode {
             }
             Err(m) => m,
         };
-        let p = flextoe_sim::cast::<PumpTx>(msg);
-        self.pump_tx(ctx, p.conn);
+        flextoe_sim::mismatch(
+            "Frame, Tick, Doorbell, Token, HostListen or HostConnect",
+            &msg,
+        )
     }
 
     fn name(&self) -> String {
         format!("hoststack-{}", self.kind.name())
-    }
-}
-
-/// Placeholder used while a connection is checked out of the table.
-fn dummy_conn() -> HostConn {
-    HostConn {
-        ps: ProtoState::default(),
-        tuple_rx: FourTuple::new(Ip4(0), 0, Ip4(0), 0),
-        peer_mac: MacAddr::ZERO,
-        rx_buf: shared_buf(4),
-        tx_buf: shared_buf(4),
-        side: crate::shared::shared_app_side(),
-        app: 0,
-        peer_win: 0,
-        cwnd: 0,
-        ssthresh: 0,
-        extra: Vec::new(),
-        last_una: SeqNum(0),
-        stall_since: Time::ZERO,
-        backoff: 0,
-        srtt_us: 0,
-        active: false,
     }
 }
 
@@ -1014,8 +1009,10 @@ fn spec_for(mac: MacAddr, ip: Ip4, conn: &HostConn) -> SegmentSpec {
 }
 
 fn wake_app(ctx: &mut Ctx<'_>, conn: &HostConn, after: Duration, ev: SockEvent) {
-    conn.side.borrow_mut().events.push_back(ev);
-    ctx.send(conn.app, after + Duration::from_us(1), HostWake);
+    let mut side = conn.side.borrow_mut();
+    side.events.push_back(ev);
+    let wake = AppNotify { ctx: side.ctx };
+    ctx.send(conn.app, after + Duration::from_us(1), wake);
 }
 
 /// Merge `[s, s+l)` into the side-interval list (overlap-coalescing).

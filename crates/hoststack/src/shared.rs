@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use flextoe_apps::{SockEvent, StackApi, StackOp};
 use flextoe_core::hostmem::{AppToNic, SharedBuf};
-use flextoe_sim::{try_cast, Ctx, Duration, FxHashMap, Msg, NodeId};
+use flextoe_sim::{Ctx, Doorbell, Duration, FxHashMap, Msg, NodeId};
 use flextoe_wire::Ip4;
 
 use crate::costs::StackCosts;
@@ -26,9 +26,15 @@ pub struct AppSock {
     pub closed: bool,
 }
 
-/// Shared between `HostSocketApi` (application node) and `HostStackNode`.
+/// Shared between `HostSocketApi` (application node) and `HostStackNode`:
+/// the baseline's context-queue pair (`to_stack` / `events`) plus the
+/// per-socket state.
 #[derive(Default)]
 pub struct AppSide {
+    /// Context id the stack node assigned when it first saw this side
+    /// (listen/connect); the "syscall" [`Doorbell`] and the wake-up
+    /// [`flextoe_sim::AppNotify`] carry it instead of the `Rc`.
+    pub ctx: u16,
     pub events: VecDeque<SockEvent>,
     pub socks: FxHashMap<u32, AppSock>,
     pub to_stack: VecDeque<AppToNic>,
@@ -58,15 +64,10 @@ pub struct HostConnect {
 }
 flextoe_sim::custom_msg!(HostConnect);
 
-/// "Syscall": descriptors are waiting in `to_stack`.
-pub struct HostSyscall {
-    pub side: SharedAppSide,
-}
-flextoe_sim::custom_msg!(HostSyscall);
-
-/// Stack -> app: events are waiting (the baseline's epoll wakeup).
-pub struct HostWake;
-flextoe_sim::custom_msg!(HostWake);
+// The two per-request messages are typed `Msg` variants shared with the
+// FlexTOE path: a "syscall" (descriptors are waiting in `to_stack`) is a
+// `Doorbell { ctx }`, the epoll wake-up (events are waiting) an
+// `AppNotify { ctx }`, `ctx` being [`AppSide::ctx`].
 
 /// The [`StackApi`] implementation for the baseline stacks.
 pub struct HostSocketApi {
@@ -99,13 +100,12 @@ impl HostSocketApi {
     }
 
     fn syscall(&self, ctx: &mut Ctx<'_>) {
-        ctx.send(
-            self.stack_node,
-            self.syscall_latency,
-            HostSyscall {
-                side: self.side.clone(),
-            },
-        );
+        // only reachable with a socket, i.e. after the stack node handled
+        // this side's listen/connect and assigned its context id
+        let db = Doorbell {
+            ctx: self.side.borrow().ctx,
+        };
+        ctx.send(self.stack_node, self.syscall_latency, db);
     }
 }
 
@@ -136,10 +136,18 @@ impl StackApi for HostSocketApi {
         );
     }
 
-    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) -> Result<Vec<SockEvent>, Msg> {
-        match try_cast::<HostWake>(msg) {
-            Ok(_) => Ok(self.side.borrow_mut().events.drain(..).collect()),
-            Err(m) => Err(m),
+    fn on_msg(
+        &mut self,
+        _ctx: &mut Ctx<'_>,
+        msg: Msg,
+        events: &mut Vec<SockEvent>,
+    ) -> Result<(), Msg> {
+        match msg {
+            Msg::AppNotify(_) => {
+                events.extend(self.side.borrow_mut().events.drain(..));
+                Ok(())
+            }
+            m => Err(m),
         }
     }
 
@@ -188,25 +196,27 @@ impl StackApi for HostSocketApi {
         n
     }
 
-    fn recv(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32) -> Vec<u8> {
-        let data = {
+    fn recv(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32, out: &mut Vec<u8>) -> usize {
+        let n = {
             let mut side = self.side.borrow_mut();
             let Some(s) = side.socks.get_mut(&conn) else {
-                return Vec::new();
+                return 0;
             };
             let n = s.rx_ready.min(max);
             if n == 0 {
-                return Vec::new();
+                return 0;
             }
-            let data = s.rx_buf.borrow().read_vec(s.rx_pos, n);
+            let at = out.len();
+            out.resize(at + n as usize, 0);
+            s.rx_buf.borrow().read(s.rx_pos, &mut out[at..]);
             s.rx_pos = s.rx_pos.wrapping_add(n);
             s.rx_ready -= n;
             side.to_stack
                 .push_back(AppToNic::RxConsumed { conn, len: n });
-            data
+            n
         };
         self.syscall(ctx);
-        data
+        n as usize
     }
 
     fn recv_bytes(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32) -> u32 {

@@ -218,9 +218,9 @@ impl LibToe {
     }
 
     /// Drain notification descriptors from the context queue (called on
-    /// wake-up or when polling); returns readiness events.
-    pub fn poll(&mut self) -> Vec<SockEvent> {
-        let mut events = Vec::new();
+    /// wake-up or when polling), appending readiness events to the
+    /// caller's `events`.
+    pub fn poll(&mut self, events: &mut Vec<SockEvent>) {
         loop {
             let desc = self.queue.borrow_mut().to_app.pop();
             let Some(desc) = desc else { break };
@@ -261,7 +261,6 @@ impl LibToe {
                 }
             }
         }
-        events
     }
 
     fn push_desc(&mut self, desc: AppToNic) {
@@ -329,22 +328,25 @@ impl LibToe {
         n
     }
 
-    /// POSIX `recv()`: copy out up to `max` readable bytes.
-    pub fn recv(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32) -> Vec<u8> {
+    /// POSIX `recv()`: append up to `max` readable bytes to the caller's
+    /// `out`; returns the count.
+    pub fn recv(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32, out: &mut Vec<u8>) -> usize {
         let Some(s) = self.sockets.get_mut(&conn) else {
-            return Vec::new();
+            return 0;
         };
         let n = s.rx_ready.min(max);
         if n == 0 {
-            return Vec::new();
+            return 0;
         }
-        let data = s.rx_buf.borrow().read_vec(s.rx_pos, n);
+        let at = out.len();
+        out.resize(at + n as usize, 0);
+        s.rx_buf.borrow().read(s.rx_pos, &mut out[at..]);
         s.rx_pos = s.rx_pos.wrapping_add(n);
         s.rx_ready -= n;
         self.bytes_received += n as u64;
         self.push_desc(AppToNic::RxConsumed { conn, len: n });
         self.flush(ctx);
-        data
+        n as usize
     }
 
     /// Consume readable bytes without copying (bulk benchmarks).

@@ -37,11 +37,12 @@
 //! [`Msg`] is an enum whose variants cover the data-path's hot message
 //! vocabulary — raw frames, MAC egress submissions, pooled pipeline work
 //! tokens, DMA transfer requests/completions, scheduler and context-queue
-//! tokens — so the per-event fast path never touches the heap. Everything
-//! else (control-plane requests, application messages, test fixtures)
-//! rides in [`Msg::Custom`], a type-erased box with exactly the semantics
-//! the engine had before the typed core: [`cast`] / [`try_cast`] keep
-//! working for every message type, typed variants included.
+//! tokens, notification descriptors, application wake-ups, scheduler MMIO
+//! — so nothing sent once per frame, per request or per CC report touches
+//! the heap. Cold control (connection set-up, fault injection, test
+//! fixtures) rides in [`Msg::Custom`], a type-erased box with exactly the
+//! semantics the engine had before the typed core: [`cast`] / [`try_cast`]
+//! keep working for every message type, typed variants included.
 //!
 //! # Scheduling
 //!
@@ -53,7 +54,7 @@
 //! the exact same total order, `(time, enqueue seq)`, which the
 //! integration suite proves by differential testing.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -175,8 +176,54 @@ pub struct ReportBatchToken {
     pub urgent: bool,
 }
 
-/// A simulation message. Hot data-path messages are inline enum payloads
-/// (no heap allocation per event); everything else is `Custom`.
+/// Notifications the NIC data-path delivers to libTOE (§3.1.3 "Notify").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NicToApp {
+    /// `len` new bytes are readable in the socket RX buffer.
+    RxAvail { conn: u32, len: u32, fin: bool },
+    /// `len` bytes of the socket TX buffer were acknowledged and freed.
+    TxFreed { conn: u32, len: u32 },
+    /// The control plane gave up on the connection (RTO retry budget
+    /// exhausted) and tore it down; the application must stop using it.
+    Aborted { conn: u32 },
+}
+
+/// DMA stage → context-queue stage: deliver a notification descriptor to
+/// an application context queue (after its payload DMA completed).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NotifyJob {
+    pub ctx: u16,
+    pub desc: NicToApp,
+}
+
+/// Stack → application node: entries are waiting in context queue `ctx`
+/// (FlexTOE's MSI-X/eventfd wake-up, a baseline stack's epoll wake-up).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AppNotify {
+    pub ctx: u16,
+}
+
+/// Control plane → flow scheduler (rate programming is MMIO, §3.4).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SchedCtl {
+    Register {
+        conn: u32,
+        group: usize,
+    },
+    Unregister {
+        conn: u32,
+    },
+    /// Pacing interval in ps/byte (0 = uncongested). The control plane
+    /// precomputes this — the NFP cannot divide.
+    SetRate {
+        conn: u32,
+        interval_ps_per_byte: u64,
+    },
+}
+
+/// A simulation message. Everything sent per frame, per request or per
+/// report is an inline enum payload (no heap allocation per event); cold
+/// control is `Custom`.
 #[derive(Debug)]
 pub enum Msg {
     /// Generic tick for self-scheduled polling loops.
@@ -206,7 +253,13 @@ pub enum Msg {
     FreeDesc,
     /// A sealed congestion-report batch (pooled slot token).
     Report(ReportBatchToken),
-    /// Anything else: control-plane, application and test messages.
+    /// A notification descriptor on its way to a context queue.
+    Notify(NotifyJob),
+    /// Application wake-up: a context queue went non-empty.
+    AppNotify(AppNotify),
+    /// Flow-scheduler MMIO from the control plane.
+    SchedCtl(SchedCtl),
+    /// Cold control: connection set-up, fault injection, test messages.
     Custom(Box<dyn Any>),
 }
 
@@ -238,18 +291,36 @@ impl Msg {
             Msg::Doorbell(_) => 10,
             Msg::FreeDesc => 11,
             Msg::Report(_) => 12,
-            Msg::Custom(_) => 13,
+            Msg::Notify(_) => 13,
+            Msg::AppNotify(_) => 14,
+            Msg::SchedCtl(_) => 15,
+            Msg::Custom(_) => 16,
         }
     }
 }
 
 /// Number of [`Msg`] variants (profiler bucket count).
-pub const N_MSG_KINDS: usize = 14;
+pub const N_MSG_KINDS: usize = 17;
 
 /// Variant names, indexed by [`Msg::kind_idx`].
 pub const MSG_KIND_NAMES: [&str; N_MSG_KINDS] = [
-    "Tick", "Frame", "MacTx", "Work", "Skip", "Nbi", "Xfer", "XferDone", "Token", "FsUpdate",
-    "Doorbell", "FreeDesc", "Report", "Custom",
+    "Tick",
+    "Frame",
+    "MacTx",
+    "Work",
+    "Skip",
+    "Nbi",
+    "Xfer",
+    "XferDone",
+    "Token",
+    "FsUpdate",
+    "Doorbell",
+    "FreeDesc",
+    "Report",
+    "Notify",
+    "AppNotify",
+    "SchedCtl",
+    "Custom",
 ];
 
 /// Conversion of a concrete message value into [`Msg`]. Hot data-path
@@ -287,6 +358,9 @@ inline_msg!(
     FsUpdate => FsUpdate,
     Doorbell => Doorbell,
     ReportBatchToken => Report,
+    NotifyJob => Notify,
+    AppNotify => AppNotify,
+    SchedCtl => SchedCtl,
 );
 
 impl IntoMsg for Tick {
@@ -327,23 +401,24 @@ macro_rules! custom_msg {
 // u32 is the conventional scalar payload in unit tests.
 custom_msg!(u32);
 
-/// Compatibility downcast helper: re-box a typed variant's payload so a
-/// `cast::<T>` / `try_cast::<T>` written against the old fully-type-erased
-/// engine still observes the same types. Costs an allocation, so hot
-/// receivers match on [`Msg`] directly instead.
+/// Compatibility downcast helper: box a typed variant's payload when it
+/// is the `T` asked for, so a `cast::<T>` / `try_cast::<T>` written
+/// against the old fully-type-erased engine still observes the same
+/// types. A mismatch hands the message back untouched (no allocation).
 fn repack<T: 'static, U: Any>(value: U, back: impl FnOnce(U) -> Msg) -> Result<Box<T>, Msg> {
+    if TypeId::of::<T>() != TypeId::of::<U>() {
+        return Err(back(value));
+    }
     let boxed: Box<dyn Any> = Box::new(value);
-    boxed
-        .downcast::<T>()
-        .map_err(|b| back(*b.downcast::<U>().expect("repack round-trip")))
+    Ok(boxed.downcast::<T>().expect("type ids match"))
 }
 
 /// Downcast a message, returning it back on mismatch.
 ///
 /// Typed variants still downcast to their payload type (`Tick`, `Frame`,
 /// `MacTx`, …) so dispatch chains written before the typed core behave
-/// identically — at the cost of a compatibility re-box. Hot receivers
-/// should match on [`Msg`] directly.
+/// identically; only a *successful* downcast of a typed variant pays a
+/// compatibility box, so per-event receivers match on [`Msg`] directly.
 pub fn try_cast<T: 'static>(msg: Msg) -> Result<Box<T>, Msg> {
     match msg {
         Msg::Custom(b) => b.downcast::<T>().map_err(Msg::Custom),
@@ -359,6 +434,9 @@ pub fn try_cast<T: 'static>(msg: Msg) -> Result<Box<T>, Msg> {
         Msg::Doorbell(d) => repack(d, Msg::Doorbell),
         Msg::FreeDesc => repack(FreeDesc, |_| Msg::FreeDesc),
         Msg::Report(r) => repack(r, Msg::Report),
+        Msg::Notify(n) => repack(n, Msg::Notify),
+        Msg::AppNotify(a) => repack(a, Msg::AppNotify),
+        Msg::SchedCtl(c) => repack(c, Msg::SchedCtl),
         Msg::Skip(s) => Err(Msg::Skip(s)),
     }
 }
@@ -366,14 +444,16 @@ pub fn try_cast<T: 'static>(msg: Msg) -> Result<Box<T>, Msg> {
 /// Downcast a message to a concrete type, panicking with a useful message
 /// on mismatch (a mismatch is always a wiring bug, never a runtime input).
 pub fn cast<T: 'static>(msg: Msg) -> Box<T> {
-    let variant = msg.variant_name();
-    try_cast::<T>(msg).unwrap_or_else(|m| {
-        panic!(
-            "message type mismatch: expected {}, got {variant} variant ({:?})",
-            std::any::type_name::<T>(),
-            m.variant_name(),
-        )
-    })
+    try_cast::<T>(msg).unwrap_or_else(|m| mismatch(std::any::type_name::<T>(), &m))
+}
+
+/// The panic of [`cast`], for receivers that `match` on [`Msg`] and fall
+/// through to a message they have no handler for.
+pub fn mismatch(expected: &str, got: &Msg) -> ! {
+    panic!(
+        "message type mismatch: expected {expected}, got {} variant",
+        got.variant_name()
+    )
 }
 
 // ---- nodes and delivery context -----------------------------------------
@@ -1240,6 +1320,46 @@ mod tests {
 
         let m = 7u64.into_msg();
         assert_eq!(*cast::<u64>(m), 7);
+    }
+
+    #[test]
+    fn per_request_variants_round_trip_inline() {
+        let job = NotifyJob {
+            ctx: 3,
+            desc: NicToApp::RxAvail {
+                conn: 9,
+                len: 64,
+                fin: false,
+            },
+        };
+        let wake = AppNotify { ctx: 3 };
+        let rate = SchedCtl::SetRate {
+            conn: 9,
+            interval_ps_per_byte: 800,
+        };
+        for (msg, name) in [
+            (job.into_msg(), "Notify"),
+            (wake.into_msg(), "AppNotify"),
+            (rate.into_msg(), "SchedCtl"),
+        ] {
+            assert!(!matches!(msg, Msg::Custom(_)), "{name} must not box");
+            assert_eq!(MSG_KIND_NAMES[msg.kind_idx()], name);
+            assert_eq!(msg.variant_name(), name);
+        }
+        assert!(matches!(job.into_msg(), Msg::Notify(j) if j == job));
+        assert!(matches!(wake.into_msg(), Msg::AppNotify(w) if w == wake));
+        assert!(matches!(rate.into_msg(), Msg::SchedCtl(r) if r == rate));
+        // the compatibility downcast still sees the payload types
+        let m = try_cast::<AppNotify>(job.into_msg()).unwrap_err();
+        assert_eq!(*cast::<NotifyJob>(m), job);
+        assert_eq!(*cast::<AppNotify>(wake.into_msg()), wake);
+        assert_eq!(*cast::<SchedCtl>(rate.into_msg()), rate);
+        // every kind has a distinct name, `Custom` last
+        assert_eq!(Msg::custom(1u8).kind_idx(), N_MSG_KINDS - 1);
+        let mut names = MSG_KIND_NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), N_MSG_KINDS);
     }
 
     #[test]

@@ -39,9 +39,9 @@ pub mod time;
 pub mod wheel;
 
 pub use engine::{
-    cast, try_cast, Ctx, Doorbell, Envelope, FreeDesc, FsUpdate, IntoMsg, MacTx, Msg, NbiFrame,
-    Node, NodeId, QueueKind, ReportBatchToken, Sim, Tick, WorkToken, XferDone, XferReq,
-    MSG_KIND_NAMES, N_MSG_KINDS,
+    cast, mismatch, try_cast, AppNotify, Ctx, Doorbell, Envelope, FreeDesc, FsUpdate, IntoMsg,
+    MacTx, Msg, NbiFrame, NicToApp, Node, NodeId, NotifyJob, QueueKind, ReportBatchToken, SchedCtl,
+    Sim, Tick, WorkToken, XferDone, XferReq, MSG_KIND_NAMES, N_MSG_KINDS,
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hist::Histogram;

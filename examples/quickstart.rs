@@ -42,9 +42,12 @@ impl Node for Echo {
             return;
         }
         let stack = self.stack.as_mut().unwrap();
-        let Ok(events) = stack.on_msg(ctx, msg) else {
+        // the application owns the event and payload buffers; a long-lived
+        // app keeps them as members so the steady state never allocates
+        let mut events = Vec::new();
+        if stack.on_msg(ctx, msg, &mut events).is_err() {
             return;
-        };
+        }
         for ev in events {
             match ev {
                 SockEvent::Connected { conn, .. } => {
@@ -56,7 +59,8 @@ impl Node for Echo {
                     let _ = conn;
                 }
                 SockEvent::Readable { conn, .. } => {
-                    let data = stack.recv(ctx, conn, 1024);
+                    let mut data = Vec::new();
+                    stack.recv(ctx, conn, 1024, &mut data);
                     let text = String::from_utf8_lossy(&data);
                     if self.is_server {
                         println!("[{:>9}] server: got {:?}, echoing", ctx.now(), text);

@@ -1,0 +1,224 @@
+//! The allocation-free steady state, as a test: once connections are up,
+//! pools are warm and every socket buffer has wrapped once, a request
+//! costs zero heap allocations on the FlexTOE path and on the baseline
+//! host stack, and so does a paced bulk segment. Each scenario counts the
+//! allocations of two back-to-back windows of simulated time; the first
+//! may still see a straggling high-water mark (a queue reaching its peak
+//! depth), the second must add none at all.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use flextoe_apps::{ClientConfig, LoadMode, RpcClientApp, RpcServerApp, ServerConfig, StackApi};
+use flextoe_control::CcAlgo;
+use flextoe_sim::{Duration, SchedCtl, Sim, Tick, Time};
+use flextoe_topo::{build_pair, PairOpts, Stack};
+
+type Client = RpcClientApp<Box<dyn StackApi>>;
+type Server = RpcServerApp<Box<dyn StackApi>>;
+
+/// Counts this thread's heap allocations (the test harness runs the
+/// scenarios on parallel threads of one process).
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // a thread being torn down has no counter any more: not ours to count
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter (a const-
+// initialised thread-local `Cell`, so touching it never allocates) has no
+// bearing on the returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; the caller guarantees `new_size` is valid.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// What one window of simulated time cost.
+#[derive(Debug)]
+struct Window {
+    allocs: u64,
+    requests: u64,
+}
+
+/// A client/server pair on `stack`, run through a warm-up and then two
+/// equal windows.
+fn two_windows(
+    stack: Stack,
+    opts: PairOpts,
+    server_cfg: ServerConfig,
+    client_cfg: ClientConfig,
+    pace_ps_per_byte: Option<u64>,
+    warm: Time,
+    window: Duration,
+) -> [Window; 2] {
+    let mut sim = Sim::new(11);
+    let (ea, eb) = build_pair(&mut sim, stack, stack, &opts);
+    let server = sim.add_node(Server::new(server_cfg, eb.stack_init(stack, 1)));
+    let client = sim.add_node(Client::new(
+        ClientConfig {
+            server_ip: eb.ip,
+            ..client_cfg
+        },
+        ea.stack_init(stack, 1),
+    ));
+    sim.schedule(Time::ZERO, server, Tick);
+    sim.schedule(Time::from_us(20), client, Tick);
+    if let Some(interval_ps_per_byte) = pace_ps_per_byte {
+        // program the sender's flow scheduler the way the control plane's
+        // congestion control would (CC itself is off in this scenario)
+        let (nic, _) = ea.flextoe.as_ref().expect("pacing needs a FlexTOE sender");
+        for conn in 0..client_cfg.n_conns {
+            let rate = SchedCtl::SetRate {
+                conn,
+                interval_ps_per_byte,
+            };
+            sim.schedule(Time::from_us(500), nic.handle().sched, rate);
+        }
+    }
+    sim.run_until(warm);
+    let mut at = warm;
+    [(); 2].map(|()| {
+        let (a0, r0) = (allocs(), sim.node_ref::<Client>(client).completed);
+        at += window;
+        sim.run_until(at);
+        Window {
+            allocs: allocs() - a0,
+            requests: sim.node_ref::<Client>(client).completed - r0,
+        }
+    })
+}
+
+/// The first window tolerates this many straggling high-water marks.
+const STRAGGLERS: u64 = 4;
+
+fn assert_steady(what: &str, [first, second]: [Window; 2], min_requests: u64) {
+    assert!(
+        first.requests >= min_requests && second.requests >= min_requests,
+        "{what}: too little work to mean anything: {first:?} then {second:?}"
+    );
+    assert!(
+        first.allocs <= STRAGGLERS,
+        "{what}: {first:?} allocates in the steady state"
+    );
+    assert_eq!(
+        second.allocs, 0,
+        "{what}: doubling the window must add nothing, got {second:?}"
+    );
+}
+
+fn echo_cfgs() -> (ServerConfig, ClientConfig) {
+    (
+        ServerConfig {
+            echo_data: true,
+            ..Default::default()
+        },
+        ClientConfig {
+            n_conns: 4,
+            mode: LoadMode::Closed { pipeline: 4 },
+            ..Default::default()
+        },
+    )
+}
+
+/// 64-byte byte-exact echo over the full FlexTOE pipeline on both hosts:
+/// notification jobs, application wake-ups, the response self-wake, the
+/// `poll` / `recv` buffers and the control tick all stay off the heap.
+#[test]
+fn flextoe_echo_allocates_nothing_per_request() {
+    let (server, client) = echo_cfgs();
+    // 64 KiB socket buffers wrap (and so finish committing) after 1024
+    // echoes per connection: ~7 ms at this load
+    let w = two_windows(
+        Stack::FlexToe,
+        PairOpts::default(),
+        server,
+        client,
+        None,
+        Time::from_ms(12),
+        Duration::from_ms(3),
+    );
+    assert_steady("FlexTOE echo", w, 1000);
+}
+
+/// The same echo with both hosts on the TAS host stack: the syscall
+/// doorbell, the epoll wake-up, the connection check-out on every data
+/// segment and the payload copies into frames stay off the heap.
+#[test]
+fn tas_echo_allocates_nothing_per_request() {
+    let (server, client) = echo_cfgs();
+    let w = two_windows(
+        Stack::Tas,
+        PairOpts::default(),
+        server,
+        client,
+        None,
+        Time::from_ms(12),
+        Duration::from_ms(3),
+    );
+    assert_steady("TAS echo", w, 1000);
+}
+
+/// One-directional bulk (16 KiB requests, 32-byte replies) with the
+/// sender paced to ~1 Gbit/s, so every segment goes through a Carousel
+/// wheel slot: over two windows the flow visits every one of the 4096
+/// slots, and none of those first visits may allocate.
+#[test]
+fn paced_flextoe_bulk_allocates_nothing_per_segment() {
+    let w = two_windows(
+        Stack::FlexToe,
+        PairOpts {
+            cc: CcAlgo::None,
+            ..Default::default()
+        },
+        ServerConfig {
+            msg_size: 16 * 1024,
+            resp_size: 32,
+            ..Default::default()
+        },
+        ClientConfig {
+            n_conns: 2,
+            msg_size: 16 * 1024,
+            resp_size: 32,
+            mode: LoadMode::Closed { pipeline: 2 },
+            ..Default::default()
+        },
+        Some(8_000),
+        Time::from_ms(10),
+        Duration::from_ms(6),
+    );
+    assert_steady("paced FlexTOE bulk", w, 20);
+}

@@ -24,10 +24,13 @@ struct EchoServer {
 impl EchoServer {
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         let lib = self.lib.as_mut().unwrap();
-        for ev in lib.poll() {
+        let mut events = Vec::new();
+        lib.poll(&mut events);
+        for ev in events {
             match ev {
                 SockEvent::Readable { conn, .. } => {
-                    let data = lib.recv(ctx, conn, u32::MAX);
+                    let mut data = Vec::new();
+                    lib.recv(ctx, conn, u32::MAX, &mut data);
                     self.echoed += data.len() as u64;
                     let sent = lib.send(ctx, conn, &data);
                     assert_eq!(sent, data.len(), "echo server tx buffer full");
@@ -93,11 +96,12 @@ impl EchoClient {
     fn pump(&mut self, ctx: &mut Ctx<'_>) {
         let Some(conn) = self.conn else { return };
         let lib = self.lib.as_mut().unwrap();
-        for ev in lib.poll() {
+        let mut events = Vec::new();
+        lib.poll(&mut events);
+        for ev in events {
             match ev {
                 SockEvent::Readable { .. } => {
-                    let data = lib.recv(ctx, conn, u32::MAX);
-                    self.rx.extend_from_slice(&data);
+                    lib.recv(ctx, conn, u32::MAX, &mut self.rx);
                 }
                 SockEvent::Eof { .. } => {
                     self.got_eof = true;
