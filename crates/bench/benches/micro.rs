@@ -45,19 +45,15 @@ fn bench_n(name: &str, iters: u64, mut f: impl FnMut()) -> f64 {
     med
 }
 
-fn selected(filter: &Option<String>, group: &str) -> bool {
-    filter.as_deref().is_none_or(|f| group.contains(f))
-}
+// ---- engine pipeline benchmark --------------------------------------------
 
-// ---- engine pipeline benchmark (shared with the bench binary) ------------
-
-#[path = "../src/enginebench.rs"]
-mod enginebench;
-use enginebench::{
-    best_of, dispatch_best_of, switch_best_of, DISPATCH_EVENTS, PIPE_EVENTS, SWITCH_FRAMES,
+use flextoe_bench::enginebench::{
+    best_of, dispatch_events_per_sec, pipeline_events_per_sec, switch_forwarding_fps,
+    DISPATCH_EVENTS, PIPE_EVENTS, SWITCH_FRAMES,
 };
 
-pub fn bench_engine(results: &mut Vec<(String, f64)>) {
+fn bench_engine() {
+    let mut by_queue = Vec::new();
     println!("-- engine: {PIPE_EVENTS} events through a 6-stage pipeline ring --");
     for (name, kind) in [
         ("engine/heap_typed (ordering oracle)", QueueKind::Heap),
@@ -66,11 +62,11 @@ pub fn bench_engine(results: &mut Vec<(String, f64)>) {
             QueueKind::Wheel,
         ),
     ] {
-        let eps = best_of(3, kind);
+        let eps = best_of(3, || pipeline_events_per_sec(kind));
         println!("{name:<44} {:>10.2} M events/s", eps / 1e6);
-        results.push((name.to_string(), eps));
+        by_queue.push(eps);
     }
-    let (heap_typed, wheel_typed) = (results[0].1, results[1].1);
+    let (heap_typed, wheel_typed) = (by_queue[0], by_queue[1]);
 
     println!("-- switch: {SWITCH_FRAMES} frames through one ECMP leaf hop --");
     for (name, tagged, sketched) in [
@@ -78,9 +74,8 @@ pub fn bench_engine(results: &mut Vec<(String, f64)>) {
         ("switch/forward_tagged (parse-once meta)", true, false),
         ("switch/forward_sketched (telemetry armed)", true, true),
     ] {
-        let fps = switch_best_of(2, tagged, sketched);
+        let fps = best_of(2, || switch_forwarding_fps(tagged, sketched));
         println!("{name:<44} {:>10.2} M frames/s", fps / 1e6);
-        results.push((name.to_string(), fps));
     }
 
     println!("-- dispatch: {DISPATCH_EVENTS} raw token deliveries --");
@@ -88,9 +83,8 @@ pub fn bench_engine(results: &mut Vec<(String, f64)>) {
         ("dispatch/self_send (staged-bucket inserts)", 1),
         ("dispatch/ring8 (one bucket per delivery)", 8),
     ] {
-        let eps = dispatch_best_of(2, nodes);
+        let eps = best_of(2, || dispatch_events_per_sec(nodes));
         println!("{name:<44} {:>10.2} M events/s", eps / 1e6);
-        results.push((name.to_string(), eps));
     }
 
     // The heap is the wheel's ordering oracle; if it also wins on speed it
@@ -256,23 +250,17 @@ fn main() {
     let filter: Option<String> = std::env::args()
         .skip(1)
         .find(|a| !a.starts_with('-') && a != "--bench");
-    let mut engine_results = Vec::new();
-    if selected(&filter, "engine") {
-        bench_engine(&mut engine_results);
-    }
-    if selected(&filter, "wire") {
-        bench_wire();
-    }
-    if selected(&filter, "proto") {
-        bench_proto();
-    }
-    if selected(&filter, "reorder") {
-        bench_reorder();
-    }
-    if selected(&filter, "carousel") {
-        bench_carousel();
-    }
-    if selected(&filter, "ebpf") {
-        bench_ebpf();
+    let groups: [(&str, fn()); 6] = [
+        ("engine", bench_engine),
+        ("wire", bench_wire),
+        ("proto", bench_proto),
+        ("reorder", bench_reorder),
+        ("carousel", bench_carousel),
+        ("ebpf", bench_ebpf),
+    ];
+    for (group, run) in groups {
+        if filter.as_deref().is_none_or(|f| group.contains(f)) {
+            run();
+        }
     }
 }

@@ -13,8 +13,9 @@ use flextoe_control::CcAlgo;
 use flextoe_netsim::{PortConfig, Switch, WredParams};
 use flextoe_sim::{Duration, Sim, Tick, Time};
 
+use crate::driver::{has_rows, holds, Experiment, PointRun};
 use crate::harness::*;
-use crate::par::run_indexed;
+use crate::json::{fixed, Json};
 
 /// ECN step-marking threshold K on the bottleneck port (bytes).
 pub const ECN_K: usize = 24 * 1024;
@@ -27,29 +28,6 @@ const MSG: u32 = 65_536;
 const JAIN_CONVERGED: f64 = 0.95;
 const HOLD_WINDOWS: usize = 3;
 
-/// One algorithm's outcome on the congested fabric.
-pub struct AlgoOutcome {
-    pub algo: &'static str,
-    pub fold: &'static str,
-    pub goodput_gbps: f64,
-    /// Jain fairness over post-warmup per-flow goodput.
-    pub jain: f64,
-    /// First time (ms from start) windowed Jain ≥ 0.95 held for
-    /// `HOLD_WINDOWS` consecutive sampling windows; -1 if never.
-    pub convergence_ms: f64,
-    pub peak_queue_kb: f64,
-    pub avg_queue_kb: f64,
-    pub ecn_marked: u64,
-    pub drops: u64,
-    /// Report batches / flow reports / folded ACK events (batching proof:
-    /// batches ≪ events, reports ≥ batches).
-    pub report_batches: u64,
-    pub flow_reports: u64,
-    pub acks_folded: u64,
-    /// Simulation events this run processed (deterministic per seed).
-    pub sim_events: u64,
-}
-
 /// Scenario scale: the CI smoke configuration shrinks senders and time.
 #[derive(Clone, Copy, Debug)]
 pub struct CcScale {
@@ -61,28 +39,8 @@ pub struct CcScale {
     pub window: Duration,
 }
 
-impl CcScale {
-    pub fn full() -> CcScale {
-        CcScale {
-            senders: 4,
-            duration: Time::from_ms(30),
-            warmup: Time::from_ms(4),
-            window: Duration::from_ms(2),
-        }
-    }
-
-    pub fn smoke() -> CcScale {
-        CcScale {
-            senders: 2,
-            duration: Time::from_ms(10),
-            warmup: Time::from_ms(2),
-            window: Duration::from_ms(1),
-        }
-    }
-}
-
-/// Run one algorithm over the incast fabric.
-pub fn run_cc_one(seed: u64, algo: CcAlgo, fold: FoldSpec, scale: CcScale) -> AlgoOutcome {
+/// Run one algorithm over the incast fabric; returns its sweep row.
+pub fn run_cc_one(seed: u64, algo: CcAlgo, fold: FoldSpec, scale: CcScale) -> Json {
     let fold_label = match fold {
         FoldSpec::Builtin => "native",
         FoldSpec::Program(_) => "ebpf",
@@ -200,143 +158,97 @@ pub fn run_cc_one(seed: u64, algo: CcAlgo, fold: FoldSpec, scale: CcScale) -> Al
     let (_tx, drops, ecn_marked) = switch.port_stats(0);
     let (peak, avg) = switch.queue_occupancy(0, sim.now().as_ns());
 
-    AlgoOutcome {
-        algo: algo.name(),
-        fold: fold_label,
-        sim_events: sim.events_processed(),
-        goodput_gbps,
-        jain,
-        convergence_ms,
-        peak_queue_kb: peak as f64 / 1024.0,
-        avg_queue_kb: avg / 1024.0,
-        ecn_marked,
-        drops,
-        report_batches: sim.stats.get_named("ccp.batches"),
-        flow_reports: sim.stats.get_named("ccp.reports"),
-        acks_folded: sim.stats.get_named("ccp.events"),
+    Json::obj([
+        ("algo", algo.name().into()),
+        ("fold", fold_label.into()),
+        ("goodput_gbps", fixed(goodput_gbps, 3)),
+        // Jain fairness over post-warmup per-flow goodput
+        ("jain", fixed(jain, 4)),
+        // first time (ms from start) windowed Jain ≥ 0.95 held for
+        // HOLD_WINDOWS consecutive sampling windows; -1 if never
+        ("convergence_ms", fixed(convergence_ms, 1)),
+        ("peak_queue_kb", fixed(peak as f64 / 1024.0, 1)),
+        ("avg_queue_kb", fixed(avg / 1024.0, 2)),
+        ("ecn_marked", ecn_marked.into()),
+        ("drops", drops.into()),
+        // batching proof: batches ≪ folded ACK events, reports ≥ batches
+        ("report_batches", sim.stats.get_named("ccp.batches").into()),
+        ("flow_reports", sim.stats.get_named("ccp.reports").into()),
+        ("acks_folded", sim.stats.get_named("ccp.events").into()),
+        ("sim_events", sim.events_processed().into()),
+    ])
+}
+
+/// The `cc` experiment: every registry algorithm on the native fold, plus
+/// DCTCP once more on the compiled-eBPF fold path, over one seed.
+impl Experiment for CcScale {
+    const NAME: &'static str = "cc";
+    const TITLE: &'static str = "congested fabric: senders incast into one 10G ECN/WRED port";
+    const SEED: u64 = 11;
+    const ROWS_KEY: &'static str = "algorithms";
+    const COLUMNS: &'static str = "algo fold goodput_gbps jain convergence_ms peak_queue_kb \
+        avg_queue_kb ecn_marked drops report_batches acks_folded";
+    type Point = (CcAlgo, FoldSpec);
+
+    fn full() -> CcScale {
+        CcScale {
+            senders: 4,
+            duration: Time::from_ms(30),
+            warmup: Time::from_ms(4),
+            window: Duration::from_ms(2),
+        }
     }
-}
 
-/// The full sweep: every registry algorithm on the native fold, plus
-/// DCTCP once more on the compiled-eBPF fold path. Runs are independent
-/// sims fanned out over `jobs` threads; results merge in configuration
-/// order, byte-identical to a serial run.
-pub fn run_cc_jobs(seed: u64, scale: CcScale, jobs: usize) -> Vec<AlgoOutcome> {
-    let mut configs: Vec<(CcAlgo, FoldSpec)> = CcAlgo::all()
-        .into_iter()
-        .map(|algo| (algo, FoldSpec::Builtin))
-        .collect();
-    configs.push((CcAlgo::Dctcp, FoldSpec::Program(FoldProg::builtin())));
-    run_indexed(jobs, configs.len(), |i| {
-        let (algo, fold) = configs[i].clone();
-        run_cc_one(seed, algo, fold, scale)
-    })
-}
-
-/// The serial reference sweep.
-pub fn run_cc(seed: u64, scale: CcScale) -> Vec<AlgoOutcome> {
-    run_cc_jobs(seed, scale, 1)
-}
-
-/// Serialize a sweep deterministically (the integration suite asserts
-/// byte-identical output for identical seeds).
-pub fn cc_json(seed: u64, scale: CcScale, results: &[AlgoOutcome]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"benchmark\": \"cc\",\n");
-    s.push_str(&format!(
-        "  \"scenario\": {{\n    \"seed\": {seed},\n    \"senders\": {},\n    \"bottleneck_gbps\": {},\n    \"ecn_threshold_kb\": {},\n    \"duration_ms\": {},\n    \"warmup_ms\": {}\n  }},\n",
-        scale.senders,
-        BOTTLENECK_BPS / 1_000_000_000,
-        ECN_K / 1024,
-        scale.duration.as_us() / 1_000,
-        scale.warmup.as_us() / 1_000,
-    ));
-    s.push_str("  \"algorithms\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"algo\": \"{}\", \"fold\": \"{}\", \"goodput_gbps\": {:.3}, \"jain\": {:.4}, \"convergence_ms\": {:.1}, \"peak_queue_kb\": {:.1}, \"avg_queue_kb\": {:.2}, \"ecn_marked\": {}, \"drops\": {}, \"report_batches\": {}, \"flow_reports\": {}, \"acks_folded\": {}, \"sim_events\": {}}}{}\n",
-            r.algo,
-            r.fold,
-            r.goodput_gbps,
-            r.jain,
-            r.convergence_ms,
-            r.peak_queue_kb,
-            r.avg_queue_kb,
-            r.ecn_marked,
-            r.drops,
-            r.report_batches,
-            r.flow_reports,
-            r.acks_folded,
-            r.sim_events,
-            if i + 1 == results.len() { "" } else { "," },
-        ));
+    fn smoke() -> CcScale {
+        CcScale {
+            senders: 2,
+            duration: Time::from_ms(10),
+            warmup: Time::from_ms(2),
+            window: Duration::from_ms(1),
+        }
     }
-    s.push_str("  ]\n}\n");
-    s
-}
 
-/// The `cc` experiment: sweep, print, write `BENCH_cc.json`.
-/// `--smoke` selects the short CI configuration; `--seed`/`--out`
-/// override the defaults.
-pub fn cc(opts: &crate::cli::RunOpts) {
-    let scale = if opts.smoke {
-        CcScale::smoke()
-    } else {
-        CcScale::full()
-    };
-    let seed = opts.seed.unwrap_or(11);
-    let jobs = opts.jobs();
-    println!(
-        "# cc — congested fabric: {} senders incast into {} Gbps (K = {} KB){}",
-        scale.senders,
-        BOTTLENECK_BPS / 1_000_000_000,
-        ECN_K / 1024,
-        if opts.smoke { " [smoke]" } else { "" }
-    );
-    println!(
-        "{:<8} {:<7} {:>9} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>9} {:>9}",
-        "algo",
-        "fold",
-        "goodput",
-        "JFI",
-        "conv ms",
-        "peak KB",
-        "avg KB",
-        "marks",
-        "drops",
-        "batches",
-        "acks"
-    );
-    let wall0 = std::time::Instant::now();
-    let results = run_cc_jobs(seed, scale, jobs);
-    let wall = wall0.elapsed().as_secs_f64();
-    for r in &results {
-        println!(
-            "{:<8} {:<7} {:>8.2}G {:>7.3} {:>9.1} {:>9.1} {:>9.2} {:>7} {:>7} {:>9} {:>9}",
-            r.algo,
-            r.fold,
-            r.goodput_gbps,
-            r.jain,
-            r.convergence_ms,
-            r.peak_queue_kb,
-            r.avg_queue_kb,
-            r.ecn_marked,
-            r.drops,
-            r.report_batches,
-            r.acks_folded,
-        );
+    fn points(&self) -> Vec<(CcAlgo, FoldSpec)> {
+        let mut configs: Vec<(CcAlgo, FoldSpec)> = CcAlgo::all()
+            .into_iter()
+            .map(|algo| (algo, FoldSpec::Builtin))
+            .collect();
+        configs.push((CcAlgo::Dctcp, FoldSpec::Program(FoldProg::builtin())));
+        configs
     }
-    let sim_events: u64 = results.iter().map(|r| r.sim_events).sum();
-    println!(
-        "sweep wall: {:.2}s, {} events ({:.2}M events/s, jobs={})",
-        wall,
-        sim_events,
-        sim_events as f64 / wall / 1e6,
-        jobs
-    );
-    let json =
-        crate::scale::with_wall_block(cc_json(seed, scale, &results), wall, sim_events, jobs);
-    let path = opts.out_path("BENCH_cc.json");
-    std::fs::write(&path, &json).expect("write BENCH_cc.json");
-    println!("wrote {}", path.display());
+
+    fn run_point(&self, seed: u64, (algo, fold): &Self::Point, _: usize) -> PointRun {
+        run_cc_one(seed, *algo, fold.clone(), *self).into()
+    }
+
+    fn scenario_json(&self, seed: u64) -> Json {
+        Json::obj([
+            ("seed", seed.into()),
+            ("senders", self.senders.into()),
+            ("bottleneck_gbps", (BOTTLENECK_BPS / 1_000_000_000).into()),
+            ("ecn_threshold_kb", (ECN_K / 1024).into()),
+            ("duration_ms", (self.duration.as_us() / 1_000).into()),
+            ("warmup_ms", (self.warmup.as_us() / 1_000).into()),
+        ])
+    }
+
+    /// Every registry algorithm ran, and each one's reports reached the
+    /// control plane batched (far fewer batches than folded ACKs).
+    fn check(rows: &[Json]) -> Result<(), String> {
+        has_rows(rows, "algo", &["dctcp", "timely", "cubic", "reno"])?;
+        rows.iter().try_for_each(|r| {
+            let batches = r["report_batches"].num();
+            holds(
+                format_args!("row {}/{}", r["algo"].as_str(), r["fold"].as_str()),
+                &[
+                    (r["sim_events"].num() > 0.0, "ran no events"),
+                    (batches > 0.0, "no report batch arrived"),
+                    (
+                        r["acks_folded"].num() > batches,
+                        "a batch per folded ACK is not batching",
+                    ),
+                ],
+            )
+        })
+    }
 }

@@ -3,8 +3,7 @@
 //! latencies, plus a slow control timer that exercises the wheel's
 //! overflow path.
 //!
-//! Shared by `benches/micro.rs` (interactive runs) and the
-//! `bench-pipeline` experiment (which records `BENCH_pipeline.json`).
+//! Run by `benches/micro.rs` (`cargo bench -p flextoe-bench -- engine`).
 
 use std::time::Instant;
 
@@ -74,10 +73,8 @@ pub fn pipeline_events_per_sec(kind: QueueKind) -> f64 {
 }
 
 /// Best-of-n measurement (benchmarks want the least-disturbed run).
-pub fn best_of(n: u32, kind: QueueKind) -> f64 {
-    (0..n)
-        .map(|_| pipeline_events_per_sec(kind))
-        .fold(0.0f64, f64::max)
+pub fn best_of(n: u32, measure: impl Fn() -> f64) -> f64 {
+    (0..n).map(|_| measure()).fold(0.0f64, f64::max)
 }
 
 // ---- engine-dispatch micro -----------------------------------------------
@@ -131,13 +128,6 @@ pub fn dispatch_events_per_sec(nodes: usize) -> f64 {
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(sim.events_processed(), DISPATCH_EVENTS);
     DISPATCH_EVENTS as f64 / secs
-}
-
-/// Best-of-n for the dispatch micro.
-pub fn dispatch_best_of(n: u32, nodes: usize) -> f64 {
-    (0..n)
-        .map(|_| dispatch_events_per_sec(nodes))
-        .fold(0.0f64, f64::max)
 }
 
 // ---- switch-forwarding micro ---------------------------------------------
@@ -257,11 +247,4 @@ pub fn switch_forwarding_fps(tagged: bool, sketched: bool) -> f64 {
     let routed = sim.node_ref::<Switch>(sw).routed;
     assert_eq!(routed, SWITCH_FRAMES, "every frame must route");
     routed as f64 / secs
-}
-
-/// Best-of-n for the switch micro.
-pub fn switch_best_of(n: u32, tagged: bool, sketched: bool) -> f64 {
-    (0..n)
-        .map(|_| switch_forwarding_fps(tagged, sketched))
-        .fold(0.0f64, f64::max)
 }

@@ -1,33 +1,35 @@
-//! The chaos experiment: hard fault injection on the 4-leaf/2-spine
-//! fabric under a reconnecting closed-loop session workload. Each row
-//! fails part of the fabric at `t_fault` — probabilistic drop storms,
-//! fabric-link flap trains, spine kills (ECMP failover), leaf kills
-//! (blackholed hosts → RTO give-up → abort → reconnection storm) — and
-//! explicitly heals it at `t_heal`. The driver samples goodput in fixed
-//! time buckets around the window and reports recovery metrics: dip
-//! depth, time-to-recover after heal, and the reroute / retransmit /
-//! abort / reconnect counts behind them.
+//! The chaos experiment: fault injection on the 4-leaf/2-spine fabric
+//! under a reconnecting closed-loop session workload. Each row fails part
+//! of the fabric at `t_fault` — probabilistic drop storms, fabric-link
+//! flap trains, spine kills (ECMP failover), leaf kills (blackholed hosts
+//! → RTO give-up → abort → reconnection storm), and the gray failures that
+//! degrade without killing anything — and explicitly heals it at
+//! `t_heal`. The driver samples goodput in fixed time buckets around the
+//! window and reports recovery metrics: dip depth, time-to-recover after
+//! heal, and the reroute / retransmit / abort / reconnect counts behind
+//! them.
 //!
 //! Every row ends with a conservation audit: after `CloseAll` + drain,
 //! each issued request is accounted exactly once (`issued == completed +
 //! dead_requests`), no session holds an in-flight request, and the
 //! FlexTOE pool gauges (work slots, pktbuf segments) are back to zero
 //! in-flight across every NIC. `BENCH_faults.json` is byte-identical per
-//! seed across runs, `--jobs` values, and the wheel vs. reference-heap queue.
+//! seed across runs, `--jobs` and `--shards` values, and the wheel vs.
+//! reference-heap queue.
 
-use flextoe_apps::{CloseAll, FramedServerConfig, SessionConfig};
+use flextoe_apps::{CloseAll, SessionConfig};
 use flextoe_core::PoolGauges;
 use flextoe_netsim::{Faults, GeParams, Link, Switch};
-use flextoe_shard::{ShardedSim, SyncStats};
-use flextoe_sim::{Duration, Histogram, NodeId, Sim, Stats, Time};
+use flextoe_sim::{Duration, Histogram, NodeId, Sim, Time};
 use flextoe_topo::{
-    build_fabric, partition_fabric, BuiltFabric, DynSessionClient, Fabric, FaultEvent, FaultTarget,
-    HostSpec, LinkScope, PairOpts, Role, Scenario, Stack,
+    BuiltFabric, DynSessionClient, FaultEvent, FaultTarget, LinkScope, PairOpts, Role, Scenario,
+    Stack,
 };
 
-use crate::cli::RunOpts;
-use crate::par::run_indexed;
-use crate::scale::{with_wall_extras, HOSTS_PER_LEAF, LEAVES, SPINES};
+use crate::driver::{has_rows, holds, Experiment, PointRun};
+use crate::harness::{cross_tier_scenario, owned_gauges, FabricRun};
+use crate::json::{fixed, Json};
+use crate::scale::{leaf_spine_name, LEAF_SPINE, LEAVES};
 
 /// One chaos case: a named fault schedule over the shared timeline.
 #[derive(Clone)]
@@ -65,95 +67,36 @@ pub struct FaultsPlan {
     pub t_drain: Time,
 }
 
-/// The fault-intensity sweep: drop percentage, flap rate, kill count.
+/// Hard-fail `targets` at `t_fault`, heal them all at `t_heal`.
+pub fn kill_schedule(t_fault: Time, t_heal: Time, targets: &[FaultTarget]) -> Vec<FaultEvent> {
+    let mut v: Vec<FaultEvent> = targets
+        .iter()
+        .map(|&t| FaultEvent::down(t_fault, t))
+        .collect();
+    v.extend(targets.iter().map(|&t| FaultEvent::up(t_heal, t)));
+    v
+}
+
+/// Flap train on the first leaf0↔spine0 link: `n` down/up cycles across
+/// the window, the link down for half of each period, healed by the last
+/// `Up`.
+pub fn flap_schedule(t_fault: Time, t_heal: Time, n: u64) -> Vec<FaultEvent> {
+    let link = FaultTarget::FabricLink { index: 0 };
+    let period = Duration::from_ns(t_heal.saturating_since(t_fault).as_ns() / n);
+    let half = Duration::from_ns(period.as_ns() / 2);
+    (0..n)
+        .flat_map(|k| {
+            let t0 = t_fault + period * k;
+            [FaultEvent::down(t0, link), FaultEvent::up(t0 + half, link)]
+        })
+        .collect()
+}
+
+/// The sweep: the fault-intensity rows (drop percentage, flap rate, kill
+/// count; `full` adds the long ones), then the gray-failure rows.
 fn chaos_rows(t_fault: Time, t_heal: Time, full: bool) -> Vec<ChaosRow> {
     let spine0 = FaultTarget::Switch { index: LEAVES };
     let leaf1 = FaultTarget::Switch { index: 1 };
-    let degrade = |p: f64| {
-        vec![
-            FaultEvent::degrade(
-                t_fault,
-                LinkScope::Fabric,
-                Faults {
-                    drop_chance: p,
-                    ..Default::default()
-                },
-            ),
-            FaultEvent::degrade(t_heal, LinkScope::Fabric, Faults::default()),
-        ]
-    };
-    let kill = |targets: &[FaultTarget]| -> Vec<FaultEvent> {
-        let mut v: Vec<FaultEvent> = targets
-            .iter()
-            .map(|&t| FaultEvent::down(t_fault, t))
-            .collect();
-        v.extend(targets.iter().map(|&t| FaultEvent::up(t_heal, t)));
-        v
-    };
-    // flap train on one leaf0↔spine0 link: n down/up cycles across the
-    // window, each link down for half its period, healed by the last Up
-    let flap = |n: u64| -> Vec<ChaosRow> {
-        let link = FaultTarget::FabricLink { index: 0 };
-        let period = Duration::from_ns(t_heal.saturating_since(t_fault).as_ns() / n);
-        let half = Duration::from_ns(period.as_ns() / 2);
-        let schedule = (0..n)
-            .flat_map(|k| {
-                let t0 = t_fault + period * k;
-                [FaultEvent::down(t0, link), FaultEvent::up(t0 + half, link)]
-            })
-            .collect();
-        vec![ChaosRow {
-            name: if n == 1 {
-                "link-flap-x1"
-            } else {
-                "link-flap-x4"
-            },
-            schedule,
-        }]
-    };
-    let mut rows = vec![
-        ChaosRow {
-            name: "baseline",
-            schedule: vec![],
-        },
-        ChaosRow {
-            name: "drop-10pct",
-            schedule: degrade(0.10),
-        },
-        ChaosRow {
-            name: "spine-kill",
-            schedule: kill(&[spine0]),
-        },
-    ];
-    if full {
-        rows.insert(
-            1,
-            ChaosRow {
-                name: "drop-1pct",
-                schedule: degrade(0.01),
-            },
-        );
-        rows.extend(flap(1));
-        rows.extend(flap(4));
-        rows.push(ChaosRow {
-            name: "leaf-kill",
-            schedule: kill(&[leaf1]),
-        });
-        rows.push(ChaosRow {
-            name: "spine-leaf-kill",
-            schedule: kill(&[spine0, leaf1]),
-        });
-    }
-    rows
-}
-
-/// The gray-failure rows (`--gray`): faults that degrade without
-/// killing anything — bursty Gilbert–Elliott loss, a duplication storm,
-/// reorder-inducing jitter, and spine0 limping at 8× serialization
-/// latency. All heal at `t_heal`. Every probabilistic draw comes from
-/// the afflicted link's own RNG stream, so the rows are byte-identical
-/// per seed across engines, `--jobs`, and `--shards`.
-fn gray_rows(t_fault: Time, t_heal: Time) -> Vec<ChaosRow> {
     let degrade = |name, faults: Faults| ChaosRow {
         name,
         schedule: vec![
@@ -161,171 +104,176 @@ fn gray_rows(t_fault: Time, t_heal: Time) -> Vec<ChaosRow> {
             FaultEvent::degrade(t_heal, LinkScope::Fabric, Faults::default()),
         ],
     };
-    vec![
+    let drop = |name, p: f64| {
         degrade(
-            "dup-storm",
+            name,
             Faults {
-                dup_chance: 0.3,
+                drop_chance: p,
                 ..Default::default()
             },
-        ),
-        degrade(
-            "reorder",
-            Faults {
-                jitter: Duration::from_us(5),
-                ..Default::default()
-            },
-        ),
-        degrade(
-            "ge-loss",
-            Faults {
-                ge: Some(GeParams {
-                    p_enter: 0.02,
-                    p_exit: 0.2,
-                    loss_good: 0.0,
-                    loss_bad: 0.5,
-                }),
-                ..Default::default()
-            },
-        ),
-        // 512× serialization on spine0 turns its 100G ports into ~200M
-        // ones: slow enough to queue and dip the flows ECMP pinned to
-        // it, while spine1's flows sail through — the canonical
-        // differential gray failure (no port ever reports down).
-        ChaosRow {
-            name: "limping-spine",
-            schedule: vec![
-                FaultEvent::limp(t_fault, LEAVES, 512),
-                FaultEvent::limp(t_heal, LEAVES, 1),
-            ],
+        )
+    };
+    let kill = |name, targets: &[FaultTarget]| ChaosRow {
+        name,
+        schedule: kill_schedule(t_fault, t_heal, targets),
+    };
+    let mut rows = vec![ChaosRow {
+        name: "baseline",
+        schedule: vec![],
+    }];
+    if full {
+        rows.push(drop("drop-1pct", 0.01));
+    }
+    rows.push(drop("drop-10pct", 0.10));
+    rows.push(kill("spine-kill", &[spine0]));
+    if full {
+        for (name, n) in [("link-flap-x1", 1), ("link-flap-x4", 4)] {
+            rows.push(ChaosRow {
+                name,
+                schedule: flap_schedule(t_fault, t_heal, n),
+            });
+        }
+        rows.push(kill("leaf-kill", &[leaf1]));
+        rows.push(kill("spine-leaf-kill", &[spine0, leaf1]));
+    }
+    // The gray failures degrade without killing anything. Every
+    // probabilistic draw comes from the afflicted link's own RNG stream,
+    // so these rows too are byte-identical per seed across engines,
+    // `--jobs`, and `--shards`.
+    rows.push(degrade(
+        "dup-storm",
+        Faults {
+            dup_chance: 0.3,
+            ..Default::default()
         },
-    ]
+    ));
+    rows.push(degrade(
+        "reorder",
+        Faults {
+            jitter: Duration::from_us(5),
+            ..Default::default()
+        },
+    ));
+    rows.push(degrade(
+        "ge-loss",
+        Faults {
+            ge: Some(GeParams {
+                p_enter: 0.02,
+                p_exit: 0.2,
+                loss_good: 0.0,
+                loss_bad: 0.5,
+            }),
+            ..Default::default()
+        },
+    ));
+    // 512× serialization on spine0 turns its 100G ports into ~200M
+    // ones: slow enough to queue and dip the flows ECMP pinned to
+    // it, while spine1's flows sail through — the canonical
+    // differential gray failure (no port ever reports down).
+    rows.push(ChaosRow {
+        name: "limping-spine",
+        schedule: vec![
+            FaultEvent::limp(t_fault, LEAVES, 512),
+            FaultEvent::limp(t_heal, LEAVES, 1),
+        ],
+    });
+    rows
 }
 
-impl FaultsPlan {
-    pub fn full() -> FaultsPlan {
-        let (t_fault, t_heal) = (Time::from_ms(4), Time::from_ms(8));
-        FaultsPlan {
-            rows: chaos_rows(t_fault, t_heal, true),
-            n_sessions_per_host: 8,
-            req_size: 128,
-            resp_size: 512,
-            think: Duration::from_us(20),
-            min_rto: Duration::from_us(200),
-            rto_give_up: 3,
-            syn_retry: Duration::from_us(400),
-            bucket: Duration::from_us(250),
-            warmup: Time::from_us(1500),
-            t_fault,
-            t_heal,
-            t_end: Time::from_ms(16),
-            t_drain: Time::from_ms(20),
-        }
-    }
+/// The rows that must degrade without hard-killing anything.
+const GRAY_ROWS: [&str; 4] = ["dup-storm", "reorder", "ge-loss", "limping-spine"];
 
-    pub fn smoke() -> FaultsPlan {
-        let (t_fault, t_heal) = (Time::from_us(1500), Time::from_ms(3));
-        FaultsPlan {
-            rows: chaos_rows(t_fault, t_heal, false),
-            n_sessions_per_host: 4,
-            req_size: 128,
-            resp_size: 512,
-            think: Duration::from_us(20),
-            min_rto: Duration::from_us(200),
-            rto_give_up: 3,
-            syn_retry: Duration::from_us(400),
-            bucket: Duration::from_us(250),
-            warmup: Time::from_us(750),
-            t_fault,
-            t_heal,
-            t_end: Time::from_ms(5),
-            t_drain: Time::from_ms(8),
-        }
-    }
-
-    /// Append the gray-failure rows (`--gray`). The hard rows stay
-    /// first and unchanged, so sweeps without the flag keep their exact
-    /// artifact bytes.
-    pub fn with_gray(mut self) -> FaultsPlan {
-        let extra = gray_rows(self.t_fault, self.t_heal);
-        self.rows.extend(extra);
-        self
-    }
-}
-
-/// One chaos row's outcome.
-pub struct FaultsOutcome {
-    pub name: &'static str,
-    /// Completed responses per goodput bucket, `[0, t_end)`.
-    pub timeline: Vec<u64>,
-    /// Pre-fault baseline goodput (responses/s over `[warmup, t_fault)`).
-    pub pre_rps: f64,
-    /// Worst bucket inside the fault window, as responses/s.
-    pub dip_rps: f64,
-    /// `dip_rps / pre_rps` (1.0 = no dip).
-    pub dip_frac: f64,
-    /// Heal → first bucket back at ≥95% of baseline (µs; -1 = never).
-    pub recover_us: i64,
-    /// Goodput over the last 4 pre-`CloseAll` buckets ≥ 95% of baseline.
-    pub recovered: bool,
-    pub p50_us: f64,
-    pub p99_us: f64,
+/// The commutative harvest of one chaos row after the drain: what one
+/// part of the run (the whole `Sim`, or one shard) counted. Every field
+/// merges by addition, so the merged row is the monolithic one whatever
+/// the shard count.
+#[derive(Default)]
+struct FaultsCounts {
+    latency: Histogram,
     // session accounting
-    pub issued: u64,
-    pub completed: u64,
-    pub dead_requests: u64,
-    pub aborted_conns: u64,
-    pub peer_closed: u64,
-    pub reconnects: u64,
-    pub connect_failures: u64,
-    // control plane + fabric
-    pub rto_fired: u64,
-    pub ctrl_aborts: u64,
-    pub reroutes: u64,
-    pub blackholed: u64,
-    pub dead_drops: u64,
-    pub down_drops: u64,
-    pub degrade_drops: u64,
+    issued: u64,
+    completed: u64,
+    dead_requests: u64,
+    aborted_conns: u64,
+    peer_closed: u64,
+    reconnects: u64,
+    connect_failures: u64,
+    in_flight_end: u64,
+    // control plane + links
+    rto_fired: u64,
+    ctrl_aborts: u64,
+    degrade_drops: u64,
     // gray-failure plane
     /// Frames the links delivered twice (`link.duplicated`).
-    pub dup_frames: u64,
+    dup_frames: u64,
     /// Frames lost to the Gilbert–Elliott bursty-loss model
     /// (`link.ge_drops`; also included in `degrade_drops`).
-    pub ge_drops: u64,
+    ge_drops: u64,
     /// Out-of-order segments the protocol stages buffered and later
     /// accepted (`proto.ooo`) — the reorder row's signature.
-    pub ooo_accepted: u64,
+    ooo_accepted: u64,
     /// RX frames shed at the sequencer because a capped work/pktbuf
     /// pool had no headroom (`nic.pool_exhausted`).
-    pub pool_exhausted: u64,
+    pool_exhausted: u64,
     /// Passive opens refused with an RST at the SYN admission cap
     /// (`ctrl.admission_refused`).
-    pub admission_refused: u64,
+    admission_refused: u64,
     /// Duplicate SYN / SYN-ACK deliveries the control plane absorbed
     /// instead of double-installing (`ctrl.dup_handshake`) — the
     /// dup-storm row's handshake-path signature.
-    pub dup_handshake: u64,
+    dup_handshake: u64,
     // conservation audit
-    pub in_flight_end: u64,
-    pub gauges: PoolGauges,
+    gauges: PoolGauges,
     /// Global packet-buffer balance (takes − returns over the sim-wide
     /// pool and every NIC pool); 0 once everything drained.
-    pub buf_delta: i64,
-    pub conserved: bool,
-    /// Per-switch field sums match the `Stats` named-counter totals
-    /// (`switch.ecmp_rerouted` / `switch.blackholed` /
-    /// `switch.dead_drops`) — the cross-check the aggregate-only rows
-    /// never had.
-    pub counters_consistent: bool,
-    /// Name-sorted per-switch counter object (`Stats::export_json`):
-    /// `faults.swNN.{reroutes,blackholed,dead_drops,down_drops}`, with
-    /// each link's down-drops attributed to the switch that feeds it
-    /// (host uplinks attribute to the edge switch).
-    pub per_switch_json: String,
-    pub sim_events: u64,
-    /// Conservative-sync counters when the row ran sharded (`None` for
-    /// the monolithic path). Never serialized into the body.
-    pub sync: Option<SyncStats>,
+    buf_delta: i64,
+    /// Per switch, in [`SWITCH_FIELDS`] order, with each link's
+    /// down-drops attributed to the switch that feeds it (host uplinks
+    /// attribute to the edge switch). Full length on every part; zero
+    /// rows for switches another shard owns.
+    per_switch: Vec<[u64; 4]>,
+    /// What the switches reported through their named counters
+    /// (`switch.ecmp_rerouted` / `.blackholed` / `.dead_drops`).
+    named: [u64; 3],
+    sim_events: u64,
+}
+
+/// Column meaning of [`FaultsCounts::per_switch`].
+const SWITCH_FIELDS: [&str; 4] = ["reroutes", "blackholed", "dead_drops", "down_drops"];
+
+impl FaultsCounts {
+    fn merge(&mut self, o: &FaultsCounts) {
+        self.latency.merge(&o.latency);
+        self.issued += o.issued;
+        self.completed += o.completed;
+        self.dead_requests += o.dead_requests;
+        self.aborted_conns += o.aborted_conns;
+        self.peer_closed += o.peer_closed;
+        self.reconnects += o.reconnects;
+        self.connect_failures += o.connect_failures;
+        self.in_flight_end += o.in_flight_end;
+        self.rto_fired += o.rto_fired;
+        self.ctrl_aborts += o.ctrl_aborts;
+        self.degrade_drops += o.degrade_drops;
+        self.dup_frames += o.dup_frames;
+        self.ge_drops += o.ge_drops;
+        self.ooo_accepted += o.ooo_accepted;
+        self.pool_exhausted += o.pool_exhausted;
+        self.admission_refused += o.admission_refused;
+        self.dup_handshake += o.dup_handshake;
+        self.gauges.merge(&o.gauges);
+        self.buf_delta += o.buf_delta;
+        self.per_switch.resize(o.per_switch.len(), [0; 4]);
+        for (acc, counts) in self.per_switch.iter_mut().zip(&o.per_switch) {
+            for (a, v) in acc.iter_mut().zip(counts) {
+                *a += v;
+            }
+        }
+        for (a, v) in self.named.iter_mut().zip(o.named) {
+            *a += v;
+        }
+        self.sim_events += o.sim_events;
+    }
 }
 
 /// The chaos scenario: every even host runs reconnecting sessions toward
@@ -334,56 +282,29 @@ pub struct FaultsOutcome {
 /// the telemetry experiment can run sketch accuracy under the exact
 /// same fault rows.
 pub fn chaos_scenario(seed: u64, row: &ChaosRow, plan: &FaultsPlan) -> Scenario {
-    let fabric = Fabric::LeafSpine {
-        leaves: LEAVES,
-        spines: SPINES,
-        hosts_per_leaf: HOSTS_PER_LEAF,
-    };
-    let opts = PairOpts {
+    let mut sc = cross_tier_scenario(seed, LEAF_SPINE, Stack::FlexToe, |_, target| {
+        Role::Session {
+            cfg: SessionConfig {
+                n_sessions: plan.n_sessions_per_host,
+                req_size: plan.req_size,
+                resp_size: plan.resp_size,
+                think: plan.think,
+                backoff_base: Duration::from_us(200),
+                backoff_cap: Duration::from_ms(2),
+                warmup: plan.warmup,
+                ..Default::default()
+            },
+            target,
+        }
+    });
+    sc.opts = PairOpts {
         min_rto: plan.min_rto,
         syn_retry: plan.syn_retry,
         rto_give_up: Some(plan.rto_give_up),
         ..Default::default()
     };
-    let hosts = (0..fabric.n_hosts())
-        .map(|i| {
-            let role = if i % 2 == 0 {
-                let leaf = i / HOSTS_PER_LEAF;
-                let target = ((leaf + 1) % LEAVES) * HOSTS_PER_LEAF + 1;
-                Role::Session {
-                    cfg: SessionConfig {
-                        n_sessions: plan.n_sessions_per_host,
-                        req_size: plan.req_size,
-                        resp_size: plan.resp_size,
-                        think: plan.think,
-                        backoff_base: Duration::from_us(200),
-                        backoff_cap: Duration::from_ms(2),
-                        warmup: plan.warmup,
-                        ..Default::default()
-                    },
-                    target,
-                }
-            } else {
-                Role::FramedServer(FramedServerConfig::default())
-            };
-            HostSpec {
-                stack: Stack::FlexToe,
-                role,
-            }
-        })
-        .collect();
-    Scenario {
-        seed,
-        fabric,
-        hosts,
-        links: Default::default(),
-        opts,
-        fault_schedule: row.schedule.clone(),
-        telemetry: None,
-        client_start: Time::from_us(20),
-        client_stagger: Duration::from_us(1),
-        shards: 1,
-    }
+    sc.fault_schedule = row.schedule.clone();
+    sc
 }
 
 /// Global packet-buffer balance (takes − returns) over the simulation-
@@ -407,66 +328,28 @@ pub fn buf_balance(sim: &Sim, fab: &BuiltFabric) -> i64 {
     takes as i64 - returns as i64
 }
 
-/// Commutative per-shard harvest of one chaos row after the drain.
-/// The monolithic path runs the same harvest over a fully-owned `Sim`,
-/// so sharded and single-shard outcomes are byte-identical merges.
-struct FaultsPartial {
-    latency: Histogram,
-    issued: u64,
-    completed: u64,
-    dead_requests: u64,
-    aborted_conns: u64,
-    peer_closed: u64,
-    reconnects: u64,
-    connect_failures: u64,
-    in_flight_end: u64,
-    gauges: PoolGauges,
-    buf_delta: i64,
-    /// reroutes, blackholed, dead_drops, down_drops per switch (full
-    /// length; zero rows for switches another shard owns).
-    per_sw: Vec<[u64; 4]>,
-    degrade_drops: u64,
-    dup_frames: u64,
-    ge_drops: u64,
-    ooo_accepted: u64,
-    pool_exhausted: u64,
-    admission_refused: u64,
-    dup_handshake: u64,
-    rto_fired: u64,
-    ctrl_aborts: u64,
-    named_rerouted: u64,
-    named_blackholed: u64,
-    named_dead: u64,
-    events: u64,
-}
-
-fn harvest_faults(sim: &Sim, fab: &BuiltFabric) -> FaultsPartial {
-    let mut p = FaultsPartial {
-        latency: Histogram::new(),
-        issued: 0,
-        completed: 0,
-        dead_requests: 0,
-        aborted_conns: 0,
-        peer_closed: 0,
-        reconnects: 0,
-        connect_failures: 0,
-        in_flight_end: 0,
-        gauges: PoolGauges::default(),
+/// Count what this `Sim` owns of a drained chaos row.
+fn harvest(sim: &Sim, fab: &BuiltFabric) -> FaultsCounts {
+    let named = |name| sim.stats.get_named(name);
+    let mut p = FaultsCounts {
+        gauges: owned_gauges(sim, fab),
         buf_delta: buf_balance(sim, fab),
-        per_sw: vec![[0; 4]; fab.switches.len()],
-        degrade_drops: 0,
-        dup_frames: sim.stats.get_named("link.duplicated"),
-        ge_drops: sim.stats.get_named("link.ge_drops"),
-        ooo_accepted: sim.stats.get_named("proto.ooo"),
-        pool_exhausted: sim.stats.get_named("nic.pool_exhausted"),
-        admission_refused: sim.stats.get_named("ctrl.admission_refused"),
-        dup_handshake: sim.stats.get_named("ctrl.dup_handshake"),
-        rto_fired: sim.stats.get_named("ctrl.rto_fired"),
-        ctrl_aborts: sim.stats.get_named("ctrl.abort"),
-        named_rerouted: sim.stats.get_named("switch.ecmp_rerouted"),
-        named_blackholed: sim.stats.get_named("switch.blackholed"),
-        named_dead: sim.stats.get_named("switch.dead_drops"),
-        events: sim.events_processed(),
+        per_switch: vec![[0; 4]; fab.switches.len()],
+        dup_frames: named("link.duplicated"),
+        ge_drops: named("link.ge_drops"),
+        ooo_accepted: named("proto.ooo"),
+        pool_exhausted: named("nic.pool_exhausted"),
+        admission_refused: named("ctrl.admission_refused"),
+        dup_handshake: named("ctrl.dup_handshake"),
+        rto_fired: named("ctrl.rto_fired"),
+        ctrl_aborts: named("ctrl.abort"),
+        named: [
+            named("switch.ecmp_rerouted"),
+            named("switch.blackholed"),
+            named("switch.dead_drops"),
+        ],
+        sim_events: sim.events_processed(),
+        ..Default::default()
     };
     for h in &fab.hosts {
         let Some(n) = h.session() else { continue };
@@ -484,26 +367,15 @@ fn harvest_faults(sim: &Sim, fab: &BuiltFabric) -> FaultsPartial {
         p.connect_failures += c.connect_failures;
         p.in_flight_end += c.in_flight() as u64;
     }
-    for h in &fab.hosts {
-        if !sim.owns(h.ep.ingress) {
-            continue;
-        }
-        if let Some((nic, _)) = &h.ep.flextoe {
-            p.gauges.merge(&nic.pool_gauges(sim));
-        }
-    }
-    // Per-switch fields, each link's down-drops attributed to the
-    // switch feeding it (host uplinks to the edge switch). The feeder
-    // discipline of the partitioner guarantees a link and its feeding
-    // switch share a shard, so each per_sw row is filled by one shard.
+    // The feeder discipline of the partitioner guarantees a link and its
+    // feeding switch share a shard, so each per_switch row is filled by
+    // one shard.
     for (i, &s) in fab.switches.iter().enumerate() {
         if !sim.owns(s) {
             continue;
         }
         let sw = sim.node_ref::<Switch>(s);
-        p.per_sw[i][0] = sw.rerouted;
-        p.per_sw[i][1] = sw.blackholed;
-        p.per_sw[i][2] = sw.dead_drops;
+        p.per_switch[i][..3].copy_from_slice(&[sw.rerouted, sw.blackholed, sw.dead_drops]);
     }
     let link_drops = |l: NodeId| -> u64 {
         if sim.owns(l) {
@@ -513,11 +385,11 @@ fn harvest_faults(sim: &Sim, fab: &BuiltFabric) -> FaultsPartial {
         }
     };
     for pair in &fab.fabric_pairs {
-        p.per_sw[pair.a][3] += link_drops(pair.l_ab);
-        p.per_sw[pair.b][3] += link_drops(pair.l_ba);
+        p.per_switch[pair.a][3] += link_drops(pair.l_ab);
+        p.per_switch[pair.b][3] += link_drops(pair.l_ba);
     }
     for r in &fab.edge_recs {
-        p.per_sw[r.edge][3] += link_drops(r.uplink) + link_drops(r.downlink);
+        p.per_switch[r.edge][3] += link_drops(r.uplink) + link_drops(r.downlink);
     }
     for &l in fab.edge_links.iter().chain(fab.fabric_links.iter()) {
         if sim.owns(l) {
@@ -527,214 +399,120 @@ fn harvest_faults(sim: &Sim, fab: &BuiltFabric) -> FaultsPartial {
     p
 }
 
-/// Merge shard partials + the goodput timeline into one outcome —
-/// identical math to what the pre-sharding monolithic harvest computed
-/// inline.
-fn assemble_faults(
-    row: &ChaosRow,
-    plan: &FaultsPlan,
-    timeline: Vec<u64>,
-    partials: Vec<FaultsPartial>,
-    sync: Option<SyncStats>,
-) -> FaultsOutcome {
+/// The row: the goodput timeline's recovery metrics, the merged counts,
+/// and their audits.
+fn row_json(row: &ChaosRow, plan: &FaultsPlan, timeline: Vec<u64>, c: FaultsCounts) -> Json {
     let bucket_ns = plan.bucket.as_ns();
     // goodput series → recovery metrics (bucket k covers
     // [k·bucket, (k+1)·bucket) in nanoseconds)
     let b = |t: Time| (t.as_ns() / bucket_ns) as usize;
     let bucket_secs = plan.bucket.as_secs_f64();
+    // pre-fault baseline goodput, over [warmup, t_fault)
     let pre: Vec<u64> = timeline[b(plan.warmup)..b(plan.t_fault)].to_vec();
     let pre_avg = pre.iter().sum::<u64>() as f64 / pre.len().max(1) as f64;
-    let pre_rps = pre_avg / bucket_secs;
+    // the worst bucket inside the fault window
     let window_end = (b(plan.t_heal) + 1).min(timeline.len());
     let dip = timeline[b(plan.t_fault)..window_end]
         .iter()
         .copied()
         .min()
         .unwrap_or(0);
-    let dip_rps = dip as f64 / bucket_secs;
+    let dip_frac = if pre_avg > 0.0 {
+        dip as f64 / pre_avg
+    } else {
+        0.0
+    };
+    // heal → first bucket back at ≥95% of baseline (µs; -1 = never)
     let recover_us = timeline[b(plan.t_heal)..]
         .iter()
         .position(|&c| c as f64 >= 0.95 * pre_avg)
         .map(|i| ((i as u64 + 1) * bucket_ns / 1_000) as i64)
         .unwrap_or(-1);
+    // recovered: the last 4 pre-`CloseAll` buckets are at ≥95% of baseline
     let tail = &timeline[timeline.len().saturating_sub(4)..];
     let tail_avg = tail.iter().sum::<u64>() as f64 / tail.len().max(1) as f64;
-    let recovered = tail_avg >= 0.95 * pre_avg;
 
-    let n_switches = partials[0].per_sw.len();
-    let mut latency = Histogram::new();
-    let (mut issued, mut completed, mut dead_requests) = (0u64, 0u64, 0u64);
-    let (mut aborted_conns, mut peer_closed) = (0u64, 0u64);
-    let (mut reconnects, mut connect_failures) = (0u64, 0u64);
-    let mut in_flight_end = 0u64;
-    let mut gauges = PoolGauges::default();
-    let mut buf_delta = 0i64;
-    let mut per_sw: Vec<[u64; 4]> = vec![[0; 4]; n_switches];
-    let mut degrade_drops = 0u64;
-    let (mut dup_frames, mut ge_drops, mut ooo_accepted) = (0u64, 0u64, 0u64);
-    let (mut pool_exhausted, mut admission_refused, mut dup_handshake) = (0u64, 0u64, 0u64);
-    let (mut rto_fired, mut ctrl_aborts) = (0u64, 0u64);
-    let (mut named_rerouted, mut named_blackholed, mut named_dead) = (0u64, 0u64, 0u64);
-    let mut sim_events = 0u64;
-    for p in partials {
-        latency.merge(&p.latency);
-        issued += p.issued;
-        completed += p.completed;
-        dead_requests += p.dead_requests;
-        aborted_conns += p.aborted_conns;
-        peer_closed += p.peer_closed;
-        reconnects += p.reconnects;
-        connect_failures += p.connect_failures;
-        in_flight_end += p.in_flight_end;
-        gauges.merge(&p.gauges);
-        buf_delta += p.buf_delta;
-        for (acc, row_counts) in per_sw.iter_mut().zip(&p.per_sw) {
-            for (a, v) in acc.iter_mut().zip(row_counts) {
-                *a += v;
-            }
-        }
-        degrade_drops += p.degrade_drops;
-        dup_frames += p.dup_frames;
-        ge_drops += p.ge_drops;
-        ooo_accepted += p.ooo_accepted;
-        pool_exhausted += p.pool_exhausted;
-        admission_refused += p.admission_refused;
-        dup_handshake += p.dup_handshake;
-        rto_fired += p.rto_fired;
-        ctrl_aborts += p.ctrl_aborts;
-        named_rerouted += p.named_rerouted;
-        named_blackholed += p.named_blackholed;
-        named_dead += p.named_dead;
-        sim_events += p.events;
-    }
-    let conserved = issued == completed + dead_requests
-        && in_flight_end == 0
-        && gauges.work_in_use == 0
-        && buf_delta == 0;
-
-    // land the per-switch fields on a fresh named-stats registry so the
-    // row carries the name-sorted `Stats::export_json` snapshot
-    let mut stats = Stats::new();
-    let (mut reroutes, mut blackholed, mut dead_drops, mut down_drops) = (0u64, 0u64, 0u64, 0u64);
-    for (i, row_counts) in per_sw.iter().enumerate() {
-        let [rr, bh, dd, ld] = *row_counts;
-        reroutes += rr;
-        blackholed += bh;
-        dead_drops += dd;
-        down_drops += ld;
-        for (field, v) in [
-            ("reroutes", rr),
-            ("blackholed", bh),
-            ("dead_drops", dd),
-            ("down_drops", ld),
-        ] {
-            stats.bump(&format!("faults.sw{i:02}.{field}"), v);
+    // fabric totals are the column sums of the per-switch counts, which
+    // land name-sorted (the order `Stats::export_json` lists counters in)
+    let mut totals = [0u64; 4];
+    let mut per_switch: Vec<(String, Json)> = Vec::new();
+    for (i, counts) in c.per_switch.iter().enumerate() {
+        for ((field, total), &v) in SWITCH_FIELDS.iter().zip(&mut totals).zip(counts) {
+            *total += v;
+            per_switch.push((format!("faults.sw{i:02}.{field}"), v.into()));
         }
     }
-    let per_switch_json = stats.export_json("faults.sw");
-    // the cross-check: per-switch field sums must equal what the
-    // switches reported through their attached counter handles
-    let counters_consistent =
-        reroutes == named_rerouted && blackholed == named_blackholed && dead_drops == named_dead;
-
-    FaultsOutcome {
-        name: row.name,
-        timeline,
-        pre_rps,
-        dip_rps,
-        dip_frac: if pre_avg > 0.0 {
-            dip as f64 / pre_avg
-        } else {
-            0.0
-        },
-        recover_us,
-        recovered,
-        p50_us: latency.median() as f64 / 1000.0,
-        p99_us: latency.p99() as f64 / 1000.0,
-        issued,
-        completed,
-        dead_requests,
-        aborted_conns,
-        peer_closed,
-        reconnects,
-        connect_failures,
-        rto_fired,
-        ctrl_aborts,
-        reroutes,
-        blackholed,
-        dead_drops,
-        down_drops,
-        degrade_drops,
-        dup_frames,
-        ge_drops,
-        ooo_accepted,
-        pool_exhausted,
-        admission_refused,
-        dup_handshake,
-        in_flight_end,
-        gauges,
-        buf_delta,
-        conserved,
-        counters_consistent,
-        per_switch_json,
-        sim_events,
-        sync,
-    }
+    per_switch.sort_by(|a, b| a.0.cmp(&b.0));
+    let [reroutes, blackholed, dead_drops, down_drops] = totals;
+    let conserved = c.issued == c.completed + c.dead_requests
+        && c.in_flight_end == 0
+        && c.gauges.work_in_use == 0
+        && c.buf_delta == 0;
+    // the cross-check the aggregate-only rows never had: per-switch sums
+    // equal what the switches reported through their named counters
+    let counters_consistent = [reroutes, blackholed, dead_drops] == c.named;
+    Json::obj([
+        ("name", row.name.into()),
+        ("pre_rps", fixed(pre_avg / bucket_secs, 0)),
+        ("dip_rps", fixed(dip as f64 / bucket_secs, 0)),
+        ("dip_frac", fixed(dip_frac, 4)),
+        ("recover_us", recover_us.into()),
+        ("recovered", (tail_avg >= 0.95 * pre_avg).into()),
+        ("p50_us", fixed(c.latency.median() as f64 / 1000.0, 2)),
+        ("p99_us", fixed(c.latency.p99() as f64 / 1000.0, 2)),
+        ("issued", c.issued.into()),
+        ("completed", c.completed.into()),
+        ("dead_requests", c.dead_requests.into()),
+        ("aborted_conns", c.aborted_conns.into()),
+        ("peer_closed", c.peer_closed.into()),
+        ("reconnects", c.reconnects.into()),
+        ("connect_failures", c.connect_failures.into()),
+        ("rto_fired", c.rto_fired.into()),
+        ("ctrl_aborts", c.ctrl_aborts.into()),
+        ("reroutes", reroutes.into()),
+        ("blackholed", blackholed.into()),
+        ("dead_drops", dead_drops.into()),
+        ("down_drops", down_drops.into()),
+        ("degrade_drops", c.degrade_drops.into()),
+        ("dup_frames", c.dup_frames.into()),
+        ("ge_drops", c.ge_drops.into()),
+        ("ooo_accepted", c.ooo_accepted.into()),
+        ("pool_exhausted", c.pool_exhausted.into()),
+        ("admission_refused", c.admission_refused.into()),
+        ("dup_handshake", c.dup_handshake.into()),
+        ("in_flight_end", c.in_flight_end.into()),
+        (
+            "pools",
+            Json::obj([
+                ("work_in_use", c.gauges.work_in_use.into()),
+                ("buf_delta", c.buf_delta.into()),
+            ]),
+        ),
+        ("conserved", conserved.into()),
+        ("counters_consistent", counters_consistent.into()),
+        ("per_switch", Json::Obj(per_switch)),
+        ("sim_events", c.sim_events.into()),
+        // completed responses per goodput bucket, [0, t_end)
+        ("timeline", Json::arr(timeline)),
+    ])
 }
 
 /// Run one chaos row across `shards` conservative-PDES shards (`1` =
-/// the classic monolithic path): sample goodput per bucket to `t_end`,
+/// the monolithic reference): sample goodput per bucket to `t_end`,
 /// `CloseAll`, drain to `t_drain`, then audit conservation and harvest
-/// counters. Every field of the outcome except `sync` is byte-identical
-/// for any shard count.
-pub fn run_faults_point(
-    seed: u64,
-    row: &ChaosRow,
-    plan: &FaultsPlan,
-    shards: usize,
-) -> FaultsOutcome {
-    let shards = shards.max(1);
+/// counters. The returned row is identical for any shard count; only the
+/// sync counters beside it differ.
+pub fn run_faults_point(seed: u64, row: &ChaosRow, plan: &FaultsPlan, shards: usize) -> PointRun {
+    let (r, p) = (row.clone(), plan.clone());
+    let mut run = FabricRun::launch(shards, move || chaos_scenario(seed, &r, &p));
     let bucket_ns = plan.bucket.as_ns();
     let n_buckets = (plan.t_end.as_ns() / bucket_ns) as usize;
     let mut timeline = Vec::with_capacity(n_buckets);
     let mut prev = 0u64;
-
-    if shards == 1 {
-        let sc = chaos_scenario(seed, row, plan);
-        let mut sim = Sim::new(sc.seed);
-        let fab = build_fabric(&mut sim, &sc);
-        let sessions: Vec<NodeId> = fab.hosts.iter().filter_map(|h| h.session()).collect();
-        for k in 1..=n_buckets {
-            sim.run_until(Time::from_ns(k as u64 * bucket_ns));
-            let done: u64 = sessions
-                .iter()
-                .map(|&n| sim.node_ref::<DynSessionClient>(n).completed)
-                .sum();
-            timeline.push(done - prev);
-            prev = done;
-        }
-        for &n in &sessions {
-            sim.schedule(plan.t_end, n, CloseAll);
-        }
-        sim.run_until(plan.t_drain);
-        let partial = harvest_faults(&sim, &fab);
-        return assemble_faults(row, plan, timeline, vec![partial], None);
-    }
-
-    let row_shard = row.clone();
-    let plan_shard = plan.clone();
-    let mut sharded = ShardedSim::launch(shards, move |_| {
-        let mut sc = chaos_scenario(seed, &row_shard, &plan_shard);
-        sc.shards = shards;
-        let mut sim = Sim::new(sc.seed);
-        let fab = build_fabric(&mut sim, &sc);
-        let part = partition_fabric(&sim, &sc, &fab, sc.shards);
-        (sim, fab, part)
-    });
     for k in 1..=n_buckets {
-        sharded.run_until(Time::from_ns(k as u64 * bucket_ns));
-        let done: u64 = sharded
-            .each(|_, sim, fab| {
+        run.run_until(Time::from_ns(k as u64 * bucket_ns));
+        let done: u64 = run
+            .each(|sim, fab| {
                 fab.hosts
                     .iter()
                     .filter_map(|h| h.session())
@@ -747,216 +525,181 @@ pub fn run_faults_point(
         timeline.push(done - prev);
         prev = done;
     }
-    // CloseAll for *every* session on *every* shard: ghost externals
+    // CloseAll for *every* session on *every* part: ghost externals
     // are dropped at the mask but still consume an external sequence
     // number, keeping admission order aligned with the monolithic run.
     let t_end = plan.t_end;
-    sharded.each(move |_, sim, fab| {
+    run.each(move |sim, fab| {
         for n in fab.hosts.iter().filter_map(|h| h.session()) {
             sim.schedule(t_end, n, CloseAll);
         }
     });
-    sharded.run_until(plan.t_drain);
-    let partials = sharded.each(|_, sim, fab| harvest_faults(sim, fab));
-    let sync = sharded.sync_stats();
-    assemble_faults(row, plan, timeline, partials, Some(sync))
-}
-
-/// Run one chaos row (monolithic — the reference the sharded path is
-/// proven byte-identical against).
-pub fn run_faults_one(seed: u64, row: &ChaosRow, plan: &FaultsPlan) -> FaultsOutcome {
-    run_faults_point(seed, row, plan, 1)
-}
-
-/// The whole sweep over `jobs` worker threads with each row split
-/// across `shards` PDES shards; each row builds its own `Sim`(s) from
-/// the same seed, so any `--jobs`/`--shards` merges byte-identically.
-pub fn run_faults_jobs_shards(
-    seed: u64,
-    plan: &FaultsPlan,
-    jobs: usize,
-    shards: usize,
-) -> Vec<FaultsOutcome> {
-    run_indexed(jobs, plan.rows.len(), |i| {
-        run_faults_point(seed, &plan.rows[i], plan, shards)
-    })
-}
-
-/// The whole sweep over `jobs` worker threads.
-pub fn run_faults_jobs(seed: u64, plan: &FaultsPlan, jobs: usize) -> Vec<FaultsOutcome> {
-    run_faults_jobs_shards(seed, plan, jobs, 1)
-}
-
-pub fn run_faults(seed: u64, plan: &FaultsPlan) -> Vec<FaultsOutcome> {
-    run_faults_jobs(seed, plan, 1)
-}
-
-/// Serialize the sweep deterministically (byte-identical per seed — the
-/// acceptance contract on `BENCH_faults.json`).
-pub fn faults_json(seed: u64, plan: &FaultsPlan, results: &[FaultsOutcome]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"benchmark\": \"faults\",\n");
-    s.push_str(&format!(
-        "  \"scenario\": {{\n    \"seed\": {seed},\n    \"fabric\": \"leafspine-{LEAVES}x{SPINES}\",\n    \"hosts\": {},\n    \"sessions_per_client\": {},\n    \"req_size\": {},\n    \"resp_size\": {},\n    \"think_us\": {},\n    \"min_rto_us\": {},\n    \"rto_give_up\": {},\n    \"syn_retry_us\": {},\n    \"bucket_us\": {},\n    \"t_fault_us\": {},\n    \"t_heal_us\": {},\n    \"t_end_us\": {},\n    \"t_drain_us\": {}\n  }},\n",
-        LEAVES * HOSTS_PER_LEAF,
-        plan.n_sessions_per_host,
-        plan.req_size,
-        plan.resp_size,
-        plan.think.as_us(),
-        plan.min_rto.as_us(),
-        plan.rto_give_up,
-        plan.syn_retry.as_us(),
-        plan.bucket.as_us(),
-        plan.t_fault.as_us(),
-        plan.t_heal.as_us(),
-        plan.t_end.as_us(),
-        plan.t_drain.as_us(),
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let g = &r.gauges;
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"pre_rps\": {:.0}, \"dip_rps\": {:.0}, \"dip_frac\": {:.4}, \"recover_us\": {}, \"recovered\": {}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"issued\": {}, \"completed\": {}, \"dead_requests\": {}, \"aborted_conns\": {}, \"peer_closed\": {}, \"reconnects\": {}, \"connect_failures\": {}, \"rto_fired\": {}, \"ctrl_aborts\": {}, \"reroutes\": {}, \"blackholed\": {}, \"dead_drops\": {}, \"down_drops\": {}, \"degrade_drops\": {}, \"dup_frames\": {}, \"ge_drops\": {}, \"ooo_accepted\": {}, \"pool_exhausted\": {}, \"admission_refused\": {}, \"dup_handshake\": {}, \"in_flight_end\": {}, \"pools\": {{\"work_in_use\": {}, \"buf_delta\": {}}}, \"conserved\": {}, \"counters_consistent\": {}, \"per_switch\": {}, \"sim_events\": {}, \"timeline\": [{}]}}{}\n",
-            r.name,
-            r.pre_rps,
-            r.dip_rps,
-            r.dip_frac,
-            r.recover_us,
-            r.recovered,
-            r.p50_us,
-            r.p99_us,
-            r.issued,
-            r.completed,
-            r.dead_requests,
-            r.aborted_conns,
-            r.peer_closed,
-            r.reconnects,
-            r.connect_failures,
-            r.rto_fired,
-            r.ctrl_aborts,
-            r.reroutes,
-            r.blackholed,
-            r.dead_drops,
-            r.down_drops,
-            r.degrade_drops,
-            r.dup_frames,
-            r.ge_drops,
-            r.ooo_accepted,
-            r.pool_exhausted,
-            r.admission_refused,
-            r.dup_handshake,
-            r.in_flight_end,
-            g.work_in_use,
-            r.buf_delta,
-            r.conserved,
-            r.counters_consistent,
-            r.per_switch_json,
-            r.sim_events,
-            r.timeline
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            if i + 1 == results.len() { "" } else { "," },
-        ));
+    run.run_until(plan.t_drain);
+    let mut counts = FaultsCounts::default();
+    for part in run.each(|sim, fab| harvest(sim, fab)) {
+        counts.merge(&part);
     }
-    s.push_str("  ]\n}\n");
-    s
+    PointRun {
+        gauges: counts.gauges,
+        row: row_json(row, plan, timeline, counts),
+        sync: run.sync_stats(),
+    }
 }
 
-/// The `faults` experiment: run the chaos sweep (fanned out under
-/// `--jobs`), print a recovery table, write `BENCH_faults.json`.
-pub fn faults(opts: &RunOpts) {
-    let mut plan = if opts.smoke {
-        FaultsPlan::smoke()
-    } else {
-        FaultsPlan::full()
+/// The invariants of one chaos row: it conserves, it recovers, its
+/// fault left the signature it exists to produce, and a gray fault
+/// never hard-kills.
+pub fn check_row(r: &Json) -> Result<(), String> {
+    let n = |key: &str| r[key].num();
+    let yes = |key: &str| r[key] == Json::Bool(true);
+    let name = r["name"].as_str();
+    let signature = match name {
+        "spine-kill" => n("reroutes") > 0.0,
+        "drop-10pct" => n("rto_fired") > 0.0,
+        "dup-storm" => n("dup_frames") > 0.0,
+        "ge-loss" => n("ge_drops") > 0.0 && n("rto_fired") > 0.0,
+        _ => true,
     };
-    if opts.gray {
-        plan = plan.with_gray();
+    let hard_killed = n("dead_drops") > 0.0 || n("blackholed") > 0.0;
+    holds(
+        format_args!("row {name}"),
+        &[
+            (yes("conserved"), "conservation violated"),
+            (
+                n("issued") == n("completed") + n("dead_requests"),
+                "issued != completed + dead_requests",
+            ),
+            (
+                n("pools.work_in_use") == 0.0 && n("pools.buf_delta") == 0.0,
+                "pools not drained",
+            ),
+            (yes("recovered"), "goodput never recovered"),
+            (n("pre_rps") > 0.0, "no pre-fault goodput"),
+            (
+                yes("counters_consistent"),
+                "per-switch counters disagree with the named totals",
+            ),
+            (
+                signature,
+                "no failover / retransmit / duplicate / GE drop: the fault left no signature",
+            ),
+            (
+                !(GRAY_ROWS.contains(&name) && hard_killed),
+                "a gray fault hard-killed",
+            ),
+        ],
+    )
+}
+
+/// The `faults` experiment: the chaos sweep and its recovery table.
+impl Experiment for FaultsPlan {
+    const NAME: &'static str = "faults";
+    const TITLE: &'static str =
+        "chaos plane on the 4-leaf/2-spine fabric, reconnecting sessions, hard + gray faults";
+    const SEED: u64 = 23;
+    const ROWS_KEY: &'static str = "rows";
+    const COLUMNS: &'static str =
+        "name pre_rps dip_rps dip_frac recover_us aborted_conns reconnects \
+        reroutes blackholed rto_fired conserved";
+    const SHARDS: &'static [usize] = &[2];
+    type Point = ChaosRow;
+
+    fn full() -> FaultsPlan {
+        let (t_fault, t_heal) = (Time::from_ms(4), Time::from_ms(8));
+        FaultsPlan {
+            rows: chaos_rows(t_fault, t_heal, true),
+            n_sessions_per_host: 8,
+            req_size: 128,
+            resp_size: 512,
+            think: Duration::from_us(20),
+            min_rto: Duration::from_us(200),
+            rto_give_up: 3,
+            syn_retry: Duration::from_us(400),
+            bucket: Duration::from_us(250),
+            warmup: Time::from_us(1500),
+            t_fault,
+            t_heal,
+            t_end: Time::from_ms(16),
+            t_drain: Time::from_ms(20),
+        }
     }
-    let seed = opts.seed.unwrap_or(23);
-    let shards = opts.shards.max(1);
-    let jobs = opts.point_jobs();
-    println!(
-        "# faults — chaos plane on the {LEAVES}-leaf/{SPINES}-spine fabric, reconnecting sessions{}{} [jobs={jobs} shards={shards}]",
-        if opts.smoke { " [smoke]" } else { "" },
-        if opts.gray { " [gray]" } else { "" }
-    );
-    println!(
-        "{:<16} {:>9} {:>9} {:>6} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8} {:>9}",
-        "row",
-        "pre rps",
-        "dip rps",
-        "dip",
-        "recov us",
-        "aborts",
-        "reconn",
-        "reroute",
-        "blackh",
-        "rto",
-        "conserved"
-    );
-    let wall0 = std::time::Instant::now();
-    let results = run_faults_jobs_shards(seed, &plan, jobs, shards);
-    let wall = wall0.elapsed().as_secs_f64();
-    for r in &results {
-        println!(
-            "{:<16} {:>9.0} {:>9.0} {:>6.3} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8} {:>9}",
-            r.name,
-            r.pre_rps,
-            r.dip_rps,
-            r.dip_frac,
-            r.recover_us,
-            r.aborted_conns,
-            r.reconnects,
-            r.reroutes,
-            r.blackholed,
-            r.rto_fired,
-            r.conserved,
-        );
+
+    fn smoke() -> FaultsPlan {
+        let (t_fault, t_heal) = (Time::from_us(1500), Time::from_ms(3));
+        FaultsPlan {
+            rows: chaos_rows(t_fault, t_heal, false),
+            n_sessions_per_host: 4,
+            warmup: Time::from_us(750),
+            t_fault,
+            t_heal,
+            t_end: Time::from_ms(5),
+            t_drain: Time::from_ms(8),
+            ..FaultsPlan::full()
+        }
     }
-    let sim_events: u64 = results.iter().map(|r| r.sim_events).sum();
-    println!(
-        "sweep wall: {:.2}s, {} events ({:.2}M events/s, jobs={}, shards={})",
-        wall,
-        sim_events,
-        sim_events as f64 / wall / 1e6,
-        jobs,
-        shards
-    );
-    let mut extras = vec![
-        format!("\"shards\": {shards}"),
-        format!("\"threads_total\": {}", jobs * shards),
-    ];
-    if shards > 1 {
-        let windows: u64 = results
-            .iter()
-            .filter_map(|r| r.sync.as_ref())
-            .map(|s| s.windows)
-            .sum();
-        let envelopes: u64 = results
-            .iter()
-            .filter_map(|r| r.sync.as_ref())
-            .map(|s| s.envelopes.iter().sum::<u64>())
-            .sum();
-        let blocked: u64 = results
-            .iter()
-            .filter_map(|r| r.sync.as_ref())
-            .map(|s| s.blocked_ns.iter().sum::<u64>())
-            .sum();
-        extras.push(format!("\"shard_windows\": {windows}"));
-        extras.push(format!("\"shard_envelopes\": {envelopes}"));
-        extras.push(format!("\"shard_blocked_ns\": {blocked}"));
+
+    fn points(&self) -> Vec<ChaosRow> {
+        self.rows.clone()
     }
-    let json = with_wall_extras(
-        faults_json(seed, &plan, &results),
-        wall,
-        sim_events,
-        jobs,
-        &extras,
-    );
-    let path = opts.out_path("BENCH_faults.json");
-    std::fs::write(&path, &json).expect("write BENCH_faults.json");
-    println!("wrote {}", path.display());
+
+    fn run_point(&self, seed: u64, row: &ChaosRow, shards: usize) -> PointRun {
+        run_faults_point(seed, row, self, shards)
+    }
+
+    fn scenario_json(&self, seed: u64) -> Json {
+        Json::obj([
+            ("seed", seed.into()),
+            ("fabric", leaf_spine_name()),
+            ("hosts", LEAF_SPINE.n_hosts().into()),
+            ("sessions_per_client", self.n_sessions_per_host.into()),
+            ("req_size", self.req_size.into()),
+            ("resp_size", self.resp_size.into()),
+            ("think_us", self.think.as_us().into()),
+            ("min_rto_us", self.min_rto.as_us().into()),
+            ("rto_give_up", self.rto_give_up.into()),
+            ("syn_retry_us", self.syn_retry.as_us().into()),
+            ("bucket_us", self.bucket.as_us().into()),
+            ("t_fault_us", self.t_fault.as_us().into()),
+            ("t_heal_us", self.t_heal.as_us().into()),
+            ("t_end_us", self.t_end.as_us().into()),
+            ("t_drain_us", self.t_drain.as_us().into()),
+        ])
+    }
+
+    /// Every row passes [`check_row`], the rows CI has always asked for
+    /// are there, and the limping spine dips goodput.
+    fn check(rows: &[Json]) -> Result<(), String> {
+        rows.iter().try_for_each(check_row)?;
+        has_rows(rows, "name", &["baseline", "drop-10pct", "spine-kill"])?;
+        has_rows(rows, "name", &GRAY_ROWS)?;
+        let dip = |name: &str| {
+            let row = rows.iter().find(|r| r["name"].as_str() == name);
+            row.map_or(f64::NAN, |r| r["dip_frac"].num())
+        };
+        let limps = dip("limping-spine") < dip("baseline");
+        holds(
+            "row limping-spine",
+            &[(limps, "a 512x limping spine must dip goodput")],
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The conservation checks fire on a doctored row and name it.
+    #[test]
+    fn check_row_names_a_row_that_does_not_conserve() {
+        let plan = FaultsPlan::smoke();
+        let mut r = run_faults_point(FaultsPlan::SEED, &plan.rows[0], &plan, 1).row;
+        assert_eq!(check_row(&r), Ok(()));
+        r.set("conserved", false);
+        let err = check_row(&r).unwrap_err();
+        assert_eq!(err, "row baseline: conservation violated");
+        r.set("conserved", true);
+        r.set("issued", r["issued"].num() as u64 + 1);
+        let err = check_row(&r).unwrap_err();
+        assert_eq!(err, "row baseline: issued != completed + dead_requests");
+    }
 }

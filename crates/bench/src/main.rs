@@ -1,81 +1,102 @@
 //! FlexTOE reproduction experiment harness: one subcommand per table and
-//! figure of the paper's evaluation (see DESIGN.md §3 for the index),
-//! plus the congested-fabric (`cc`) and connection-scalability (`scale`)
-//! scenarios and the `bench-pipeline` perf snapshot.
+//! figure of the paper's evaluation, the four sweep experiments — the
+//! congested fabric (`cc`), connection scalability (`scale`), the chaos
+//! plane (`faults`) and sketch telemetry (`telemetry`) — and `verify`,
+//! which re-runs the sweeps against their committed artifacts
+//! (ARCHITECTURE.md "Benchmarks").
 //!
 //! ```text
 //! cargo run -p flextoe-bench --release -- all
 //! cargo run -p flextoe-bench --release -- table3 fig15
 //! cargo run -p flextoe-bench --release -- scale --smoke --seed 17 --out target
+//! cargo run -p flextoe-bench --release -- verify
 //! ```
 
-use flextoe_bench::cli::RunOpts;
-use flextoe_bench::{cc, exp, faults, scale, telemetry};
+use flextoe_bench::cc::CcScale;
+use flextoe_bench::cli::{Accepts, RunOpts};
+use flextoe_bench::driver::{self, Experiment};
+use flextoe_bench::exp;
+use flextoe_bench::faults::FaultsPlan;
+use flextoe_bench::scale::ScalePlan;
+use flextoe_bench::telemetry::TelemetryPlan;
 
-/// An experiment entry point: the paper reproductions are parameterless;
-/// the scenario experiments take the shared `--seed/--out/--smoke` opts.
-enum Runner {
-    Plain(fn()),
-    WithOpts(fn(&RunOpts)),
+/// A subcommand: its name, the options it accepts, how to run it.
+type Entry = (&'static str, Accepts, fn(&RunOpts));
+
+/// A sweep experiment's subcommand entry.
+fn sweep<E: Experiment>() -> Entry {
+    let shards = !E::SHARDS.is_empty();
+    (E::NAME, Accepts::Sweep { shards }, driver::run::<E>)
+}
+
+fn verify(_: &RunOpts) {
+    let failed = driver::verify::<CcScale>()
+        + driver::verify::<ScalePlan>()
+        + driver::verify::<FaultsPlan>()
+        + driver::verify::<TelemetryPlan>();
+    if failed > 0 {
+        eprintln!("flextoe-bench verify: {failed} check(s) failed");
+        std::process::exit(1);
+    }
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("flextoe-bench: {msg}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, names) = RunOpts::parse(&args);
+    let (opts, names) = RunOpts::parse(&args).unwrap_or_else(|e| die(&e));
     let run_all = names.is_empty() || names.iter().any(|a| a == "all");
-    // the perf snapshot and the scale sweep only run on explicit request,
-    // not under `all`; `cc` stays in `all` (it reproduces the §D
+    // the long sweeps and the verifier only run on explicit request, not
+    // under `all`; `cc` stays in `all` (it reproduces the §D
     // congestion-control evaluation)
-    let explicit_only = ["bench-pipeline", "scale", "faults", "telemetry"];
-    let want = |name: &str| {
-        if explicit_only.contains(&name) {
-            return names.iter().any(|a| a == name);
-        }
-        run_all || names.iter().any(|a| a == name)
-    };
+    let explicit_only = ["scale", "faults", "telemetry", "verify"];
+    let want =
+        |name: &str| names.iter().any(|a| a == name) || (run_all && !explicit_only.contains(&name));
 
-    use Runner::*;
-    let experiments: &[(&str, Runner)] = &[
-        ("table1", Plain(exp::table1)),
-        ("table2", Plain(exp::table2)),
-        ("table3", Plain(exp::table3)),
-        ("table4", Plain(exp::table4)),
-        ("table5", Plain(exp::table5)),
-        ("table6", Plain(exp::table6)),
-        ("fig8", Plain(exp::fig8)),
-        ("fig9", Plain(exp::fig9)),
-        ("fig10", Plain(exp::fig10)),
-        ("fig11", Plain(exp::fig11)),
-        ("fig12", Plain(exp::fig12)),
-        ("fig13", Plain(exp::fig13)),
-        ("fig14", Plain(exp::fig14)),
-        ("fig15", Plain(exp::fig15)),
-        ("fig16", Plain(exp::fig16)),
-        ("ablate-reorder", Plain(exp::ablate_reorder)),
-        ("cc", WithOpts(cc::cc)),
-        ("scale", WithOpts(scale::scale)),
-        ("faults", WithOpts(faults::faults)),
-        ("telemetry", WithOpts(telemetry::telemetry)),
-        ("bench-pipeline", WithOpts(exp::bench_pipeline)),
+    let no = Accepts::Nothing;
+    let experiments: &[Entry] = &[
+        ("table1", no, |_| exp::table1()),
+        ("table2", no, |_| exp::table2()),
+        ("table3", no, |_| exp::table3()),
+        ("table4", no, |_| exp::table4()),
+        ("table5", no, |_| exp::table5()),
+        ("table6", no, |_| exp::table6()),
+        ("fig8", no, |_| exp::fig8()),
+        ("fig9", no, |_| exp::fig9()),
+        ("fig10", no, |_| exp::fig10()),
+        ("fig11", no, |_| exp::fig11()),
+        ("fig12", no, |_| exp::fig12()),
+        ("fig13", no, |_| exp::fig13()),
+        ("fig14", no, |_| exp::fig14()),
+        ("fig15", no, |_| exp::fig15()),
+        ("fig16", no, |_| exp::fig16()),
+        ("ablate-reorder", no, |_| exp::ablate_reorder()),
+        sweep::<CcScale>(),
+        sweep::<ScalePlan>(),
+        sweep::<FaultsPlan>(),
+        sweep::<TelemetryPlan>(),
+        ("verify", no, verify),
     ];
 
-    let mut ran = 0;
-    for (name, f) in experiments {
-        if want(name) {
-            let t0 = std::time::Instant::now();
-            match f {
-                Plain(f) => f(),
-                WithOpts(f) => f(&opts),
-            }
-            eprintln!("[{name} done in {:.1}s]\n", t0.elapsed().as_secs_f64());
-            ran += 1;
-        }
-    }
-    if ran == 0 {
-        eprintln!("unknown experiment; available:");
-        for (name, _) in experiments {
+    let known = |n: &str| n == "all" || experiments.iter().any(|(name, ..)| *name == n);
+    if let Some(unknown) = names.iter().find(|n| !known(n)) {
+        eprintln!("unknown experiment {unknown}; available:");
+        for (name, ..) in experiments {
             eprintln!("  {name}");
         }
         std::process::exit(2);
+    }
+    let selected: Vec<_> = experiments.iter().filter(|(name, ..)| want(name)).collect();
+    // every selected experiment must accept the flags before any runs
+    for (name, accepts, _) in &selected {
+        opts.check(name, *accepts).unwrap_or_else(|e| die(&e));
+    }
+    for (name, _, run) in selected {
+        let t0 = std::time::Instant::now();
+        run(&opts);
+        eprintln!("[{name} done in {:.1}s]\n", t0.elapsed().as_secs_f64());
     }
 }

@@ -1,13 +1,13 @@
 //! The parallel experiment runner.
 //!
-//! Sweep points (scale's connection counts, cc's algorithms,
-//! bench-pipeline's engine variants) are independent simulations: each
-//! worker thread builds its own `Sim` from the same seed and plan, so
-//! every point computes exactly what it would have computed serially.
-//! Results are collected **by input index**, which makes the merged
-//! output deterministic regardless of completion order — `--jobs N`
-//! must produce byte-identical BENCH JSON to `--jobs 1` for one seed
-//! (CI diffs the two on every push).
+//! Sweep points (scale's connection counts, cc's algorithms, the chaos
+//! and telemetry rows) are independent simulations: each worker thread
+//! builds its own `Sim` from the same seed and plan, so every point
+//! computes exactly what it would have computed serially. Results are
+//! collected **by input index**, which makes the merged output
+//! deterministic regardless of completion order — `--jobs N` must produce
+//! the BENCH body `--jobs 1` does, byte for byte (`flextoe-bench verify`
+//! compares the two for every experiment).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -22,52 +22,22 @@ pub fn default_jobs() -> usize {
 
 /// Physical cores detected (distinct `(physical id, core id)` pairs in
 /// `/proc/cpuinfo`), falling back to [`default_jobs`] when that can't
-/// be read. Recorded in the BENCH wall block so speedup rows from
+/// be read. Recorded in the BENCH host block so speedup rows from
 /// SMT-less or 1-CPU containers are self-describing.
 pub fn physical_cores() -> usize {
-    let Ok(txt) = std::fs::read_to_string("/proc/cpuinfo") else {
-        return default_jobs();
+    let txt = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    // one blank-line-separated stanza per logical processor
+    let field = |stanza: &str, key: &str| {
+        let line = stanza.lines().find(|l| l.starts_with(key))?;
+        line.split(':').nth(1)?.trim().parse::<u64>().ok()
     };
-    let mut pairs = std::collections::HashSet::new();
-    let (mut phys, mut core) = (None::<u64>, None::<u64>);
-    for line in txt.lines() {
-        let mut kv = line.splitn(2, ':');
-        let key = kv.next().unwrap_or("").trim();
-        let val = kv.next().map(|v| v.trim().parse::<u64>());
-        match key {
-            "physical id" => phys = val.and_then(Result::ok),
-            "core id" => core = val.and_then(Result::ok),
-            "" => {
-                // blank line = end of one processor stanza
-                if let (Some(p), Some(c)) = (phys, core) {
-                    pairs.insert((p, c));
-                }
-                phys = None;
-                core = None;
-            }
-            _ => {}
-        }
-    }
-    if let (Some(p), Some(c)) = (phys, core) {
-        pairs.insert((p, c));
-    }
-    if pairs.is_empty() {
-        default_jobs()
-    } else {
-        pairs.len()
-    }
-}
-
-/// Compose `--jobs` (sweep-point workers) with `--shards` (threads per
-/// point): the product must not oversubscribe the thread budget, so a
-/// sharded sweep gets `budget / shards` point workers (min 1). With one
-/// shard this is exactly the historical `--jobs` behavior.
-pub fn split_threads(requested_jobs: Option<usize>, shards: usize) -> usize {
-    let budget = requested_jobs.unwrap_or_else(default_jobs).max(1);
-    if shards > 1 {
-        (budget / shards).max(1)
-    } else {
-        budget
+    let pairs: std::collections::HashSet<(u64, u64)> = txt
+        .split("\n\n")
+        .filter_map(|s| Some((field(s, "physical id")?, field(s, "core id")?)))
+        .collect();
+    match pairs.len() {
+        0 => default_jobs(),
+        n => n,
     }
 }
 

@@ -28,41 +28,39 @@
 //!   vs on; rows report goodput, Jain fairness over the client hosts, and
 //!   how many frames were rank-steered.
 //!
-//! `BENCH_telemetry.json` minus its wall block is byte-identical per seed
-//! across runs, `--jobs` values, and the wheel vs. reference-heap queue.
+//! `BENCH_telemetry.json` is byte-identical per seed across runs,
+//! `--jobs` values, and the wheel vs. reference-heap queue.
 
-use flextoe_apps::{CloseAll, FramedServerConfig, SessionConfig};
+use flextoe_apps::{CloseAll, SessionConfig};
 use flextoe_netsim::{Collector, Switch, TelemetrySpec};
 use flextoe_sim::{Ctx, Duration, Msg, Node, NodeId, Sim, Tick, Time};
 use flextoe_telemetry::score_sketch;
 use flextoe_topo::{
-    build_fabric, BuiltFabric, DynSessionClient, Fabric, FaultEvent, FaultTarget, HostSpec, Role,
-    Scenario, Stack,
+    build_fabric, BuiltFabric, DynSessionClient, FaultTarget, Role, Scenario, Stack,
 };
 use flextoe_wire::{Frame, FrameMeta, Ip4, MacAddr, SegmentSpec};
 
-use crate::cli::RunOpts;
-use crate::faults::{buf_balance, chaos_scenario, ChaosRow, FaultsPlan};
-use crate::harness::jain_index;
-use crate::par::run_indexed;
-use crate::scale::{with_wall_block, HOSTS_PER_LEAF, LEAVES, SPINES};
+use crate::driver::{has_rows, holds, Experiment, PointRun};
+use crate::faults::{
+    buf_balance, chaos_scenario, flap_schedule, kill_schedule, ChaosRow, FaultsPlan,
+};
+use crate::harness::{cross_tier_scenario, jain_index};
+use crate::json::{fixed, Json};
+use crate::scale::{leaf_spine_name, LEAF_SPINE, LEAVES, SPINES};
 
 const N_SWITCHES: usize = LEAVES + SPINES;
 
-/// One experiment row.
-enum TRow {
-    /// Synthetic pump: `flows` distinct flows, sized `1 + skew_c/(rank+1)`
-    /// frames each, or `uniform_frames` each when `skew_c == 0`.
-    Accuracy {
-        name: &'static str,
-        flows: u32,
-        skew_c: u32,
-        uniform_frames: u32,
-    },
+/// One experiment row, led by its name.
+#[derive(Clone, Copy)]
+pub enum TRow {
+    /// Synthetic pump `(name, flows, skew_c, uniform_frames)`: `flows`
+    /// distinct flows, sized `1 + skew_c/(rank+1)` frames each, or
+    /// `uniform_frames` each when `skew_c == 0`.
+    Accuracy(&'static str, u32, u32, u32),
     /// A chaos schedule re-run with telemetry enabled.
-    Fault { name: &'static str },
+    Fault(&'static str),
     /// Elephants + mice with heavy-hitter ECMP off/on.
-    Hh { name: &'static str, on: bool },
+    Hh(&'static str, bool),
 }
 
 /// Row sweep + the chaos plan its fault rows reuse.
@@ -73,105 +71,14 @@ pub struct TelemetryPlan {
     hh_t_drain: Time,
 }
 
-impl TelemetryPlan {
-    pub fn full() -> TelemetryPlan {
-        TelemetryPlan {
-            rows: vec![
-                TRow::Accuracy {
-                    name: "skew-1k",
-                    flows: 1_000,
-                    skew_c: 2_000,
-                    uniform_frames: 0,
-                },
-                TRow::Accuracy {
-                    name: "skew-10k",
-                    flows: 10_000,
-                    skew_c: 5_000,
-                    uniform_frames: 0,
-                },
-                TRow::Accuracy {
-                    name: "skew-100k",
-                    flows: 100_000,
-                    skew_c: 20_000,
-                    uniform_frames: 0,
-                },
-                TRow::Accuracy {
-                    name: "adversarial-uniform-100k",
-                    flows: 100_000,
-                    skew_c: 0,
-                    uniform_frames: 3,
-                },
-                TRow::Fault {
-                    name: "faults-spine-kill",
-                },
-                TRow::Fault {
-                    name: "faults-link-flap",
-                },
-                TRow::Hh {
-                    name: "hh-ecmp-off",
-                    on: false,
-                },
-                TRow::Hh {
-                    name: "hh-ecmp-on",
-                    on: true,
-                },
-            ],
-            faults: FaultsPlan::full(),
-            hh_t_end: Time::from_ms(10),
-            hh_t_drain: Time::from_ms(14),
-        }
-    }
-
-    pub fn smoke() -> TelemetryPlan {
-        TelemetryPlan {
-            rows: vec![
-                TRow::Accuracy {
-                    name: "skew-1k",
-                    flows: 1_000,
-                    skew_c: 2_000,
-                    uniform_frames: 0,
-                },
-                TRow::Accuracy {
-                    name: "skew-5k",
-                    flows: 5_000,
-                    skew_c: 3_000,
-                    uniform_frames: 0,
-                },
-                TRow::Accuracy {
-                    name: "adversarial-uniform-20k",
-                    flows: 20_000,
-                    skew_c: 0,
-                    uniform_frames: 3,
-                },
-                TRow::Fault {
-                    name: "faults-spine-kill",
-                },
-                TRow::Fault {
-                    name: "faults-link-flap",
-                },
-                TRow::Hh {
-                    name: "hh-ecmp-off",
-                    on: false,
-                },
-                TRow::Hh {
-                    name: "hh-ecmp-on",
-                    on: true,
-                },
-            ],
-            faults: FaultsPlan::smoke(),
-            hh_t_end: Time::from_ms(4),
-            hh_t_drain: Time::from_ms(6),
-        }
-    }
-}
-
-/// One finished row: a console line and a JSON object string. Both are
-/// derived purely from simulated state, so the JSON is deterministic.
-pub struct TelemetryRow {
-    pub line: String,
-    pub json: String,
-    pub sim_events: u64,
-}
+/// The fault and heavy-hitter rows every plan carries after its accuracy
+/// rows.
+const COMMON_ROWS: [TRow; 4] = [
+    TRow::Fault("faults-spine-kill"),
+    TRow::Fault("faults-link-flap"),
+    TRow::Hh("hh-ecmp-off", false),
+    TRow::Hh("hh-ecmp-on", true),
+];
 
 fn xorshift64(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -222,6 +129,7 @@ impl Node for AccuracyPump {
 
 /// Per-fabric accuracy aggregate: per-switch `score_sketch` results
 /// combined flow-weighted (ARE) and set-size-weighted (recall/precision).
+#[derive(Default)]
 struct AggScore {
     flows: u64,
     truth_bytes: u64,
@@ -242,18 +150,10 @@ struct AggScore {
 fn score_fabric(sim: &Sim, fab: &BuiltFabric, theta: f64) -> AggScore {
     let col = sim.node_ref::<Collector>(fab.collector.expect("telemetry plane wired"));
     let mut agg = AggScore {
-        flows: 0,
-        truth_bytes: 0,
-        cm_are: 0.0,
-        lsb_are: 0.0,
-        cm_under: 0,
-        lsb_under: 0,
-        hh_truth: 0,
-        hh_est: 0,
         hh_recall: 1.0,
         hh_precision: 1.0,
-        candidates: 0,
         complete: true,
+        ..Default::default()
     };
     let (mut cm_are_w, mut lsb_are_w) = (0.0f64, 0.0f64);
     let (mut recall_w, mut precision_w) = (0.0f64, 0.0f64);
@@ -302,16 +202,8 @@ fn run_accuracy(
     n_flows: u32,
     skew_c: u32,
     uniform_frames: u32,
-) -> TelemetryRow {
-    let mut sc = Scenario::idle(
-        seed,
-        Fabric::LeafSpine {
-            leaves: LEAVES,
-            spines: SPINES,
-            hosts_per_leaf: HOSTS_PER_LEAF,
-        },
-        Stack::FlexToe,
-    );
+) -> Json {
+    let mut sc = Scenario::idle(seed, LEAF_SPINE, Stack::FlexToe);
     let spec = TelemetrySpec::default(); // 1ms epochs, 8 sweeps: covers the pump
     sc.telemetry = Some(spec);
     let mut sim = Sim::new(sc.seed);
@@ -372,38 +264,49 @@ fn run_accuracy(
     let agg = score_fabric(&sim, &fab, spec.hh_theta);
     let col = sim.node_ref::<Collector>(fab.collector.expect("telemetry plane wired"));
     let (reports, report_bytes) = (col.reports, col.report_bytes);
-    let sim_events = sim.events_processed();
-    TelemetryRow {
-        line: format!(
-            "{:<24} {:>7} {:>8} {:>9.4} {:>9.4} {:>7.3} {:>7.3} {:>9}",
-            name, agg.flows, frames, agg.cm_are, agg.lsb_are, agg.hh_recall, agg.hh_precision,
-            agg.complete
-        ),
-        json: format!(
-            "{{\"name\": \"{}\", \"kind\": \"accuracy\", \"flows\": {}, \"frames\": {}, \"truth_bytes\": {}, \"complete\": {}, \"cm_are\": {:.4}, \"lsb_are\": {:.4}, \"cm_underestimates\": {}, \"lsb_underestimates\": {}, \"hh_truth\": {}, \"hh_est\": {}, \"hh_recall\": {:.4}, \"hh_precision\": {:.4}, \"candidates\": {}, \"reports\": {}, \"report_bytes\": {}, \"sim_events\": {}}}",
-            name,
-            agg.flows,
-            frames,
-            agg.truth_bytes,
-            agg.complete,
-            agg.cm_are,
-            agg.lsb_are,
-            agg.cm_under,
-            agg.lsb_under,
-            agg.hh_truth,
-            agg.hh_est,
-            agg.hh_recall,
-            agg.hh_precision,
-            agg.candidates,
-            reports,
-            report_bytes,
-            sim_events,
-        ),
-        sim_events,
-    }
+    Json::obj([
+        ("name", name.into()),
+        ("kind", "accuracy".into()),
+        ("flows", agg.flows.into()),
+        ("frames", frames.into()),
+        ("truth_bytes", agg.truth_bytes.into()),
+        ("complete", agg.complete.into()),
+        ("cm_are", fixed(agg.cm_are, 4)),
+        ("lsb_are", fixed(agg.lsb_are, 4)),
+        ("cm_underestimates", agg.cm_under.into()),
+        ("lsb_underestimates", agg.lsb_under.into()),
+        ("hh_truth", agg.hh_truth.into()),
+        ("hh_est", agg.hh_est.into()),
+        ("hh_recall", fixed(agg.hh_recall, 4)),
+        ("hh_precision", fixed(agg.hh_precision, 4)),
+        ("candidates", agg.candidates.into()),
+        ("reports", reports.into()),
+        ("report_bytes", report_bytes.into()),
+        ("sim_events", sim.events_processed().into()),
+    ])
 }
 
-// ---- fault rows -----------------------------------------------------------
+// ---- session rows (fault, heavy-hitter) -------------------------------------
+
+/// Build `sc` on one `Sim`, run its session clients to `t_end`, `CloseAll`
+/// and drain to `t_drain`. Returns the sim, the fabric, each client's
+/// `bytes_in` and the requests they completed in total.
+fn run_sessions(sc: &Scenario, t_end: Time, t_drain: Time) -> (Sim, BuiltFabric, Vec<u64>, u64) {
+    let mut sim = Sim::new(sc.seed);
+    let fab = build_fabric(&mut sim, sc);
+    let sessions: Vec<NodeId> = fab.hosts.iter().filter_map(|h| h.session()).collect();
+    sim.run_until(t_end);
+    for &n in &sessions {
+        sim.schedule(sim.now(), n, CloseAll);
+    }
+    sim.run_until(t_drain);
+    let clients = sessions
+        .iter()
+        .map(|&n| sim.node_ref::<DynSessionClient>(n));
+    let bytes_in = clients.clone().map(|c| c.bytes_in).collect();
+    let completed = clients.map(|c| c.completed).sum();
+    (sim, fab, bytes_in, completed)
+}
 
 /// Telemetry spec for the chaos rows: fast epochs, sweeps ending 1ms
 /// before the drain checkpoint so every report lands inside the run.
@@ -417,92 +320,45 @@ fn fault_spec(plan: &FaultsPlan) -> TelemetrySpec {
     }
 }
 
-fn fault_schedule(name: &str, plan: &FaultsPlan) -> Vec<FaultEvent> {
-    match name {
+fn run_fault(seed: u64, name: &'static str, plan: &FaultsPlan) -> Json {
+    let schedule = match name {
         "faults-spine-kill" => {
             let spine0 = FaultTarget::Switch { index: LEAVES };
-            vec![
-                FaultEvent::down(plan.t_fault, spine0),
-                FaultEvent::up(plan.t_heal, spine0),
-            ]
+            kill_schedule(plan.t_fault, plan.t_heal, &[spine0])
         }
-        "faults-link-flap" => {
-            // 4 down/up cycles on the first leaf↔spine link pair
-            let link = FaultTarget::FabricLink { index: 0 };
-            let n = 4u64;
-            let period = Duration::from_ns(plan.t_heal.saturating_since(plan.t_fault).as_ns() / n);
-            let half = Duration::from_ns(period.as_ns() / 2);
-            (0..n)
-                .flat_map(|k| {
-                    let t0 = plan.t_fault + period * k;
-                    [FaultEvent::down(t0, link), FaultEvent::up(t0 + half, link)]
-                })
-                .collect()
-        }
+        "faults-link-flap" => flap_schedule(plan.t_fault, plan.t_heal, 4),
         other => panic!("unknown fault row {other}"),
-    }
-}
-
-fn run_fault(seed: u64, name: &'static str, plan: &FaultsPlan) -> TelemetryRow {
-    let row = ChaosRow {
-        name,
-        schedule: fault_schedule(name, plan),
     };
+    let row = ChaosRow { name, schedule };
     let mut sc = chaos_scenario(seed, &row, plan);
     let spec = fault_spec(plan);
     sc.telemetry = Some(spec);
-    let mut sim = Sim::new(sc.seed);
-    let fab = build_fabric(&mut sim, &sc);
-    let sessions: Vec<NodeId> = fab.hosts.iter().filter_map(|h| h.session()).collect();
-    sim.run_until(plan.t_end);
-    for &n in &sessions {
-        sim.schedule(sim.now(), n, CloseAll);
-    }
-    sim.run_until(plan.t_drain);
+    let (sim, fab, _, completed) = run_sessions(&sc, plan.t_end, plan.t_drain);
 
     let agg = score_fabric(&sim, &fab, spec.hh_theta);
     let col = sim.node_ref::<Collector>(fab.collector.expect("telemetry plane wired"));
     let (reports, bad_reports, sweeps_sent) = (col.reports, col.bad_reports, col.sweeps_sent);
     // a dead switch ignores SweepNow, so kill windows show up as holes
     let missed_reports = sweeps_sent * N_SWITCHES as u64 - reports;
-    let completed: u64 = sessions
-        .iter()
-        .map(|&n| sim.node_ref::<DynSessionClient>(n).completed)
-        .sum();
     let buf_delta = buf_balance(&sim, &fab);
-    let sim_events = sim.events_processed();
-    TelemetryRow {
-        line: format!(
-            "{:<24} {:>7} {:>8} {:>9.4} {:>9} {:>7.3} {:>7.3} {:>9}",
-            name,
-            agg.flows,
-            missed_reports,
-            agg.cm_are,
-            agg.cm_under,
-            agg.hh_recall,
-            agg.hh_precision,
-            buf_delta == 0,
-        ),
-        json: format!(
-            "{{\"name\": \"{}\", \"kind\": \"faults\", \"flows\": {}, \"truth_bytes\": {}, \"complete\": {}, \"cm_are\": {:.4}, \"cm_underestimates\": {}, \"hh_recall\": {:.4}, \"hh_precision\": {:.4}, \"reports\": {}, \"bad_reports\": {}, \"missed_reports\": {}, \"completed\": {}, \"buf_delta\": {}, \"conserved\": {}, \"sim_events\": {}}}",
-            name,
-            agg.flows,
-            agg.truth_bytes,
-            agg.complete,
-            agg.cm_are,
-            agg.cm_under,
-            agg.hh_recall,
-            agg.hh_precision,
-            reports,
-            bad_reports,
-            missed_reports,
-            completed,
-            buf_delta,
-            buf_delta == 0,
-            sim_events,
-        ),
-        sim_events,
-    }
+    Json::obj([
+        ("name", name.into()),
+        ("kind", "faults".into()),
+        ("flows", agg.flows.into()),
+        ("truth_bytes", agg.truth_bytes.into()),
+        ("complete", agg.complete.into()),
+        ("cm_are", fixed(agg.cm_are, 4)),
+        ("cm_underestimates", agg.cm_under.into()),
+        ("hh_recall", fixed(agg.hh_recall, 4)),
+        ("hh_precision", fixed(agg.hh_precision, 4)),
+        ("reports", reports.into()),
+        ("bad_reports", bad_reports.into()),
+        ("missed_reports", missed_reports.into()),
+        ("completed", completed.into()),
+        ("buf_delta", buf_delta.into()),
+        ("conserved", (buf_delta == 0).into()),
+        ("sim_events", sim.events_processed().into()),
+    ])
 }
 
 // ---- heavy-hitter ECMP rows -----------------------------------------------
@@ -510,79 +366,37 @@ fn run_fault(seed: u64, name: &'static str, plan: &FaultsPlan) -> TelemetryRow {
 /// Elephants + mice: bulk sessions (big responses) and small-RPC
 /// sessions share every leaf pair across the spines.
 fn hh_scenario(seed: u64, on: bool, t_drain: Time) -> Scenario {
-    let fabric = Fabric::LeafSpine {
-        leaves: LEAVES,
-        spines: SPINES,
-        hosts_per_leaf: HOSTS_PER_LEAF,
-    };
-    let hosts = (0..fabric.n_hosts())
-        .map(|i| {
-            let role = if i % 2 == 0 {
-                let leaf = i / HOSTS_PER_LEAF;
-                let target = ((leaf + 1) % LEAVES) * HOSTS_PER_LEAF + 1;
-                let bulk = i % 4 == 0;
-                Role::Session {
-                    cfg: SessionConfig {
-                        n_sessions: if bulk { 2 } else { 8 },
-                        req_size: 128,
-                        resp_size: if bulk { 16_384 } else { 256 },
-                        think: Duration::from_us(10),
-                        warmup: Time::from_us(500),
-                        ..Default::default()
-                    },
-                    target,
-                }
-            } else {
-                Role::FramedServer(FramedServerConfig::default())
-            };
-            HostSpec {
-                stack: Stack::FlexToe,
-                role,
-            }
-        })
-        .collect();
+    let mut sc = cross_tier_scenario(seed, LEAF_SPINE, Stack::FlexToe, |i, target| {
+        let bulk = i % 4 == 0;
+        Role::Session {
+            cfg: SessionConfig {
+                n_sessions: if bulk { 2 } else { 8 },
+                req_size: 128,
+                resp_size: if bulk { 16_384 } else { 256 },
+                think: Duration::from_us(10),
+                warmup: Time::from_us(500),
+                ..Default::default()
+            },
+            target,
+        }
+    });
     let epoch = Duration::from_us(250);
-    Scenario {
-        seed,
-        fabric,
-        hosts,
-        links: Default::default(),
-        opts: Default::default(),
-        fault_schedule: Vec::new(),
-        telemetry: Some(TelemetrySpec {
-            epoch,
-            sweeps: ((t_drain.as_ns() - 1_000_000) / epoch.as_ns()) as u32,
-            hh_theta: 0.05,
-            hh_ecmp: on,
-            ground_truth: false,
-            ..Default::default()
-        }),
-        client_start: Time::from_us(20),
-        client_stagger: Duration::from_us(1),
-        // the telemetry plane is not shardable (collector fan-in
-        // crosses non-link edges) — partition_fabric enforces this
-        shards: 1,
-    }
+    // (the telemetry plane is not shardable: collector fan-in crosses
+    // non-link edges, and `partition_fabric` enforces it)
+    sc.telemetry = Some(TelemetrySpec {
+        epoch,
+        sweeps: ((t_drain.as_ns() - 1_000_000) / epoch.as_ns()) as u32,
+        hh_theta: 0.05,
+        hh_ecmp: on,
+        ground_truth: false,
+        ..Default::default()
+    });
+    sc
 }
 
-fn run_hh(seed: u64, name: &'static str, on: bool, t_end: Time, t_drain: Time) -> TelemetryRow {
+fn run_hh(seed: u64, name: &'static str, on: bool, t_end: Time, t_drain: Time) -> Json {
     let sc = hh_scenario(seed, on, t_drain);
-    let mut sim = Sim::new(sc.seed);
-    let fab = build_fabric(&mut sim, &sc);
-    let sessions: Vec<NodeId> = fab.hosts.iter().filter_map(|h| h.session()).collect();
-    sim.run_until(t_end);
-    for &n in &sessions {
-        sim.schedule(sim.now(), n, CloseAll);
-    }
-    sim.run_until(t_drain);
-
-    let mut per_client_bytes = Vec::with_capacity(sessions.len());
-    let mut completed = 0u64;
-    for &n in &sessions {
-        let c = sim.node_ref::<DynSessionClient>(n);
-        per_client_bytes.push(c.bytes_in);
-        completed += c.completed;
-    }
+    let (sim, fab, per_client_bytes, completed) = run_sessions(&sc, t_end, t_drain);
     let bytes_in: u64 = per_client_bytes.iter().sum();
     let goodput_gbps = bytes_in as f64 * 8.0 / t_end.as_ns() as f64; // bits/ns == Gbps
     let jfi = jain_index(&per_client_bytes);
@@ -594,117 +408,166 @@ fn run_hh(seed: u64, name: &'static str, on: bool, t_end: Time, t_drain: Time) -
         .map(|&s| sim.node_ref::<Switch>(s).telemetry_elephants().len())
         .sum();
     let buf_delta = buf_balance(&sim, &fab);
-    let sim_events = sim.events_processed();
-    TelemetryRow {
-        line: format!(
-            "{:<24} {:>7} {:>8} {:>9.3} {:>9.4} {:>7} {:>7} {:>9}",
-            name,
-            completed,
-            elephants,
-            goodput_gbps,
-            jfi,
-            steered,
-            reroutes,
-            buf_delta == 0,
-        ),
-        json: format!(
-            "{{\"name\": \"{}\", \"kind\": \"hh_ecmp\", \"hh_ecmp\": {}, \"completed\": {}, \"bytes_in\": {}, \"goodput_gbps\": {:.3}, \"jfi\": {:.4}, \"steered\": {}, \"reroutes\": {}, \"elephants\": {}, \"buf_delta\": {}, \"conserved\": {}, \"sim_events\": {}}}",
-            name,
-            on,
-            completed,
-            bytes_in,
-            goodput_gbps,
-            jfi,
-            steered,
-            reroutes,
-            elephants,
-            buf_delta,
-            buf_delta == 0,
-            sim_events,
-        ),
-        sim_events,
-    }
-}
-
-// ---- driver ---------------------------------------------------------------
-
-fn run_row(seed: u64, row: &TRow, plan: &TelemetryPlan) -> TelemetryRow {
-    match *row {
-        TRow::Accuracy {
-            name,
-            flows,
-            skew_c,
-            uniform_frames,
-        } => run_accuracy(seed, name, flows, skew_c, uniform_frames),
-        TRow::Fault { name } => run_fault(seed, name, &plan.faults),
-        TRow::Hh { name, on } => run_hh(seed, name, on, plan.hh_t_end, plan.hh_t_drain),
-    }
-}
-
-/// The whole sweep over `jobs` worker threads; every row builds its own
-/// `Sim` from the same seed, so any `--jobs` merges byte-identically.
-pub fn run_telemetry_jobs(seed: u64, plan: &TelemetryPlan, jobs: usize) -> Vec<TelemetryRow> {
-    run_indexed(jobs, plan.rows.len(), |i| {
-        run_row(seed, &plan.rows[i], plan)
-    })
-}
-
-/// Serialize the sweep deterministically (byte-identical per seed — the
-/// acceptance contract on `BENCH_telemetry.json`).
-pub fn telemetry_json(seed: u64, results: &[TelemetryRow]) -> String {
-    let cfg = flextoe_telemetry::SketchCfg::default();
-    let mut s = String::new();
-    s.push_str("{\n  \"benchmark\": \"telemetry\",\n");
-    s.push_str(&format!(
-        "  \"scenario\": {{\n    \"seed\": {seed},\n    \"fabric\": \"leafspine-{LEAVES}x{SPINES}\",\n    \"switches\": {N_SWITCHES},\n    \"sketch\": {{\"depth\": {}, \"width\": {}, \"key_slots\": {}}}\n  }},\n",
-        cfg.depth, cfg.width, cfg.key_slots,
-    ));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        s.push_str("    ");
-        s.push_str(&r.json);
-        s.push_str(if i + 1 == results.len() { "\n" } else { ",\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
+    Json::obj([
+        ("name", name.into()),
+        ("kind", "hh_ecmp".into()),
+        ("hh_ecmp", on.into()),
+        ("completed", completed.into()),
+        ("bytes_in", bytes_in.into()),
+        ("goodput_gbps", fixed(goodput_gbps, 3)),
+        ("jfi", fixed(jfi, 4)),
+        ("steered", steered.into()),
+        ("reroutes", reroutes.into()),
+        ("elephants", elephants.into()),
+        ("buf_delta", buf_delta.into()),
+        ("conserved", (buf_delta == 0).into()),
+        ("sim_events", sim.events_processed().into()),
+    ])
 }
 
 /// The `telemetry` experiment: sketch accuracy vs ground truth across
 /// flow scales, under chaos schedules, and the heavy-hitter ECMP
-/// ablation. Writes `BENCH_telemetry.json`.
-pub fn telemetry(opts: &RunOpts) {
-    let plan = if opts.smoke {
-        TelemetryPlan::smoke()
-    } else {
-        TelemetryPlan::full()
-    };
-    let seed = opts.seed.unwrap_or(29);
-    let jobs = opts.jobs();
-    println!(
-        "# telemetry — sketch accuracy vs exact truth on the {LEAVES}-leaf/{SPINES}-spine fabric{} [jobs={jobs}]",
-        if opts.smoke { " [smoke]" } else { "" }
-    );
-    println!(
-        "{:<24} {:>7} {:>8} {:>9} {:>9} {:>7} {:>7} {:>9}",
-        "row", "flows", "frames*", "cm_are*", "lsb_are*", "recall", "precis", "ok"
-    );
-    println!("# (* fault rows: missed reports / underestimates; hh rows: completed / elephants / goodput / jfi / steered)");
-    let wall0 = std::time::Instant::now();
-    let results = run_telemetry_jobs(seed, &plan, jobs);
-    let wall = wall0.elapsed().as_secs_f64();
-    for r in &results {
-        println!("{}", r.line);
+/// ablation.
+impl Experiment for TelemetryPlan {
+    const NAME: &'static str = "telemetry";
+    const TITLE: &'static str =
+        "sketch accuracy vs exact truth on the 4-leaf/2-spine fabric, and heavy-hitter ECMP";
+    const SEED: u64 = 29;
+    const ROWS_KEY: &'static str = "rows";
+    const COLUMNS: &'static str = "name kind flows cm_are lsb_are hh_recall hh_precision \
+        missed_reports completed goodput_gbps jfi steered complete conserved";
+    type Point = TRow;
+
+    fn full() -> TelemetryPlan {
+        let mut rows = vec![
+            TRow::Accuracy("skew-1k", 1_000, 2_000, 0),
+            TRow::Accuracy("skew-10k", 10_000, 5_000, 0),
+            TRow::Accuracy("skew-100k", 100_000, 20_000, 0),
+            TRow::Accuracy("adversarial-uniform-100k", 100_000, 0, 3),
+        ];
+        rows.extend(COMMON_ROWS);
+        TelemetryPlan {
+            rows,
+            faults: FaultsPlan::full(),
+            hh_t_end: Time::from_ms(10),
+            hh_t_drain: Time::from_ms(14),
+        }
     }
-    let sim_events: u64 = results.iter().map(|r| r.sim_events).sum();
-    println!(
-        "sweep wall: {:.2}s, {} events ({:.2}M events/s, jobs={})",
-        wall,
-        sim_events,
-        sim_events as f64 / wall / 1e6,
-        jobs
-    );
-    let json = with_wall_block(telemetry_json(seed, &results), wall, sim_events, jobs);
-    let path = opts.out_path("BENCH_telemetry.json");
-    std::fs::write(&path, &json).expect("write BENCH_telemetry.json");
-    println!("wrote {}", path.display());
+
+    fn smoke() -> TelemetryPlan {
+        let mut rows = vec![
+            TRow::Accuracy("skew-1k", 1_000, 2_000, 0),
+            TRow::Accuracy("skew-5k", 5_000, 3_000, 0),
+            TRow::Accuracy("adversarial-uniform-20k", 20_000, 0, 3),
+        ];
+        rows.extend(COMMON_ROWS);
+        TelemetryPlan {
+            rows,
+            faults: FaultsPlan::smoke(),
+            hh_t_end: Time::from_ms(4),
+            hh_t_drain: Time::from_ms(6),
+        }
+    }
+
+    fn points(&self) -> Vec<TRow> {
+        self.rows.clone()
+    }
+
+    fn run_point(&self, seed: u64, row: &TRow, _: usize) -> PointRun {
+        match *row {
+            TRow::Accuracy(name, flows, skew_c, uniform_frames) => {
+                run_accuracy(seed, name, flows, skew_c, uniform_frames)
+            }
+            TRow::Fault(name) => run_fault(seed, name, &self.faults),
+            TRow::Hh(name, on) => run_hh(seed, name, on, self.hh_t_end, self.hh_t_drain),
+        }
+        .into()
+    }
+
+    fn scenario_json(&self, seed: u64) -> Json {
+        let cfg = flextoe_telemetry::SketchCfg::default();
+        Json::obj([
+            ("seed", seed.into()),
+            ("fabric", leaf_spine_name()),
+            ("switches", N_SWITCHES.into()),
+            (
+                "sketch",
+                Json::obj([
+                    ("depth", cfg.depth.into()),
+                    ("width", cfg.width.into()),
+                    ("key_slots", cfg.key_slots.into()),
+                ]),
+            ),
+        ])
+    }
+
+    /// Every row passes [`check_row`] and all three kinds are present.
+    fn check(rows: &[Json]) -> Result<(), String> {
+        rows.iter().try_for_each(check_row)?;
+        let required = ["skew-1k", "faults-spine-kill", "hh-ecmp-off", "hh-ecmp-on"];
+        has_rows(rows, "name", &required)
+    }
+}
+
+/// The invariants of one row: accuracy rows swept every byte and count-min
+/// never under-estimates; report frames obey buffer conservation under
+/// faults, and a kill window shows up as missed reports; heavy-hitter
+/// steering happens exactly when it is switched on.
+pub fn check_row(r: &Json) -> Result<(), String> {
+    let n = |key: &str| r[key].num();
+    let yes = |key: &str| r[key] == Json::Bool(true);
+    let unit = |v: f64| (0.0..=1.0).contains(&v);
+    let name = r["name"].as_str();
+    let mut checks = vec![(n("sim_events") > 0.0, "ran no events")];
+    checks.extend(match r["kind"].as_str() {
+        "accuracy" => [
+            (yes("complete"), "bytes left unswept"),
+            (
+                n("cm_underestimates") == 0.0,
+                "count-min under-estimated (cm_underestimates != 0)",
+            ),
+            (
+                unit(n("hh_recall")) && unit(n("hh_precision")),
+                "recall/precision outside [0, 1]",
+            ),
+        ],
+        "faults" => [
+            (yes("conserved"), "report frames leaked"),
+            (n("bad_reports") == 0.0, "bad reports"),
+            (
+                name != "faults-spine-kill" || n("missed_reports") > 0.0,
+                "a kill window must drop sweeps",
+            ),
+        ],
+        "hh_ecmp" => [
+            (yes("conserved"), "buffers leaked"),
+            (
+                n("completed") > 0.0 && n("jfi") > 0.0 && n("jfi") <= 1.0,
+                "no load carried, or jfi outside (0, 1]",
+            ),
+            (
+                (n("steered") > 0.0) == yes("hh_ecmp"),
+                "frames are rank-steered exactly when hh_ecmp is on",
+            ),
+        ],
+        _ => [(false, "unknown kind"); 3],
+    });
+    holds(format_args!("row {name}"), &checks)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_row_names_an_accuracy_row_that_underestimates() {
+        let mut row = run_accuracy(TelemetryPlan::SEED, "skew-1k", 1_000, 2_000, 0);
+        assert_eq!(check_row(&row), Ok(()));
+        row.set("cm_underestimates", 1u64);
+        let err = check_row(&row).unwrap_err();
+        assert!(
+            err.contains("row skew-1k") && err.contains("cm_underestimates"),
+            "{err}"
+        );
+    }
 }

@@ -23,10 +23,11 @@
 //! ARP is statically configured (`add_peer`) — the testbed's address
 //! resolution, not an experiment subject.
 
-pub mod cc;
 pub mod rto;
 
-use flextoe_ccp::{FlowReport, FoldSpec, Insn};
+use flextoe_ccp::{
+    rate_to_interval, Algorithm, FlowReport, FlowStats, FoldSpec, Insn, Registry, Urgent,
+};
 use flextoe_core::hostmem::{shared_buf, AppToNic, SharedBuf, SharedCtxQueue};
 use flextoe_core::segment::ConnEntry;
 use flextoe_core::stages::{Doorbell, NotifyJob, Redirect, RegisterCtx, SchedCtl};
@@ -40,7 +41,6 @@ use flextoe_wire::{
     Ecn, FourTuple, Frame, Ip4, MacAddr, SegmentSpec, SegmentView, SeqNum, TcpFlags, TcpOptions,
 };
 
-use cc::{rate_to_interval, Algorithm, FlowStats, Registry, Urgent};
 use rto::{RtoTracker, RtoVerdict};
 
 /// The control plane's own context-queue id (for HC injections).

@@ -1,5 +1,5 @@
 //! Per-stage cycle budgets — the calibration layer between the real TCP
-//! logic and the simulated hardware (DESIGN.md §4.2).
+//! logic and the simulated hardware.
 //!
 //! Compute budgets are instruction-execution cycles on the stage's FPC;
 //! memory budgets are overlappable wait cycles charged *in addition to*

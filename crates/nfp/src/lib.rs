@@ -2,7 +2,7 @@
 //!
 //! The paper's target is the Netronome Agilio-CX40 (NFP-4000 NPU). That
 //! hardware cannot be expressed directly in Rust, so this crate provides
-//! the closest synthetic equivalent per DESIGN.md §1: cycle-cost models of
+//! the closest synthetic equivalent (ARCHITECTURE.md): cycle-cost models of
 //! the FPCs (with 8-thread memory-latency hiding), the CLS/CTM/IMEM/EMEM
 //! memory hierarchy and its caches, the IMEM lookup engine, the PCIe DMA
 //! engine, and the 40 Gbps MAC/NBI — all driven by the `flextoe-sim`

@@ -7,13 +7,9 @@
 //! ```
 
 use flextoe_apps::{ClientConfig, LoadMode, ServerConfig};
+use flextoe_bench::harness::*;
 use flextoe_netsim::Faults;
 use flextoe_sim::{Duration, Time};
-
-#[path = "../crates/bench/src/harness.rs"]
-#[allow(dead_code, unused_imports)]
-mod harness;
-use harness::*;
 
 fn main() {
     for loss in [0.0, 0.001, 0.01] {

@@ -9,16 +9,11 @@
 //! Wireshark-compatible `capture.pcap`.
 
 use flextoe_apps::{ClientConfig, LoadMode, ServerConfig};
+use flextoe_bench::harness::*;
 use flextoe_core::module::{Hook, TcpdumpModule};
 use flextoe_core::stages::pre::PreStage;
-use flextoe_wire::{SegmentView, TcpPacket, ETH_HDR_LEN, IPV4_HDR_LEN};
-
-#[path = "../crates/bench/src/harness.rs"]
-#[allow(dead_code, unused_imports)]
-mod harness;
-use harness::*;
-
 use flextoe_sim::{Sim, Tick, Time};
+use flextoe_wire::{SegmentView, TcpPacket, ETH_HDR_LEN, IPV4_HDR_LEN};
 
 fn main() {
     let mut sim = Sim::new(7);

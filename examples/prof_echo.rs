@@ -1,5 +1,6 @@
-//! Wall-clock self-profile of the bench-pipeline e2e echo scenario:
-//! per-node-type nanoseconds and event counts.
+//! Wall-clock self-profile of the end-to-end echo scenario (FlexTOE to
+//! FlexTOE, 16 connections, 64 B echo, 30 ms simulated): per-node-type
+//! nanoseconds and event counts, and delivered events per `Msg` kind.
 //!
 //! ```sh
 //! FLEXTOE_SIM_PROF=1 cargo run --release --example prof_echo

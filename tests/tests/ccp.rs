@@ -3,7 +3,8 @@
 //! under DCTCP, measurable algorithm contrast, deterministic batched
 //! reporting, and the batching invariants themselves.
 
-use flextoe_bench::cc::{cc_json, run_cc, run_cc_one, CcScale, ECN_K};
+use flextoe_bench::cc::{run_cc_one, CcScale, ECN_K};
+use flextoe_bench::driver::execute;
 use flextoe_ccp::{FoldProg, FoldSpec};
 use flextoe_control::CcAlgo;
 use flextoe_sim::{Duration, Time};
@@ -22,26 +23,30 @@ fn two_flow_scale() -> CcScale {
 #[test]
 fn two_dctcp_flows_converge_fair_and_hold_queue_near_k() {
     let r = run_cc_one(21, CcAlgo::Dctcp, FoldSpec::Builtin, two_flow_scale());
-    assert!(r.jain >= 0.95, "fair share: Jain {}", r.jain);
     assert!(
-        r.convergence_ms > 0.0,
+        r["jain"].num() >= 0.95,
+        "fair share: Jain {}",
+        r["jain"].num()
+    );
+    assert!(
+        r["convergence_ms"].num() > 0.0,
         "windowed fairness must converge (got {})",
-        r.convergence_ms
+        r["convergence_ms"].num()
     );
     // queue rides near K: well below the WRED band (64 KB), well above
     // empty — DCTCP's signature on this fabric
     let k_kb = ECN_K as f64 / 1024.0;
     assert!(
-        r.avg_queue_kb > k_kb / 4.0 && r.avg_queue_kb < k_kb * 2.5,
+        r["avg_queue_kb"].num() > k_kb / 4.0 && r["avg_queue_kb"].num() < k_kb * 2.5,
         "avg queue {} KB should sit near K = {} KB",
-        r.avg_queue_kb,
+        r["avg_queue_kb"].num(),
         k_kb
     );
-    assert!(r.ecn_marked > 0, "the switch marked CE");
+    assert!(r["ecn_marked"].num() > 0.0, "the switch marked CE");
     assert!(
-        r.goodput_gbps > 3.0,
+        r["goodput_gbps"].num() > 3.0,
         "bottleneck utilized: {}",
-        r.goodput_gbps
+        r["goodput_gbps"].num()
     );
 }
 
@@ -54,16 +59,16 @@ fn cubic_vs_dctcp_differ_measurably_on_same_seed() {
     let dctcp = run_cc_one(33, CcAlgo::Dctcp, FoldSpec::Builtin, scale);
     let cubic = run_cc_one(33, CcAlgo::Cubic, FoldSpec::Builtin, scale);
     assert!(
-        cubic.avg_queue_kb > dctcp.avg_queue_kb * 1.3,
+        cubic["avg_queue_kb"].num() > dctcp["avg_queue_kb"].num() * 1.3,
         "cubic queue {} KB !>> dctcp queue {} KB",
-        cubic.avg_queue_kb,
-        dctcp.avg_queue_kb
+        cubic["avg_queue_kb"].num(),
+        dctcp["avg_queue_kb"].num()
     );
     assert!(
-        cubic.ecn_marked > dctcp.ecn_marked,
+        cubic["ecn_marked"].num() > dctcp["ecn_marked"].num(),
         "a higher queue collects more marks: {} vs {}",
-        cubic.ecn_marked,
-        dctcp.ecn_marked
+        cubic["ecn_marked"].num(),
+        dctcp["ecn_marked"].num()
     );
 }
 
@@ -71,9 +76,8 @@ fn cubic_vs_dctcp_differ_measurably_on_same_seed() {
 /// batched report path and the eBPF-fold run.
 #[test]
 fn report_batching_is_deterministic() {
-    let scale = CcScale::smoke();
-    let a = cc_json(7, scale, &run_cc(7, scale));
-    let b = cc_json(7, scale, &run_cc(7, scale));
+    let a = execute::<CcScale>(7, true, Some(1), 1).body;
+    let b = execute::<CcScale>(7, true, Some(1), 1).body;
     assert_eq!(a, b, "same seed must reproduce identical metrics");
     // sanity on shape: all five sweep entries present
     assert_eq!(a.matches("\"algo\"").count(), 5);
@@ -92,13 +96,16 @@ fn report_batching_is_deterministic() {
 #[test]
 fn reports_are_batched_not_per_ack() {
     let r = run_cc_one(21, CcAlgo::Dctcp, FoldSpec::Builtin, two_flow_scale());
-    assert!(r.report_batches > 0, "reports flowed");
-    assert!(r.flow_reports >= r.report_batches, "batches carry reports");
+    assert!(r["report_batches"].num() > 0.0, "reports flowed");
     assert!(
-        r.acks_folded > 10 * r.report_batches,
+        r["flow_reports"].num() >= r["report_batches"].num(),
+        "batches carry reports"
+    );
+    assert!(
+        r["acks_folded"].num() > 10.0 * r["report_batches"].num(),
         "batching: {} folded ACKs produced only {} control-plane messages",
-        r.acks_folded,
-        r.report_batches
+        r["acks_folded"].num(),
+        r["report_batches"].num()
     );
 }
 
@@ -112,12 +119,12 @@ fn ebpf_fold_path_works_end_to_end() {
         FoldSpec::Program(FoldProg::builtin()),
         two_flow_scale(),
     );
-    assert!(r.jain >= 0.9, "Jain {}", r.jain);
-    assert!(r.report_batches > 0);
+    assert!(r["jain"].num() >= 0.9, "Jain {}", r["jain"].num());
+    assert!(r["report_batches"].num() > 0.0);
     let k_kb = ECN_K as f64 / 1024.0;
     assert!(
-        r.avg_queue_kb < k_kb * 2.5,
+        r["avg_queue_kb"].num() < k_kb * 2.5,
         "queue controlled: {} KB",
-        r.avg_queue_kb
+        r["avg_queue_kb"].num()
     );
 }

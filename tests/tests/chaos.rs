@@ -5,9 +5,8 @@
 //! invariant + byte-identity contract of the `faults` chaos sweep.
 
 use flextoe_apps::{CloseAll, FramedServerConfig, SessionConfig};
-use flextoe_bench::faults::{
-    buf_balance, faults_json, run_faults_jobs, run_faults_one, FaultsPlan,
-};
+use flextoe_bench::driver::{execute, Experiment};
+use flextoe_bench::faults::{buf_balance, check_row, run_faults_point, FaultsPlan};
 use flextoe_netsim::{Faults, Link, Switch};
 use flextoe_sim::{Duration, NodeId, Sim, Time};
 use flextoe_topo::{
@@ -191,22 +190,23 @@ fn leaf_kill_aborts_then_reconnects_and_conserves() {
         .iter()
         .find(|r| r.name == "leaf-kill")
         .expect("full plan has a leaf-kill row");
-    let r = run_faults_one(23, row, &plan);
-    assert!(r.blackholed > 0, "leaf death blackholes its hosts");
-    assert!(r.ctrl_aborts > 0, "RTO give-up fired during the outage");
-    assert!(r.aborted_conns > 0, "sessions saw the abort");
-    assert!(r.reconnects > 0, "sessions reconnected after the heal");
+    let r = run_faults_point(23, row, &plan, 1).row;
     assert!(
-        r.recovered,
-        "goodput back to ≥95% of baseline: {:?}",
-        r.timeline
+        r["blackholed"].num() > 0.0,
+        "leaf death blackholes its hosts"
     );
-    assert!(r.recover_us >= 0);
     assert!(
-        r.conserved,
-        "issued={} completed={} dead={} in_flight={} work={} buf_delta={}",
-        r.issued, r.completed, r.dead_requests, r.in_flight_end, r.gauges.work_in_use, r.buf_delta
+        r["ctrl_aborts"].num() > 0.0,
+        "RTO give-up fired during the outage"
     );
+    assert!(r["aborted_conns"].num() > 0.0, "sessions saw the abort");
+    assert!(
+        r["reconnects"].num() > 0.0,
+        "sessions reconnected after the heal"
+    );
+    assert!(r["recover_us"].num() >= 0.0);
+    // goodput back to ≥95% of baseline, and the conservation audit
+    assert_eq!(check_row(&r), Ok(()), "{r}");
 }
 
 /// Corrupted frames are dropped exactly once: the link strips the
@@ -311,24 +311,11 @@ fn same_timestamp_fault_events_apply_in_schedule_order() {
 /// runs and `--jobs` values for one seed.
 #[test]
 fn faults_sweep_conserves_and_is_byte_identical() {
-    let plan = FaultsPlan::smoke();
-    let a = run_faults_jobs(23, &plan, 1);
-    for r in &a {
-        assert!(
-            r.conserved,
-            "{}: issued={} completed={} dead={} in_flight={} work={} buf_delta={}",
-            r.name,
-            r.issued,
-            r.completed,
-            r.dead_requests,
-            r.in_flight_end,
-            r.gauges.work_in_use,
-            r.buf_delta
-        );
-        assert!(r.recovered, "{}: {:?}", r.name, r.timeline);
-    }
-    let ja = faults_json(23, &plan, &a);
-    let jb = faults_json(23, &plan, &run_faults_jobs(23, &plan, 2));
+    let a = execute::<FaultsPlan>(23, true, Some(1), 1);
+    // every row conserved and recovered (and left its fault's signature)
+    assert_eq!(FaultsPlan::check(&a.rows), Ok(()));
+    let ja = a.body;
+    let jb = execute::<FaultsPlan>(23, true, Some(2), 1).body;
     assert_eq!(ja, jb, "jobs=2 diverged from the serial run");
     assert!(ja.contains("\"benchmark\": \"faults\""));
     assert!(ja.contains("\"conserved\": true"));

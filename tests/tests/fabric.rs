@@ -4,7 +4,8 @@
 //! fault schedules on fabric links.
 
 use flextoe_apps::{FramedServerConfig, OpenLoopConfig, SizeDist};
-use flextoe_bench::scale::{run_scale, run_scale_jobs, scale_json, ScalePlan};
+use flextoe_bench::driver::{execute, Experiment};
+use flextoe_bench::scale::{run_scale_point, ScalePlan};
 use flextoe_netsim::{Faults, Link, Switch};
 use flextoe_sim::{Sim, Time};
 use flextoe_topo::{
@@ -157,9 +158,8 @@ fn fabric_runs_are_deterministic_per_seed() {
 /// the acceptance contract on `BENCH_scale.json`.
 #[test]
 fn scale_sweep_json_is_byte_identical_per_seed() {
-    let plan = ScalePlan::smoke();
-    let a = scale_json(17, &plan, &run_scale(17, &plan));
-    let b = scale_json(17, &plan, &run_scale(17, &plan));
+    let a = execute::<ScalePlan>(17, true, Some(1), 1).body;
+    let b = execute::<ScalePlan>(17, true, Some(1), 1).body;
     assert_eq!(a, b);
     assert!(a.contains("\"fabric\": \"leafspine-4x2\""));
 }
@@ -169,10 +169,9 @@ fn scale_sweep_json_is_byte_identical_per_seed() {
 /// to the serial reference run (each point builds its own `Sim`).
 #[test]
 fn parallel_scale_sweep_is_byte_identical_to_serial() {
-    let plan = ScalePlan::smoke();
-    let serial = scale_json(17, &plan, &run_scale_jobs(17, &plan, 1));
+    let serial = execute::<ScalePlan>(17, true, Some(1), 1).body;
     for jobs in [2, 4, 8] {
-        let par = scale_json(17, &plan, &run_scale_jobs(17, &plan, jobs));
+        let par = execute::<ScalePlan>(17, true, Some(jobs), 1).body;
         assert_eq!(serial, par, "jobs={jobs} diverged from the serial run");
     }
 }
@@ -190,14 +189,14 @@ fn parallel_scale_sweep_is_byte_identical_to_serial() {
 fn scale_point_beyond_cls_capacity_reports_sram_hits() {
     let mut plan = ScalePlan::full();
     plan.duration = Time::from_ms(24);
-    let r = flextoe_bench::scale::run_scale_one(17, Stack::FlexToe, 8192, &plan);
+    let r = run_scale_point(17, Stack::FlexToe, 8192, &plan, 1).row;
     assert!(
-        r.gauges.cache_sram_hits > 0,
-        "8192-conn sweep point must engage the EMEM-SRAM tier, gauges: {:?}",
-        r.gauges
+        r["pools.conn_cache_sram_hits"].num() > 0.0,
+        "8192-conn sweep point must engage the EMEM-SRAM tier, gauges: {}",
+        r["pools"]
     );
     assert!(
-        r.gauges.cache_dram_accesses >= 16_384,
+        r["pools.conn_cache_dram"].num() >= 16_384.0,
         "every (nic, conn) pays at least its cold miss"
     );
 }

@@ -14,8 +14,10 @@
 //! the event wheel and once with `FLEXTOE_SIM_REFERENCE=1` (the
 //! `BinaryHeap` ordering oracle), so both prove the same identity.
 
-use flextoe_bench::faults::{run_faults_point, FaultsOutcome, FaultsPlan};
-use flextoe_bench::scale::{run_scale_point, ScaleOutcome};
+use flextoe_bench::driver::{Experiment, PointRun};
+use flextoe_bench::faults::{check_row, run_faults_point, FaultsPlan};
+use flextoe_bench::json::Json;
+use flextoe_bench::scale::run_scale_point;
 use flextoe_shard::{Partition, ShardedSim};
 use flextoe_sim::{cast, Ctx, Duration, Msg, Node, Sim, Time};
 use flextoe_topo::Stack;
@@ -248,70 +250,17 @@ fn random_partitions_byte_identical_to_monolithic() {
 
 // ---------------------------------------------------------------------
 // Topo-level: the real leaf-spine scale point and a chaos row, sharded
-// vs monolithic, digests compared field-for-field.
+// vs monolithic. A point returns its artifact row (every deterministic
+// field, floats at full precision until rendered), the merged pool/cache
+// gauges (all of them, not only the ones the row publishes) and the sync
+// counters, whose `blocked_ns` is wall clock and stays out of the digest.
 // ---------------------------------------------------------------------
 
-/// Every deterministic field of a scale outcome, formatted; `sync` is
-/// deliberately excluded (its `blocked_ns` is wall clock).
-fn scale_digest(o: &ScaleOutcome) -> String {
-    format!(
-        "{} conns={} offered={:?} achieved={:?} goodput={:?} p50={:?} p99={:?} \
-         jain={:?} backlog={} gauges={:?} spines={:?} events={}",
-        o.stack,
-        o.conns,
-        o.offered_rps,
-        o.achieved_rps,
-        o.goodput_gbps,
-        o.p50_us,
-        o.p99_us,
-        o.jain_hosts,
-        o.backlog,
-        o.gauges,
-        o.spine_frames,
-        o.sim_events
-    )
-}
-
-/// Every deterministic field of a faults outcome (everything except
-/// the wall-clock half of `sync`).
-fn faults_digest(o: &FaultsOutcome) -> String {
-    format!(
-        "{} timeline={:?} pre={:?} dip={:?} frac={:?} rec_us={} rec={} p50={:?} p99={:?} \
-         issued={} completed={} dead={} aborted={} peer_closed={} reconnects={} \
-         connect_failures={} rto={} ctrl_aborts={} reroutes={} blackholed={} \
-         dead_drops={} down_drops={} degrade={} in_flight={} gauges={:?} \
-         buf_delta={} conserved={} consistent={} per_switch={} events={}",
-        o.name,
-        o.timeline,
-        o.pre_rps,
-        o.dip_rps,
-        o.dip_frac,
-        o.recover_us,
-        o.recovered,
-        o.p50_us,
-        o.p99_us,
-        o.issued,
-        o.completed,
-        o.dead_requests,
-        o.aborted_conns,
-        o.peer_closed,
-        o.reconnects,
-        o.connect_failures,
-        o.rto_fired,
-        o.ctrl_aborts,
-        o.reroutes,
-        o.blackholed,
-        o.dead_drops,
-        o.down_drops,
-        o.degrade_drops,
-        o.in_flight_end,
-        o.gauges,
-        o.buf_delta,
-        o.conserved,
-        o.counters_consistent,
-        o.per_switch_json,
-        o.sim_events
-    )
+/// Every deterministic output of a point: the row, then every
+/// `PoolGauges` field. High-water marks and cache-hit splits are what a
+/// same-timestamp ordering slip between shards would move first.
+fn digest(p: &PointRun) -> (Json, String) {
+    (p.row.clone(), format!("{:?}", p.gauges))
 }
 
 #[test]
@@ -319,16 +268,20 @@ fn scale_point_sharded_matches_monolithic() {
     let plan = flextoe_bench::scale::ScalePlan::smoke();
     let mono = run_scale_point(4242, Stack::FlexToe, 16, &plan, 1);
     assert!(mono.sync.is_none(), "monolithic path must not sync");
-    let want = scale_digest(&mono);
+    assert!(
+        mono.gauges.cache_local_hits + mono.gauges.cache_cls_hits > 0,
+        "the unpublished gauges are harvested: {:?}",
+        mono.gauges
+    );
     for shards in [2usize, 4] {
         let got = run_scale_point(4242, Stack::FlexToe, 16, &plan, shards);
-        assert_eq!(scale_digest(&got), want, "{shards} shards diverged");
+        assert_eq!(digest(&got), digest(&mono), "{shards} shards diverged");
         let sync = got.sync.expect("sharded path records sync stats");
         assert!(sync.windows > 0);
         assert_eq!(sync.events.len(), shards);
         assert_eq!(
-            sync.events.iter().sum::<u64>(),
-            got.sim_events,
+            sync.events.iter().sum::<u64>() as f64,
+            got.row["sim_events"].num(),
             "per-shard events must sum to the monolithic count"
         );
     }
@@ -339,14 +292,20 @@ fn faults_row_sharded_matches_monolithic_and_conserves() {
     let plan = FaultsPlan::smoke();
     let row = plan.rows[0].clone();
     let mono = run_faults_point(99, &row, &plan, 1);
-    assert!(mono.conserved, "monolithic chaos row must conserve");
-    let want = faults_digest(&mono);
-    let got = run_faults_point(99, &row, &plan, 2);
-    assert_eq!(faults_digest(&got), want, "sharded chaos row diverged");
-    assert!(
-        got.conserved,
-        "global conservation must hold summed over shard pools"
+    assert_eq!(
+        check_row(&mono.row),
+        Ok(()),
+        "monolithic chaos row must conserve"
     );
+    assert!(
+        mono.gauges.work_high_water > 0 && mono.gauges.seg_high_water > 0,
+        "the unpublished gauges are harvested: {:?}",
+        mono.gauges
+    );
+    let got = run_faults_point(99, &row, &plan, 2);
+    assert_eq!(digest(&got), digest(&mono), "sharded chaos row diverged");
+    // global conservation must hold summed over shard pools
+    assert_eq!(check_row(&got.row), Ok(()));
     let sync = got.sync.expect("sharded path records sync stats");
     assert!(sync.windows > 0);
 }

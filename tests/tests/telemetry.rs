@@ -6,7 +6,8 @@
 //! default-off wiring, and byte-identity of the `telemetry` sweep
 //! across `--jobs` values.
 
-use flextoe_bench::telemetry::{run_telemetry_jobs, telemetry_json, TelemetryPlan};
+use flextoe_bench::driver::{execute, Experiment};
+use flextoe_bench::telemetry::TelemetryPlan;
 use flextoe_netsim::{Collector, Switch, TelemetrySpec};
 use flextoe_sim::{Sim, Time};
 use flextoe_topo::{build_fabric, BuiltFabric, Fabric, FaultEvent, FaultTarget, Scenario, Stack};
@@ -189,19 +190,12 @@ fn telemetry_is_default_off() {
 /// `BENCH_telemetry.json` is byte-identical across `--jobs` values.
 #[test]
 fn telemetry_sweep_is_complete_and_byte_identical() {
-    let plan = TelemetryPlan::smoke();
-    let a = run_telemetry_jobs(29, &plan, 1);
-    let ja = telemetry_json(29, &a);
-    for r in &a {
-        if r.json.contains("\"kind\": \"accuracy\"") {
-            assert!(r.json.contains("\"complete\": true"), "{}", r.json);
-            assert!(r.json.contains("\"cm_underestimates\": 0"), "{}", r.json);
-        }
-        if r.json.contains("\"conserved\"") {
-            assert!(r.json.contains("\"conserved\": true"), "{}", r.json);
-        }
-    }
-    let jb = telemetry_json(29, &run_telemetry_jobs(29, &plan, 2));
+    let a = execute::<TelemetryPlan>(29, true, Some(1), 1);
+    // accuracy rows complete with zero count-min under-estimates, every
+    // row that audits conservation conserved
+    assert_eq!(TelemetryPlan::check(&a.rows), Ok(()));
+    let ja = a.body;
+    let jb = execute::<TelemetryPlan>(29, true, Some(2), 1).body;
     assert_eq!(ja, jb, "jobs=2 diverged from the serial run");
     assert!(ja.contains("\"benchmark\": \"telemetry\""));
     assert!(ja.contains("\"kind\": \"faults\""));
