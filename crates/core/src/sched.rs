@@ -370,14 +370,20 @@ impl Carousel {
         None
     }
 
+    /// No flow queued anywhere (ready or in the wheel): no trigger can
+    /// appear before the next [`Carousel::update_sendable`].
+    pub fn is_idle(&self) -> bool {
+        self.rr.is_empty() && self.wheel_len == 0
+    }
+
     /// Earliest instant at which a trigger may become available, for the
     /// scheduler node's wake-up timer. `None` when completely idle.
     pub fn earliest_work(&self, now: Time) -> Option<Time> {
+        if self.is_idle() {
+            return None;
+        }
         if !self.rr.is_empty() {
             return Some(now);
-        }
-        if self.wheel_len == 0 {
-            return None;
         }
         let i = self.next_occupied_offset()?;
         let t = self.wheel_base + self.granularity * (i as u64);

@@ -118,8 +118,7 @@ impl CtxqStage {
         if self.cfg.platform.hw_dma {
             ctx.send(self.engine, d, dma_req(bytes, dir, ctx.self_id(), token));
         } else {
-            let to = ctx.self_id();
-            ctx.wake(d, flextoe_sim::XferDone { token, to });
+            ctx.wake(d, flextoe_sim::XferDone { token });
         }
     }
 

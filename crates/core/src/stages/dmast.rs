@@ -96,14 +96,7 @@ impl DmaStage {
         } else {
             // software copy: the stage core does the move itself
             let d = self.exec(ctx, costs::DMA_STAGE + self.sw_copy_cost(bytes));
-            let to = ctx.self_id();
-            ctx.wake(
-                d,
-                XferDone {
-                    token: slot as u64,
-                    to,
-                },
-            );
+            ctx.wake(d, XferDone { token: slot as u64 });
         }
     }
 
@@ -266,14 +259,7 @@ impl DmaStage {
                     Plan::Issue(bytes, dir) => self.issue(ctx, slot, bytes, dir),
                     Plan::TxZeroLen => {
                         let d = self.exec(ctx, costs::DMA_STAGE);
-                        let to = ctx.self_id();
-                        ctx.wake(
-                            d,
-                            XferDone {
-                                token: slot as u64,
-                                to,
-                            },
-                        );
+                        ctx.wake(d, XferDone { token: slot as u64 });
                     }
                     Plan::Finish => {
                         let work = pool.retire(slot);

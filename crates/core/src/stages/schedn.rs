@@ -104,6 +104,13 @@ impl SchedNode {
                 return; // an earlier-or-equal tick is already pending
             }
         }
+        if self.carousel.is_idle() {
+            // no flow to pop: the next FsUpdate or SchedCtl pumps again
+            // (the Carousel's rotation is path-independent, so the tick
+            // skipped here would have changed nothing)
+            self.armed = None;
+            return;
+        }
         self.armed = Some(at);
         ctx.send_at(ctx.self_id(), at, Tick);
     }
@@ -144,5 +151,78 @@ impl Node for SchedNode {
 
     fn name(&self) -> String {
         "sched".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::segment::shared_work_pool;
+    use crate::stages::PipeCfg;
+    use flextoe_sim::{FsUpdate, SchedCtl, Sim};
+    use std::rc::Rc;
+
+    /// Logs when TX triggers reach the sequencer.
+    struct Seqr {
+        at: Vec<Time>,
+    }
+    impl Node for Seqr {
+        fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            let Msg::Work(_) = msg else {
+                flextoe_sim::mismatch("Work", &msg)
+            };
+            self.at.push(ctx.now());
+        }
+    }
+
+    /// A scheduler with connection 0 registered at time zero.
+    fn sched_with_one_conn() -> (Sim, NodeId, NodeId) {
+        let mut sim = Sim::new(1);
+        let seqr = sim.add_node(Seqr { at: vec![] });
+        let cfg = Rc::new(PipeCfg::agilio_full());
+        let sched = sim.add_node(SchedNode::new(cfg, shared_work_pool(), seqr));
+        sim.schedule(Time::ZERO, sched, SchedCtl::Register { conn: 0, group: 0 });
+        (sim, sched, seqr)
+    }
+
+    /// A trigger that empties the Carousel arms no tick: the only
+    /// deliveries are the registration, the update and the one trigger.
+    #[test]
+    fn trigger_that_empties_the_carousel_arms_no_tick() {
+        let (mut sim, sched, seqr) = sched_with_one_conn();
+        let update = FsUpdate {
+            conn: 0,
+            sendable: 64,
+        };
+        sim.schedule(Time::from_us(1), sched, update);
+        sim.run();
+        assert_eq!(sim.node_ref::<Seqr>(seqr).at.len(), 1);
+        assert_eq!(sim.events_processed(), 3);
+    }
+
+    /// A paced flow keeps its polling ticks: three MSS at ~1 Gbit/s leave
+    /// as three triggers at least one pacing interval apart.
+    #[test]
+    fn paced_flow_still_rearms() {
+        let (mut sim, sched, seqr) = sched_with_one_conn();
+        let rate = SchedCtl::SetRate {
+            conn: 0,
+            interval_ps_per_byte: 8_000,
+        };
+        sim.schedule(Time::ZERO, sched, rate);
+        let mss = PipeCfg::agilio_full().mss;
+        let update = FsUpdate {
+            conn: 0,
+            sendable: 3 * mss,
+        };
+        sim.schedule(Time::from_us(1), sched, update);
+        sim.run();
+        let at = &sim.node_ref::<Seqr>(seqr).at;
+        assert_eq!(at.len(), 3);
+        let interval = Duration::from_ps(u64::from(mss) * 8_000);
+        assert!(
+            at.windows(2).all(|w| w[1].since(w[0]) >= interval),
+            "{at:?}"
+        );
     }
 }

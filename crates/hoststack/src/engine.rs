@@ -95,6 +95,13 @@ struct PendingPassive {
     port: u16,
 }
 
+/// What one RTO scan does to a connection once the scan is over.
+enum RtoAction {
+    Reclaim,
+    Retx,
+    Abort,
+}
+
 pub struct HostStackNode {
     pub kind: StackKind,
     costs: StackCosts,
@@ -119,6 +126,8 @@ pub struct HostStackNode {
     arp: FxHashMap<Ip4, MacAddr>,
     next_port: u16,
     rto_armed: bool,
+    /// The RTO scan's work list, kept between scans for its storage.
+    rto_fire: Vec<(u32, RtoAction)>,
     /// Lock-contention multiplier (set by multi-core experiments).
     pub n_app_cores: u32,
     /// Payload-copy cycles per byte (socket-buffer copies; §E's
@@ -178,6 +187,7 @@ impl HostStackNode {
             arp: FxHashMap::default(),
             next_port: 42_000,
             rto_armed: false,
+            rto_fire: Vec::new(),
             n_app_cores: 1,
             copy_cycles_per_byte: 0.07,
             rx_packets: 0,
@@ -724,18 +734,13 @@ impl HostStackNode {
     }
 
     fn rto_scan(&mut self, ctx: &mut Ctx<'_>) {
-        enum Action {
-            Reclaim,
-            Retx,
-            Abort,
-        }
         let now = ctx.now();
-        let mut fire = Vec::new();
+        let mut fire = std::mem::take(&mut self.rto_fire);
         for (id, slot) in self.conns.iter_mut().enumerate() {
             let Some(c) = slot else { continue };
             // fully closed -> reclaim
             if c.ps.fin_received && c.ps.fin_sent && !c.ps.fin_pending && c.ps.tx_sent == 0 {
-                fire.push((id as u32, Action::Reclaim));
+                fire.push((id as u32, RtoAction::Reclaim));
                 continue;
             }
             if c.ps.tx_sent == 0 {
@@ -756,23 +761,24 @@ impl HostStackNode {
             if now.saturating_since(c.stall_since) >= rto {
                 if c.backoff >= RTO_GIVE_UP {
                     // blackholed: the retry budget is spent
-                    fire.push((id as u32, Action::Abort));
+                    fire.push((id as u32, RtoAction::Abort));
                     continue;
                 }
                 c.stall_since = now;
                 c.backoff += 1;
                 c.ssthresh = (c.cwnd / 2).max(2 * MSS);
                 c.cwnd = 2 * MSS;
-                fire.push((id as u32, Action::Retx));
+                fire.push((id as u32, RtoAction::Retx));
             }
         }
-        for (id, action) in fire {
+        for (id, action) in fire.drain(..) {
             match action {
-                Action::Reclaim => self.teardown(id),
-                Action::Retx => self.retransmit(ctx, id, false), // RTO is always go-back-N
-                Action::Abort => self.abort(ctx, id),
+                RtoAction::Reclaim => self.teardown(id),
+                RtoAction::Retx => self.retransmit(ctx, id, false), // RTO is always go-back-N
+                RtoAction::Abort => self.abort(ctx, id),
             }
         }
+        self.rto_fire = fire;
         self.syn_scan(ctx, now);
         if self.conns.iter().any(|c| c.is_some()) || !self.active.is_empty() {
             ctx.wake(Duration::from_ms(1), Tick);

@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use flextoe_sim::{CounterHandle, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Stats};
+use flextoe_sim::{CounterHandle, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Stats, TxGate};
 use flextoe_telemetry::SwitchSketch;
 use flextoe_wire::{
     ecmp_basis, ecmp_hash_with_basis, Ecn, Frame, FrameMeta, Ip4, Ipv4Packet, MacAddr, ETH_HDR_LEN,
@@ -78,7 +78,9 @@ struct Port {
     to: NodeId,
     queue: VecDeque<Frame>,
     queue_bytes: usize,
-    transmitting: bool,
+    /// Serialization state; the port wakes itself only to start a frame
+    /// queued behind the one on the wire.
+    tx: TxGate,
     /// Port health: a down port is excluded from ECMP finalization and
     /// transmits nothing; taking it down flushes its output queue.
     up: bool,
@@ -256,7 +258,7 @@ impl Switch {
             to,
             queue: VecDeque::new(),
             queue_bytes: 0,
-            transmitting: false,
+            tx: TxGate::default(),
             up: true,
             tx_frames: 0,
             drops: 0,
@@ -421,24 +423,29 @@ impl Switch {
     }
 
     fn start_tx(&mut self, ctx: &mut Ctx<'_>, port: usize) {
+        let now = ctx.now();
         let p = &mut self.ports[port];
-        if p.transmitting || !p.up {
+        if !p.up {
             return;
         }
-        let Some(frame) = p.queue.pop_front() else {
-            return;
-        };
-        p.occ_update(ctx.now().as_ns());
-        p.queue_bytes -= frame.len();
-        p.transmitting = true;
-        p.tx_frames += 1;
-        // a limping switch serializes N× slower on every port — reduced
-        // effective rate is the gray signature (forwarding latency is
-        // charged on the adjacent links, so rate is the right lever here)
-        let d = Self::serialize(&p.cfg, frame.len()) * self.limp.max(1) as u64;
-        ctx.send(p.to, d, frame);
-        // self-wake token: serialization on `port` finished
-        ctx.wake(d, port as u64);
+        if !p.tx.busy(now) {
+            if let Some(frame) = p.queue.pop_front() {
+                p.occ_update(now.as_ns());
+                p.queue_bytes -= frame.len();
+                p.tx_frames += 1;
+                // a limping switch serializes N× slower on every port —
+                // reduced effective rate is the gray signature (forwarding
+                // latency is charged on the adjacent links, so rate is the
+                // right lever here)
+                let d = Self::serialize(&p.cfg, frame.len()) * self.limp.max(1) as u64;
+                p.tx.start(now, d);
+                ctx.send(p.to, d, frame);
+            }
+        }
+        if !p.queue.is_empty() {
+            // the wake at the end of this frame starts the next one
+            p.tx.arm(ctx, port as u64);
+        }
     }
 
     fn enqueue(
@@ -632,9 +639,9 @@ impl Node for Switch {
         let counters = self.counters.expect("switch attached to a sim");
         let frame = match msg {
             Msg::Token(port) => {
-                // always clear the serialization state — a kill between
-                // send and Token must not wedge the port forever
-                self.ports[port as usize].transmitting = false;
+                // the frame on the wire finished and another one waits
+                // (unless a kill or port-down flushed it meanwhile)
+                self.ports[port as usize].tx.woke(ctx.now());
                 self.start_tx(ctx, port as usize);
                 return;
             }
@@ -666,11 +673,9 @@ impl Node for Switch {
         let dst = MacAddr(frame.bytes()[0..6].try_into().unwrap());
         match self.mac_table.get(&dst) {
             Some(&port) if self.ports[port].up => {
-                // model forwarding latency by delaying our own enqueue via
-                // a self-send would re-order against PortDone; charge it on
-                // the wire instead: enqueue now, the egress serialization
-                // dominates. (The 500ns forwarding latency is added by the
-                // adjacent links in topology builders.)
+                // forwarding latency is not a self-delay here: the
+                // topology builders add the 500 ns to the adjacent links,
+                // and the frame enqueues at once
                 self.enqueue(ctx, port, frame, counters);
             }
             Some(_) => {
@@ -734,7 +739,7 @@ impl Node for Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flextoe_sim::{Sim, Time};
+    use flextoe_sim::{QueueKind, Sim, Time};
     use flextoe_wire::{Ecn, SegmentSpec, SegmentView};
 
     struct Probe {
@@ -786,6 +791,114 @@ mod tests {
         let ser_ns = (flen as u64 * 8) / 10; // bits / 10Gbps in ns
         assert_eq!(p.frames[0].0, ser_ns);
         assert_eq!(p.frames[1].0, 2 * ser_ns);
+    }
+
+    const QUEUES: [QueueKind; 2] = [QueueKind::Wheel, QueueKind::Heap];
+
+    /// Passes every frame it is handed on to `to` in the same instant,
+    /// so the frame reaches `to` under this node's band.
+    struct Feeder {
+        to: flextoe_sim::NodeId,
+    }
+    impl Node for Feeder {
+        fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            ctx.send(self.to, Duration::ZERO, msg);
+        }
+    }
+
+    /// A small frame occupies the 10G port until `end`; at exactly `end`
+    /// two feeders hand the switch a 100 B- and a 300 B-payload frame.
+    /// Returns the port's peak occupancy and the probe's arrival times.
+    fn frames_at_tx_end(feeders_below: bool, kind: QueueKind) -> (usize, usize, Vec<u64>) {
+        let cfg = PortConfig {
+            rate_bps: 10_000_000_000,
+            ..Default::default()
+        };
+        let mut sim = Sim::with_queue(1, kind);
+        let feeders = |sim: &mut Sim| [sim.reserve_node(), sim.reserve_node()];
+        let below = feeders_below.then(|| feeders(&mut sim));
+        let probe = sim.add_node(Probe { frames: vec![] });
+        let mut sw = Switch::new();
+        let port = sw.add_port(probe, cfg);
+        sw.learn(MacAddr::local(2), port);
+        let swid = sim.add_node(sw);
+        let ids = below.unwrap_or_else(|| feeders(&mut sim));
+        for id in ids {
+            sim.fill_node(id, Feeder { to: swid });
+        }
+        let first = tcp_frame(Ecn::NotEct, 0);
+        let end = Time::ZERO + Switch::serialize(&cfg, first.len());
+        sim.schedule(Time::ZERO, swid, Frame::raw(first));
+        let (a, b) = (tcp_frame(Ecn::NotEct, 100), tcp_frame(Ecn::NotEct, 300));
+        let lens = (a.len(), b.len());
+        sim.schedule(end, ids[0], Frame::raw(a));
+        sim.schedule(end, ids[1], Frame::raw(b));
+        sim.run();
+        let (peak, _) = sim.node_ref::<Switch>(swid).queue_occupancy(port, 1);
+        let arrivals = sim.node_ref::<Probe>(probe).frames.iter().map(|f| f.0);
+        (peak, lens.0 + lens.1, arrivals.collect())
+    }
+
+    /// The tie rule at `end`: senders with lower node ids than the switch
+    /// are delivered before the end-of-frame wake and find the port busy,
+    /// so both frames queue; senders with higher ids find it idle, so the
+    /// first one starts at once and only the second queues. Timing is the
+    /// same either way.
+    #[test]
+    fn frames_at_tx_end_see_the_port_busy_only_from_lower_ids() {
+        for kind in QUEUES {
+            let (below_peak, both, below_times) = frames_at_tx_end(true, kind);
+            assert_eq!(
+                below_peak, both,
+                "{kind:?}: lower ids queue behind the wire"
+            );
+            let (above_peak, _, above_times) = frames_at_tx_end(false, kind);
+            let second = tcp_frame(Ecn::NotEct, 300).len();
+            assert_eq!(
+                above_peak, second,
+                "{kind:?}: higher ids find the port idle"
+            );
+            assert_eq!(below_times, above_times);
+            assert_eq!(below_times.len(), 3);
+        }
+    }
+
+    /// Wake on demand: frames that find the port idle leave without a
+    /// self-event; a burst takes one wake per frame queued behind another
+    /// and still drains in FIFO order at line rate.
+    #[test]
+    fn port_wakes_only_for_queued_frames() {
+        for kind in QUEUES {
+            let cfg = PortConfig {
+                rate_bps: 10_000_000_000,
+                ..Default::default()
+            };
+            let mut sim = Sim::with_queue(1, kind);
+            let probe = sim.add_node(Probe { frames: vec![] });
+            let mut sw = Switch::new();
+            let port = sw.add_port(probe, cfg);
+            sw.learn(MacAddr::local(2), port);
+            let sw = sim.add_node(sw);
+            for i in 0..10 {
+                sim.schedule(Time::from_us(i), sw, Frame::raw(tcp_frame(Ecn::NotEct, 64)));
+            }
+            sim.run();
+            assert_eq!(sim.events_processed(), 10 + 10, "{kind:?}: spaced frames");
+
+            let burst: Vec<Vec<u8>> = (1..=5).map(|i| tcp_frame(Ecn::NotEct, 100 * i)).collect();
+            let start = sim.now() + Duration::from_us(1);
+            for f in &burst {
+                sim.schedule(start, sw, Frame::raw(f.clone()));
+            }
+            sim.run();
+            assert_eq!(sim.events_processed(), 20 + 5 + 5 + 4, "{kind:?}: burst");
+            let got = &sim.node_ref::<Probe>(probe).frames[10..];
+            let mut at = start;
+            for (f, (ns, bytes)) in burst.iter().zip(got) {
+                at += Switch::serialize(&cfg, f.len());
+                assert_eq!((*ns, bytes), (at.as_ns(), f), "{kind:?}: FIFO at line rate");
+            }
+        }
     }
 
     #[test]

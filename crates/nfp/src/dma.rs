@@ -8,16 +8,19 @@
 //! DMA completion.
 //!
 //! Requests arrive as typed [`Msg::Xfer`] messages carrying a `u64`
-//! continuation token; completions return as [`Msg::XferDone`] — both
-//! allocation-free. Requesters keep their continuation state in their own
-//! pending tables (usually the work-pool slot index doubles as the token).
+//! continuation token. Admission fixes a transfer's completion instant, so
+//! the engine sends [`Msg::XferDone`] straight to the requester for that
+//! instant — one event per transfer, both allocation-free. Requesters keep
+//! their continuation state in their own pending tables (usually the
+//! work-pool slot index doubles as the token). The engine wakes itself
+//! only while requests wait for an in-flight slot.
 //!
 //! On the x86/BlueField ports there is no DMA engine: payload is copied
 //! through shared memory on the stage's own core (§E).
 
 use std::collections::VecDeque;
 
-use flextoe_sim::{Ctx, Duration, Msg, Node, Time, XferDone, XferReq};
+use flextoe_sim::{Ctx, Duration, Msg, Node, Tick, Time, XferDone, XferReq};
 
 use crate::params::PcieParams;
 
@@ -51,9 +54,14 @@ pub struct DmaEngine {
     pcie: PcieParams,
     /// When the shared PCIe data link frees up.
     link_free: Time,
-    inflight: usize,
+    /// Completion instants of the transfers holding an in-flight slot,
+    /// one FIFO per direction. `link_free` only grows and each direction
+    /// has a fixed latency, so each FIFO is non-decreasing.
+    reads: VecDeque<Time>,
+    writes: VecDeque<Time>,
+    /// Requests waiting for a slot, admitted in arrival order. A wake at
+    /// the earliest completion is queued exactly while this is non-empty.
     pending: VecDeque<XferReq>,
-    pub completed: u64,
     pub bytes_moved: u64,
 }
 
@@ -62,9 +70,9 @@ impl DmaEngine {
         DmaEngine {
             pcie,
             link_free: Time::ZERO,
-            inflight: 0,
+            reads: VecDeque::new(),
+            writes: VecDeque::new(),
             pending: VecDeque::new(),
-            completed: 0,
             bytes_moved: 0,
         }
     }
@@ -77,27 +85,49 @@ impl DmaEngine {
         )
     }
 
+    fn in_flight(&self) -> usize {
+        self.reads.len() + self.writes.len()
+    }
+
+    /// Free the slots of transfers complete at `now`. A completion at
+    /// exactly `now` keeps its slot until the engine's wake for `now` has
+    /// run (`woken`): events from lower node ids precede that wake and
+    /// must still see the slot taken, the same tie rule as
+    /// [`flextoe_sim::TxGate`].
+    fn retire(&mut self, now: Time, woken: bool) {
+        for done in [&mut self.reads, &mut self.writes] {
+            while done
+                .front()
+                .is_some_and(|&t| t < now || (woken && t == now))
+            {
+                done.pop_front();
+            }
+        }
+    }
+
+    /// Wake at the earliest completion (requests wait only while every
+    /// slot is taken, so there is one).
+    fn wake_at_earliest(&self, ctx: &mut Ctx<'_>) {
+        let earliest = self.reads.front().into_iter().chain(self.writes.front());
+        if let Some(&at) = earliest.min() {
+            ctx.send_at(ctx.self_id(), at, Tick);
+        }
+    }
+
     fn admit(&mut self, ctx: &mut Ctx<'_>, req: XferReq) {
-        let now = ctx.now();
-        let start = self.link_free.max(now);
+        let start = self.link_free.max(ctx.now());
         let xfer_end = start + self.xfer_time(req.bytes as usize);
         self.link_free = xfer_end;
-        let latency = if req.write {
-            self.pcie.write_latency
+        let (latency, in_dir) = if req.write {
+            (self.pcie.write_latency, &mut self.writes)
         } else {
-            self.pcie.read_latency
+            (self.pcie.read_latency, &mut self.reads)
         };
         let done = xfer_end + latency;
-        self.inflight += 1;
+        debug_assert!(in_dir.back().is_none_or(|&t| t <= done));
+        in_dir.push_back(done);
         self.bytes_moved += req.bytes as u64;
-        ctx.send_at(
-            ctx.self_id(),
-            done,
-            XferDone {
-                token: req.token,
-                to: req.reply_to,
-            },
-        );
+        ctx.send_at(req.reply_to, done, XferDone { token: req.token });
     }
 }
 
@@ -105,20 +135,26 @@ impl Node for DmaEngine {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         match msg {
             Msg::Xfer(req) => {
-                if self.inflight >= self.pcie.max_inflight {
-                    self.pending.push_back(req);
-                } else {
+                self.retire(ctx.now(), false);
+                if self.in_flight() < self.pcie.max_inflight {
                     self.admit(ctx, req);
+                    return;
+                }
+                self.pending.push_back(req);
+                if self.pending.len() == 1 {
+                    self.wake_at_earliest(ctx);
                 }
             }
-            Msg::XferDone(done) => {
-                self.inflight -= 1;
-                self.completed += 1;
-                ctx.send(done.to, Duration::ZERO, done);
-                if self.inflight < self.pcie.max_inflight {
-                    if let Some(req) = self.pending.pop_front() {
-                        self.admit(ctx, req);
-                    }
+            Msg::Tick => {
+                self.retire(ctx.now(), true);
+                while self.in_flight() < self.pcie.max_inflight {
+                    let Some(req) = self.pending.pop_front() else {
+                        break;
+                    };
+                    self.admit(ctx, req);
+                }
+                if !self.pending.is_empty() {
+                    self.wake_at_earliest(ctx);
                 }
             }
             m => panic!("dma-engine: unexpected message {}", m.variant_name()),
@@ -189,6 +225,9 @@ mod tests {
             sim.schedule(Time::ZERO, dma, dma_req(16_384, DmaDir::NicToHost, sink, i));
         }
         sim.run();
+        // one delivery per request and one per completion: below the
+        // in-flight cap the engine never wakes itself
+        assert_eq!(sim.events_processed(), 20);
         let toks = &sim.node_ref::<Sink>(sink).tokens;
         assert_eq!(toks.len(), 10);
         // 10 * 16KiB at 7.88 GB/s ≈ 20.8us of serialization; last completion
@@ -210,9 +249,63 @@ mod tests {
             sim.schedule(Time::ZERO, dma, dma_req(4096, DmaDir::HostToNic, sink, i));
         }
         sim.run();
-        let eng = sim.node_ref::<DmaEngine>(dma);
-        assert_eq!(eng.completed, 5);
-        assert_eq!(eng.bytes_moved, 5 * 4096);
+        assert_eq!(sim.node_ref::<DmaEngine>(dma).bytes_moved, 5 * 4096);
         assert_eq!(sim.node_ref::<Sink>(sink).tokens.len(), 5);
+    }
+
+    /// Sends a 64 B write carrying the token it is woken with, from its
+    /// own handler (so the request carries this node's band), and logs
+    /// completions as `(ps, token)`.
+    struct Requester {
+        dma: NodeId,
+        done: Vec<(u64, u64)>,
+    }
+    impl Node for Requester {
+        fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            match msg {
+                Msg::Token(token) => ctx.send(
+                    self.dma,
+                    Duration::ZERO,
+                    dma_req(64, DmaDir::NicToHost, ctx.self_id(), token),
+                ),
+                Msg::XferDone(done) => self.done.push((ctx.now().ps(), done.token)),
+                m => panic!("requester: unexpected {}", m.variant_name()),
+            }
+        }
+    }
+
+    /// A request arriving at exactly a completion instant queues behind
+    /// the one already waiting, whether its sender's node id is below the
+    /// engine's (it precedes the engine's wake for that instant and must
+    /// see the slot still taken) or above it (it follows the wake).
+    #[test]
+    fn request_at_a_completion_instant_waits_its_turn() {
+        // 64 B at 7.88 GB/s: ceil(64e12 / 7.88e9) = 8,122 ps on the link,
+        // then the 450 ns write latency
+        const XFER: u64 = 8_122;
+        const LAT: u64 = 450_000;
+        let a_done = XFER + LAT; // [0, XFER] on the link
+        let b_done = 2 * XFER + LAT; // [XFER, 2 XFER]
+        let c_done = a_done + XFER + LAT; // admitted when A completes
+        let d_done = b_done + XFER + LAT; // admitted when B completes
+        for requester_below in [true, false] {
+            let mut pcie = agilio_cx40().pcie;
+            pcie.max_inflight = 2;
+            let mut sim = Sim::new(1);
+            let (lo, hi) = (sim.reserve_node(), sim.reserve_node());
+            let (req, dma) = if requester_below { (lo, hi) } else { (hi, lo) };
+            sim.fill_node(dma, DmaEngine::new(pcie));
+            sim.fill_node(req, Requester { dma, done: vec![] });
+            for token in 0..3u64 {
+                sim.schedule(Time::ZERO, dma, dma_req(64, DmaDir::NicToHost, req, token));
+            }
+            sim.schedule(Time(a_done), req, 3u64);
+            sim.run();
+            assert_eq!(
+                sim.node_ref::<Requester>(req).done,
+                vec![(a_done, 0), (b_done, 1), (c_done, 2), (d_done, 3)],
+                "requester below the engine: {requester_below}"
+            );
+        }
     }
 }

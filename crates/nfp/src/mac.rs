@@ -3,9 +3,12 @@
 //! Egress frames serialize at line rate (40 Gbps on the Agilio CX40);
 //! ingress frames are handed to the pipeline entry (the sequencer) after a
 //! small fixed NBI latency. "After DMA completes, it issues the segment to
-//! the NBI (TX), which transmits and frees it" (§3.1.2).
+//! the NBI (TX), which transmits and frees it" (§3.1.2). The port wakes
+//! itself only when a frame waits behind the one on the wire
+//! ([`TxGate`]); a frame reaching an idle port leaves without a
+//! self-event.
 
-use flextoe_sim::{BoundedQueue, CounterHandle, Ctx, Duration, Msg, Node, NodeId, Stats, Time};
+use flextoe_sim::{BoundedQueue, CounterHandle, Ctx, Duration, Msg, Node, NodeId, Stats, TxGate};
 use flextoe_wire::Frame;
 
 /// A frame submitted by the data-path for transmission (re-exported from
@@ -15,7 +18,7 @@ pub use flextoe_sim::MacTx;
 /// Ingress handoff latency (NBI packet-buffer to first pipeline stage).
 const NBI_INGRESS_LATENCY: Duration = Duration::from_ns(120);
 
-/// Self-wake token: current egress serialization finished.
+/// Self-wake token: the frame on the wire finished and another waits.
 const TOK_TX_DONE: u64 = 0;
 
 pub struct MacPort {
@@ -24,9 +27,8 @@ pub struct MacPort {
     pub wire_out: NodeId,
     /// Where ingress frames go (pipeline entry / sequencer).
     pub rx_to: NodeId,
-    egress_free: Time,
     egress_q: BoundedQueue<Frame>,
-    transmitting: bool,
+    tx: TxGate,
     pub tx_frames: u64,
     pub tx_bytes: u64,
     pub rx_frames: u64,
@@ -40,9 +42,8 @@ impl MacPort {
             bps,
             wire_out,
             rx_to,
-            egress_free: Time::ZERO,
             egress_q: BoundedQueue::new(4096),
-            transmitting: false,
+            tx: TxGate::default(),
             tx_frames: 0,
             tx_bytes: 0,
             rx_frames: 0,
@@ -56,20 +57,21 @@ impl MacPort {
     }
 
     fn start_tx(&mut self, ctx: &mut Ctx<'_>) {
-        if self.transmitting {
-            return;
+        let now = ctx.now();
+        if !self.tx.busy(now) {
+            if let Some(frame) = self.egress_q.pop() {
+                let d = self.serialize_time(frame.len());
+                self.tx_frames += 1;
+                self.tx_bytes += frame.len() as u64;
+                self.tx.start(now, d);
+                // The frame "appears on the wire" when serialization completes.
+                ctx.send(self.wire_out, d, frame);
+            }
         }
-        let Some(frame) = self.egress_q.pop() else {
-            return;
-        };
-        self.transmitting = true;
-        let d = self.serialize_time(frame.len());
-        self.tx_frames += 1;
-        self.tx_bytes += frame.len() as u64;
-        self.egress_free = ctx.now() + d;
-        // The frame "appears on the wire" when serialization completes.
-        ctx.send(self.wire_out, d, frame);
-        ctx.wake(d, TOK_TX_DONE);
+        if !self.egress_q.is_empty() {
+            // the wake at the end of this frame starts the next one
+            self.tx.arm(ctx, TOK_TX_DONE);
+        }
     }
 }
 
@@ -84,7 +86,7 @@ impl Node for MacPort {
                 self.start_tx(ctx);
             }
             Msg::Token(TOK_TX_DONE) => {
-                self.transmitting = false;
+                self.tx.woke(ctx.now());
                 self.start_tx(ctx);
             }
             Msg::Frame(frame) => {
@@ -109,7 +111,9 @@ impl Node for MacPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flextoe_sim::{cast, Sim};
+    use flextoe_sim::{cast, QueueKind, Sim, Time};
+
+    const QUEUES: [QueueKind; 2] = [QueueKind::Wheel, QueueKind::Heap];
 
     struct Probe {
         frames: Vec<(u64, usize)>, // (ns, len)
@@ -171,5 +175,67 @@ mod tests {
             .map(|f| f.1)
             .collect();
         assert_eq!(lens, vec![100, 200, 300]);
+        // one wake per frame queued behind another, none for the first
+        assert_eq!(sim.events_processed(), 3 + 3 + 2);
+    }
+
+    /// Frames that find the port idle leave without a self-event.
+    #[test]
+    fn spaced_frames_need_no_wake() {
+        for kind in QUEUES {
+            let mut sim = Sim::with_queue(1, kind);
+            let wire = sim.add_node(Probe { frames: vec![] });
+            let mac = sim.add_node(MacPort::new(40_000_000_000, wire, wire));
+            for i in 0..10 {
+                sim.schedule(Time::from_us(i), mac, MacTx(Frame::raw(vec![0; 64])));
+            }
+            sim.run();
+            assert_eq!(sim.node_ref::<Probe>(wire).frames.len(), 10);
+            assert_eq!(sim.events_processed(), 10 + 10, "{kind:?}");
+        }
+    }
+
+    /// Passes every message on to `to` in the same instant, so it reaches
+    /// `to` under this node's band.
+    struct Feeder {
+        to: NodeId,
+    }
+    impl Node for Feeder {
+        fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            ctx.send(self.to, Duration::ZERO, msg);
+        }
+    }
+
+    /// The tie rule at the end of a frame (see [`TxGate`]): two frames
+    /// handed over at exactly that instant by feeders with lower node ids
+    /// than the MAC both queue (the end-of-frame wake follows them);
+    /// from higher ids the first finds the port idle. Wire times agree.
+    #[test]
+    fn frames_at_tx_end_see_the_port_busy_only_from_lower_ids() {
+        for kind in QUEUES {
+            let run = |feeders_below: bool| {
+                let mut sim = Sim::with_queue(1, kind);
+                let feeders = |sim: &mut Sim| [sim.reserve_node(), sim.reserve_node()];
+                let below = feeders_below.then(|| feeders(&mut sim));
+                let wire = sim.add_node(Probe { frames: vec![] });
+                let port = MacPort::new(10_000_000_000, wire, wire);
+                let end = Time::ZERO + port.serialize_time(64);
+                let mac = sim.add_node(port);
+                let ids = below.unwrap_or_else(|| feeders(&mut sim));
+                for id in ids {
+                    sim.fill_node(id, Feeder { to: mac });
+                }
+                sim.schedule(Time::ZERO, mac, MacTx(Frame::raw(vec![0; 64])));
+                sim.schedule(end, ids[0], MacTx(Frame::raw(vec![0; 100])));
+                sim.schedule(end, ids[1], MacTx(Frame::raw(vec![0; 300])));
+                sim.run();
+                let wire = sim.node_ref::<Probe>(wire).frames.clone();
+                (sim.node_ref::<MacPort>(mac).egress_q.high_water, wire)
+            };
+            let (below, below_wire) = run(true);
+            let (above, above_wire) = run(false);
+            assert_eq!((below, above), (2, 1), "{kind:?}: queue high-water");
+            assert_eq!(below_wire, above_wire, "{kind:?}");
+        }
     }
 }

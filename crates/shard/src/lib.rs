@@ -95,7 +95,7 @@ impl Partition {
 /// run. `windows` and `envelopes` depend only on the event schedule and
 /// partition (identical across repeat runs); `blocked_ns` is wall time
 /// each worker spent parked waiting for its next command and belongs in
-/// the strippable wall block of any BENCH artifact.
+/// the host block (`BENCH_<name>.host.json`), never in an artifact body.
 #[derive(Clone, Debug, Default)]
 pub struct SyncStats {
     /// Barrier rounds executed (each advances every shard one window).

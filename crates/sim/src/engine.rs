@@ -134,12 +134,10 @@ pub struct XferReq {
     pub token: u64,
 }
 
-/// Completion of an [`XferReq`]. `to` is the requester the engine routes
-/// the completion to (receivers can ignore it).
+/// Completion of an [`XferReq`], delivered to its `reply_to`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct XferDone {
     pub token: u64,
-    pub to: NodeId,
 }
 
 /// Flow-scheduler feedback: the authoritative sendable-byte count for a
@@ -241,7 +239,7 @@ pub enum Msg {
     Nbi(NbiFrame),
     /// Asynchronous transfer request (PCIe DMA).
     Xfer(XferReq),
-    /// Transfer completion token, routed back to the requester.
+    /// Transfer completion token, delivered to the requester.
     XferDone(XferDone),
     /// A small scalar token (self-wake markers, port ids, …).
     Token(u64),

@@ -36,6 +36,7 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod txgate;
 pub mod wheel;
 
 pub use engine::{
@@ -50,3 +51,4 @@ pub use queue::BoundedQueue;
 pub use rng::Rng;
 pub use stats::{CounterHandle, HistHandle, Stats};
 pub use time::{clocks, Clock, Duration, Time};
+pub use txgate::TxGate;
