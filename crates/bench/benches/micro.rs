@@ -69,12 +69,11 @@ fn bench_engine() {
     let (heap_typed, wheel_typed) = (by_queue[0], by_queue[1]);
 
     println!("-- switch: {SWITCH_FRAMES} frames through one ECMP leaf hop --");
-    for (name, tagged, sketched) in [
-        ("switch/forward_raw (reparse per hop)", false, false),
-        ("switch/forward_tagged (parse-once meta)", true, false),
-        ("switch/forward_sketched (telemetry armed)", true, true),
+    for (name, sketched) in [
+        ("switch/forward (one parse per hop)", false),
+        ("switch/forward_sketched (telemetry armed)", true),
     ] {
-        let fps = best_of(2, || switch_forwarding_fps(tagged, sketched));
+        let fps = best_of(2, || switch_forwarding_fps(sketched));
         println!("{name:<44} {:>10.2} M frames/s", fps / 1e6);
     }
 

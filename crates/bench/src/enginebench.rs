@@ -134,17 +134,15 @@ pub fn dispatch_events_per_sec(nodes: usize) -> f64 {
 //
 // Frames/s through one ECMP leaf hop: a pump cycles through a set of
 // pre-built flows, the switch routes each frame to one of two uplink
-// sinks, and the sinks recycle the buffers into the sim pool. `tagged`
-// selects the parse-once fast path (frames carry `FrameMeta`, as every
-// in-sim stack emits them) vs. the checked reparse path — the regression
-// guard for the fabric fast path. `sketched` additionally arms the
-// telemetry sketch on the forwarding path (no ground-truth map, no
-// sweeps — the marginal cost of the sketch update alone), the guard for
-// the <5% telemetry-overhead budget.
+// sinks, and the sinks recycle the buffers into the sim pool — the
+// regression guard for the fabric forwarding path, one header parse per
+// frame. `sketched` additionally arms the telemetry sketch on it (no
+// ground-truth map, no sweeps — the marginal cost of the sketch update
+// alone), the guard for the <5% telemetry-overhead budget.
 
 use flextoe_netsim::{PortConfig, Switch, TelemetrySpec};
 use flextoe_sim::Tick;
-use flextoe_wire::{Ecn, Frame, FrameMeta, Ip4, MacAddr, SegmentSpec};
+use flextoe_wire::{Ecn, Frame, Ip4, MacAddr, SegmentSpec};
 
 /// Frames pushed through the switch per measurement.
 pub const SWITCH_FRAMES: u64 = 1_000_000;
@@ -163,11 +161,10 @@ impl Node for SwitchSink {
 
 struct SwitchPump {
     sw: NodeId,
-    flows: Vec<(Vec<u8>, FrameMeta)>,
+    flows: Vec<Vec<u8>>,
     next_flow: usize,
     remaining: u64,
     gap: Duration,
-    tagged: bool,
 }
 
 impl Node for SwitchPump {
@@ -176,16 +173,11 @@ impl Node for SwitchPump {
             return;
         }
         self.remaining -= 1;
-        let (bytes, meta) = &self.flows[self.next_flow];
+        let bytes = &self.flows[self.next_flow];
         self.next_flow = (self.next_flow + 1) % self.flows.len();
         let mut buf = ctx.pool.take();
         buf.extend_from_slice(bytes);
-        let frame = if self.tagged {
-            Frame::tagged(buf, *meta)
-        } else {
-            Frame::raw(buf)
-        };
-        ctx.send(self.sw, Duration::ZERO, frame);
+        ctx.send(self.sw, Duration::ZERO, Frame::raw(buf));
         if self.remaining > 0 {
             ctx.wake(self.gap, Tick);
         }
@@ -193,7 +185,7 @@ impl Node for SwitchPump {
 }
 
 /// Frames/s of wall time through one leaf-spine hop.
-pub fn switch_forwarding_fps(tagged: bool, sketched: bool) -> f64 {
+pub fn switch_forwarding_fps(sketched: bool) -> f64 {
     let mut sim = Sim::with_queue(7, QueueKind::Wheel);
     let up0 = sim.add_node(SwitchSink);
     let up1 = sim.add_node(SwitchSink);
@@ -214,9 +206,9 @@ pub fn switch_forwarding_fps(tagged: bool, sketched: bool) -> f64 {
     }
     let sw = sim.add_node(sw);
 
-    let flows: Vec<(Vec<u8>, FrameMeta)> = (0..SWITCH_FLOWS)
+    let flows: Vec<Vec<u8>> = (0..SWITCH_FLOWS)
         .map(|i| {
-            let spec = SegmentSpec {
+            SegmentSpec {
                 src_mac: MacAddr::local(1),
                 dst_mac: MacAddr::local(2), // not in the MAC table: L3 route
                 src_ip: Ip4::host(1),
@@ -226,8 +218,8 @@ pub fn switch_forwarding_fps(tagged: bool, sketched: bool) -> f64 {
                 ecn: Ecn::Ect0,
                 payload_len: 64,
                 ..Default::default()
-            };
-            (spec.emit_zeroed(), spec.meta())
+            }
+            .emit_zeroed()
         })
         .collect();
     // 130-byte frames serialize in ~10ns at 100G; a 20ns gap keeps the
@@ -238,7 +230,6 @@ pub fn switch_forwarding_fps(tagged: bool, sketched: bool) -> f64 {
         next_flow: 0,
         remaining: SWITCH_FRAMES,
         gap: Duration::from_ns(20),
-        tagged,
     });
     sim.schedule(Time::ZERO, pump, Tick);
     let t0 = Instant::now();

@@ -6,7 +6,7 @@
 //!
 //! Three row kinds share `BENCH_telemetry.json`:
 //!
-//! * **accuracy** — a pump injects pre-built tagged frames for 1k→100k
+//! * **accuracy** — a pump injects pre-built frames for 1k→100k
 //!   synthetic flows straight into the switches (dst IP deliberately
 //!   unrouted: the fast path observes each frame, then flood-drops the
 //!   buffer back into the pool). Flow sizes follow a harmonic skew
@@ -38,7 +38,7 @@ use flextoe_telemetry::score_sketch;
 use flextoe_topo::{
     build_fabric, BuiltFabric, DynSessionClient, FaultTarget, Role, Scenario, Stack,
 };
-use flextoe_wire::{Frame, FrameMeta, Ip4, MacAddr, SegmentSpec};
+use flextoe_wire::{Frame, Ip4, MacAddr, SegmentSpec};
 
 use crate::driver::{has_rows, holds, Experiment, PointRun};
 use crate::faults::{
@@ -95,11 +95,10 @@ fn xorshift64(state: &mut u64) -> u64 {
 struct PumpFlow {
     to: NodeId,
     bytes: Vec<u8>,
-    meta: FrameMeta,
 }
 
 /// Paced frame injector: walks a pre-shuffled flow schedule, one pooled
-/// tagged frame per wake, straight into the switches.
+/// frame per wake, straight into the switches.
 struct AccuracyPump {
     flows: Vec<PumpFlow>,
     schedule: Vec<u32>,
@@ -116,7 +115,7 @@ impl Node for AccuracyPump {
         let fl = &self.flows[f as usize];
         let mut buf = ctx.pool.take();
         buf.extend_from_slice(&fl.bytes);
-        ctx.send(fl.to, Duration::ZERO, Frame::tagged(buf, fl.meta));
+        ctx.send(fl.to, Duration::ZERO, Frame::raw(buf));
         if self.pos < self.schedule.len() {
             ctx.wake(self.gap, Tick);
         }
@@ -227,7 +226,6 @@ fn run_accuracy(
             PumpFlow {
                 to: fab.switches[f as usize % N_SWITCHES],
                 bytes: seg.emit_zeroed(),
-                meta: seg.meta(),
             }
         })
         .collect();

@@ -334,7 +334,7 @@ impl ControlPlane {
         ctx.send(
             self.nic.mac,
             self.inject_latency(),
-            MacTx(Frame::parsed(frame)),
+            MacTx(Frame::raw(frame)),
         );
     }
 

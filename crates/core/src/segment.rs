@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use flextoe_nfp::PktBufPool;
 use flextoe_sim::Time;
-use flextoe_wire::{FourTuple, Frame, FrameMeta, Ip4, MacAddr, SegmentView};
+use flextoe_wire::{FourTuple, Frame, Ip4, MacAddr, SegmentView};
 
 use crate::hostmem::{AppToNic, SharedBuf, SharedCtxQueue};
 use crate::proto::{RxOutcome, RxSummary, TxSeg};
@@ -104,11 +104,9 @@ pub fn shared_conn_table(nic: NicConfig) -> SharedConnTable {
 /// A receive-workflow item (Figure 6).
 pub struct RxWork {
     pub frame: Vec<u8>,
-    /// Parse-once metadata that arrived with the frame (None for frames
-    /// whose bytes were mutated en route — corruption, XDP rewrites).
-    /// When present, the pre-processor's Val step trusts the emitter's
-    /// checksums instead of re-verifying.
-    pub meta: Option<FrameMeta>,
+    /// The frame arrived with [`Frame::corrupted`] set: the Val step
+    /// verifies its checksums.
+    pub corrupted: bool,
     /// Filled by pre-processing (Val/Id/Sum).
     pub view: Option<SegmentView>,
     pub summary: RxSummary,
@@ -116,7 +114,7 @@ pub struct RxWork {
     pub group: usize,
     /// Filled by the protocol stage (Win).
     pub outcome: Option<RxOutcome>,
-    /// Filled by post-processing (Ack/ECN/Stamp): a tagged, pooled frame.
+    /// Filled by post-processing (Ack/ECN/Stamp): a pooled frame.
     pub ack_frame: Option<Frame>,
     /// Assigned by the protocol stage when an ACK will be emitted.
     pub nbi_seq: Option<u64>,

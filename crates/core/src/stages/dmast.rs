@@ -195,8 +195,6 @@ impl DmaStage {
         spec.payload_len = seg.len as usize;
         let buf = self.seg_pool.borrow_mut().take();
         let tx_buf = entry.tx_buf.borrow();
-        // parse-once: the emitted frame carries its metadata so no fabric
-        // hop (switch routing, ECN marking, WRED) re-reads the headers
         let frame = spec.emit_frame_into(buf, |payload| tx_buf.read(seg.buf_pos, payload));
         drop(tx_buf);
         drop(table);

@@ -37,8 +37,6 @@ pub struct PipeCfg {
     pub threads_per_fpc: usize,
     /// Sequencing + reordering enabled (§3.2; ablation knob).
     pub reorder: bool,
-    /// Verify IP/TCP checksums on ingress (hardware offload on real NICs).
-    pub verify_checksums: bool,
     /// Table 2 "Statistics and profiling": all 48 tracepoints enabled.
     pub tracepoints: bool,
     /// FPCs running the flow scheduler.
@@ -68,7 +66,6 @@ impl PipeCfg {
             post_replicas: 2,
             threads_per_fpc: 8,
             reorder: true,
-            verify_checksums: true,
             tracepoints: false,
             sched_fpcs: 4,
             rx_buf_size: 64 * 1024,

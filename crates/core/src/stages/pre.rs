@@ -121,9 +121,6 @@ impl PreStage {
 
         // --- XDP / extension ingress modules (raw frame) ---
         if !self.ingress.is_empty() {
-            // modules may rewrite bytes arbitrarily: the carried metadata
-            // is no longer trustworthy, fall back to the checked path
-            w.meta = None;
             let (verdict, mcost) = self.ingress.run(ctx.now(), &mut w.frame);
             cost += mcost;
             match verdict {
@@ -141,7 +138,7 @@ impl PreStage {
                     fixup_checksums(&mut w.frame);
                     let frame = std::mem::take(&mut w.frame);
                     let d = self.exec(ctx, cost + costs::CHECKSUM);
-                    ctx.send(self.mac, d, MacTx(Frame::parsed(frame)));
+                    ctx.send(self.mac, d, MacTx(Frame::raw(frame)));
                     self.skip(ctx, pool, slot, entry_seq, d);
                     return;
                 }
@@ -158,12 +155,10 @@ impl PreStage {
         }
 
         // --- Val ---
-        // Frames that still carry emitter metadata are byte-identical to
-        // what a trusted in-sim stack emitted (corruption and module
-        // rewrites clear the tag), so their checksums were computed by us
-        // and re-verifying is pure wall-clock waste. Untagged frames take
-        // the checked slow path.
-        let verify = self.cfg.verify_checksums && w.meta.is_none();
+        // Every in-sim emitter fills its checksums, so only bytes changed
+        // since emission can fail them: a link corrupted the frame, or an
+        // ingress module may have rewritten it.
+        let verify = w.corrupted || !self.ingress.is_empty();
         let view = match SegmentView::parse(&w.frame, verify) {
             Ok(v) => v,
             Err(_) => {

@@ -159,7 +159,7 @@ impl SeqrNode {
                     return;
                 }
                 let slot = pool.alloc(Work::Rx(RxWork {
-                    meta: frame.meta,
+                    corrupted: frame.corrupted,
                     frame: frame.bytes,
                     view: None,
                     summary: Default::default(),

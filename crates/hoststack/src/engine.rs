@@ -232,8 +232,7 @@ impl HostStackNode {
         done.saturating_since(now)
     }
 
-    /// Transmit a frame, serialized on the NIC at line rate. The frame
-    /// arrives tagged with parse-once metadata by the spec that built it.
+    /// Transmit a frame, serialized on the NIC at line rate.
     fn emit(&mut self, ctx: &mut Ctx<'_>, after: Duration, frame: Frame) {
         self.tx_packets += 1;
         let bits = frame.len() as u64 * 8;
@@ -595,9 +594,9 @@ impl HostStackNode {
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
         self.rx_packets += 1;
-        // frames still carrying emitter metadata are byte-identical to
-        // what a trusted stack emitted: skip software checksum verify
-        let verify = frame.meta.is_none();
+        // every in-sim emitter fills its checksums: only a frame a link
+        // corrupted can fail them
+        let verify = frame.corrupted;
         let frame = frame.bytes;
         let Ok(view) = SegmentView::parse(&frame, verify) else {
             return;

@@ -224,10 +224,9 @@ impl Node for Link {
             let idx = ctx.rng.below(frame.len() as u64) as usize;
             let bit = 1u8 << ctx.rng.below(8);
             frame.bytes[idx] ^= bit;
-            // the bytes no longer match what the emitter computed: drop
-            // the parse-once tag so receivers take the checked slow path
-            // (and re-verify checksums, catching the corruption)
-            frame.meta = None;
+            // the bytes no longer match the emitter's checksums: mark the
+            // frame so its receiver verifies them and drops it
+            frame.corrupted = true;
             self.corrupted += 1;
             ctx.stats.inc(counters.corrupted);
         }
@@ -242,7 +241,7 @@ impl Node for Link {
             bytes.extend_from_slice(frame.bytes());
             let copy = Frame {
                 bytes,
-                meta: frame.meta,
+                corrupted: frame.corrupted,
             };
             self.duplicated += 1;
             ctx.stats.inc(counters.duplicated);
@@ -338,6 +337,45 @@ mod tests {
         let p = &sim.node_ref::<Probe>(probe).frames[0].1;
         let set_bits: u32 = p.iter().map(|b| b.count_ones()).sum();
         assert_eq!(set_bits, 1);
+    }
+
+    /// The corrupted mark is what makes a receiver verify checksums: a
+    /// flipped frame carries it, and so does its duplicate.
+    #[test]
+    fn corruption_marks_the_frame_and_its_duplicate() {
+        struct Marks(Vec<bool>);
+        impl Node for Marks {
+            fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
+                self.0.push(flextoe_sim::cast::<Frame>(msg).corrupted);
+            }
+        }
+        let mut sim = Sim::new(3);
+        let probe = sim.add_node(Marks(vec![]));
+        let link = sim.add_node(Link::with_faults(
+            probe,
+            Duration::ZERO,
+            Faults {
+                corrupt_chance: 1.0,
+                dup_chance: 1.0,
+                ..Default::default()
+            },
+        ));
+        sim.schedule(Time::ZERO, link, Frame::raw(vec![0u8; 32]));
+        sim.run();
+        assert_eq!(sim.node_ref::<Marks>(probe).0, vec![true, true]);
+
+        let clean = sim.add_node(Marks(vec![]));
+        let link = sim.add_node(Link::with_faults(
+            clean,
+            Duration::ZERO,
+            Faults {
+                dup_chance: 1.0,
+                ..Default::default()
+            },
+        ));
+        sim.schedule(sim.now(), link, Frame::raw(vec![0u8; 32]));
+        sim.run();
+        assert_eq!(sim.node_ref::<Marks>(clean).0, vec![false, false]);
     }
 
     #[test]

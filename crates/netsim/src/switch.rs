@@ -31,11 +31,10 @@ use crate::telemetry::{SetElephants, SweepNow, TelemetrySpec};
 /// seed. Deterministic for (flow, salt); different salts decorrelate
 /// switches so a fabric doesn't polarize onto one spine.
 ///
-/// Split into [`ecmp_basis`] (salt-independent, precomputed once into
-/// [`FrameMeta::flow_basis`] at frame emission) and
-/// [`ecmp_hash_with_basis`] (per-switch finalize) so forwarding never
-/// re-reads the headers; this composition is bit-identical to the
-/// historical whole-header hash.
+/// Split into [`ecmp_basis`] (salt-independent, computed by the hop's
+/// one parse into [`FrameMeta::flow_basis`], which the sketch shares) and
+/// [`ecmp_hash_with_basis`] (per-switch finalize); this composition is
+/// bit-identical to the historical whole-header hash.
 pub fn ecmp_hash(src_ip: Ip4, dst_ip: Ip4, src_port: u16, dst_port: u16, salt: u64) -> u64 {
     ecmp_hash_with_basis(ecmp_basis(src_ip, dst_ip, src_port, dst_port), salt)
 }
@@ -165,9 +164,9 @@ struct SwitchTelemetry {
 }
 
 impl SwitchTelemetry {
-    /// The fast-path update: one mix of the precomputed basis into both
-    /// sketches and the key table. No parse, no alloc, no new hash of
-    /// key material (`SwitchSketch::update` is multiply-shift only).
+    /// The fast-path update: one mix of the hop's flow basis into both
+    /// sketches and the key table. No alloc, no new hash of key material
+    /// (`SwitchSketch::update` is multiply-shift only).
     #[inline]
     fn observe(&mut self, basis: u64, len: u64) {
         self.sketch.update(basis, len);
@@ -289,8 +288,8 @@ impl Switch {
         self.ecmp_salt = salt;
     }
 
-    /// Attach the telemetry plane: sketch tagged frames on the
-    /// forwarding fast path, answer [`SweepNow`] with epoch reports to
+    /// Attach the telemetry plane: sketch every parseable IPv4 frame on
+    /// the forwarding path, answer [`SweepNow`] with epoch reports to
     /// `collector` (this switch is report index `index`), and — when
     /// `spec.hh_ecmp` — steer [`SetElephants`]-confirmed flows by rank.
     pub fn enable_telemetry(&mut self, index: u32, collector: NodeId, spec: &TelemetrySpec) {
@@ -319,31 +318,19 @@ impl Switch {
             .unwrap_or(&[])
     }
 
-    /// Resolve the egress port for an IP-routed frame, if a route exists.
-    /// Tagged frames route off their parse-once [`FrameMeta`] (no header
-    /// inspection); untagged frames take the checked reparse path. Both
-    /// feed the same hash, so for well-formed frames port selection is
-    /// byte-identical either way. The checked path is deliberately
-    /// stricter than the pre-metadata parser: frames whose L4 header
-    /// does not parse (e.g. a fault-corrupted TCP data offset) are no
-    /// longer routed on garbage port bytes — they count as `flooded` and
-    /// are dropped here instead of at the receiving host's checksum.
+    /// Resolve the egress port for an IP-routed frame from the hop's
+    /// parse, if a route exists. A frame that does not parse (`None`: not
+    /// IPv4, or an L4 header a fault corrupted) is not routed on garbage
+    /// port bytes — it counts as `flooded` and is dropped here instead of
+    /// at the receiving host's checksum.
     /// ECMP finalization excludes dead ports: while every candidate is
     /// live the pick is the historical hash (byte-identical fabrics when
     /// nothing has failed); a dead primary pick re-finalizes the same
     /// hash over the surviving candidates (flows stay path-stable for a
     /// given health state); no live candidate is a total blackhole.
-    fn route_port(&self, frame: &Frame) -> RouteOutcome {
-        let meta;
-        let m = match &frame.meta {
-            Some(m) => m,
-            None => match FrameMeta::parse(frame.bytes()) {
-                Some(parsed) => {
-                    meta = parsed;
-                    &meta
-                }
-                None => return RouteOutcome::NoRoute,
-            },
+    fn route_port(&self, meta: Option<&FrameMeta>) -> RouteOutcome {
+        let Some(m) = meta else {
+            return RouteOutcome::NoRoute;
         };
         let Some(candidates) = self.routes.get(&m.dst_ip) else {
             return RouteOutcome::NoRoute;
@@ -448,11 +435,14 @@ impl Switch {
         }
     }
 
+    /// Queue `frame` on `port`. `meta` is the hop's parse when it made
+    /// one; CE marking parses for itself otherwise.
     fn enqueue(
         &mut self,
         ctx: &mut Ctx<'_>,
         port: usize,
         mut frame: Frame,
+        meta: Option<FrameMeta>,
         counters: SwitchCounters,
     ) {
         let p = &mut self.ports[port];
@@ -480,7 +470,7 @@ impl Switch {
         }
         // DCTCP step marking: CE above K, for ECN-capable packets
         if let Some(k) = p.cfg.ecn_threshold {
-            if p.queue_bytes > k && mark_ce(&mut frame) {
+            if p.queue_bytes > k && mark_ce(&mut frame, meta) {
                 p.ecn_marked += 1;
                 ctx.stats.inc(counters.ecn_marked);
             }
@@ -592,39 +582,17 @@ impl Default for Switch {
     }
 }
 
-/// Set CE on an ECN-capable IPv4 frame; returns whether it was marked.
-/// Tagged frames decide off their metadata (one enum compare instead of
-/// a header parse); the rewrite updates bytes, checksum, *and* metadata
-/// so the carried summary stays equal to a reparse.
-fn mark_ce(frame: &mut Frame) -> bool {
-    match frame.meta {
-        Some(ref mut m) => match m.ecn {
-            Ecn::Ect0 | Ecn::Ect1 => {
-                let off = m.ip_off as usize;
-                let mut ip = Ipv4Packet(&mut frame.bytes[off..]);
-                ip.set_ecn(Ecn::Ce);
-                ip.fill_checksum();
-                m.ecn = Ecn::Ce;
-                true
-            }
-            Ecn::Ce => true,
-            Ecn::NotEct => false,
-        },
-        None => mark_ce_raw(&mut frame.bytes),
-    }
-}
-
-/// The checked slow path of [`mark_ce`] for untagged frames.
-fn mark_ce_raw(frame: &mut [u8]) -> bool {
-    if frame.len() < ETH_HDR_LEN + 20 {
-        return false;
-    }
-    let Ok(ip) = Ipv4Packet::new_checked(&frame[ETH_HDR_LEN..]) else {
+/// Set CE on an ECN-capable IPv4 frame, rewriting the ECN bits and the
+/// IPv4 checksum at the parsed header offset (an 802.1Q tag moves it);
+/// returns whether the frame leaves CE-marked. `meta` is the hop's parse
+/// when it already made one.
+fn mark_ce(frame: &mut Frame, meta: Option<FrameMeta>) -> bool {
+    let Some(m) = meta.or_else(|| FrameMeta::parse(frame.bytes())) else {
         return false;
     };
-    match ip.ecn() {
+    match m.ecn {
         Ecn::Ect0 | Ecn::Ect1 => {
-            let mut ip = Ipv4Packet(&mut frame[ETH_HDR_LEN..]);
+            let mut ip = Ipv4Packet(&mut frame.bytes[m.ip_off as usize..]);
             ip.set_ecn(Ecn::Ce);
             ip.fill_checksum();
             true
@@ -661,47 +629,52 @@ impl Node for Switch {
         if frame.len() < ETH_HDR_LEN {
             return;
         }
-        // telemetry observes every frame a live switch handles, keyed by
-        // the parse-once flow basis — untagged frames (no metadata) are
-        // invisible to the sketch *and* to the truth map, so the
-        // differential stays exact
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            if let Some(m) = frame.meta.as_ref() {
-                tel.observe(m.flow_basis, frame.len() as u64);
-            }
-        }
         let dst = MacAddr(frame.bytes()[0..6].try_into().unwrap());
-        match self.mac_table.get(&dst) {
-            Some(&port) if self.ports[port].up => {
+        let direct = self.mac_table.get(&dst).copied();
+        // one parse per L3 or telemetry hop feeds ECMP, the sketch and CE
+        // marking; a MAC-table hop without telemetry parses only to mark
+        let meta = if direct.is_none() || self.telemetry.is_some() {
+            FrameMeta::parse(frame.bytes())
+        } else {
+            None
+        };
+        // telemetry observes every parseable frame a live switch handles;
+        // the rest are invisible to the sketch *and* to the truth map, so
+        // the differential stays exact
+        if let (Some(tel), Some(m)) = (self.telemetry.as_deref_mut(), &meta) {
+            tel.observe(m.flow_basis, frame.len() as u64);
+        }
+        match direct {
+            Some(port) if self.ports[port].up => {
                 // forwarding latency is not a self-delay here: the
                 // topology builders add the 500 ns to the adjacent links,
                 // and the frame enqueues at once
-                self.enqueue(ctx, port, frame, counters);
+                self.enqueue(ctx, port, frame, meta, counters);
             }
             Some(_) => {
                 self.blackholed += 1;
                 ctx.stats.inc(counters.blackholed);
                 ctx.pool.put(frame.into_bytes());
             }
-            None => match self.route_port(&frame) {
+            None => match self.route_port(meta.as_ref()) {
                 RouteOutcome::Port(port) => {
                     self.routed += 1;
                     ctx.stats.inc(counters.routed);
-                    self.enqueue(ctx, port, frame, counters);
+                    self.enqueue(ctx, port, frame, meta, counters);
                 }
                 RouteOutcome::Rerouted(port) => {
                     self.routed += 1;
                     self.rerouted += 1;
                     ctx.stats.inc(counters.routed);
                     ctx.stats.inc(counters.rerouted);
-                    self.enqueue(ctx, port, frame, counters);
+                    self.enqueue(ctx, port, frame, meta, counters);
                 }
                 RouteOutcome::Steered(port) => {
                     self.routed += 1;
                     self.steered += 1;
                     ctx.stats.inc(counters.routed);
                     ctx.stats.inc(counters.steered);
-                    self.enqueue(ctx, port, frame, counters);
+                    self.enqueue(ctx, port, frame, meta, counters);
                 }
                 RouteOutcome::Blackhole => {
                     self.blackholed += 1;
@@ -740,7 +713,7 @@ impl Node for Switch {
 mod tests {
     use super::*;
     use flextoe_sim::{QueueKind, Sim, Time};
-    use flextoe_wire::{Ecn, SegmentSpec, SegmentView};
+    use flextoe_wire::{insert_vlan, Ecn, SegmentSpec, SegmentView};
 
     struct Probe {
         frames: Vec<(u64, Vec<u8>)>,
@@ -953,6 +926,35 @@ mod tests {
             }
         }
         assert_eq!(ce as u64, marked);
+    }
+
+    /// Behind an 802.1Q tag the IPv4 header starts at byte 18, not 14:
+    /// marking must rewrite the ECN bits and checksum there.
+    #[test]
+    fn ecn_marks_vlan_tagged_frames_at_the_ip_header() {
+        let (mut sim, sw, probe) = one_port_switch(PortConfig {
+            rate_bps: 1_000_000,
+            buf_bytes: 1 << 20,
+            ecn_threshold: Some(2000),
+            wred: None,
+        });
+        let mut f = tcp_frame(Ecn::Ect0, 1000);
+        insert_vlan(&mut f, 42);
+        for _ in 0..5 {
+            sim.schedule(Time::ZERO, sw, Frame::raw(f.clone()));
+        }
+        sim.run_until(Time::from_ms(1000));
+        let marked = sim.node_ref::<Switch>(sw).port_stats(0).2;
+        assert_eq!(marked, 2, "the 4th and 5th frames find the queue above K");
+        let mut ce = 0;
+        for (_, f) in &sim.node_ref::<Probe>(probe).frames {
+            let ip = Ipv4Packet::new_checked(&f[ETH_HDR_LEN + 4..]).expect("ip at 18");
+            assert!(ip.verify_checksum(), "checksum refreshed at offset 18");
+            if ip.ecn() == Ecn::Ce {
+                ce += 1;
+            }
+        }
+        assert_eq!(ce, marked);
     }
 
     #[test]

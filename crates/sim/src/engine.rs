@@ -581,12 +581,12 @@ pub(crate) struct Ev {
     pub(crate) msg: Msg,
 }
 
-// Two cache lines, both copied twice per event (into the wheel's arena on
-// push, out to the handler on pop). `Msg` is 72 bytes, set by
-// `Nbi(NbiFrame)`: a 56-byte `Frame` (a `Vec` plus an `Option<FrameMeta>`)
-// and 16 bytes of group / sequence number, the enum tag riding in a niche.
-// A fatter variant should be boxed or pooled instead of growing every event.
-const _: () = assert!(std::mem::size_of::<Ev>() <= 96);
+// Copied twice per event (into the wheel's arena on push, out to the
+// handler on pop). `Msg` is 48 bytes, set by `Nbi(NbiFrame)`: a 32-byte
+// `Frame` (a `Vec` plus the `corrupted` bit) and 16 bytes of group /
+// sequence number, the enum tag riding in the bit's niche. A fatter
+// variant should be boxed or pooled instead of growing every event.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 72);
 
 impl PartialEq for Ev {
     fn eq(&self, other: &Self) -> bool {

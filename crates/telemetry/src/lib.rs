@@ -3,9 +3,9 @@
 //! metrics.
 //!
 //! Two sketch families run side by side on every telemetry-enabled
-//! switch, both fed from the *same* precomputed flow key
-//! (`flextoe-wire`'s `FrameMeta::flow_basis`) so the forwarding fast
-//! path pays no extra parse and no extra allocation:
+//! switch, both fed from the *same* flow key (`flextoe-wire`'s
+//! `FrameMeta::flow_basis`, from the switch's one parse per hop) so the
+//! sketch adds no parse and no allocation to forwarding:
 //!
 //! - [`CountMin`] — the classic count-min sketch with per-row
 //!   multiply-shift indexing (one multiply + shift per row, no fresh

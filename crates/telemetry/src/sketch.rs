@@ -293,7 +293,7 @@ impl SwitchSketch {
         }
     }
 
-    /// THE fast-path hook. `basis` is the frame's precomputed
+    /// THE fast-path hook. `basis` is the frame's
     /// `FrameMeta::flow_basis`; `len` the wire length. One `mix64`, a
     /// handful of multiply-shift adds — no parse, no alloc, no rehash.
     #[inline]

@@ -34,39 +34,15 @@ impl SegmentSpec {
         ETH_HDR_LEN + IPV4_HDR_LEN + TCP_HDR_LEN + self.options.len() + self.payload_len
     }
 
-    /// The parse-once [`crate::FrameMeta`] of the frame this spec emits —
-    /// computed from the spec fields, no byte inspection. Equal to
-    /// `FrameMeta::parse(&self.emit(..))` by construction (asserted in
-    /// debug builds by [`crate::Frame::tagged`]).
-    pub fn meta(&self) -> crate::FrameMeta {
-        crate::FrameMeta {
-            ethertype: ethertype::IPV4,
-            ip_off: ETH_HDR_LEN as u8,
-            protocol: protocol::TCP,
-            ecn: self.ecn,
-            src_ip: self.src_ip,
-            dst_ip: self.dst_ip,
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-            payload_len: self.payload_len as u16,
-            flow_basis: crate::flow::ecmp_basis(
-                self.src_ip,
-                self.dst_ip,
-                self.src_port,
-                self.dst_port,
-            ),
-        }
-    }
-
-    /// Emit a tagged [`crate::Frame`] into a recycled buffer — the pooled,
-    /// parse-once emission path.
+    /// Emit a [`crate::Frame`] into a recycled buffer — the pooled
+    /// emission path.
     pub fn emit_frame_into(
         &self,
         mut buf: Vec<u8>,
         fill_payload: impl FnOnce(&mut [u8]),
     ) -> crate::Frame {
         self.emit_into(&mut buf, fill_payload);
-        crate::Frame::tagged(buf, self.meta())
+        crate::Frame::raw(buf)
     }
 
     /// Emit the frame; `fill_payload` writes the TCP payload bytes.
@@ -169,11 +145,12 @@ pub struct SegmentView {
 }
 
 impl SegmentView {
-    /// Parse and validate a frame (the pre-processor's "Val" step).
-    /// `verify_checksums` is a knob because the NIC's MAC block verifies
-    /// checksums in hardware on real NICs; when enabled we verify in
-    /// software (and corrupted frames are rejected).
-    pub fn parse(frame: &[u8], verify_checksums: bool) -> Result<SegmentView, WireError> {
+    /// Parse and validate a frame (the pre-processor's "Val" step). With
+    /// `verify` the IP and TCP checksums are checked in software and a
+    /// corrupted frame is rejected. In-sim emitters fill their checksums,
+    /// so receivers verify only bytes changed after emission
+    /// ([`crate::Frame::corrupted`], ingress-module rewrites).
+    pub fn parse(frame: &[u8], verify: bool) -> Result<SegmentView, WireError> {
         let eth = EthFrame::new_checked(frame)?;
         if eth.inner_ethertype() != ethertype::IPV4 {
             return Err(WireError::NotTcp);
@@ -183,13 +160,13 @@ impl SegmentView {
         if ip.protocol() != protocol::TCP {
             return Err(WireError::NotTcp);
         }
-        if verify_checksums && !ip.verify_checksum() {
+        if verify && !ip.verify_checksum() {
             return Err(WireError::BadChecksum("ipv4"));
         }
         let tcp_off = ip_off + IPV4_HDR_LEN;
         let tcp_end = ip_off + ip.total_len() as usize;
         let tcp = TcpPacket::new_checked(&frame[tcp_off..tcp_end])?;
-        if verify_checksums && !tcp.verify_checksum(ip.src(), ip.dst()) {
+        if verify && !tcp.verify_checksum(ip.src(), ip.dst()) {
             return Err(WireError::BadChecksum("tcp"));
         }
         let opts = tcp.options()?;

@@ -70,8 +70,8 @@ impl FourTuple {
 /// Salt-independent basis of the fabric ECMP flow hash: the directed
 /// 4-tuple folded into one word. Switches finish the hash by XORing in
 /// their per-switch salt and running the splitmix64 finalizer
-/// ([`ecmp_hash_with_basis`]); emitters precompute the basis once into
-/// [`crate::FrameMeta::flow_basis`] so no hop re-reads the headers.
+/// ([`ecmp_hash_with_basis`]); a hop's one parse computes the basis into
+/// [`crate::FrameMeta::flow_basis`], which ECMP and the sketch share.
 #[inline]
 pub fn ecmp_basis(src_ip: Ip4, dst_ip: Ip4, src_port: u16, dst_port: u16) -> u64 {
     ((src_ip.0 as u64) << 32 | dst_ip.0 as u64)

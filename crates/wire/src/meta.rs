@@ -1,27 +1,18 @@
-//! Parse-once frame metadata.
+//! Frames on the simulated wire and the header summary hops read off
+//! them.
 //!
-//! Every fabric element used to re-derive the same facts from the bytes
-//! of a frame at every hop: the switch re-validated the Ethernet/IPv4
-//! headers and re-hashed the 4-tuple for ECMP, links re-read lengths,
-//! WRED/ECN re-inspected the TOS byte. [`FrameMeta`] is that summary,
-//! computed **once** where the frame is emitted (the NIC DMA stage, the
-//! host stack's TX path, the control plane) and carried alongside the
-//! bytes in [`crate::Frame`].
-//!
-//! The invariant: when `Frame::meta` is `Some(m)`, then
-//! `FrameMeta::parse(frame.bytes()) == Some(m)` — metadata is a cache of
-//! a parse, never an independent source of truth. Anything that mutates
-//! frame bytes must either update the metadata to match (the switch's
-//! CE-marking does) or drop it (link corruption does), sending the frame
-//! down the checked slow path. A property test in the integration suite
-//! re-parses tagged frames and asserts equality, including VLAN-tagged,
-//! checksum-corrupted, and non-IP frames.
+//! A frame carries its bytes and nothing parsed: each consumer parses at
+//! the point of use, as the paper's pre-processor does in its Val/Id/Sum
+//! steps (§3.1.3) and as a switch does per hop. [`FrameMeta::parse`] is
+//! the switch's parse — one call per L3 or telemetry hop feeds ECMP, the
+//! sketch and CE marking. The only thing carried is
+//! [`Frame::corrupted`], which says whether checksums need verifying.
 
 use crate::ethernet::{ethertype, EthFrame, ETH_HDR_LEN, VLAN_TAG_LEN};
 use crate::ipv4::{protocol, Ecn, Ip4, Ipv4Packet};
 use crate::tcp::TcpPacket;
 
-/// Compact per-frame routing/queueing summary carried with the bytes.
+/// Compact per-frame routing/queueing summary: what a switch hop reads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameMeta {
     /// Inner ethertype (after any single 802.1Q tag).
@@ -30,8 +21,7 @@ pub struct FrameMeta {
     pub ip_off: u8,
     /// IP protocol number.
     pub protocol: u8,
-    /// ECN codepoint of the IP header. Kept in sync by the switch when it
-    /// CE-marks a frame (which also rewrites the bytes + checksum).
+    /// ECN codepoint of the IP header.
     pub ecn: Ecn,
     pub src_ip: Ip4,
     pub dst_ip: Ip4,
@@ -44,15 +34,13 @@ pub struct FrameMeta {
     pub payload_len: u16,
     /// Salt-independent ECMP flow-hash basis over the directed 4-tuple;
     /// see [`crate::flow::ecmp_basis`]. Switches mix in their per-switch
-    /// salt and finalize without touching the frame bytes.
+    /// salt and finalize.
     pub flow_basis: u64,
 }
 
 impl FrameMeta {
-    /// Parse metadata from raw frame bytes — the checked slow path, and
-    /// the definition the fast path is differential-tested against.
-    /// `None` for truncated, non-IPv4, or malformed-IP frames (those are
-    /// not routable and keep their legacy handling).
+    /// Parse the summary from raw frame bytes. `None` for truncated,
+    /// non-IPv4, or malformed-IP frames (those are not routable).
     pub fn parse(frame: &[u8]) -> Option<FrameMeta> {
         let eth = EthFrame::new_checked(frame).ok()?;
         let inner_et = eth.inner_ethertype();
@@ -100,43 +88,24 @@ impl FrameMeta {
 }
 
 /// A raw frame travelling between simulation nodes (MAC blocks, links,
-/// switch ports), optionally carrying parse-once [`FrameMeta`].
-///
-/// Equality compares **bytes only**: metadata is a cache of a parse, so
-/// two byte-identical frames are the same frame whether or not one side
-/// happened to carry the summary.
-#[derive(Clone, Debug, Default)]
+/// switch ports). Every consumer parses what it needs at the point of
+/// use; the one fact a parse cannot recover travels as a bit.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Frame {
     pub bytes: Vec<u8>,
-    pub meta: Option<FrameMeta>,
+    /// Set by a link that flipped a byte in flight (and copied onto its
+    /// duplicate). Every in-sim emitter fills its checksums, so only a
+    /// marked frame needs them verified.
+    pub corrupted: bool,
 }
 
 impl Frame {
-    /// An untagged frame: consumers take the checked parse path.
+    /// A frame as its emitter built it.
     pub fn raw(bytes: Vec<u8>) -> Frame {
-        Frame { bytes, meta: None }
-    }
-
-    /// A frame with emitter-computed metadata. Debug builds verify the
-    /// tag against a fresh reparse — the fast path must never disagree
-    /// with the bytes.
-    pub fn tagged(bytes: Vec<u8>, meta: FrameMeta) -> Frame {
-        debug_assert_eq!(
-            FrameMeta::parse(&bytes),
-            Some(meta),
-            "frame tagged with metadata that does not match its bytes"
-        );
         Frame {
             bytes,
-            meta: Some(meta),
+            corrupted: false,
         }
-    }
-
-    /// Tag by parsing the bytes once here (emitters without a
-    /// `SegmentSpec` at hand).
-    pub fn parsed(bytes: Vec<u8>) -> Frame {
-        let meta = FrameMeta::parse(&bytes);
-        Frame { bytes, meta }
     }
 
     pub fn len(&self) -> usize {
@@ -152,13 +121,6 @@ impl Frame {
         self.bytes
     }
 }
-
-impl PartialEq for Frame {
-    fn eq(&self, other: &Self) -> bool {
-        self.bytes == other.bytes
-    }
-}
-impl Eq for Frame {}
 
 #[cfg(test)]
 mod tests {
@@ -185,10 +147,10 @@ mod tests {
     fn parse_matches_spec() {
         let s = spec();
         let m = FrameMeta::parse(&s.emit_zeroed()).unwrap();
-        assert_eq!(m, s.meta());
         assert_eq!(m.ethertype, ethertype::IPV4);
         assert_eq!(m.ip_off as usize, ETH_HDR_LEN);
         assert_eq!(m.protocol, protocol::TCP);
+        assert_eq!((m.src_ip, m.dst_ip), (Ip4::host(1), Ip4::host(2)));
         assert_eq!(m.ecn, Ecn::Ect0);
         assert_eq!((m.src_port, m.dst_port), (40_000, 80));
         assert_eq!(m.payload_len, 33);
@@ -215,21 +177,5 @@ mod tests {
         let mut arp = spec().emit_zeroed();
         arp[12..14].copy_from_slice(&ethertype::ARP.to_be_bytes());
         assert_eq!(FrameMeta::parse(&arp), None);
-    }
-
-    #[test]
-    fn frame_equality_ignores_meta() {
-        let bytes = spec().emit_zeroed();
-        assert_eq!(Frame::parsed(bytes.clone()), Frame::raw(bytes));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "does not match its bytes")]
-    fn tagged_mismatch_caught_in_debug() {
-        let a = spec();
-        let mut b = spec();
-        b.src_port = 1;
-        let _ = Frame::tagged(a.emit_zeroed(), b.meta());
     }
 }

@@ -209,9 +209,9 @@ fn leaf_kill_aborts_then_reconnects_and_conserves() {
     assert_eq!(check_row(&r), Ok(()), "{r}");
 }
 
-/// Corrupted frames are dropped exactly once: the link strips the
-/// parse-once tag, the receiver's Val step re-verifies checksums on the
-/// slow path, the frame dies there (counted in `pre.malformed`) and its
+/// Corrupted frames are dropped exactly once: the link marks the frame
+/// corrupted, the receiver's Val step verifies its checksums, the frame
+/// dies there (counted in `pre.malformed`) and its
 /// buffer is recycled — never delivered, never double-freed. Corruption
 /// cannot leak into the byte streams, and the global buffer balance
 /// still drains to zero.

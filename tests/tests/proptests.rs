@@ -12,8 +12,8 @@ use flextoe_core::sched::Carousel;
 use flextoe_core::ProtoState;
 use flextoe_sim::{Duration, Histogram, Rng, Time};
 use flextoe_wire::{
-    checksum, ethertype, insert_vlan, strip_vlan, Ecn, FrameMeta, Ip4, MacAddr, SegmentSpec,
-    SegmentView, SeqNum, TcpFlags, TcpOptions,
+    checksum, ecmp_basis, ethertype, insert_vlan, protocol, strip_vlan, Ecn, FrameMeta, Ip4,
+    MacAddr, SegmentSpec, SegmentView, SeqNum, TcpFlags, TcpOptions, ETH_HDR_LEN,
 };
 
 const CASES: u64 = 200;
@@ -102,15 +102,14 @@ fn segment_roundtrip() {
     });
 }
 
-/// Parse-once metadata is a cache of a parse, never an independent
-/// source of truth: whatever a spec emits, the metadata computed from
-/// the spec equals a fresh reparse of the bytes — through VLAN
-/// tagging/stripping, after checksum corruption (metadata describes
-/// routing fields, which a payload flip doesn't change), and `None`
-/// exactly when the frame is not parseable IPv4.
+/// What a switch hop reads off a frame is what its emitter wrote:
+/// `FrameMeta::parse` of an emitted frame equals the spec's fields —
+/// through VLAN tagging/stripping, after checksum corruption (the summary
+/// holds routing fields, which a checksum flip doesn't change), and
+/// `None` exactly when the frame is not parseable IPv4.
 #[test]
-fn frame_meta_always_equals_fresh_reparse() {
-    for_cases("frame_meta_always_equals_fresh_reparse", |rng| {
+fn frame_meta_parse_equals_spec_fields() {
+    for_cases("frame_meta_parse_equals_spec_fields", |rng| {
         let spec = SegmentSpec {
             src_mac: MacAddr::local(rng.range(1, 200) as u8),
             dst_mac: MacAddr::local(rng.range(1, 200) as u8),
@@ -136,8 +135,18 @@ fn frame_meta_always_equals_fresh_reparse() {
         };
         let mut frame = spec.emit_with(|b| b.fill(0x5a));
 
-        // spec-computed metadata == reparse of the emitted bytes
-        let meta = spec.meta();
+        let meta = FrameMeta {
+            ethertype: ethertype::IPV4,
+            ip_off: ETH_HDR_LEN as u8,
+            protocol: protocol::TCP,
+            ecn: spec.ecn,
+            src_ip: spec.src_ip,
+            dst_ip: spec.dst_ip,
+            src_port: spec.src_port,
+            dst_port: spec.dst_port,
+            payload_len: spec.payload_len as u16,
+            flow_basis: ecmp_basis(spec.src_ip, spec.dst_ip, spec.src_port, spec.dst_port),
+        };
         assert_eq!(FrameMeta::parse(&frame), Some(meta));
 
         // VLAN insertion shifts the IP header; a reparse must follow it
@@ -152,20 +161,20 @@ fn frame_meta_always_equals_fresh_reparse() {
             tagged
         );
 
-        // …and stripping restores the original metadata exactly
+        // …and stripping restores the original summary exactly
         strip_vlan(&mut frame).expect("tag present");
         assert_eq!(FrameMeta::parse(&frame), Some(meta));
 
         // corrupting the TCP checksum bytes doesn't change any routing
-        // field, so the metadata of the corrupted frame still matches a
-        // reparse (the *data path* rejects it via checksum verification —
-        // which is why links drop the carried tag on corruption)
+        // field, so a switch still reads the spec's summary (the *data
+        // path* rejects the frame via checksum verification — which is why
+        // links mark corrupted frames)
         let ck_off = 14 + 20 + 16;
         frame[ck_off] ^= 0xff;
         assert_eq!(FrameMeta::parse(&frame), Some(meta));
         frame[ck_off] ^= 0xff;
 
-        // non-IP (ARP) and truncated frames carry no metadata
+        // non-IP (ARP) and truncated frames have no summary
         frame[12..14].copy_from_slice(&ethertype::ARP.to_be_bytes());
         assert_eq!(FrameMeta::parse(&frame), None);
         frame[12..14].copy_from_slice(&ethertype::IPV4.to_be_bytes());

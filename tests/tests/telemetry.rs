@@ -32,11 +32,11 @@ fn telemetry_fabric(seed: u64, spec: TelemetrySpec) -> (Sim, BuiltFabric) {
     (sim, fab)
 }
 
-/// Pre-built tagged frame for synthetic flow `f`: unique 5-tuple, dst IP
+/// Pre-built frame for synthetic flow `f`: unique 5-tuple, dst IP
 /// unrouted on every switch so the fast path observes it, then
 /// flood-drops the buffer.
-fn flow_frame(f: u32) -> (Vec<u8>, flextoe_wire::FrameMeta) {
-    let seg = SegmentSpec {
+fn flow_frame(f: u32) -> Vec<u8> {
+    SegmentSpec {
         src_mac: MacAddr::local(200),
         dst_mac: MacAddr::local(201),
         src_ip: Ip4::host(220),
@@ -45,8 +45,8 @@ fn flow_frame(f: u32) -> (Vec<u8>, flextoe_wire::FrameMeta) {
         dst_port: 7_000,
         payload_len: 64 + (f as usize % 4) * 64,
         ..Default::default()
-    };
-    (seg.emit_zeroed(), seg.meta())
+    }
+    .emit_zeroed()
 }
 
 /// Sweep reports merge into views that match per-switch exact truth:
@@ -60,10 +60,10 @@ fn collector_merges_exact_fabric_truth() {
     // switches at a 500ns spacing — all inside the first 1ms epoch
     let mut at = Time::ZERO;
     for f in 0..30u32 {
-        let (bytes, meta) = flow_frame(f);
+        let bytes = flow_frame(f);
         for _ in 0..(1 + 60 / (f + 1)) {
             let sw = fab.switches[f as usize % fab.switches.len()];
-            sim.schedule(at, sw, Frame::tagged(bytes.clone(), meta));
+            sim.schedule(at, sw, Frame::raw(bytes.clone()));
             at += flextoe_sim::Duration::from_ns(500);
         }
     }
@@ -130,8 +130,7 @@ fn dead_switch_loses_epoch_but_truth_survives() {
     let mut at = Time::ZERO;
     for r in 0..100u32 {
         for f in 0..20u32 {
-            let (bytes, meta) = flow_frame(f);
-            sim.schedule(at, fab.switches[2], Frame::tagged(bytes.clone(), meta));
+            sim.schedule(at, fab.switches[2], Frame::raw(flow_frame(f)));
             let _ = r;
             at += flextoe_sim::Duration::from_ns(700);
         }
