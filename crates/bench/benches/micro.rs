@@ -48,8 +48,8 @@ fn bench_n(name: &str, iters: u64, mut f: impl FnMut()) -> f64 {
 // ---- engine pipeline benchmark --------------------------------------------
 
 use flextoe_bench::enginebench::{
-    best_of, dispatch_events_per_sec, pipeline_events_per_sec, switch_forwarding_fps,
-    DISPATCH_EVENTS, PIPE_EVENTS, SWITCH_FRAMES,
+    best_of, dispatch_events_per_sec, pipeline_events_per_sec, sweep_us_per_report,
+    switch_forwarding_fps, DISPATCH_EVENTS, PIPE_EVENTS, SWEEP_FLOWS, SWITCH_FRAMES,
 };
 
 fn bench_engine() {
@@ -76,6 +76,16 @@ fn bench_engine() {
         let fps = best_of(2, || switch_forwarding_fps(sketched));
         println!("{name:<44} {:>10.2} M frames/s", fps / 1e6);
     }
+    // best of three by total; no gate, the reading is too noisy for one
+    let (encode, merge) = (0..3)
+        .map(|_| sweep_us_per_report())
+        .min_by(|a, b| (a.0 + a.1).total_cmp(&(b.0 + b.1)))
+        .expect("three runs");
+    println!(
+        "{:<44} {:>10.1} us/report  (encode {encode:.1} + merge {merge:.1}, {SWEEP_FLOWS} flows)",
+        "telemetry/sweep (4x4096 encode + merge)",
+        encode + merge
+    );
 
     println!("-- dispatch: {DISPATCH_EVENTS} raw token deliveries --");
     for (name, nodes) in [

@@ -239,3 +239,41 @@ pub fn switch_forwarding_fps(sketched: bool) -> f64 {
     assert_eq!(routed, SWITCH_FRAMES, "every frame must route");
     routed as f64 / secs
 }
+
+// ---- telemetry-sweep micro -----------------------------------------------
+//
+// One switch's epoch sweep at the default 4x4096 shape: encode the sketch
+// into a report buffer (snapshot and reset in one pass), then merge the
+// report into a collector view straight from its bytes. The same flows are
+// fed again, untimed, before every report, so each one carries the same
+// load and the view's key union stops growing after the first.
+
+use flextoe_telemetry::{mix64, MergedView, ReportView, SketchCfg, SwitchSketch};
+
+/// Flows in every swept epoch.
+pub const SWEEP_FLOWS: u64 = 3_000;
+/// Reports per measurement.
+const SWEEP_REPORTS: u32 = 100;
+
+/// Mean µs per report, as (encode, merge).
+pub fn sweep_us_per_report() -> (f64, f64) {
+    let cfg = SketchCfg::default();
+    let mut sketch = SwitchSketch::new(cfg);
+    let mut view = MergedView::new(&cfg);
+    let (mut report, mut scratch) = (Vec::new(), Vec::new());
+    let (mut encode, mut merge) = (0.0, 0.0);
+    for epoch in 0..SWEEP_REPORTS {
+        for f in 1..=SWEEP_FLOWS {
+            sketch.update(mix64(f), 64 + f % 1_400);
+        }
+        let t0 = Instant::now();
+        sketch.encode_sweep(0, epoch, &mut report);
+        let t1 = Instant::now();
+        let rep = ReportView::parse(&report).expect("a sweep parses");
+        assert!(view.absorb(&rep, &mut scratch), "report shape matches");
+        merge += t1.elapsed().as_secs_f64();
+        encode += (t1 - t0).as_secs_f64();
+    }
+    let per_report = 1e6 / SWEEP_REPORTS as f64;
+    (encode * per_report, merge * per_report)
+}

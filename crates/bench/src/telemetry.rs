@@ -165,9 +165,9 @@ fn score_fabric(sim: &Sim, fab: &BuiltFabric, theta: f64) -> AggScore {
         truth.sort_unstable();
         let truth_bytes: u64 = truth.iter().map(|&(_, v)| v).sum();
         let v = &col.views()[i];
-        let cands: Vec<u64> = v.keys.iter().copied().collect();
-        let s_cm = score_sketch(&truth, |k| v.cm.estimate(k), &cands, v.bytes, theta);
-        let s_lsb = score_sketch(&truth, |k| v.lsb.estimate(k), &cands, v.bytes, theta);
+        let cands = &v.keys;
+        let s_cm = score_sketch(&truth, |k| v.cm.estimate(k), cands, v.bytes, theta);
+        let s_lsb = score_sketch(&truth, |k| v.lsb.estimate(k), cands, v.bytes, theta);
         let n = truth.len() as f64;
         agg.flows += truth.len() as u64;
         agg.truth_bytes += truth_bytes;

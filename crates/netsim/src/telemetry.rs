@@ -7,7 +7,7 @@
 //! ```text
 //!   collector --Tick--> SweepNow to every switch (index order)
 //!   switch: encode_sweep() -> pooled report frame -> collector
-//!   collector: decode, MergedView::absorb, update counters
+//!   collector: ReportView::parse, MergedView::absorb, update counters
 //!             `-- hh_ecmp on: SetElephants(sorted basis list) back
 //! ```
 //!
@@ -18,7 +18,7 @@
 //! invariant holds with telemetry enabled.
 
 use flextoe_sim::{CounterHandle, Ctx, Duration, Msg, Node, NodeId, Stats};
-use flextoe_telemetry::{decode_report, heavy_hitters, MergedView, SketchCfg};
+use flextoe_telemetry::{heavy_hitters, MergedView, ReportView, SketchCfg};
 use flextoe_wire::Frame;
 
 /// Scenario knob: presence turns the telemetry plane on (the default
@@ -82,6 +82,8 @@ pub struct Collector {
     /// switch i.
     switch_nodes: Vec<NodeId>,
     views: Vec<MergedView>,
+    /// Sort buffer for one report's keys, shared by every view.
+    key_scratch: Vec<u64>,
     pub reports: u64,
     pub report_bytes: u64,
     pub sweeps_sent: u64,
@@ -99,6 +101,7 @@ impl Collector {
             spec,
             switch_nodes,
             views,
+            key_scratch: Vec::new(),
             reports: 0,
             report_bytes: 0,
             sweeps_sent: 0,
@@ -140,14 +143,14 @@ impl Collector {
 
     fn on_report(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
         let counters = self.counters.expect("collector attached to a sim");
-        match decode_report(frame.bytes()) {
+        match ReportView::parse(frame.bytes()) {
             Some(rep) if (rep.switch as usize) < self.views.len() => {
                 let idx = rep.switch as usize;
                 self.reports += 1;
                 self.report_bytes += frame.len() as u64;
                 ctx.stats.inc(counters.reports);
                 ctx.stats.add(counters.report_bytes, frame.len() as u64);
-                if !self.views[idx].absorb(&rep) {
+                if !self.views[idx].absorb(&rep, &mut self.key_scratch) {
                     self.bad_reports += 1;
                     ctx.stats.inc(counters.bad_reports);
                 } else if self.spec.hh_ecmp {

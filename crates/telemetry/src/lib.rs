@@ -18,16 +18,17 @@
 //!   depth and makes row indices of one key *correlated* — the trade
 //!   the papers study for resilient monitoring.
 //!
-//! Sketches snapshot-and-reset into flat epoch reports
+//! Sketches snapshot-and-reset in one pass into flat epoch reports
 //! ([`SwitchSketch::encode_sweep`]) that travel the simulated fabric
-//! as pooled frames; the collector decodes and [`MergedView::absorb`]s
-//! them. Accuracy against sim ground truth is scored by
-//! [`score_sketch`] (ARE + heavy-hitter recall/precision).
+//! as pooled frames; the collector reads each in place through a
+//! bounds-checked [`ReportView`] and [`MergedView::absorb`]s it cell by
+//! cell, with no decoded copy. Accuracy against sim ground truth is
+//! scored by [`score_sketch`] (ARE + heavy-hitter recall/precision).
 
 mod metrics;
 mod report;
 mod sketch;
 
 pub use metrics::{heavy_hitters, score_sketch, SketchScore};
-pub use report::{decode_report, EpochReport, MergedView, REPORT_MAGIC};
+pub use report::{MergedView, ReportView, REPORT_MAGIC};
 pub use sketch::{mix64, CountMin, KeyTable, LsbSketch, SketchCfg, SwitchSketch};

@@ -25,6 +25,16 @@ const ROW_ODD: [u64; 8] = [
     0xCC9E_2D51_0B5E_1B87,
 ];
 
+/// Append `cells` to `out` as little-endian words, zeroing each as it is
+/// read: a sweep's snapshot and reset in one pass.
+fn take_le(cells: &mut [u64], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + 8 * cells.len(), 0);
+    for (dst, c) in out[start..].as_chunks_mut::<8>().0.iter_mut().zip(cells) {
+        *dst = std::mem::take(c).to_le_bytes();
+    }
+}
+
 /// Shape shared by every sketch instance in one scenario. `width` and
 /// `key_slots` must be powers of two (indexing is mask/shift only).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,12 +125,19 @@ impl CountMin {
     }
 
     /// Cell-wise merge; `merge(A, B)` is exactly `sketch(stream A ++ stream B)`.
-    pub fn merge_cells(&mut self, cells: &[u64], total: u64) {
+    pub fn merge_cells(&mut self, cells: impl ExactSizeIterator<Item = u64>, total: u64) {
         assert_eq!(cells.len(), self.cells.len(), "count-min shape mismatch");
-        for (c, &o) in self.cells.iter_mut().zip(cells) {
+        for (c, o) in self.cells.iter_mut().zip(cells) {
             *c += o;
         }
         self.total += total;
+    }
+
+    /// Append every cell to `out` as a little-endian word and reset the
+    /// sketch, in one pass.
+    pub fn take_cells(&mut self, out: &mut Vec<u8>) {
+        take_le(&mut self.cells, out);
+        self.total = 0;
     }
 
     pub fn reset(&mut self) {
@@ -209,12 +226,18 @@ impl LsbSketch {
         est
     }
 
-    pub fn merge_cells(&mut self, cells: &[u64], total: u64) {
+    pub fn merge_cells(&mut self, cells: impl ExactSizeIterator<Item = u64>, total: u64) {
         assert_eq!(cells.len(), self.cells.len(), "lsb sketch shape mismatch");
-        for (c, &o) in self.cells.iter_mut().zip(cells) {
+        for (c, o) in self.cells.iter_mut().zip(cells) {
             *c += o;
         }
         self.total += total;
+    }
+
+    /// As [`CountMin::take_cells`].
+    pub fn take_cells(&mut self, out: &mut Vec<u8>) {
+        take_le(&mut self.cells, out);
+        self.total = 0;
     }
 
     pub fn reset(&mut self) {
@@ -263,6 +286,21 @@ impl KeyTable {
     /// Non-empty candidates in slot order (deterministic).
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         self.slots.iter().copied().filter(|&k| k != 0)
+    }
+
+    /// Append the non-empty candidates to `out` in slot order as
+    /// little-endian words, emptying every slot in the same pass; returns
+    /// how many were written.
+    pub fn take_keys(&mut self, out: &mut Vec<u8>) -> usize {
+        let mut n = 0;
+        for slot in &mut self.slots {
+            let k = std::mem::take(slot);
+            if k != 0 {
+                out.extend_from_slice(&k.to_le_bytes());
+                n += 1;
+            }
+        }
+        n
     }
 
     pub fn reset(&mut self) {
@@ -414,8 +452,8 @@ mod tests {
             cm_u.update(k, v);
             ls_u.update(k, v);
         }
-        cm_a.merge_cells(cm_b.cells(), cm_b.total());
-        ls_a.merge_cells(ls_b.cells(), ls_b.total());
+        cm_a.merge_cells(cm_b.cells().iter().copied(), cm_b.total());
+        ls_a.merge_cells(ls_b.cells().iter().copied(), ls_b.total());
         assert_eq!(cm_a.cells(), cm_u.cells(), "count-min merge != union");
         assert_eq!(cm_a.total(), cm_u.total());
         assert_eq!(ls_a.cells(), ls_u.cells(), "lsb merge != union");

@@ -6,7 +6,9 @@
 //! may still see a straggling high-water mark (a queue reaching its peak
 //! depth), the second must add none at all. The FlexTOE echo also bounds
 //! the events delivered per request, so a self-event that returns on
-//! every frame fails here too.
+//! every frame fails here too. The 1 ms telemetry sweep, the one piece of
+//! periodic control work on the fabrics, is pinned the same way: a warm
+//! sweep's encode and merge allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +16,7 @@ use std::cell::Cell;
 use flextoe_apps::{ClientConfig, LoadMode, RpcClientApp, RpcServerApp, ServerConfig, StackApi};
 use flextoe_control::CcAlgo;
 use flextoe_sim::{Duration, SchedCtl, Sim, Tick, Time};
+use flextoe_telemetry::{mix64, MergedView, ReportView, SketchCfg, SwitchSketch};
 use flextoe_topo::{build_pair, PairOpts, Stack};
 
 type Client = RpcClientApp<Box<dyn StackApi>>;
@@ -238,4 +241,31 @@ fn paced_flextoe_bulk_allocates_nothing_per_segment() {
         Duration::from_ms(6),
     );
     assert_steady("paced FlexTOE bulk", w, 20);
+}
+
+/// One switch's telemetry sweep at the default 4x4096 shape with 3,000
+/// flows, encoded into a report buffer and merged the way the collector
+/// merges it (in place from the bytes, keys sorted in a shared scratch).
+/// Once the buffer, the view's key union and the scratch have seen one
+/// sweep, the next one allocates nothing.
+#[test]
+fn telemetry_sweep_allocates_nothing_once_warm() {
+    let cfg = SketchCfg::default();
+    let mut sketch = SwitchSketch::new(cfg);
+    let mut view = MergedView::new(&cfg);
+    let mut scratch = Vec::new();
+    let mut report = Vec::new();
+    let mut sweep = |epoch: u32| {
+        for f in 1..=3_000u64 {
+            sketch.update(mix64(f), 64 + f % 1_400);
+        }
+        sketch.encode_sweep(0, epoch, &mut report);
+        let rep = ReportView::parse(&report).expect("a sweep parses");
+        assert!(view.absorb(&rep, &mut scratch));
+    };
+    sweep(0);
+    let a0 = allocs();
+    sweep(1);
+    assert_eq!(allocs() - a0, 0, "a warm sweep allocated");
+    assert!(view.keys.len() > 2_000, "the key union saw the flows");
 }

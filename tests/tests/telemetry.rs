@@ -3,13 +3,14 @@
 //! against per-switch ground truth, the count-min no-underestimate
 //! guarantee surviving the sweep/merge pipeline, sketch loss under a
 //! switch kill (while truth survives — the differential measurement),
-//! default-off wiring, and byte-identity of the `telemetry` sweep
-//! across `--jobs` values.
+//! default-off wiring, malformed reports counted instead of merged, and
+//! byte-identity of the `telemetry` sweep across `--jobs` values.
 
 use flextoe_bench::driver::{execute, Experiment};
 use flextoe_bench::telemetry::TelemetryPlan;
 use flextoe_netsim::{Collector, Switch, TelemetrySpec};
-use flextoe_sim::{Sim, Time};
+use flextoe_sim::{Ctx, Msg, Node, NodeId, Sim, Time};
+use flextoe_telemetry::SwitchSketch;
 use flextoe_topo::{build_fabric, BuiltFabric, Fabric, FaultEvent, FaultTarget, Scenario, Stack};
 use flextoe_wire::{Frame, Ip4, MacAddr, SegmentSpec};
 
@@ -153,6 +154,55 @@ fn dead_switch_loses_epoch_but_truth_survives() {
         "dead switch must miss sweeps"
     );
     assert_eq!(col.bad_reports, 0);
+}
+
+/// Stands in for a switch the collector never has to message.
+struct Idle;
+impl Node for Idle {
+    fn on_msg(&mut self, _ctx: &mut Ctx<'_>, _msg: Msg) {}
+}
+
+/// A lone collector (one idle switch, no sweeps) that was fed `report`
+/// as a frame.
+fn collect_one(spec: TelemetrySpec, report: Vec<u8>) -> (Sim, NodeId) {
+    let mut sim = Sim::new(1);
+    let switch = sim.add_node(Idle);
+    let col = sim.add_node(Collector::new(spec, vec![switch]));
+    sim.schedule(Time::ZERO, col, Frame::raw(report));
+    sim.run();
+    (sim, col)
+}
+
+/// A report header that sizes its sections past the buffer — a shape
+/// whose cell count overflows, a key count of 2^40 or of u64::MAX — is
+/// one bad report: no panic, no allocation sized from the header, and
+/// the view stays empty.
+#[test]
+fn oversized_report_headers_count_as_bad_reports() {
+    let spec = TelemetrySpec::default();
+    let mut sketch = SwitchSketch::new(spec.sketch);
+    sketch.update(0xfeed_f00d, 100);
+    let mut report = Vec::new();
+    sketch.encode_sweep(0, 0, &mut report);
+    let (sim, col) = collect_one(spec, report.clone());
+    let good = sim.node_ref::<Collector>(col);
+    assert_eq!((good.reports, good.bad_reports), (1, 0));
+    assert_eq!(good.views()[0].keys, [0xfeed_f00d]);
+
+    let nkeys_word = 7 + 2 * spec.sketch.depth * spec.sketch.width;
+    for (word, value) in [(nkeys_word, u64::MAX), (5, 1 << 62), (nkeys_word, 1 << 40)] {
+        let mut bad = report.clone();
+        bad[8 * word..8 * word + 8].copy_from_slice(&value.to_le_bytes());
+        let (sim, col) = collect_one(spec, bad);
+        let col = sim.node_ref::<Collector>(col);
+        let what = format!("header word {word} = {value:#x}");
+        assert_eq!((col.reports, col.bad_reports), (0, 1), "{what}");
+        let v = &col.views()[0];
+        assert_eq!((v.epochs, v.frames, v.bytes), (0, 0, 0), "{what}");
+        assert!(v.keys.is_empty(), "{what}");
+        assert!(v.cm.cells().iter().all(|&c| c == 0), "{what}");
+        assert!(v.lsb.cells().iter().all(|&c| c == 0), "{what}");
+    }
 }
 
 /// Telemetry is strictly opt-in: a scenario without the knob builds no
