@@ -212,8 +212,8 @@ struct FaultsCounts {
     /// Out-of-order segments the protocol stages buffered and later
     /// accepted (`proto.ooo`) — the reorder row's signature.
     ooo_accepted: u64,
-    /// RX frames shed at the sequencer because a capped work/pktbuf
-    /// pool had no headroom (`nic.pool_exhausted`).
+    /// RX frames shed at the sequencer because a capped work pool had no
+    /// free slot (`nic.pool_exhausted`).
     pool_exhausted: u64,
     /// Passive opens refused with an RST at the SYN admission cap
     /// (`ctrl.admission_refused`).

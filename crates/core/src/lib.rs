@@ -31,8 +31,8 @@ pub use module::{DataPathModule, Hook, ModuleChain, ModuleVerdict, TcpdumpModule
 pub use pipeline::{FlexToeNic, NicHandle, PoolGauges};
 pub use proto::{RxOutcome, RxSummary, TxSeg};
 pub use segment::{
-    shared_seg_pool, shared_work_pool, ConnEntry, ConnTable, NicConfig, SharedConnTable,
-    SharedSegPool, SharedWorkPool, WorkPool,
+    shared_work_pool, ConnEntry, ConnTable, NicConfig, SharedConnTable, SharedSegPool,
+    SharedWorkPool, WorkPool,
 };
 pub use stages::{AppNotify, Doorbell, PipeCfg, Redirect, RegisterCtx, SchedCtl};
 pub use state::{PostState, PreState, ProtoState, CONN_STATE_BYTES};

@@ -9,8 +9,7 @@ use flextoe_nfp::{ConnDb, DmaEngine, MacPort};
 use flextoe_sim::{NodeId, Sim};
 
 use crate::segment::{
-    shared_conn_table, shared_seg_pool, shared_work_pool, NicConfig, SharedConnTable,
-    SharedSegPool, SharedWorkPool,
+    shared_conn_table, shared_work_pool, NicConfig, SharedConnTable, SharedSegPool, SharedWorkPool,
 };
 use crate::stages::{
     ctxq::CtxqStage, dmast::DmaStage, post::PostStage, pre::PreStage, proto_stage::ProtoStage,
@@ -35,7 +34,8 @@ pub struct FlexToeNic {
     pub db: Rc<RefCell<ConnDb>>,
     /// Slab of in-flight pipeline work items (tokens travel the queue).
     pub work_pool: SharedWorkPool,
-    /// Recycled per-packet byte buffers.
+    /// The NIC's packet-memory counters (the buffers recycle through the
+    /// simulation's one free list, `Sim::frame_pool`).
     pub seg_pool: SharedSegPool,
     /// Congestion-measurement layer: per-flow fold state + the pooled
     /// report batches shared with the control plane (flextoe-ccp).
@@ -58,11 +58,10 @@ impl FlexToeNic {
         let table = shared_conn_table(nic_cfg);
         let db = Rc::new(RefCell::new(ConnDb::new(&cfg.platform)));
         let work_pool = shared_work_pool();
-        let seg_pool = shared_seg_pool();
-        // pool-exhaustion knobs: a capped pool turns overload into counted
-        // RX sheds at the sequencer instead of unbounded growth
+        let seg_pool = SharedSegPool::default();
+        // pool-exhaustion knob: a capped work pool turns overload into
+        // counted RX sheds at the sequencer instead of unbounded growth
         work_pool.borrow_mut().capacity = cfg.work_pool_cap;
-        seg_pool.borrow_mut().set_capacity(cfg.seg_pool_cap);
         let ccp = shared_datapath(MeasureCfg::default());
 
         // reserve everything first (the graph is cyclic)
@@ -83,7 +82,6 @@ impl FlexToeNic {
         seqr_node.pre_pool = vec![pre];
         seqr_node.protos = protos.clone();
         seqr_node.mac = mac;
-        seqr_node.seg_pool = Some(seg_pool.clone());
         sim.fill_node(seqr, seqr_node);
 
         sim.fill_node(
@@ -178,7 +176,6 @@ impl FlexToeNic {
             work_high_water: work.high_water,
             seg_in_flight: seg.in_flight(),
             seg_high_water: seg.high_water,
-            seg_idle: seg.idle(),
             ..Default::default()
         };
         for &p in &self.protos {
@@ -225,8 +222,6 @@ pub struct PoolGauges {
     pub seg_in_flight: u64,
     /// Most packet buffers ever simultaneously outstanding.
     pub seg_high_water: u64,
-    /// Packet buffers idle in the free list.
-    pub seg_idle: usize,
     /// Connection-state entries resident in the EMEM SRAM caches.
     pub cache_occupancy: usize,
     /// High-water mark of that residency (distinct-connection footprint).
@@ -246,7 +241,6 @@ impl PoolGauges {
         self.work_high_water += other.work_high_water;
         self.seg_in_flight += other.seg_in_flight;
         self.seg_high_water += other.seg_high_water;
-        self.seg_idle += other.seg_idle;
         self.cache_occupancy += other.cache_occupancy;
         self.cache_high_water += other.cache_high_water;
         self.cache_local_hits += other.cache_local_hits;
@@ -266,7 +260,6 @@ impl PoolGauges {
         set(stats, "work_pool.hwm", self.work_high_water as u64);
         set(stats, "pktbuf.in_flight", self.seg_in_flight);
         set(stats, "pktbuf.hwm", self.seg_high_water);
-        set(stats, "pktbuf.idle", self.seg_idle as u64);
         set(stats, "conn_cache.occupancy", self.cache_occupancy as u64);
         set(stats, "conn_cache.hwm", self.cache_high_water as u64);
         set(stats, "conn_cache.local_hits", self.cache_local_hits);

@@ -4,14 +4,13 @@
 //! Work items never travel inside messages: they live in the NIC-shared
 //! [`WorkPool`] and stages pass [`flextoe_sim::WorkToken`]s (slot indices)
 //! through the event queue — the zero-allocation fast path. Per-packet
-//! byte buffers are recycled through the NIC's
-//! [`flextoe_nfp::PktBufPool`].
+//! byte buffers are recycled through the simulation's
+//! [`flextoe_nfp::PktBufPool`], counted per NIC in a [`SharedSegPool`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use flextoe_nfp::PktBufPool;
-use flextoe_sim::Time;
+use flextoe_sim::{PoolCounters, Time};
 use flextoe_wire::{FourTuple, Frame, Ip4, MacAddr, SegmentView};
 
 use crate::hostmem::{AppToNic, SharedBuf, SharedCtxQueue};
@@ -383,17 +382,13 @@ impl Default for WorkPool {
 }
 
 pub type SharedWorkPool = Rc<RefCell<WorkPool>>;
-/// The NIC's packet-buffer pool (frame byte buffers, recycled).
-pub type SharedSegPool = Rc<RefCell<PktBufPool>>;
+/// The NIC's packet-memory counters. The buffers themselves recycle
+/// through the simulation's one free list, `Ctx::pool`
+/// (`take_for` / `put_for`).
+pub type SharedSegPool = Rc<RefCell<PoolCounters>>;
 
 pub fn shared_work_pool() -> SharedWorkPool {
     Rc::new(RefCell::new(WorkPool::new()))
-}
-
-/// Default packet-buffer pool bound: enough idle buffers for every
-/// in-flight segment of a 40 Gbps pipeline with margin.
-pub fn shared_seg_pool() -> SharedSegPool {
-    Rc::new(RefCell::new(PktBufPool::new(4096)))
 }
 
 #[cfg(test)]

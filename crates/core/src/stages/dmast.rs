@@ -123,7 +123,7 @@ impl DmaStage {
                 self.rx_payload_bytes += placement.len as u64;
             }
         }
-        self.seg_pool.borrow_mut().put(frame);
+        ctx.pool.put_for(&mut self.seg_pool.borrow_mut(), frame);
 
         let d = self.exec(ctx, costs::DMA_STAGE);
         if let Some(nbi_seq) = nbi_seq {
@@ -193,7 +193,7 @@ impl DmaStage {
             ..Default::default()
         };
         spec.payload_len = seg.len as usize;
-        let buf = self.seg_pool.borrow_mut().take();
+        let buf = ctx.pool.take_for(&mut self.seg_pool.borrow_mut());
         let tx_buf = entry.tx_buf.borrow();
         let frame = spec.emit_frame_into(buf, |payload| tx_buf.read(seg.buf_pos, payload));
         drop(tx_buf);

@@ -49,9 +49,6 @@ pub struct PipeCfg {
     /// frames with a counted `nic.pool_exhausted` drop instead of growing
     /// the slab — backpressure as a degraded mode, not a panic.
     pub work_pool_cap: Option<usize>,
-    /// Cap on outstanding NIC packet-buffer-pool buffers (None =
-    /// unbounded); same admission point and counter as `work_pool_cap`.
-    pub seg_pool_cap: Option<u64>,
 }
 
 impl PipeCfg {
@@ -71,7 +68,6 @@ impl PipeCfg {
             rx_buf_size: 64 * 1024,
             tx_buf_size: 64 * 1024,
             work_pool_cap: None,
-            seg_pool_cap: None,
         }
     }
 

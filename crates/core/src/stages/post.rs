@@ -85,17 +85,17 @@ impl PostStage {
         done.saturating_since(ctx.now())
     }
 
-    /// Build an ACK frame by reversing the identity of a received segment
-    /// and stamping ECN/timestamp feedback (Ack + ECN + Stamp).
+    /// Build an ACK frame into `buf` by reversing the identity of a
+    /// received segment and stamping ECN/timestamp feedback (Ack + ECN +
+    /// Stamp).
     fn build_ack(
-        &self,
+        buf: Vec<u8>,
         now_us: u32,
         view: &flextoe_wire::SegmentView,
         out: &crate::proto::RxOutcome,
         tsval_peer: u32,
         fin_ack: bool,
     ) -> flextoe_wire::Frame {
-        let buf = self.seg_pool.borrow_mut().take();
         let mut flags = TcpFlags::ACK;
         if out.ecn_echo {
             flags = flags | TcpFlags::ECE;
@@ -170,7 +170,7 @@ impl PostStage {
                     },
                 );
             } else if let Work::Rx(w) = pool.retire(slot) {
-                self.seg_pool.borrow_mut().put(w.frame);
+                ctx.pool.put_for(&mut self.seg_pool.borrow_mut(), w.frame);
             }
             return;
         };
@@ -259,10 +259,11 @@ impl PostStage {
         if out.send_ack {
             self.acks_prepared += 1;
             cost += costs::CHECKSUM;
+            let buf = ctx.pool.take_for(&mut self.seg_pool.borrow_mut());
             let w = pool.rx_mut(slot);
             let frame = {
                 let view = w.view.as_ref().expect("post stage after pre");
-                self.build_ack(now_us, view, &out, w.summary.tsval, out.fin_delivered)
+                Self::build_ack(buf, now_us, view, &out, w.summary.tsval, out.fin_delivered)
             };
             w.ack_frame = Some(frame);
         }
@@ -342,7 +343,7 @@ impl PostStage {
             let seg = *seg;
             let table = self.table.borrow();
             if let Some(entry) = table.get(conn) {
-                let buf = self.seg_pool.borrow_mut().take();
+                let buf = ctx.pool.take_for(&mut self.seg_pool.borrow_mut());
                 let frame = ack_from_identity(&table.nic, &entry.pre, &seg, now_us, buf);
                 drop(table);
                 pool.hc_mut(slot).ack_frame = Some(frame);

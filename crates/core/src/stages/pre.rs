@@ -109,7 +109,7 @@ impl PreStage {
             // exit paths that forwarded the frame elsewhere left an empty
             // buffer behind (mem::take) — only real buffers recycle
             if !w.frame.is_empty() {
-                self.seg_pool.borrow_mut().put(w.frame);
+                ctx.pool.put_for(&mut self.seg_pool.borrow_mut(), w.frame);
             }
         }
         ctx.send(self.seqr, delay, Msg::Skip(entry_seq));

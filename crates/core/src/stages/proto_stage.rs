@@ -109,9 +109,9 @@ impl ProtoStage {
 
     /// Retire an in-flight item that dies in this stage, recycling its
     /// buffers (the cold path; live items are mutated in place).
-    fn retire(&mut self, pool: &mut WorkPool, slot: u32) {
+    fn retire(&mut self, ctx: &mut Ctx<'_>, pool: &mut WorkPool, slot: u32) {
         if let Work::Rx(w) = pool.retire(slot) {
-            self.seg_pool.borrow_mut().put(w.frame);
+            ctx.pool.put_for(&mut self.seg_pool.borrow_mut(), w.frame);
         }
     }
 }
@@ -145,7 +145,7 @@ impl ProtoStage {
         let mut table = self.table.borrow_mut();
         let Some(entry) = table.get_mut(conn) else {
             drop(table);
-            self.retire(pool, slot); // torn down while in flight
+            self.retire(ctx, pool, slot); // torn down while in flight
             return;
         };
         let out = proto::rx_segment(&mut entry.proto, &w.summary);
@@ -183,7 +183,7 @@ impl ProtoStage {
         let mut table = self.table.borrow_mut();
         let Some(entry) = table.get_mut(conn) else {
             drop(table);
-            self.retire(pool, slot);
+            self.retire(ctx, pool, slot);
             return;
         };
         let seg = proto::tx_next(&mut entry.proto, self.cfg.mss);
@@ -208,7 +208,7 @@ impl ProtoStage {
             None => {
                 // scheduler raced an ACK/window change; item dies
                 self.empty_tx += 1;
-                self.retire(pool, slot);
+                self.retire(ctx, pool, slot);
             }
         }
     }
@@ -221,7 +221,7 @@ impl ProtoStage {
         let mut table = self.table.borrow_mut();
         let Some(entry) = table.get_mut(conn) else {
             drop(table);
-            self.retire(pool, slot);
+            self.retire(ctx, pool, slot);
             return;
         };
         match w.desc {

@@ -20,7 +20,7 @@ use flextoe_wire::Frame;
 
 use crate::costs;
 use crate::reorder::Reorder;
-use crate::segment::{RxWork, SharedSegPool, SharedWorkPool, Work, WorkPool};
+use crate::segment::{RxWork, SharedWorkPool, Work, WorkPool};
 use crate::stages::SharedCfg;
 use flextoe_nfp::FpcTimer;
 
@@ -46,12 +46,7 @@ pub struct SeqrNode {
     pub mac: NodeId,
     pub rx_frames: u64,
     pub tx_triggers: u64,
-    /// The NIC's packet-buffer pool, consulted (with the work pool) at RX
-    /// admission when either carries a capacity bound. `None` = the node
-    /// is driven standalone in a test without a NIC (no segment-pool
-    /// pressure to model).
-    pub seg_pool: Option<SharedSegPool>,
-    /// RX frames shed at ingress because a capped pool had no headroom —
+    /// RX frames shed at ingress because a capped work pool was full —
     /// backpressure as a counted degraded mode instead of unbounded slab
     /// growth (or a panic).
     pub pool_exhausted: u64,
@@ -76,7 +71,6 @@ impl SeqrNode {
             mac: 0,
             rx_frames: 0,
             tx_triggers: 0,
-            seg_pool: None,
             pool_exhausted: 0,
             exhausted_counter: None,
         }
@@ -141,16 +135,12 @@ impl SeqrNode {
             // raw ingress frame from the MAC
             Msg::Frame(frame) => {
                 self.rx_frames += 1;
-                // pool-exhaustion backpressure: a capped work pool or
-                // packet-buffer pool with no headroom sheds the frame at
-                // ingress (the NBI's behavior when packet memory is gone)
-                // — a counted drop, recycled to the fabric pool so the
-                // conservation invariant holds through exhaustion
-                let seg_full = self
-                    .seg_pool
-                    .as_ref()
-                    .is_some_and(|p| p.borrow().at_capacity());
-                if pool.at_capacity() || seg_full {
+                // pool-exhaustion backpressure: a capped work pool with
+                // no free slot sheds the frame at ingress (the NBI's
+                // behavior when its work memory is gone) — a counted
+                // drop, recycled to the fabric pool so the conservation
+                // invariant holds through exhaustion
+                if pool.at_capacity() {
                     self.pool_exhausted += 1;
                     if let Some(c) = self.exhausted_counter {
                         ctx.stats.inc(c);

@@ -569,7 +569,7 @@ impl Switch {
             tel.epoch_seq += 1;
             return;
         }
-        let mut buf = ctx.pool.take();
+        let mut buf = ctx.pool.take_report();
         tel.sketch.encode_sweep(tel.index, tel.epoch_seq, &mut buf);
         tel.epoch_seq += 1;
         ctx.send(tel.collector, latency, Frame::raw(buf));

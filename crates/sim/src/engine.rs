@@ -499,7 +499,9 @@ pub struct Ctx<'a> {
     pub stats: &'a mut Stats,
     /// The simulation-wide frame-buffer pool: emitters outside the NICs
     /// (host stacks, the control plane) draw buffers here; fabric
-    /// elements (switches, links, MAC queues) return dropped frames.
+    /// elements (switches, links, MAC queues) return dropped frames; NIC
+    /// stages take and return theirs on their own counters
+    /// ([`PktBufPool::take_for`]).
     pub pool: &'a mut PktBufPool,
     halt: &'a mut bool,
 }
@@ -697,7 +699,7 @@ pub struct Sim {
     /// instead.
     pub rng: Rng,
     pub stats: Stats,
-    /// Simulation-wide recycled frame buffers (see [`Ctx::pool`]).
+    /// The simulation's one frame-buffer free list (see [`Ctx::pool`]).
     pub frame_pool: PktBufPool,
     events_processed: u64,
     halt: bool,

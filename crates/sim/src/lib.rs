@@ -46,7 +46,7 @@ pub use engine::{
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hist::Histogram;
-pub use pool::PktBufPool;
+pub use pool::{PktBufPool, PoolCounters};
 pub use queue::BoundedQueue;
 pub use rng::Rng;
 pub use stats::{CounterHandle, HistHandle, Stats};

@@ -8,16 +8,19 @@
 //! the events delivered per request, so a self-event that returns on
 //! every frame fails here too. The 1 ms telemetry sweep, the one piece of
 //! periodic control work on the fabrics, is pinned the same way: a warm
-//! sweep's encode and merge allocate nothing.
+//! sweep's encode and merge allocate nothing. Under loss, the frame pools
+//! must recycle what the links drop: fresh pool buffers stay a small
+//! fraction of the dropped frames.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use flextoe_apps::{ClientConfig, LoadMode, RpcClientApp, RpcServerApp, ServerConfig, StackApi};
 use flextoe_control::CcAlgo;
-use flextoe_sim::{Duration, SchedCtl, Sim, Tick, Time};
+use flextoe_netsim::Faults;
+use flextoe_sim::{Duration, NodeId, SchedCtl, Sim, Tick, Time};
 use flextoe_telemetry::{mix64, MergedView, ReportView, SketchCfg, SwitchSketch};
-use flextoe_topo::{build_pair, PairOpts, Stack};
+use flextoe_topo::{build_pair, Endpoint, PairOpts, Stack};
 
 type Client = RpcClientApp<Box<dyn StackApi>>;
 type Server = RpcServerApp<Box<dyn StackApi>>;
@@ -81,6 +84,29 @@ struct Window {
     events: u64,
 }
 
+/// A client/server pair on `stack`, scheduled to start: the client
+/// endpoint, the server endpoint and the client node.
+fn client_server(
+    sim: &mut Sim,
+    stack: Stack,
+    opts: &PairOpts,
+    server_cfg: ServerConfig,
+    client_cfg: ClientConfig,
+) -> (Endpoint, Endpoint, NodeId) {
+    let (ea, eb) = build_pair(sim, stack, stack, opts);
+    let server = sim.add_node(Server::new(server_cfg, eb.stack_init(stack, 1)));
+    let client = sim.add_node(Client::new(
+        ClientConfig {
+            server_ip: eb.ip,
+            ..client_cfg
+        },
+        ea.stack_init(stack, 1),
+    ));
+    sim.schedule(Time::ZERO, server, Tick);
+    sim.schedule(Time::from_us(20), client, Tick);
+    (ea, eb, client)
+}
+
 /// A client/server pair on `stack`, run through a warm-up and then two
 /// equal windows.
 fn two_windows(
@@ -93,17 +119,7 @@ fn two_windows(
     window: Duration,
 ) -> [Window; 2] {
     let mut sim = Sim::new(11);
-    let (ea, eb) = build_pair(&mut sim, stack, stack, &opts);
-    let server = sim.add_node(Server::new(server_cfg, eb.stack_init(stack, 1)));
-    let client = sim.add_node(Client::new(
-        ClientConfig {
-            server_ip: eb.ip,
-            ..client_cfg
-        },
-        ea.stack_init(stack, 1),
-    ));
-    sim.schedule(Time::ZERO, server, Tick);
-    sim.schedule(Time::from_us(20), client, Tick);
+    let (ea, _, client) = client_server(&mut sim, stack, &opts, server_cfg, client_cfg);
     if let Some(interval_ps_per_byte) = pace_ps_per_byte {
         // program the sender's flow scheduler the way the control plane's
         // congestion control would (CC itself is off in this scenario)
@@ -241,6 +257,44 @@ fn paced_flextoe_bulk_allocates_nothing_per_segment() {
         Duration::from_ms(6),
     );
     assert_steady("paced FlexTOE bulk", w, 20);
+}
+
+/// A FlexTOE echo losing 1% of its frames on each wire. A frame taken
+/// from one NIC's packet memory and dropped on the link goes back through
+/// the fabric pool; both NICs share that pool's free list, so the next
+/// emission on either side reuses it. Fresh buffers then track the peak
+/// number in flight, not the drops. This counts pool allocations, not
+/// allocator calls, because a new high-water mark is a legitimate fresh
+/// buffer.
+#[test]
+fn dropped_frames_refill_the_nic_packet_memory() {
+    let mut sim = Sim::new(11);
+    let opts = PairOpts {
+        faults: Faults {
+            drop_chance: 0.01,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let (server, client) = echo_cfgs();
+    let (ea, eb, client) = client_server(&mut sim, Stack::FlexToe, &opts, server, client);
+    sim.run_until(Time::from_ms(40));
+
+    let drops = sim.stats.get_named("link.drops");
+    let nics = [&ea, &eb].map(|ep| {
+        let (nic, _) = ep.flextoe.as_ref().expect("a FlexTOE pair");
+        nic.seg_pool.borrow().fresh_allocs
+    });
+    let fresh = sim.frame_pool.fresh_allocs + nics.iter().sum::<u64>();
+    assert!(
+        sim.node_ref::<Client>(client).completed > 1000 && drops >= 100,
+        "too little loss to mean anything: {drops} drops"
+    );
+    assert!(
+        fresh * 10 < drops,
+        "{fresh} fresh buffers (sim pool {}, NICs {nics:?}) for {drops} dropped frames",
+        sim.frame_pool.fresh_allocs
+    );
 }
 
 /// One switch's telemetry sweep at the default 4x4096 shape with 3,000
