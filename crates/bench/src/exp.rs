@@ -1,7 +1,7 @@
 //! One runner per table and figure of the paper's evaluation (§5).
 //! Absolute numbers come from the simulation substrate; the reproduction
 //! target is the *shape*. Each runner prints paper-vs-measured to stdout;
-//! nothing checks it yet (ROADMAP item 4c).
+//! nothing checks it yet (ROADMAP item 7).
 
 use flextoe_apps::{ClientConfig, LoadMode, ServerConfig};
 use flextoe_control::CcAlgo;

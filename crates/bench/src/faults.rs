@@ -433,7 +433,7 @@ fn row_json(row: &ChaosRow, plan: &FaultsPlan, timeline: Vec<u64>, c: FaultsCoun
     let tail_avg = tail.iter().sum::<u64>() as f64 / tail.len().max(1) as f64;
 
     // fabric totals are the column sums of the per-switch counts, which
-    // land name-sorted (the order `Stats::export_json` lists counters in)
+    // land name-sorted (the order `Stats::dump_counters` lists counters in)
     let mut totals = [0u64; 4];
     let mut per_switch: Vec<(String, Json)> = Vec::new();
     for (i, counts) in c.per_switch.iter().enumerate() {

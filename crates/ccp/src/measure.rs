@@ -74,7 +74,7 @@ struct FlowFold {
     last_report_us: u32,
 }
 
-/// Measurement-layer configuration (programmed by the control plane).
+/// Measurement-layer configuration, fixed when the NIC is built.
 #[derive(Clone, Copy, Debug)]
 pub struct MeasureCfg {
     /// Per-flow report interval.
@@ -148,15 +148,6 @@ impl CcpDatapath {
             reports: 0,
             batches: 0,
         }
-    }
-
-    /// Reprogram the report cadence (control-plane MMIO analogue).
-    pub fn set_cfg(&mut self, cfg: MeasureCfg) {
-        self.cfg = cfg;
-    }
-
-    pub fn cfg(&self) -> MeasureCfg {
-        self.cfg
     }
 
     /// Install a fold for `conn`. `None` selects the built-in fold's

@@ -31,7 +31,8 @@ use flextoe_ccp::{
 use flextoe_core::hostmem::{shared_buf, AppToNic, SharedBuf, SharedCtxQueue};
 use flextoe_core::segment::ConnEntry;
 use flextoe_core::stages::{Doorbell, NotifyJob, Redirect, RegisterCtx, SchedCtl};
-use flextoe_core::{NicHandle, PostState, PreState, ProtoState};
+use flextoe_core::transport::SYN_ATTEMPTS;
+use flextoe_core::{NicHandle, PostState, PreState, ProtoState, TransportPolicy};
 use flextoe_nfp::MacTx;
 use flextoe_sim::{
     try_cast, CounterHandle, Ctx, Duration, FxHashMap, Msg, Node, NodeId, ReportBatchToken, Stats,
@@ -45,6 +46,10 @@ use rto::{RtoTracker, RtoVerdict};
 
 /// The control plane's own context-queue id (for HC injections).
 pub const CTRL_CTX: u16 = u16::MAX;
+
+/// Control-loop iteration interval (RTO monitoring, teardown detection,
+/// stale-report flushing).
+const CONTROL_INTERVAL: Duration = Duration::from_us(50);
 
 /// Which congestion-control policy the control plane runs. Resolution
 /// goes through the `flextoe-ccp` algorithm registry by [`CcAlgo::name`];
@@ -92,28 +97,16 @@ impl CcAlgo {
 #[derive(Clone, Debug)]
 pub struct CtrlConfig {
     pub cc: CcAlgo,
-    /// Control-loop iteration interval (RTO monitoring, teardown
-    /// detection, stale-report flushing — no longer a stats harvest).
-    pub cc_interval: Duration,
-    /// Per-flow datapath report interval (the fold layer's cadence).
-    pub report_interval: Duration,
     /// Datapath fold installed for new flows: the built-in native fold,
     /// or a custom program compiled to eBPF.
     pub fold: FoldSpec,
-    pub min_rto: Duration,
-    /// Base SYN retransmission interval. Retries back off exponentially
-    /// (base ≪ attempt-1, capped at 32×) with ±25% jitter drawn from the
-    /// simulation's seeded generator — deterministic per seed, but
-    /// reconnection storms don't phase-lock.
-    pub syn_retry: Duration,
-    /// Total SYN attempts before the connect aborts with
-    /// [`AppReply::ConnectFailed`].
-    pub syn_attempts: u32,
-    /// Consecutive no-progress RTO firings before an established
-    /// connection is aborted (RST + teardown + a typed
-    /// `NicToApp::Aborted` to the app) instead of retrying forever.
-    /// `None` restores the legacy retry-forever behavior.
-    pub rto_give_up: Option<u32>,
+    /// RTO floor and give-up budget, and the SYN retry base. SYN retries
+    /// here add ±25% jitter drawn from the simulation's seeded generator
+    /// — deterministic per seed, but reconnection storms don't
+    /// phase-lock; after [`SYN_ATTEMPTS`] transmissions the connect
+    /// fails with [`AppReply::ConnectFailed`]. An abort sends an RST,
+    /// tears down, and hands the app a typed `NicToApp::Aborted`.
+    pub transport: TransportPolicy,
     /// SYN admission control: refuse new passive opens with an RST once
     /// this many connections are installed (counted in
     /// `ctrl.admission_refused`). Admission recovers by itself as
@@ -126,13 +119,8 @@ impl Default for CtrlConfig {
     fn default() -> Self {
         CtrlConfig {
             cc: CcAlgo::Dctcp,
-            cc_interval: Duration::from_us(50),
-            report_interval: Duration::from_us(50),
             fold: FoldSpec::Builtin,
-            min_rto: Duration::from_ms(1),
-            syn_retry: Duration::from_ms(5),
-            syn_attempts: 4,
-            rto_give_up: Some(8),
+            transport: TransportPolicy::default(),
             max_conns: None,
         }
     }
@@ -262,18 +250,8 @@ pub struct ControlPlane {
 
 impl ControlPlane {
     pub fn new(cfg: CtrlConfig, nic: NicHandle) -> ControlPlane {
-        let min_rto = cfg.min_rto;
-        // program the measurement layer's cadence
-        {
-            let mut ccp = nic.ccp.borrow_mut();
-            let mut mcfg = ccp.cfg();
-            mcfg.report_interval = cfg.report_interval;
-            mcfg.linger = Duration::from_us((cfg.report_interval.as_us() / 5).max(1));
-            ccp.set_cfg(mcfg);
-        }
         let compiled_fold = cfg.fold.compile_for_install();
-        let mut rto = RtoTracker::new(min_rto);
-        rto.give_up_after = cfg.rto_give_up;
+        let rto = RtoTracker::new(cfg.transport);
         ControlPlane {
             counters: None,
             cfg,
@@ -378,7 +356,7 @@ impl ControlPlane {
     fn arm_cc(&mut self, ctx: &mut Ctx<'_>) {
         if !self.cc_armed {
             self.cc_armed = true;
-            ctx.wake(self.cfg.cc_interval, Tick);
+            ctx.wake(CONTROL_INTERVAL, Tick);
         }
     }
 
@@ -388,13 +366,11 @@ impl ControlPlane {
         ctx.rng.next_u32()
     }
 
-    /// Jittered exponential backoff before SYN attempt `attempts + 1`:
-    /// base · 2^(attempts−1), shift capped at 5 (32× base), ±25% jitter
-    /// from the seeded generator. Deterministic per seed; the jitter
-    /// keeps a reconnection storm's retries from phase-locking.
+    /// The policy's SYN timeout after attempt `attempts`, with ±25%
+    /// jitter from the seeded generator. Deterministic per seed; the
+    /// jitter keeps a reconnection storm's retries from phase-locking.
     fn syn_backoff(&self, ctx: &mut Ctx<'_>, attempts: u32) -> Duration {
-        let base = self.cfg.syn_retry.as_ns().max(1);
-        let d = base.saturating_mul(1u64 << attempts.saturating_sub(1).min(5));
+        let d = self.cfg.transport.syn_timeout(attempts).as_ns().max(1);
         Duration::from_ns(ctx.rng.range(d - d / 4, d + d / 4))
     }
 
@@ -450,7 +426,7 @@ impl ControlPlane {
                 return; // established or failed meanwhile
             };
             p.attempts += 1;
-            p.attempts > self.cfg.syn_attempts
+            p.attempts > SYN_ATTEMPTS
         };
         if give_up {
             let p = self.active.remove(&key).unwrap();
@@ -914,7 +890,7 @@ impl ControlPlane {
         if let Some(token) = stale {
             self.on_report_batch(ctx, token);
         }
-        ctx.wake(self.cfg.cc_interval, Tick);
+        ctx.wake(CONTROL_INTERVAL, Tick);
     }
 
     /// Abort an established connection whose retry budget is spent: send

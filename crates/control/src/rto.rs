@@ -4,10 +4,11 @@
 //! The control plane watches each flow's `snd_una` progress; when a flow
 //! has unacknowledged data and no progress for an RTO, it injects an HC
 //! retransmit descriptor (§3.1.1: "Retransmissions in response to timeouts
-//! are triggered by the control-plane"). RTO = max(min_rto, 4 × sRTT) with
-//! exponential backoff, as in TAS.
+//! are triggered by the control-plane"). The timeout itself is the
+//! [`TransportPolicy::rto`] rule the baseline host stacks run too.
 
-use flextoe_sim::{Duration, Time};
+use flextoe_core::transport::TransportPolicy;
+use flextoe_sim::Time;
 use flextoe_wire::SeqNum;
 
 /// Outcome of one control-loop RTO observation.
@@ -17,10 +18,9 @@ pub enum RtoVerdict {
     Idle,
     /// RTO expired: inject a retransmit and back off.
     Fire,
-    /// The flow has exhausted its retry budget (`give_up_after`
-    /// consecutive RTOs with zero progress): abort the connection instead
-    /// of retrying forever. Backoff used to saturate at shift 6 and
-    /// retransmit a blackholed flow indefinitely.
+    /// The flow has exhausted its retry budget
+    /// ([`TransportPolicy::rto_give_up`] consecutive RTOs with zero
+    /// progress): abort the connection instead of retrying forever.
     GiveUp,
 }
 
@@ -35,22 +35,16 @@ struct FlowRto {
 
 pub struct RtoTracker {
     flows: Vec<Option<FlowRto>>,
-    pub min_rto: Duration,
-    pub max_rto: Duration,
-    /// Consecutive no-progress RTO firings a flow is allowed before
-    /// [`RtoVerdict::GiveUp`] (`None` = legacy retry-forever).
-    pub give_up_after: Option<u32>,
+    policy: TransportPolicy,
     pub fired: u64,
     pub gave_up: u64,
 }
 
 impl RtoTracker {
-    pub fn new(min_rto: Duration) -> RtoTracker {
+    pub fn new(policy: TransportPolicy) -> RtoTracker {
         RtoTracker {
             flows: Vec::new(),
-            min_rto,
-            max_rto: Duration::from_ms(200),
-            give_up_after: None,
+            policy,
             fired: 0,
             gave_up: 0,
         }
@@ -107,10 +101,8 @@ impl RtoTracker {
             }
             return RtoVerdict::Idle;
         }
-        let base = Duration::from_us(4 * srtt_us.max(1) as u64).max(self.min_rto);
-        let rto = (base * (1u64 << f.backoff.min(6))).min(self.max_rto);
-        if now.saturating_since(f.since) >= rto {
-            if self.give_up_after.is_some_and(|limit| f.backoff >= limit) {
+        if now.saturating_since(f.since) >= self.policy.rto(srtt_us, f.backoff) {
+            if self.policy.gives_up(f.backoff) {
                 self.gave_up += 1;
                 return RtoVerdict::GiveUp;
             }
@@ -126,13 +118,23 @@ impl RtoTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flextoe_sim::Duration;
     use RtoVerdict::{Fire, Idle};
 
     const MIN: Duration = Duration::from_ms(1);
 
+    /// A 1 ms floor with the given retry budget.
+    fn tracker(rto_give_up: Option<u32>) -> RtoTracker {
+        RtoTracker::new(TransportPolicy {
+            min_rto: MIN,
+            rto_give_up,
+            ..Default::default()
+        })
+    }
+
     #[test]
     fn fires_after_stall() {
-        let mut t = RtoTracker::new(MIN);
+        let mut t = tracker(None);
         t.register(1);
         let una = SeqNum(1000);
         assert_eq!(t.observe(1, una, 500, Time::from_us(0), 100), Idle); // arms
@@ -143,7 +145,7 @@ mod tests {
 
     #[test]
     fn progress_resets_timer() {
-        let mut t = RtoTracker::new(MIN);
+        let mut t = tracker(None);
         t.register(1);
         t.observe(1, SeqNum(1000), 500, Time::from_us(0), 100);
         // ack progress at 900us
@@ -165,7 +167,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles() {
-        let mut t = RtoTracker::new(MIN);
+        let mut t = tracker(None);
         t.register(1);
         let una = SeqNum(0);
         t.observe(1, una, 100, Time::from_us(0), 10);
@@ -180,7 +182,7 @@ mod tests {
 
     #[test]
     fn empty_flight_disarms_and_clears_backoff() {
-        let mut t = RtoTracker::new(MIN);
+        let mut t = tracker(None);
         t.register(1);
         t.observe(1, SeqNum(0), 100, Time::from_us(0), 10);
         assert_eq!(t.observe(1, SeqNum(0), 100, Time::from_ms(1), 10), Fire);
@@ -193,7 +195,7 @@ mod tests {
 
     #[test]
     fn srtt_scales_rto() {
-        let mut t = RtoTracker::new(MIN);
+        let mut t = tracker(None);
         t.register(1);
         t.observe(1, SeqNum(0), 100, Time::ZERO, 1000); // srtt 1ms -> rto 4ms
         assert_eq!(t.observe(1, SeqNum(0), 100, Time::from_ms(2), 1000), Idle);
@@ -202,7 +204,7 @@ mod tests {
 
     #[test]
     fn unregistered_never_fires() {
-        let mut t = RtoTracker::new(MIN);
+        let mut t = tracker(None);
         assert_eq!(t.observe(7, SeqNum(0), 100, Time::from_ms(100), 10), Idle);
         t.register(7);
         t.unregister(7);
@@ -211,19 +213,18 @@ mod tests {
 
     /// Regression: a blackholed flow (100% loss, `snd_una` never moves)
     /// used to saturate at backoff shift 6 and retransmit forever. With a
-    /// give-up threshold it fires exactly `give_up_after` times and then
+    /// give-up threshold it fires exactly `rto_give_up` times and then
     /// reports `GiveUp` so the caller aborts the connection.
     #[test]
     fn blackholed_flow_gives_up_after_budget() {
-        let mut t = RtoTracker::new(MIN);
-        t.give_up_after = Some(3);
+        let mut t = tracker(Some(3));
         t.register(1);
         let una = SeqNum(0);
         t.observe(1, una, 100, Time::ZERO, 10); // arms
         let mut fires = 0;
         let mut now = Time::ZERO;
         let verdict = loop {
-            now += Duration::from_ms(300); // > max_rto: always expired
+            now += Duration::from_ms(300); // > the 200 ms cap: always expired
             match t.observe(1, una, 100, now, 10) {
                 Fire => fires += 1,
                 v => break v,
@@ -242,10 +243,10 @@ mod tests {
         );
     }
 
-    /// `give_up_after: None` preserves the legacy retry-forever behavior.
+    /// `rto_give_up: None` retries forever.
     #[test]
     fn no_threshold_retries_forever() {
-        let mut t = RtoTracker::new(MIN);
+        let mut t = tracker(None);
         t.register(1);
         let una = SeqNum(0);
         t.observe(1, una, 100, Time::ZERO, 10);

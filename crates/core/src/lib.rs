@@ -22,6 +22,7 @@ pub mod sched;
 pub mod segment;
 pub mod stages;
 pub mod state;
+pub mod transport;
 
 pub use hostmem::{
     shared_buf, shared_ctxq, AppToNic, CtxQueuePair, NicToApp, PayloadBuf, SharedBuf,
@@ -36,3 +37,4 @@ pub use segment::{
 };
 pub use stages::{AppNotify, Doorbell, PipeCfg, Redirect, RegisterCtx, SchedCtl};
 pub use state::{PostState, PreState, ProtoState, CONN_STATE_BYTES};
+pub use transport::TransportPolicy;

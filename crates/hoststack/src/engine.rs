@@ -17,6 +17,7 @@
 
 use flextoe_core::hostmem::{shared_buf, AppToNic, SharedBuf};
 use flextoe_core::proto::{self, RxSummary};
+use flextoe_core::transport::{TransportPolicy, SYN_ATTEMPTS};
 use flextoe_core::ProtoState;
 use flextoe_nfp::{Cost, FpcTimer};
 use flextoe_sim::{try_cast, AppNotify, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Tick, Time};
@@ -34,13 +35,6 @@ const INIT_CWND: u32 = 10 * MSS;
 const BUF_SIZE: u32 = 64 * 1024;
 /// Max extra OOO intervals for the Linux receiver (plus the primary one).
 const LINUX_INTERVALS: usize = 31;
-/// SYN retransmission base timeout (doubles per attempt).
-const SYN_RETRY_BASE: Duration = Duration::from_ms(5);
-/// Total SYN transmissions before `ConnectFailed`.
-const SYN_ATTEMPTS: u32 = 4;
-/// Consecutive no-progress RTO firings before the stack aborts the
-/// connection (RST + `SockEvent::Aborted`) instead of retrying forever.
-const RTO_GIVE_UP: u32 = 8;
 
 struct HostConn {
     ps: ProtoState,
@@ -105,6 +99,8 @@ enum RtoAction {
 pub struct HostStackNode {
     pub kind: StackKind,
     costs: StackCosts,
+    /// RTO and SYN retry knobs, shared with the FlexTOE control plane.
+    transport: TransportPolicy,
     clock: flextoe_sim::Clock,
     pub mac: MacAddr,
     pub ip: Ip4,
@@ -139,14 +135,21 @@ pub struct HostStackNode {
     pub established: u64,
     /// SYN retransmissions (connect-phase loss recovery).
     pub syn_retries: u64,
-    /// Active opens abandoned after `SYN_ATTEMPTS` transmissions.
+    /// Active opens abandoned after [`SYN_ATTEMPTS`] transmissions.
     pub connect_give_ups: u64,
-    /// Established connections aborted after `RTO_GIVE_UP` RTOs.
+    /// Established connections aborted once the policy's RTO budget
+    /// ([`TransportPolicy::rto_give_up`]) is spent.
     pub aborts: u64,
 }
 
 impl HostStackNode {
-    pub fn new(kind: StackKind, mac: MacAddr, ip: Ip4, link_out: NodeId) -> Self {
+    pub fn new(
+        kind: StackKind,
+        mac: MacAddr,
+        ip: Ip4,
+        link_out: NodeId,
+        transport: TransportPolicy,
+    ) -> Self {
         let (clock, threads, mac_bps, nic_latency) = match kind {
             StackKind::FlexBaselineFpc => (
                 flextoe_sim::clocks::FPC_800MHZ,
@@ -170,6 +173,7 @@ impl HostStackNode {
         HostStackNode {
             kind,
             costs: kind.costs(),
+            transport,
             clock,
             mac,
             ip,
@@ -525,6 +529,39 @@ impl HostStackNode {
 
     // ---- handshake --------------------------------------------------------------
 
+    /// Send one handshake segment of the connection whose receive-side
+    /// tuple is `rx`. SYN and SYN-ACK carry the MSS option; the final ACK
+    /// carries none.
+    fn emit_handshake(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        dst_mac: MacAddr,
+        rx: FourTuple,
+        seq: SeqNum,
+        ack: SeqNum,
+        flags: TcpFlags,
+    ) {
+        let spec = SegmentSpec {
+            src_mac: self.mac,
+            dst_mac,
+            src_ip: self.ip,
+            dst_ip: rx.src_ip,
+            src_port: rx.dst_port,
+            dst_port: rx.src_port,
+            seq,
+            ack,
+            flags,
+            window: u16::MAX,
+            options: TcpOptions {
+                mss: flags.syn().then_some(MSS as u16),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let f = spec.emit_frame_into(ctx.pool.take(), |_| {});
+        self.emit(ctx, Duration::ZERO, f);
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn install(
         &mut self,
@@ -628,46 +665,15 @@ impl HostStackNode {
                     },
                 );
                 let _ = listener;
-                let mut spec = SegmentSpec {
-                    src_mac: self.mac,
-                    dst_mac: view.src_mac,
-                    src_ip: self.ip,
-                    dst_ip: view.src_ip,
-                    src_port: view.dst_port,
-                    dst_port: view.src_port,
-                    window: u16::MAX,
-                    options: TcpOptions {
-                        mss: Some(MSS as u16),
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                };
-                spec.seq = SeqNum(iss);
-                spec.ack = view.seq + 1;
-                spec.flags = TcpFlags::SYN | TcpFlags::ACK;
-                let f = spec.emit_frame_into(ctx.pool.take(), |_| {});
-                self.emit(ctx, Duration::ZERO, f);
+                let syn_ack = TcpFlags::SYN | TcpFlags::ACK;
+                self.emit_handshake(ctx, view.src_mac, tuple, SeqNum(iss), view.seq + 1, syn_ack);
             }
             return;
         }
         if flags.syn() && flags.ack() {
             if let Some(p) = self.active.remove(&tuple) {
-                // final ACK
-                let mut spec = SegmentSpec {
-                    src_mac: self.mac,
-                    dst_mac: view.src_mac,
-                    src_ip: self.ip,
-                    dst_ip: p.remote_ip,
-                    src_port: p.local_port,
-                    dst_port: p.remote_port,
-                    window: u16::MAX,
-                    ..Default::default()
-                };
-                spec.seq = SeqNum(p.iss.wrapping_add(1));
-                spec.ack = view.seq + 1;
-                spec.flags = TcpFlags::ACK;
-                let f = spec.emit_frame_into(ctx.pool.take(), |_| {});
-                self.emit(ctx, Duration::ZERO, f);
+                let seq = SeqNum(p.iss.wrapping_add(1));
+                self.emit_handshake(ctx, view.src_mac, tuple, seq, view.seq + 1, TcpFlags::ACK);
                 let id = self.install(
                     p.remote_ip,
                     p.remote_port,
@@ -734,6 +740,7 @@ impl HostStackNode {
 
     fn rto_scan(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
+        let transport = self.transport;
         let mut fire = std::mem::take(&mut self.rto_fire);
         for (id, slot) in self.conns.iter_mut().enumerate() {
             let Some(c) = slot else { continue };
@@ -755,10 +762,8 @@ impl HostStackNode {
                 c.backoff = 0;
                 continue;
             }
-            let base = Duration::from_us(4 * c.srtt_us.max(250) as u64);
-            let rto = base * (1 << c.backoff.min(6));
-            if now.saturating_since(c.stall_since) >= rto {
-                if c.backoff >= RTO_GIVE_UP {
+            if now.saturating_since(c.stall_since) >= transport.rto(c.srtt_us, c.backoff) {
+                if transport.gives_up(c.backoff) {
                     // blackholed: the retry budget is spent
                     fire.push((id as u32, RtoAction::Abort));
                     continue;
@@ -805,15 +810,14 @@ impl HostStackNode {
         self.lookup.remove(&c.tuple_rx);
     }
 
-    /// Connect-phase loss recovery: retransmit unanswered SYNs with
-    /// exponential backoff; after [`SYN_ATTEMPTS`] transmissions give up
-    /// and surface `ConnectFailed`.
+    /// Connect-phase loss recovery: retransmit unanswered SYNs after the
+    /// policy's [`TransportPolicy::syn_timeout`]; after [`SYN_ATTEMPTS`]
+    /// transmissions give up and surface `ConnectFailed`.
     fn syn_scan(&mut self, ctx: &mut Ctx<'_>, now: Time) {
         let mut retry = Vec::new();
         let mut give_up = Vec::new();
         for (tuple, p) in self.active.iter() {
-            let timeout = SYN_RETRY_BASE * (1u64 << p.attempts.saturating_sub(1).min(5));
-            if now.saturating_since(p.sent_at) >= timeout {
+            if now.saturating_since(p.sent_at) >= self.transport.syn_timeout(p.attempts) {
                 if p.attempts >= SYN_ATTEMPTS {
                     give_up.push(*tuple);
                 } else {
@@ -841,25 +845,9 @@ impl HostStackNode {
             let p = self.active.get_mut(&tuple).unwrap();
             p.attempts += 1;
             p.sent_at = now;
+            let iss = SeqNum(p.iss);
             self.syn_retries += 1;
-            let mut spec = SegmentSpec {
-                src_mac: self.mac,
-                dst_mac,
-                src_ip: self.ip,
-                dst_ip: p.remote_ip,
-                src_port: p.local_port,
-                dst_port: p.remote_port,
-                window: u16::MAX,
-                options: TcpOptions {
-                    mss: Some(MSS as u16),
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            spec.seq = SeqNum(p.iss);
-            spec.flags = TcpFlags::SYN;
-            let f = spec.emit_frame_into(ctx.pool.take(), |_| {});
-            self.emit(ctx, Duration::ZERO, f);
+            self.emit_handshake(ctx, dst_mac, tuple, iss, SeqNum(0), TcpFlags::SYN);
         }
     }
 
@@ -966,24 +954,7 @@ impl Node for HostStackNode {
                         attempts: 1,
                     },
                 );
-                let mut spec = SegmentSpec {
-                    src_mac: self.mac,
-                    dst_mac,
-                    src_ip: self.ip,
-                    dst_ip: c.ip,
-                    src_port: local_port,
-                    dst_port: c.port,
-                    window: u16::MAX,
-                    options: TcpOptions {
-                        mss: Some(MSS as u16),
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                };
-                spec.seq = SeqNum(iss);
-                spec.flags = TcpFlags::SYN;
-                let f = spec.emit_frame_into(ctx.pool.take(), |_| {});
-                self.emit(ctx, Duration::ZERO, f);
+                self.emit_handshake(ctx, dst_mac, key, SeqNum(iss), SeqNum(0), TcpFlags::SYN);
                 self.arm_rto(ctx);
                 return;
             }
@@ -1057,15 +1028,19 @@ mod tests {
 
     #[test]
     fn stack_kind_wiring() {
-        let n = HostStackNode::new(StackKind::Chelsio, MacAddr::local(1), Ip4::host(1), 0);
+        let host = |kind| {
+            HostStackNode::new(
+                kind,
+                MacAddr::local(1),
+                Ip4::host(1),
+                0,
+                TransportPolicy::default(),
+            )
+        };
+        let n = host(StackKind::Chelsio);
         assert_eq!(n.mac_bps, 100_000_000_000, "Chelsio is a 100G NIC");
         assert_eq!(n.nic_latency, Duration::from_us(2));
-        let n = HostStackNode::new(
-            StackKind::FlexBaselineFpc,
-            MacAddr::local(1),
-            Ip4::host(1),
-            0,
-        );
+        let n = host(StackKind::FlexBaselineFpc);
         assert_eq!(n.clock.hz(), 800_000_000);
     }
 }

@@ -13,6 +13,7 @@ pub mod costs;
 pub mod engine;
 pub mod shared;
 
+use flextoe_core::TransportPolicy;
 use flextoe_sim::{Duration, NodeId, Sim};
 use flextoe_wire::{Ip4, MacAddr};
 
@@ -20,16 +21,18 @@ pub use costs::{StackCosts, StackKind};
 pub use engine::HostStackNode;
 pub use shared::{shared_app_side, AppSide, HostSocketApi, SharedAppSide};
 
-/// Build a baseline host (stack node) and return its node id. Apps attach
-/// via [`host_socket_api`].
+/// Build a baseline host (stack node) running `transport`, the RTO and
+/// SYN retry policy FlexTOE's control plane runs too, and return its node
+/// id. Apps attach via [`host_socket_api`].
 pub fn build_host(
     sim: &mut Sim,
     kind: StackKind,
     mac: MacAddr,
     ip: Ip4,
     link_out: NodeId,
+    transport: TransportPolicy,
 ) -> NodeId {
-    sim.add_node(HostStackNode::new(kind, mac, ip, link_out))
+    sim.add_node(HostStackNode::new(kind, mac, ip, link_out, transport))
 }
 
 /// Create the [`flextoe_apps::StackApi`] endpoint for an application node

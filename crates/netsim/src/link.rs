@@ -27,7 +27,7 @@ pub struct GeParams {
     pub loss_bad: f64,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Faults {
     /// Probability a frame is silently dropped.
     pub drop_chance: f64,

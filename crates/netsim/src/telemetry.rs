@@ -125,7 +125,7 @@ impl Collector {
     }
 
     /// Snapshot the merged state onto named stats (idempotent `set`s,
-    /// name-sorted by `Stats::export_json` consumers): per-switch
+    /// name-sorted by `Stats::dump_counters` consumers): per-switch
     /// observed bytes/frames/epochs/candidate counts.
     pub fn export(&self, stats: &mut Stats) {
         for (i, v) in self.views.iter().enumerate() {

@@ -30,7 +30,6 @@
 
 use std::any::Any;
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -225,15 +224,6 @@ pub struct ShardedSim<B> {
     blocked_ns: Vec<u64>,
 }
 
-/// Tracks live shard worker threads across all `ShardedSim`s, so bench
-/// sweep parallelism can be capped while a sharded point is running.
-static LIVE_WORKERS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of shard worker threads currently alive, process-wide.
-pub fn live_workers() -> u64 {
-    LIVE_WORKERS.load(Ordering::Relaxed)
-}
-
 impl<B: 'static> ShardedSim<B> {
     /// Spawn `n` workers, each building its own full copy of the
     /// scenario via `build(shard_idx)` and masking to the nodes the
@@ -250,19 +240,9 @@ impl<B: 'static> ShardedSim<B> {
             let (cmd_tx, cmd_rx) = channel::<Cmd<B>>();
             let (rep_tx, rep_rx) = channel::<Reply>();
             let build = Arc::clone(&build);
-            LIVE_WORKERS.fetch_add(1, Ordering::Relaxed);
             let handle = std::thread::Builder::new()
                 .name(format!("shard-{idx}"))
-                .spawn(move || {
-                    struct Live;
-                    impl Drop for Live {
-                        fn drop(&mut self) {
-                            LIVE_WORKERS.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                    let _live = Live;
-                    worker_loop(idx, build, cmd_rx, rep_tx)
-                })
+                .spawn(move || worker_loop(idx, build, cmd_rx, rep_tx))
                 .expect("spawn shard worker");
             workers.push(Worker {
                 cmds: cmd_tx,
@@ -321,11 +301,6 @@ impl<B: 'static> ShardedSim<B> {
 
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// Which shard owns `node`.
-    pub fn owner_of(&self, node: usize) -> usize {
-        self.owner[node] as usize
     }
 
     fn recv(&mut self, i: usize) -> Reply {

@@ -105,20 +105,6 @@ impl Stats {
         v
     }
 
-    /// Name-sorted JSON-object snapshot of every counter whose name
-    /// starts with `prefix` (`""` exports everything). Keys are emitted
-    /// in sorted order so the output is deterministic and diffable —
-    /// experiment reports embed it verbatim.
-    pub fn export_json(&self, prefix: &str) -> String {
-        let body: Vec<String> = self
-            .dump_counters()
-            .into_iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
-
     /// Sum of all counters whose name starts with `prefix`.
     pub fn sum_prefixed(&self, prefix: &str) -> u64 {
         self.counter_names
@@ -156,16 +142,6 @@ mod tests {
         assert_eq!(s.hist_ref(h).count(), 3);
         assert!(s.hist_named("rtt").is_some());
         assert!(s.hist_named("nope").is_none());
-    }
-
-    #[test]
-    fn export_json_sorted_and_filtered() {
-        let mut s = Stats::new();
-        s.bump("z.last", 1);
-        s.bump("a.first", 2);
-        assert_eq!(s.export_json(""), "{\"a.first\": 2, \"z.last\": 1}");
-        assert_eq!(s.export_json("a."), "{\"a.first\": 2}");
-        assert_eq!(s.export_json("nope"), "{}");
     }
 
     #[test]

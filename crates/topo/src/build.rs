@@ -22,7 +22,7 @@ use flextoe_netsim::{
 use flextoe_sim::{NodeId, Sim, Tick, Time};
 use flextoe_wire::{Ip4, MacAddr};
 
-use crate::host::{add_arp, build_endpoint, Endpoint, Stack};
+use crate::host::{add_arp, build_endpoint, Endpoint, PairOpts, Stack};
 use crate::spec::{Fabric, FaultKind, FaultTarget, LinkClass, LinkScope, Role, Scenario};
 
 /// `FramedServerApp` / `OpenLoopClientApp` over any stack (the builder
@@ -458,8 +458,15 @@ fn apply_fault_event(
 }
 
 /// Instantiate a scenario into `sim`. Panics on malformed specs (host
-/// count mismatch, degenerate fabric shapes) — scenario bugs, not inputs.
+/// count mismatch, degenerate fabric shapes, pair-only link options) —
+/// scenario bugs, not inputs.
 pub fn build_fabric(sim: &mut Sim, sc: &Scenario) -> BuiltFabric {
+    let pair = PairOpts::default();
+    assert!(
+        sc.opts.propagation == pair.propagation && sc.opts.faults == pair.faults,
+        "Scenario.opts.propagation/faults configure hand-wired pairs only; \
+         set link delays and faults in Scenario.links"
+    );
     let n = sc.fabric.n_hosts();
     assert_eq!(
         sc.hosts.len(),

@@ -6,7 +6,7 @@
 use flextoe_apps::{FlexToeStack, StackApi};
 use flextoe_ccp::FoldSpec;
 use flextoe_control::{CcAlgo, ControlPlane, CtrlConfig};
-use flextoe_core::{FlexToeNic, NicConfig, PipeCfg};
+use flextoe_core::{FlexToeNic, NicConfig, PipeCfg, TransportPolicy};
 use flextoe_hoststack::{build_host, host_socket_api, HostStackNode, StackKind};
 use flextoe_netsim::{Faults, Link, PortConfig, Switch};
 use flextoe_sim::{Duration, NodeId, Sim};
@@ -84,24 +84,26 @@ impl Endpoint {
 }
 
 /// Per-host transport options. `propagation`/`faults` configure the links
-/// of the hand-wired pair/star topologies; the declarative fabrics take
-/// link parameters from their [`crate::LinkSpec`] instead.
+/// of the hand-wired pair/star topologies; [`crate::build_fabric`] refuses
+/// them and takes link parameters from its [`crate::LinkSpec`] instead.
+///
+/// `min_rto`, `rto_give_up` and `syn_retry` form the [`TransportPolicy`]
+/// every host runs, FlexTOE and baseline alike. `cfg`, `cc`, `fold` and
+/// `max_conns` configure FlexTOE hosts only: the baseline stacks model
+/// their own buffers and congestion control.
 pub struct PairOpts {
     pub cfg: PipeCfg,
     pub cc: CcAlgo,
-    /// Control-loop (RTO / teardown) iteration interval.
-    pub cc_interval: Duration,
-    /// Datapath fold report interval.
-    pub report_interval: Duration,
     /// Fold installed for new flows (native builtin or compiled eBPF).
     pub fold: FoldSpec,
-    /// Consecutive no-progress RTOs before the control plane aborts a
-    /// flow (`None` = retry forever; see `CtrlConfig::rto_give_up`).
+    /// Consecutive no-progress RTOs before a host aborts a flow (`None` =
+    /// retry forever).
     pub rto_give_up: Option<u32>,
     /// RTO floor (`RTO = max(min_rto, 4 × sRTT)`). The chaos experiments
     /// shrink this so give-up fits inside a millisecond-scale fault window.
     pub min_rto: Duration,
-    /// Base SYN retransmission interval (exponential backoff + jitter).
+    /// Base SYN retransmission interval (exponential backoff; FlexTOE
+    /// hosts add jitter).
     pub syn_retry: Duration,
     /// SYN admission cap: refuse passive opens with an RST past this many
     /// installed connections (`None` = unbounded; see
@@ -117,12 +119,10 @@ impl Default for PairOpts {
         PairOpts {
             cfg: PipeCfg::agilio_full(),
             cc: CcAlgo::Dctcp,
-            cc_interval: ctrl.cc_interval,
-            report_interval: ctrl.report_interval,
             fold: FoldSpec::Builtin,
-            rto_give_up: ctrl.rto_give_up,
-            min_rto: ctrl.min_rto,
-            syn_retry: ctrl.syn_retry,
+            rto_give_up: ctrl.transport.rto_give_up,
+            min_rto: ctrl.transport.min_rto,
+            syn_retry: ctrl.transport.syn_retry,
             max_conns: ctrl.max_conns,
             propagation: Duration::from_us(2),
             faults: Faults::default(),
@@ -140,6 +140,11 @@ pub fn build_endpoint(
 ) -> Endpoint {
     let ip = Ip4::host(id);
     let mac = MacAddr::local(id);
+    let transport = TransportPolicy {
+        min_rto: opts.min_rto,
+        rto_give_up: opts.rto_give_up,
+        syn_retry: opts.syn_retry,
+    };
     match stack {
         Stack::FlexToe => {
             let ctrl = sim.reserve_node();
@@ -148,14 +153,9 @@ pub fn build_endpoint(
             let cp = ControlPlane::new(
                 CtrlConfig {
                     cc: opts.cc,
-                    cc_interval: opts.cc_interval,
-                    report_interval: opts.report_interval,
                     fold: opts.fold.clone(),
-                    rto_give_up: opts.rto_give_up,
-                    min_rto: opts.min_rto,
-                    syn_retry: opts.syn_retry,
+                    transport,
                     max_conns: opts.max_conns,
-                    ..Default::default()
                 },
                 nic.handle(),
             );
@@ -169,7 +169,7 @@ pub fn build_endpoint(
             }
         }
         other => {
-            let node = build_host(sim, other.kind(), mac, ip, link_out);
+            let node = build_host(sim, other.kind(), mac, ip, link_out, transport);
             Endpoint {
                 ip,
                 mac,

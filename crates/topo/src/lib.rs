@@ -72,4 +72,22 @@ mod tests {
         assert_eq!(fab.fabric_links.len(), 8);
         sim.run_until(flextoe_sim::Time::from_ms(1));
     }
+
+    /// The fabric's links come from `Scenario.links`; a pair-only link
+    /// option set on `Scenario.opts` is refused, not silently dropped.
+    #[test]
+    #[should_panic(expected = "Scenario.links")]
+    fn fabric_refuses_pair_only_link_options() {
+        let mut sc = Scenario::idle(
+            1,
+            Fabric::LeafSpine {
+                leaves: 2,
+                spines: 1,
+                hosts_per_leaf: 1,
+            },
+            Stack::FlexToe,
+        );
+        sc.opts.faults.drop_chance = 0.01;
+        build_fabric(&mut flextoe_sim::Sim::new(sc.seed), &sc);
+    }
 }

@@ -203,8 +203,10 @@ pub struct Scenario {
     pub hosts: Vec<HostSpec>,
     pub links: LinkSpec,
     /// Transport options shared by all hosts (pipeline config, CC
-    /// algorithm, fold, report cadence). The pair/star-only `propagation`
-    /// and `faults` fields are ignored here — `links` governs the fabric.
+    /// algorithm, fold, RTO and SYN policy). The pair/star-only
+    /// `propagation` and `faults` fields must keep their defaults:
+    /// [`crate::build_fabric`] refuses them, since `links` governs the
+    /// fabric.
     pub opts: PairOpts,
     /// Scheduled fault-plane changes: probabilistic degradation and hard
     /// link/switch down/up events. Applied in `(at, index)` order.

@@ -1,9 +1,8 @@
 //! Shared topology builders for the integration tests.
 
-use flextoe_control::{CcAlgo, ControlPlane, CtrlConfig};
-use flextoe_core::{FlexToeNic, NicConfig, PipeCfg};
-use flextoe_netsim::{Faults, Link};
-use flextoe_sim::{Duration, NodeId, Sim};
+use flextoe_core::FlexToeNic;
+use flextoe_sim::{NodeId, Sim};
+use flextoe_topo::{build_pair, PairOpts, Stack};
 use flextoe_wire::{Ip4, MacAddr};
 
 /// One FlexTOE host: NIC + control plane (applications attach separately).
@@ -14,87 +13,23 @@ pub struct Host {
     pub mac: MacAddr,
 }
 
-/// Two FlexTOE hosts joined by a pair of unidirectional links with the
-/// given propagation delay and fault model.
-pub fn two_flextoe_hosts(
-    sim: &mut Sim,
-    cfg: PipeCfg,
-    ctrl_cfg: CtrlConfig,
-    propagation: Duration,
-    faults: Faults,
-) -> (Host, Host) {
-    let ips = [Ip4::host(1), Ip4::host(2)];
-    let macs = [MacAddr::local(1), MacAddr::local(2)];
-
-    // reserve cross-referenced nodes
-    let link_ab = sim.reserve_node();
-    let link_ba = sim.reserve_node();
-    let ctrl_a = sim.reserve_node();
-    let ctrl_b = sim.reserve_node();
-
-    let nic_a = FlexToeNic::build(
-        sim,
-        cfg.clone(),
-        NicConfig {
-            mac: macs[0],
-            ip: ips[0],
-        },
-        link_ab,
-        ctrl_a,
-    );
-    let nic_b = FlexToeNic::build(
-        sim,
-        cfg,
-        NicConfig {
-            mac: macs[1],
-            ip: ips[1],
-        },
-        link_ba,
-        ctrl_b,
-    );
-
-    sim.fill_node(link_ab, Link::with_faults(nic_b.mac, propagation, faults));
-    sim.fill_node(link_ba, Link::with_faults(nic_a.mac, propagation, faults));
-
-    let mut cp_a = ControlPlane::new(ctrl_cfg.clone(), nic_a.handle());
-    cp_a.add_peer(ips[1], macs[1]);
-    let mut cp_b = ControlPlane::new(ctrl_cfg, nic_b.handle());
-    cp_b.add_peer(ips[0], macs[0]);
-    sim.fill_node(ctrl_a, cp_a);
-    sim.fill_node(ctrl_b, cp_b);
-
-    (
+/// Two FlexTOE hosts joined by the link pair `opts` describes.
+pub fn two_flextoe_hosts(sim: &mut Sim, opts: &PairOpts) -> (Host, Host) {
+    let (a, b) = build_pair(sim, Stack::FlexToe, Stack::FlexToe, opts);
+    let host = |ep: flextoe_topo::Endpoint| {
+        let (nic, ctrl) = ep.flextoe.expect("FlexTOE endpoint");
         Host {
-            nic: nic_a,
-            ctrl: ctrl_a,
-            ip: ips[0],
-            mac: macs[0],
-        },
-        Host {
-            nic: nic_b,
-            ctrl: ctrl_b,
-            ip: ips[1],
-            mac: macs[1],
-        },
-    )
+            nic,
+            ctrl,
+            ip: ep.ip,
+            mac: ep.mac,
+        }
+    };
+    (host(a), host(b))
 }
 
 /// Default experiment knobs for tests: full Agilio config, DCTCP, 2 µs
 /// one-way propagation, no faults.
 pub fn default_setup(sim: &mut Sim) -> (Host, Host) {
-    two_flextoe_hosts(
-        sim,
-        PipeCfg::agilio_full(),
-        CtrlConfig::default(),
-        Duration::from_us(2),
-        Faults::default(),
-    )
-}
-
-/// Default control config with a given congestion-control policy.
-pub fn ctrl_with(cc: CcAlgo) -> CtrlConfig {
-    CtrlConfig {
-        cc,
-        ..Default::default()
-    }
+    two_flextoe_hosts(sim, &PairOpts::default())
 }

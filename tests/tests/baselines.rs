@@ -2,38 +2,26 @@
 //! application binaries, interoperate with each other and with FlexTOE on
 //! the wire (§5.1 Fig. 9 runs all server×client combinations).
 
-use flextoe_apps::{ClientConfig, LoadMode, RpcClientApp, RpcServerApp, ServerConfig};
-use flextoe_hoststack::{build_host, host_socket_api, HostSocketApi, StackKind};
-use flextoe_netsim::Link;
-use flextoe_sim::{Duration, NodeId, Sim, Tick, Time};
-use flextoe_wire::{Ip4, MacAddr};
+use flextoe_apps::{ClientConfig, LoadMode, RpcClientApp, RpcServerApp, ServerConfig, StackApi};
+use flextoe_sim::{NodeId, Sim, Tick, Time};
+use flextoe_topo::{build_pair, PairOpts, Stack};
 
-type Client = RpcClientApp<HostSocketApi>;
-type Server = RpcServerApp<HostSocketApi>;
+type Client = RpcClientApp<Box<dyn StackApi>>;
+type Server = RpcServerApp<Box<dyn StackApi>>;
 
-/// Two baseline hosts of the given kinds joined by 2 µs links.
-fn two_hosts(sim: &mut Sim, a: StackKind, b: StackKind) -> (NodeId, NodeId) {
-    let l_ab = sim.reserve_node();
-    let l_ba = sim.reserve_node();
-    let host_a = build_host(sim, a, MacAddr::local(1), Ip4::host(1), l_ab);
-    let host_b = build_host(sim, b, MacAddr::local(2), Ip4::host(2), l_ba);
-    sim.fill_node(l_ab, Link::new(host_b, Duration::from_us(2)));
-    sim.fill_node(l_ba, Link::new(host_a, Duration::from_us(2)));
-    sim.node_mut::<flextoe_hoststack::HostStackNode>(host_a)
-        .add_peer(Ip4::host(2), MacAddr::local(2));
-    sim.node_mut::<flextoe_hoststack::HostStackNode>(host_b)
-        .add_peer(Ip4::host(1), MacAddr::local(1));
-    (host_a, host_b)
-}
-
-fn run_combo(
-    server_kind: StackKind,
-    client_kind: StackKind,
+/// A `client_stack` host and a `server_stack` host joined by the default
+/// 2 µs link pair; the server echoes `msg`-byte requests, the client runs
+/// `conns` closed-loop connections for `rounds` requests.
+fn run_pair(
+    seed: u64,
+    server_stack: Stack,
+    client_stack: Stack,
     msg: u32,
+    conns: u32,
     rounds: u64,
 ) -> (Sim, NodeId) {
-    let mut sim = Sim::new(21);
-    let (ha, hb) = two_hosts(&mut sim, client_kind, server_kind);
+    let mut sim = Sim::new(seed);
+    let (a, b) = build_pair(&mut sim, client_stack, server_stack, &PairOpts::default());
     let server = sim.add_node(Server::new(
         ServerConfig {
             msg_size: msg,
@@ -41,19 +29,19 @@ fn run_combo(
             echo_data: true,
             ..Default::default()
         },
-        Box::new(move |_ctx, app| host_socket_api(server_kind, hb, app)),
+        b.stack_init(server_stack, 1),
     ));
     let client = sim.add_node(Client::new(
         ClientConfig {
-            server_ip: Ip4::host(2),
-            n_conns: 2,
+            server_ip: b.ip,
+            n_conns: conns,
             msg_size: msg,
             resp_size: msg,
             mode: LoadMode::Closed { pipeline: 1 },
             stop_after: Some(rounds),
             ..Default::default()
         },
-        Box::new(move |_ctx, app| host_socket_api(client_kind, ha, app)),
+        a.stack_init(client_stack, 1),
     ));
     sim.schedule(Time::ZERO, server, Tick);
     sim.schedule(Time::from_us(10), client, Tick);
@@ -61,30 +49,34 @@ fn run_combo(
     (sim, client)
 }
 
+fn run_combo(server_kind: Stack, client_kind: Stack, msg: u32, rounds: u64) -> (Sim, NodeId) {
+    run_pair(21, server_kind, client_kind, msg, 2, rounds)
+}
+
 #[test]
 fn linux_to_linux_echo() {
-    let (sim, client) = run_combo(StackKind::Linux, StackKind::Linux, 64, 500);
+    let (sim, client) = run_combo(Stack::Linux, Stack::Linux, 64, 500);
     assert_eq!(sim.node_ref::<Client>(client).measured, 500);
 }
 
 #[test]
 fn tas_to_tas_echo() {
-    let (sim, client) = run_combo(StackKind::Tas, StackKind::Tas, 64, 500);
+    let (sim, client) = run_combo(Stack::Tas, Stack::Tas, 64, 500);
     assert_eq!(sim.node_ref::<Client>(client).measured, 500);
 }
 
 #[test]
 fn chelsio_to_chelsio_echo() {
-    let (sim, client) = run_combo(StackKind::Chelsio, StackKind::Chelsio, 64, 500);
+    let (sim, client) = run_combo(Stack::Chelsio, Stack::Chelsio, 64, 500);
     assert_eq!(sim.node_ref::<Client>(client).measured, 500);
 }
 
 #[test]
 fn cross_stack_combinations_interoperate() {
     for (s, c) in [
-        (StackKind::Linux, StackKind::Tas),
-        (StackKind::Tas, StackKind::Chelsio),
-        (StackKind::Chelsio, StackKind::Linux),
+        (Stack::Linux, Stack::Tas),
+        (Stack::Tas, Stack::Chelsio),
+        (Stack::Chelsio, Stack::Linux),
     ] {
         let (sim, client) = run_combo(s, c, 128, 100);
         assert_eq!(
@@ -99,7 +91,7 @@ fn cross_stack_combinations_interoperate() {
 
 #[test]
 fn multi_segment_transfer_on_baselines() {
-    let (sim, client) = run_combo(StackKind::Tas, StackKind::Tas, 8192, 50);
+    let (sim, client) = run_combo(Stack::Tas, Stack::Tas, 8192, 50);
     let c = sim.node_ref::<Client>(client);
     assert_eq!(c.measured, 50);
     assert!(c.goodput_bps() > 1e8);
@@ -108,8 +100,8 @@ fn multi_segment_transfer_on_baselines() {
 #[test]
 fn tas_latency_below_linux() {
     // Fig. 9/11: Linux median RPC latency is several times everyone else's.
-    let (sim_tas, c_tas) = run_combo(StackKind::Tas, StackKind::Tas, 64, 300);
-    let (sim_lnx, c_lnx) = run_combo(StackKind::Linux, StackKind::Linux, 64, 300);
+    let (sim_tas, c_tas) = run_combo(Stack::Tas, Stack::Tas, 64, 300);
+    let (sim_lnx, c_lnx) = run_combo(Stack::Linux, Stack::Linux, 64, 300);
     let tas = sim_tas.node_ref::<Client>(c_tas).latency.median();
     let lnx = sim_lnx.node_ref::<Client>(c_lnx).latency.median();
     assert!(
@@ -121,65 +113,7 @@ fn tas_latency_below_linux() {
 /// FlexTOE server with a Linux client — the Fig. 9 interop matrix.
 #[test]
 fn flextoe_interoperates_with_linux_on_the_wire() {
-    use flextoe_apps::FlexToeStack;
-    use flextoe_control::{ControlPlane, CtrlConfig};
-    use flextoe_core::{FlexToeNic, NicConfig, PipeCfg};
-
-    let mut sim = Sim::new(33);
-    // host A: Linux; host B: FlexTOE
-    let l_ab = sim.reserve_node();
-    let l_ba = sim.reserve_node();
-    let ctrl_b = sim.reserve_node();
-    let host_a = build_host(
-        &mut sim,
-        StackKind::Linux,
-        MacAddr::local(1),
-        Ip4::host(1),
-        l_ab,
-    );
-    let nic_b = FlexToeNic::build(
-        &mut sim,
-        PipeCfg::agilio_full(),
-        NicConfig {
-            mac: MacAddr::local(2),
-            ip: Ip4::host(2),
-        },
-        l_ba,
-        ctrl_b,
-    );
-    sim.fill_node(l_ab, Link::new(nic_b.mac, Duration::from_us(2)));
-    sim.fill_node(l_ba, Link::new(host_a, Duration::from_us(2)));
-    let mut cp = ControlPlane::new(CtrlConfig::default(), nic_b.handle());
-    cp.add_peer(Ip4::host(1), MacAddr::local(1));
-    sim.fill_node(ctrl_b, cp);
-    sim.node_mut::<flextoe_hoststack::HostStackNode>(host_a)
-        .add_peer(Ip4::host(2), MacAddr::local(2));
-
-    let nic_handle = nic_b.handle();
-    let server = sim.add_node(RpcServerApp::<FlexToeStack>::new(
-        ServerConfig {
-            msg_size: 256,
-            resp_size: 256,
-            echo_data: true,
-            ..Default::default()
-        },
-        Box::new(move |ctx, app| FlexToeStack::new(ctx, 1, nic_handle, ctrl_b, app)),
-    ));
-    let client = sim.add_node(Client::new(
-        ClientConfig {
-            server_ip: Ip4::host(2),
-            n_conns: 1,
-            msg_size: 256,
-            resp_size: 256,
-            mode: LoadMode::Closed { pipeline: 1 },
-            stop_after: Some(200),
-            ..Default::default()
-        },
-        Box::new(move |_ctx, app| host_socket_api(StackKind::Linux, host_a, app)),
-    ));
-    sim.schedule(Time::ZERO, server, Tick);
-    sim.schedule(Time::from_us(10), client, Tick);
-    sim.run_until(Time::from_ms(3000));
+    let (sim, client) = run_pair(33, Stack::FlexToe, Stack::Linux, 256, 1, 200);
     assert_eq!(
         sim.node_ref::<Client>(client).measured,
         200,

@@ -7,6 +7,7 @@
 use flextoe_apps::{CloseAll, FramedServerConfig, SessionConfig};
 use flextoe_bench::driver::{execute, Experiment};
 use flextoe_bench::faults::{buf_balance, check_row, run_faults_point, FaultsPlan};
+use flextoe_hoststack::HostStackNode;
 use flextoe_netsim::{Faults, Link, Switch};
 use flextoe_sim::{Duration, NodeId, Sim, Time};
 use flextoe_topo::{
@@ -21,13 +22,14 @@ use flextoe_topo::{
 /// `req_size` sets the stall surface: multi-segment requests keep the
 /// client mid-transfer (unACKed data) most of the cycle, so a cut path
 /// reliably trips the *client-side* RTO give-up, not just the server's.
-fn session_fabric(seed: u64, req_size: u32, schedule: Vec<FaultEvent>) -> Scenario {
+/// Every host runs `stack`.
+fn session_fabric(seed: u64, stack: Stack, req_size: u32, schedule: Vec<FaultEvent>) -> Scenario {
     let fabric = Fabric::LeafSpine {
         leaves: 4,
         spines: 2,
         hosts_per_leaf: 2,
     };
-    let mut sc = Scenario::idle(seed, fabric, Stack::FlexToe);
+    let mut sc = Scenario::idle(seed, fabric, stack);
     sc.opts.min_rto = Duration::from_us(200);
     sc.opts.syn_retry = Duration::from_us(400);
     sc.opts.rto_give_up = Some(3);
@@ -76,6 +78,7 @@ fn fabric_link_down_fails_over_without_aborts() {
     let link = FaultTarget::FabricLink { index: 0 };
     let sc = session_fabric(
         7,
+        Stack::FlexToe,
         128,
         vec![
             FaultEvent::down(Time::from_ms(1), link),
@@ -110,6 +113,7 @@ fn spine_kill_fails_over_and_heals() {
     let spine0 = FaultTarget::Switch { index: 4 };
     let sc = session_fabric(
         13,
+        Stack::FlexToe,
         128,
         vec![
             FaultEvent::down(Time::from_ms(1), spine0),
@@ -138,16 +142,25 @@ fn spine_kill_fails_over_and_heals() {
 
 /// A blackholed flow gives up: with the server's edge link hard-down and
 /// never healed, the client's RTO manager exhausts its give-up budget
-/// mid-request, the control plane aborts the connection, and the session
-/// client observes the typed abort, writes off in-flight requests, and
-/// its reconnects fail cleanly (SYN retries give up → `connect_failures`)
+/// mid-request, the stack aborts the connection, and the session client
+/// observes the typed abort, writes off in-flight requests, and its
+/// reconnects fail cleanly (SYN retries give up → `connect_failures`)
 /// instead of hanging. 8 KiB requests keep the client mid-transfer so
-/// the cut reliably lands on unACKed client data.
+/// the cut reliably lands on unACKed client data. FlexTOE and TAS hosts
+/// read the same RTO floor, give-up budget and SYN retry base, so both
+/// abort inside the same 16 ms.
 #[test]
 fn blackholed_flow_gives_up_and_aborts_to_the_app() {
+    for stack in [Stack::FlexToe, Stack::Tas] {
+        blackholed_flow_gives_up(stack);
+    }
+}
+
+fn blackholed_flow_gives_up(stack: Stack) {
     // host 0 (leaf 0) targets host 3 (leaf 1): kill host 3's edge link
     let sc = session_fabric(
         19,
+        stack,
         8192,
         vec![FaultEvent::down(
             Time::from_ms(1),
@@ -158,15 +171,25 @@ fn blackholed_flow_gives_up_and_aborts_to_the_app() {
     let fab = build_fabric(&mut sim, &sc);
     sim.run_until(Time::from_ms(16));
 
-    assert!(sim.stats.get_named("ctrl.rto_fired") > 0);
-    assert!(sim.stats.get_named("ctrl.abort") > 0, "give-up must abort");
+    if let Some(node) = fab.hosts[0].ep.baseline {
+        let host = sim.node_ref::<HostStackNode>(node);
+        assert!(host.retransmits > 0, "{stack:?}");
+        assert!(host.aborts > 0, "{stack:?}: give-up must abort");
+        assert!(host.connect_give_ups > 0, "{stack:?}");
+    } else {
+        assert!(sim.stats.get_named("ctrl.rto_fired") > 0);
+        assert!(sim.stats.get_named("ctrl.abort") > 0, "give-up must abort");
+    }
     let victim = fab.hosts[0].session().unwrap();
     let c = sim.node_ref::<DynSessionClient>(victim);
-    assert!(c.aborted_conns > 0, "client saw the typed abort");
-    assert!(c.dead_requests > 0, "in-flight requests were written off");
+    assert!(c.aborted_conns > 0, "{stack:?}: client saw the typed abort");
+    assert!(
+        c.dead_requests > 0,
+        "{stack:?}: in-flight requests were written off"
+    );
     assert!(
         c.connect_failures > 0,
-        "reconnects into the blackhole must fail cleanly, not hang"
+        "{stack:?}: reconnects into the blackhole must fail cleanly, not hang"
     );
     // the other clients' paths never crossed the dead edge link
     for (i, h) in fab.hosts.iter().enumerate() {
@@ -219,6 +242,7 @@ fn leaf_kill_aborts_then_reconnects_and_conserves() {
 fn corrupted_frames_drop_exactly_once_and_conserve() {
     let sc = session_fabric(
         29,
+        Stack::FlexToe,
         128,
         vec![
             FaultEvent::degrade(
@@ -284,7 +308,7 @@ fn same_timestamp_fault_events_apply_in_schedule_order() {
     let link = FaultTarget::FabricLink { index: 0 };
     let t = Time::from_ms(1);
     let run = |schedule: Vec<FaultEvent>| -> (u64, u64) {
-        let sc = session_fabric(11, 128, schedule);
+        let sc = session_fabric(11, Stack::FlexToe, 128, schedule);
         let mut sim = Sim::new(sc.seed);
         let fab = build_fabric(&mut sim, &sc);
         sim.run_until(Time::from_ms(3));

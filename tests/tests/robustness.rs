@@ -10,7 +10,8 @@ use flextoe_core::PipeCfg;
 use flextoe_ebpf::{programs, Map};
 use flextoe_integration::{two_flextoe_hosts, Host};
 use flextoe_netsim::Faults;
-use flextoe_sim::{Duration, NodeId, Sim, Tick, Time};
+use flextoe_sim::{NodeId, Sim, Tick, Time};
+use flextoe_topo::PairOpts;
 
 type Client = RpcClientApp<FlexToeStack>;
 type Server = RpcServerApp<FlexToeStack>;
@@ -25,10 +26,11 @@ fn lossy_echo(cfg: PipeCfg, faults: Faults, msg: u32, rounds: u64, seed: u64) ->
     let mut sim = Sim::new(seed);
     let (a, b) = two_flextoe_hosts(
         &mut sim,
-        cfg,
-        Default::default(),
-        Duration::from_us(2),
-        faults,
+        &PairOpts {
+            cfg,
+            faults,
+            ..Default::default()
+        },
     );
     let server = sim.add_node(Server::new(
         ServerConfig {
@@ -115,13 +117,7 @@ fn xdp_firewall_blocks_in_the_pipeline() {
     // Install a firewall that blacklists the client's IP on the server
     // NIC: the handshake must never complete.
     let mut sim = Sim::new(9);
-    let (a, b) = two_flextoe_hosts(
-        &mut sim,
-        PipeCfg::agilio_full(),
-        Default::default(),
-        Duration::from_us(2),
-        Faults::default(),
-    );
+    let (a, b) = two_flextoe_hosts(&mut sim, &PairOpts::default());
     let (fw, maps) = xdp_with_maps("firewall", Hook::RxIngress, |m| {
         let fd = m.add(Map::hash(4, 8, 64));
         programs::firewall(fd)
