@@ -28,10 +28,10 @@ pub mod rto;
 use flextoe_ccp::{
     rate_to_interval, Algorithm, FlowReport, FlowStats, FoldSpec, Insn, Registry, Urgent,
 };
+use flextoe_core::handshake::{Handshake, Refusal, SynTimeout, Verdict};
 use flextoe_core::hostmem::{shared_buf, AppToNic, SharedBuf, SharedCtxQueue};
 use flextoe_core::segment::ConnEntry;
 use flextoe_core::stages::{Doorbell, NotifyJob, Redirect, RegisterCtx, SchedCtl};
-use flextoe_core::transport::SYN_ATTEMPTS;
 use flextoe_core::{NicHandle, PostState, PreState, ProtoState, TransportPolicy};
 use flextoe_nfp::MacTx;
 use flextoe_sim::{
@@ -39,7 +39,7 @@ use flextoe_sim::{
     Tick,
 };
 use flextoe_wire::{
-    Ecn, FourTuple, Frame, Ip4, MacAddr, SegmentSpec, SegmentView, SeqNum, TcpFlags, TcpOptions,
+    FourTuple, Frame, Ip4, MacAddr, SegmentSpec, SegmentView, SeqNum, TcpFlags, TcpOptions,
 };
 
 use rto::{RtoTracker, RtoVerdict};
@@ -100,19 +100,15 @@ pub struct CtrlConfig {
     /// Datapath fold installed for new flows: the built-in native fold,
     /// or a custom program compiled to eBPF.
     pub fold: FoldSpec,
-    /// RTO floor and give-up budget, and the SYN retry base. SYN retries
-    /// here add ±25% jitter drawn from the simulation's seeded generator
-    /// — deterministic per seed, but reconnection storms don't
-    /// phase-lock; after [`SYN_ATTEMPTS`] transmissions the connect
-    /// fails with [`AppReply::ConnectFailed`]. An abort sends an RST,
-    /// tears down, and hands the app a typed `NicToApp::Aborted`.
+    /// RTO floor and give-up budget, the SYN retry base and the SYN
+    /// admission cap. SYN retries here add ±25% jitter drawn from the
+    /// simulation's seeded generator — deterministic per seed, but
+    /// reconnection storms don't phase-lock; after
+    /// [`flextoe_core::transport::SYN_ATTEMPTS`] transmissions the
+    /// connect fails with [`AppReply::ConnectFailed`]. An abort sends an
+    /// RST, tears down, and hands the app a typed `NicToApp::Aborted`.
+    /// Admission refusals count in `ctrl.admission_refused`.
     pub transport: TransportPolicy,
-    /// SYN admission control: refuse new passive opens with an RST once
-    /// this many connections are installed (counted in
-    /// `ctrl.admission_refused`). Admission recovers by itself as
-    /// connections tear down. `None` = unbounded (the historical
-    /// behavior).
-    pub max_conns: Option<u32>,
 }
 
 impl Default for CtrlConfig {
@@ -121,7 +117,6 @@ impl Default for CtrlConfig {
             cc: CcAlgo::Dctcp,
             fold: FoldSpec::Builtin,
             transport: TransportPolicy::default(),
-            max_conns: None,
         }
     }
 }
@@ -169,32 +164,16 @@ pub enum AppReply {
     },
 }
 
-// ---- internal records ------------------------------------------------------
-
-struct Listener {
-    ctx: u16,
-    queue: SharedCtxQueue,
-    reply_to: NodeId,
-}
-
-struct PendingActive {
-    local_port: u16,
-    remote_ip: Ip4,
-    remote_port: u16,
-    iss: u32,
-    ctx: u16,
-    queue: SharedCtxQueue,
-    reply_to: NodeId,
-    opaque: u64,
-    attempts: u32,
-}
-
-struct PendingPassive {
-    iss: u32,
-    listen_port: u16,
-}
-
 flextoe_sim::custom_msg!(AppRequest, AppReply);
+
+/// Where a connection's events go: the application's context queue and
+/// the node that hears the control plane's replies.
+#[derive(Clone)]
+struct AppCtx {
+    ctx: u16,
+    queue: SharedCtxQueue,
+    reply_to: NodeId,
+}
 
 struct SynRetry {
     key: FourTuple,
@@ -215,11 +194,9 @@ pub struct ControlPlane {
     cfg: CtrlConfig,
     nic: NicHandle,
     arp: FxHashMap<Ip4, MacAddr>,
-    listeners: FxHashMap<u16, Listener>,
-    /// Active opens in flight, keyed by the *RX* 4-tuple we expect.
-    active: FxHashMap<FourTuple, PendingActive>,
-    /// Passive opens awaiting the final ACK, keyed by RX 4-tuple.
-    passive: FxHashMap<FourTuple, PendingPassive>,
+    /// Listeners and pending opens; an active open carries its app
+    /// cookie.
+    hs: Handshake<AppCtx, (AppCtx, u64)>,
     next_port: u16,
     cc: Vec<Option<Box<dyn Algorithm>>>,
     registry: Registry,
@@ -231,35 +208,19 @@ pub struct ControlPlane {
     registered_kernel_q: bool,
     cc_armed: bool,
     pub established: u64,
-    pub resets_sent: u64,
-    /// Established connections aborted after the RTO give-up threshold.
-    pub aborts: u64,
-    /// Passive opens refused with an RST by SYN admission control
-    /// ([`CtrlConfig::max_conns`]).
-    pub admission_refused: u64,
-    /// Duplicate handshake segments absorbed without side effects: SYN
-    /// retransmits answered by re-emitting the original SYN-ACK, and
-    /// handshake segments for already-installed connections dropped
-    /// instead of RST'ing the healthy peer (the dup-storm hazard).
-    pub dup_handshake: u64,
-    pub redirected_frames: u64,
-    /// Report batches processed / flow reports consumed (diagnostics).
-    pub report_batches: u64,
-    pub flow_reports: u64,
 }
 
 impl ControlPlane {
     pub fn new(cfg: CtrlConfig, nic: NicHandle) -> ControlPlane {
         let compiled_fold = cfg.fold.compile_for_install();
         let rto = RtoTracker::new(cfg.transport);
+        let hs = Handshake::new(cfg.transport.max_conns);
         ControlPlane {
             counters: None,
             cfg,
             nic,
             arp: FxHashMap::default(),
-            listeners: FxHashMap::default(),
-            active: FxHashMap::default(),
-            passive: FxHashMap::default(),
+            hs,
             next_port: 40_000,
             cc: Vec::new(),
             registry: Registry::builtin(),
@@ -270,13 +231,6 @@ impl ControlPlane {
             registered_kernel_q: false,
             cc_armed: false,
             established: 0,
-            resets_sent: 0,
-            aborts: 0,
-            admission_refused: 0,
-            dup_handshake: 0,
-            redirected_frames: 0,
-            report_batches: 0,
-            flow_reports: 0,
         }
     }
 
@@ -308,34 +262,45 @@ impl ControlPlane {
         self.nic.cfg.platform.pcie.write_latency + Duration::from_ns(600)
     }
 
-    fn send_frame(&self, ctx: &mut Ctx<'_>, frame: Vec<u8>) {
+    fn mmio(&self, ctx: &mut Ctx<'_>, msg: SchedCtl) {
+        ctx.send(self.nic.sched, self.nic.cfg.platform.pcie.mmio_latency, msg);
+    }
+
+    /// Inject one control segment of the connection whose receive-side
+    /// tuple is `rx`. SYN and SYN-ACK carry the MSS option.
+    fn send_segment(
+        &self,
+        ctx: &mut Ctx<'_>,
+        dst_mac: MacAddr,
+        rx: FourTuple,
+        seq: SeqNum,
+        ack: SeqNum,
+        flags: TcpFlags,
+    ) {
+        let spec = SegmentSpec {
+            src_mac: self.local_mac(),
+            dst_mac,
+            src_ip: self.local_ip(),
+            dst_ip: rx.src_ip,
+            src_port: rx.dst_port,
+            dst_port: rx.src_port,
+            seq,
+            ack,
+            flags,
+            window: u16::MAX,
+            options: TcpOptions {
+                mss: flags.syn().then_some(self.nic.cfg.mss as u16),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut frame = ctx.pool.take();
+        spec.emit_zeroed_into(&mut frame);
         ctx.send(
             self.nic.mac,
             self.inject_latency(),
             MacTx(Frame::raw(frame)),
         );
-    }
-
-    fn mmio(&self, ctx: &mut Ctx<'_>, msg: SchedCtl) {
-        ctx.send(self.nic.sched, self.nic.cfg.platform.pcie.mmio_latency, msg);
-    }
-
-    fn handshake_spec(&self, dst_mac: MacAddr, dst_ip: Ip4, sport: u16, dport: u16) -> SegmentSpec {
-        SegmentSpec {
-            src_mac: self.local_mac(),
-            dst_mac,
-            src_ip: self.local_ip(),
-            dst_ip,
-            src_port: sport,
-            dst_port: dport,
-            ecn: Ecn::NotEct,
-            window: u16::MAX,
-            options: TcpOptions {
-                mss: Some(self.nic.cfg.mss as u16),
-                ..Default::default()
-            },
-            ..Default::default()
-        }
     }
 
     fn ensure_kernel_q(&mut self, ctx: &mut Ctx<'_>) {
@@ -360,12 +325,6 @@ impl ControlPlane {
         }
     }
 
-    /// Deterministic ISS (a real stack uses a clock + hash; determinism
-    /// matters more here).
-    fn iss(&mut self, ctx: &mut Ctx<'_>) -> u32 {
-        ctx.rng.next_u32()
-    }
-
     /// The policy's SYN timeout after attempt `attempts`, with ±25%
     /// jitter from the seeded generator. Deterministic per seed; the
     /// jitter keeps a reconnection storm's retries from phase-locking.
@@ -376,96 +335,69 @@ impl ControlPlane {
 
     // ---- handshake ---------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    /// Send the first SYN of an active open. The ISS is drawn from the
+    /// seeded generator (a real stack uses a clock + hash; determinism
+    /// matters more here).
     fn start_connect(
         &mut self,
         ctx: &mut Ctx<'_>,
         remote_ip: Ip4,
         remote_port: u16,
-        app_ctx: u16,
-        queue: SharedCtxQueue,
-        reply_to: NodeId,
+        app: AppCtx,
         opaque: u64,
     ) {
         let Some(&dst_mac) = self.arp.get(&remote_ip) else {
-            ctx.send(reply_to, Duration::ZERO, AppReply::ConnectFailed { opaque });
+            ctx.send(
+                app.reply_to,
+                Duration::ZERO,
+                AppReply::ConnectFailed { opaque },
+            );
             return;
         };
         let local_port = self.next_port;
         self.next_port = self.next_port.wrapping_add(1).max(40_000);
-        let iss = self.iss(ctx);
-        let mut spec = self.handshake_spec(dst_mac, remote_ip, local_port, remote_port);
-        spec.seq = SeqNum(iss);
-        spec.flags = TcpFlags::SYN;
-        let mut frame = ctx.pool.take();
-        spec.emit_zeroed_into(&mut frame);
-        self.send_frame(ctx, frame);
+        let iss = ctx.rng.next_u32();
         // key: the SYN-ACK we expect (src = peer)
         let key = FourTuple::new(remote_ip, remote_port, self.local_ip(), local_port);
-        self.active.insert(
-            key,
-            PendingActive {
-                local_port,
-                remote_ip,
-                remote_port,
-                iss,
-                ctx: app_ctx,
-                queue,
-                reply_to,
-                opaque,
-                attempts: 1,
-            },
-        );
+        self.send_segment(ctx, dst_mac, key, SeqNum(iss), SeqNum(0), TcpFlags::SYN);
+        self.hs.connect(key, iss, (app, opaque));
         let delay = self.syn_backoff(ctx, 1);
         ctx.wake(delay, SynRetry { key });
     }
 
     fn retry_syn(&mut self, ctx: &mut Ctx<'_>, key: FourTuple) {
-        let give_up = {
-            let Some(p) = self.active.get_mut(&key) else {
-                return; // established or failed meanwhile
-            };
-            p.attempts += 1;
-            p.attempts > SYN_ATTEMPTS
+        let (iss, attempts) = match self.hs.syn_timeout(&key) {
+            None => return, // established or failed meanwhile
+            Some(SynTimeout::GiveUp((app, opaque))) => {
+                ctx.send(
+                    app.reply_to,
+                    Duration::ZERO,
+                    AppReply::ConnectFailed { opaque },
+                );
+                return;
+            }
+            Some(SynTimeout::Resend { iss, attempts, .. }) => (iss, attempts),
         };
-        if give_up {
-            let p = self.active.remove(&key).unwrap();
-            ctx.send(
-                p.reply_to,
-                Duration::ZERO,
-                AppReply::ConnectFailed { opaque: p.opaque },
-            );
-            return;
-        }
-        let p = &self.active[&key];
-        let attempts = p.attempts;
-        let Some(&dst_mac) = self.arp.get(&p.remote_ip) else {
+        let Some(&dst_mac) = self.arp.get(&key.src_ip) else {
             return;
         };
-        let mut spec = self.handshake_spec(dst_mac, p.remote_ip, p.local_port, p.remote_port);
-        spec.seq = SeqNum(p.iss);
-        spec.flags = TcpFlags::SYN;
-        let mut frame = ctx.pool.take();
-        spec.emit_zeroed_into(&mut frame);
-        self.send_frame(ctx, frame);
+        self.send_segment(ctx, dst_mac, key, SeqNum(iss), SeqNum(0), TcpFlags::SYN);
         let delay = self.syn_backoff(ctx, attempts);
         ctx.wake(delay, SynRetry { key });
     }
 
-    /// Install an established connection into the data path (§D).
-    #[allow(clippy::too_many_arguments)]
+    /// Install an established connection, whose segments arrive on `rx`,
+    /// into the data path (§D).
     fn install(
         &mut self,
         ctx: &mut Ctx<'_>,
-        peer_ip: Ip4,
-        peer_port: u16,
-        local_port: u16,
+        rx: FourTuple,
         iss: u32,
         peer_iss: u32,
         remote_win: u16,
-        app_ctx: u16,
-        queue: SharedCtxQueue,
+        app: &AppCtx,
     ) -> (u32, SharedBuf, SharedBuf) {
+        let (peer_ip, peer_port, local_port) = (rx.src_ip, rx.src_port, rx.dst_port);
         let peer_mac = *self.arp.get(&peer_ip).expect("peer in arp table");
         let cfg = self.nic.cfg.clone();
         let tuple_rx = FourTuple::new(peer_ip, peer_port, self.local_ip(), local_port);
@@ -490,7 +422,7 @@ impl ControlPlane {
             },
             proto,
             post: PostState {
-                context: app_ctx,
+                context: app.ctx,
                 rx_size: cfg.rx_buf_size,
                 tx_size: cfg.tx_buf_size,
                 ..Default::default()
@@ -498,7 +430,7 @@ impl ControlPlane {
             tuple_rx,
             tx_buf: tx_buf.clone(),
             rx_buf: rx_buf.clone(),
-            ctxq: queue,
+            ctxq: app.queue.clone(),
             active: true,
         };
         let conn = self.nic.table.borrow_mut().install(entry);
@@ -532,224 +464,108 @@ impl ControlPlane {
     }
 
     fn send_rst(&mut self, ctx: &mut Ctx<'_>, view: &SegmentView) {
-        self.resets_sent += 1;
-        let mut spec = self.handshake_spec(view.src_mac, view.src_ip, view.dst_port, view.src_port);
-        spec.options = TcpOptions::default();
-        spec.seq = view.ack;
-        spec.ack = view.seq_end();
-        spec.flags = TcpFlags::RST | TcpFlags::ACK;
-        let mut frame = ctx.pool.take();
-        spec.emit_zeroed_into(&mut frame);
-        self.send_frame(ctx, frame);
+        let flags = TcpFlags::RST | TcpFlags::ACK;
+        self.send_segment(
+            ctx,
+            view.src_mac,
+            view.four_tuple(),
+            view.ack,
+            view.seq_end(),
+            flags,
+        );
     }
 
-    /// Slow-path frame handling. The frame buffer is pooled: every path
-    /// that consumes the frame here returns it to the pool, and the two
-    /// replay paths hand it back to the NIC (which recycles it after RX
-    /// processing) — the conservation invariant the chaos suite audits.
+    /// Slow-path frame handling: every segment the pre-processor does not
+    /// take goes through the shared handshake rules
+    /// ([`flextoe_core::handshake`]). The frame buffer is pooled: every
+    /// path that consumes the frame here returns it to the pool, and the
+    /// two replay paths hand it back to the NIC (which recycles it after
+    /// RX processing) — the conservation invariant the chaos suite audits.
     fn on_redirect(&mut self, ctx: &mut Ctx<'_>, frame: Vec<u8>) {
-        self.redirected_frames += 1;
         let Ok(view) = SegmentView::parse(&frame, true) else {
             ctx.pool.put(frame);
             return;
         };
+        let c = self.counters.expect("control plane attached");
         let tuple = view.four_tuple();
-        let flags = view.flags;
-
-        if flags.rst() {
-            // peer reset: tear down any matching connection or pending open
-            if let Some(p) = self.active.remove(&tuple) {
-                ctx.send(
-                    p.reply_to,
-                    Duration::ZERO,
-                    AppReply::ConnectFailed { opaque: p.opaque },
-                );
-            }
-            self.passive.remove(&tuple);
-            let conn = self.nic.db.borrow().get(&tuple);
-            if let Some(conn) = conn {
-                self.teardown_now(ctx, conn);
-            }
-            ctx.pool.put(frame);
-            return;
-        }
-
-        if flags.syn() && !flags.ack() {
-            // passive open
-            if !self.listeners.contains_key(&view.dst_port) {
-                self.send_rst(ctx, &view);
-                ctx.pool.put(frame);
-                return;
-            }
-            // a duplicated/retransmitted SYN for a connection the final
-            // ACK already installed: the handshake is done — absorb it
-            // without resetting the healthy peer
-            if self.nic.db.borrow().get(&tuple).is_some() {
-                self.dup_handshake += 1;
-                ctx.stats
-                    .inc(self.counters.expect("control plane attached").dup_handshake);
-                ctx.pool.put(frame);
-                return;
-            }
-            // a duplicated SYN while the handshake is pending must reuse
-            // the pending ISS (a fresh draw would desynchronize the final
-            // ACK's sequence check) — re-emit the same SYN-ACK
-            let pending_iss = self.passive.get(&tuple).map(|pp| pp.iss);
-            let iss = match pending_iss {
-                Some(iss) => {
-                    self.dup_handshake += 1;
-                    ctx.stats
-                        .inc(self.counters.expect("control plane attached").dup_handshake);
-                    iss
-                }
-                None => {
-                    // SYN admission control: at the connection cap, refuse
-                    // with an RST instead of wedging the pool — the peer
-                    // sees a failed connect and may retry later; admission
-                    // recovers as connections tear down
-                    if let Some(max) = self.cfg.max_conns {
-                        let installed = self.nic.table.borrow().len() as u32;
-                        if installed + self.passive.len() as u32 >= max {
-                            self.admission_refused += 1;
-                            ctx.stats.inc(
-                                self.counters
-                                    .expect("control plane attached")
-                                    .admission_refused,
-                            );
-                            self.send_rst(ctx, &view);
-                            ctx.pool.put(frame);
-                            return;
-                        }
-                    }
-                    let iss = self.iss(ctx);
-                    self.passive.insert(
-                        tuple,
-                        PendingPassive {
-                            iss,
-                            listen_port: view.dst_port,
-                        },
+        let installed = self.nic.db.borrow().get(&tuple);
+        let live = self.nic.table.borrow().len();
+        let verdict = self
+            .hs
+            .on_segment(&view, installed.is_some(), live, || ctx.rng.next_u32());
+        match verdict {
+            Verdict::PeerReset { failed } => {
+                if let Some((app, opaque)) = failed {
+                    ctx.send(
+                        app.reply_to,
+                        Duration::ZERO,
+                        AppReply::ConnectFailed { opaque },
                     );
-                    iss
                 }
-            };
-            let mut spec =
-                self.handshake_spec(view.src_mac, view.src_ip, view.dst_port, view.src_port);
-            spec.seq = SeqNum(iss);
-            spec.ack = view.seq + 1;
-            spec.flags = TcpFlags::SYN | TcpFlags::ACK;
-            let mut synack = ctx.pool.take();
-            spec.emit_zeroed_into(&mut synack);
-            self.send_frame(ctx, synack);
-            ctx.pool.put(frame);
-            return;
-        }
-
-        if flags.syn() && flags.ack() {
-            // SYN-ACK for an active open
-            let Some(p) = self.active.remove(&tuple) else {
-                // a duplicated SYN-ACK arriving after the connection was
-                // installed must not RST the healthy peer — absorb it
-                if self.nic.db.borrow().get(&tuple).is_some() {
-                    self.dup_handshake += 1;
-                    ctx.stats
-                        .inc(self.counters.expect("control plane attached").dup_handshake);
-                } else {
-                    self.send_rst(ctx, &view);
+                if let Some(conn) = installed {
+                    self.teardown_now(ctx, conn);
                 }
-                ctx.pool.put(frame);
-                return;
-            };
-            // final handshake ACK
-            let mut spec =
-                self.handshake_spec(view.src_mac, p.remote_ip, p.local_port, p.remote_port);
-            spec.options = TcpOptions::default();
-            spec.seq = SeqNum(p.iss.wrapping_add(1));
-            spec.ack = view.seq + 1;
-            spec.flags = TcpFlags::ACK;
-            let mut ackframe = ctx.pool.take();
-            spec.emit_zeroed_into(&mut ackframe);
-            self.send_frame(ctx, ackframe);
-            let (conn, rx_buf, tx_buf) = self.install(
-                ctx,
-                p.remote_ip,
-                p.remote_port,
-                p.local_port,
-                p.iss,
-                view.seq.0,
-                view.window,
-                p.ctx,
-                p.queue.clone(),
-            );
-            ctx.send(
-                p.reply_to,
-                Duration::ZERO,
-                AppReply::Connected {
+            }
+            Verdict::Refuse(why) => {
+                match why {
+                    Refusal::Admission => ctx.stats.inc(c.admission_refused),
+                    Refusal::Stray => ctx.stats.inc(c.stray_rst),
+                    Refusal::NoListener | Refusal::UnknownSynAck => {}
+                }
+                self.send_rst(ctx, &view);
+            }
+            // absorbed without side effects: a healthy peer is never RST
+            // for a duplicate (the dup-storm hazard)
+            Verdict::Duplicate => ctx.stats.inc(c.dup_handshake),
+            Verdict::SynAck { iss, duplicate } => {
+                if duplicate {
+                    ctx.stats.inc(c.dup_handshake);
+                }
+                let flags = TcpFlags::SYN | TcpFlags::ACK;
+                self.send_segment(ctx, view.src_mac, tuple, SeqNum(iss), view.seq + 1, flags);
+            }
+            Verdict::Connected {
+                iss,
+                open: (app, opaque),
+            } => {
+                let seq = SeqNum(iss.wrapping_add(1));
+                self.send_segment(ctx, view.src_mac, tuple, seq, view.seq + 1, TcpFlags::ACK);
+                let (conn, rx_buf, tx_buf) =
+                    self.install(ctx, tuple, iss, view.seq.0, view.window, &app);
+                let reply = AppReply::Connected {
                     conn,
-                    opaque: p.opaque,
+                    opaque,
                     rx_buf,
                     tx_buf,
-                },
-            );
-            ctx.pool.put(frame);
-            return;
-        }
-
-        if flags.ack() {
-            // final ACK of a passive handshake (redirected as unknown flow)
-            if let Some(pp) = self.passive.remove(&tuple) {
-                let listener = self
-                    .listeners
-                    .get(&pp.listen_port)
-                    .expect("listener for pending passive");
-                let (l_ctx, l_queue, l_reply) =
-                    (listener.ctx, listener.queue.clone(), listener.reply_to);
-                let (conn, rx_buf, tx_buf) = self.install(
-                    ctx,
-                    view.src_ip,
-                    view.src_port,
-                    view.dst_port,
-                    pp.iss,
-                    view.seq.0.wrapping_sub(1),
-                    view.window,
-                    l_ctx,
-                    l_queue,
-                );
-                ctx.send(
-                    l_reply,
-                    Duration::ZERO,
-                    AppReply::Accepted {
-                        conn,
-                        port: pp.listen_port,
-                        peer: (view.src_ip, view.src_port),
-                        rx_buf,
-                        tx_buf,
-                    },
-                );
-                // data may have ridden on the ACK (or raced it): replay the
-                // frame through the NIC so the data-path processes it.
-                if view.payload_len > 0 || view.flags.fin() {
-                    ctx.send(self.nic.mac, self.inject_latency(), Frame::raw(frame));
-                } else {
-                    ctx.pool.put(frame);
-                }
-                return;
+                };
+                ctx.send(app.reply_to, Duration::ZERO, reply);
             }
-            // A data segment can race the handshake's final ACK through
-            // the redirect path: both miss the db at pre-stage time, and
-            // by now the ACK has installed the connection. Replay it
-            // through the NIC rather than treating it as stray.
-            if self.nic.db.borrow().get(&tuple).is_some() {
+            Verdict::Accepted {
+                iss,
+                listener,
+                replay,
+            } => {
+                let peer_iss = view.seq.0.wrapping_sub(1);
+                let (conn, rx_buf, tx_buf) =
+                    self.install(ctx, tuple, iss, peer_iss, view.window, &listener);
+                let reply = AppReply::Accepted {
+                    conn,
+                    port: view.dst_port,
+                    peer: (view.src_ip, view.src_port),
+                    rx_buf,
+                    tx_buf,
+                };
+                ctx.send(listener.reply_to, Duration::ZERO, reply);
+                if replay {
+                    ctx.send(self.nic.mac, self.inject_latency(), Frame::raw(frame));
+                    return;
+                }
+            }
+            Verdict::Replay => {
                 ctx.send(self.nic.mac, self.inject_latency(), Frame::raw(frame));
                 return;
             }
-            // A segment for a connection this host genuinely does not
-            // know gets a reset, as in real TCP: a peer retransmitting
-            // its FIN out of LAST-ACK (because our final ACK was lost, or
-            // we tore down first) would otherwise retry forever against
-            // silence.
-            self.send_rst(ctx, &view);
-            ctx.stats
-                .inc(self.counters.expect("control plane attached").stray_rst);
+            Verdict::Ignore => {}
         }
         ctx.pool.put(frame);
     }
@@ -773,7 +589,6 @@ impl ControlPlane {
     /// Consume one sealed report batch from the shared pool.
     fn on_report_batch(&mut self, ctx: &mut Ctx<'_>, token: ReportBatchToken) {
         let entries = self.nic.ccp.borrow_mut().take(token.slot);
-        self.report_batches += 1;
         // every sealed batch funnels through here (post-stage seals and
         // control-plane flushes alike), so these are the authoritative
         // batching counters
@@ -787,7 +602,6 @@ impl ControlPlane {
 
     fn process_reports(&mut self, ctx: &mut Ctx<'_>, entries: &[FlowReport]) {
         for r in entries {
-            self.flow_reports += 1;
             // connection ids are reused: a report folded under an older
             // install generation must not feed the id's next flow
             if self.nic.ccp.borrow().flow_epoch(r.conn) != r.epoch {
@@ -916,15 +730,8 @@ impl ControlPlane {
         let Some((peer_mac, peer_ip, local_port, remote_port, seq, ack, app_ctx)) = info else {
             return; // raced a teardown
         };
-        self.resets_sent += 1;
-        let mut spec = self.handshake_spec(peer_mac, peer_ip, local_port, remote_port);
-        spec.options = TcpOptions::default();
-        spec.seq = seq;
-        spec.ack = ack;
-        spec.flags = TcpFlags::RST | TcpFlags::ACK;
-        let mut frame = ctx.pool.take();
-        spec.emit_zeroed_into(&mut frame);
-        self.send_frame(ctx, frame);
+        let rx = FourTuple::new(peer_ip, remote_port, self.local_ip(), local_port);
+        self.send_segment(ctx, peer_mac, rx, seq, ack, TcpFlags::RST | TcpFlags::ACK);
         // typed error to the app, through the normal notification DMA
         // path so it serializes behind any in-flight completions
         ctx.send(
@@ -935,7 +742,6 @@ impl ControlPlane {
                 desc: flextoe_core::hostmem::NicToApp::Aborted { conn },
             },
         );
-        self.aborts += 1;
         ctx.stats
             .inc(self.counters.expect("control plane attached").abort);
         self.teardown_now(ctx, conn);
@@ -1009,14 +815,12 @@ impl Node for ControlPlane {
                 ref queue,
                 reply_to,
             } => {
-                self.listeners.insert(
-                    port,
-                    Listener {
-                        ctx: app_ctx,
-                        queue: queue.clone(),
-                        reply_to,
-                    },
-                );
+                let app = AppCtx {
+                    ctx: app_ctx,
+                    queue: queue.clone(),
+                    reply_to,
+                };
+                self.hs.listen(port, app);
             }
             AppRequest::Connect {
                 remote_ip,
@@ -1026,15 +830,12 @@ impl Node for ControlPlane {
                 reply_to,
                 opaque,
             } => {
-                self.start_connect(
-                    ctx,
-                    remote_ip,
-                    remote_port,
-                    app_ctx,
-                    queue.clone(),
+                let app = AppCtx {
+                    ctx: app_ctx,
+                    queue: queue.clone(),
                     reply_to,
-                    opaque,
-                );
+                };
+                self.start_connect(ctx, remote_ip, remote_port, app, opaque);
             }
             AppRequest::Teardown { conn } => self.teardown_now(ctx, conn),
         }

@@ -13,6 +13,7 @@
 //! wires a complete NIC into a `flextoe-sim` simulation.
 
 pub mod costs;
+pub mod handshake;
 pub mod hostmem;
 pub mod module;
 pub mod pipeline;

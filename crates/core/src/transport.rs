@@ -1,6 +1,6 @@
 //! The retransmit and connect policy every host runs.
 //!
-//! [`TransportPolicy`] is the one copy of the connection-control timers:
+//! [`TransportPolicy`] is the one copy of the connection-control knobs:
 //! the FlexTOE control plane (`flextoe-control`: its RTO monitor and SYN
 //! retry) and the baseline host stacks (`flextoe-hoststack`) both read
 //! it, so a FlexTOE-vs-TAS comparison compares data paths, not timer
@@ -27,6 +27,11 @@ pub struct TransportPolicy {
     /// Base SYN retransmission interval; attempt `n` waits
     /// `syn_retry << min(n - 1, 5)`.
     pub syn_retry: Duration,
+    /// SYN admission cap: a passive open past this many installed +
+    /// pending connections is refused with an RST
+    /// ([`crate::handshake::Refusal::Admission`]). `None` admits every
+    /// SYN.
+    pub max_conns: Option<u32>,
 }
 
 impl Default for TransportPolicy {
@@ -35,6 +40,7 @@ impl Default for TransportPolicy {
             min_rto: Duration::from_ms(1),
             rto_give_up: Some(8),
             syn_retry: Duration::from_ms(5),
+            max_conns: None,
         }
     }
 }

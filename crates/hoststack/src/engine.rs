@@ -8,16 +8,21 @@
 //! are expressed as policies:
 //!
 //! * **receiver reassembly** — one OOO interval (TAS / FlexTOE-baseline),
-//!   multi-interval SACK-like (Linux), or drop-all-OOO (Chelsio, §5.3:
-//!   "Chelsio has a very steep decline in throughput"),
-//! * **sender retransmission** — go-back-N, or first-segment-only
-//!   (NewReno-ish Linux: "more sophisticated reassembly and recovery"),
+//!   multi-interval SACK-like (Linux: "more sophisticated reassembly and
+//!   recovery"), or drop-all-OOO (Chelsio, §5.3: "Chelsio has a very
+//!   steep decline in throughput"). Every sender is `proto`'s go-back-N;
+//!   Linux differs only as a receiver,
 //! * **cost model** — per-packet cycles on the processing core
 //!   ([`StackCosts`]), which is the application core for in-kernel stacks.
+//!
+//! Connection setup is `flextoe_core::handshake`, the rules the FlexTOE
+//! control plane runs, so both stack families answer, refuse and absorb
+//! handshake segments alike.
 
+use flextoe_core::handshake::{Handshake, Refusal, SynTimeout, Verdict};
 use flextoe_core::hostmem::{shared_buf, AppToNic, SharedBuf};
 use flextoe_core::proto::{self, RxSummary};
-use flextoe_core::transport::{TransportPolicy, SYN_ATTEMPTS};
+use flextoe_core::transport::TransportPolicy;
 use flextoe_core::ProtoState;
 use flextoe_nfp::{Cost, FpcTimer};
 use flextoe_sim::{try_cast, AppNotify, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Tick, Time};
@@ -55,7 +60,6 @@ struct HostConn {
     stall_since: Time,
     backoff: u32,
     srtt_us: u32,
-    active: bool,
 }
 
 impl HostConn {
@@ -65,28 +69,13 @@ impl HostConn {
     }
 }
 
-struct PendingActive {
-    iss: u32,
-    local_port: u16,
-    remote_ip: Ip4,
-    remote_port: u16,
+/// Who an active open reports to, until its SYN-ACK installs it.
+struct Dial {
+    side: SharedAppSide,
+    app: NodeId,
     opaque: u64,
-    side: SharedAppSide,
-    app: NodeId,
-    /// When the most recent SYN went out (retry timer).
+    /// When the most recent SYN went out (the scan's retry timer).
     sent_at: Time,
-    /// SYNs transmitted so far (1 after the initial send).
-    attempts: u32,
-}
-
-struct Listener {
-    side: SharedAppSide,
-    app: NodeId,
-}
-
-struct PendingPassive {
-    iss: u32,
-    port: u16,
 }
 
 /// What one RTO scan does to a connection once the scan is over.
@@ -116,27 +105,27 @@ pub struct HostStackNode {
     /// listen/connect ([`crate::AppSide::ctx`]).
     sides: Vec<SharedAppSide>,
     lookup: FxHashMap<FourTuple, u32>,
-    listeners: FxHashMap<u16, Listener>,
-    active: FxHashMap<FourTuple, PendingActive>,
-    passive: FxHashMap<FourTuple, PendingPassive>,
+    /// Listeners (app side, app node) and pending opens.
+    hs: Handshake<(SharedAppSide, NodeId), Dial>,
     arp: FxHashMap<Ip4, MacAddr>,
     next_port: u16,
     rto_armed: bool,
-    /// The RTO scan's work list, kept between scans for its storage.
+    /// The RTO and SYN scans' work lists, kept between scans for their
+    /// storage.
     rto_fire: Vec<(u32, RtoAction)>,
+    syn_due: Vec<(FourTuple, u32)>,
     /// Lock-contention multiplier (set by multi-core experiments).
     pub n_app_cores: u32,
     /// Payload-copy cycles per byte (socket-buffer copies; §E's
     /// TAS-nocopy variant sets this to zero).
     pub copy_cycles_per_byte: f64,
-    pub rx_packets: u64,
-    pub tx_packets: u64,
     pub retransmits: u64,
-    pub established: u64,
-    /// SYN retransmissions (connect-phase loss recovery).
-    pub syn_retries: u64,
-    /// Active opens abandoned after [`SYN_ATTEMPTS`] transmissions.
+    /// Active opens abandoned after
+    /// [`flextoe_core::transport::SYN_ATTEMPTS`] transmissions.
     pub connect_give_ups: u64,
+    /// Passive opens refused with an RST at the policy's
+    /// [`TransportPolicy::max_conns`].
+    pub admission_refused: u64,
     /// Established connections aborted once the policy's RTO budget
     /// ([`TransportPolicy::rto_give_up`]) is spent.
     pub aborts: u64,
@@ -185,21 +174,17 @@ impl HostStackNode {
             conns: Vec::new(),
             sides: Vec::new(),
             lookup: FxHashMap::default(),
-            listeners: FxHashMap::default(),
-            active: FxHashMap::default(),
-            passive: FxHashMap::default(),
+            hs: Handshake::new(transport.max_conns),
             arp: FxHashMap::default(),
             next_port: 42_000,
             rto_armed: false,
             rto_fire: Vec::new(),
+            syn_due: Vec::new(),
             n_app_cores: 1,
             copy_cycles_per_byte: 0.07,
-            rx_packets: 0,
-            tx_packets: 0,
             retransmits: 0,
-            established: 0,
-            syn_retries: 0,
             connect_give_ups: 0,
+            admission_refused: 0,
             aborts: 0,
         }
     }
@@ -219,10 +204,6 @@ impl HostStackNode {
         )
     }
 
-    fn pkt_cost(&self) -> Cost {
-        self.pkt_cost_len(0)
-    }
-
     /// Re-platform this stack (Fig. 14 ports): change the processing
     /// clock and NIC rate.
     pub fn set_platform(&mut self, clock: flextoe_sim::Clock, mac_bps: u64) {
@@ -238,7 +219,6 @@ impl HostStackNode {
 
     /// Transmit a frame, serialized on the NIC at line rate.
     fn emit(&mut self, ctx: &mut Ctx<'_>, after: Duration, frame: Frame) {
-        self.tx_packets += 1;
         let bits = frame.len() as u64 * 8;
         let ser = Duration::from_ps(bits.saturating_mul(1_000_000_000_000) / self.mac_bps);
         let start = (ctx.now() + after + self.nic_latency).max(self.mac_free);
@@ -305,39 +285,14 @@ impl HostStackNode {
         }
     }
 
-    /// Retransmit after loss, per sender policy.
-    fn retransmit(&mut self, ctx: &mut Ctx<'_>, id: u32, first_seg_only: bool) {
+    /// Go-back-N retransmission: an RTO, the app's retransmit request, or
+    /// a fast retransmit `proto` already rewound.
+    fn retransmit(&mut self, ctx: &mut Ctx<'_>, id: u32) {
         self.retransmits += 1;
-        let now = ctx.now();
-        let Some(mut c) = self.take(id) else { return };
-        let (my_mac, my_ip) = (self.mac, self.ip);
-        if first_seg_only && c.ps.tx_sent > 0 {
-            // NewReno-lite: resend only the first unacknowledged segment.
-            let len = c.ps.tx_sent.min(MSS);
-            let una = c.ps.snd_una();
-            let pos = c.ps.tx_pos.wrapping_sub(c.ps.tx_sent);
-            let mut spec = spec_for(my_mac, my_ip, &c);
-            spec.seq = una;
-            spec.ack = c.ps.ack;
-            spec.window = proto::advertised_window(&c.ps);
-            spec.flags = TcpFlags::ACK | TcpFlags::PSH;
-            spec.options = TcpOptions {
-                timestamp: Some((now.as_us() as u32, c.ps.next_ts)),
-                ..Default::default()
-            };
-            spec.payload_len = len as usize;
-            let tx_buf = c.tx_buf.borrow();
-            let frame = spec.emit_frame_into(ctx.pool.take(), |b| tx_buf.read(pos, b));
-            drop(tx_buf);
-            let cost = self.pkt_cost();
-            let d = self.charge(now, cost);
-            self.emit(ctx, d, frame);
-            self.put(id, c);
-        } else {
+        if let Some(Some(c)) = self.conns.get_mut(id as usize) {
             proto::go_back_n(&mut c.ps);
-            self.put(id, c);
-            self.pump_tx(ctx, id);
         }
+        self.pump_tx(ctx, id);
     }
 
     // ---- receive --------------------------------------------------------------
@@ -496,8 +451,7 @@ impl HostStackNode {
             self.send_ack(ctx, id, d, out.ecn_echo);
         }
         if fast_retx {
-            let first_only = kind == StackKind::Linux;
-            self.retransmit(ctx, id, first_only);
+            self.retransmit(ctx, id);
         }
         // window/ack progress may allow more transmission
         self.pump_tx(ctx, id);
@@ -562,20 +516,18 @@ impl HostStackNode {
         self.emit(ctx, Duration::ZERO, f);
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Install an established connection whose segments arrive on `rx`.
     fn install(
         &mut self,
-        peer_ip: Ip4,
-        peer_port: u16,
-        local_port: u16,
+        rx: FourTuple,
         iss: u32,
         peer_iss: u32,
         peer_win: u16,
         side: SharedAppSide,
         app: NodeId,
     ) -> u32 {
-        let peer_mac = *self.arp.get(&peer_ip).expect("arp");
-        let tuple_rx = FourTuple::new(peer_ip, peer_port, self.ip, local_port);
+        let peer_mac = *self.arp.get(&rx.src_ip).expect("arp");
+        let tuple_rx = FourTuple::new(rx.src_ip, rx.src_port, self.ip, rx.dst_port);
         let rx_buf = shared_buf(BUF_SIZE);
         let tx_buf = shared_buf(BUF_SIZE);
         let mut conn = HostConn {
@@ -600,7 +552,6 @@ impl HostStackNode {
             stall_since: Time::ZERO,
             backoff: 0,
             srtt_us: 0,
-            active: true,
         };
         conn.clamp_window();
         let id = self
@@ -625,116 +576,109 @@ impl HostStackNode {
                 closed: false,
             },
         );
-        self.established += 1;
         id as u32
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
-        self.rx_packets += 1;
         // every in-sim emitter fills its checksums: only a frame a link
         // corrupted can fail them
         let verify = frame.corrupted;
         let frame = frame.bytes;
-        let Ok(view) = SegmentView::parse(&frame, verify) else {
-            return;
-        };
+        if let Ok(view) = SegmentView::parse(&frame, verify) {
+            let installed = self.lookup.get(&view.four_tuple()).copied();
+            match installed {
+                Some(id) if view.flags.is_datapath() => {
+                    self.on_data_segment(ctx, id, &view, &frame)
+                }
+                _ => self.on_setup_segment(ctx, &view, &frame, installed),
+            }
+        }
+        // any payload is in a socket buffer by now: every frame's bytes go
+        // back to the sim-wide pool, exactly once
+        ctx.pool.put(frame);
+    }
+
+    /// A segment the data path does not take, decided by the handshake
+    /// rules every host shares. `installed` is its connection, if any.
+    fn on_setup_segment(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        view: &SegmentView,
+        frame: &[u8],
+        installed: Option<u32>,
+    ) {
         let tuple = view.four_tuple();
-        if let Some(&id) = self.lookup.get(&tuple) {
-            if view.flags.rst() {
-                self.teardown(id);
-                return;
+        let live = self.lookup.len();
+        let verdict = self
+            .hs
+            .on_segment(view, installed.is_some(), live, || ctx.rng.next_u32());
+        match verdict {
+            Verdict::PeerReset { failed } => {
+                if let Some(id) = installed {
+                    self.teardown(id);
+                }
+                if let Some(d) = failed {
+                    let ev = SockEvent::ConnectFailed { opaque: d.opaque };
+                    notify(ctx, &d.side, d.app, Duration::ZERO, ev);
+                }
             }
-            if view.flags.is_datapath() {
-                self.on_data_segment(ctx, id, &view, &frame);
-                // payload has been copied into the socket buffer: the
-                // frame's bytes go back to the sim-wide pool
-                ctx.pool.put(frame);
-                return;
+            Verdict::Refuse(why) => {
+                if why == Refusal::Admission {
+                    self.admission_refused += 1;
+                }
+                let flags = TcpFlags::RST | TcpFlags::ACK;
+                self.emit_handshake(ctx, view.src_mac, tuple, view.ack, view.seq_end(), flags);
             }
-            return; // stray handshake segment for a live conn
-        }
-        let flags = view.flags;
-        if flags.syn() && !flags.ack() {
-            if let Some(listener) = self.listeners.get(&view.dst_port) {
-                let iss = ctx.rng.next_u32();
-                self.passive.insert(
-                    tuple,
-                    PendingPassive {
-                        iss,
-                        port: view.dst_port,
-                    },
-                );
-                let _ = listener;
-                let syn_ack = TcpFlags::SYN | TcpFlags::ACK;
-                self.emit_handshake(ctx, view.src_mac, tuple, SeqNum(iss), view.seq + 1, syn_ack);
+            Verdict::Duplicate | Verdict::Ignore => {}
+            Verdict::SynAck { iss, .. } => {
+                let flags = TcpFlags::SYN | TcpFlags::ACK;
+                self.emit_handshake(ctx, view.src_mac, tuple, SeqNum(iss), view.seq + 1, flags);
             }
-            return;
-        }
-        if flags.syn() && flags.ack() {
-            if let Some(p) = self.active.remove(&tuple) {
-                let seq = SeqNum(p.iss.wrapping_add(1));
+            Verdict::Connected { iss, open } => {
+                let seq = SeqNum(iss.wrapping_add(1));
                 self.emit_handshake(ctx, view.src_mac, tuple, seq, view.seq + 1, TcpFlags::ACK);
                 let id = self.install(
-                    p.remote_ip,
-                    p.remote_port,
-                    p.local_port,
-                    p.iss,
+                    tuple,
+                    iss,
                     view.seq.0,
                     view.window,
-                    p.side.clone(),
-                    p.app,
+                    open.side.clone(),
+                    open.app,
                 );
-                let c = self.conns[id as usize].as_ref().unwrap();
-                wake_app(
-                    ctx,
-                    c,
-                    Duration::ZERO,
-                    SockEvent::Connected {
-                        conn: id,
-                        opaque: p.opaque,
-                    },
-                );
+                let ev = SockEvent::Connected {
+                    conn: id,
+                    opaque: open.opaque,
+                };
+                notify(ctx, &open.side, open.app, Duration::ZERO, ev);
             }
-            return;
-        }
-        if flags.ack() {
-            if let Some(pp) = self.passive.remove(&tuple) {
-                let listener = self.listeners.get(&pp.port).expect("listener");
-                let (side, app) = (listener.side.clone(), listener.app);
-                let id = self.install(
-                    view.src_ip,
-                    view.src_port,
-                    view.dst_port,
-                    pp.iss,
-                    view.seq.0.wrapping_sub(1),
-                    view.window,
-                    side,
-                    app,
-                );
-                let c = self.conns[id as usize].as_ref().unwrap();
-                wake_app(
-                    ctx,
-                    c,
-                    Duration::ZERO,
-                    SockEvent::Accepted {
-                        conn: id,
-                        port: pp.port,
-                        peer: (view.src_ip, view.src_port),
-                    },
-                );
-                if view.payload_len > 0 || view.flags.fin() {
-                    self.on_frame(ctx, Frame::raw(frame)); // replay: now an installed conn
+            Verdict::Accepted {
+                iss,
+                listener: (side, app),
+                replay,
+            } => {
+                let peer_iss = view.seq.0.wrapping_sub(1);
+                let id = self.install(tuple, iss, peer_iss, view.window, side.clone(), app);
+                let ev = SockEvent::Accepted {
+                    conn: id,
+                    port: view.dst_port,
+                    peer: (view.src_ip, view.src_port),
+                };
+                notify(ctx, &side, app, Duration::ZERO, ev);
+                if replay {
+                    self.on_data_segment(ctx, id, view, frame);
+                }
+            }
+            Verdict::Replay => {
+                if let Some(id) = installed {
+                    self.on_data_segment(ctx, id, view, frame);
                 }
             }
         }
     }
 
     fn teardown(&mut self, id: u32) {
-        if let Some(Some(c)) = self.conns.get_mut(id as usize) {
-            c.active = false;
-            let tuple = c.tuple_rx;
-            self.conns[id as usize] = None;
-            self.lookup.remove(&tuple);
+        if let Some(c) = self.take(id) {
+            self.lookup.remove(&c.tuple_rx);
         }
     }
 
@@ -778,13 +722,13 @@ impl HostStackNode {
         for (id, action) in fire.drain(..) {
             match action {
                 RtoAction::Reclaim => self.teardown(id),
-                RtoAction::Retx => self.retransmit(ctx, id, false), // RTO is always go-back-N
+                RtoAction::Retx => self.retransmit(ctx, id),
                 RtoAction::Abort => self.abort(ctx, id),
             }
         }
         self.rto_fire = fire;
         self.syn_scan(ctx, now);
-        if self.conns.iter().any(|c| c.is_some()) || !self.active.is_empty() {
+        if self.conns.iter().any(|c| c.is_some()) || self.hs.pending().next().is_some() {
             ctx.wake(Duration::from_ms(1), Tick);
         } else {
             self.rto_armed = false;
@@ -810,45 +754,64 @@ impl HostStackNode {
         self.lookup.remove(&c.tuple_rx);
     }
 
-    /// Connect-phase loss recovery: retransmit unanswered SYNs after the
-    /// policy's [`TransportPolicy::syn_timeout`]; after [`SYN_ATTEMPTS`]
-    /// transmissions give up and surface `ConnectFailed`.
+    /// Connect-phase loss recovery: a SYN unanswered for the policy's
+    /// [`TransportPolicy::syn_timeout`] goes out again, until the shared
+    /// handshake gives the open up and the app hears `ConnectFailed`.
     fn syn_scan(&mut self, ctx: &mut Ctx<'_>, now: Time) {
-        let mut retry = Vec::new();
-        let mut give_up = Vec::new();
-        for (tuple, p) in self.active.iter() {
-            if now.saturating_since(p.sent_at) >= self.transport.syn_timeout(p.attempts) {
-                if p.attempts >= SYN_ATTEMPTS {
-                    give_up.push(*tuple);
-                } else {
-                    retry.push(*tuple);
-                }
+        let transport = self.transport;
+        let mut due = std::mem::take(&mut self.syn_due);
+        due.extend(
+            self.hs
+                .pending()
+                .filter(|(_, p)| {
+                    now.saturating_since(p.app.sent_at) >= transport.syn_timeout(p.attempts)
+                })
+                .map(|(&key, p)| (key, p.iss)),
+        );
+        // give-ups notify first, then the retries go out, each in map order
+        due.retain(|(key, _)| match self.hs.syn_timeout(key) {
+            Some(SynTimeout::Resend { app, .. }) => {
+                app.sent_at = now;
+                true
+            }
+            Some(SynTimeout::GiveUp(d)) => {
+                self.connect_give_ups += 1;
+                let ev = SockEvent::ConnectFailed { opaque: d.opaque };
+                notify(ctx, &d.side, d.app, Duration::ZERO, ev);
+                false
+            }
+            None => false,
+        });
+        for (key, iss) in due.drain(..) {
+            if let Some(&dst_mac) = self.arp.get(&key.src_ip) {
+                self.emit_handshake(ctx, dst_mac, key, SeqNum(iss), SeqNum(0), TcpFlags::SYN);
             }
         }
-        for tuple in give_up {
-            let p = self.active.remove(&tuple).unwrap();
-            self.connect_give_ups += 1;
-            let mut side = p.side.borrow_mut();
-            side.events
-                .push_back(SockEvent::ConnectFailed { opaque: p.opaque });
-            let wake = AppNotify { ctx: side.ctx };
-            ctx.send(p.app, Duration::from_us(1), wake);
-        }
-        for tuple in retry {
-            let Some(&dst_mac) = self
-                .active
-                .get(&tuple)
-                .and_then(|p| self.arp.get(&p.remote_ip))
-            else {
-                continue;
-            };
-            let p = self.active.get_mut(&tuple).unwrap();
-            p.attempts += 1;
-            p.sent_at = now;
-            let iss = SeqNum(p.iss);
-            self.syn_retries += 1;
-            self.emit_handshake(ctx, dst_mac, tuple, iss, SeqNum(0), TcpFlags::SYN);
-        }
+        self.syn_due = due;
+    }
+
+    /// Send the first SYN of an active open; [`Self::syn_scan`] retries
+    /// it. Without an ARP entry the connect fails at once.
+    fn connect(&mut self, ctx: &mut Ctx<'_>, c: HostConnect) {
+        self.register_side(&c.side);
+        let local_port = self.next_port;
+        self.next_port = self.next_port.wrapping_add(1).max(42_000);
+        let iss = ctx.rng.next_u32();
+        let Some(&dst_mac) = self.arp.get(&c.ip) else {
+            let ev = SockEvent::ConnectFailed { opaque: c.opaque };
+            notify(ctx, &c.side, c.app, Duration::ZERO, ev);
+            return;
+        };
+        let key = FourTuple::new(c.ip, c.port, self.ip, local_port);
+        let dial = Dial {
+            side: c.side,
+            app: c.app,
+            opaque: c.opaque,
+            sent_at: ctx.now(),
+        };
+        self.hs.connect(key, iss, dial);
+        self.emit_handshake(ctx, dst_mac, key, SeqNum(iss), SeqNum(0), TcpFlags::SYN);
+        self.arm_rto(ctx);
     }
 
     /// First listen/connect of an application side: assign its context id.
@@ -887,7 +850,7 @@ impl HostStackNode {
                     }
                     self.pump_tx(ctx, conn);
                 }
-                AppToNic::Retransmit { conn } => self.retransmit(ctx, conn, false),
+                AppToNic::Retransmit { conn } => self.retransmit(ctx, conn),
             }
         }
     }
@@ -919,43 +882,14 @@ impl Node for HostStackNode {
         let msg = match try_cast::<HostListen>(msg) {
             Ok(l) => {
                 self.register_side(&l.side);
-                self.listeners.insert(
-                    l.port,
-                    Listener {
-                        side: l.side,
-                        app: l.app,
-                    },
-                );
+                self.hs.listen(l.port, (l.side, l.app));
                 return;
             }
             Err(m) => m,
         };
         let msg = match try_cast::<HostConnect>(msg) {
             Ok(c) => {
-                self.register_side(&c.side);
-                let local_port = self.next_port;
-                self.next_port = self.next_port.wrapping_add(1).max(42_000);
-                let iss = ctx.rng.next_u32();
-                let Some(&dst_mac) = self.arp.get(&c.ip) else {
-                    return;
-                };
-                let key = FourTuple::new(c.ip, c.port, self.ip, local_port);
-                self.active.insert(
-                    key,
-                    PendingActive {
-                        iss,
-                        local_port,
-                        remote_ip: c.ip,
-                        remote_port: c.port,
-                        opaque: c.opaque,
-                        side: c.side,
-                        app: c.app,
-                        sent_at: ctx.now(),
-                        attempts: 1,
-                    },
-                );
-                self.emit_handshake(ctx, dst_mac, key, SeqNum(iss), SeqNum(0), TcpFlags::SYN);
-                self.arm_rto(ctx);
+                self.connect(ctx, *c);
                 return;
             }
             Err(m) => m,
@@ -985,10 +919,16 @@ fn spec_for(mac: MacAddr, ip: Ip4, conn: &HostConn) -> SegmentSpec {
 }
 
 fn wake_app(ctx: &mut Ctx<'_>, conn: &HostConn, after: Duration, ev: SockEvent) {
-    let mut side = conn.side.borrow_mut();
+    notify(ctx, &conn.side, conn.app, after, ev);
+}
+
+/// Queue `ev` on an application side and wake its node 1 µs after
+/// `after`.
+fn notify(ctx: &mut Ctx<'_>, side: &SharedAppSide, app: NodeId, after: Duration, ev: SockEvent) {
+    let mut side = side.borrow_mut();
     side.events.push_back(ev);
     let wake = AppNotify { ctx: side.ctx };
-    ctx.send(conn.app, after + Duration::from_us(1), wake);
+    ctx.send(app, after + Duration::from_us(1), wake);
 }
 
 /// Merge `[s, s+l)` into the side-interval list (overlap-coalescing).

@@ -87,9 +87,9 @@ impl Endpoint {
 /// of the hand-wired pair/star topologies; [`crate::build_fabric`] refuses
 /// them and takes link parameters from its [`crate::LinkSpec`] instead.
 ///
-/// `min_rto`, `rto_give_up` and `syn_retry` form the [`TransportPolicy`]
-/// every host runs, FlexTOE and baseline alike. `cfg`, `cc`, `fold` and
-/// `max_conns` configure FlexTOE hosts only: the baseline stacks model
+/// `min_rto`, `rto_give_up`, `syn_retry` and `max_conns` form the
+/// [`TransportPolicy`] every host runs, FlexTOE and baseline alike. `cfg`,
+/// `cc` and `fold` configure FlexTOE hosts only: the baseline stacks model
 /// their own buffers and congestion control.
 pub struct PairOpts {
     pub cfg: PipeCfg,
@@ -106,8 +106,8 @@ pub struct PairOpts {
     /// hosts add jitter).
     pub syn_retry: Duration,
     /// SYN admission cap: refuse passive opens with an RST past this many
-    /// installed connections (`None` = unbounded; see
-    /// `CtrlConfig::max_conns`).
+    /// installed + pending connections (`None` = unbounded; see
+    /// [`TransportPolicy::max_conns`]).
     pub max_conns: Option<u32>,
     pub propagation: Duration,
     pub faults: Faults,
@@ -123,7 +123,7 @@ impl Default for PairOpts {
             rto_give_up: ctrl.transport.rto_give_up,
             min_rto: ctrl.transport.min_rto,
             syn_retry: ctrl.transport.syn_retry,
-            max_conns: ctrl.max_conns,
+            max_conns: ctrl.transport.max_conns,
             propagation: Duration::from_us(2),
             faults: Faults::default(),
         }
@@ -144,6 +144,7 @@ pub fn build_endpoint(
         min_rto: opts.min_rto,
         rto_give_up: opts.rto_give_up,
         syn_retry: opts.syn_retry,
+        max_conns: opts.max_conns,
     };
     match stack {
         Stack::FlexToe => {
@@ -155,7 +156,6 @@ pub fn build_endpoint(
                     cc: opts.cc,
                     fold: opts.fold.clone(),
                     transport,
-                    max_conns: opts.max_conns,
                 },
                 nic.handle(),
             );

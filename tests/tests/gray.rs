@@ -3,11 +3,14 @@
 //! backpressure, and SYN admission control — every scenario must shed
 //! load as *counted* degraded modes, keep exactly-once delivery, hold
 //! the buffer-conservation invariant through exhaustion and recovery,
-//! and never panic. Runs on both event queues (CI repeats the suite on
-//! the heap oracle with `FLEXTOE_SIM_REFERENCE=1`).
+//! and never panic. The handshake cases run on FlexTOE and TAS hosts:
+//! both families set connections up by the same rules. Runs on both
+//! event queues (CI repeats the suite on the heap oracle with
+//! `FLEXTOE_SIM_REFERENCE=1`).
 
 use flextoe_apps::{CloseAll, FramedServerConfig, SessionConfig};
 use flextoe_bench::faults::buf_balance;
+use flextoe_hoststack::HostStackNode;
 use flextoe_netsim::{Faults, GeParams, Link};
 use flextoe_sim::{Duration, NodeId, Sim, Time};
 use flextoe_topo::{
@@ -19,14 +22,15 @@ use flextoe_topo::{
 /// `faults` sweep): even hosts run reconnecting sessions toward the
 /// server on the next leaf. `req_size` controls how many segments are
 /// in flight per request (8 KiB ≈ 6 MSS keeps a window's worth of
-/// unACKed data exposed to duplication and reordering).
-fn session_fabric(seed: u64, req_size: u32, schedule: Vec<FaultEvent>) -> Scenario {
+/// unACKed data exposed to duplication and reordering). Every host runs
+/// `stack`.
+fn session_fabric(stack: Stack, seed: u64, req_size: u32, schedule: Vec<FaultEvent>) -> Scenario {
     let fabric = Fabric::LeafSpine {
         leaves: 4,
         spines: 2,
         hosts_per_leaf: 2,
     };
-    let mut sc = Scenario::idle(seed, fabric, Stack::FlexToe);
+    let mut sc = Scenario::idle(seed, fabric, stack);
     sc.opts.min_rto = Duration::from_us(200);
     sc.opts.syn_retry = Duration::from_us(400);
     sc.opts.rto_give_up = Some(3);
@@ -56,6 +60,18 @@ fn session_fabric(seed: u64, req_size: u32, schedule: Vec<FaultEvent>) -> Scenar
 
 fn session_nodes(fab: &BuiltFabric) -> Vec<NodeId> {
     fab.hosts.iter().filter_map(|h| h.session()).collect()
+}
+
+/// A control-plane counter plus its twin on every baseline host, so one
+/// assertion reads either stack family.
+fn stack_count(sim: &Sim, fab: &BuiltFabric, ctrl: &str, host: fn(&HostStackNode) -> u64) -> u64 {
+    let hosts: u64 = fab
+        .hosts
+        .iter()
+        .filter_map(|h| h.ep.baseline)
+        .map(|n| host(sim.node_ref::<HostStackNode>(n)))
+        .sum();
+    sim.stats.get_named(ctrl) + hosts
 }
 
 /// Drain the fabric (`CloseAll` now, run to `until`) and assert the
@@ -101,6 +117,7 @@ fn drain_and_audit(sim: &mut Sim, fab: &BuiltFabric, until: Time) {
 #[test]
 fn duplicate_segments_and_acks_conserve_buffers() {
     let sc = session_fabric(
+        Stack::FlexToe,
         31,
         8192,
         vec![
@@ -132,6 +149,51 @@ fn duplicate_segments_and_acks_conserve_buffers() {
     drain_and_audit(&mut sim, &fab, Time::from_ms(5));
 }
 
+/// A 50% duplication storm that covers only the handshakes (0-150 µs)
+/// must leave both ends of every connection in sync: a duplicated SYN is
+/// answered with the pending ISS, never a fresh one, so no connection
+/// aborts and every session completes requests. Every duplicated
+/// handshake frame goes back to the pool.
+#[test]
+fn handshake_duplicates_keep_connections_in_sync() {
+    for stack in [Stack::FlexToe, Stack::Tas] {
+        let storm = Faults {
+            dup_chance: 0.5,
+            ..Default::default()
+        };
+        let sc = session_fabric(
+            stack,
+            32,
+            512,
+            vec![
+                FaultEvent::degrade(Time::ZERO, LinkScope::All, storm),
+                FaultEvent::degrade(Time::from_us(150), LinkScope::All, Faults::default()),
+            ],
+        );
+        let mut sim = Sim::new(sc.seed);
+        let fab = build_fabric(&mut sim, &sc);
+        sim.run_until(Time::from_ms(5));
+
+        assert!(
+            sim.stats.get_named("link.duplicated") > 0,
+            "{stack:?}: the storm duplicated frames"
+        );
+        let aborts = stack_count(&sim, &fab, "ctrl.abort", |h| h.aborts);
+        assert_eq!(
+            aborts, 0,
+            "{stack:?}: a duplicated handshake broke a connection"
+        );
+        for &n in &session_nodes(&fab) {
+            let c = sim.node_ref::<DynSessionClient>(n);
+            assert!(
+                c.completed > 0,
+                "{stack:?}: session node {n} made no progress"
+            );
+        }
+        drain_and_audit(&mut sim, &fab, Time::from_ms(8));
+    }
+}
+
 /// Reorder-via-jitter: ±6 µs of per-frame jitter on the fabric links
 /// reorders in-flight segments of multi-segment requests; the protocol
 /// stages buffer and later accept them (`proto.ooo`), streams stay
@@ -139,6 +201,7 @@ fn duplicate_segments_and_acks_conserve_buffers() {
 #[test]
 fn jitter_reorders_segments_and_proto_accepts_ooo() {
     let sc = session_fabric(
+        Stack::FlexToe,
         37,
         8192,
         vec![
@@ -171,6 +234,7 @@ fn jitter_reorders_segments_and_proto_accepts_ooo() {
 #[test]
 fn ge_burst_loss_retransmits_and_conserves() {
     let sc = session_fabric(
+        Stack::FlexToe,
         41,
         8192,
         vec![
@@ -231,7 +295,7 @@ fn ge_burst_loss_retransmits_and_conserves() {
 /// exhaustion and recovery.
 #[test]
 fn pool_exhaustion_sheds_counted_and_recovers() {
-    let mut sc = session_fabric(43, 8192, vec![]);
+    let mut sc = session_fabric(Stack::FlexToe, 43, 8192, vec![]);
     sc.opts.cfg.work_pool_cap = Some(8);
     let mut sim = Sim::new(sc.seed);
     let fab = build_fabric(&mut sim, &sc);
@@ -255,35 +319,44 @@ fn pool_exhaustion_sheds_counted_and_recovers() {
     drain_and_audit(&mut sim, &fab, Time::from_ms(6));
 }
 
-/// SYN admission control: with the per-NIC connection cap below the
+/// SYN admission control: with the per-host connection cap below the
 /// offered session count, surplus passive opens are refused with an RST
-/// (counted in `ctrl.admission_refused`) instead of wedging the
-/// handshake; refused clients observe clean connect failures and keep
-/// retrying, admitted sessions complete, and the fabric drains
-/// conserved.
+/// (counted in `ctrl.admission_refused` or
+/// `HostStackNode::admission_refused`) instead of wedging the handshake;
+/// refused clients observe clean connect failures and keep retrying,
+/// admitted sessions complete, and the fabric drains conserved.
 #[test]
 fn syn_admission_cap_refuses_with_rst_not_wedge() {
-    let mut sc = session_fabric(47, 512, vec![]);
-    // each server NIC sees 4 incoming sessions; admit only 2
+    for stack in [Stack::FlexToe, Stack::Tas] {
+        admission_cap_case(stack);
+    }
+}
+
+fn admission_cap_case(stack: Stack) {
+    let mut sc = session_fabric(stack, 47, 512, vec![]);
+    // each server host sees 4 incoming sessions; admit only 2
     sc.opts.max_conns = Some(2);
     let mut sim = Sim::new(sc.seed);
     let fab = build_fabric(&mut sim, &sc);
     sim.run_until(Time::from_ms(3));
 
-    assert!(
-        sim.stats.get_named("ctrl.admission_refused") > 0,
-        "the cap must refuse surplus SYNs"
-    );
+    let refused = stack_count(&sim, &fab, "ctrl.admission_refused", |h| {
+        h.admission_refused
+    });
+    assert!(refused > 0, "{stack:?}: the cap must refuse surplus SYNs");
     let (mut completed, mut connect_failures) = (0u64, 0u64);
     for &n in &session_nodes(&fab) {
         let c = sim.node_ref::<DynSessionClient>(n);
         completed += c.completed;
         connect_failures += c.connect_failures;
     }
-    assert!(completed > 0, "admitted sessions must complete requests");
+    assert!(
+        completed > 0,
+        "{stack:?}: admitted sessions must complete requests"
+    );
     assert!(
         connect_failures > 0,
-        "refused sessions must fail cleanly, not hang"
+        "{stack:?}: refused sessions must fail cleanly, not hang"
     );
     drain_and_audit(&mut sim, &fab, Time::from_ms(6));
 }
