@@ -407,6 +407,7 @@ impl ControlPlane {
 
         let proto = ProtoState {
             seq: SeqNum(iss.wrapping_add(1)),
+            snd_max: SeqNum(iss.wrapping_add(1)),
             ack: SeqNum(peer_iss.wrapping_add(1)),
             rx_avail: cfg.rx_buf_size,
             remote_win,

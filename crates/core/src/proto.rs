@@ -119,6 +119,23 @@ pub fn go_back_n(ps: &mut ProtoState) {
     ps.dupack_cnt = 0;
 }
 
+/// An ACK past `snd_nxt` but within `snd_max` covers bytes sent before a
+/// go-back-N rewind: move them from unsent back to in flight, as if
+/// [`tx_next`] had sent them again, so the ACK frees them. The last one
+/// may be the FIN.
+fn resend_acked(ps: &mut ProtoState, ack: SeqNum) {
+    let data = (ack - ps.seq).min(ps.tx_avail);
+    ps.seq += data;
+    ps.tx_pos = ps.tx_pos.wrapping_add(data);
+    ps.tx_avail -= data;
+    ps.tx_sent += data;
+    if ack.after(ps.seq) && ps.fin_pending && !ps.fin_sent {
+        ps.seq += 1;
+        ps.tx_sent += 1;
+        ps.fin_sent = true;
+    }
+}
+
 /// Protocol-stage processing of one received data-path segment.
 pub fn rx_segment(ps: &mut ProtoState, sum: &RxSummary) -> RxOutcome {
     let mut out = rx_segment_inner(ps, sum);
@@ -134,6 +151,9 @@ fn rx_segment_inner(ps: &mut ProtoState, sum: &RxSummary) -> RxOutcome {
 
     // ---- ACK-side processing -------------------------------------------
     if sum.flags.ack() {
+        if sum.ack.after(ps.seq) && sum.ack.before_eq(ps.snd_max) {
+            resend_acked(ps, sum.ack);
+        }
         let una = ps.snd_una();
         let snd_nxt = ps.seq;
         if sum.ack.after(una) && sum.ack.before_eq(snd_nxt) {
@@ -321,6 +341,9 @@ pub fn tx_next(ps: &mut ProtoState, mss: u32) -> Option<TxSeg> {
         ps.tx_sent += 1;
         ps.fin_sent = true;
     }
+    if ps.seq.after(ps.snd_max) {
+        ps.snd_max = ps.seq;
+    }
     Some(seg)
 }
 
@@ -360,6 +383,7 @@ mod tests {
     fn established() -> ProtoState {
         ProtoState {
             seq: SeqNum(10_000),
+            snd_max: SeqNum(10_000),
             ack: SeqNum(50_000),
             rx_avail: 65_536,
             remote_win: 65_535,
@@ -572,6 +596,36 @@ mod tests {
         // future ACK beyond snd_nxt is ignored too
         let out = rx_segment(&mut ps, &ack_only(11_000));
         assert_eq!(out.acked_bytes, 0);
+    }
+
+    #[test]
+    fn ack_after_go_back_n_counts_bytes_sent_before_the_rewind() {
+        let mut ps = with_inflight(1000);
+        go_back_n(&mut ps);
+        let out = rx_segment(&mut ps, &ack_only(10_000));
+        assert_eq!(out.acked_bytes, 1000);
+        assert_eq!((ps.seq, ps.tx_sent, ps.tx_avail), (SeqNum(10_000), 0, 0));
+        // a partial ACK frees only what it covers, the rest goes out again
+        let mut ps = with_inflight(1000);
+        go_back_n(&mut ps);
+        let out = rx_segment(&mut ps, &ack_only(9_600));
+        assert_eq!(out.acked_bytes, 600);
+        assert_eq!((ps.seq, ps.tx_sent, ps.tx_avail), (SeqNum(9_600), 0, 400));
+    }
+
+    #[test]
+    fn ack_after_go_back_n_covers_the_fin() {
+        let mut ps = established();
+        ps.tx_avail = 100;
+        hc_close(&mut ps);
+        tx_next(&mut ps, MSS);
+        go_back_n(&mut ps);
+        assert!(!ps.fin_sent);
+        let out = rx_segment(&mut ps, &ack_only(10_101));
+        assert_eq!(out.acked_bytes, 100);
+        assert!(ps.fin_sent && !ps.fin_pending, "FIN acknowledged");
+        assert_eq!(ps.tx_sent, 0);
+        assert!(tx_next(&mut ps, MSS).is_none());
     }
 
     #[test]
@@ -802,6 +856,7 @@ mod tests {
     fn everything_works_across_seq_wrap() {
         let mut ps = ProtoState {
             seq: SeqNum(u32::MAX - 100),
+            snd_max: SeqNum(u32::MAX - 100),
             ack: SeqNum(u32::MAX - 50),
             rx_avail: 65_536,
             remote_win: 65_535,

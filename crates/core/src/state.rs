@@ -53,13 +53,15 @@ impl PreState {
     }
 }
 
-/// Protocol partition: the TCP state machine — 43 B (Table 5).
+/// Protocol partition: the TCP state machine — 43 B in Table 5, 47 B
+/// here: `snd_max` is a known deviation (see [`ProtoState::WIRE_SIZE`]).
 ///
 /// Field semantics follow the TAS fast path the data-path is derived from:
 ///
 /// * `seq` is the next sequence number to transmit (`snd_nxt`);
 ///   `tx_sent` is `snd_nxt − snd_una` (sent but unacknowledged), so
-///   `snd_una = seq − tx_sent`.
+///   `snd_una = seq − tx_sent`. `snd_max` is the highest `snd_nxt` ever
+///   reached: after a go-back-N rewind an ACK up to it still counts.
 /// * `tx_pos` is the socket TX-buffer offset of byte `snd_nxt`;
 ///   `tx_avail` counts appended-but-unsent bytes.
 /// * `ack` is the next expected receive sequence (`rcv_nxt`); `rx_pos` is
@@ -83,7 +85,8 @@ pub struct ProtoState {
     pub dupack_cnt: u8,
     /// Peer timestamp to echo in our next ACK (TSecr).
     pub next_ts: u32,
-    // -- not part of the 43-byte wire image (derived/flags) --
+    pub snd_max: SeqNum,
+    // -- packed into the dupack byte of the wire image --
     /// FIN requested by local application (queued behind in-flight data).
     pub fin_pending: bool,
     /// Sequence of our FIN once sent (consumes one sequence number).
@@ -93,8 +96,10 @@ pub struct ProtoState {
 }
 
 impl ProtoState {
-    /// Table 5: 43 bytes.
-    pub const WIRE_SIZE: usize = 43;
+    /// Table 5's 43 bytes plus 4 for `snd_max`, which bounds the ACKs
+    /// accepted after a go-back-N rewind (without it a cumulative ACK for
+    /// bytes sent before the rewind is ignored and the flow can wedge).
+    pub const WIRE_SIZE: usize = 47;
 
     /// First unacknowledged sequence number (`snd_una`).
     pub fn snd_una(&self) -> SeqNum {
@@ -138,6 +143,7 @@ impl ProtoState {
             | ((self.fin_sent as u8) << 5)
             | ((self.fin_received as u8) << 6);
         b[39..43].copy_from_slice(&self.next_ts.to_be_bytes());
+        b[43..47].copy_from_slice(&self.snd_max.0.to_be_bytes());
         b
     }
 
@@ -155,6 +161,7 @@ impl ProtoState {
             ooo_len: u32::from_be_bytes(b[34..38].try_into().unwrap()),
             dupack_cnt: b[38] & 0x0f,
             next_ts: u32::from_be_bytes(b[39..43].try_into().unwrap()),
+            snd_max: SeqNum(u32::from_be_bytes(b[43..47].try_into().unwrap())),
             fin_pending: b[38] & 0x10 != 0,
             fin_sent: b[38] & 0x20 != 0,
             fin_received: b[38] & 0x40 != 0,
@@ -227,7 +234,8 @@ impl PostState {
 
 /// Aggregate per-connection footprint. Table 5 reports 108 B, counting
 /// the sub-byte fields bit-exactly (2-bit `flow_group`, 4-bit
-/// `dupack_cnt`); our byte-aligned encodings sum to 109 B.
+/// `dupack_cnt`); our byte-aligned encodings sum to 113 B, 109 B of them
+/// the paper's fields and 4 B `snd_max`.
 pub const CONN_STATE_BYTES: usize = 108;
 /// Byte-aligned sum of the three partition encodings.
 pub const CONN_STATE_BYTES_ALIGNED: usize =
@@ -240,10 +248,10 @@ mod tests {
     #[test]
     fn partition_sizes_match_table5() {
         assert_eq!(PreState::WIRE_SIZE, 15);
-        assert_eq!(ProtoState::WIRE_SIZE, 43);
+        assert_eq!(ProtoState::WIRE_SIZE, 43 + 4, "Table 5 + snd_max");
         assert_eq!(PostState::WIRE_SIZE, 51);
         assert_eq!(CONN_STATE_BYTES, 108);
-        assert_eq!(CONN_STATE_BYTES_ALIGNED, 109);
+        assert_eq!(CONN_STATE_BYTES_ALIGNED, 109 + 4);
         // bit-exact total matches the paper: 114 + 340 + 408 bits -> 108 B
         let bits: usize = (6 + 4 + 2 + 2) * 8 + 2 // pre
             + (8 + 4 + 4 + 2 + 4 + 4 + 4 + 8 + 4) * 8 + 4 // proto
@@ -289,6 +297,7 @@ mod tests {
             ooo_len: 10,
             dupack_cnt: 3,
             next_ts: 12,
+            snd_max: SeqNum(13),
             fin_pending: true,
             fin_sent: false,
             fin_received: true,

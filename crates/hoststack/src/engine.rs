@@ -533,6 +533,7 @@ impl HostStackNode {
         let mut conn = HostConn {
             ps: ProtoState {
                 seq: SeqNum(iss.wrapping_add(1)),
+                snd_max: SeqNum(iss.wrapping_add(1)),
                 ack: SeqNum(peer_iss.wrapping_add(1)),
                 rx_avail: BUF_SIZE,
                 remote_win: peer_win,

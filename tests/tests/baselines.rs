@@ -3,25 +3,26 @@
 //! the wire (§5.1 Fig. 9 runs all server×client combinations).
 
 use flextoe_apps::{ClientConfig, LoadMode, RpcClientApp, RpcServerApp, ServerConfig, StackApi};
+use flextoe_netsim::Faults;
 use flextoe_sim::{NodeId, Sim, Tick, Time};
 use flextoe_topo::{build_pair, PairOpts, Stack};
 
 type Client = RpcClientApp<Box<dyn StackApi>>;
 type Server = RpcServerApp<Box<dyn StackApi>>;
 
-/// A `client_stack` host and a `server_stack` host joined by the default
-/// 2 µs link pair; the server echoes `msg`-byte requests, the client runs
-/// `conns` closed-loop connections for `rounds` requests.
+/// A `client_stack` host and a `server_stack` host joined by the 2 µs
+/// link pair `opts` describes; the server echoes `msg`-byte requests, the
+/// client runs `conns` closed-loop connections for `rounds` requests.
 fn run_pair(
     seed: u64,
-    server_stack: Stack,
-    client_stack: Stack,
+    (server_stack, client_stack): (Stack, Stack),
+    opts: &PairOpts,
     msg: u32,
     conns: u32,
     rounds: u64,
 ) -> (Sim, NodeId) {
     let mut sim = Sim::new(seed);
-    let (a, b) = build_pair(&mut sim, client_stack, server_stack, &PairOpts::default());
+    let (a, b) = build_pair(&mut sim, client_stack, server_stack, opts);
     let server = sim.add_node(Server::new(
         ServerConfig {
             msg_size: msg,
@@ -50,7 +51,8 @@ fn run_pair(
 }
 
 fn run_combo(server_kind: Stack, client_kind: Stack, msg: u32, rounds: u64) -> (Sim, NodeId) {
-    run_pair(21, server_kind, client_kind, msg, 2, rounds)
+    let stacks = (server_kind, client_kind);
+    run_pair(21, stacks, &PairOpts::default(), msg, 2, rounds)
 }
 
 #[test]
@@ -113,10 +115,41 @@ fn tas_latency_below_linux() {
 /// FlexTOE server with a Linux client — the Fig. 9 interop matrix.
 #[test]
 fn flextoe_interoperates_with_linux_on_the_wire() {
-    let (sim, client) = run_pair(33, Stack::FlexToe, Stack::Linux, 256, 1, 200);
+    let stacks = (Stack::FlexToe, Stack::Linux);
+    let (sim, client) = run_pair(33, stacks, &PairOpts::default(), 256, 1, 200);
     assert_eq!(
         sim.node_ref::<Client>(client).measured,
         200,
         "FlexTOE<->Linux interop failed"
     );
+}
+
+/// Bulk echo under 1% loss in both directions drains on every one of 200
+/// seeds, on TAS and FlexTOE hosts. A cumulative ACK for bytes sent
+/// before a go-back-N rewind must count: ignoring it wedged a connection
+/// until RTO give-up whenever the receiver was further ahead than the
+/// sender's window after the rewind.
+#[test]
+#[ignore = "36 s in a debug build: CI runs it in release, on the wheel and on the heap"]
+fn bulk_under_loss_drains_on_every_seed() {
+    let opts = PairOpts {
+        faults: Faults {
+            drop_chance: 0.01,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let rounds = 20;
+    for stack in [Stack::Tas, Stack::FlexToe] {
+        let wedged: Vec<u64> = (0..200)
+            .filter(|&seed| {
+                let (sim, client) = run_pair(seed, (stack, stack), &opts, 32 * 1024, 2, rounds);
+                sim.node_ref::<Client>(client).measured < rounds
+            })
+            .collect();
+        assert!(
+            wedged.is_empty(),
+            "{stack:?}: seeds that did not drain: {wedged:?}"
+        );
+    }
 }
