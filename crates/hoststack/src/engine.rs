@@ -88,7 +88,8 @@ enum RtoAction {
 pub struct HostStackNode {
     pub kind: StackKind,
     costs: StackCosts,
-    /// RTO and SYN retry knobs, shared with the FlexTOE control plane.
+    /// RTO, SYN retry and admission knobs, shared with the FlexTOE
+    /// control plane.
     transport: TransportPolicy,
     clock: flextoe_sim::Clock,
     pub mac: MacAddr,

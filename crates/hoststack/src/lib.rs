@@ -21,9 +21,9 @@ pub use costs::{StackCosts, StackKind};
 pub use engine::HostStackNode;
 pub use shared::{shared_app_side, AppSide, HostSocketApi, SharedAppSide};
 
-/// Build a baseline host (stack node) running `transport`, the RTO and
-/// SYN retry policy FlexTOE's control plane runs too, and return its node
-/// id. Apps attach via [`host_socket_api`].
+/// Build a baseline host (stack node) running `transport`, the RTO, SYN
+/// retry and admission policy FlexTOE's control plane runs too, and
+/// return its node id. Apps attach via [`host_socket_api`].
 pub fn build_host(
     sim: &mut Sim,
     kind: StackKind,
