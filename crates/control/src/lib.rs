@@ -464,18 +464,6 @@ impl ControlPlane {
         (conn, rx_buf, tx_buf)
     }
 
-    fn send_rst(&mut self, ctx: &mut Ctx<'_>, view: &SegmentView) {
-        let flags = TcpFlags::RST | TcpFlags::ACK;
-        self.send_segment(
-            ctx,
-            view.src_mac,
-            view.four_tuple(),
-            view.ack,
-            view.seq_end(),
-            flags,
-        );
-    }
-
     /// Slow-path frame handling: every segment the pre-processor does not
     /// take goes through the shared handshake rules
     /// ([`flextoe_core::handshake`]). The frame buffer is pooled: every
@@ -513,7 +501,8 @@ impl ControlPlane {
                     Refusal::Stray => ctx.stats.inc(c.stray_rst),
                     Refusal::NoListener | Refusal::UnknownSynAck => {}
                 }
-                self.send_rst(ctx, &view);
+                let flags = TcpFlags::RST | TcpFlags::ACK;
+                self.send_segment(ctx, view.src_mac, tuple, view.ack, view.seq_end(), flags);
             }
             // absorbed without side effects: a healthy peer is never RST
             // for a duplicate (the dup-storm hazard)
