@@ -16,7 +16,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use flextoe_core::proto::{self, RxSummary};
+use flextoe_core::proto::{self, Reassembly, RxSummary};
 use flextoe_core::reorder::Reorder;
 use flextoe_core::sched::Carousel;
 use flextoe_core::ProtoState;
@@ -154,7 +154,7 @@ fn bench_proto() {
             remote_win: u16::MAX,
             ..Default::default()
         };
-        let mut seq = 0u32;
+        let (mut seq, mut reasm) = (0u32, Reassembly::OneInterval);
         for _ in 0..100_000 {
             let sum = RxSummary {
                 seq: SeqNum(seq),
@@ -164,7 +164,7 @@ fn bench_proto() {
                 ..Default::default()
             };
             seq = seq.wrapping_add(1448);
-            black_box(proto::rx_segment(&mut ps, &sum));
+            black_box(proto::rx_segment(&mut ps, &sum, &mut reasm));
         }
     });
     bench_n("proto/tx_next", 100_000, || {

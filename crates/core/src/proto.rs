@@ -9,9 +9,12 @@
 //! Semantics follow TAS, the stack the data-path derives from (§3):
 //! go-back-N retransmission, a single receiver out-of-order interval with
 //! reassembly directly in the host receive buffer, duplicate-ACK fast
-//! retransmit, and an ACK for every received data segment.
+//! retransmit, and an ACK for every received data segment. What the
+//! paper's receivers differ in (Fig. 15) is a [`Reassembly`] policy.
 
-use flextoe_wire::{SeqNum, TcpFlags};
+use std::mem;
+
+use flextoe_wire::{SegmentView, SeqNum, TcpFlags};
 
 use crate::state::ProtoState;
 
@@ -29,6 +32,22 @@ pub struct RxSummary {
     pub has_ts: bool,
     /// IP ECN field carried Congestion Experienced.
     pub ecn_ce: bool,
+}
+
+impl From<&SegmentView> for RxSummary {
+    fn from(view: &SegmentView) -> Self {
+        RxSummary {
+            seq: view.seq,
+            ack: view.ack,
+            flags: view.flags,
+            window: view.window,
+            payload_len: view.payload_len as u32,
+            tsval: view.tsval,
+            tsecr: view.tsecr,
+            has_ts: view.has_ts,
+            ecn_ce: view.ecn.is_ce(),
+        }
+    }
 }
 
 /// Where received payload lands in the host receive buffer: a linear
@@ -101,7 +120,8 @@ pub fn advertised_window(ps: &ProtoState) -> u16 {
 }
 
 /// Reset transmission state to the last acknowledged position —
-/// go-back-N (§3.1.1 "Reset", §3.1.3 fast retransmit).
+/// go-back-N: the HC "Reset" step when the control plane's retransmission
+/// timeout fires (§3.1.1), and the §3.1.3 fast retransmit.
 pub fn go_back_n(ps: &mut ProtoState) {
     let rollback = ps.tx_sent;
     if rollback == 0 {
@@ -136,9 +156,72 @@ fn resend_acked(ps: &mut ProtoState, ack: SeqNum) {
     }
 }
 
-/// Protocol-stage processing of one received data-path segment.
-pub fn rx_segment(ps: &mut ProtoState, sum: &RxSummary) -> RxOutcome {
-    let mut out = rx_segment_inner(ps, sum);
+/// Extra out-of-order intervals a Linux receiver keeps beyond
+/// [`ProtoState`]'s primary one.
+pub const LINUX_INTERVALS: usize = 31;
+
+/// What a receiver keeps of out-of-order data.
+#[derive(Debug)]
+pub enum Reassembly {
+    /// Chelsio's TOE (§5.3): out-of-order payload and FIN are dropped.
+    InOrderOnly,
+    /// FlexTOE, TAS and Flex-Baseline (§3.1.3): one interval, reassembled
+    /// in the host receive buffer.
+    OneInterval,
+    /// Linux: the primary interval plus up to [`LINUX_INTERVALS`] more,
+    /// boxed so that the other policies carry none.
+    Intervals(Box<IntervalSet>),
+}
+
+/// Linux's extra out-of-order intervals as `(start, len)` slots, pairwise
+/// disjoint and not adjacent; a free slot has length 0.
+#[derive(Debug, Default)]
+pub struct IntervalSet([(SeqNum, u32); LINUX_INTERVALS]);
+
+impl Reassembly {
+    /// Store `[start, start + len)` as an extra interval, coalesced with
+    /// every one it overlaps or touches. Stores nothing and returns false
+    /// unless the policy is [`Reassembly::Intervals`] with a free slot.
+    fn store(&mut self, start: SeqNum, len: u32) -> bool {
+        let Reassembly::Intervals(set) = self else {
+            return false;
+        };
+        let Some(free) = set.0.iter().position(|iv| iv.1 == 0) else {
+            return false;
+        };
+        let (mut s, mut e) = (start, start + len);
+        for iv in set.0.iter_mut().filter(|iv| iv.1 > 0) {
+            let end = iv.0 + iv.1;
+            if iv.0.before_eq(e) && s.before_eq(end) {
+                (s, e) = (s.min(iv.0), e.max(end));
+                *iv = (SeqNum(0), 0);
+            }
+        }
+        set.0[free] = (s, e - s);
+        true
+    }
+}
+
+/// Remove and return a buffered interval that `rcv_nxt` reached, the
+/// primary one first.
+fn take_reached(ps: &mut ProtoState, reasm: &mut Reassembly) -> Option<(SeqNum, u32)> {
+    if ps.ooo_len > 0 && ps.ooo_start.before_eq(ps.ack) {
+        return Some((mem::take(&mut ps.ooo_start), mem::take(&mut ps.ooo_len)));
+    }
+    let Reassembly::Intervals(set) = reasm else {
+        return None;
+    };
+    let iv = set
+        .0
+        .iter_mut()
+        .find(|iv| iv.1 > 0 && iv.0.before_eq(ps.ack))?;
+    Some(mem::take(iv))
+}
+
+/// Protocol-stage processing of one received data-path segment, under the
+/// receiver's reassembly policy.
+pub fn rx_segment(ps: &mut ProtoState, sum: &RxSummary, reasm: &mut Reassembly) -> RxOutcome {
+    let mut out = rx_segment_inner(ps, sum, reasm);
     out.ack_seq = ps.seq;
     out.ack_no = ps.ack;
     out.ack_window = advertised_window(ps);
@@ -146,7 +229,7 @@ pub fn rx_segment(ps: &mut ProtoState, sum: &RxSummary) -> RxOutcome {
     out
 }
 
-fn rx_segment_inner(ps: &mut ProtoState, sum: &RxSummary) -> RxOutcome {
+fn rx_segment_inner(ps: &mut ProtoState, sum: &RxSummary, reasm: &mut Reassembly) -> RxOutcome {
     let mut out = RxOutcome::default();
 
     // ---- ACK-side processing -------------------------------------------
@@ -241,52 +324,50 @@ fn rx_segment_inner(ps: &mut ProtoState, sum: &RxSummary) -> RxOutcome {
         }
     }
 
+    // Where the payload lands in the host buffer, in order or not. Every
+    // data segment is ACKed; out of order, that is a duplicate ACK.
+    let placement = Some(Placement {
+        buf_pos: ps.rx_pos.wrapping_add(seg_seq - ps.ack),
+        frame_off,
+        len,
+    });
+    out.send_ack = true;
     if seg_seq == ps.ack {
         // ---- In-order ---------------------------------------------------
         if len > 0 {
-            out.placement = Some(Placement {
-                buf_pos: ps.rx_pos,
-                frame_off,
-                len,
-            });
-            ps.ack += len;
-            ps.rx_pos = ps.rx_pos.wrapping_add(len);
-            ps.rx_avail -= len;
-            out.delivered = len;
+            out.placement = placement;
         }
-        // Merge with the out-of-order interval if we reached it.
-        if ps.ooo_len > 0 && ps.ooo_start.before_eq(ps.ack) {
-            let ooo_end = ps.ooo_start + ps.ooo_len;
-            if ooo_end.after(ps.ack) {
-                let flush = ooo_end - ps.ack;
-                ps.ack += flush;
-                ps.rx_pos = ps.rx_pos.wrapping_add(flush);
-                ps.rx_avail -= flush;
-                out.delivered += flush;
+        // Advance rcv_nxt over this segment, then over every buffered
+        // interval it reaches; one wholly below it was delivered already.
+        let mut reached = Some((seg_seq, len));
+        while let Some((start, ilen)) = reached {
+            let end = start + ilen;
+            if end.after(ps.ack) {
+                let n = end - ps.ack;
+                ps.ack += n;
+                ps.rx_pos = ps.rx_pos.wrapping_add(n);
+                ps.rx_avail -= n;
+                out.delivered += n;
             }
-            ps.ooo_len = 0;
-            ps.ooo_start = SeqNum(0);
+            reached = take_reached(ps, reasm);
         }
         if fin && ps.ooo_len == 0 {
             ps.ack += 1;
             ps.fin_received = true;
             out.fin_delivered = true;
         }
-        out.send_ack = true;
         out.update_scheduler |= out.delivered > 0;
     } else {
         // ---- Out of order ------------------------------------------------
         out.out_of_order = true;
         let seg_end = seg_seq + len;
-        if ps.ooo_len == 0 {
+        if let Reassembly::InOrderOnly = reasm {
+            out.dropped = true;
+        } else if ps.ooo_len == 0 {
             // Start a new interval; reassemble directly in the host buffer.
             ps.ooo_start = seg_seq;
             ps.ooo_len = len;
-            out.placement = Some(Placement {
-                buf_pos: ps.rx_pos.wrapping_add(seg_seq - ps.ack),
-                frame_off,
-                len,
-            });
+            out.placement = placement;
         } else {
             let ooo_end = ps.ooo_start + ps.ooo_len;
             // Merge only if overlapping or adjacent — a disjoint segment
@@ -296,11 +377,12 @@ fn rx_segment_inner(ps: &mut ProtoState, sum: &RxSummary) -> RxOutcome {
                 let new_end = ooo_end.max(seg_end);
                 ps.ooo_start = new_start;
                 ps.ooo_len = new_end - new_start;
-                out.placement = Some(Placement {
-                    buf_pos: ps.rx_pos.wrapping_add(seg_seq - ps.ack),
-                    frame_off,
-                    len,
-                });
+                out.placement = placement;
+            } else if len > 0
+                && len == sum.payload_len // not trimmed to the window
+                && reasm.store(seg_seq, len)
+            {
+                out.placement = placement;
             } else {
                 // "Segments outside of the interval are dropped and
                 // generate acknowledgments with the expected sequence
@@ -308,8 +390,6 @@ fn rx_segment_inner(ps: &mut ProtoState, sum: &RxSummary) -> RxOutcome {
                 out.dropped = true;
             }
         }
-        // Every out-of-order arrival generates a duplicate ACK.
-        out.send_ack = true;
     }
     out
 }
@@ -368,12 +448,6 @@ pub fn hc_close(ps: &mut ProtoState) {
     ps.fin_pending = true;
 }
 
-/// HC "Reset" step: retransmission timeout fired in the control plane —
-/// go-back-N (§3.1.1).
-pub fn hc_retransmit(ps: &mut ProtoState) {
-    go_back_n(ps);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,162 +478,336 @@ mod tests {
         }
     }
 
+    /// A receiver under test: protocol state plus its reassembly policy.
+    struct Rx {
+        ps: ProtoState,
+        reasm: Reassembly,
+    }
+
+    impl Rx {
+        fn seg(&mut self, sum: &RxSummary) -> RxOutcome {
+            rx_segment(&mut self.ps, sum, &mut self.reasm)
+        }
+
+        /// Whether this receiver keeps any out-of-order data.
+        fn keeps_ooo(&self) -> bool {
+            !matches!(self.reasm, Reassembly::InOrderOnly)
+        }
+
+        /// Linux's extra intervals (none under the other policies).
+        fn extra(&self) -> Vec<(SeqNum, u32)> {
+            match &self.reasm {
+                Reassembly::Intervals(set) => set.0.iter().copied().filter(|iv| iv.1 > 0).collect(),
+                _ => Vec::new(),
+            }
+        }
+    }
+
+    /// `ps` under each of the three policies.
+    fn receivers_with(ps: ProtoState) -> [Rx; 3] {
+        [
+            Reassembly::InOrderOnly,
+            Reassembly::OneInterval,
+            Reassembly::Intervals(Box::default()),
+        ]
+        .map(|reasm| Rx { ps, reasm })
+    }
+
+    fn receivers() -> [Rx; 3] {
+        receivers_with(established())
+    }
+
+    /// `rx_segment` under FlexTOE's policy, for the ACK-side tests.
+    fn rx(ps: &mut ProtoState, sum: &RxSummary) -> RxOutcome {
+        rx_segment(ps, sum, &mut Reassembly::OneInterval)
+    }
+
     // ---------------- RX: in-order -------------------------------------
 
     #[test]
     fn in_order_delivery() {
-        let mut ps = established();
-        let out = rx_segment(&mut ps, &data(50_000, 100));
-        assert_eq!(out.delivered, 100);
-        assert_eq!(
-            out.placement,
-            Some(Placement {
-                buf_pos: 0,
-                frame_off: 0,
-                len: 100
-            })
-        );
-        assert!(out.send_ack);
-        assert!(!out.out_of_order);
-        assert_eq!(ps.ack, SeqNum(50_100));
-        assert_eq!(ps.rx_pos, 100);
-        assert_eq!(ps.rx_avail, 65_436);
+        for mut rx in receivers() {
+            let out = rx.seg(&data(50_000, 100));
+            assert_eq!(out.delivered, 100);
+            assert_eq!(
+                out.placement,
+                Some(Placement {
+                    buf_pos: 0,
+                    frame_off: 0,
+                    len: 100
+                })
+            );
+            assert!(out.send_ack);
+            assert!(!out.out_of_order);
+            assert_eq!(rx.ps.ack, SeqNum(50_100));
+            assert_eq!(rx.ps.rx_pos, 100);
+            assert_eq!(rx.ps.rx_avail, 65_436);
+        }
     }
 
     #[test]
     fn pure_ack_generates_no_ack() {
-        let mut ps = established();
-        let out = rx_segment(&mut ps, &data(50_000, 0));
-        assert!(!out.send_ack);
-        assert_eq!(out.delivered, 0);
-        assert!(out.placement.is_none());
+        for mut rx in receivers() {
+            let out = rx.seg(&data(50_000, 0));
+            assert!(!out.send_ack);
+            assert_eq!(out.delivered, 0);
+            assert!(out.placement.is_none());
+        }
     }
 
     #[test]
     fn duplicate_data_reacked_not_delivered() {
-        let mut ps = established();
-        rx_segment(&mut ps, &data(50_000, 100));
-        let out = rx_segment(&mut ps, &data(50_000, 100));
-        assert!(out.dropped);
-        assert!(out.send_ack);
-        assert_eq!(out.delivered, 0);
-        assert_eq!(ps.ack, SeqNum(50_100));
+        for mut rx in receivers() {
+            rx.seg(&data(50_000, 100));
+            let out = rx.seg(&data(50_000, 100));
+            assert!(out.dropped);
+            assert!(out.send_ack);
+            assert_eq!(out.delivered, 0);
+            assert_eq!(rx.ps.ack, SeqNum(50_100));
+        }
     }
 
     #[test]
     fn partial_overlap_trims_leading_bytes() {
-        let mut ps = established();
-        rx_segment(&mut ps, &data(50_000, 100));
-        // retransmission covering [50_050, 50_250): first 50 are dupes
-        let out = rx_segment(&mut ps, &data(50_050, 200));
-        assert_eq!(out.delivered, 150);
-        assert_eq!(
-            out.placement,
-            Some(Placement {
-                buf_pos: 100,
-                frame_off: 50,
-                len: 150
-            })
-        );
-        assert_eq!(ps.ack, SeqNum(50_250));
+        for mut rx in receivers() {
+            rx.seg(&data(50_000, 100));
+            // retransmission covering [50_050, 50_250): first 50 are dupes
+            let out = rx.seg(&data(50_050, 200));
+            assert_eq!(out.delivered, 150);
+            assert_eq!(
+                out.placement,
+                Some(Placement {
+                    buf_pos: 100,
+                    frame_off: 50,
+                    len: 150
+                })
+            );
+            assert_eq!(rx.ps.ack, SeqNum(50_250));
+        }
     }
 
     #[test]
     fn window_overflow_right_trimmed() {
-        let mut ps = established();
-        ps.rx_avail = 80;
-        let out = rx_segment(&mut ps, &data(50_000, 100));
-        assert_eq!(out.delivered, 80);
-        assert_eq!(ps.rx_avail, 0);
-        assert!(out.send_ack);
-        // a further segment is fully outside the closed window
-        let out = rx_segment(&mut ps, &data(50_080, 50));
-        assert!(out.dropped);
-        assert!(out.send_ack);
-        assert_eq!(out.delivered, 0);
+        for mut rx in receivers() {
+            rx.ps.rx_avail = 80;
+            let out = rx.seg(&data(50_000, 100));
+            assert_eq!(out.delivered, 80);
+            assert_eq!(rx.ps.rx_avail, 0);
+            assert!(out.send_ack);
+            // a further segment is fully outside the closed window
+            let out = rx.seg(&data(50_080, 50));
+            assert!(out.dropped);
+            assert!(out.send_ack);
+            assert_eq!(out.delivered, 0);
+        }
     }
 
     // ---------------- RX: out-of-order ---------------------------------
 
     #[test]
     fn out_of_order_starts_interval_and_places_at_offset() {
-        let mut ps = established();
-        let out = rx_segment(&mut ps, &data(50_200, 100));
-        assert!(out.out_of_order);
-        assert!(out.send_ack); // duplicate ACK
-        assert_eq!(out.delivered, 0);
-        assert_eq!(
-            out.placement,
-            Some(Placement {
-                buf_pos: 200,
-                frame_off: 0,
-                len: 100
-            })
-        );
-        assert_eq!(ps.ooo_start, SeqNum(50_200));
-        assert_eq!(ps.ooo_len, 100);
-        assert_eq!(ps.ack, SeqNum(50_000)); // unchanged
+        for mut rx in receivers() {
+            let out = rx.seg(&data(50_200, 100));
+            assert!(out.out_of_order);
+            assert!(out.send_ack); // duplicate ACK
+            assert_eq!(out.delivered, 0);
+            assert_eq!(rx.ps.ack, SeqNum(50_000)); // unchanged
+            if rx.keeps_ooo() {
+                let at = Placement {
+                    buf_pos: 200,
+                    frame_off: 0,
+                    len: 100,
+                };
+                assert_eq!(out.placement, Some(at));
+                assert_eq!((rx.ps.ooo_start, rx.ps.ooo_len), (SeqNum(50_200), 100));
+            } else {
+                assert!(out.dropped && out.placement.is_none());
+                assert_eq!(rx.ps.ooo_len, 0);
+            }
+        }
     }
 
     #[test]
     fn gap_fill_flushes_interval() {
-        let mut ps = established();
-        rx_segment(&mut ps, &data(50_100, 100)); // ooo [50100, 50200)
-        let out = rx_segment(&mut ps, &data(50_000, 100)); // fills the gap
-        assert_eq!(out.delivered, 200); // 100 new + 100 flushed
-        assert_eq!(ps.ack, SeqNum(50_200));
-        assert_eq!(ps.ooo_len, 0);
-        assert_eq!(ps.rx_pos, 200);
-        assert_eq!(ps.rx_avail, 65_536 - 200);
+        for mut rx in receivers() {
+            rx.seg(&data(50_100, 100)); // ooo [50100, 50200)
+            let out = rx.seg(&data(50_000, 100)); // fills the gap
+            let kept = if rx.keeps_ooo() { 100 } else { 0 };
+            assert_eq!(out.delivered, 100 + kept); // 100 new + the flushed interval
+            assert_eq!(rx.ps.ack, SeqNum(50_100 + kept));
+            assert_eq!(rx.ps.ooo_len, 0);
+            assert_eq!(rx.ps.rx_pos, 100 + kept);
+            assert_eq!(rx.ps.rx_avail, 65_536 - 100 - kept);
+        }
     }
 
     #[test]
     fn adjacent_ooo_segments_merge() {
-        let mut ps = established();
-        rx_segment(&mut ps, &data(50_100, 100)); // [50100,50200)
-        let out = rx_segment(&mut ps, &data(50_200, 50)); // adjacent right
-        assert!(out.placement.is_some());
-        assert_eq!(ps.ooo_start, SeqNum(50_100));
-        assert_eq!(ps.ooo_len, 150);
-        let out = rx_segment(&mut ps, &data(50_050, 50)); // adjacent left
-        assert!(out.placement.is_some());
-        assert_eq!(ps.ooo_start, SeqNum(50_050));
-        assert_eq!(ps.ooo_len, 200);
+        for mut rx in receivers() {
+            let keeps = rx.keeps_ooo();
+            rx.seg(&data(50_100, 100)); // [50100,50200)
+            let out = rx.seg(&data(50_200, 50)); // adjacent right
+            assert_eq!(out.placement.is_some(), keeps);
+            let out = rx.seg(&data(50_050, 50)); // adjacent left
+            assert_eq!(out.placement.is_some(), keeps);
+            if keeps {
+                assert_eq!((rx.ps.ooo_start, rx.ps.ooo_len), (SeqNum(50_050), 200));
+            } else {
+                assert_eq!(rx.ps.ooo_len, 0);
+            }
+            assert!(rx.extra().is_empty());
+        }
     }
 
     #[test]
     fn disjoint_ooo_segment_dropped() {
-        let mut ps = established();
-        rx_segment(&mut ps, &data(50_100, 100)); // [50100,50200)
-        let out = rx_segment(&mut ps, &data(50_400, 100)); // hole at 50200
-        assert!(out.dropped);
-        assert!(out.send_ack); // still duplicate-ACKs
-        assert_eq!(ps.ooo_len, 100); // interval unchanged
+        for mut rx in receivers() {
+            rx.seg(&data(50_100, 100)); // [50100,50200)
+            let out = rx.seg(&data(50_400, 100)); // hole at 50200
+            assert!(out.send_ack); // still duplicate-ACKs
+            match rx.reasm {
+                // Linux keeps it as an extra interval, in place
+                Reassembly::Intervals(_) => {
+                    assert!(!out.dropped);
+                    assert_eq!(out.placement.map(|p| p.buf_pos), Some(400));
+                    assert_eq!(rx.extra(), [(SeqNum(50_400), 100)]);
+                }
+                _ => {
+                    assert!(out.dropped);
+                    assert!(out.placement.is_none());
+                }
+            }
+            let primary = if rx.keeps_ooo() { 100 } else { 0 };
+            assert_eq!(rx.ps.ooo_len, primary); // interval unchanged
+        }
     }
 
     #[test]
     fn overlapping_ooo_merges_without_double_count() {
-        let mut ps = established();
-        rx_segment(&mut ps, &data(50_100, 100)); // [50100,50200)
-        rx_segment(&mut ps, &data(50_150, 100)); // [50150,50250) overlaps
-        assert_eq!(ps.ooo_start, SeqNum(50_100));
-        assert_eq!(ps.ooo_len, 150);
-        // fill the gap: delivered = 100 in-order + 150 interval
-        let out = rx_segment(&mut ps, &data(50_000, 100));
-        assert_eq!(out.delivered, 250);
-        assert_eq!(ps.ack, SeqNum(50_250));
+        for mut rx in receivers() {
+            rx.seg(&data(50_100, 100)); // [50100,50200)
+            rx.seg(&data(50_150, 100)); // [50150,50250) overlaps
+            let kept = if rx.keeps_ooo() { 150 } else { 0 };
+            if rx.keeps_ooo() {
+                assert_eq!((rx.ps.ooo_start, rx.ps.ooo_len), (SeqNum(50_100), 150));
+            }
+            // fill the gap: delivered = 100 in-order + 150 interval
+            let out = rx.seg(&data(50_000, 100));
+            assert_eq!(out.delivered, 100 + kept);
+            assert_eq!(rx.ps.ack, SeqNum(50_100 + kept));
+        }
     }
 
     #[test]
     fn in_order_overlapping_interval_does_not_redeliver() {
-        let mut ps = established();
-        rx_segment(&mut ps, &data(50_100, 100)); // ooo [50100,50200)
-                                                 // retransmission covers [50000, 50150): overlaps interval head
-        let out = rx_segment(&mut ps, &data(50_000, 150));
-        // delivered = 150 new in-order + 50 remaining interval flush
-        assert_eq!(out.delivered, 200);
-        assert_eq!(ps.ack, SeqNum(50_200));
-        assert_eq!(ps.ooo_len, 0);
+        for mut rx in receivers() {
+            rx.seg(&data(50_100, 100)); // ooo [50100,50200)
+                                        // retransmission covers [50000, 50150): overlaps interval head
+            let out = rx.seg(&data(50_000, 150));
+            // delivered = 150 new in-order + 50 remaining interval flush
+            let kept = if rx.keeps_ooo() { 50 } else { 0 };
+            assert_eq!(out.delivered, 150 + kept);
+            assert_eq!(rx.ps.ack, SeqNum(50_150 + kept));
+            assert_eq!(rx.ps.ooo_len, 0);
+        }
+    }
+
+    #[test]
+    fn in_order_only_drops_ooo_data_without_rewinding() {
+        // three out-of-order data segments carrying ack == snd_una are not
+        // duplicate ACKs: the data-carrying segment is dropped, the sender
+        // keeps its window
+        let mut rx = Rx {
+            ps: with_inflight(1000),
+            reasm: Reassembly::InOrderOnly,
+        };
+        for off in [100, 200, 300] {
+            let mut sum = data(50_000 + off, 50);
+            sum.ack = rx.ps.snd_una();
+            let out = rx.seg(&sum);
+            assert!(out.dropped && out.send_ack && out.out_of_order);
+            assert!(!out.fast_retransmit);
+        }
+        assert_eq!(
+            (rx.ps.seq, rx.ps.tx_sent, rx.ps.dupack_cnt),
+            (SeqNum(10_000), 1000, 0)
+        );
+        // the ACK side still runs: a dropped segment's ACK frees bytes
+        let mut sum = data(50_400, 50);
+        sum.ack = SeqNum(9_500);
+        let out = rx.seg(&sum);
+        assert!(out.dropped);
+        assert_eq!((out.acked_bytes, rx.ps.tx_sent), (500, 500));
+    }
+
+    // ---------------- RX: Linux's extra intervals -------------------------
+
+    fn linux() -> Rx {
+        Rx {
+            ps: established(),
+            reasm: Reassembly::Intervals(Box::default()),
+        }
+    }
+
+    #[test]
+    fn interval_set_coalesces() {
+        let mut rx = linux();
+        assert!(rx.reasm.store(SeqNum(100), 50));
+        assert!(rx.reasm.store(SeqNum(200), 50));
+        assert_eq!(rx.extra().len(), 2);
+        assert!(rx.reasm.store(SeqNum(150), 50)); // bridges both
+        assert_eq!(rx.extra(), [(SeqNum(100), 150)]);
+        // overlapping extension
+        assert!(rx.reasm.store(SeqNum(240), 20));
+        assert_eq!(rx.extra(), [(SeqNum(100), 160)]);
+        // only a Linux receiver stores extra intervals
+        assert!(!Reassembly::OneInterval.store(SeqNum(100), 50));
+        assert!(!Reassembly::InOrderOnly.store(SeqNum(100), 50));
+    }
+
+    #[test]
+    fn interval_set_capacity_limit() {
+        let mut rx = linux();
+        for i in 0..LINUX_INTERVALS as u32 {
+            assert!(rx.reasm.store(SeqNum(60_000 + i * 100), 10));
+        }
+        // full: neither a new interval nor an extension is stored
+        assert!(!rx.reasm.store(SeqNum(70_000), 10));
+        assert!(!rx.reasm.store(SeqNum(60_010), 10));
+        assert_eq!(rx.extra().len(), LINUX_INTERVALS);
+        assert!(rx.extra().contains(&(SeqNum(60_000), 10)));
+        // the receiver then drops a disjoint segment like a one-interval one
+        rx.seg(&data(50_100, 10)); // the primary interval
+        let out = rx.seg(&data(50_300, 10));
+        assert!(out.dropped && out.placement.is_none());
+    }
+
+    #[test]
+    fn intervals_keep_only_what_fits_the_window() {
+        let mut rx = linux();
+        rx.ps.rx_avail = 300;
+        rx.seg(&data(50_100, 50)); // primary [50100, 50150)
+        let out = rx.seg(&data(50_200, 200)); // trimmed to [50200, 50300)
+        assert!(out.dropped);
+        assert!(rx.extra().is_empty());
+    }
+
+    #[test]
+    fn flush_spans_an_extra_interval_then_the_primary() {
+        let mut rx = linux();
+        rx.seg(&data(50_300, 100)); // primary [50300, 50400)
+        rx.seg(&data(50_100, 100)); // extra [50100, 50200)
+        rx.seg(&data(50_600, 100)); // extra [50600, 50700), stays
+        rx.seg(&data(50_200, 100)); // joins the primary: [50200, 50400)
+        assert_eq!((rx.ps.ooo_start, rx.ps.ooo_len), (SeqNum(50_200), 200));
+        assert_eq!(rx.extra().len(), 2);
+        // rcv_nxt reaches the extra interval, whose end reaches the primary
+        let out = rx.seg(&data(50_000, 100));
+        assert_eq!(out.delivered, 400);
+        assert_eq!(rx.ps.ack, SeqNum(50_400));
+        assert_eq!((rx.ps.rx_pos, rx.ps.rx_avail), (400, 65_536 - 400));
+        assert_eq!(rx.ps.ooo_len, 0);
+        assert_eq!(rx.extra(), [(SeqNum(50_600), 100)]);
     }
 
     // ---------------- ACK / retransmit side -----------------------------
@@ -586,15 +834,15 @@ mod tests {
     #[test]
     fn ack_frees_tx_bytes() {
         let mut ps = with_inflight(1000);
-        let out = rx_segment(&mut ps, &ack_only(9_500)); // half acked
+        let out = rx(&mut ps, &ack_only(9_500)); // half acked
         assert_eq!(out.acked_bytes, 500);
         assert_eq!(ps.tx_sent, 500);
         assert!(out.update_scheduler);
         // old (already-seen) ACK is ignored
-        let out = rx_segment(&mut ps, &ack_only(9_400));
+        let out = rx(&mut ps, &ack_only(9_400));
         assert_eq!(out.acked_bytes, 0);
         // future ACK beyond snd_nxt is ignored too
-        let out = rx_segment(&mut ps, &ack_only(11_000));
+        let out = rx(&mut ps, &ack_only(11_000));
         assert_eq!(out.acked_bytes, 0);
     }
 
@@ -602,13 +850,13 @@ mod tests {
     fn ack_after_go_back_n_counts_bytes_sent_before_the_rewind() {
         let mut ps = with_inflight(1000);
         go_back_n(&mut ps);
-        let out = rx_segment(&mut ps, &ack_only(10_000));
+        let out = rx(&mut ps, &ack_only(10_000));
         assert_eq!(out.acked_bytes, 1000);
         assert_eq!((ps.seq, ps.tx_sent, ps.tx_avail), (SeqNum(10_000), 0, 0));
         // a partial ACK frees only what it covers, the rest goes out again
         let mut ps = with_inflight(1000);
         go_back_n(&mut ps);
-        let out = rx_segment(&mut ps, &ack_only(9_600));
+        let out = rx(&mut ps, &ack_only(9_600));
         assert_eq!(out.acked_bytes, 600);
         assert_eq!((ps.seq, ps.tx_sent, ps.tx_avail), (SeqNum(9_600), 0, 400));
     }
@@ -621,7 +869,7 @@ mod tests {
         tx_next(&mut ps, MSS);
         go_back_n(&mut ps);
         assert!(!ps.fin_sent);
-        let out = rx_segment(&mut ps, &ack_only(10_101));
+        let out = rx(&mut ps, &ack_only(10_101));
         assert_eq!(out.acked_bytes, 100);
         assert!(ps.fin_sent && !ps.fin_pending, "FIN acknowledged");
         assert_eq!(ps.tx_sent, 0);
@@ -633,9 +881,9 @@ mod tests {
         let mut ps = with_inflight(1000);
         ps.tx_pos = 5000; // pretend buffer position advanced with the send
         let una = 9_000;
-        assert!(!rx_segment(&mut ps, &ack_only(una)).fast_retransmit);
-        assert!(!rx_segment(&mut ps, &ack_only(una)).fast_retransmit);
-        let out = rx_segment(&mut ps, &ack_only(una));
+        assert!(!rx(&mut ps, &ack_only(una)).fast_retransmit);
+        assert!(!rx(&mut ps, &ack_only(una)).fast_retransmit);
+        let out = rx(&mut ps, &ack_only(una));
         assert!(out.fast_retransmit);
         // go-back-N: snd_nxt reset to snd_una, bytes back in tx_avail
         assert_eq!(ps.seq, SeqNum(9_000));
@@ -648,10 +896,10 @@ mod tests {
     #[test]
     fn advancing_ack_resets_dupack_count() {
         let mut ps = with_inflight(1000);
-        rx_segment(&mut ps, &ack_only(9_000));
-        rx_segment(&mut ps, &ack_only(9_000));
+        rx(&mut ps, &ack_only(9_000));
+        rx(&mut ps, &ack_only(9_000));
         assert_eq!(ps.dupack_cnt, 2);
-        rx_segment(&mut ps, &ack_only(9_500));
+        rx(&mut ps, &ack_only(9_500));
         assert_eq!(ps.dupack_cnt, 0);
     }
 
@@ -659,7 +907,7 @@ mod tests {
     fn dupack_requires_inflight_data() {
         let mut ps = established(); // tx_sent == 0
         for _ in 0..5 {
-            let out = rx_segment(&mut ps, &ack_only(10_000));
+            let out = rx(&mut ps, &ack_only(10_000));
             assert!(!out.fast_retransmit);
         }
         assert_eq!(ps.dupack_cnt, 0);
@@ -671,7 +919,7 @@ mod tests {
         let mut sum = ack_only(9_900); // snd_una
         sum.window = 123;
         // ack == una with payload 0 counts as dupack but window changed
-        let out = rx_segment(&mut ps, &sum);
+        let out = rx(&mut ps, &sum);
         assert_eq!(ps.remote_win, 123);
         assert!(out.update_scheduler);
     }
@@ -680,12 +928,12 @@ mod tests {
     fn rto_retransmit_resets_state() {
         let mut ps = with_inflight(2000);
         ps.tx_pos = 2000;
-        hc_retransmit(&mut ps);
+        go_back_n(&mut ps);
         assert_eq!(ps.seq, SeqNum(8_000));
         assert_eq!(ps.tx_avail, 2000);
         assert_eq!(ps.tx_pos, 0);
         // idempotent when nothing is in flight
-        hc_retransmit(&mut ps);
+        go_back_n(&mut ps);
         assert_eq!(ps.seq, SeqNum(8_000));
     }
 
@@ -757,7 +1005,7 @@ mod tests {
         ps.tx_avail = 100;
         hc_close(&mut ps);
         tx_next(&mut ps, MSS);
-        let out = rx_segment(&mut ps, &ack_only(10_101));
+        let out = rx(&mut ps, &ack_only(10_101));
         assert_eq!(out.acked_bytes, 100); // not 101
         assert_eq!(ps.tx_sent, 0);
         assert!(!ps.fin_pending, "FIN acknowledged");
@@ -770,7 +1018,7 @@ mod tests {
         hc_close(&mut ps);
         tx_next(&mut ps, MSS);
         assert!(ps.fin_sent);
-        hc_retransmit(&mut ps); // RTO: FIN + data lost
+        go_back_n(&mut ps); // RTO: FIN + data lost
         assert!(!ps.fin_sent);
         assert_eq!(ps.tx_avail, 50);
         let seg = tx_next(&mut ps, MSS).unwrap();
@@ -782,35 +1030,39 @@ mod tests {
 
     #[test]
     fn fin_with_data_delivered_in_order() {
-        let mut ps = established();
-        let mut sum = data(50_000, 10);
-        sum.flags = TcpFlags::ACK | TcpFlags::FIN | TcpFlags::PSH;
-        let out = rx_segment(&mut ps, &sum);
-        assert_eq!(out.delivered, 10);
-        assert!(out.fin_delivered);
-        assert!(ps.fin_received);
-        assert_eq!(ps.ack, SeqNum(50_011)); // 10 data + 1 FIN
-        assert!(out.send_ack);
+        for mut rx in receivers() {
+            let mut sum = data(50_000, 10);
+            sum.flags = TcpFlags::ACK | TcpFlags::FIN | TcpFlags::PSH;
+            let out = rx.seg(&sum);
+            assert_eq!(out.delivered, 10);
+            assert!(out.fin_delivered);
+            assert!(rx.ps.fin_received);
+            assert_eq!(rx.ps.ack, SeqNum(50_011)); // 10 data + 1 FIN
+            assert!(out.send_ack);
+        }
     }
 
     #[test]
     fn ooo_fin_not_consumed_until_gap_fills() {
-        let mut ps = established();
-        let mut sum = data(50_100, 10);
-        sum.flags = TcpFlags::ACK | TcpFlags::FIN;
-        let out = rx_segment(&mut ps, &sum);
-        assert!(!out.fin_delivered);
-        assert!(!ps.fin_received);
-        // gap fill delivers the buffered bytes but not the dropped FIN —
-        // the peer retransmits its FIN.
-        let out = rx_segment(&mut ps, &data(50_000, 100));
-        assert_eq!(out.delivered, 110);
-        assert!(!out.fin_delivered);
-        let mut refin = data(50_110, 0);
-        refin.flags = TcpFlags::ACK | TcpFlags::FIN;
-        let out = rx_segment(&mut ps, &refin);
-        assert!(out.fin_delivered);
-        assert_eq!(ps.ack, SeqNum(50_111));
+        for mut rx in receivers() {
+            let mut sum = data(50_100, 10);
+            sum.flags = TcpFlags::ACK | TcpFlags::FIN;
+            let out = rx.seg(&sum);
+            assert!(!out.fin_delivered);
+            assert!(!rx.ps.fin_received);
+            // gap fill delivers the buffered bytes but not the dropped FIN —
+            // the peer retransmits its FIN (with the data an in-order-only
+            // receiver dropped too).
+            let out = rx.seg(&data(50_000, 100));
+            let kept = if rx.keeps_ooo() { 10 } else { 0 };
+            assert_eq!(out.delivered, 100 + kept);
+            assert!(!out.fin_delivered);
+            let mut refin = data(50_100 + kept, 10 - kept);
+            refin.flags = TcpFlags::ACK | TcpFlags::FIN;
+            let out = rx.seg(&refin);
+            assert!(out.fin_delivered);
+            assert_eq!(rx.ps.ack, SeqNum(50_111));
+        }
     }
 
     // ---------------- HC -------------------------------------------------
@@ -830,12 +1082,13 @@ mod tests {
 
     #[test]
     fn ce_mark_echoes_ecn() {
-        let mut ps = established();
-        let mut sum = data(50_000, 100);
-        sum.ecn_ce = true;
-        let out = rx_segment(&mut ps, &sum);
-        assert!(out.ecn_echo);
-        assert!(out.send_ack);
+        for mut rx in receivers() {
+            let mut sum = data(50_000, 100);
+            sum.ecn_ce = true;
+            let out = rx.seg(&sum);
+            assert!(out.ecn_echo);
+            assert!(out.send_ack);
+        }
     }
 
     #[test]
@@ -845,7 +1098,7 @@ mod tests {
         sum.has_ts = true;
         sum.tsval = 777;
         sum.tsecr = 555;
-        let out = rx_segment(&mut ps, &sum);
+        let out = rx(&mut ps, &sum);
         assert_eq!(ps.next_ts, 777);
         assert_eq!(out.rtt_sample_ts, Some(555));
     }
@@ -854,33 +1107,35 @@ mod tests {
 
     #[test]
     fn everything_works_across_seq_wrap() {
-        let mut ps = ProtoState {
+        let ps = ProtoState {
             seq: SeqNum(u32::MAX - 100),
             snd_max: SeqNum(u32::MAX - 100),
             ack: SeqNum(u32::MAX - 50),
             rx_avail: 65_536,
             remote_win: 65_535,
+            tx_avail: 400,
             ..Default::default()
         };
-        ps.tx_avail = 400;
-        let seg = tx_next(&mut ps, 300).unwrap();
-        assert_eq!(seg.seq, SeqNum(u32::MAX - 100));
-        assert_eq!(ps.seq, SeqNum(199)); // wrapped
-                                         // in-order data across the wrap
-        let sum = RxSummary {
-            seq: SeqNum(u32::MAX - 50),
-            ack: SeqNum(150), // acks 251 of our 300
-            flags: TcpFlags::ACK | TcpFlags::PSH,
-            window: 65_535,
-            payload_len: 100,
-            ..Default::default()
-        };
-        let out = rx_segment(&mut ps, &sum);
-        assert_eq!(out.delivered, 100);
-        assert_eq!(ps.ack, SeqNum(49)); // wrapped
-                                        // snd_una was 2^32-101; distance to 150 is 251
-        assert_eq!(out.acked_bytes, 251);
-        assert_eq!(ps.tx_sent, 49);
+        for mut rx in receivers_with(ps) {
+            let seg = tx_next(&mut rx.ps, 300).unwrap();
+            assert_eq!(seg.seq, SeqNum(u32::MAX - 100));
+            assert_eq!(rx.ps.seq, SeqNum(199)); // wrapped
+                                                // in-order data across the wrap
+            let sum = RxSummary {
+                seq: SeqNum(u32::MAX - 50),
+                ack: SeqNum(150), // acks 251 of our 300
+                flags: TcpFlags::ACK | TcpFlags::PSH,
+                window: 65_535,
+                payload_len: 100,
+                ..Default::default()
+            };
+            let out = rx.seg(&sum);
+            assert_eq!(out.delivered, 100);
+            assert_eq!(rx.ps.ack, SeqNum(49)); // wrapped
+                                               // snd_una was 2^32-101; distance to 150 is 251
+            assert_eq!(out.acked_bytes, 251);
+            assert_eq!(rx.ps.tx_sent, 49);
+        }
     }
 
     #[test]

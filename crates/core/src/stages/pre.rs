@@ -197,17 +197,7 @@ impl PreStage {
         };
 
         // --- Sum ---
-        w.summary = RxSummary {
-            seq: view.seq,
-            ack: view.ack,
-            flags: view.flags,
-            window: view.window,
-            payload_len: view.payload_len as u32,
-            tsval: view.tsval,
-            tsecr: view.tsecr,
-            has_ts: view.has_ts,
-            ecn_ce: view.ecn.is_ce(),
-        };
+        w.summary = RxSummary::from(&view);
         w.conn = conn;
         w.group = self
             .table

@@ -15,7 +15,7 @@ use flextoe_sim::{CounterHandle, Ctx, Msg, Node, NodeId, Stats, Time, WorkToken}
 
 use crate::costs;
 use crate::hostmem::AppToNic;
-use crate::proto;
+use crate::proto::{self, Reassembly};
 use crate::segment::{SharedConnTable, SharedSegPool, SharedWorkPool, Work, WorkPool};
 use crate::stages::SharedCfg;
 
@@ -148,7 +148,7 @@ impl ProtoStage {
             self.retire(ctx, pool, slot); // torn down while in flight
             return;
         };
-        let out = proto::rx_segment(&mut entry.proto, &w.summary);
+        let out = proto::rx_segment(&mut entry.proto, &w.summary, &mut Reassembly::OneInterval);
         drop(table);
         let counters = self.counters.expect("proto stage attached to a sim");
         if out.out_of_order {
@@ -246,7 +246,7 @@ impl ProtoStage {
                 proto::hc_close(&mut entry.proto);
             }
             AppToNic::Retransmit { .. } => {
-                proto::hc_retransmit(&mut entry.proto);
+                proto::go_back_n(&mut entry.proto);
                 ctx.stats
                     .inc(self.counters.expect("proto stage attached").rto_retx);
             }

@@ -9,10 +9,12 @@
 //!   the application core.
 //! * `other_per_req` — Table 1's "Other" row (mode switches, scheduling).
 
+use flextoe_core::proto::Reassembly;
+
 /// Which baseline a host-stack node models.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StackKind {
-    /// In-kernel Linux TCP: bulky but robust (SACK-like reassembly).
+    /// In-kernel Linux TCP: bulky but robust (multi-interval reassembly).
     Linux,
     /// TAS: user-space fast path on dedicated cores; go-back-N.
     Tas,
@@ -110,6 +112,15 @@ impl StackKind {
             StackKind::Tas => TAS,
             StackKind::Chelsio => CHELSIO_HOST,
             StackKind::FlexBaselineFpc => FLEX_BASELINE_FPC,
+        }
+    }
+
+    /// What this stack's receiver keeps of out-of-order data (Fig. 15).
+    pub fn reassembly(self) -> Reassembly {
+        match self {
+            StackKind::Linux => Reassembly::Intervals(Box::default()),
+            StackKind::Chelsio => Reassembly::InOrderOnly,
+            StackKind::Tas | StackKind::FlexBaselineFpc => Reassembly::OneInterval,
         }
     }
 

@@ -7,11 +7,13 @@
 //! FlexTOE on the wire byte-for-byte. The differences the paper measures
 //! are expressed as policies:
 //!
-//! * **receiver reassembly** — one OOO interval (TAS / FlexTOE-baseline),
-//!   multi-interval SACK-like (Linux: "more sophisticated reassembly and
-//!   recovery"), or drop-all-OOO (Chelsio, §5.3: "Chelsio has a very
-//!   steep decline in throughput"). Every sender is `proto`'s go-back-N;
-//!   Linux differs only as a receiver,
+//! * **receiver reassembly** — a `proto` [`Reassembly`] policy each
+//!   connection takes from its [`StackKind`]: one OOO interval (TAS /
+//!   Flex-Baseline), up to 31 more (Linux: "more sophisticated reassembly
+//!   and recovery"), or in-order only (Chelsio, §5.3: "Chelsio has a very
+//!   steep decline in throughput"). This engine writes whatever `proto`
+//!   places and runs one post-processing path for all of them. Every
+//!   sender is `proto`'s go-back-N; the stacks differ only as receivers,
 //! * **cost model** — per-packet cycles on the processing core
 //!   ([`StackCosts`]), which is the application core for in-kernel stacks.
 //!
@@ -21,7 +23,7 @@
 
 use flextoe_core::handshake::{Handshake, Refusal, SynTimeout, Verdict};
 use flextoe_core::hostmem::{shared_buf, AppToNic, SharedBuf};
-use flextoe_core::proto::{self, RxSummary};
+use flextoe_core::proto::{self, Reassembly, RxSummary};
 use flextoe_core::transport::TransportPolicy;
 use flextoe_core::ProtoState;
 use flextoe_nfp::{Cost, FpcTimer};
@@ -37,9 +39,8 @@ use flextoe_apps::SockEvent;
 
 const MSS: u32 = MSS_WITH_TS as u32;
 const INIT_CWND: u32 = 10 * MSS;
-const BUF_SIZE: u32 = 64 * 1024;
-/// Max extra OOO intervals for the Linux receiver (plus the primary one).
-const LINUX_INTERVALS: usize = 31;
+/// Socket buffer size, each direction, of every connection.
+pub const BUF_SIZE: u32 = 64 * 1024;
 
 struct HostConn {
     ps: ProtoState,
@@ -53,8 +54,8 @@ struct HostConn {
     peer_win: u16,
     cwnd: u32,
     ssthresh: u32,
-    /// Extra reassembly intervals beyond the primary (Linux only).
-    extra: Vec<(SeqNum, u32)>,
+    /// The receiver's policy, with a Linux connection's extra intervals.
+    reasm: Reassembly,
     // RTO state
     last_una: SeqNum,
     stall_since: Time,
@@ -194,6 +195,12 @@ impl HostStackNode {
         self.arp.insert(ip, mac);
     }
 
+    /// Each live connection's id, protocol state and application side.
+    pub fn connections(&self) -> impl Iterator<Item = (u32, &ProtoState, &SharedAppSide)> {
+        let live = self.conns.iter().enumerate();
+        live.filter_map(|(id, c)| c.as_ref().map(|c| (id as u32, &c.ps, &c.side)))
+    }
+
     /// Per-packet TCP processing cost with lock contention and the
     /// payload-length-dependent copy share.
     fn pkt_cost_len(&self, payload: usize) -> Cost {
@@ -300,43 +307,19 @@ impl HostStackNode {
 
     fn on_data_segment(&mut self, ctx: &mut Ctx<'_>, id: u32, view: &SegmentView, frame: &[u8]) {
         let now = ctx.now();
-        let kind = self.kind;
         let cost = self.pkt_cost_len(view.payload_len);
         let d = self.charge(now, cost);
         let Some(mut conn) = self.take(id) else {
             return;
         };
         let c = &mut conn;
-        let mut sum = RxSummary {
-            seq: view.seq,
-            ack: view.ack,
-            flags: view.flags,
-            window: view.window,
-            payload_len: view.payload_len as u32,
-            tsval: view.tsval,
-            tsecr: view.tsecr,
-            has_ts: view.has_ts,
-            ecn_ce: view.ecn.is_ce(),
-        };
+        let sum = RxSummary::from(view);
         // Track the peer's true window; cwnd clamping happens on send.
         if sum.flags.ack() {
             c.peer_win = sum.window;
         }
 
-        // Chelsio: "RDMA-like" receiver — drop all out-of-order payload.
-        if kind == StackKind::Chelsio && sum.payload_len > 0 && sum.seq.after(c.ps.ack) {
-            sum.payload_len = 0; // process ACK side only
-            sum.flags = TcpFlags(sum.flags.0 & !TcpFlags::FIN.0);
-            let out = proto::rx_segment(&mut c.ps, &sum);
-            let _ = out;
-            // duplicate ACK to trigger sender retransmission
-            self.put(id, conn);
-            self.send_ack(ctx, id, d, false);
-            return;
-        }
-
-        let out = proto::rx_segment(&mut c.ps, &sum);
-        let old_cwnd_acked = out.acked_bytes;
+        let out = proto::rx_segment(&mut c.ps, &sum, &mut c.reasm);
 
         // payload placement into the host receive buffer
         if let Some(p) = out.placement {
@@ -345,49 +328,12 @@ impl HostStackNode {
             c.rx_buf.borrow_mut().write(p.buf_pos, src);
         }
 
-        // Linux: absorb disjoint OOO segments into extra intervals.
-        let mut delivered = out.delivered;
-        let fin_delivered = out.fin_delivered;
-        if kind == StackKind::Linux {
-            if out.dropped && out.out_of_order && c.extra.len() < LINUX_INTERVALS {
-                let seg_seq = sum.seq.max(c.ps.ack);
-                let len = sum.payload_len - (seg_seq - sum.seq);
-                let within = (seg_seq - c.ps.ack) + len <= c.ps.rx_avail;
-                if len > 0 && within {
-                    let pos = c.ps.rx_pos.wrapping_add(seg_seq - c.ps.ack);
-                    let base = view.payload_off + (seg_seq - sum.seq) as usize;
-                    c.rx_buf
-                        .borrow_mut()
-                        .write(pos, &frame[base..base + len as usize]);
-                    merge_interval(&mut c.extra, seg_seq, len);
-                }
-            }
-            // flush side intervals reachable from the new rcv_nxt
-            #[allow(clippy::while_let_loop)]
-            loop {
-                let Some(idx) = c
-                    .extra
-                    .iter()
-                    .position(|(s, l)| s.before_eq(c.ps.ack) && (*s + *l).after(c.ps.ack))
-                else {
-                    break;
-                };
-                let (s, l) = c.extra.remove(idx);
-                let flush = (s + l) - c.ps.ack;
-                c.ps.ack += flush;
-                c.ps.rx_pos = c.ps.rx_pos.wrapping_add(flush);
-                c.ps.rx_avail -= flush;
-                delivered += flush;
-            }
-            c.extra.retain(|(s, l)| (*s + *l).after(c.ps.ack));
-        }
-
         // AIMD congestion control
-        if old_cwnd_acked > 0 {
+        if out.acked_bytes > 0 {
             if c.cwnd < c.ssthresh {
-                c.cwnd += old_cwnd_acked.min(MSS); // slow start
+                c.cwnd += out.acked_bytes.min(MSS); // slow start
             } else {
-                c.cwnd += (MSS as u64 * old_cwnd_acked as u64 / c.cwnd as u64) as u32;
+                c.cwnd += (MSS as u64 * out.acked_bytes as u64 / c.cwnd as u64) as u32;
             }
             c.cwnd = c.cwnd.min(BUF_SIZE);
             c.backoff = 0;
@@ -402,32 +348,25 @@ impl HostStackNode {
                 };
             }
         }
-        let fast_retx = out.fast_retransmit;
-        if fast_retx {
+        if out.fast_retransmit {
             c.ssthresh = (c.cwnd / 2).max(2 * MSS);
             c.cwnd = c.ssthresh;
         }
 
         // application notifications
-        if delivered > 0 || fin_delivered || out.acked_bytes > 0 {
-            let mut side = c.side.borrow_mut();
-            if let Some(s) = side.socks.get_mut(&id) {
-                if delivered > 0 {
-                    s.rx_ready += delivered;
-                }
-                if out.acked_bytes > 0 {
-                    s.tx_free += out.acked_bytes;
-                }
+        if out.delivered > 0 || out.fin_delivered || out.acked_bytes > 0 {
+            if let Some(s) = c.side.borrow_mut().socks.get_mut(&id) {
+                s.rx_ready += out.delivered;
+                s.tx_free += out.acked_bytes;
             }
-            drop(side);
-            if delivered > 0 {
+            if out.delivered > 0 {
                 wake_app(
                     ctx,
                     c,
                     d,
                     SockEvent::Readable {
                         conn: id,
-                        available: delivered,
+                        available: out.delivered,
                     },
                 );
             }
@@ -442,7 +381,7 @@ impl HostStackNode {
                     },
                 );
             }
-            if fin_delivered {
+            if out.fin_delivered {
                 wake_app(ctx, c, d, SockEvent::Eof { conn: id });
             }
         }
@@ -451,7 +390,7 @@ impl HostStackNode {
         if out.send_ack {
             self.send_ack(ctx, id, d, out.ecn_echo);
         }
-        if fast_retx {
+        if out.fast_retransmit {
             self.retransmit(ctx, id);
         }
         // window/ack progress may allow more transmission
@@ -549,7 +488,7 @@ impl HostStackNode {
             peer_win,
             cwnd: INIT_CWND,
             ssthresh: BUF_SIZE,
-            extra: Vec::new(),
+            reasm: self.kind.reassembly(),
             last_una: SeqNum(iss.wrapping_add(1)),
             stall_since: Time::ZERO,
             backoff: 0,
@@ -933,40 +872,9 @@ fn notify(ctx: &mut Ctx<'_>, side: &SharedAppSide, app: NodeId, after: Duration,
     ctx.send(app, after + Duration::from_us(1), wake);
 }
 
-/// Merge `[s, s+l)` into the side-interval list (overlap-coalescing).
-fn merge_interval(list: &mut Vec<(SeqNum, u32)>, s: SeqNum, l: u32) {
-    let mut new_s = s;
-    let mut new_e = s + l;
-    list.retain(|(is, il)| {
-        let ie = *is + *il;
-        if is.before_eq(new_e) && new_s.before_eq(ie) {
-            new_s = new_s.min(*is);
-            new_e = new_e.max(ie);
-            false
-        } else {
-            true
-        }
-    });
-    list.push((new_s, new_e - new_s));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_intervals_coalesces() {
-        let mut l = Vec::new();
-        merge_interval(&mut l, SeqNum(100), 50);
-        merge_interval(&mut l, SeqNum(200), 50);
-        assert_eq!(l.len(), 2);
-        merge_interval(&mut l, SeqNum(150), 50); // bridges both
-        assert_eq!(l.len(), 1);
-        assert_eq!(l[0], (SeqNum(100), 150));
-        // overlapping extension
-        merge_interval(&mut l, SeqNum(240), 20);
-        assert_eq!(l[0], (SeqNum(100), 160));
-    }
 
     #[test]
     fn stack_kind_wiring() {
@@ -984,5 +892,14 @@ mod tests {
         assert_eq!(n.nic_latency, Duration::from_us(2));
         let n = host(StackKind::FlexBaselineFpc);
         assert_eq!(n.clock.hz(), 800_000_000);
+        // the receivers of Fig. 15
+        use Reassembly::{InOrderOnly, Intervals, OneInterval};
+        assert!(matches!(StackKind::Linux.reassembly(), Intervals(_)));
+        assert!(matches!(StackKind::Chelsio.reassembly(), InOrderOnly));
+        assert!(matches!(StackKind::Tas.reassembly(), OneInterval));
+        assert!(matches!(
+            StackKind::FlexBaselineFpc.reassembly(),
+            OneInterval
+        ));
     }
 }

@@ -3,9 +3,13 @@
 //! the wire (§5.1 Fig. 9 runs all server×client combinations).
 
 use flextoe_apps::{ClientConfig, LoadMode, RpcClientApp, RpcServerApp, ServerConfig, StackApi};
+use flextoe_core::hostmem::AppToNic;
+use flextoe_hoststack::engine::BUF_SIZE;
+use flextoe_hoststack::HostStackNode;
 use flextoe_netsim::Faults;
-use flextoe_sim::{NodeId, Sim, Tick, Time};
+use flextoe_sim::{Duration, NodeId, Sim, Tick, Time};
 use flextoe_topo::{build_pair, PairOpts, Stack};
+use flextoe_wire::SeqNum;
 
 type Client = RpcClientApp<Box<dyn StackApi>>;
 type Server = RpcServerApp<Box<dyn StackApi>>;
@@ -125,12 +129,12 @@ fn flextoe_interoperates_with_linux_on_the_wire() {
 }
 
 /// Bulk echo under 1% loss in both directions drains on every one of 200
-/// seeds, on TAS and FlexTOE hosts. A cumulative ACK for bytes sent
-/// before a go-back-N rewind must count: ignoring it wedged a connection
-/// until RTO give-up whenever the receiver was further ahead than the
-/// sender's window after the rewind.
+/// seeds, on every stack family: TAS, FlexTOE, Linux and Chelsio hosts. A
+/// cumulative ACK for bytes sent before a go-back-N rewind must count:
+/// ignoring it wedged a connection until RTO give-up whenever the
+/// receiver was further ahead than the sender's window after the rewind.
 #[test]
-#[ignore = "36 s in a debug build: CI runs it in release, on the wheel and on the heap"]
+#[ignore = "99 s in a debug build: CI runs it in release, on the wheel and on the heap"]
 fn bulk_under_loss_drains_on_every_seed() {
     let opts = PairOpts {
         faults: Faults {
@@ -140,7 +144,7 @@ fn bulk_under_loss_drains_on_every_seed() {
         ..Default::default()
     };
     let rounds = 20;
-    for stack in [Stack::Tas, Stack::FlexToe] {
+    for stack in [Stack::Tas, Stack::FlexToe, Stack::Linux, Stack::Chelsio] {
         let wedged: Vec<u64> = (0..200)
             .filter(|&seed| {
                 let (sim, client) = run_pair(seed, (stack, stack), &opts, 32 * 1024, 2, rounds);
@@ -152,4 +156,90 @@ fn bulk_under_loss_drains_on_every_seed() {
             "{stack:?}: seeds that did not drain: {wedged:?}"
         );
     }
+}
+
+/// Fig. 15a's Chelsio cell at 2% loss (seed 81, 100 connections, 64 B
+/// echo x8 pipelined, 24 ms). Every live connection conserves its TX
+/// buffer: what the app may still write, plus what it queued, plus what
+/// is unsent, plus what is in flight, is `BUF_SIZE`. And every sender
+/// rewind is a counted retransmit. Both hold only if the in-order-only
+/// receiver runs the ACK side of each out-of-order segment it drops with
+/// the segment's real payload: the bytes its ACK frees reach the app, and
+/// the segment is no duplicate ACK.
+#[test]
+fn chelsio_conserves_tx_bytes_and_counts_every_rewind() {
+    let opts = PairOpts {
+        faults: Faults {
+            drop_chance: 0.02,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut sim = Sim::new(81);
+    let (a, b) = build_pair(&mut sim, Stack::Chelsio, Stack::Chelsio, &opts);
+    let server = sim.add_node(Server::new(
+        ServerConfig::default(),
+        b.stack_init(Stack::Chelsio, 1),
+    ));
+    let client = sim.add_node(Client::new(
+        ClientConfig {
+            server_ip: b.ip,
+            n_conns: 100,
+            mode: LoadMode::Closed { pipeline: 8 },
+            warmup: Time::from_ms(4),
+            connect_spacing: Duration::from_us(3),
+            ..Default::default()
+        },
+        a.stack_init(Stack::Chelsio, 1),
+    ));
+    sim.schedule(Time::ZERO, server, Tick);
+    sim.schedule(Time::from_us(20), client, Tick);
+
+    let hosts = [a.baseline.unwrap(), b.baseline.unwrap()];
+    // per host: each connection's snd_nxt and the retransmit count, as of
+    // the previous event
+    let mut snd_nxt: [Vec<Option<SeqNum>>; 2] = Default::default();
+    let mut retransmits = [0u64; 2];
+    let mut uncounted = 0;
+    while sim.now() < Time::from_ms(24) && sim.step() {
+        for (h, &node) in hosts.iter().enumerate() {
+            let host = sim.node_ref::<HostStackNode>(node);
+            let mut rewinds = 0;
+            for (id, ps, _) in host.connections() {
+                let id = id as usize;
+                if snd_nxt[h].len() <= id {
+                    snd_nxt[h].resize(id + 1, None);
+                }
+                let prev = snd_nxt[h][id].replace(ps.seq);
+                rewinds += u64::from(prev.is_some_and(|p| ps.seq.before(p)));
+            }
+            uncounted += rewinds.saturating_sub(host.retransmits - retransmits[h]);
+            retransmits[h] = host.retransmits;
+        }
+    }
+    assert!(sim.node_ref::<Client>(client).measured > 0);
+
+    let mut short = Vec::new();
+    for &node in &hosts {
+        for (id, ps, side) in sim.node_ref::<HostStackNode>(node).connections() {
+            let side = side.borrow();
+            let queued: u32 = side
+                .to_stack
+                .iter()
+                .map(|d| match *d {
+                    AppToNic::TxAppend { conn, len } if conn == id => len,
+                    _ => 0,
+                })
+                .sum();
+            let fin_in_flight = u32::from(ps.fin_sent && ps.fin_pending);
+            let held = side.socks[&id].tx_free + queued + ps.tx_avail + ps.tx_sent - fin_in_flight;
+            if held != BUF_SIZE {
+                short.push((node, id, i64::from(BUF_SIZE) - i64::from(held)));
+            }
+        }
+    }
+    assert!(
+        short.is_empty() && uncounted == 0,
+        "TX bytes lost (host, conn, bytes): {short:?}; uncounted rewinds: {uncounted}"
+    );
 }

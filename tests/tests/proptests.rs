@@ -6,7 +6,7 @@
 //! generator: every case is reproducible from the iteration index, and a
 //! failure message names the seed that produced it.
 
-use flextoe_core::proto::{self, RxSummary};
+use flextoe_core::proto::{self, Reassembly, RxSummary};
 use flextoe_core::reorder::Reorder;
 use flextoe_core::sched::Carousel;
 use flextoe_core::ProtoState;
@@ -232,46 +232,134 @@ fn incremental_checksum_equivalence() {
     });
 }
 
+/// The three receivers: Chelsio, FlexTOE/TAS and Linux.
+fn receivers() -> [Reassembly; 3] {
+    [
+        Reassembly::InOrderOnly,
+        Reassembly::OneInterval,
+        Reassembly::Intervals(Box::default()),
+    ]
+}
+
 /// Receiving arbitrary in-window segment sequences never corrupts the
-/// protocol invariants: rcv_nxt only advances, rx_avail never
-/// underflows, the OOO interval stays ahead of rcv_nxt.
+/// protocol invariants, under every reassembly policy: rcv_nxt only
+/// advances, rx_avail never underflows, the OOO interval stays ahead of
+/// rcv_nxt.
 #[test]
 fn rx_state_invariants() {
     for_cases("rx_state_invariants", |rng| {
         let n_segs = rng.range(1, 59);
-        let mut ps = ProtoState {
-            seq: SeqNum(1),
-            ack: SeqNum(10_000),
-            rx_avail: 16_384,
-            remote_win: u16::MAX,
-            ..Default::default()
-        };
-        let mut last_ack = ps.ack;
-        let mut budget = ps.rx_avail;
-        for _ in 0..n_segs {
-            let off = rng.below(20_000) as u32;
-            let len = rng.range(1, 1999) as u32;
-            let sum = RxSummary {
-                seq: SeqNum(10_000u32.wrapping_add(off)),
-                ack: SeqNum(1),
-                flags: TcpFlags::ACK | TcpFlags::PSH,
-                window: u16::MAX,
-                payload_len: len,
+        let segs: Vec<(u32, u32)> = (0..n_segs)
+            .map(|_| (rng.below(20_000) as u32, rng.range(1, 1999) as u32))
+            .collect();
+        for mut reasm in receivers() {
+            let mut ps = ProtoState {
+                seq: SeqNum(1),
+                ack: SeqNum(10_000),
+                rx_avail: 16_384,
+                remote_win: u16::MAX,
                 ..Default::default()
             };
-            let out = proto::rx_segment(&mut ps, &sum);
-            // monotone rcv_nxt
-            assert!(ps.ack.after_eq(last_ack));
-            assert!(out.delivered == ps.ack - last_ack);
-            last_ack = ps.ack;
-            // rx_avail accounting: shrinks exactly by delivered bytes
-            assert!(out.delivered <= budget);
-            budget -= out.delivered;
-            assert_eq!(ps.rx_avail, budget);
-            // OOO interval is strictly ahead of rcv_nxt
-            if ps.ooo_len > 0 {
-                assert!(ps.ooo_start.after(ps.ack));
-                assert!((ps.ooo_start + ps.ooo_len) - ps.ack <= budget);
+            let mut last_ack = ps.ack;
+            let mut budget = ps.rx_avail;
+            for &(off, len) in &segs {
+                let sum = RxSummary {
+                    seq: SeqNum(10_000u32.wrapping_add(off)),
+                    ack: SeqNum(1),
+                    flags: TcpFlags::ACK | TcpFlags::PSH,
+                    window: u16::MAX,
+                    payload_len: len,
+                    ..Default::default()
+                };
+                let out = proto::rx_segment(&mut ps, &sum, &mut reasm);
+                // monotone rcv_nxt
+                assert!(ps.ack.after_eq(last_ack));
+                assert!(out.delivered == ps.ack - last_ack);
+                last_ack = ps.ack;
+                // rx_avail accounting: shrinks exactly by delivered bytes
+                assert!(out.delivered <= budget);
+                budget -= out.delivered;
+                assert_eq!(ps.rx_avail, budget);
+                // OOO interval is strictly ahead of rcv_nxt
+                if ps.ooo_len > 0 {
+                    assert!(ps.ooo_start.after(ps.ack), "{reasm:?}");
+                    assert!((ps.ooo_start + ps.ooo_len) - ps.ack <= budget, "{reasm:?}");
+                }
+            }
+        }
+    });
+}
+
+/// Under every reassembly policy, a stream whose segments arrive
+/// shuffled, duplicated, overlapping and past the window reaches the app
+/// in order and byte-exact, and its FIN is consumed once, after the last
+/// byte. Each round carries one segment at rcv_nxt (the sender's
+/// go-back-N), so every round makes progress.
+#[test]
+fn every_receiver_delivers_the_stream_byte_exact() {
+    const RX_SIZE: u32 = 4096;
+    for_cases("every_receiver_delivers_the_stream_byte_exact", |rng| {
+        let stream: Vec<u8> = (0..rng.range(1, 12_000))
+            .map(|_| rng.next_u32() as u8)
+            .collect();
+        let total = stream.len() as u32;
+        let isn = SeqNum(rng.next_u32());
+        let draws = rng.next_u64();
+        for mut reasm in receivers() {
+            let mut rng = Rng::new(draws);
+            let mut ps = ProtoState {
+                ack: isn,
+                rx_avail: RX_SIZE,
+                remote_win: u16::MAX,
+                ..Default::default()
+            };
+            let mut ring = vec![0u8; RX_SIZE as usize];
+            let (mut got, mut app_pos, mut eof) = (0u32, 0u32, false);
+            let mut rounds = 0;
+            while !eof {
+                rounds += 1;
+                assert!(rounds <= total + 1, "{reasm:?} stalled at {got}/{total}");
+                // one segment at rcv_nxt plus a few anywhere in 2 windows
+                let mut batch = vec![got];
+                for _ in 0..rng.below(6) {
+                    batch.push((got + rng.below(2 * RX_SIZE as u64) as u32).min(total));
+                }
+                if rng.chance(0.3) {
+                    batch.push(batch[rng.below(batch.len() as u64) as usize]);
+                }
+                rng.shuffle(&mut batch);
+                for off in batch {
+                    let len = (rng.range(1, 1448) as u32).min(total - off);
+                    let fin = off + len == total;
+                    let sum = RxSummary {
+                        seq: isn + off,
+                        flags: TcpFlags::ACK | if fin { TcpFlags::FIN } else { TcpFlags(0) },
+                        window: u16::MAX,
+                        payload_len: len,
+                        ..Default::default()
+                    };
+                    let out = proto::rx_segment(&mut ps, &sum, &mut reasm);
+                    if let Some(p) = out.placement {
+                        let src = &stream[(off + p.frame_off) as usize..][..p.len as usize];
+                        for (i, &b) in src.iter().enumerate() {
+                            ring[(p.buf_pos.wrapping_add(i as u32) % RX_SIZE) as usize] = b;
+                        }
+                    }
+                    // the app reads what was delivered, then frees it
+                    for _ in 0..out.delivered {
+                        let b = ring[(app_pos % RX_SIZE) as usize];
+                        assert_eq!(b, stream[got as usize], "{reasm:?} byte {got}");
+                        app_pos = app_pos.wrapping_add(1);
+                        got += 1;
+                    }
+                    proto::hc_rx_consumed(&mut ps, out.delivered, 1448);
+                    if out.fin_delivered {
+                        assert!(!eof && got == total, "{reasm:?}: FIN at {got}/{total}");
+                        eof = true;
+                    }
+                    let fin_seq = u32::from(eof);
+                    assert_eq!(ps.ack, isn + (got + fin_seq), "{reasm:?}");
+                }
             }
         }
     });
@@ -309,7 +397,7 @@ fn tx_ack_invariants() {
                     payload_len: 0,
                     ..Default::default()
                 };
-                let out = proto::rx_segment(&mut ps, &sum);
+                let out = proto::rx_segment(&mut ps, &sum, &mut Reassembly::OneInterval);
                 freed_total += out.acked_bytes as u64;
             }
             assert_eq!(ps.seq - ps.snd_una(), ps.tx_sent);
