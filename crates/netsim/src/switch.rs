@@ -100,6 +100,17 @@ impl Port {
             self.queue_bytes as u128 * now_ns.saturating_sub(self.occ_since_ns) as u128;
         self.occ_since_ns = now_ns;
     }
+
+    /// Put `frame` on the wire now. A limping switch serializes N×
+    /// slower on every port — reduced effective rate is the gray
+    /// signature (forwarding latency is charged on the adjacent links,
+    /// so rate is the right lever here).
+    fn transmit(&mut self, ctx: &mut Ctx<'_>, limp: u32, frame: Frame) {
+        self.tx_frames += 1;
+        let d = Switch::serialize(&self.cfg, frame.len()) * limp.max(1) as u64;
+        self.tx.start(ctx.now(), d);
+        ctx.send(self.to, d, frame);
+    }
 }
 
 pub struct Switch {
@@ -164,9 +175,9 @@ struct SwitchTelemetry {
 }
 
 impl SwitchTelemetry {
-    /// The fast-path update: one mix of the hop's flow basis into both
-    /// sketches and the key table. No alloc, no new hash of key material
-    /// (`SwitchSketch::update` is multiply-shift only).
+    /// The fast-path update: the hop's flow basis and length go into the
+    /// sketch's epoch log (`SwitchSketch::update` touches no cell; the
+    /// sweep renders them). No alloc, no new hash of key material.
     #[inline]
     fn observe(&mut self, basis: u64, len: u64) {
         self.sketch.update(basis, len);
@@ -255,7 +266,10 @@ impl Switch {
         self.ports.push(Port {
             cfg,
             to,
-            queue: VecDeque::new(),
+            // a frame that finds the port idle never enters the queue, so
+            // its first slots are allocated here rather than by whichever
+            // frame first waits behind another mid-run
+            queue: VecDeque::with_capacity(4),
             queue_bytes: 0,
             tx: TxGate::default(),
             up: true,
@@ -347,15 +361,10 @@ impl Switch {
                     if self.ports[pick].up {
                         return RouteOutcome::Steered(pick);
                     }
-                    let live: Vec<usize> = candidates
-                        .iter()
-                        .copied()
-                        .filter(|&p| self.ports[p].up)
-                        .collect();
-                    if live.is_empty() {
-                        return RouteOutcome::Blackhole;
-                    }
-                    return RouteOutcome::Steered(live[rank % live.len()]);
+                    return match nth_live(candidates, |p| self.ports[p].up, rank as u64) {
+                        Some(port) => RouteOutcome::Steered(port),
+                        None => RouteOutcome::Blackhole,
+                    };
                 }
             }
         }
@@ -364,15 +373,10 @@ impl Switch {
         if self.ports[pick].up {
             return RouteOutcome::Port(pick);
         }
-        let live: Vec<usize> = candidates
-            .iter()
-            .copied()
-            .filter(|&p| self.ports[p].up)
-            .collect();
-        if live.is_empty() {
-            return RouteOutcome::Blackhole;
+        match nth_live(candidates, |p| self.ports[p].up, h) {
+            Some(port) => RouteOutcome::Rerouted(port),
+            None => RouteOutcome::Blackhole,
         }
-        RouteOutcome::Rerouted(live[(h % live.len() as u64) as usize])
     }
 
     /// Is `port` administratively up?
@@ -419,14 +423,7 @@ impl Switch {
             if let Some(frame) = p.queue.pop_front() {
                 p.occ_update(now.as_ns());
                 p.queue_bytes -= frame.len();
-                p.tx_frames += 1;
-                // a limping switch serializes N× slower on every port —
-                // reduced effective rate is the gray signature (forwarding
-                // latency is charged on the adjacent links, so rate is the
-                // right lever here)
-                let d = Self::serialize(&p.cfg, frame.len()) * self.limp.max(1) as u64;
-                p.tx.start(now, d);
-                ctx.send(p.to, d, frame);
+                p.transmit(ctx, self.limp, frame);
             }
         }
         if !p.queue.is_empty() {
@@ -475,9 +472,17 @@ impl Switch {
                 ctx.stats.inc(counters.ecn_marked);
             }
         }
-        p.occ_update(ctx.now().as_ns());
+        let now = ctx.now();
+        p.occ_update(now.as_ns());
+        // a frame that starts at once counts toward the peak as if it
+        // were queued for an instant, so both paths read the same peak
+        p.peak_bytes = p.peak_bytes.max(p.queue_bytes + len);
+        if p.up && p.queue.is_empty() && !p.tx.busy(now) {
+            // idle port: start the transmit without the queue round trip
+            p.transmit(ctx, self.limp, frame);
+            return;
+        }
         p.queue_bytes += len;
-        p.peak_bytes = p.peak_bytes.max(p.queue_bytes);
         p.queue.push_back(frame);
         self.start_tx(ctx, port);
     }
@@ -574,6 +579,16 @@ impl Switch {
         tel.epoch_seq += 1;
         ctx.send(tel.collector, latency, Frame::raw(buf));
     }
+}
+
+/// ECMP re-finalization over the live candidates without collecting
+/// them: the `(i % n_live)`-th candidate that is `up`, in candidate
+/// order; `None` when every candidate is down.
+fn nth_live(candidates: &[usize], up: impl Fn(usize) -> bool, i: u64) -> Option<usize> {
+    let live = || candidates.iter().copied().filter(|&p| up(p));
+    // with none live, nth(0) of the empty walk is the None we want
+    let n_live = live().count().max(1) as u64;
+    live().nth((i % n_live) as usize)
 }
 
 impl Default for Switch {
@@ -870,6 +885,88 @@ mod tests {
             for (f, (ns, bytes)) in burst.iter().zip(got) {
                 at += Switch::serialize(&cfg, f.len());
                 assert_eq!((*ns, bytes), (at.as_ns(), f), "{kind:?}: FIFO at line rate");
+            }
+        }
+    }
+
+    /// Today's port accounting, pinned with hand-computed values on a
+    /// 1 Gbit/s port (a 100 B frame serializes in 800 ns): a frame at an
+    /// idle port, two back to back, one at exactly the transmit end (the
+    /// port still counts as busy there, so it queues and takes a wake),
+    /// one after a port-down/port-up heal, and two under
+    /// `SetSwitchLimp(3)`.
+    #[test]
+    fn idle_port_sends_at_once_and_keeps_the_accounting() {
+        for kind in QUEUES {
+            let mut sim = Sim::with_queue(1, kind);
+            let probe = sim.add_node(Probe { frames: vec![] });
+            let mut sw = Switch::new();
+            let cfg = PortConfig {
+                rate_bps: 1_000_000_000,
+                ecn_threshold: None,
+                ..Default::default()
+            };
+            let port = sw.add_port(probe, cfg);
+            sw.learn(MacAddr::local(2), port);
+            let sw = sim.add_node(sw);
+            let frame = || Frame::raw(tcp_frame(Ecn::NotEct, 46));
+            assert_eq!(frame().len(), 100);
+            let at = Time::from_ns;
+            sim.schedule(at(0), sw, frame()); // idle: 0..800
+            sim.schedule(at(1_000), sw, frame()); // idle: 1000..1800
+            sim.schedule(at(1_000), sw, frame()); // queued 800 ns: 1800..2600
+            sim.schedule(at(2_600), sw, frame()); // at the end: 2600..3400
+            sim.schedule(at(4_000), sw, SetPortUp { port, up: false });
+            sim.schedule(at(4_500), sw, frame()); // blackholed
+            sim.schedule(at(5_000), sw, SetPortUp { port, up: true });
+            sim.schedule(at(5_100), sw, frame()); // healed, idle: 5100..5900
+            sim.schedule(at(6_000), sw, SetSwitchLimp(3));
+            sim.schedule(at(7_000), sw, frame()); // 3x: 7000..9400
+            sim.schedule(at(7_000), sw, frame()); // queued 2400 ns: 9400..11800
+            sim.run();
+            // 11 arrivals at the switch, 7 at the probe, and one wake for
+            // each frame that queued: at 1800, 2600 and 9400
+            assert_eq!(sim.events_processed(), 11 + 7 + 3, "{kind:?}");
+            let times: Vec<u64> = sim
+                .node_ref::<Probe>(probe)
+                .frames
+                .iter()
+                .map(|f| f.0)
+                .collect();
+            assert_eq!(
+                times,
+                [800, 1_800, 2_600, 3_400, 5_900, 9_400, 11_800],
+                "{kind:?}"
+            );
+            let s = sim.node_ref::<Switch>(sw);
+            assert_eq!(s.port_stats(port), (7, 0, 0), "{kind:?}");
+            assert_eq!(s.blackholed, 1, "{kind:?}");
+            // 100 B queued for 800 ns and for 2400 ns: 320,000 B·ns over
+            // 16 µs; the peak counts a frame that starts at once (100 B),
+            // never the one on the wire under a queued one
+            assert_eq!(s.queue_occupancy(port, 16_000), (100, 20.0), "{kind:?}");
+        }
+    }
+
+    /// Walking the live candidates picks exactly what indexing the
+    /// collected live set picked, for every up/down mask of 1-8
+    /// candidates and 1,000 hashes each.
+    #[test]
+    fn nth_live_matches_the_collected_live_set() {
+        for n in 1..=8usize {
+            let candidates: Vec<usize> = (0..n).map(|i| 3 * i + 1).collect();
+            for mask in 0..1u32 << n {
+                let up = |p: usize| mask >> ((p - 1) / 3) & 1 == 1;
+                let live: Vec<usize> = candidates.iter().copied().filter(|&p| up(p)).collect();
+                for i in 0..1_000u64 {
+                    let h = flextoe_telemetry::mix64(i);
+                    let old = (!live.is_empty()).then(|| live[(h % live.len() as u64) as usize]);
+                    assert_eq!(
+                        nth_live(&candidates, up, h),
+                        old,
+                        "{candidates:?} mask {mask:#b}"
+                    );
+                }
             }
         }
     }

@@ -18,9 +18,10 @@
 //!   depth and makes row indices of one key *correlated* — the trade
 //!   the papers study for resilient monitoring.
 //!
-//! Sketches snapshot-and-reset in one pass into flat epoch reports
-//! ([`SwitchSketch::encode_sweep`]) that travel the simulated fabric
-//! as pooled frames; the collector reads each in place through a
+//! A switch's [`SwitchSketch`] only logs each frame's update; the sweep
+//! renders the epoch's cells into a flat report and resets the sketch
+//! in the same pass ([`SwitchSketch::encode_sweep`]). Reports travel
+//! the simulated fabric as pooled frames; the collector reads each in place through a
 //! bounds-checked [`ReportView`] and [`MergedView::absorb`]s it cell by
 //! cell, with no decoded copy. Accuracy against sim ground truth is
 //! scored by [`score_sketch`] (ARE + heavy-hitter recall/precision).

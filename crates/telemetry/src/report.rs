@@ -1,8 +1,8 @@
 //! Epoch report wire format and the collector's merged view.
 //!
-//! A sweep freezes one switch's sketch state into a flat little-endian
-//! u64 payload (carried through the fabric in a pooled frame buffer),
-//! zeroing the sketch in the same pass — epochs are disjoint by
+//! A sweep renders one switch's epoch into a flat little-endian u64
+//! payload (carried through the fabric in a pooled frame buffer),
+//! emptying the sketch in the same pass — epochs are disjoint by
 //! construction, so the collector's cell-wise merge is exactly the
 //! sketch of the union stream. The collector merges straight from the
 //! payload bytes through a [`ReportView`]; nothing is decoded into
@@ -12,7 +12,7 @@
 //! `magic, switch<<32|epoch, frames, bytes, depth, width, share_shift,`
 //! `cm cells (depth*width), lsb cells (depth*width), nkeys, keys...`
 
-use crate::sketch::{CountMin, LsbSketch, SketchCfg, SwitchSketch};
+use crate::sketch::{mix64, CountMin, LsbSketch, SketchCfg, SwitchSketch};
 
 /// First word of every telemetry report payload.
 pub const REPORT_MAGIC: u64 = 0x544C_4D52_5054_0001; // "TLMRPT" v1
@@ -29,10 +29,19 @@ fn words(b: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
     b.as_chunks::<8>().0.iter().map(|w| u64::from_le_bytes(*w))
 }
 
+/// Add `v` to the little-endian word `cell`.
+#[inline]
+fn add_le(cell: &mut [u8; 8], v: u64) {
+    *cell = (u64::from_le_bytes(*cell) + v).to_le_bytes();
+}
+
 impl SwitchSketch {
-    /// Snapshot this epoch into `out` (cleared first, then sized once for
+    /// Render this epoch into `out` (cleared first, then sized once for
     /// the largest report this shape can produce) and reset the sketch
-    /// in the same pass.
+    /// in the same pass: the cell sections are zero-filled (or, after a
+    /// fold, copied out of the dense sketches and zeroed there), then the
+    /// epoch's log is replayed in arrival order straight into those
+    /// bytes, which the fill has just brought into cache.
     pub fn encode_sweep(&mut self, switch: u32, epoch: u32, out: &mut Vec<u8>) {
         let cells = self.cfg.depth * self.cfg.width;
         out.clear();
@@ -48,8 +57,27 @@ impl SwitchSketch {
         ] {
             push_u64(out, w);
         }
-        self.cm.take_cells(out);
-        self.lsb.take_cells(out);
+        if std::mem::take(&mut self.folded) {
+            self.cm.take_cells(out);
+            self.lsb.take_cells(out);
+        } else {
+            out.resize(8 * (HEADER_WORDS + 2 * cells), 0);
+        }
+        let (cm, lsb) = out[8 * HEADER_WORDS..]
+            .as_chunks_mut::<8>()
+            .0
+            .split_at_mut(cells);
+        let (cm_index, lsb_index) = (self.cm.index, self.lsb.index);
+        for (basis, len) in self.log.drain(..) {
+            let h = mix64(basis);
+            for i in cm_index.cells(basis) {
+                add_le(&mut cm[i], len);
+            }
+            for i in lsb_index.cells(h) {
+                add_le(&mut lsb[i], len);
+            }
+            self.keys.insert_hashed(basis, h);
+        }
         let nkeys_at = out.len();
         push_u64(out, 0);
         let nkeys = self.keys.take_keys(out) as u64;
@@ -206,11 +234,64 @@ fn union_sorted(keys: &mut Vec<u64>, new: &[u64]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
-    use crate::sketch::mix64;
+    use crate::sketch::{KeyTable, LOG_CAP};
+
+    /// The eager reference: every update goes straight into the dense
+    /// sketches and the key table, per frame, and `encode` writes the
+    /// wire format from them independently of `encode_sweep`.
+    pub(crate) struct Eager {
+        pub cfg: SketchCfg,
+        pub cm: CountMin,
+        pub lsb: LsbSketch,
+        pub keys: KeyTable,
+        pub frames: u64,
+        pub bytes: u64,
+    }
+
+    impl Eager {
+        pub fn new(cfg: SketchCfg) -> Eager {
+            Eager {
+                cfg,
+                cm: CountMin::new(&cfg),
+                lsb: LsbSketch::new(&cfg),
+                keys: KeyTable::new(&cfg),
+                frames: 0,
+                bytes: 0,
+            }
+        }
+
+        pub fn update(&mut self, basis: u64, len: u64) {
+            self.cm.update(basis, len);
+            self.lsb.update(basis, len);
+            self.keys.insert_hashed(basis, mix64(basis));
+            self.frames += 1;
+            self.bytes += len;
+        }
+
+        /// The report this epoch must produce; empties the reference.
+        pub fn encode(&mut self, switch: u32, epoch: u32) -> Vec<u8> {
+            let keys: Vec<u64> = self.keys.keys().collect();
+            let mut words = vec![
+                REPORT_MAGIC,
+                (switch as u64) << 32 | epoch as u64,
+                self.frames,
+                self.bytes,
+                self.cfg.depth as u64,
+                self.cfg.width as u64,
+                self.lsb.share_shift() as u64,
+            ];
+            words.extend(self.cm.cells().iter().chain(self.lsb.cells()));
+            words.push(keys.len() as u64);
+            words.extend(keys);
+            let out = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            *self = Eager::new(self.cfg);
+            out
+        }
+    }
 
     fn cfg() -> SketchCfg {
         SketchCfg {
@@ -223,21 +304,29 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let mut s = SwitchSketch::new(cfg());
+        let mut eager = Eager::new(cfg());
         for k in 1..=40u64 {
             s.update(k * 0x1234_5678_9abc, 64 * k);
+            eager.update(k * 0x1234_5678_9abc, 64 * k);
         }
         let (frames, bytes) = (s.frames, s.bytes);
-        let cm_before = s.cm.cells().to_vec();
-        let lsb_before = s.lsb.cells().to_vec();
-        let keys_before: Vec<u64> = s.keys.keys().collect();
+        assert_eq!((frames, bytes), (eager.frames, eager.bytes));
+        let cm_before = eager.cm.cells().to_vec();
+        let lsb_before = eager.lsb.cells().to_vec();
+        let keys_before: Vec<u64> = eager.keys.keys().collect();
         let mut buf = Vec::new();
         s.encode_sweep(3, 17, &mut buf);
-        // sweep resets the live sketch
+        assert_eq!(buf, eager.encode(3, 17), "the render is the eager sketch");
+        // sweep resets the live sketch: the next epoch reports nothing
         assert_eq!((s.frames, s.bytes), (0, 0));
-        assert!(s.cm.cells().iter().all(|&c| c == 0));
-        assert!(s.lsb.cells().iter().all(|&c| c == 0));
-        assert_eq!((s.cm.total(), s.lsb.total()), (0, 0));
-        assert_eq!(s.keys.keys().count(), 0);
+        let mut next = Vec::new();
+        s.encode_sweep(3, 18, &mut next);
+        let empty = ReportView::parse(&next).expect("decodes");
+        assert_eq!((empty.frames, empty.bytes), (0, 0));
+        assert!(empty.cm_cells().all(|c| c == 0));
+        assert!(empty.lsb_cells().all(|c| c == 0));
+        assert_eq!(empty.keys().count(), 0);
+        assert_eq!(next, eager.encode(3, 18));
         let rep = ReportView::parse(&buf).expect("decodes");
         assert_eq!((rep.switch, rep.epoch), (3, 17));
         assert_eq!((rep.frames, rep.bytes), (frames, bytes));
@@ -265,7 +354,7 @@ mod tests {
     fn merged_view_matches_single_stream() {
         let c = cfg();
         let mut live = SwitchSketch::new(c);
-        let mut whole = SwitchSketch::new(c);
+        let mut whole = Eager::new(c);
         let mut view = MergedView::new(&c);
         let (mut buf, mut scratch) = (Vec::new(), Vec::new());
         for epoch in 0..3u32 {
@@ -311,6 +400,16 @@ mod tests {
         }
     }
 
+    /// A shape drawn from depth 1..=8, width 2..=4096, key_slots
+    /// 1..=4096.
+    fn random_shape(rng: &mut Rng) -> SketchCfg {
+        SketchCfg {
+            depth: 1 + rng.below(8) as usize,
+            width: 2 << rng.below(12),
+            key_slots: 1 << rng.below(13),
+        }
+    }
+
     /// Differential: over random shapes and random multi-epoch streams,
     /// merging every epoch's report gives exactly the sketch of the
     /// whole stream, and the key union is the sorted, duplicate-free
@@ -320,13 +419,10 @@ mod tests {
         let mut rng = Rng(0x7E1E);
         let (mut buf, mut scratch) = (Vec::new(), Vec::new());
         for _ in 0..48 {
-            let cfg = SketchCfg {
-                depth: 1 + rng.below(8) as usize,
-                width: 2 << rng.below(12),
-                key_slots: 1 << rng.below(13),
-            };
+            let cfg = random_shape(&mut rng);
             let mut live = SwitchSketch::new(cfg);
-            let mut whole = SwitchSketch::new(cfg);
+            let mut epoch_ref = Eager::new(cfg);
+            let mut whole = Eager::new(cfg);
             let mut view = MergedView::new(&cfg);
             let mut key_union = BTreeSet::new();
             // a key space around the table's size, so epochs share keys
@@ -338,9 +434,11 @@ mod tests {
                     // key 0 marks an empty key-table slot
                     let (key, len) = (1 + rng.below(space), 1 + rng.below(1500));
                     live.update(key, len);
+                    epoch_ref.update(key, len);
                     whole.update(key, len);
                 }
-                key_union.extend(live.keys.keys());
+                key_union.extend(epoch_ref.keys.keys());
+                epoch_ref = Eager::new(cfg);
                 live.encode_sweep(1, epoch, &mut buf);
                 let rep = ReportView::parse(&buf).expect("a sweep parses");
                 assert!(view.absorb(&rep, &mut scratch), "{cfg:?}");
@@ -355,6 +453,55 @@ mod tests {
                 (whole.frames, whole.bytes, epochs)
             );
         }
+    }
+
+    /// Differential for the render: on random shapes and random
+    /// multi-epoch streams, every `encode_sweep` is byte for byte the
+    /// report of the eager reference fed the same frames. Epoch sizes
+    /// straddle the log capacity (none, one and two folds), and a switch
+    /// kill (`reset`) lands mid-epoch, before or after a fold.
+    #[test]
+    fn sweep_renders_the_eager_sketch_on_random_shapes() {
+        let mut rng = Rng(0x5EED);
+        let mut buf = Vec::new();
+        let sizes = |rng: &mut Rng| match rng.below(6) {
+            0 => 0,
+            1 => LOG_CAP as u64,
+            2 => LOG_CAP as u64 + 1,
+            3 => 2 * LOG_CAP as u64 + 1 + rng.below(64),
+            _ => rng.below(LOG_CAP as u64),
+        };
+        let (mut folds, mut kills) = (0, 0);
+        for _ in 0..24 {
+            let cfg = random_shape(&mut rng);
+            let mut live = SwitchSketch::new(cfg);
+            let mut eager = Eager::new(cfg);
+            let space = 1 + rng.below(4 * cfg.key_slots as u64 + 16);
+            for epoch in 0..1 + rng.below(4) as u32 {
+                let n = sizes(&mut rng);
+                let kill_at = (rng.below(4) == 0).then(|| rng.below(n + 1));
+                for i in 0..n {
+                    if kill_at == Some(i) {
+                        live.reset();
+                        eager = Eager::new(cfg);
+                        kills += 1;
+                    }
+                    let (key, len) = (1 + rng.below(space), 1 + rng.below(1500));
+                    live.update(key, len);
+                    eager.update(key, len);
+                }
+                folds += usize::from(live.folded);
+                live.encode_sweep(2, epoch, &mut buf);
+                assert!(
+                    buf == eager.encode(2, epoch),
+                    "{cfg:?} epoch {epoch}: {n} frames"
+                );
+            }
+        }
+        assert!(
+            folds > 0 && kills > 0,
+            "{folds} folded epochs, {kills} kills"
+        );
     }
 
     #[test]

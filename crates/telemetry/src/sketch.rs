@@ -78,13 +78,34 @@ impl Default for SketchCfg {
     }
 }
 
+/// Count-min's row-index rule: row `r` takes cell
+/// `r * width + (key * ROW_ODD[r] >> shift)`, row-major. The one
+/// definition the dense update, the point query and a sweep's replay
+/// into report bytes share.
+#[derive(Clone, Copy)]
+pub(crate) struct CmIndex {
+    depth: usize,
+    width: usize,
+    shift: u32,
+}
+
+impl CmIndex {
+    #[inline]
+    pub(crate) fn cells(self, key: u64) -> impl Iterator<Item = usize> {
+        ROW_ODD[..self.depth]
+            .iter()
+            .enumerate()
+            .map(move |(row, &odd)| {
+                row * self.width + (key.wrapping_mul(odd) >> self.shift) as usize
+            })
+    }
+}
+
 /// Count-min sketch. Each row indexes the raw key through a private odd
 /// multiplier and a shift (multiply-shift hashing): one multiply per
 /// row, no rehash of key material.
 pub struct CountMin {
-    depth: usize,
-    width: usize,
-    shift: u32,
+    pub(crate) index: CmIndex,
     cells: Vec<u64>,
     total: u64,
 }
@@ -93,9 +114,11 @@ impl CountMin {
     pub fn new(cfg: &SketchCfg) -> CountMin {
         cfg.validate();
         CountMin {
-            depth: cfg.depth,
-            width: cfg.width,
-            shift: 64 - cfg.width.trailing_zeros(),
+            index: CmIndex {
+                depth: cfg.depth,
+                width: cfg.width,
+                shift: 64 - cfg.width.trailing_zeros(),
+            },
             cells: vec![0; cfg.depth * cfg.width],
             total: 0,
         }
@@ -103,25 +126,18 @@ impl CountMin {
 
     #[inline]
     pub fn update(&mut self, key: u64, v: u64) {
-        let mut base = 0usize;
-        for &odd in ROW_ODD.iter().take(self.depth) {
-            let idx = (key.wrapping_mul(odd) >> self.shift) as usize;
-            self.cells[base + idx] += v;
-            base += self.width;
+        for i in self.index.cells(key) {
+            self.cells[i] += v;
         }
         self.total += v;
     }
 
     /// Point query: min over rows. Never under-estimates the true count.
     pub fn estimate(&self, key: u64) -> u64 {
-        let mut est = u64::MAX;
-        let mut base = 0usize;
-        for &odd in ROW_ODD.iter().take(self.depth) {
-            let idx = (key.wrapping_mul(odd) >> self.shift) as usize;
-            est = est.min(self.cells[base + idx]);
-            base += self.width;
-        }
-        est
+        self.index
+            .cells(key)
+            .map(|i| self.cells[i])
+            .fold(u64::MAX, u64::min)
     }
 
     /// Cell-wise merge; `merge(A, B)` is exactly `sketch(stream A ++ stream B)`.
@@ -152,10 +168,33 @@ impl CountMin {
         self.total
     }
     pub fn depth(&self) -> usize {
-        self.depth
+        self.index.depth
     }
     pub fn width(&self) -> usize {
-        self.width
+        self.index.width
+    }
+}
+
+/// The LSB sketch's row-index rule: row `r` reads the bit window
+/// `h >> (r * share_shift)` masked to the width, row-major — one
+/// definition for the dense update, the point query and the replay.
+#[derive(Clone, Copy)]
+pub(crate) struct LsbIndex {
+    depth: usize,
+    width: usize,
+    mask: u64,
+    /// Bits each successive row shifts the shared hash by.
+    share_shift: u32,
+}
+
+impl LsbIndex {
+    /// Cells of the already-mixed hash `h`.
+    #[inline]
+    pub(crate) fn cells(self, h: u64) -> impl Iterator<Item = usize> {
+        // (depth - 1) * share_shift < 64 (checked at construction)
+        (0..self.depth).map(move |row| {
+            row * self.width + ((h >> (row as u32 * self.share_shift)) & self.mask) as usize
+        })
     }
 }
 
@@ -166,11 +205,7 @@ impl CountMin {
 /// cost is one mix regardless of depth; rows are correlated, which is
 /// the resilience/accuracy trade the papers study.
 pub struct LsbSketch {
-    depth: usize,
-    width: usize,
-    mask: u64,
-    /// Bits each successive row shifts the shared hash by.
-    share_shift: u32,
+    pub(crate) index: LsbIndex,
     cells: Vec<u64>,
     total: u64,
 }
@@ -187,10 +222,12 @@ impl LsbSketch {
             cfg.width
         );
         LsbSketch {
-            depth: cfg.depth,
-            width: cfg.width,
-            mask: (cfg.width - 1) as u64,
-            share_shift,
+            index: LsbIndex {
+                depth: cfg.depth,
+                width: cfg.width,
+                mask: (cfg.width - 1) as u64,
+                share_shift,
+            },
             cells: vec![0; cfg.depth * cfg.width],
             total: 0,
         }
@@ -200,12 +237,8 @@ impl LsbSketch {
     /// `mix64(basis)` once and shares it with the key table).
     #[inline]
     pub fn update_hashed(&mut self, h: u64, v: u64) {
-        let mut base = 0usize;
-        let mut w = h;
-        for _ in 0..self.depth {
-            self.cells[base + (w & self.mask) as usize] += v;
-            base += self.width;
-            w >>= self.share_shift;
+        for i in self.index.cells(h) {
+            self.cells[i] += v;
         }
         self.total += v;
     }
@@ -215,15 +248,10 @@ impl LsbSketch {
     }
 
     pub fn estimate(&self, key: u64) -> u64 {
-        let mut est = u64::MAX;
-        let mut base = 0usize;
-        let mut w = mix64(key);
-        for _ in 0..self.depth {
-            est = est.min(self.cells[base + (w & self.mask) as usize]);
-            base += self.width;
-            w >>= self.share_shift;
-        }
-        est
+        self.index
+            .cells(mix64(key))
+            .map(|i| self.cells[i])
+            .fold(u64::MAX, u64::min)
     }
 
     pub fn merge_cells(&mut self, cells: impl ExactSizeIterator<Item = u64>, total: u64) {
@@ -252,7 +280,7 @@ impl LsbSketch {
         self.total
     }
     pub fn share_shift(&self) -> u32 {
-        self.share_shift
+        self.index.share_shift
     }
 }
 
@@ -308,13 +336,30 @@ impl KeyTable {
     }
 }
 
+/// Updates an epoch may log before [`SwitchSketch::update`] folds them
+/// into the dense sketches. At 16 B an entry a full log is 128 KiB,
+/// under half the 288 KiB of cells and key slots it stands in for at
+/// the default 4x4096 shape.
+pub(crate) const LOG_CAP: usize = 8_192;
+
 /// Everything one switch carries for telemetry: both sketches, the
 /// candidate table, and exact frame/byte totals for the epoch.
+///
+/// The forwarding path only logs `(basis, len)`; the sweep renders the
+/// epoch's cells straight into the report (see `encode_sweep`). Both
+/// sketches are linear and the key table is last-writer-wins, so a
+/// replay in arrival order gives exactly the cells per-frame updates
+/// would have. An epoch that fills the log folds it into the dense
+/// sketches, which the sweep then copies out before replaying the rest.
 pub struct SwitchSketch {
     pub cfg: SketchCfg,
-    pub cm: CountMin,
-    pub lsb: LsbSketch,
-    pub keys: KeyTable,
+    pub(crate) cm: CountMin,
+    pub(crate) lsb: LsbSketch,
+    pub(crate) keys: KeyTable,
+    /// This epoch's updates not yet in the dense state, arrival order.
+    pub(crate) log: Vec<(u64, u64)>,
+    /// The dense sketches hold folded updates of this epoch.
+    pub(crate) folded: bool,
     pub frames: u64,
     pub bytes: u64,
 }
@@ -326,28 +371,45 @@ impl SwitchSketch {
             cm: CountMin::new(&cfg),
             lsb: LsbSketch::new(&cfg),
             keys: KeyTable::new(&cfg),
+            log: Vec::with_capacity(LOG_CAP),
+            folded: false,
             frames: 0,
             bytes: 0,
         }
     }
 
     /// THE fast-path hook. `basis` is the frame's
-    /// `FrameMeta::flow_basis`; `len` the wire length. One `mix64`, a
-    /// handful of multiply-shift adds — no parse, no alloc, no rehash.
+    /// `FrameMeta::flow_basis`; `len` the wire length. One append to the
+    /// epoch's log — no cell, no hash, no alloc (the log is sized once).
     #[inline]
     pub fn update(&mut self, basis: u64, len: u64) {
-        let h = mix64(basis);
-        self.cm.update(basis, len);
-        self.lsb.update_hashed(h, len);
-        self.keys.insert_hashed(basis, h);
+        if self.log.len() == LOG_CAP {
+            self.fold();
+        }
+        self.log.push((basis, len));
         self.frames += 1;
         self.bytes += len;
+    }
+
+    /// Apply the log to the dense sketches and empty it.
+    #[cold]
+    fn fold(&mut self) {
+        for &(basis, len) in &self.log {
+            let h = mix64(basis);
+            self.cm.update(basis, len);
+            self.lsb.update_hashed(h, len);
+            self.keys.insert_hashed(basis, h);
+        }
+        self.log.clear();
+        self.folded = true;
     }
 
     pub fn reset(&mut self) {
         self.cm.reset();
         self.lsb.reset();
         self.keys.reset();
+        self.log.clear();
+        self.folded = false;
         self.frames = 0;
         self.bytes = 0;
     }
@@ -356,6 +418,8 @@ impl SwitchSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::Eager;
+    use crate::{MergedView, ReportView};
 
     pub(crate) struct Lcg(pub u64);
     impl Lcg {
@@ -474,17 +538,35 @@ mod tests {
         assert_eq!(kt.keys().count(), 0);
     }
 
+    /// The live sketch is read the way the collector reads it, through
+    /// its sweep; the eager reference stands in for its mid-epoch cells.
     #[test]
     fn switch_sketch_update_and_reset() {
         let mut s = SwitchSketch::new(tiny());
-        s.update(0xdead_beef, 100);
-        s.update(0xdead_beef, 50);
+        let mut eager = Eager::new(tiny());
+        for len in [100, 50] {
+            s.update(0xdead_beef, len);
+            eager.update(0xdead_beef, len);
+        }
         assert_eq!(s.frames, 2);
         assert_eq!(s.bytes, 150);
-        assert!(s.cm.estimate(0xdead_beef) >= 150);
-        assert!(s.lsb.estimate(0xdead_beef) >= 150);
+        assert!(eager.cm.estimate(0xdead_beef) >= 150);
+        assert!(eager.lsb.estimate(0xdead_beef) >= 150);
+        let mut buf = Vec::new();
+        s.encode_sweep(0, 0, &mut buf);
+        assert_eq!(
+            buf,
+            eager.encode(0, 0),
+            "the sweep renders the eager sketch"
+        );
+
+        s.update(0xdead_beef, 100);
         s.reset();
         assert_eq!(s.frames, 0);
-        assert_eq!(s.cm.estimate(0xdead_beef), 0);
+        s.encode_sweep(0, 1, &mut buf);
+        assert_eq!(buf, Eager::new(tiny()).encode(0, 1));
+        let mut view = MergedView::new(&tiny());
+        assert!(view.absorb(&ReportView::parse(&buf).unwrap(), &mut Vec::new()));
+        assert_eq!(view.cm.estimate(0xdead_beef), 0);
     }
 }

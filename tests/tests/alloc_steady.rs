@@ -17,10 +17,11 @@ use std::cell::Cell;
 
 use flextoe_apps::{ClientConfig, LoadMode, RpcClientApp, RpcServerApp, ServerConfig, StackApi};
 use flextoe_control::CcAlgo;
-use flextoe_netsim::Faults;
-use flextoe_sim::{Duration, NodeId, SchedCtl, Sim, Tick, Time};
+use flextoe_netsim::{Faults, PortConfig, SetPortUp, Switch};
+use flextoe_sim::{Ctx, Duration, Msg, Node, NodeId, SchedCtl, Sim, Tick, Time};
 use flextoe_telemetry::{mix64, MergedView, ReportView, SketchCfg, SwitchSketch};
 use flextoe_topo::{build_pair, Endpoint, PairOpts, Stack};
+use flextoe_wire::{Frame, Ip4, MacAddr, SegmentSpec};
 
 type Client = RpcClientApp<Box<dyn StackApi>>;
 type Server = RpcServerApp<Box<dyn StackApi>>;
@@ -309,17 +310,116 @@ fn telemetry_sweep_allocates_nothing_once_warm() {
     let mut view = MergedView::new(&cfg);
     let mut scratch = Vec::new();
     let mut report = Vec::new();
-    let mut sweep = |epoch: u32| {
-        for f in 1..=3_000u64 {
-            sketch.update(mix64(f), 64 + f % 1_400);
+    let mut sweep = |epoch: u32, rounds: u64| {
+        for _ in 0..rounds {
+            for f in 1..=3_000u64 {
+                sketch.update(mix64(f), 64 + f % 1_400);
+            }
         }
         sketch.encode_sweep(0, epoch, &mut report);
         let rep = ReportView::parse(&report).expect("a sweep parses");
         assert!(view.absorb(&rep, &mut scratch));
     };
-    sweep(0);
+    sweep(0, 1);
     let a0 = allocs();
-    sweep(1);
+    sweep(1, 1);
     assert_eq!(allocs() - a0, 0, "a warm sweep allocated");
+    // 12,000 updates overflow the epoch's log: the fold into the dense
+    // sketches and their copy-out at the sweep allocate nothing either
+    sweep(2, 4);
+    assert_eq!(allocs() - a0, 0, "a warm sweep past the log allocated");
     assert!(view.keys.len() > 2_000, "the key union saw the flows");
+}
+
+/// Sends one pooled copy of each flow's frame in turn, one every `gap`.
+struct FramePump {
+    to: NodeId,
+    flows: Vec<Vec<u8>>,
+    sent: usize,
+    gap: Duration,
+}
+
+impl Node for FramePump {
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, _: Msg) {
+        let mut buf = ctx.pool.take();
+        buf.extend_from_slice(&self.flows[self.sent % self.flows.len()]);
+        self.sent += 1;
+        ctx.send(self.to, Duration::ZERO, Frame::raw(buf));
+        ctx.wake(self.gap, Tick);
+    }
+}
+
+/// Returns every frame's buffer to the pool.
+struct FrameSink;
+
+impl Node for FrameSink {
+    fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        match msg {
+            Msg::Frame(frame) => ctx.pool.put(frame.into_bytes()),
+            m => flextoe_sim::mismatch("Frame", &m),
+        }
+    }
+}
+
+/// A leaf with uplinks to two spines, the first uplink down: every flow
+/// the hash puts on it is re-finalized onto the survivor. Once warm, the
+/// pair forwards those frames without allocating.
+#[test]
+fn rerouting_leaf_allocates_nothing_once_warm() {
+    let mut sim = Sim::new(5);
+    let host = Ip4::host(2);
+    let sink = sim.add_node(FrameSink);
+    let spines = [(); 2].map(|()| {
+        let mut spine = Switch::new();
+        let port = spine.add_port(sink, PortConfig::default());
+        spine.learn(MacAddr::local(2), port);
+        sim.add_node(spine)
+    });
+    let mut leaf = Switch::new();
+    let uplinks = spines.map(|s| leaf.add_port(s, PortConfig::default()));
+    leaf.route(host, uplinks.to_vec());
+    leaf.set_ecmp_salt(sim.rng.next_u64());
+    let leaf = sim.add_node(leaf);
+    sim.schedule(
+        Time::ZERO,
+        leaf,
+        SetPortUp {
+            port: uplinks[0],
+            up: false,
+        },
+    );
+    let flows = (0..64)
+        .map(|i| {
+            SegmentSpec {
+                src_mac: MacAddr::local(1),
+                // not in the leaf's MAC table: the L3 route
+                dst_mac: MacAddr::local(2),
+                src_ip: Ip4::host(1),
+                dst_ip: host,
+                src_port: 10_000 + i,
+                dst_port: 7777,
+                payload_len: 64,
+                ..Default::default()
+            }
+            .emit_zeroed()
+        })
+        .collect();
+    let gap = Duration::from_ns(100);
+    let pump = sim.add_node(FramePump {
+        to: leaf,
+        flows,
+        sent: 0,
+        gap,
+    });
+    sim.schedule(Time::from_ns(1), pump, Tick);
+    sim.run_until(Time::from_us(100));
+    let rerouted = |sim: &Sim| sim.node_ref::<Switch>(leaf).rerouted;
+    let (a0, r0) = (allocs(), rerouted(&sim));
+    sim.run_until(Time::from_us(300));
+    let moved = rerouted(&sim) - r0;
+    assert!(
+        moved > 500,
+        "too few rerouted frames to mean anything: {moved}"
+    );
+    assert_eq!(allocs() - a0, 0, "{moved} rerouted frames allocated");
 }
