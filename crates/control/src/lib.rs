@@ -17,13 +17,12 @@
 //!   (DCTCP, TIMELY, CUBIC, Reno — selected by name from [`CtrlConfig`])
 //!   consume them and program pacing intervals into the NIC flow
 //!   scheduler via MMIO (§3.4).
-//! * **Retransmission timeouts**: stall detection injecting HC retransmit
-//!   descriptors (§3.1.1).
+//! * **Retransmission timeouts**: the shared
+//!   [`flextoe_core::transport::RtoTracker`], driven from the control
+//!   iteration, injecting HC retransmit descriptors (§3.1.1).
 //!
 //! ARP is statically configured (`add_peer`) — the testbed's address
 //! resolution, not an experiment subject.
-
-pub mod rto;
 
 use flextoe_ccp::{
     rate_to_interval, Algorithm, FlowReport, FlowStats, FoldSpec, Insn, Registry, Urgent,
@@ -32,6 +31,7 @@ use flextoe_core::handshake::{Handshake, Refusal, SynTimeout, Verdict};
 use flextoe_core::hostmem::{shared_buf, AppToNic, SharedBuf, SharedCtxQueue};
 use flextoe_core::segment::ConnEntry;
 use flextoe_core::stages::{Doorbell, NotifyJob, Redirect, RegisterCtx, SchedCtl};
+use flextoe_core::transport::{RtoTracker, RtoVerdict};
 use flextoe_core::{NicHandle, PostState, PreState, ProtoState, TransportPolicy};
 use flextoe_nfp::MacTx;
 use flextoe_sim::{
@@ -41,8 +41,6 @@ use flextoe_sim::{
 use flextoe_wire::{
     FourTuple, Frame, Ip4, MacAddr, SegmentSpec, SegmentView, SeqNum, TcpFlags, TcpOptions,
 };
-
-use rto::{RtoTracker, RtoVerdict};
 
 /// The control plane's own context-queue id (for HC injections).
 pub const CTRL_CTX: u16 = u16::MAX;
@@ -638,26 +636,14 @@ impl ControlPlane {
             let Some(entry) = table.get(conn) else {
                 continue;
             };
-            let rtt_est = entry.post.rtt_est;
-            let snd_una = entry.proto.snd_una();
-            let in_flight = entry.proto.tx_sent;
-            let closed = entry.proto.fin_received
-                && entry.proto.fin_sent
-                && !entry.proto.fin_pending
-                && entry.proto.tx_sent == 0;
+            let srtt_us = entry.post.rtt_est.max(20);
+            let verdict = self.rto.observe(conn, &entry.proto, srtt_us, ctx.now());
             drop(table);
 
-            if closed {
-                scan.to_teardown.push(conn);
-                continue;
-            }
-
             // RTO monitoring — the urgent-event path into the algorithm
-            match self
-                .rto
-                .observe(conn, snd_una, in_flight, ctx.now(), rtt_est.max(20))
-            {
+            match verdict {
                 RtoVerdict::Idle => {}
+                RtoVerdict::Reclaim => scan.to_teardown.push(conn),
                 RtoVerdict::Fire => {
                     ctx.stats
                         .inc(self.counters.expect("control plane attached").rto_fired);

@@ -116,6 +116,12 @@ impl ProtoState {
         self.tx_avail.min(self.send_window())
     }
 
+    /// Both FINs exchanged and nothing of ours in flight: the connection
+    /// can be reclaimed.
+    pub fn fully_closed(&self) -> bool {
+        self.fin_received && self.fin_sent && !self.fin_pending && self.tx_sent == 0
+    }
+
     /// Flow-scheduler view of sendable bytes: an unsent FIN counts as one
     /// pseudo-byte so the scheduler still triggers the (possibly empty)
     /// segment that carries it. Every FS feedback path must use this —

@@ -19,12 +19,13 @@
 //!
 //! Connection setup is `flextoe_core::handshake`, the rules the FlexTOE
 //! control plane runs, so both stack families answer, refuse and absorb
-//! handshake segments alike.
+//! handshake segments alike. The retransmission timer is its
+//! `transport::RtoTracker` too, scanned here once per millisecond.
 
 use flextoe_core::handshake::{Handshake, Refusal, SynTimeout, Verdict};
 use flextoe_core::hostmem::{shared_buf, AppToNic, SharedBuf};
 use flextoe_core::proto::{self, Reassembly, RxSummary};
-use flextoe_core::transport::TransportPolicy;
+use flextoe_core::transport::{RtoTracker, RtoVerdict, TransportPolicy};
 use flextoe_core::ProtoState;
 use flextoe_nfp::{Cost, FpcTimer};
 use flextoe_sim::{try_cast, AppNotify, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Tick, Time};
@@ -56,10 +57,6 @@ struct HostConn {
     ssthresh: u32,
     /// The receiver's policy, with a Linux connection's extra intervals.
     reasm: Reassembly,
-    // RTO state
-    last_una: SeqNum,
-    stall_since: Time,
-    backoff: u32,
     srtt_us: u32,
 }
 
@@ -77,13 +74,6 @@ struct Dial {
     opaque: u64,
     /// When the most recent SYN went out (the scan's retry timer).
     sent_at: Time,
-}
-
-/// What one RTO scan does to a connection once the scan is over.
-enum RtoAction {
-    Reclaim,
-    Retx,
-    Abort,
 }
 
 pub struct HostStackNode {
@@ -112,9 +102,12 @@ pub struct HostStackNode {
     arp: FxHashMap<Ip4, MacAddr>,
     next_port: u16,
     rto_armed: bool,
+    /// Each connection's RTO timer: the tracker the FlexTOE control plane
+    /// drives too.
+    rto: RtoTracker,
     /// The RTO and SYN scans' work lists, kept between scans for their
     /// storage.
-    rto_fire: Vec<(u32, RtoAction)>,
+    rto_fire: Vec<(u32, RtoVerdict)>,
     syn_due: Vec<(FourTuple, u32)>,
     /// Lock-contention multiplier (set by multi-core experiments).
     pub n_app_cores: u32,
@@ -180,6 +173,7 @@ impl HostStackNode {
             arp: FxHashMap::default(),
             next_port: 42_000,
             rto_armed: false,
+            rto: RtoTracker::new(transport),
             rto_fire: Vec::new(),
             syn_due: Vec::new(),
             n_app_cores: 1,
@@ -193,6 +187,12 @@ impl HostStackNode {
 
     pub fn add_peer(&mut self, ip: Ip4, mac: MacAddr) {
         self.arp.insert(ip, mac);
+    }
+
+    /// RTOs fired so far. [`HostStackNode::retransmits`] also counts fast
+    /// and app-requested retransmits.
+    pub fn rto_fired(&self) -> u64 {
+        self.rto.fired
     }
 
     /// Each live connection's id, protocol state and application side.
@@ -336,7 +336,6 @@ impl HostStackNode {
                 c.cwnd += (MSS as u64 * out.acked_bytes as u64 / c.cwnd as u64) as u32;
             }
             c.cwnd = c.cwnd.min(BUF_SIZE);
-            c.backoff = 0;
         }
         if let Some(tsecr) = out.rtt_sample_ts {
             let rtt = (now.as_us() as u32).wrapping_sub(tsecr);
@@ -489,9 +488,6 @@ impl HostStackNode {
             cwnd: INIT_CWND,
             ssthresh: BUF_SIZE,
             reasm: self.kind.reassembly(),
-            last_una: SeqNum(iss.wrapping_add(1)),
-            stall_since: Time::ZERO,
-            backoff: 0,
             srtt_us: 0,
         };
         conn.clamp_window();
@@ -504,6 +500,9 @@ impl HostStackNode {
             self.conns.push(None);
         }
         self.conns[id] = Some(conn);
+        // a reused id starts with a fresh timer; the scan only observes
+        // live slots, so teardown leaves the tracker alone
+        self.rto.register(id as u32);
         self.lookup.insert(tuple_rx, id as u32);
         side.borrow_mut().socks.insert(
             id as u32,
@@ -625,46 +624,24 @@ impl HostStackNode {
 
     fn rto_scan(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let transport = self.transport;
         let mut fire = std::mem::take(&mut self.rto_fire);
         for (id, slot) in self.conns.iter_mut().enumerate() {
             let Some(c) = slot else { continue };
-            // fully closed -> reclaim
-            if c.ps.fin_received && c.ps.fin_sent && !c.ps.fin_pending && c.ps.tx_sent == 0 {
-                fire.push((id as u32, RtoAction::Reclaim));
-                continue;
-            }
-            if c.ps.tx_sent == 0 {
-                c.backoff = 0;
-                c.last_una = c.ps.snd_una();
-                c.stall_since = now;
-                continue;
-            }
-            let una = c.ps.snd_una();
-            if una != c.last_una {
-                c.last_una = una;
-                c.stall_since = now;
-                c.backoff = 0;
-                continue;
-            }
-            if now.saturating_since(c.stall_since) >= transport.rto(c.srtt_us, c.backoff) {
-                if transport.gives_up(c.backoff) {
-                    // blackholed: the retry budget is spent
-                    fire.push((id as u32, RtoAction::Abort));
-                    continue;
-                }
-                c.stall_since = now;
-                c.backoff += 1;
+            let verdict = self.rto.observe(id as u32, &c.ps, c.srtt_us, now);
+            if verdict == RtoVerdict::Fire {
                 c.ssthresh = (c.cwnd / 2).max(2 * MSS);
                 c.cwnd = 2 * MSS;
-                fire.push((id as u32, RtoAction::Retx));
+            }
+            if verdict != RtoVerdict::Idle {
+                fire.push((id as u32, verdict));
             }
         }
-        for (id, action) in fire.drain(..) {
-            match action {
-                RtoAction::Reclaim => self.teardown(id),
-                RtoAction::Retx => self.retransmit(ctx, id),
-                RtoAction::Abort => self.abort(ctx, id),
+        for (id, verdict) in fire.drain(..) {
+            match verdict {
+                RtoVerdict::Reclaim => self.teardown(id),
+                RtoVerdict::Fire => self.retransmit(ctx, id),
+                RtoVerdict::GiveUp => self.abort(ctx, id),
+                RtoVerdict::Idle => {}
             }
         }
         self.rto_fire = fire;

@@ -2,13 +2,18 @@
 //! application binaries, interoperate with each other and with FlexTOE on
 //! the wire (§5.1 Fig. 9 runs all server×client combinations).
 
-use flextoe_apps::{ClientConfig, LoadMode, RpcClientApp, RpcServerApp, ServerConfig, StackApi};
+use flextoe_apps::{
+    ClientConfig, FramedServerConfig, LoadMode, OpenLoopConfig, RpcClientApp, RpcServerApp,
+    ServerConfig, SizeDist, StackApi,
+};
 use flextoe_core::hostmem::AppToNic;
 use flextoe_hoststack::engine::BUF_SIZE;
 use flextoe_hoststack::HostStackNode;
 use flextoe_netsim::Faults;
 use flextoe_sim::{Duration, NodeId, Sim, Tick, Time};
-use flextoe_topo::{build_pair, PairOpts, Stack};
+use flextoe_topo::{
+    build_fabric, build_pair, DynOpenLoopClient, Fabric, PairOpts, Role, Scenario, Stack,
+};
 use flextoe_wire::SeqNum;
 
 type Client = RpcClientApp<Box<dyn StackApi>>;
@@ -241,5 +246,64 @@ fn chelsio_conserves_tx_bytes_and_counts_every_rewind() {
     assert!(
         short.is_empty() && uncounted == 0,
         "TX bytes lost (host, conn, bytes): {short:?}; uncounted rewinds: {uncounted}"
+    );
+}
+
+/// A loss-free TAS leaf-spine (the benchmark's `fabric_tas` shape, scaled
+/// down): 256 open-loop connections, each sending a 64 B request about
+/// every 2 ms, so most of them are idle at most 1 ms RTO scans. Nothing
+/// is lost, so no RTO may fire. One did whenever a request went out
+/// shortly before the scan after an idle one, while the host's stall
+/// clock still ran from the idle scan (or from install, for a connection
+/// no scan had seen): the RTO timer must arm at the first scan that sees
+/// data in flight.
+#[test]
+fn loss_free_idle_connections_fire_no_rto() {
+    let fabric = Fabric::LeafSpine {
+        leaves: 4,
+        spines: 2,
+        hosts_per_leaf: 2,
+    };
+    let mut sc = Scenario::idle(17, fabric, Stack::Tas);
+    for (i, host) in sc.hosts.iter_mut().enumerate() {
+        host.role = if i % 2 == 0 {
+            Role::OpenLoop {
+                cfg: OpenLoopConfig {
+                    n_conns: 64,
+                    rate_rps: 32_000.0,
+                    req_size: SizeDist::Fixed(64),
+                    resp_size: SizeDist::Pareto {
+                        alpha: 1.15,
+                        min: 64,
+                        max: 16_384,
+                    },
+                    connect_spacing: Duration::from_ns(400),
+                    ..Default::default()
+                },
+                target: (i / 2 + 1) % 4 * 2 + 1,
+            }
+        } else {
+            Role::FramedServer(FramedServerConfig::default())
+        };
+    }
+    let mut sim = Sim::new(sc.seed);
+    let fab = build_fabric(&mut sim, &sc);
+    sim.run_until(Time::from_ms(12));
+
+    let mut measured = 0;
+    let mut fired = Vec::new();
+    for (i, h) in fab.hosts.iter().enumerate() {
+        if let Some(app) = h.client() {
+            let c = sim.node_ref::<DynOpenLoopClient>(app);
+            assert_eq!(c.connected, 64, "host {i}: every connection up");
+            measured += c.measured;
+        }
+        let host = sim.node_ref::<HostStackNode>(h.ep.baseline.unwrap());
+        fired.push(host.rto_fired());
+    }
+    assert!(measured > 1_000, "{measured} responses");
+    assert!(
+        fired.iter().all(|&n| n == 0),
+        "RTOs fired per host on a loss-free fabric: {fired:?}"
     );
 }
