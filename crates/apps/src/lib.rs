@@ -18,4 +18,4 @@ pub use openloop::{
 };
 pub use rpc::{ClientConfig, LoadMode, RpcClientApp, RpcServerApp, ServerConfig, StackInit};
 pub use session::{SessionClientApp, SessionConfig};
-pub use stack::{FlexToeStack, SockEvent, StackApi, StackOp};
+pub use stack::{LibToe, SockCall, SockEvent, Sockets, StackApi, StackOp};

@@ -122,6 +122,17 @@ pub enum AppToNic {
     Retransmit { conn: u32 },
 }
 
+impl AppToNic {
+    /// Bytes the descriptor moves through a socket buffer (0 for the
+    /// others).
+    pub fn bytes(&self) -> u32 {
+        match *self {
+            AppToNic::TxAppend { len, .. } | AppToNic::RxConsumed { len, .. } => len,
+            AppToNic::Close { .. } | AppToNic::Retransmit { .. } => 0,
+        }
+    }
+}
+
 // Defined beside `Msg::Notify`, which carries one inline.
 pub use flextoe_sim::NicToApp;
 

@@ -35,7 +35,7 @@ use flextoe_wire::{
 };
 
 use crate::costs::{StackCosts, StackKind};
-use crate::shared::{AppSock, HostConnect, HostListen, SharedAppSide};
+use crate::shared::{HostConnect, HostListen, SharedAppSide, SocketBufs};
 use flextoe_apps::SockEvent;
 
 const MSS: u32 = MSS_WITH_TS as u32;
@@ -352,37 +352,25 @@ impl HostStackNode {
             c.cwnd = c.ssthresh;
         }
 
-        // application notifications
-        if out.delivered > 0 || out.fin_delivered || out.acked_bytes > 0 {
-            if let Some(s) = c.side.borrow_mut().socks.get_mut(&id) {
-                s.rx_ready += out.delivered;
-                s.tx_free += out.acked_bytes;
-            }
-            if out.delivered > 0 {
-                wake_app(
-                    ctx,
-                    c,
-                    d,
-                    SockEvent::Readable {
-                        conn: id,
-                        available: out.delivered,
-                    },
-                );
-            }
-            if out.acked_bytes > 0 {
-                wake_app(
-                    ctx,
-                    c,
-                    d,
-                    SockEvent::Writable {
-                        conn: id,
-                        free: out.acked_bytes,
-                    },
-                );
-            }
-            if out.fin_delivered {
-                wake_app(ctx, c, d, SockEvent::Eof { conn: id });
-            }
+        // application notifications: the app's socket takes them
+        if out.delivered > 0 {
+            let available = out.delivered;
+            wake_app(
+                ctx,
+                c,
+                d,
+                SockEvent::Readable {
+                    conn: id,
+                    available,
+                },
+            );
+        }
+        if out.acked_bytes > 0 {
+            let free = out.acked_bytes;
+            wake_app(ctx, c, d, SockEvent::Writable { conn: id, free });
+        }
+        if out.fin_delivered {
+            wake_app(ctx, c, d, SockEvent::Eof { conn: id });
         }
 
         self.put(id, conn);
@@ -467,8 +455,6 @@ impl HostStackNode {
     ) -> u32 {
         let peer_mac = *self.arp.get(&rx.src_ip).expect("arp");
         let tuple_rx = FourTuple::new(rx.src_ip, rx.src_port, self.ip, rx.dst_port);
-        let rx_buf = shared_buf(BUF_SIZE);
-        let tx_buf = shared_buf(BUF_SIZE);
         let mut conn = HostConn {
             ps: ProtoState {
                 seq: SeqNum(iss.wrapping_add(1)),
@@ -480,9 +466,9 @@ impl HostStackNode {
             },
             tuple_rx,
             peer_mac,
-            rx_buf: rx_buf.clone(),
-            tx_buf: tx_buf.clone(),
-            side: side.clone(),
+            rx_buf: shared_buf(BUF_SIZE),
+            tx_buf: shared_buf(BUF_SIZE),
+            side,
             app,
             peer_win,
             cwnd: INIT_CWND,
@@ -504,19 +490,15 @@ impl HostStackNode {
         // live slots, so teardown leaves the tracker alone
         self.rto.register(id as u32);
         self.lookup.insert(tuple_rx, id as u32);
-        side.borrow_mut().socks.insert(
-            id as u32,
-            AppSock {
-                rx_buf,
-                tx_buf,
-                rx_pos: 0,
-                rx_ready: 0,
-                tx_pos: 0,
-                tx_free: BUF_SIZE,
-                closed: false,
-            },
-        );
         id as u32
+    }
+
+    /// Hand installed connection `id` to its application: queue `ev`
+    /// (`Accepted` or `Connected`) with the buffers its socket opens with.
+    fn open_socket(&self, ctx: &mut Ctx<'_>, id: u32, ev: SockEvent) {
+        let c = self.conns[id as usize].as_ref().expect("installed");
+        let bufs = (c.rx_buf.clone(), c.tx_buf.clone());
+        notify(ctx, &c.side, c.app, Duration::ZERO, ev, Some(bufs));
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
@@ -559,7 +541,7 @@ impl HostStackNode {
                 }
                 if let Some(d) = failed {
                     let ev = SockEvent::ConnectFailed { opaque: d.opaque };
-                    notify(ctx, &d.side, d.app, Duration::ZERO, ev);
+                    notify(ctx, &d.side, d.app, Duration::ZERO, ev, None);
                 }
             }
             Verdict::Refuse(why) => {
@@ -577,19 +559,12 @@ impl HostStackNode {
             Verdict::Connected { iss, open } => {
                 let seq = SeqNum(iss.wrapping_add(1));
                 self.emit_handshake(ctx, view.src_mac, tuple, seq, view.seq + 1, TcpFlags::ACK);
-                let id = self.install(
-                    tuple,
-                    iss,
-                    view.seq.0,
-                    view.window,
-                    open.side.clone(),
-                    open.app,
-                );
+                let id = self.install(tuple, iss, view.seq.0, view.window, open.side, open.app);
                 let ev = SockEvent::Connected {
                     conn: id,
                     opaque: open.opaque,
                 };
-                notify(ctx, &open.side, open.app, Duration::ZERO, ev);
+                self.open_socket(ctx, id, ev);
             }
             Verdict::Accepted {
                 iss,
@@ -597,13 +572,13 @@ impl HostStackNode {
                 replay,
             } => {
                 let peer_iss = view.seq.0.wrapping_sub(1);
-                let id = self.install(tuple, iss, peer_iss, view.window, side.clone(), app);
+                let id = self.install(tuple, iss, peer_iss, view.window, side, app);
                 let ev = SockEvent::Accepted {
                     conn: id,
                     port: view.dst_port,
                     peer: (view.src_ip, view.src_port),
                 };
-                notify(ctx, &side, app, Duration::ZERO, ev);
+                self.open_socket(ctx, id, ev);
                 if replay {
                     self.on_data_segment(ctx, id, view, frame);
                 }
@@ -663,9 +638,6 @@ impl HostStackNode {
         spec.ack = c.ps.ack;
         spec.flags = TcpFlags::RST | TcpFlags::ACK;
         let frame = spec.emit_frame_into(ctx.pool.take(), |_| {});
-        if let Some(s) = c.side.borrow_mut().socks.get_mut(&id) {
-            s.closed = true; // further send/recv are no-ops
-        }
         wake_app(ctx, &c, Duration::ZERO, SockEvent::Aborted { conn: id });
         self.emit(ctx, Duration::ZERO, frame);
         // the slot is already vacated by `take`; drop the demux entry too
@@ -695,7 +667,7 @@ impl HostStackNode {
             Some(SynTimeout::GiveUp(d)) => {
                 self.connect_give_ups += 1;
                 let ev = SockEvent::ConnectFailed { opaque: d.opaque };
-                notify(ctx, &d.side, d.app, Duration::ZERO, ev);
+                notify(ctx, &d.side, d.app, Duration::ZERO, ev, None);
                 false
             }
             None => false,
@@ -717,7 +689,7 @@ impl HostStackNode {
         let iss = ctx.rng.next_u32();
         let Some(&dst_mac) = self.arp.get(&c.ip) else {
             let ev = SockEvent::ConnectFailed { opaque: c.opaque };
-            notify(ctx, &c.side, c.app, Duration::ZERO, ev);
+            notify(ctx, &c.side, c.app, Duration::ZERO, ev, None);
             return;
         };
         let key = FourTuple::new(c.ip, c.port, self.ip, local_port);
@@ -837,14 +809,21 @@ fn spec_for(mac: MacAddr, ip: Ip4, conn: &HostConn) -> SegmentSpec {
 }
 
 fn wake_app(ctx: &mut Ctx<'_>, conn: &HostConn, after: Duration, ev: SockEvent) {
-    notify(ctx, &conn.side, conn.app, after, ev);
+    notify(ctx, &conn.side, conn.app, after, ev, None);
 }
 
-/// Queue `ev` on an application side and wake its node 1 µs after
-/// `after`.
-fn notify(ctx: &mut Ctx<'_>, side: &SharedAppSide, app: NodeId, after: Duration, ev: SockEvent) {
+/// Queue `ev` (with the buffers of the socket it opens, if any) on an
+/// application side and wake its node 1 µs after `after`.
+fn notify(
+    ctx: &mut Ctx<'_>,
+    side: &SharedAppSide,
+    app: NodeId,
+    after: Duration,
+    ev: SockEvent,
+    open: Option<SocketBufs>,
+) {
     let mut side = side.borrow_mut();
-    side.events.push_back(ev);
+    side.events.push_back((ev, open));
     let wake = AppNotify { ctx: side.ctx };
     ctx.send(app, after + Duration::from_us(1), wake);
 }

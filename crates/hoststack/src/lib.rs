@@ -8,22 +8,30 @@
 //! measures — host cycle costs (Table 1), recovery policy (Fig. 15), NIC
 //! capability (Chelsio's 100 Gbps streaming), and interface overheads
 //! (Chelsio's epoll wall, Fig. 13).
+//!
+//! Applications reach a host through the socket library FlexTOE uses too:
+//! [`HostSocketApi`] is this family's [`flextoe_apps::StackApi`] over the
+//! one socket table (`flextoe_libtoe::Sockets`, kept in the shared
+//! [`AppSide`]). It supplies a `to_stack` queue plus a syscall, the
+//! stack's event queue, listen/connect and the per-kind host costs; the
+//! stack node only queues events, and the table applies them when the
+//! application takes them.
 
 pub mod costs;
 pub mod engine;
 pub mod shared;
 
 use flextoe_core::TransportPolicy;
-use flextoe_sim::{Duration, NodeId, Sim};
+use flextoe_sim::{NodeId, Sim};
 use flextoe_wire::{Ip4, MacAddr};
 
 pub use costs::{StackCosts, StackKind};
 pub use engine::HostStackNode;
-pub use shared::{shared_app_side, AppSide, HostSocketApi, SharedAppSide};
+pub use shared::{AppSide, HostSocketApi, SharedAppSide};
 
 /// Build a baseline host (stack node) running `transport`, the RTO, SYN
 /// retry and admission policy FlexTOE's control plane runs too, and
-/// return its node id. Apps attach via [`host_socket_api`].
+/// return its node id. Apps attach via [`HostSocketApi::new`].
 pub fn build_host(
     sim: &mut Sim,
     kind: StackKind,
@@ -33,22 +41,4 @@ pub fn build_host(
     transport: TransportPolicy,
 ) -> NodeId {
     sim.add_node(HostStackNode::new(kind, mac, ip, link_out, transport))
-}
-
-/// Create the [`flextoe_apps::StackApi`] endpoint for an application node
-/// attached to a baseline stack.
-pub fn host_socket_api(kind: StackKind, stack_node: NodeId, app: NodeId) -> HostSocketApi {
-    let syscall_latency = match kind {
-        // in-kernel stacks pay a mode switch; user-level stacks poll shm
-        StackKind::Linux | StackKind::Chelsio => Duration::from_ns(600),
-        _ => Duration::from_ns(80),
-    };
-    HostSocketApi::new(
-        shared_app_side(),
-        stack_node,
-        app,
-        kind.costs(),
-        kind.name(),
-        syscall_latency,
-    )
 }

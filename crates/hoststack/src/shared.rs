@@ -2,49 +2,43 @@
 //! state between the application node and the stack node, plus the
 //! [`StackApi`] implementation so the same application binaries run
 //! unmodified (§5 "We use identical application binaries across all
-//! baselines").
+//! baselines"). The sockets are the one table every stack family uses
+//! ([`Sockets`]); this family supplies its descriptor queue and syscall,
+//! its event queue, listen/connect and its host costs.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use flextoe_apps::{SockEvent, StackApi, StackOp};
+use flextoe_apps::{SockCall, SockEvent, Sockets, StackApi, StackOp};
 use flextoe_core::hostmem::{AppToNic, SharedBuf};
-use flextoe_sim::{Ctx, Doorbell, Duration, FxHashMap, Msg, NodeId};
+use flextoe_sim::{Ctx, Doorbell, Duration, Msg, NodeId};
 use flextoe_wire::Ip4;
 
-use crate::costs::StackCosts;
+use crate::costs::{StackCosts, StackKind};
 
-/// Application-side view of one socket.
-pub struct AppSock {
-    pub rx_buf: SharedBuf,
-    pub tx_buf: SharedBuf,
-    pub rx_pos: u32,
-    pub rx_ready: u32,
-    pub tx_pos: u32,
-    pub tx_free: u32,
-    pub closed: bool,
-}
+/// The payload buffers (RX, TX) a socket opens with.
+pub type SocketBufs = (SharedBuf, SharedBuf);
 
 /// Shared between `HostSocketApi` (application node) and `HostStackNode`:
 /// the baseline's context-queue pair (`to_stack` / `events`) plus the
-/// per-socket state.
+/// application's socket table.
 #[derive(Default)]
 pub struct AppSide {
     /// Context id the stack node assigned when it first saw this side
     /// (listen/connect); the "syscall" [`Doorbell`] and the wake-up
     /// [`flextoe_sim::AppNotify`] carry it instead of the `Rc`.
     pub ctx: u16,
-    pub events: VecDeque<SockEvent>,
-    pub socks: FxHashMap<u32, AppSock>,
+    /// Events the stack queued and the application has not taken yet;
+    /// an `Accepted` or `Connected` one carries its socket's buffers.
+    pub events: VecDeque<(SockEvent, Option<SocketBufs>)>,
+    /// Written by the application only: the stack's events apply when
+    /// the application takes them.
+    pub socks: Sockets,
     pub to_stack: VecDeque<AppToNic>,
 }
 
 pub type SharedAppSide = Rc<RefCell<AppSide>>;
-
-pub fn shared_app_side() -> SharedAppSide {
-    Rc::new(RefCell::new(AppSide::default()))
-}
 
 // ---- messages app -> stack node ------------------------------------------
 
@@ -71,41 +65,32 @@ flextoe_sim::custom_msg!(HostConnect);
 
 /// The [`StackApi`] implementation for the baseline stacks.
 pub struct HostSocketApi {
-    pub side: SharedAppSide,
+    side: SharedAppSide,
     stack_node: NodeId,
     app: NodeId,
+    kind: StackKind,
     costs: StackCosts,
-    name: &'static str,
-    /// Syscall latency (mode switch) for in-kernel stacks.
+    /// Syscall latency: a mode switch for in-kernel stacks, a
+    /// shared-memory poll for user-level ones.
     syscall_latency: Duration,
 }
 
 impl HostSocketApi {
-    pub fn new(
-        side: SharedAppSide,
-        stack_node: NodeId,
-        app: NodeId,
-        costs: StackCosts,
-        name: &'static str,
-        syscall_latency: Duration,
-    ) -> Self {
+    /// The endpoint of application node `app` on the `kind` stack node
+    /// `stack_node`, with a fresh [`AppSide`].
+    pub fn new(kind: StackKind, stack_node: NodeId, app: NodeId) -> Self {
+        let syscall_latency = match kind {
+            StackKind::Linux | StackKind::Chelsio => Duration::from_ns(600),
+            _ => Duration::from_ns(80),
+        };
         HostSocketApi {
-            side,
+            side: SharedAppSide::default(),
             stack_node,
             app,
-            costs,
-            name,
+            kind,
+            costs: kind.costs(),
             syscall_latency,
         }
-    }
-
-    fn syscall(&self, ctx: &mut Ctx<'_>) {
-        // only reachable with a socket, i.e. after the stack node handled
-        // this side's listen/connect and assigned its context id
-        let db = Doorbell {
-            ctx: self.side.borrow().ctx,
-        };
-        ctx.send(self.stack_node, self.syscall_latency, db);
     }
 }
 
@@ -142,120 +127,43 @@ impl StackApi for HostSocketApi {
         msg: Msg,
         events: &mut Vec<SockEvent>,
     ) -> Result<(), Msg> {
-        match msg {
-            Msg::AppNotify(_) => {
-                events.extend(self.side.borrow_mut().events.drain(..));
-                Ok(())
+        let Msg::AppNotify(_) = msg else {
+            return Err(msg);
+        };
+        let mut side = self.side.borrow_mut();
+        let AppSide {
+            events: queued,
+            socks,
+            ..
+        } = &mut *side;
+        for (ev, bufs) in queued.drain(..) {
+            if let (Some(conn), Some((rx_buf, tx_buf))) = (ev.conn(), bufs) {
+                socks.open(conn, rx_buf, tx_buf);
             }
-            m => Err(m),
+            if socks.take(&ev) {
+                events.push(ev);
+            }
         }
+        Ok(())
     }
 
-    fn send(&mut self, ctx: &mut Ctx<'_>, conn: u32, data: &[u8]) -> usize {
-        let n = {
-            let mut side = self.side.borrow_mut();
-            let Some(s) = side.socks.get_mut(&conn) else {
-                return 0;
-            };
-            if s.closed {
-                return 0;
-            }
-            let n = (data.len() as u32).min(s.tx_free);
-            if n == 0 {
-                return 0;
-            }
-            s.tx_buf.borrow_mut().write(s.tx_pos, &data[..n as usize]);
-            s.tx_pos = s.tx_pos.wrapping_add(n);
-            s.tx_free -= n;
-            side.to_stack.push_back(AppToNic::TxAppend { conn, len: n });
-            n
+    /// The descriptor goes on `to_stack`, and a syscall tells the stack.
+    fn submit(&mut self, ctx: &mut Ctx<'_>, call: SockCall<'_>) -> u32 {
+        let mut side = self.side.borrow_mut();
+        let Some(desc) = call(&mut side.socks) else {
+            return 0;
         };
-        self.syscall(ctx);
-        n as usize
-    }
-
-    fn send_bytes(&mut self, ctx: &mut Ctx<'_>, conn: u32, len: u32) -> u32 {
-        let n = {
-            let mut side = self.side.borrow_mut();
-            let Some(s) = side.socks.get_mut(&conn) else {
-                return 0;
-            };
-            if s.closed {
-                return 0;
-            }
-            let n = len.min(s.tx_free);
-            if n == 0 {
-                return 0;
-            }
-            s.tx_pos = s.tx_pos.wrapping_add(n);
-            s.tx_free -= n;
-            side.to_stack.push_back(AppToNic::TxAppend { conn, len: n });
-            n
-        };
-        self.syscall(ctx);
-        n
-    }
-
-    fn recv(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32, out: &mut Vec<u8>) -> usize {
-        let n = {
-            let mut side = self.side.borrow_mut();
-            let Some(s) = side.socks.get_mut(&conn) else {
-                return 0;
-            };
-            let n = s.rx_ready.min(max);
-            if n == 0 {
-                return 0;
-            }
-            let at = out.len();
-            out.resize(at + n as usize, 0);
-            s.rx_buf.borrow().read(s.rx_pos, &mut out[at..]);
-            s.rx_pos = s.rx_pos.wrapping_add(n);
-            s.rx_ready -= n;
-            side.to_stack
-                .push_back(AppToNic::RxConsumed { conn, len: n });
-            n
-        };
-        self.syscall(ctx);
-        n as usize
-    }
-
-    fn recv_bytes(&mut self, ctx: &mut Ctx<'_>, conn: u32, max: u32) -> u32 {
-        let n = {
-            let mut side = self.side.borrow_mut();
-            let Some(s) = side.socks.get_mut(&conn) else {
-                return 0;
-            };
-            let n = s.rx_ready.min(max);
-            if n == 0 {
-                return 0;
-            }
-            s.rx_pos = s.rx_pos.wrapping_add(n);
-            s.rx_ready -= n;
-            side.to_stack
-                .push_back(AppToNic::RxConsumed { conn, len: n });
-            n
-        };
-        self.syscall(ctx);
-        n
-    }
-
-    fn close(&mut self, ctx: &mut Ctx<'_>, conn: u32) {
-        {
-            let mut side = self.side.borrow_mut();
-            let Some(s) = side.socks.get_mut(&conn) else {
-                return;
-            };
-            if s.closed {
-                return;
-            }
-            s.closed = true;
-            side.to_stack.push_back(AppToNic::Close { conn });
-        }
-        self.syscall(ctx);
+        side.to_stack.push_back(desc);
+        // only reachable with a socket, i.e. after the stack node handled
+        // this side's listen/connect and assigned its context id
+        let db = Doorbell { ctx: side.ctx };
+        drop(side);
+        ctx.send(self.stack_node, self.syscall_latency, db);
+        desc.bytes()
     }
 
     fn host_overhead(&self, op: StackOp) -> u64 {
-        let n_conns = self.side.borrow().socks.len() as u64;
+        let n_conns = self.side.borrow().socks.count() as u64;
         match op {
             StackOp::Send => self.costs.sockets_send,
             StackOp::Recv => self.costs.sockets_recv,
@@ -268,6 +176,6 @@ impl StackApi for HostSocketApi {
     }
 
     fn stack_name(&self) -> &'static str {
-        self.name
+        self.kind.name()
     }
 }

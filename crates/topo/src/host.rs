@@ -3,11 +3,11 @@
 //! point experiments use (a link pair and a single-switch star). The
 //! declarative multi-switch fabrics live in [`crate::build`].
 
-use flextoe_apps::{FlexToeStack, StackApi};
+use flextoe_apps::{LibToe, StackApi};
 use flextoe_ccp::FoldSpec;
 use flextoe_control::{CcAlgo, ControlPlane, CtrlConfig};
 use flextoe_core::{FlexToeNic, NicConfig, PipeCfg, TransportPolicy};
-use flextoe_hoststack::{build_host, host_socket_api, HostStackNode, StackKind};
+use flextoe_hoststack::{build_host, HostSocketApi, HostStackNode, StackKind};
 use flextoe_netsim::{Faults, Link, PortConfig, Switch};
 use flextoe_sim::{Duration, NodeId, Sim};
 use flextoe_wire::{Ip4, MacAddr};
@@ -69,14 +69,14 @@ impl Endpoint {
                 let handle = nic.handle();
                 let ctrl = *ctrl;
                 Box::new(move |ctx, app| {
-                    Box::new(FlexToeStack::new(ctx, ctx_id, handle, ctrl, app)) as Box<dyn StackApi>
+                    Box::new(LibToe::new(ctx, ctx_id, handle, ctrl, app)) as Box<dyn StackApi>
                 })
             }
             other => {
                 let node = self.baseline.expect("baseline endpoint");
                 let kind = other.kind();
                 Box::new(move |_ctx, app| {
-                    Box::new(host_socket_api(kind, node, app)) as Box<dyn StackApi>
+                    Box::new(HostSocketApi::new(kind, node, app)) as Box<dyn StackApi>
                 })
             }
         }

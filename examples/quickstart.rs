@@ -9,19 +9,19 @@
 //! sockets — connects them with a 2 µs link, performs a TCP handshake,
 //! echoes a message, and tears the connection down with FINs.
 
-use flextoe_apps::{FlexToeStack, SockEvent, StackApi};
+use flextoe_apps::{LibToe, SockEvent, StackApi};
 use flextoe_control::{ControlPlane, CtrlConfig};
 use flextoe_core::{FlexToeNic, NicConfig, PipeCfg};
 use flextoe_netsim::Link;
 use flextoe_sim::{cast, try_cast, Ctx, Duration, Msg, Node, NodeId, Sim, Tick, Time};
 use flextoe_wire::{Ip4, MacAddr};
 
-type MakeStack = Box<dyn FnOnce(&mut Ctx<'_>, NodeId) -> FlexToeStack>;
+type MakeStack = Box<dyn FnOnce(&mut Ctx<'_>, NodeId) -> LibToe>;
 
 /// A minimal server: echoes one message, closes on EOF.
 struct Echo {
     make_stack: Option<MakeStack>,
-    stack: Option<FlexToeStack>,
+    stack: Option<LibToe>,
     is_server: bool,
     peer_ip: Ip4,
     done: bool,
@@ -125,7 +125,7 @@ fn main() {
     let (ha, hb) = (nic_a.handle(), nic_b.handle());
     let server = sim.add_node(Echo {
         make_stack: Some(Box::new(move |ctx, app| {
-            FlexToeStack::new(ctx, 1, hb.clone(), ctrl_b, app)
+            LibToe::new(ctx, 1, hb.clone(), ctrl_b, app)
         })),
         stack: None,
         is_server: true,
@@ -134,7 +134,7 @@ fn main() {
     });
     let client = sim.add_node(Echo {
         make_stack: Some(Box::new(move |ctx, app| {
-            FlexToeStack::new(ctx, 1, ha.clone(), ctrl_a, app)
+            LibToe::new(ctx, 1, ha.clone(), ctrl_a, app)
         })),
         stack: None,
         is_server: false,

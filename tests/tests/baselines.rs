@@ -4,7 +4,7 @@
 
 use flextoe_apps::{
     ClientConfig, FramedServerConfig, LoadMode, OpenLoopConfig, RpcClientApp, RpcServerApp,
-    ServerConfig, SizeDist, StackApi,
+    ServerConfig, SizeDist, SockEvent, StackApi,
 };
 use flextoe_core::hostmem::AppToNic;
 use flextoe_hoststack::engine::BUF_SIZE;
@@ -164,15 +164,15 @@ fn bulk_under_loss_drains_on_every_seed() {
 }
 
 /// Fig. 15a's Chelsio cell at 2% loss (seed 81, 100 connections, 64 B
-/// echo x8 pipelined, 24 ms). Every live connection conserves its TX
-/// buffer: what the app may still write, plus what it queued, plus what
-/// is unsent, plus what is in flight, is `BUF_SIZE`. And every sender
-/// rewind is a counted retransmit. Both hold only if the in-order-only
-/// receiver runs the ACK side of each out-of-order segment it drops with
-/// the segment's real payload: the bytes its ACK frees reach the app, and
-/// the segment is no duplicate ACK.
-#[test]
-fn chelsio_conserves_tx_bytes_and_counts_every_rewind() {
+/// echo x8 pipelined, 24 ms), on `stack` hosts. Every live connection
+/// conserves its TX buffer: what the app may still write once it takes
+/// its queued events, plus what it queued, plus what is unsent, plus what
+/// is in flight, is `BUF_SIZE`. And every sender rewind is a counted
+/// retransmit. On Chelsio both hold only if the in-order-only receiver
+/// runs the ACK side of each out-of-order segment it drops with the
+/// segment's real payload: the bytes its ACK frees reach the app, and the
+/// segment is no duplicate ACK.
+fn conserves_tx_bytes_and_counts_every_rewind(stack: Stack) {
     let opts = PairOpts {
         faults: Faults {
             drop_chance: 0.02,
@@ -181,11 +181,8 @@ fn chelsio_conserves_tx_bytes_and_counts_every_rewind() {
         ..Default::default()
     };
     let mut sim = Sim::new(81);
-    let (a, b) = build_pair(&mut sim, Stack::Chelsio, Stack::Chelsio, &opts);
-    let server = sim.add_node(Server::new(
-        ServerConfig::default(),
-        b.stack_init(Stack::Chelsio, 1),
-    ));
+    let (a, b) = build_pair(&mut sim, stack, stack, &opts);
+    let server = sim.add_node(Server::new(ServerConfig::default(), b.stack_init(stack, 1)));
     let client = sim.add_node(Client::new(
         ClientConfig {
             server_ip: b.ip,
@@ -195,7 +192,7 @@ fn chelsio_conserves_tx_bytes_and_counts_every_rewind() {
             connect_spacing: Duration::from_us(3),
             ..Default::default()
         },
-        a.stack_init(Stack::Chelsio, 1),
+        a.stack_init(stack, 1),
     ));
     sim.schedule(Time::ZERO, server, Tick);
     sim.schedule(Time::from_us(20), client, Tick);
@@ -228,6 +225,17 @@ fn chelsio_conserves_tx_bytes_and_counts_every_rewind() {
     for &node in &hosts {
         for (id, ps, side) in sim.node_ref::<HostStackNode>(node).connections() {
             let side = side.borrow();
+            // the app's free TX space once it takes every queued event: an
+            // open (re)starts the socket, each `Writable` adds its delta
+            let mut tx_free = side.socks.get(id).map_or(0, |s| s.writable());
+            for (ev, open) in side.events.iter().filter(|(ev, _)| ev.conn() == Some(id)) {
+                if let Some((_, tx_buf)) = open {
+                    tx_free = tx_buf.borrow().size();
+                }
+                if let SockEvent::Writable { free, .. } = *ev {
+                    tx_free += free;
+                }
+            }
             let queued: u32 = side
                 .to_stack
                 .iter()
@@ -237,7 +245,7 @@ fn chelsio_conserves_tx_bytes_and_counts_every_rewind() {
                 })
                 .sum();
             let fin_in_flight = u32::from(ps.fin_sent && ps.fin_pending);
-            let held = side.socks[&id].tx_free + queued + ps.tx_avail + ps.tx_sent - fin_in_flight;
+            let held = tx_free + queued + ps.tx_avail + ps.tx_sent - fin_in_flight;
             if held != BUF_SIZE {
                 short.push((node, id, i64::from(BUF_SIZE) - i64::from(held)));
             }
@@ -245,8 +253,28 @@ fn chelsio_conserves_tx_bytes_and_counts_every_rewind() {
     }
     assert!(
         short.is_empty() && uncounted == 0,
-        "TX bytes lost (host, conn, bytes): {short:?}; uncounted rewinds: {uncounted}"
+        "{stack:?}: TX bytes lost (host, conn, bytes): {short:?}; uncounted rewinds: {uncounted}"
     );
+}
+
+#[test]
+fn chelsio_conserves_tx_bytes_and_counts_every_rewind() {
+    conserves_tx_bytes_and_counts_every_rewind(Stack::Chelsio);
+}
+
+#[test]
+fn tas_conserves_tx_bytes_and_counts_every_rewind() {
+    conserves_tx_bytes_and_counts_every_rewind(Stack::Tas);
+}
+
+#[test]
+fn linux_conserves_tx_bytes_and_counts_every_rewind() {
+    conserves_tx_bytes_and_counts_every_rewind(Stack::Linux);
+}
+
+#[test]
+fn flex_baseline_conserves_tx_bytes_and_counts_every_rewind() {
+    conserves_tx_bytes_and_counts_every_rewind(Stack::FlexBaselineFpc);
 }
 
 /// A loss-free TAS leaf-spine (the benchmark's `fabric_tas` shape, scaled

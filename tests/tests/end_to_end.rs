@@ -6,7 +6,7 @@ use flextoe_control::AppReply;
 use flextoe_core::stages::AppNotify;
 use flextoe_core::NicHandle;
 use flextoe_integration::default_setup;
-use flextoe_libtoe::{LibToe, SockEvent};
+use flextoe_libtoe::{LibToe, SockEvent, StackApi};
 use flextoe_sim::{cast, try_cast, Ctx, Msg, Node, NodeId, Sim, Tick, Time};
 use flextoe_wire::Ip4;
 

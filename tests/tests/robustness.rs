@@ -1,9 +1,7 @@
 //! Robustness integration (§5.3): loss, corruption, XDP filtering, and
 //! the reordering ablation, all through the complete pipeline.
 
-use flextoe_apps::{
-    ClientConfig, FlexToeStack, LoadMode, RpcClientApp, RpcServerApp, ServerConfig,
-};
+use flextoe_apps::{ClientConfig, LibToe, LoadMode, RpcClientApp, RpcServerApp, ServerConfig};
 use flextoe_core::module::{xdp_with_maps, Hook};
 use flextoe_core::stages::pre::PreStage;
 use flextoe_core::PipeCfg;
@@ -13,13 +11,13 @@ use flextoe_netsim::Faults;
 use flextoe_sim::{NodeId, Sim, Tick, Time};
 use flextoe_topo::PairOpts;
 
-type Client = RpcClientApp<FlexToeStack>;
-type Server = RpcServerApp<FlexToeStack>;
+type Client = RpcClientApp<LibToe>;
+type Server = RpcServerApp<LibToe>;
 
-fn stack_init(host: &Host, ctx_id: u16) -> flextoe_apps::StackInit<FlexToeStack> {
+fn stack_init(host: &Host, ctx_id: u16) -> flextoe_apps::StackInit<LibToe> {
     let nic = host.nic.handle();
     let ctrl = host.ctrl;
-    Box::new(move |ctx, app| FlexToeStack::new(ctx, ctx_id, nic, ctrl, app))
+    Box::new(move |ctx, app| LibToe::new(ctx, ctx_id, nic, ctrl, app))
 }
 
 fn lossy_echo(cfg: PipeCfg, faults: Faults, msg: u32, rounds: u64, seed: u64) -> (Sim, NodeId) {

@@ -6,14 +6,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use flextoe_apps::{
-    ClientConfig, FlexToeStack, LoadMode, RpcClientApp, RpcServerApp, ServerConfig,
-};
+use flextoe_apps::{ClientConfig, LibToe, LoadMode, RpcClientApp, RpcServerApp, ServerConfig};
 use flextoe_integration::{default_setup, Host};
 use flextoe_sim::{Ctx, Duration, Msg, Node, NodeId, QueueKind, Sim, Tick, Time};
 
-type Client = RpcClientApp<FlexToeStack>;
-type Server = RpcServerApp<FlexToeStack>;
+type Client = RpcClientApp<LibToe>;
+type Server = RpcServerApp<LibToe>;
 
 // ---- property: random workloads deliver identically ----------------------
 
@@ -156,10 +154,10 @@ fn echo_fingerprint(kind: QueueKind) -> (u64, u64, u64, u64, u64, u64, usize, us
     fp
 }
 
-fn stack_init(host: &Host, ctx_id: u16) -> flextoe_apps::StackInit<FlexToeStack> {
+fn stack_init(host: &Host, ctx_id: u16) -> flextoe_apps::StackInit<LibToe> {
     let nic = host.nic.handle();
     let ctrl = host.ctrl;
-    Box::new(move |ctx, app| FlexToeStack::new(ctx, ctx_id, nic, ctrl, app))
+    Box::new(move |ctx, app| LibToe::new(ctx, ctx_id, nic, ctrl, app))
 }
 
 /// A complete two-host echo run (handshake, pipeline, DMA, context

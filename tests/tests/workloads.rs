@@ -2,19 +2,19 @@
 //! the FlexTOE stack over the full pipeline.
 
 use flextoe_apps::{
-    ClientConfig, FlexToeStack, KvServerApp, KvServerConfig, LoadMode, MemtierApp, MemtierConfig,
+    ClientConfig, KvServerApp, KvServerConfig, LibToe, LoadMode, MemtierApp, MemtierConfig,
     RpcClientApp, RpcServerApp, ServerConfig,
 };
 use flextoe_integration::{default_setup, Host};
 use flextoe_sim::{NodeId, Sim, Tick, Time};
 
-type Client = RpcClientApp<FlexToeStack>;
-type Server = RpcServerApp<FlexToeStack>;
+type Client = RpcClientApp<LibToe>;
+type Server = RpcServerApp<LibToe>;
 
-fn stack_init(host: &Host, ctx_id: u16) -> flextoe_apps::StackInit<FlexToeStack> {
+fn stack_init(host: &Host, ctx_id: u16) -> flextoe_apps::StackInit<LibToe> {
     let nic = host.nic.handle();
     let ctrl = host.ctrl;
-    Box::new(move |ctx, app| FlexToeStack::new(ctx, ctx_id, nic, ctrl, app))
+    Box::new(move |ctx, app| LibToe::new(ctx, ctx_id, nic, ctrl, app))
 }
 
 fn echo_setup(
@@ -148,9 +148,9 @@ fn kv_store_end_to_end() {
     sim.schedule(Time::from_us(20), client, Tick);
     sim.run_until(Time::from_ms(2000));
 
-    let c = sim.node_ref::<MemtierApp<FlexToeStack>>(client);
+    let c = sim.node_ref::<MemtierApp<LibToe>>(client);
     assert_eq!(c.measured, 1500);
-    let s = sim.node_ref::<KvServerApp<FlexToeStack>>(server);
+    let s = sim.node_ref::<KvServerApp<LibToe>>(server);
     assert!(s.sets > 300, "sets {}", s.sets);
     assert!(s.gets > 600, "gets {}", s.gets);
     // with a tiny keyspace and set-heavy mix, most GETs must hit
