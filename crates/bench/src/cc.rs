@@ -7,7 +7,7 @@
 //! switch-queue occupancy, and report-batching counters to
 //! `BENCH_cc.json`.
 
-use flextoe_apps::{ClientConfig, LoadMode, ServerConfig};
+use flextoe_apps::{Arrival, ClientSpec, ServerSpec, Wire};
 use flextoe_ccp::{FoldProg, FoldSpec};
 use flextoe_control::CcAlgo;
 use flextoe_netsim::{PortConfig, Switch, WredParams};
@@ -65,10 +65,8 @@ pub fn run_cc_one(seed: u64, algo: CcAlgo, fold: FoldSpec, scale: CcScale) -> Js
     let mut sim = Sim::new(seed);
     let (clients, srv_ep, sw) = build_star(&mut sim, Stack::FlexToe, scale.senders, port, &opts);
     let srv = sim.add_node(DynServer::new(
-        ServerConfig {
-            msg_size: MSG,
-            resp_size: 32,
-            app_cycles: 0,
+        ServerSpec {
+            wire: Wire::Fixed { req: MSG, resp: 32 },
             ..Default::default()
         },
         srv_ep.stack_init(Stack::FlexToe, 1),
@@ -77,12 +75,11 @@ pub fn run_cc_one(seed: u64, algo: CcAlgo, fold: FoldSpec, scale: CcScale) -> Js
     let mut client_nodes = Vec::new();
     for (i, ep) in clients.iter().enumerate() {
         let c = sim.add_node(DynClient::new(
-            ClientConfig {
+            ClientSpec {
                 server_ip: srv_ep.ip,
                 n_conns: 1,
-                msg_size: MSG,
-                resp_size: 32,
-                mode: LoadMode::Closed { pipeline: 2 },
+                wire: Wire::Fixed { req: MSG, resp: 32 },
+                arrival: Arrival::Closed { pipeline: 2 },
                 warmup: scale.warmup,
                 connect_spacing: Duration::from_us(3),
                 ..Default::default()

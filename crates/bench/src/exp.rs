@@ -3,7 +3,7 @@
 //! target is the *shape*. Each runner prints paper-vs-measured to stdout;
 //! nothing checks it yet (ROADMAP item 7).
 
-use flextoe_apps::{ClientConfig, LoadMode, ServerConfig};
+use flextoe_apps::{Arrival, ClientSpec, ServerSpec, Wire};
 use flextoe_control::CcAlgo;
 use flextoe_core::module::{xdp_with_maps, DataPathModule, Hook, TcpdumpModule};
 use flextoe_core::stages::pre::PreStage;
@@ -15,22 +15,25 @@ use flextoe_sim::{Duration, Sim, Tick, Time};
 
 use crate::harness::*;
 
-fn client(n_conns: u32, msg: u32, resp: u32, pipeline: u32, warmup_ms: u64) -> ClientConfig {
-    ClientConfig {
+/// Table 1: Memcached spends 0.89 kc per request on FlexTOE (the true
+/// application work, identical across stacks): the KV-like RPC's
+/// application cost.
+const KV_APP_CYCLES: u64 = 890;
+
+fn client(n_conns: u32, msg: u32, resp: u32, pipeline: u32, warmup_ms: u64) -> ClientSpec {
+    ClientSpec {
         n_conns,
-        msg_size: msg,
-        resp_size: resp,
-        mode: LoadMode::Closed { pipeline },
+        wire: Wire::Fixed { req: msg, resp },
+        arrival: Arrival::Closed { pipeline },
         warmup: Time::from_ms(warmup_ms),
         connect_spacing: Duration::from_us(3),
         ..Default::default()
     }
 }
 
-fn server(msg: u32, resp: u32, app_cycles: u64) -> ServerConfig {
-    ServerConfig {
-        msg_size: msg,
-        resp_size: resp,
+fn server(msg: u32, resp: u32, app_cycles: u64) -> ServerSpec {
+    ServerSpec {
+        wire: Wire::Fixed { req: msg, resp },
         app_cycles,
         ..Default::default()
     }
@@ -44,7 +47,7 @@ fn kv_echo_rps(stack: Stack) -> f64 {
         Stack::Tas,
         stack,
         PairOpts::default(),
-        server(64, 64, 890),
+        server(64, 64, KV_APP_CYCLES),
         client(16, 64, 64, 4, 2),
         Time::from_ms(12),
     );
@@ -225,7 +228,7 @@ pub fn table4() {
             let mut client_nodes = Vec::new();
             for (i, ep) in clients.iter().enumerate() {
                 let c = sim.add_node(DynClient::new(
-                    ClientConfig {
+                    ClientSpec {
                         server_ip: srv_ep.ip,
                         ..client(conns_per_client, 65_536, 32, 1, 5)
                     },
@@ -324,15 +327,15 @@ pub fn fig8() {
             for core in 0..cores {
                 let port = 7800 + core as u16;
                 let srv = sim.add_node(DynServer::new(
-                    ServerConfig {
+                    ServerSpec {
                         port,
-                        ..server(64, 64, 890)
+                        ..server(64, 64, KV_APP_CYCLES)
                     },
                     eb.stack_init(stack, 1 + core as u16),
                 ));
                 sim.schedule(Time::ZERO, srv, Tick);
                 let cli = sim.add_node(DynClient::new(
-                    ClientConfig {
+                    ClientSpec {
                         server_ip: eb.ip,
                         server_port: port,
                         ..client(8, 64, 64, 4, 2)
@@ -367,7 +370,7 @@ pub fn fig9() {
                 client_stack,
                 server_stack,
                 PairOpts::default(),
-                server(32, 32, 890),
+                server(32, 32, KV_APP_CYCLES),
                 client(1, 32, 32, 1, 1),
                 Time::from_ms(10),
             );
@@ -492,7 +495,7 @@ pub fn fig13() {
                 stack,
                 PairOpts::default(),
                 server(64, 64, 0),
-                ClientConfig {
+                ClientSpec {
                     connect_spacing: Duration::from_ns(800),
                     ..client(n, 64, 64, 1, 12)
                 },
@@ -635,7 +638,7 @@ pub fn fig16() {
                 stack,
                 PairOpts::default(),
                 server(16_384, 32, 0),
-                ClientConfig {
+                ClientSpec {
                     connect_spacing: Duration::from_us(1),
                     ..client(conns, 16_384, 32, 1, 8)
                 },

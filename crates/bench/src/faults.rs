@@ -17,13 +17,12 @@
 //! seed across runs, `--jobs` and `--shards` values, and the wheel vs.
 //! reference-heap queue.
 
-use flextoe_apps::{CloseAll, SessionConfig};
+use flextoe_apps::{Arrival, ClientSpec, CloseAll, SizeDist, Wire};
 use flextoe_core::PoolGauges;
 use flextoe_netsim::{Faults, GeParams, Link, Switch};
 use flextoe_sim::{Duration, Histogram, NodeId, Sim, Time};
 use flextoe_topo::{
-    BuiltFabric, DynSessionClient, FaultEvent, FaultTarget, LinkScope, PairOpts, Role, Scenario,
-    Stack,
+    BuiltFabric, DynClient, FaultEvent, FaultTarget, LinkScope, PairOpts, Role, Scenario, Stack,
 };
 
 use crate::driver::{has_rows, holds, Experiment, PointRun};
@@ -282,20 +281,23 @@ impl FaultsCounts {
 /// the telemetry experiment can run sketch accuracy under the exact
 /// same fault rows.
 pub fn chaos_scenario(seed: u64, row: &ChaosRow, plan: &FaultsPlan) -> Scenario {
-    let mut sc = cross_tier_scenario(seed, LEAF_SPINE, Stack::FlexToe, |_, target| {
-        Role::Session {
-            cfg: SessionConfig {
-                n_sessions: plan.n_sessions_per_host,
-                req_size: plan.req_size,
-                resp_size: plan.resp_size,
+    let mut sc = cross_tier_scenario(seed, LEAF_SPINE, Stack::FlexToe, |_, target| Role::Client {
+        cfg: ClientSpec {
+            n_conns: plan.n_sessions_per_host,
+            arrival: Arrival::Sessions {
                 think: plan.think,
                 backoff_base: Duration::from_us(200),
                 backoff_cap: Duration::from_ms(2),
-                warmup: plan.warmup,
-                ..Default::default()
             },
-            target,
-        }
+            wire: Wire::Framed {
+                req: SizeDist::Fixed(plan.req_size),
+                resp: SizeDist::Fixed(plan.resp_size),
+            },
+            warmup: plan.warmup,
+            connect_spacing: Duration::from_us(1),
+            ..Default::default()
+        },
+        target,
     });
     sc.opts = PairOpts {
         min_rto: plan.min_rto,
@@ -352,11 +354,11 @@ fn harvest(sim: &Sim, fab: &BuiltFabric) -> FaultsCounts {
         ..Default::default()
     };
     for h in &fab.hosts {
-        let Some(n) = h.session() else { continue };
+        let Some(n) = h.client() else { continue };
         if !sim.owns(n) {
             continue;
         }
-        let c = sim.node_ref::<DynSessionClient>(n);
+        let c = sim.node_ref::<DynClient>(n);
         p.latency.merge(&c.latency);
         p.issued += c.issued;
         p.completed += c.completed;
@@ -364,7 +366,7 @@ fn harvest(sim: &Sim, fab: &BuiltFabric) -> FaultsCounts {
         p.aborted_conns += c.aborted_conns;
         p.peer_closed += c.peer_closed;
         p.reconnects += c.reconnects;
-        p.connect_failures += c.connect_failures;
+        p.connect_failures += c.failed as u64;
         p.in_flight_end += c.in_flight() as u64;
     }
     // The feeder discipline of the partitioner guarantees a link and its
@@ -515,9 +517,9 @@ pub fn run_faults_point(seed: u64, row: &ChaosRow, plan: &FaultsPlan, shards: us
             .each(|sim, fab| {
                 fab.hosts
                     .iter()
-                    .filter_map(|h| h.session())
+                    .filter_map(|h| h.client())
                     .filter(|&n| sim.owns(n))
-                    .map(|n| sim.node_ref::<DynSessionClient>(n).completed)
+                    .map(|n| sim.node_ref::<DynClient>(n).completed)
                     .sum::<u64>()
             })
             .iter()
@@ -530,7 +532,7 @@ pub fn run_faults_point(seed: u64, row: &ChaosRow, plan: &FaultsPlan, shards: us
     // number, keeping admission order aligned with the monolithic run.
     let t_end = plan.t_end;
     run.each(move |sim, fab| {
-        for n in fab.hosts.iter().filter_map(|h| h.session()) {
+        for n in fab.hosts.iter().filter_map(|h| h.client()) {
             sim.schedule(t_end, n, CloseAll);
         }
     });

@@ -5,21 +5,16 @@
 //! long-standing names are re-exported here so experiments keep reading
 //! naturally.
 
-use flextoe_apps::{
-    ClientConfig, FramedServerConfig, RpcClientApp, RpcServerApp, ServerConfig, StackApi,
-};
+use flextoe_apps::{ClientSpec, ServerSpec};
 use flextoe_core::PoolGauges;
 use flextoe_shard::{ShardedSim, SyncStats};
 use flextoe_sim::{Histogram, Sim, Tick, Time};
 use flextoe_topo::{partition_fabric, Fabric, Role, Scenario};
 
 pub use flextoe_topo::{
-    add_arp, build_endpoint, build_fabric, build_pair, build_star, BuiltFabric, DynFramedServer,
-    DynOpenLoopClient, Endpoint, PairOpts, Stack,
+    add_arp, build_endpoint, build_fabric, build_pair, build_star, BuiltFabric, DynClient,
+    DynServer, Endpoint, PairOpts, Stack,
 };
-
-pub type DynClient = RpcClientApp<Box<dyn StackApi>>;
-pub type DynServer = RpcServerApp<Box<dyn StackApi>>;
 
 /// Result metrics of one echo scenario.
 pub struct EchoResult {
@@ -36,8 +31,8 @@ pub fn run_echo(
     client_stack: Stack,
     server_stack: Stack,
     opts: PairOpts,
-    server_cfg: ServerConfig,
-    client_cfg: ClientConfig,
+    server_cfg: ServerSpec,
+    client_cfg: ClientSpec,
     deadline: Time,
 ) -> (Sim, EchoResult) {
     let mut sim = Sim::new(seed);
@@ -53,13 +48,13 @@ pub fn run_echo(
 pub fn echo_between(
     sim: &mut Sim,
     ((ea, client_stack), (eb, server_stack)): ((&Endpoint, Stack), (&Endpoint, Stack)),
-    server_cfg: ServerConfig,
-    client_cfg: ClientConfig,
+    server_cfg: ServerSpec,
+    client_cfg: ClientSpec,
     deadline: Time,
 ) -> EchoResult {
     let server = sim.add_node(DynServer::new(server_cfg, eb.stack_init(server_stack, 1)));
     let client = sim.add_node(DynClient::new(
-        ClientConfig {
+        ClientSpec {
             server_ip: eb.ip,
             ..client_cfg
         },
@@ -98,7 +93,7 @@ pub fn cross_tier_scenario(
         host.role = if i % 2 == 0 {
             client(i, (i / per_group + 1) * per_group % n + i % per_group + 1)
         } else {
-            Role::FramedServer(FramedServerConfig::default())
+            Role::Server(ServerSpec::framed())
         };
     }
     sc

@@ -19,7 +19,7 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use flextoe_apps::{OpenLoopConfig, SizeDist};
+use flextoe_apps::{Arrival, ClientSpec, SizeDist, Wire};
 use flextoe_core::PoolGauges;
 use flextoe_netsim::Switch;
 use flextoe_shard::SyncStats;
@@ -27,7 +27,7 @@ use flextoe_sim::{Duration, Histogram, Sim, Time};
 use flextoe_topo::{BuiltFabric, Fabric, Role, Scenario, Stack};
 
 use crate::driver::{holds, Experiment, Extras, PointRun};
-use crate::harness::{cross_tier_scenario, jain_index, owned_gauges, DynOpenLoopClient, FabricRun};
+use crate::harness::{cross_tier_scenario, jain_index, owned_gauges, DynClient, FabricRun};
 use crate::json::{fixed, Json};
 
 /// The fabric every sweep point (and every `faults` / `telemetry` row)
@@ -75,12 +75,16 @@ fn open_loop_scenario(
     buf: u32,
     plan: &ScalePlan,
 ) -> Scenario {
-    let mut sc = cross_tier_scenario(seed, fabric, stack, |_, target| Role::OpenLoop {
-        cfg: OpenLoopConfig {
+    let mut sc = cross_tier_scenario(seed, fabric, stack, |_, target| Role::Client {
+        cfg: ClientSpec {
             n_conns: conns_per_host,
-            rate_rps: plan.rate_rps_per_host,
-            req_size: plan.req_size,
-            resp_size: plan.resp_size,
+            arrival: Arrival::Open {
+                rate_rps: plan.rate_rps_per_host,
+            },
+            wire: Wire::Framed {
+                req: plan.req_size,
+                resp: plan.resp_size,
+            },
             warmup: plan.warmup,
             connect_spacing: Duration::from_ns(400),
             ..Default::default()
@@ -140,7 +144,7 @@ fn harvest(sim: &Sim, fab: &BuiltFabric, tier: Range<usize>, tier_ports: usize) 
         if !sim.owns(app) {
             continue;
         }
-        let c = sim.node_ref::<DynOpenLoopClient>(app);
+        let c = sim.node_ref::<DynClient>(app);
         p.latency.merge(&c.latency);
         p.measured += c.measured;
         p.resp_bytes += c.measured_resp_bytes();

@@ -31,13 +31,11 @@
 //! `BENCH_telemetry.json` is byte-identical per seed across runs,
 //! `--jobs` values, and the wheel vs. reference-heap queue.
 
-use flextoe_apps::{CloseAll, SessionConfig};
+use flextoe_apps::{Arrival, ClientSpec, CloseAll, SizeDist, Wire};
 use flextoe_netsim::{Collector, Switch, TelemetrySpec};
 use flextoe_sim::{Ctx, Duration, Msg, Node, NodeId, Sim, Tick, Time};
 use flextoe_telemetry::score_sketch;
-use flextoe_topo::{
-    build_fabric, BuiltFabric, DynSessionClient, FaultTarget, Role, Scenario, Stack,
-};
+use flextoe_topo::{build_fabric, BuiltFabric, DynClient, FaultTarget, Role, Scenario, Stack};
 use flextoe_wire::{Frame, Ip4, MacAddr, SegmentSpec};
 
 use crate::driver::{has_rows, holds, Experiment, PointRun};
@@ -292,15 +290,13 @@ fn run_accuracy(
 fn run_sessions(sc: &Scenario, t_end: Time, t_drain: Time) -> (Sim, BuiltFabric, Vec<u64>, u64) {
     let mut sim = Sim::new(sc.seed);
     let fab = build_fabric(&mut sim, sc);
-    let sessions: Vec<NodeId> = fab.hosts.iter().filter_map(|h| h.session()).collect();
+    let sessions: Vec<NodeId> = fab.hosts.iter().filter_map(|h| h.client()).collect();
     sim.run_until(t_end);
     for &n in &sessions {
         sim.schedule(sim.now(), n, CloseAll);
     }
     sim.run_until(t_drain);
-    let clients = sessions
-        .iter()
-        .map(|&n| sim.node_ref::<DynSessionClient>(n));
+    let clients = sessions.iter().map(|&n| sim.node_ref::<DynClient>(n));
     let bytes_in = clients.clone().map(|c| c.bytes_in).collect();
     let completed = clients.map(|c| c.completed).sum();
     (sim, fab, bytes_in, completed)
@@ -366,13 +362,20 @@ fn run_fault(seed: u64, name: &'static str, plan: &FaultsPlan) -> Json {
 fn hh_scenario(seed: u64, on: bool, t_drain: Time) -> Scenario {
     let mut sc = cross_tier_scenario(seed, LEAF_SPINE, Stack::FlexToe, |i, target| {
         let bulk = i % 4 == 0;
-        Role::Session {
-            cfg: SessionConfig {
-                n_sessions: if bulk { 2 } else { 8 },
-                req_size: 128,
-                resp_size: if bulk { 16_384 } else { 256 },
-                think: Duration::from_us(10),
+        Role::Client {
+            cfg: ClientSpec {
+                n_conns: if bulk { 2 } else { 8 },
+                arrival: Arrival::Sessions {
+                    think: Duration::from_us(10),
+                    backoff_base: Duration::from_us(200),
+                    backoff_cap: Duration::from_ms(5),
+                },
+                wire: Wire::Framed {
+                    req: SizeDist::Fixed(128),
+                    resp: SizeDist::Fixed(if bulk { 16_384 } else { 256 }),
+                },
                 warmup: Time::from_us(500),
+                connect_spacing: Duration::from_us(1),
                 ..Default::default()
             },
             target,

@@ -15,7 +15,7 @@
 //! seeded generator, so path selection is deterministic per seed but
 //! decorrelated between switches (no fabric-wide polarization).
 
-use flextoe_apps::{FramedServerApp, OpenLoopClientApp, SessionClientApp, StackApi};
+use flextoe_apps::{Client, Server, StackApi};
 use flextoe_netsim::{
     Collector, Link, SetFaults, SetLinkUp, SetPortUp, SetSwitchAlive, SetSwitchLimp, Switch,
 };
@@ -23,13 +23,15 @@ use flextoe_sim::{NodeId, Sim, Tick, Time};
 use flextoe_wire::{Ip4, MacAddr};
 
 use crate::host::{add_arp, build_endpoint, Endpoint, PairOpts, Stack};
-use crate::spec::{Fabric, FaultKind, FaultTarget, LinkClass, LinkScope, Role, Scenario};
+use crate::spec::{Fabric, FaultKind, FaultTarget, LinkClass, LinkScope, Scenario};
 
-/// `FramedServerApp` / `OpenLoopClientApp` over any stack (the builder
-/// erases the stack type, like the bench harness's `DynServer`).
-pub type DynFramedServer = FramedServerApp<Box<dyn StackApi>>;
-pub type DynOpenLoopClient = OpenLoopClientApp<Box<dyn StackApi>>;
-pub type DynSessionClient = SessionClientApp<Box<dyn StackApi>>;
+/// The client and the server over any stack (the builder erases the
+/// stack type).
+pub type DynClient = Client<Box<dyn StackApi>>;
+pub type DynServer = Server<Box<dyn StackApi>>;
+/// The older names `benchmark/` reads.
+pub type DynOpenLoopClient = DynClient;
+pub type DynFramedServer = DynServer;
 
 /// What kind of application a built host ended up with (consumers select
 /// client/server nodes by this instead of re-deriving the scenario's
@@ -39,8 +41,6 @@ pub enum BuiltRole {
     Idle,
     Server,
     Client,
-    /// A reconnecting session client ([`DynSessionClient`]).
-    Session,
 }
 
 /// Wiring record for one bidirectional switch↔switch connection: which
@@ -84,16 +84,9 @@ pub struct BuiltHost {
 }
 
 impl BuiltHost {
-    /// The open-loop client node, if this host runs one.
+    /// The client node, if this host runs one.
     pub fn client(&self) -> Option<NodeId> {
         (self.role == BuiltRole::Client)
-            .then_some(self.app)
-            .flatten()
-    }
-
-    /// The reconnecting session-client node, if this host runs one.
-    pub fn session(&self) -> Option<NodeId> {
-        (self.role == BuiltRole::Session)
             .then_some(self.app)
             .flatten()
     }
@@ -275,42 +268,26 @@ fn finalize(
     let mut hosts = Vec::new();
     let mut n_clients = 0u64;
     for ((i, spec), ep) in sc.hosts.iter().enumerate().zip(eps) {
-        let (app, role) = match &spec.role {
-            Role::Idle => (None, BuiltRole::Idle),
-            Role::FramedServer(cfg) => {
-                let node = sim.add_node(DynFramedServer::new(*cfg, ep.stack_init(spec.stack, 1)));
-                sim.schedule(Time::ZERO, node, Tick);
-                (Some(node), BuiltRole::Server)
+        let (app, role) = if let Some(cfg) = spec.role.server() {
+            let node = sim.add_node(DynServer::new(cfg, ep.stack_init(spec.stack, 1)));
+            sim.schedule(Time::ZERO, node, Tick);
+            (Some(node), BuiltRole::Server)
+        } else if let Some((mut cfg, target)) = spec.role.client() {
+            assert!(target < sc.hosts.len(), "client target out of range");
+            assert_ne!(target, i, "client targeting itself");
+            cfg.server_ip = Ip4::host((target + 1) as u8);
+            // the target's address is authoritative — port included, so a
+            // reconfigured server port can't silently strand every connect
+            // on the default
+            if let Some(server) = sc.hosts[target].role.server() {
+                cfg.server_port = server.port;
             }
-            Role::OpenLoop { cfg, target } => {
-                assert!(*target < sc.hosts.len(), "client target out of range");
-                assert_ne!(*target, i, "client targeting itself");
-                let mut cfg = *cfg;
-                cfg.server_ip = Ip4::host((*target + 1) as u8);
-                // the target's address is authoritative — port included,
-                // so a reconfigured server port can't silently strand
-                // every connect on the default
-                if let Role::FramedServer(scfg) = &sc.hosts[*target].role {
-                    cfg.server_port = scfg.port;
-                }
-                let node = sim.add_node(DynOpenLoopClient::new(cfg, ep.stack_init(spec.stack, 1)));
-                sim.schedule(sc.client_start + sc.client_stagger * n_clients, node, Tick);
-                n_clients += 1;
-                (Some(node), BuiltRole::Client)
-            }
-            Role::Session { cfg, target } => {
-                assert!(*target < sc.hosts.len(), "session target out of range");
-                assert_ne!(*target, i, "session client targeting itself");
-                let mut cfg = *cfg;
-                cfg.server_ip = Ip4::host((*target + 1) as u8);
-                if let Role::FramedServer(scfg) = &sc.hosts[*target].role {
-                    cfg.server_port = scfg.port;
-                }
-                let node = sim.add_node(DynSessionClient::new(cfg, ep.stack_init(spec.stack, 1)));
-                sim.schedule(sc.client_start + sc.client_stagger * n_clients, node, Tick);
-                n_clients += 1;
-                (Some(node), BuiltRole::Session)
-            }
+            let node = sim.add_node(DynClient::new(cfg, ep.stack_init(spec.stack, 1)));
+            sim.schedule(sc.client_start + sc.client_stagger * n_clients, node, Tick);
+            n_clients += 1;
+            (Some(node), BuiltRole::Client)
+        } else {
+            (None, BuiltRole::Idle)
         };
         hosts.push(BuiltHost {
             ep,

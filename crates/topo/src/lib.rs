@@ -22,8 +22,8 @@ pub mod shard;
 pub mod spec;
 
 pub use build::{
-    build_fabric, BuiltFabric, BuiltHost, BuiltRole, DynFramedServer, DynOpenLoopClient,
-    DynSessionClient, EdgeRec, FabricPair,
+    build_fabric, BuiltFabric, BuiltHost, BuiltRole, DynClient, DynFramedServer, DynOpenLoopClient,
+    DynServer, EdgeRec, FabricPair,
 };
 pub use host::{add_arp, build_endpoint, build_pair, build_star, Endpoint, PairOpts, Stack};
 pub use shard::partition_fabric;

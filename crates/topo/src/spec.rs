@@ -6,7 +6,7 @@
 //! in the simulator-composition style of the NS-2 tutorials: describe the
 //! scenario, let the builder instantiate it.
 
-use flextoe_apps::{FramedServerConfig, OpenLoopConfig, SessionConfig};
+use flextoe_apps::{ClientSpec, FramedServerConfig, OpenLoopConfig, ServerSpec};
 use flextoe_netsim::{Faults, PortConfig, TelemetrySpec};
 use flextoe_sim::{Duration, Time};
 
@@ -45,15 +45,36 @@ impl Fabric {
 pub enum Role {
     /// Attached but idle (background state pressure, future workloads).
     Idle,
-    /// Serves the framed open-loop RPC protocol.
+    /// Runs the RPC server.
+    Server(ServerSpec),
+    /// Runs the RPC client toward host `target` (a host index into
+    /// [`Scenario::hosts`]; the builder fills `cfg.server_ip`, and the
+    /// port from the target's server).
+    Client { cfg: ClientSpec, target: usize },
+    /// `Server` with the older framed-server config `benchmark/` builds.
     FramedServer(FramedServerConfig),
-    /// Generates open-loop traffic at `cfg` toward host `target` (a host
-    /// index into [`Scenario::hosts`]; the builder fills `cfg.server_ip`).
+    /// `Client` with the older open-loop config `benchmark/` builds.
     OpenLoop { cfg: OpenLoopConfig, target: usize },
-    /// A reconnecting session client toward host `target`: long-lived
-    /// closed-loop sessions that back off (seeded exponential + jitter)
-    /// and reconnect after aborts — the reconnection-storm workload.
-    Session { cfg: SessionConfig, target: usize },
+}
+
+impl Role {
+    /// The server this role runs, if any.
+    pub fn server(&self) -> Option<ServerSpec> {
+        match self {
+            Role::Server(cfg) => Some(*cfg),
+            Role::FramedServer(cfg) => Some((*cfg).into()),
+            _ => None,
+        }
+    }
+
+    /// The client this role runs and its target host, if any.
+    pub fn client(&self) -> Option<(ClientSpec, usize)> {
+        match self {
+            Role::Client { cfg, target } => Some((*cfg, *target)),
+            Role::OpenLoop { cfg, target } => Some(((*cfg).into(), *target)),
+            _ => None,
+        }
+    }
 }
 
 /// One host: its transport stack and its application.

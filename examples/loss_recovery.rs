@@ -6,7 +6,7 @@
 //! cargo run --release --example loss_recovery
 //! ```
 
-use flextoe_apps::{ClientConfig, LoadMode, ServerConfig};
+use flextoe_apps::{Arrival, ClientSpec, ServerSpec, Wire};
 use flextoe_bench::harness::*;
 use flextoe_netsim::Faults;
 use flextoe_sim::{Duration, Time};
@@ -25,16 +25,20 @@ fn main() {
             Stack::FlexToe,
             Stack::FlexToe,
             opts,
-            ServerConfig {
-                msg_size: 1 << 20,
-                resp_size: 32,
+            ServerSpec {
+                wire: Wire::Fixed {
+                    req: 1 << 20,
+                    resp: 32,
+                },
                 ..Default::default()
             },
-            ClientConfig {
+            ClientSpec {
                 n_conns: 4,
-                msg_size: 1 << 20,
-                resp_size: 32,
-                mode: LoadMode::Closed { pipeline: 1 },
+                wire: Wire::Fixed {
+                    req: 1 << 20,
+                    resp: 32,
+                },
+                arrival: Arrival::Closed { pipeline: 1 },
                 warmup: Time::from_ms(2),
                 connect_spacing: Duration::from_us(5),
                 ..Default::default()

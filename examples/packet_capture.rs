@@ -8,7 +8,7 @@
 //! of a FlexTOE NIC, runs echo traffic through the pipeline, and writes a
 //! Wireshark-compatible `capture.pcap`.
 
-use flextoe_apps::{ClientConfig, LoadMode, ServerConfig};
+use flextoe_apps::{Arrival, ClientSpec, ServerSpec, Wire};
 use flextoe_bench::harness::*;
 use flextoe_core::module::{Hook, TcpdumpModule};
 use flextoe_core::stages::pre::PreStage;
@@ -37,20 +37,24 @@ fn main() {
 
     // echo traffic through the pipeline
     let srv = sim.add_node(DynServer::new(
-        ServerConfig {
-            msg_size: 128,
-            resp_size: 128,
+        ServerSpec {
+            wire: Wire::Fixed {
+                req: 128,
+                resp: 128,
+            },
             ..Default::default()
         },
         eb.stack_init(Stack::FlexToe, 1),
     ));
     let cli = sim.add_node(DynClient::new(
-        ClientConfig {
+        ClientSpec {
             server_ip: eb.ip,
             n_conns: 2,
-            msg_size: 128,
-            resp_size: 128,
-            mode: LoadMode::Closed { pipeline: 1 },
+            wire: Wire::Fixed {
+                req: 128,
+                resp: 128,
+            },
+            arrival: Arrival::Closed { pipeline: 1 },
             stop_after: Some(50),
             ..Default::default()
         },

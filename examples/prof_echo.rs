@@ -10,7 +10,7 @@
 //! scan (69% of wall time pre-fix). Without the env var the engine skips
 //! the per-event timestamps and the table prints empty.
 
-use flextoe_apps::{ClientConfig, LoadMode, ServerConfig};
+use flextoe_apps::{Arrival, ClientSpec, ServerSpec, Wire};
 use flextoe_bench::harness::*;
 use flextoe_sim::{Duration, Time};
 
@@ -21,17 +21,15 @@ fn main() {
         Stack::FlexToe,
         Stack::FlexToe,
         PairOpts::default(),
-        ServerConfig {
-            msg_size: 64,
-            resp_size: 64,
+        ServerSpec {
+            wire: Wire::Fixed { req: 64, resp: 64 },
             app_cycles: 0,
             ..Default::default()
         },
-        ClientConfig {
+        ClientSpec {
             n_conns: 16,
-            msg_size: 64,
-            resp_size: 64,
-            mode: LoadMode::Closed { pipeline: 4 },
+            wire: Wire::Fixed { req: 64, resp: 64 },
+            arrival: Arrival::Closed { pipeline: 4 },
             warmup: Time::from_ms(2),
             connect_spacing: Duration::from_us(3),
             ..Default::default()

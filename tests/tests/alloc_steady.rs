@@ -15,16 +15,16 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use flextoe_apps::{ClientConfig, LoadMode, RpcClientApp, RpcServerApp, ServerConfig, StackApi};
+use flextoe_apps::{Arrival, ClientSpec, ServerSpec, Wire};
 use flextoe_control::CcAlgo;
 use flextoe_netsim::{Faults, PortConfig, SetPortUp, Switch};
 use flextoe_sim::{Ctx, Duration, Msg, Node, NodeId, SchedCtl, Sim, Tick, Time};
 use flextoe_telemetry::{mix64, MergedView, ReportView, SketchCfg, SwitchSketch};
-use flextoe_topo::{build_pair, Endpoint, PairOpts, Stack};
+use flextoe_topo::{build_pair, DynClient, DynServer, Endpoint, PairOpts, Stack};
 use flextoe_wire::{Frame, Ip4, MacAddr, SegmentSpec};
 
-type Client = RpcClientApp<Box<dyn StackApi>>;
-type Server = RpcServerApp<Box<dyn StackApi>>;
+type Client = DynClient;
+type Server = DynServer;
 
 /// Counts this thread's heap allocations (the test harness runs the
 /// scenarios on parallel threads of one process).
@@ -91,13 +91,13 @@ fn client_server(
     sim: &mut Sim,
     stack: Stack,
     opts: &PairOpts,
-    server_cfg: ServerConfig,
-    client_cfg: ClientConfig,
+    server_cfg: ServerSpec,
+    client_cfg: ClientSpec,
 ) -> (Endpoint, Endpoint, NodeId) {
     let (ea, eb) = build_pair(sim, stack, stack, opts);
     let server = sim.add_node(Server::new(server_cfg, eb.stack_init(stack, 1)));
     let client = sim.add_node(Client::new(
-        ClientConfig {
+        ClientSpec {
             server_ip: eb.ip,
             ..client_cfg
         },
@@ -113,8 +113,8 @@ fn client_server(
 fn two_windows(
     stack: Stack,
     opts: PairOpts,
-    server_cfg: ServerConfig,
-    client_cfg: ClientConfig,
+    server_cfg: ServerSpec,
+    client_cfg: ClientSpec,
     pace_ps_per_byte: Option<u64>,
     warm: Time,
     window: Duration,
@@ -172,15 +172,15 @@ fn assert_steady(what: &str, [first, second]: [Window; 2], min_requests: u64) {
 /// end-of-frame token reads 50.77, an idle scheduler tick 51.02.
 const EVENTS_PER_ECHO: f64 = 50.5;
 
-fn echo_cfgs() -> (ServerConfig, ClientConfig) {
+fn echo_cfgs() -> (ServerSpec, ClientSpec) {
     (
-        ServerConfig {
+        ServerSpec {
             echo_data: true,
             ..Default::default()
         },
-        ClientConfig {
+        ClientSpec {
             n_conns: 4,
-            mode: LoadMode::Closed { pipeline: 4 },
+            arrival: Arrival::Closed { pipeline: 4 },
             ..Default::default()
         },
     )
@@ -241,16 +241,20 @@ fn paced_flextoe_bulk_allocates_nothing_per_segment() {
             cc: CcAlgo::None,
             ..Default::default()
         },
-        ServerConfig {
-            msg_size: 16 * 1024,
-            resp_size: 32,
+        ServerSpec {
+            wire: Wire::Fixed {
+                req: 16 * 1024,
+                resp: 32,
+            },
             ..Default::default()
         },
-        ClientConfig {
+        ClientSpec {
             n_conns: 2,
-            msg_size: 16 * 1024,
-            resp_size: 32,
-            mode: LoadMode::Closed { pipeline: 2 },
+            wire: Wire::Fixed {
+                req: 16 * 1024,
+                resp: 32,
+            },
+            arrival: Arrival::Closed { pipeline: 2 },
             ..Default::default()
         },
         Some(8_000),

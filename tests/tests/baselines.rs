@@ -2,22 +2,19 @@
 //! application binaries, interoperate with each other and with FlexTOE on
 //! the wire (§5.1 Fig. 9 runs all server×client combinations).
 
-use flextoe_apps::{
-    ClientConfig, FramedServerConfig, LoadMode, OpenLoopConfig, RpcClientApp, RpcServerApp,
-    ServerConfig, SizeDist, SockEvent, StackApi,
-};
+use flextoe_apps::{Arrival, ClientSpec, ServerSpec, SizeDist, SockEvent, Wire};
 use flextoe_core::hostmem::AppToNic;
 use flextoe_hoststack::engine::BUF_SIZE;
 use flextoe_hoststack::HostStackNode;
 use flextoe_netsim::Faults;
 use flextoe_sim::{Duration, NodeId, Sim, Tick, Time};
 use flextoe_topo::{
-    build_fabric, build_pair, DynOpenLoopClient, Fabric, PairOpts, Role, Scenario, Stack,
+    build_fabric, build_pair, DynClient, DynServer, Fabric, PairOpts, Role, Scenario, Stack,
 };
 use flextoe_wire::SeqNum;
 
-type Client = RpcClientApp<Box<dyn StackApi>>;
-type Server = RpcServerApp<Box<dyn StackApi>>;
+type Client = DynClient;
+type Server = DynServer;
 
 /// A `client_stack` host and a `server_stack` host joined by the 2 µs
 /// link pair `opts` describes; the server echoes `msg`-byte requests, the
@@ -33,21 +30,25 @@ fn run_pair(
     let mut sim = Sim::new(seed);
     let (a, b) = build_pair(&mut sim, client_stack, server_stack, opts);
     let server = sim.add_node(Server::new(
-        ServerConfig {
-            msg_size: msg,
-            resp_size: msg,
+        ServerSpec {
+            wire: Wire::Fixed {
+                req: msg,
+                resp: msg,
+            },
             echo_data: true,
             ..Default::default()
         },
         b.stack_init(server_stack, 1),
     ));
     let client = sim.add_node(Client::new(
-        ClientConfig {
+        ClientSpec {
             server_ip: b.ip,
             n_conns: conns,
-            msg_size: msg,
-            resp_size: msg,
-            mode: LoadMode::Closed { pipeline: 1 },
+            wire: Wire::Fixed {
+                req: msg,
+                resp: msg,
+            },
+            arrival: Arrival::Closed { pipeline: 1 },
             stop_after: Some(rounds),
             ..Default::default()
         },
@@ -182,12 +183,12 @@ fn conserves_tx_bytes_and_counts_every_rewind(stack: Stack) {
     };
     let mut sim = Sim::new(81);
     let (a, b) = build_pair(&mut sim, stack, stack, &opts);
-    let server = sim.add_node(Server::new(ServerConfig::default(), b.stack_init(stack, 1)));
+    let server = sim.add_node(Server::new(ServerSpec::default(), b.stack_init(stack, 1)));
     let client = sim.add_node(Client::new(
-        ClientConfig {
+        ClientSpec {
             server_ip: b.ip,
             n_conns: 100,
-            mode: LoadMode::Closed { pipeline: 8 },
+            arrival: Arrival::Closed { pipeline: 8 },
             warmup: Time::from_ms(4),
             connect_spacing: Duration::from_us(3),
             ..Default::default()
@@ -295,15 +296,17 @@ fn loss_free_idle_connections_fire_no_rto() {
     let mut sc = Scenario::idle(17, fabric, Stack::Tas);
     for (i, host) in sc.hosts.iter_mut().enumerate() {
         host.role = if i % 2 == 0 {
-            Role::OpenLoop {
-                cfg: OpenLoopConfig {
+            Role::Client {
+                cfg: ClientSpec {
                     n_conns: 64,
-                    rate_rps: 32_000.0,
-                    req_size: SizeDist::Fixed(64),
-                    resp_size: SizeDist::Pareto {
-                        alpha: 1.15,
-                        min: 64,
-                        max: 16_384,
+                    arrival: Arrival::Open { rate_rps: 32_000.0 },
+                    wire: Wire::Framed {
+                        req: SizeDist::Fixed(64),
+                        resp: SizeDist::Pareto {
+                            alpha: 1.15,
+                            min: 64,
+                            max: 16_384,
+                        },
                     },
                     connect_spacing: Duration::from_ns(400),
                     ..Default::default()
@@ -311,7 +314,7 @@ fn loss_free_idle_connections_fire_no_rto() {
                 target: (i / 2 + 1) % 4 * 2 + 1,
             }
         } else {
-            Role::FramedServer(FramedServerConfig::default())
+            Role::Server(ServerSpec::framed())
         };
     }
     let mut sim = Sim::new(sc.seed);
@@ -322,7 +325,7 @@ fn loss_free_idle_connections_fire_no_rto() {
     let mut fired = Vec::new();
     for (i, h) in fab.hosts.iter().enumerate() {
         if let Some(app) = h.client() {
-            let c = sim.node_ref::<DynOpenLoopClient>(app);
+            let c = sim.node_ref::<DynClient>(app);
             assert_eq!(c.connected, 64, "host {i}: every connection up");
             measured += c.measured;
         }

@@ -4,15 +4,15 @@
 //! deterministic same-timestamp fault ordering, and the conservation
 //! invariant + byte-identity contract of the `faults` chaos sweep.
 
-use flextoe_apps::{CloseAll, FramedServerConfig, SessionConfig};
+use flextoe_apps::{Arrival, ClientSpec, CloseAll, ServerSpec, SizeDist, Wire};
 use flextoe_bench::driver::{execute, Experiment};
 use flextoe_bench::faults::{buf_balance, check_row, run_faults_point, FaultsPlan};
 use flextoe_hoststack::HostStackNode;
 use flextoe_netsim::{Faults, Link, Switch};
 use flextoe_sim::{Duration, NodeId, Sim, Time};
 use flextoe_topo::{
-    build_fabric, BuiltFabric, DynFramedServer, DynSessionClient, Fabric, FaultEvent, FaultTarget,
-    LinkScope, Role, Scenario, Stack,
+    build_fabric, BuiltFabric, DynClient, DynServer, Fabric, FaultEvent, FaultTarget, LinkScope,
+    Role, Scenario, Stack,
 };
 
 /// A 4-leaf/2-spine fabric where every even host runs reconnecting
@@ -36,21 +36,26 @@ fn session_fabric(seed: u64, stack: Stack, req_size: u32, schedule: Vec<FaultEve
     for i in 0..sc.hosts.len() {
         sc.hosts[i].role = if i % 2 == 0 {
             let leaf = i / 2;
-            Role::Session {
-                cfg: SessionConfig {
-                    n_sessions: 4,
-                    req_size,
-                    resp_size: 512,
-                    think: Duration::from_us(20),
-                    backoff_base: Duration::from_us(200),
-                    backoff_cap: Duration::from_ms(2),
+            Role::Client {
+                cfg: ClientSpec {
+                    n_conns: 4,
+                    arrival: Arrival::Sessions {
+                        think: Duration::from_us(20),
+                        backoff_base: Duration::from_us(200),
+                        backoff_cap: Duration::from_ms(2),
+                    },
+                    wire: Wire::Framed {
+                        req: SizeDist::Fixed(req_size),
+                        resp: SizeDist::Fixed(512),
+                    },
                     warmup: Time::from_us(500),
+                    connect_spacing: Duration::from_us(1),
                     ..Default::default()
                 },
                 target: ((leaf + 1) % 4) * 2 + 1,
             }
         } else {
-            Role::FramedServer(FramedServerConfig::default())
+            Role::Server(ServerSpec::framed())
         };
     }
     sc.fault_schedule = schedule;
@@ -58,13 +63,13 @@ fn session_fabric(seed: u64, stack: Stack, req_size: u32, schedule: Vec<FaultEve
 }
 
 fn session_nodes(fab: &BuiltFabric) -> Vec<NodeId> {
-    fab.hosts.iter().filter_map(|h| h.session()).collect()
+    fab.hosts.iter().filter_map(|h| h.client()).collect()
 }
 
 fn total_completed(sim: &Sim, sessions: &[NodeId]) -> u64 {
     sessions
         .iter()
-        .map(|&n| sim.node_ref::<DynSessionClient>(n).completed)
+        .map(|&n| sim.node_ref::<DynClient>(n).completed)
         .sum()
 }
 
@@ -98,7 +103,7 @@ fn fabric_link_down_fails_over_without_aborts() {
         .sum();
     assert!(rerouted > 0, "ECMP must re-finalize around the dead port");
     for &n in &session_nodes(&fab) {
-        let c = sim.node_ref::<DynSessionClient>(n);
+        let c = sim.node_ref::<DynClient>(n);
         assert_eq!(c.aborted_conns, 0, "failover must not abort sessions");
     }
     let after = total_completed(&sim, &session_nodes(&fab));
@@ -131,7 +136,7 @@ fn spine_kill_fails_over_and_heals() {
         .sum();
     assert!(rerouted > 0, "leaf uplink picks moved to the live spine");
     for &n in &session_nodes(&fab) {
-        let c = sim.node_ref::<DynSessionClient>(n);
+        let c = sim.node_ref::<DynClient>(n);
         assert_eq!(c.aborted_conns, 0);
         assert!(c.completed > 0);
     }
@@ -144,7 +149,7 @@ fn spine_kill_fails_over_and_heals() {
 /// never healed, the client's RTO manager exhausts its give-up budget
 /// mid-request, the stack aborts the connection, and the session client
 /// observes the typed abort, writes off in-flight requests, and its
-/// reconnects fail cleanly (SYN retries give up → `connect_failures`)
+/// reconnects fail cleanly (SYN retries give up → `failed`)
 /// instead of hanging. 8 KiB requests keep the client mid-transfer so
 /// the cut reliably lands on unACKed client data. FlexTOE and TAS hosts
 /// read the same RTO floor, give-up budget and SYN retry base, so both
@@ -180,22 +185,22 @@ fn blackholed_flow_gives_up(stack: Stack) {
         assert!(sim.stats.get_named("ctrl.rto_fired") > 0);
         assert!(sim.stats.get_named("ctrl.abort") > 0, "give-up must abort");
     }
-    let victim = fab.hosts[0].session().unwrap();
-    let c = sim.node_ref::<DynSessionClient>(victim);
+    let victim = fab.hosts[0].client().unwrap();
+    let c = sim.node_ref::<DynClient>(victim);
     assert!(c.aborted_conns > 0, "{stack:?}: client saw the typed abort");
     assert!(
         c.dead_requests > 0,
         "{stack:?}: in-flight requests were written off"
     );
     assert!(
-        c.connect_failures > 0,
+        c.failed > 0,
         "{stack:?}: reconnects into the blackhole must fail cleanly, not hang"
     );
     // the other clients' paths never crossed the dead edge link
     for (i, h) in fab.hosts.iter().enumerate() {
         if i != 0 {
-            if let Some(n) = h.session() {
-                assert_eq!(sim.node_ref::<DynSessionClient>(n).aborted_conns, 0);
+            if let Some(n) = h.client() {
+                assert_eq!(sim.node_ref::<DynClient>(n).aborted_conns, 0);
             }
         }
     }
@@ -282,7 +287,7 @@ fn corrupted_frames_drop_exactly_once_and_conserve() {
     for h in &fab.hosts {
         if let Some(app) = h.app {
             if h.role == flextoe_topo::BuiltRole::Server {
-                let s = sim.node_ref::<DynFramedServer>(app);
+                let s = sim.node_ref::<DynServer>(app);
                 assert_eq!(s.bad_frames, 0, "corruption leaked into a stream");
             }
         }
@@ -292,7 +297,7 @@ fn corrupted_frames_drop_exactly_once_and_conserve() {
     assert_eq!(buf_balance(&sim, &fab), 0);
     let (mut issued, mut completed, mut dead) = (0u64, 0u64, 0u64);
     for &n in &sessions {
-        let c = sim.node_ref::<DynSessionClient>(n);
+        let c = sim.node_ref::<DynClient>(n);
         issued += c.issued;
         completed += c.completed;
         dead += c.dead_requests;

@@ -5,13 +5,12 @@
 //! same trial set every run (and under `FLEXTOE_SIM_REFERENCE=1`); any
 //! violation reports its trial seed for standalone reproduction.
 
-use flextoe_apps::{CloseAll, FramedServerConfig, SessionConfig};
+use flextoe_apps::{Arrival, ClientSpec, CloseAll, ServerSpec, SizeDist, Wire};
 use flextoe_bench::faults::buf_balance;
 use flextoe_netsim::{Faults, GeParams};
 use flextoe_sim::{Duration, Rng, Sim, Time};
 use flextoe_topo::{
-    build_fabric, DynSessionClient, Fabric, FaultEvent, FaultTarget, LinkScope, Role, Scenario,
-    Stack,
+    build_fabric, DynClient, Fabric, FaultEvent, FaultTarget, LinkScope, Role, Scenario, Stack,
 };
 
 /// Pinned fuzzer namespace: trial `k` derives everything from
@@ -137,21 +136,26 @@ fn random_scenario(trial: u64) -> (Scenario, u64) {
     for i in 0..sc.hosts.len() {
         sc.hosts[i].role = if i % 2 == 0 {
             let leaf = i / hosts_per_leaf;
-            Role::Session {
-                cfg: SessionConfig {
-                    n_sessions: 2 + meta.below(3) as u32,
-                    req_size: if meta.below(2) == 0 { 512 } else { 8192 },
-                    resp_size: 512,
-                    think: Duration::from_us(20),
-                    backoff_base: Duration::from_us(200),
-                    backoff_cap: Duration::from_ms(2),
+            Role::Client {
+                cfg: ClientSpec {
+                    n_conns: 2 + meta.below(3) as u32,
+                    arrival: Arrival::Sessions {
+                        think: Duration::from_us(20),
+                        backoff_base: Duration::from_us(200),
+                        backoff_cap: Duration::from_ms(2),
+                    },
+                    wire: Wire::Framed {
+                        req: SizeDist::Fixed(if meta.below(2) == 0 { 512 } else { 8192 }),
+                        resp: SizeDist::Fixed(512),
+                    },
                     warmup: Time::from_us(300),
+                    connect_spacing: Duration::from_us(1),
                     ..Default::default()
                 },
                 target: ((leaf + 1) % leaves) * hosts_per_leaf + 1,
             }
         } else {
-            Role::FramedServer(FramedServerConfig::default())
+            Role::Server(ServerSpec::framed())
         };
     }
     let n_faults = 1 + meta.below(3);
@@ -182,7 +186,7 @@ fn random_gray_and_hard_schedules_conserve_and_drain() {
         // (give-up budget ≈ min_rto × 2^3 = 1.6 ms bounds abort latency)
         sim.run_until(Time::from_ms(2));
         for h in &fab.hosts {
-            if let Some(n) = h.session() {
+            if let Some(n) = h.client() {
                 sim.schedule(sim.now(), n, CloseAll);
             }
         }
@@ -194,8 +198,8 @@ fn random_gray_and_hard_schedules_conserve_and_drain() {
         );
         let (mut issued, mut completed, mut dead) = (0u64, 0u64, 0u64);
         for h in &fab.hosts {
-            let Some(n) = h.session() else { continue };
-            let c = sim.node_ref::<DynSessionClient>(n);
+            let Some(n) = h.client() else { continue };
+            let c = sim.node_ref::<DynClient>(n);
             issued += c.issued;
             completed += c.completed;
             dead += c.dead_requests;

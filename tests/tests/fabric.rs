@@ -3,14 +3,14 @@
 //! identical determinism of the whole `scale` sweep, and declarative
 //! fault schedules on fabric links.
 
-use flextoe_apps::{FramedServerConfig, OpenLoopConfig, SizeDist};
+use flextoe_apps::{Arrival, ClientSpec, ServerSpec, SizeDist, Wire};
 use flextoe_bench::driver::{execute, Experiment};
 use flextoe_bench::scale::{run_scale_point, ScalePlan};
 use flextoe_netsim::{Faults, Link, Switch};
-use flextoe_sim::{Sim, Time};
+use flextoe_sim::{Duration, Sim, Time};
 use flextoe_topo::{
-    build_fabric, BuiltRole, DynFramedServer, DynOpenLoopClient, Fabric, FaultEvent, LinkScope,
-    Role, Scenario, Stack,
+    build_fabric, BuiltRole, DynClient, DynServer, Fabric, FaultEvent, LinkScope, Role, Scenario,
+    Stack,
 };
 
 /// A small leaf-spine scenario: every even host open-loops to the server
@@ -25,19 +25,22 @@ fn mini_leaf_spine(seed: u64) -> Scenario {
     for i in 0..sc.hosts.len() {
         sc.hosts[i].role = if i % 2 == 0 {
             let leaf = i / 2;
-            Role::OpenLoop {
-                cfg: OpenLoopConfig {
+            Role::Client {
+                cfg: ClientSpec {
                     n_conns: 8,
-                    rate_rps: 50_000.0,
-                    req_size: SizeDist::Fixed(64),
-                    resp_size: SizeDist::Uniform { lo: 64, hi: 2048 },
+                    arrival: Arrival::Open { rate_rps: 50_000.0 },
+                    wire: Wire::Framed {
+                        req: SizeDist::Fixed(64),
+                        resp: SizeDist::Uniform { lo: 64, hi: 2048 },
+                    },
                     warmup: Time::from_us(500),
+                    connect_spacing: Duration::from_us(1),
                     ..Default::default()
                 },
                 target: ((leaf + 1) % 4) * 2 + 1,
             }
         } else {
-            Role::FramedServer(FramedServerConfig::default())
+            Role::Server(ServerSpec::framed())
         };
     }
     sc
@@ -55,16 +58,16 @@ fn leaf_spine_ecmp_spreads_flows_across_spines() {
     for h in &fab.hosts {
         match h.role {
             BuiltRole::Client => {
-                let c = sim.node_ref::<DynOpenLoopClient>(h.app.unwrap());
+                let c = sim.node_ref::<DynClient>(h.app.unwrap());
                 assert_eq!(c.connected, 8, "all conns established");
                 assert!(c.measured > 20, "client measured {}", c.measured);
             }
             BuiltRole::Server => {
-                let s = sim.node_ref::<DynFramedServer>(h.app.unwrap());
+                let s = sim.node_ref::<DynServer>(h.app.unwrap());
                 assert_eq!(s.bad_frames, 0, "framing intact through the fabric");
                 assert!(s.requests > 0);
             }
-            BuiltRole::Idle | BuiltRole::Session => {}
+            BuiltRole::Idle => {}
         }
     }
     // both spines forwarded traffic, each via the L3 ECMP route path
@@ -93,26 +96,29 @@ fn fat_tree_delivers_cross_pod_through_core() {
     let fabric = Fabric::FatTree { k: 4 };
     let mut sc = Scenario::idle(5, fabric, Stack::FlexToe);
     // host 0 (pod 0) open-loops to host 15 (pod 3); everyone else idles
-    sc.hosts[0].role = Role::OpenLoop {
-        cfg: OpenLoopConfig {
+    sc.hosts[0].role = Role::Client {
+        cfg: ClientSpec {
             n_conns: 4,
-            rate_rps: 50_000.0,
-            req_size: SizeDist::Fixed(64),
-            resp_size: SizeDist::Fixed(512),
+            arrival: Arrival::Open { rate_rps: 50_000.0 },
+            wire: Wire::Framed {
+                req: SizeDist::Fixed(64),
+                resp: SizeDist::Fixed(512),
+            },
+            connect_spacing: Duration::from_us(1),
             ..Default::default()
         },
         target: 15,
     };
-    sc.hosts[15].role = Role::FramedServer(FramedServerConfig::default());
+    sc.hosts[15].role = Role::Server(ServerSpec::framed());
     let mut sim = Sim::new(sc.seed);
     let fab = build_fabric(&mut sim, &sc);
     assert_eq!(fab.switches.len(), 20, "4 pods x (2+2) + 4 cores");
     sim.run_until(Time::from_ms(2));
 
-    let c = sim.node_ref::<DynOpenLoopClient>(fab.hosts[0].app.unwrap());
+    let c = sim.node_ref::<DynClient>(fab.hosts[0].app.unwrap());
     assert_eq!(c.connected, 4);
     assert!(c.measured > 20, "cross-pod RPCs completed: {}", c.measured);
-    let s = sim.node_ref::<DynFramedServer>(fab.hosts[15].app.unwrap());
+    let s = sim.node_ref::<DynServer>(fab.hosts[15].app.unwrap());
     assert_eq!(s.bad_frames, 0);
     // cross-pod traffic must transit at least one core switch
     let core_routed: u64 = (16..20)
@@ -134,7 +140,7 @@ fn fabric_runs_are_deterministic_per_seed() {
             .hosts
             .iter()
             .filter_map(|h| h.client())
-            .map(|app| sim.node_ref::<DynOpenLoopClient>(app).measured)
+            .map(|app| sim.node_ref::<DynClient>(app).measured)
             .sum();
         let spine_split = (4..6)
             .flat_map(|s| {
@@ -245,7 +251,7 @@ fn fault_schedule_degrades_and_heals_fabric_links() {
     assert!(dropped > 0, "the degradation window dropped frames");
     for h in &fab.hosts {
         if let Some(app) = h.client() {
-            let c = sim.node_ref::<DynOpenLoopClient>(app);
+            let c = sim.node_ref::<DynClient>(app);
             assert!(
                 c.measured > 20,
                 "traffic survived the fault window: {}",

@@ -8,14 +8,14 @@
 //! event queues (CI repeats the suite on the heap oracle with
 //! `FLEXTOE_SIM_REFERENCE=1`).
 
-use flextoe_apps::{CloseAll, FramedServerConfig, SessionConfig};
+use flextoe_apps::{Arrival, ClientSpec, CloseAll, ServerSpec, SizeDist, Wire};
 use flextoe_bench::faults::buf_balance;
 use flextoe_hoststack::HostStackNode;
 use flextoe_netsim::{Faults, GeParams, Link};
 use flextoe_sim::{Duration, NodeId, Sim, Time};
 use flextoe_topo::{
-    build_fabric, BuiltFabric, DynFramedServer, DynSessionClient, Fabric, FaultEvent, LinkScope,
-    Role, Scenario, Stack,
+    build_fabric, BuiltFabric, DynClient, DynServer, Fabric, FaultEvent, LinkScope, Role, Scenario,
+    Stack,
 };
 
 /// The chaos-grade 4-leaf/2-spine session fabric (same shape as the
@@ -37,21 +37,26 @@ fn session_fabric(stack: Stack, seed: u64, req_size: u32, schedule: Vec<FaultEve
     for i in 0..sc.hosts.len() {
         sc.hosts[i].role = if i % 2 == 0 {
             let leaf = i / 2;
-            Role::Session {
-                cfg: SessionConfig {
-                    n_sessions: 4,
-                    req_size,
-                    resp_size: 512,
-                    think: Duration::from_us(20),
-                    backoff_base: Duration::from_us(200),
-                    backoff_cap: Duration::from_ms(2),
+            Role::Client {
+                cfg: ClientSpec {
+                    n_conns: 4,
+                    arrival: Arrival::Sessions {
+                        think: Duration::from_us(20),
+                        backoff_base: Duration::from_us(200),
+                        backoff_cap: Duration::from_ms(2),
+                    },
+                    wire: Wire::Framed {
+                        req: SizeDist::Fixed(req_size),
+                        resp: SizeDist::Fixed(512),
+                    },
                     warmup: Time::from_us(500),
+                    connect_spacing: Duration::from_us(1),
                     ..Default::default()
                 },
                 target: ((leaf + 1) % 4) * 2 + 1,
             }
         } else {
-            Role::FramedServer(FramedServerConfig::default())
+            Role::Server(ServerSpec::framed())
         };
     }
     sc.fault_schedule = schedule;
@@ -59,7 +64,7 @@ fn session_fabric(stack: Stack, seed: u64, req_size: u32, schedule: Vec<FaultEve
 }
 
 fn session_nodes(fab: &BuiltFabric) -> Vec<NodeId> {
-    fab.hosts.iter().filter_map(|h| h.session()).collect()
+    fab.hosts.iter().filter_map(|h| h.client()).collect()
 }
 
 /// A control-plane counter plus its twin on every baseline host, so one
@@ -85,7 +90,7 @@ fn drain_and_audit(sim: &mut Sim, fab: &BuiltFabric, until: Time) {
     sim.run_until(until);
     let (mut issued, mut completed, mut dead) = (0u64, 0u64, 0u64);
     for &n in &session_nodes(fab) {
-        let c = sim.node_ref::<DynSessionClient>(n);
+        let c = sim.node_ref::<DynClient>(n);
         issued += c.issued;
         completed += c.completed;
         dead += c.dead_requests;
@@ -100,7 +105,7 @@ fn drain_and_audit(sim: &mut Sim, fab: &BuiltFabric, until: Time) {
         }
         if let Some(app) = h.app {
             if h.role == flextoe_topo::BuiltRole::Server {
-                let s = sim.node_ref::<DynFramedServer>(app);
+                let s = sim.node_ref::<DynServer>(app);
                 assert_eq!(s.bad_frames, 0, "gray faults leaked into a stream");
             }
         }
@@ -184,7 +189,7 @@ fn handshake_duplicates_keep_connections_in_sync() {
             "{stack:?}: a duplicated handshake broke a connection"
         );
         for &n in &session_nodes(&fab) {
-            let c = sim.node_ref::<DynSessionClient>(n);
+            let c = sim.node_ref::<DynClient>(n);
             assert!(
                 c.completed > 0,
                 "{stack:?}: session node {n} made no progress"
@@ -276,12 +281,12 @@ fn ge_burst_loss_retransmits_and_conserves() {
     let sessions = session_nodes(&fab);
     let healed: u64 = sessions
         .iter()
-        .map(|&n| sim.node_ref::<DynSessionClient>(n).completed)
+        .map(|&n| sim.node_ref::<DynClient>(n).completed)
         .sum();
     sim.run_until(Time::from_ms(3));
     let after: u64 = sessions
         .iter()
-        .map(|&n| sim.node_ref::<DynSessionClient>(n).completed)
+        .map(|&n| sim.node_ref::<DynClient>(n).completed)
         .sum();
     assert!(after > healed, "goodput must resume after the heal");
     drain_and_audit(&mut sim, &fab, Time::from_ms(5));
@@ -306,14 +311,14 @@ fn pool_exhaustion_sheds_counted_and_recovers() {
     let sessions = session_nodes(&fab);
     let mid: u64 = sessions
         .iter()
-        .map(|&n| sim.node_ref::<DynSessionClient>(n).completed)
+        .map(|&n| sim.node_ref::<DynClient>(n).completed)
         .sum();
     assert!(mid > 0, "the fabric must make progress while shedding");
     // recovery: completions keep accumulating under sustained pressure
     sim.run_until(Time::from_ms(3));
     let late: u64 = sessions
         .iter()
-        .map(|&n| sim.node_ref::<DynSessionClient>(n).completed)
+        .map(|&n| sim.node_ref::<DynClient>(n).completed)
         .sum();
     assert!(late > mid, "backpressure must degrade, not wedge");
     drain_and_audit(&mut sim, &fab, Time::from_ms(6));
@@ -344,18 +349,18 @@ fn admission_cap_case(stack: Stack) {
         h.admission_refused
     });
     assert!(refused > 0, "{stack:?}: the cap must refuse surplus SYNs");
-    let (mut completed, mut connect_failures) = (0u64, 0u64);
+    let (mut completed, mut failed) = (0u64, 0u64);
     for &n in &session_nodes(&fab) {
-        let c = sim.node_ref::<DynSessionClient>(n);
+        let c = sim.node_ref::<DynClient>(n);
         completed += c.completed;
-        connect_failures += c.connect_failures;
+        failed += u64::from(c.failed);
     }
     assert!(
         completed > 0,
         "{stack:?}: admitted sessions must complete requests"
     );
     assert!(
-        connect_failures > 0,
+        failed > 0,
         "{stack:?}: refused sessions must fail cleanly, not hang"
     );
     drain_and_audit(&mut sim, &fab, Time::from_ms(6));

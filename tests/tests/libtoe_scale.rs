@@ -3,17 +3,22 @@
 //! per-request magic check fails on any byte misordering), and pool
 //! balance after quiescence — no WorkPool or descriptor leaks.
 
-use flextoe_apps::{CloseAll, FramedServerConfig, OpenLoopConfig, SizeDist};
+use flextoe_apps::{Arrival, ClientSpec, CloseAll, ServerSpec, SizeDist, Wire, FRAMED_PORT};
 use flextoe_control::ControlPlane;
 use flextoe_sim::{Duration, Sim, Tick, Time};
-use flextoe_topo::{build_pair, DynFramedServer, DynOpenLoopClient, PairOpts, Stack};
+use flextoe_topo::{build_pair, DynClient, DynServer, PairOpts, Stack};
 
-fn client_cfg(n_conns: u32, stop_after: u64) -> OpenLoopConfig {
-    OpenLoopConfig {
+fn client_cfg(n_conns: u32, stop_after: u64) -> ClientSpec {
+    ClientSpec {
+        server_port: FRAMED_PORT,
         n_conns,
-        rate_rps: 400_000.0,
-        req_size: SizeDist::Uniform { lo: 64, hi: 512 },
-        resp_size: SizeDist::Uniform { lo: 64, hi: 2048 },
+        arrival: Arrival::Open {
+            rate_rps: 400_000.0,
+        },
+        wire: Wire::Framed {
+            req: SizeDist::Uniform { lo: 64, hi: 512 },
+            resp: SizeDist::Uniform { lo: 64, hi: 2048 },
+        },
         stop_after: Some(stop_after),
         connect_spacing: Duration::from_ns(500),
         ..Default::default()
@@ -29,12 +34,12 @@ fn many_connections_byte_exact_and_pools_balance() {
     let opts = PairOpts::default();
     let mut sim = Sim::new(77);
     let (ec, es) = build_pair(&mut sim, Stack::FlexToe, Stack::FlexToe, &opts);
-    let server = sim.add_node(DynFramedServer::new(
-        FramedServerConfig::default(),
+    let server = sim.add_node(DynServer::new(
+        ServerSpec::framed(),
         es.stack_init(Stack::FlexToe, 1),
     ));
-    let client = sim.add_node(DynOpenLoopClient::new(
-        OpenLoopConfig {
+    let client = sim.add_node(DynClient::new(
+        ClientSpec {
             server_ip: es.ip,
             ..client_cfg(128, 2000)
         },
@@ -44,11 +49,11 @@ fn many_connections_byte_exact_and_pools_balance() {
     sim.schedule(Time::from_us(20), client, Tick);
     sim.run_until(Time::from_ms(50));
 
-    let c = sim.node_ref::<DynOpenLoopClient>(client);
+    let c = sim.node_ref::<DynClient>(client);
     assert_eq!(c.connected, 128);
     assert_eq!(c.failed, 0);
     assert!(c.measured >= 2000, "measured {}", c.measured);
-    let s = sim.node_ref::<DynFramedServer>(server);
+    let s = sim.node_ref::<DynServer>(server);
     assert_eq!(s.bad_frames, 0, "byte stream stayed framed");
     assert_eq!(s.accepted, 128);
 
@@ -73,16 +78,16 @@ fn accept_connect_churn_reuses_ids_without_leaks() {
     let opts = PairOpts::default();
     let mut sim = Sim::new(31);
     let (ec, es) = build_pair(&mut sim, Stack::FlexToe, Stack::FlexToe, &opts);
-    let server = sim.add_node(DynFramedServer::new(
-        FramedServerConfig::default(),
+    let server = sim.add_node(DynServer::new(
+        ServerSpec::framed(),
         es.stack_init(Stack::FlexToe, 1),
     ));
     sim.schedule(Time::ZERO, server, Tick);
 
     let mut total_established = 0u64;
     for wave in 0..3u64 {
-        let client = sim.add_node(DynOpenLoopClient::new(
-            OpenLoopConfig {
+        let client = sim.add_node(DynClient::new(
+            ClientSpec {
                 server_ip: es.ip,
                 ..client_cfg(32, 300)
             },
@@ -90,7 +95,7 @@ fn accept_connect_churn_reuses_ids_without_leaks() {
         ));
         sim.schedule(sim.now() + Duration::from_us(10), client, Tick);
         sim.run_until(sim.now() + Duration::from_ms(20));
-        let c = sim.node_ref::<DynOpenLoopClient>(client);
+        let c = sim.node_ref::<DynClient>(client);
         assert_eq!(c.connected, 32, "wave {wave} connected");
         assert!(c.measured >= 300, "wave {wave} measured {}", c.measured);
         total_established += 32;
@@ -155,23 +160,29 @@ fn interleaved_large_responses_preserve_per_conn_fifo() {
     opts.cfg.tx_buf_size = 4 * 1024;
     let mut sim = Sim::new(55);
     let (ec, es) = build_pair(&mut sim, Stack::FlexToe, Stack::FlexToe, &opts);
-    let server = sim.add_node(DynFramedServer::new(
-        FramedServerConfig::default(),
+    let server = sim.add_node(DynServer::new(
+        ServerSpec::framed(),
         es.stack_init(Stack::FlexToe, 1),
     ));
-    let client = sim.add_node(DynOpenLoopClient::new(
-        OpenLoopConfig {
+    let client = sim.add_node(DynClient::new(
+        ClientSpec {
             server_ip: es.ip,
+            server_port: FRAMED_PORT,
             n_conns: 16,
-            rate_rps: 200_000.0,
-            req_size: SizeDist::Fixed(64),
-            // responses up to 4x the socket buffer: guaranteed Writable
-            // backpressure inside the server
-            resp_size: SizeDist::Uniform {
-                lo: 1024,
-                hi: 16 * 1024,
+            arrival: Arrival::Open {
+                rate_rps: 200_000.0,
+            },
+            wire: Wire::Framed {
+                req: SizeDist::Fixed(64),
+                // responses up to 4x the socket buffer: guaranteed
+                // Writable backpressure inside the server
+                resp: SizeDist::Uniform {
+                    lo: 1024,
+                    hi: 16 * 1024,
+                },
             },
             stop_after: Some(400),
+            connect_spacing: Duration::from_us(1),
             ..Default::default()
         },
         ec.stack_init(Stack::FlexToe, 1),
@@ -179,10 +190,10 @@ fn interleaved_large_responses_preserve_per_conn_fifo() {
     sim.schedule(Time::ZERO, server, Tick);
     sim.schedule(Time::from_us(20), client, Tick);
     sim.run_until(Time::from_ms(80));
-    let c = sim.node_ref::<DynOpenLoopClient>(client);
+    let c = sim.node_ref::<DynClient>(client);
     assert!(c.measured >= 400, "measured {}", c.measured);
     // FIFO intact: nothing left over that shouldn't be, no stuck conns
-    let s = sim.node_ref::<DynFramedServer>(server);
+    let s = sim.node_ref::<DynServer>(server);
     assert_eq!(s.bad_frames, 0);
     assert!(
         c.latency.max() < 20_000_000,

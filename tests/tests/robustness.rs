@@ -1,7 +1,7 @@
 //! Robustness integration (§5.3): loss, corruption, XDP filtering, and
 //! the reordering ablation, all through the complete pipeline.
 
-use flextoe_apps::{ClientConfig, LibToe, LoadMode, RpcClientApp, RpcServerApp, ServerConfig};
+use flextoe_apps::{Arrival, ClientSpec, LibToe, ServerSpec, Wire};
 use flextoe_core::module::{xdp_with_maps, Hook};
 use flextoe_core::stages::pre::PreStage;
 use flextoe_core::PipeCfg;
@@ -11,8 +11,8 @@ use flextoe_netsim::Faults;
 use flextoe_sim::{NodeId, Sim, Tick, Time};
 use flextoe_topo::PairOpts;
 
-type Client = RpcClientApp<LibToe>;
-type Server = RpcServerApp<LibToe>;
+type Client = flextoe_apps::Client<LibToe>;
+type Server = flextoe_apps::Server<LibToe>;
 
 fn stack_init(host: &Host, ctx_id: u16) -> flextoe_apps::StackInit<LibToe> {
     let nic = host.nic.handle();
@@ -31,21 +31,25 @@ fn lossy_echo(cfg: PipeCfg, faults: Faults, msg: u32, rounds: u64, seed: u64) ->
         },
     );
     let server = sim.add_node(Server::new(
-        ServerConfig {
-            msg_size: msg,
-            resp_size: msg,
+        ServerSpec {
+            wire: Wire::Fixed {
+                req: msg,
+                resp: msg,
+            },
             echo_data: true,
             ..Default::default()
         },
         stack_init(&b, 1),
     ));
     let client = sim.add_node(Client::new(
-        ClientConfig {
+        ClientSpec {
             server_ip: b.ip,
             n_conns: 4,
-            msg_size: msg,
-            resp_size: msg,
-            mode: LoadMode::Closed { pipeline: 2 },
+            wire: Wire::Fixed {
+                req: msg,
+                resp: msg,
+            },
+            arrival: Arrival::Closed { pipeline: 2 },
             stop_after: Some(rounds),
             ..Default::default()
         },
@@ -128,9 +132,9 @@ fn xdp_firewall_blocks_in_the_pipeline() {
     let pre = b.nic.pre;
     sim.node_mut::<PreStage>(pre).ingress.push(Box::new(fw));
 
-    let server = sim.add_node(Server::new(ServerConfig::default(), stack_init(&b, 1)));
+    let server = sim.add_node(Server::new(ServerSpec::default(), stack_init(&b, 1)));
     let client = sim.add_node(Client::new(
-        ClientConfig {
+        ClientSpec {
             server_ip: b.ip,
             n_conns: 1,
             ..Default::default()

@@ -6,12 +6,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use flextoe_apps::{ClientConfig, LibToe, LoadMode, RpcClientApp, RpcServerApp, ServerConfig};
+use flextoe_apps::{Arrival, ClientSpec, LibToe, ServerSpec, Wire};
 use flextoe_integration::{default_setup, Host};
 use flextoe_sim::{Ctx, Duration, Msg, Node, NodeId, QueueKind, Sim, Tick, Time};
 
-type Client = RpcClientApp<LibToe>;
-type Server = RpcServerApp<LibToe>;
+type Client = flextoe_apps::Client<LibToe>;
+type Server = flextoe_apps::Server<LibToe>;
 
 // ---- property: random workloads deliver identically ----------------------
 
@@ -114,20 +114,18 @@ fn echo_fingerprint(kind: QueueKind) -> (u64, u64, u64, u64, u64, u64, usize, us
     let mut sim = Sim::with_queue(7, kind);
     let (a, b) = default_setup(&mut sim);
     let server = sim.add_node(Server::new(
-        ServerConfig {
-            msg_size: 64,
-            resp_size: 64,
+        ServerSpec {
+            wire: Wire::Fixed { req: 64, resp: 64 },
             ..Default::default()
         },
         stack_init(&b, 1),
     ));
     let client = sim.add_node(Client::new(
-        ClientConfig {
+        ClientSpec {
             server_ip: b.ip,
             n_conns: 4,
-            msg_size: 64,
-            resp_size: 64,
-            mode: LoadMode::Closed { pipeline: 2 },
+            wire: Wire::Fixed { req: 64, resp: 64 },
+            arrival: Arrival::Closed { pipeline: 2 },
             stop_after: Some(500),
             ..Default::default()
         },
@@ -180,20 +178,24 @@ fn pools_balance_after_end_to_end_run() {
     let mut sim = Sim::new(7);
     let (a, b) = default_setup(&mut sim);
     let server = sim.add_node(Server::new(
-        ServerConfig {
-            msg_size: 512,
-            resp_size: 512,
+        ServerSpec {
+            wire: Wire::Fixed {
+                req: 512,
+                resp: 512,
+            },
             ..Default::default()
         },
         stack_init(&b, 1),
     ));
     let client = sim.add_node(Client::new(
-        ClientConfig {
+        ClientSpec {
             server_ip: b.ip,
             n_conns: 2,
-            msg_size: 512,
-            resp_size: 512,
-            mode: LoadMode::Closed { pipeline: 2 },
+            wire: Wire::Fixed {
+                req: 512,
+                resp: 512,
+            },
+            arrival: Arrival::Closed { pipeline: 2 },
             stop_after: Some(300),
             ..Default::default()
         },

@@ -1,15 +1,15 @@
-//! Workload-level integration: the generic RPC/KV applications running on
+//! Workload-level integration: the one RPC client and server running on
 //! the FlexTOE stack over the full pipeline.
 
-use flextoe_apps::{
-    ClientConfig, KvServerApp, KvServerConfig, LibToe, LoadMode, MemtierApp, MemtierConfig,
-    RpcClientApp, RpcServerApp, ServerConfig,
-};
+use flextoe_apps::{Arrival, ClientSpec, LibToe, ServerSpec, Wire};
 use flextoe_integration::{default_setup, Host};
-use flextoe_sim::{NodeId, Sim, Tick, Time};
+use flextoe_sim::{Duration, NodeId, Sim, Tick, Time};
+use flextoe_topo::{
+    build_fabric, DynClient, DynServer, Fabric, FaultEvent, FaultTarget, Role, Scenario, Stack,
+};
 
-type Client = RpcClientApp<LibToe>;
-type Server = RpcServerApp<LibToe>;
+type Client = flextoe_apps::Client<LibToe>;
+type Server = flextoe_apps::Server<LibToe>;
 
 fn stack_init(host: &Host, ctx_id: u16) -> flextoe_apps::StackInit<LibToe> {
     let nic = host.nic.handle();
@@ -17,15 +17,11 @@ fn stack_init(host: &Host, ctx_id: u16) -> flextoe_apps::StackInit<LibToe> {
     Box::new(move |ctx, app| LibToe::new(ctx, ctx_id, nic, ctrl, app))
 }
 
-fn echo_setup(
-    sim: &mut Sim,
-    server_cfg: ServerConfig,
-    client_cfg: ClientConfig,
-) -> (NodeId, NodeId) {
+fn echo_setup(sim: &mut Sim, server_cfg: ServerSpec, client_cfg: ClientSpec) -> (NodeId, NodeId) {
     let (a, b) = default_setup(sim);
     let server = sim.add_node(Server::new(server_cfg, stack_init(&b, 1)));
     let client = sim.add_node(Client::new(
-        ClientConfig {
+        ClientSpec {
             server_ip: b.ip,
             ..client_cfg
         },
@@ -41,16 +37,14 @@ fn closed_loop_echo_fixed_work() {
     let mut sim = Sim::new(7);
     let (server, client) = echo_setup(
         &mut sim,
-        ServerConfig {
-            msg_size: 64,
-            resp_size: 64,
+        ServerSpec {
+            wire: Wire::Fixed { req: 64, resp: 64 },
             ..Default::default()
         },
-        ClientConfig {
+        ClientSpec {
             n_conns: 4,
-            msg_size: 64,
-            resp_size: 64,
-            mode: LoadMode::Closed { pipeline: 2 },
+            wire: Wire::Fixed { req: 64, resp: 64 },
+            arrival: Arrival::Closed { pipeline: 2 },
             stop_after: Some(2000),
             ..Default::default()
         },
@@ -76,16 +70,20 @@ fn pipelined_large_messages_exercise_windows() {
     let mut sim = Sim::new(8);
     let (_server, client) = echo_setup(
         &mut sim,
-        ServerConfig {
-            msg_size: 16 * 1024,
-            resp_size: 16 * 1024,
+        ServerSpec {
+            wire: Wire::Fixed {
+                req: 16 * 1024,
+                resp: 16 * 1024,
+            },
             ..Default::default()
         },
-        ClientConfig {
+        ClientSpec {
             n_conns: 1,
-            msg_size: 16 * 1024,
-            resp_size: 16 * 1024,
-            mode: LoadMode::Closed { pipeline: 2 },
+            wire: Wire::Fixed {
+                req: 16 * 1024,
+                resp: 16 * 1024,
+            },
+            arrival: Arrival::Closed { pipeline: 2 },
             stop_after: Some(100),
             ..Default::default()
         },
@@ -106,10 +104,10 @@ fn open_loop_generator_offers_requested_rate() {
     let mut sim = Sim::new(9);
     let (_server, client) = echo_setup(
         &mut sim,
-        ServerConfig::default(),
-        ClientConfig {
+        ServerSpec::default(),
+        ClientSpec {
             n_conns: 8,
-            mode: LoadMode::Open {
+            arrival: Arrival::Open {
                 rate_rps: 200_000.0,
             },
             warmup: Time::from_ms(2),
@@ -125,41 +123,55 @@ fn open_loop_generator_offers_requested_rate() {
     );
 }
 
+/// A fixed-size echo whose server is cut off for good: the RTO give-up
+/// aborts the connections on both ends, the server frees their state,
+/// and the closed-loop client writes off the requests it had in flight
+/// instead of holding them forever.
 #[test]
-fn kv_store_end_to_end() {
-    let mut sim = Sim::new(11);
-    let (a, b) = default_setup(&mut sim);
-    let server = sim.add_node(KvServerApp::new(
-        KvServerConfig::default(),
-        stack_init(&b, 1),
-    ));
-    let client = sim.add_node(MemtierApp::new(
-        MemtierConfig {
-            server_ip: b.ip,
-            n_conns: 4,
-            key_space: 50,
-            gets_per_set: 2, // set-heavy so GETs hit
-            stop_after: Some(1500),
+fn aborted_echo_connections_are_written_off() {
+    let fabric = Fabric::LeafSpine {
+        leaves: 2,
+        spines: 1,
+        hosts_per_leaf: 1,
+    };
+    let mut sc = Scenario::idle(23, fabric, Stack::FlexToe);
+    sc.opts.min_rto = Duration::from_us(200);
+    sc.opts.rto_give_up = Some(3);
+    // 8 KiB echoes keep both ends mid-transfer (unACKed data) most of the
+    // time, so the cut trips the give-up on the server as well
+    let wire = Wire::Fixed {
+        req: 8192,
+        resp: 8192,
+    };
+    sc.hosts[0].role = Role::Client {
+        cfg: ClientSpec {
+            n_conns: 2,
+            arrival: Arrival::Closed { pipeline: 2 },
+            wire,
             ..Default::default()
         },
-        stack_init(&a, 1),
-    ));
-    sim.schedule(Time::ZERO, server, Tick);
-    sim.schedule(Time::from_us(20), client, Tick);
-    sim.run_until(Time::from_ms(2000));
+        target: 1,
+    };
+    sc.hosts[1].role = Role::Server(ServerSpec {
+        wire,
+        ..Default::default()
+    });
+    sc.fault_schedule = vec![FaultEvent::down(
+        Time::from_ms(1),
+        FaultTarget::EdgeLink { host: 1 },
+    )];
+    let mut sim = Sim::new(sc.seed);
+    let fab = build_fabric(&mut sim, &sc);
+    sim.run_until(Time::from_ms(16));
 
-    let c = sim.node_ref::<MemtierApp<LibToe>>(client);
-    assert_eq!(c.measured, 1500);
-    let s = sim.node_ref::<KvServerApp<LibToe>>(server);
-    assert!(s.sets > 300, "sets {}", s.sets);
-    assert!(s.gets > 600, "gets {}", s.gets);
-    // with a tiny keyspace and set-heavy mix, most GETs must hit
-    assert!(
-        s.hits as f64 / s.gets as f64 > 0.5,
-        "hit rate {}/{}",
-        s.hits,
-        s.gets
-    );
-    assert_eq!(s.errors, 0);
-    assert!(s.core_busy() > flextoe_sim::Duration::ZERO);
+    let c = sim.node_ref::<DynClient>(fab.hosts[0].app.unwrap());
+    assert!(c.completed > 0, "the echo ran before the cut");
+    assert_eq!(c.aborted_conns, 2, "both connections gave up");
+    assert!(c.dead_requests > 0, "in-flight requests were written off");
+    assert_eq!(c.in_flight(), 0, "nothing stays outstanding on a dead conn");
+    assert_eq!(c.issued, c.completed + c.dead_requests);
+    let s = sim.node_ref::<DynServer>(fab.hosts[1].app.unwrap());
+    assert_eq!(s.accepted, 2);
+    assert_eq!(s.aborted, 2, "the server saw both aborts");
+    assert_eq!(s.open_conns(), 0, "and freed every connection's state");
 }
