@@ -9,20 +9,26 @@
 //! heal, and the reroute / retransmit / abort / reconnect counts behind
 //! them.
 //!
-//! Every row ends with a conservation audit: after `CloseAll` + drain,
-//! each issued request is accounted exactly once (`issued == completed +
-//! dead_requests`), no session holds an in-flight request, and the
-//! FlexTOE pool gauges (work slots, pktbuf segments) are back to zero
-//! in-flight across every NIC. `BENCH_faults.json` is byte-identical per
-//! seed across runs, `--jobs` and `--shards` values, and the wheel vs.
-//! reference-heap queue.
+//! The fault harness is defined here once for the sweep, the
+//! `telemetry` fault rows and the chaos, gray-failure and fuzz suites:
+//! one workload builder ([`SessionFabric`]) and one drain ([`drain`])
+//! whose merged counts one audit ([`FaultsCounts::audit`]) checks. After
+//! `CloseAll` + drain, each issued request is accounted exactly once
+//! (`issued == completed + dead_requests`), no session holds an
+//! in-flight request, the work pools and the global packet-buffer
+//! balance are back to zero, no server saw a bad frame, and the run made
+//! progress. `BENCH_faults.json` is byte-identical per seed across runs,
+//! `--jobs` and `--shards` values, and the wheel vs. reference-heap
+//! queue.
 
 use flextoe_apps::{Arrival, ClientSpec, CloseAll, SizeDist, Wire};
 use flextoe_core::PoolGauges;
+use flextoe_hoststack::HostStackNode;
 use flextoe_netsim::{Faults, GeParams, Link, Switch};
 use flextoe_sim::{Duration, Histogram, NodeId, Sim, Time};
 use flextoe_topo::{
-    BuiltFabric, DynClient, FaultEvent, FaultTarget, LinkScope, PairOpts, Role, Scenario, Stack,
+    BuiltFabric, BuiltRole, DynClient, DynServer, Fabric, FaultEvent, FaultTarget, LinkScope, Role,
+    Scenario, Stack,
 };
 
 use crate::driver::{has_rows, holds, Experiment, PointRun};
@@ -38,23 +44,11 @@ pub struct ChaosRow {
 }
 
 /// Chaos-sweep configuration. All instants must be multiples of
-/// `bucket` (the goodput series is sampled on bucket boundaries).
+/// `BUCKET` (the goodput series is sampled on bucket boundaries).
 #[derive(Clone)]
 pub struct FaultsPlan {
     pub rows: Vec<ChaosRow>,
     pub n_sessions_per_host: u32,
-    pub req_size: u32,
-    pub resp_size: u32,
-    /// Closed-loop think time between a response and the next request.
-    pub think: Duration,
-    /// RTO floor and give-up budget, sized so a blackholed flow aborts
-    /// *inside* the fault window (stall → abort ≈ `min_rto × 2^give_up`).
-    pub min_rto: Duration,
-    pub rto_give_up: u32,
-    /// Base SYN retransmission interval for reconnect attempts.
-    pub syn_retry: Duration,
-    /// Goodput sampling bucket.
-    pub bucket: Duration,
     /// Pre-fault baseline goodput is averaged over `[warmup, t_fault)`.
     pub warmup: Time,
     pub t_fault: Time,
@@ -64,6 +58,96 @@ pub struct FaultsPlan {
     pub t_end: Time,
     /// Conservation checkpoint: everything must have drained by here.
     pub t_drain: Time,
+}
+
+/// The chaos-grade RTO tuning every fault experiment runs: floor and
+/// give-up budget sized so a blackholed flow aborts *inside* the fault
+/// window (stall → abort ≈ `MIN_RTO × 2^RTO_GIVE_UP`, ~1.6 ms).
+const MIN_RTO: Duration = Duration::from_us(200);
+const RTO_GIVE_UP: u32 = 3;
+/// Base SYN retransmission interval for reconnect attempts.
+const SYN_RETRY: Duration = Duration::from_us(400);
+/// Closed-loop think time between a response and the next request.
+const THINK: Duration = Duration::from_us(20);
+/// A session's jittered reconnect backoff, from base up to the cap.
+const BACKOFF_BASE: Duration = Duration::from_us(200);
+const BACKOFF_CAP: Duration = Duration::from_ms(2);
+/// The sweep's request size (the builder's default), and every
+/// session's response size.
+const REQ_SIZE: u32 = 128;
+const RESP_SIZE: u32 = 512;
+/// The sweep's goodput sampling bucket.
+const BUCKET: Duration = Duration::from_us(250);
+
+/// The reconnecting-session fabric every fault experiment runs: every
+/// even host runs `n_conns` sessions toward the server on the next leaf
+/// (all traffic crosses the spines, the scale sweep's pattern, through
+/// [`cross_tier_scenario`]), every host runs `stack`, with the
+/// chaos-grade RTO tuning, under `schedule`. `req_size` sets the stall
+/// surface: multi-segment requests keep the client mid-transfer
+/// (unACKed data) most of the cycle, so a cut path reliably trips the
+/// *client-side* RTO give-up, not just the server's, and 8 KiB (≈ 6
+/// MSS) keeps a window's worth of data exposed to duplication and
+/// reordering. The default is the 4-leaf/2-spine fabric, four FlexTOE
+/// sessions per client, 128 B requests, a 500 µs warmup and no faults.
+#[derive(Clone)]
+pub struct SessionFabric {
+    pub stack: Stack,
+    pub seed: u64,
+    pub shape: Fabric,
+    pub n_conns: u32,
+    pub req_size: u32,
+    pub warmup: Time,
+    pub schedule: Vec<FaultEvent>,
+}
+
+impl Default for SessionFabric {
+    fn default() -> SessionFabric {
+        SessionFabric {
+            stack: Stack::FlexToe,
+            seed: 0,
+            shape: LEAF_SPINE,
+            n_conns: 4,
+            req_size: REQ_SIZE,
+            warmup: Time::from_us(500),
+            schedule: Vec::new(),
+        }
+    }
+}
+
+impl SessionFabric {
+    pub fn scenario(&self) -> Scenario {
+        let mut sc = cross_tier_scenario(self.seed, self.shape, self.stack, |_, target| {
+            Role::Client {
+                cfg: ClientSpec {
+                    n_conns: self.n_conns,
+                    arrival: Arrival::Sessions {
+                        think: THINK,
+                        backoff_base: BACKOFF_BASE,
+                        backoff_cap: BACKOFF_CAP,
+                    },
+                    wire: Wire::Framed {
+                        req: SizeDist::Fixed(self.req_size),
+                        resp: SizeDist::Fixed(RESP_SIZE),
+                    },
+                    warmup: self.warmup,
+                    connect_spacing: Duration::from_us(1),
+                    ..Default::default()
+                },
+                target,
+            }
+        });
+        sc.opts.min_rto = MIN_RTO;
+        sc.opts.syn_retry = SYN_RETRY;
+        sc.opts.rto_give_up = Some(RTO_GIVE_UP);
+        sc.fault_schedule = self.schedule.clone();
+        sc
+    }
+
+    /// Build it on one `Sim` (`shards <= 1`) or across `shards` shards.
+    pub fn launch(self, shards: usize) -> FabricRun {
+        FabricRun::launch(shards, move || self.scenario())
+    }
 }
 
 /// Hard-fail `targets` at `t_fault`, heal them all at `t_heal`.
@@ -182,16 +266,16 @@ fn chaos_rows(t_fault: Time, t_heal: Time, full: bool) -> Vec<ChaosRow> {
 /// The rows that must degrade without hard-killing anything.
 const GRAY_ROWS: [&str; 4] = ["dup-storm", "reorder", "ge-loss", "limping-spine"];
 
-/// The commutative harvest of one chaos row after the drain: what one
-/// part of the run (the whole `Sim`, or one shard) counted. Every field
-/// merges by addition, so the merged row is the monolithic one whatever
-/// the shard count.
+/// The commutative harvest of a drained session fabric: what one part
+/// of the run (the whole `Sim`, or one shard) counted. Every field
+/// merges by addition, so the merged counts are the monolithic run's
+/// whatever the shard count.
 #[derive(Default)]
-struct FaultsCounts {
+pub struct FaultsCounts {
     latency: Histogram,
     // session accounting
     issued: u64,
-    completed: u64,
+    pub(crate) completed: u64,
     dead_requests: u64,
     aborted_conns: u64,
     peer_closed: u64,
@@ -200,6 +284,7 @@ struct FaultsCounts {
     in_flight_end: u64,
     // control plane + links
     rto_fired: u64,
+    /// Aborted flows (`ctrl.abort` plus the host stacks' `aborts`).
     ctrl_aborts: u64,
     degrade_drops: u64,
     // gray-failure plane
@@ -215,7 +300,7 @@ struct FaultsCounts {
     /// free slot (`nic.pool_exhausted`).
     pool_exhausted: u64,
     /// Passive opens refused with an RST at the SYN admission cap
-    /// (`ctrl.admission_refused`).
+    /// (`ctrl.admission_refused` plus the host stacks' count).
     admission_refused: u64,
     /// Duplicate SYN / SYN-ACK deliveries the control plane absorbed
     /// instead of double-installing (`ctrl.dup_handshake`) — the
@@ -225,7 +310,10 @@ struct FaultsCounts {
     gauges: PoolGauges,
     /// Global packet-buffer balance (takes − returns over the sim-wide
     /// pool and every NIC pool); 0 once everything drained.
-    buf_delta: i64,
+    pub(crate) buf_delta: i64,
+    /// Frames the servers could not parse: corruption or gray faults
+    /// that reached a byte stream.
+    bad_frames: u64,
     /// Per switch, in [`SWITCH_FIELDS`] order, with each link's
     /// down-drops attributed to the switch that feeds it (host uplinks
     /// attribute to the edge switch). Full length on every part; zero
@@ -234,7 +322,7 @@ struct FaultsCounts {
     /// What the switches reported through their named counters
     /// (`switch.ecmp_rerouted` / `.blackholed` / `.dead_drops`).
     named: [u64; 3],
-    sim_events: u64,
+    pub(crate) sim_events: u64,
 }
 
 /// Column meaning of [`FaultsCounts::per_switch`].
@@ -262,6 +350,7 @@ impl FaultsCounts {
         self.dup_handshake += o.dup_handshake;
         self.gauges.merge(&o.gauges);
         self.buf_delta += o.buf_delta;
+        self.bad_frames += o.bad_frames;
         self.per_switch.resize(o.per_switch.len(), [0; 4]);
         for (acc, counts) in self.per_switch.iter_mut().zip(&o.per_switch) {
             for (a, v) in acc.iter_mut().zip(counts) {
@@ -273,40 +362,108 @@ impl FaultsCounts {
         }
         self.sim_events += o.sim_events;
     }
+
+    /// The conservation audit of a drained run. It reads the counts
+    /// merged over every part: buffers migrate between shards' pools,
+    /// so conservation holds only on the sum. `Err` names the first
+    /// violated clause.
+    pub fn audit(&self) -> Result<(), String> {
+        let c = self;
+        let clauses = [
+            (
+                c.issued == c.completed + c.dead_requests,
+                "accounting: request accounting broke, not every request accounted once",
+            ),
+            (
+                c.in_flight_end == 0,
+                "live request after drain: no session may hold a live request",
+            ),
+            (
+                c.gauges.work_in_use == 0,
+                "work pool: work-pool slots leaked",
+            ),
+            (c.buf_delta == 0, "buffers: packet buffers leaked"),
+            (
+                c.bad_frames == 0,
+                "bad frame: corruption leaked into a stream, or gray faults leaked into a stream",
+            ),
+            (
+                c.completed > 0,
+                "progress: no progress, the scenario must make progress",
+            ),
+        ];
+        match clauses.iter().find(|(ok, _)| !ok) {
+            None => Ok(()),
+            Some((_, what)) => Err(format!(
+                "{what} (issued {}, completed {}, dead {}, in flight {}, work in use {}, \
+                buf_balance {}, bad frames {})",
+                c.issued,
+                c.completed,
+                c.dead_requests,
+                c.in_flight_end,
+                c.gauges.work_in_use,
+                c.buf_delta,
+                c.bad_frames
+            )),
+        }
+    }
 }
 
-/// The chaos scenario: every even host runs reconnecting sessions toward
-/// the server on the next leaf (all traffic crosses the spines, same
-/// pattern as the scale sweep), under `row`'s fault schedule. Public so
-/// the telemetry experiment can run sketch accuracy under the exact
-/// same fault rows.
-pub fn chaos_scenario(seed: u64, row: &ChaosRow, plan: &FaultsPlan) -> Scenario {
-    let mut sc = cross_tier_scenario(seed, LEAF_SPINE, Stack::FlexToe, |_, target| Role::Client {
-        cfg: ClientSpec {
-            n_conns: plan.n_sessions_per_host,
-            arrival: Arrival::Sessions {
-                think: plan.think,
-                backoff_base: Duration::from_us(200),
-                backoff_cap: Duration::from_ms(2),
-            },
-            wire: Wire::Framed {
-                req: SizeDist::Fixed(plan.req_size),
-                resp: SizeDist::Fixed(plan.resp_size),
-            },
-            warmup: plan.warmup,
-            connect_spacing: Duration::from_us(1),
-            ..Default::default()
-        },
-        target,
+/// `CloseAll` every client at `at` (no part may have run past it),
+/// drain to `until`, and harvest every part into one merged count.
+pub fn drain(run: &mut FabricRun, at: Time, until: Time) -> FaultsCounts {
+    // CloseAll for *every* session on *every* part: ghost externals
+    // are dropped at the mask but still consume an external sequence
+    // number, keeping admission order aligned with the monolithic run.
+    run.each(move |sim, fab| {
+        for n in fab.hosts.iter().filter_map(|h| h.client()) {
+            sim.schedule(at, n, CloseAll);
+        }
     });
-    sc.opts = PairOpts {
-        min_rto: plan.min_rto,
-        syn_retry: plan.syn_retry,
-        rto_give_up: Some(plan.rto_give_up),
-        ..Default::default()
-    };
-    sc.fault_schedule = row.schedule.clone();
-    sc
+    run.run_until(until);
+    let mut counts = FaultsCounts::default();
+    for part in run.each(|sim, fab| harvest(sim, fab)) {
+        counts.merge(&part);
+    }
+    counts
+}
+
+/// [`drain`], then [`FaultsCounts::audit`] the merged counts.
+pub fn drain_and_audit(run: &mut FabricRun, at: Time, until: Time) -> Result<FaultsCounts, String> {
+    let counts = drain(run, at, until);
+    counts.audit().map(|()| counts)
+}
+
+/// The clients this `Sim` owns.
+fn owned_clients<'a>(sim: &'a Sim, fab: &'a BuiltFabric) -> impl Iterator<Item = &'a DynClient> {
+    fab.hosts
+        .iter()
+        .filter_map(|h| h.client())
+        .filter(|&n| sim.owns(n))
+        .map(|n| sim.node_ref::<DynClient>(n))
+}
+
+/// Requests completed so far by the clients this `Sim` owns.
+pub fn completed(sim: &Sim, fab: &BuiltFabric) -> u64 {
+    owned_clients(sim, fab).map(|c| c.completed).sum()
+}
+
+/// A control-plane counter plus its twin on every baseline host this
+/// `Sim` owns, so one read covers either stack family.
+pub fn stack_count(
+    sim: &Sim,
+    fab: &BuiltFabric,
+    ctrl: &str,
+    host: fn(&HostStackNode) -> u64,
+) -> u64 {
+    let hosts: u64 = fab
+        .hosts
+        .iter()
+        .filter_map(|h| h.ep.baseline)
+        .filter(|&n| sim.owns(n))
+        .map(|n| host(sim.node_ref::<HostStackNode>(n)))
+        .sum();
+    sim.stats.get_named(ctrl) + hosts
 }
 
 /// Global packet-buffer balance (takes − returns) over the simulation-
@@ -330,7 +487,7 @@ pub fn buf_balance(sim: &Sim, fab: &BuiltFabric) -> i64 {
     takes as i64 - returns as i64
 }
 
-/// Count what this `Sim` owns of a drained chaos row.
+/// Count what this `Sim` owns of a drained session fabric.
 fn harvest(sim: &Sim, fab: &BuiltFabric) -> FaultsCounts {
     let named = |name| sim.stats.get_named(name);
     let mut p = FaultsCounts {
@@ -341,10 +498,10 @@ fn harvest(sim: &Sim, fab: &BuiltFabric) -> FaultsCounts {
         ge_drops: named("link.ge_drops"),
         ooo_accepted: named("proto.ooo"),
         pool_exhausted: named("nic.pool_exhausted"),
-        admission_refused: named("ctrl.admission_refused"),
+        admission_refused: stack_count(sim, fab, "ctrl.admission_refused", |h| h.admission_refused),
         dup_handshake: named("ctrl.dup_handshake"),
         rto_fired: named("ctrl.rto_fired"),
-        ctrl_aborts: named("ctrl.abort"),
+        ctrl_aborts: stack_count(sim, fab, "ctrl.abort", |h| h.aborts),
         named: [
             named("switch.ecmp_rerouted"),
             named("switch.blackholed"),
@@ -353,12 +510,7 @@ fn harvest(sim: &Sim, fab: &BuiltFabric) -> FaultsCounts {
         sim_events: sim.events_processed(),
         ..Default::default()
     };
-    for h in &fab.hosts {
-        let Some(n) = h.client() else { continue };
-        if !sim.owns(n) {
-            continue;
-        }
-        let c = sim.node_ref::<DynClient>(n);
+    for c in owned_clients(sim, fab) {
         p.latency.merge(&c.latency);
         p.issued += c.issued;
         p.completed += c.completed;
@@ -368,6 +520,14 @@ fn harvest(sim: &Sim, fab: &BuiltFabric) -> FaultsCounts {
         p.reconnects += c.reconnects;
         p.connect_failures += c.failed as u64;
         p.in_flight_end += c.in_flight() as u64;
+    }
+    for h in &fab.hosts {
+        match h.app {
+            Some(n) if h.role == BuiltRole::Server && sim.owns(n) => {
+                p.bad_frames += sim.node_ref::<DynServer>(n).bad_frames;
+            }
+            _ => {}
+        }
     }
     // The feeder discipline of the partitioner guarantees a link and its
     // feeding switch share a shard, so each per_switch row is filled by
@@ -404,11 +564,11 @@ fn harvest(sim: &Sim, fab: &BuiltFabric) -> FaultsCounts {
 /// The row: the goodput timeline's recovery metrics, the merged counts,
 /// and their audits.
 fn row_json(row: &ChaosRow, plan: &FaultsPlan, timeline: Vec<u64>, c: FaultsCounts) -> Json {
-    let bucket_ns = plan.bucket.as_ns();
+    let bucket_ns = BUCKET.as_ns();
     // goodput series → recovery metrics (bucket k covers
     // [k·bucket, (k+1)·bucket) in nanoseconds)
     let b = |t: Time| (t.as_ns() / bucket_ns) as usize;
-    let bucket_secs = plan.bucket.as_secs_f64();
+    let bucket_secs = BUCKET.as_secs_f64();
     // pre-fault baseline goodput, over [warmup, t_fault)
     let pre: Vec<u64> = timeline[b(plan.warmup)..b(plan.t_fault)].to_vec();
     let pre_avg = pre.iter().sum::<u64>() as f64 / pre.len().max(1) as f64;
@@ -446,10 +606,7 @@ fn row_json(row: &ChaosRow, plan: &FaultsPlan, timeline: Vec<u64>, c: FaultsCoun
     }
     per_switch.sort_by(|a, b| a.0.cmp(&b.0));
     let [reroutes, blackholed, dead_drops, down_drops] = totals;
-    let conserved = c.issued == c.completed + c.dead_requests
-        && c.in_flight_end == 0
-        && c.gauges.work_in_use == 0
-        && c.buf_delta == 0;
+    let conserved = c.audit().is_ok();
     // the cross-check the aggregate-only rows never had: per-switch sums
     // equal what the switches reported through their named counters
     let counters_consistent = [reroutes, blackholed, dead_drops] == c.named;
@@ -499,48 +656,37 @@ fn row_json(row: &ChaosRow, plan: &FaultsPlan, timeline: Vec<u64>, c: FaultsCoun
     ])
 }
 
+impl FaultsPlan {
+    /// The plan's session fabric for one seed and fault schedule.
+    pub fn fabric(&self, seed: u64, schedule: Vec<FaultEvent>) -> SessionFabric {
+        SessionFabric {
+            seed,
+            n_conns: self.n_sessions_per_host,
+            warmup: self.warmup,
+            schedule,
+            ..Default::default()
+        }
+    }
+}
+
 /// Run one chaos row across `shards` conservative-PDES shards (`1` =
 /// the monolithic reference): sample goodput per bucket to `t_end`,
-/// `CloseAll`, drain to `t_drain`, then audit conservation and harvest
-/// counters. The returned row is identical for any shard count; only the
-/// sync counters beside it differ.
+/// then [`drain`] to `t_drain` and audit the merged counts. The
+/// returned row is identical for any shard count; only the sync
+/// counters beside it differ.
 pub fn run_faults_point(seed: u64, row: &ChaosRow, plan: &FaultsPlan, shards: usize) -> PointRun {
-    let (r, p) = (row.clone(), plan.clone());
-    let mut run = FabricRun::launch(shards, move || chaos_scenario(seed, &r, &p));
-    let bucket_ns = plan.bucket.as_ns();
+    let mut run = plan.fabric(seed, row.schedule.clone()).launch(shards);
+    let bucket_ns = BUCKET.as_ns();
     let n_buckets = (plan.t_end.as_ns() / bucket_ns) as usize;
     let mut timeline = Vec::with_capacity(n_buckets);
     let mut prev = 0u64;
     for k in 1..=n_buckets {
         run.run_until(Time::from_ns(k as u64 * bucket_ns));
-        let done: u64 = run
-            .each(|sim, fab| {
-                fab.hosts
-                    .iter()
-                    .filter_map(|h| h.client())
-                    .filter(|&n| sim.owns(n))
-                    .map(|n| sim.node_ref::<DynClient>(n).completed)
-                    .sum::<u64>()
-            })
-            .iter()
-            .sum();
+        let done: u64 = run.each(|sim, fab| completed(sim, fab)).iter().sum();
         timeline.push(done - prev);
         prev = done;
     }
-    // CloseAll for *every* session on *every* part: ghost externals
-    // are dropped at the mask but still consume an external sequence
-    // number, keeping admission order aligned with the monolithic run.
-    let t_end = plan.t_end;
-    run.each(move |sim, fab| {
-        for n in fab.hosts.iter().filter_map(|h| h.client()) {
-            sim.schedule(t_end, n, CloseAll);
-        }
-    });
-    run.run_until(plan.t_drain);
-    let mut counts = FaultsCounts::default();
-    for part in run.each(|sim, fab| harvest(sim, fab)) {
-        counts.merge(&part);
-    }
+    let counts = drain(&mut run, plan.t_end, plan.t_drain);
     PointRun {
         gauges: counts.gauges,
         row: row_json(row, plan, timeline, counts),
@@ -611,13 +757,6 @@ impl Experiment for FaultsPlan {
         FaultsPlan {
             rows: chaos_rows(t_fault, t_heal, true),
             n_sessions_per_host: 8,
-            req_size: 128,
-            resp_size: 512,
-            think: Duration::from_us(20),
-            min_rto: Duration::from_us(200),
-            rto_give_up: 3,
-            syn_retry: Duration::from_us(400),
-            bucket: Duration::from_us(250),
             warmup: Time::from_us(1500),
             t_fault,
             t_heal,
@@ -636,7 +775,6 @@ impl Experiment for FaultsPlan {
             t_heal,
             t_end: Time::from_ms(5),
             t_drain: Time::from_ms(8),
-            ..FaultsPlan::full()
         }
     }
 
@@ -654,13 +792,13 @@ impl Experiment for FaultsPlan {
             ("fabric", leaf_spine_name()),
             ("hosts", LEAF_SPINE.n_hosts().into()),
             ("sessions_per_client", self.n_sessions_per_host.into()),
-            ("req_size", self.req_size.into()),
-            ("resp_size", self.resp_size.into()),
-            ("think_us", self.think.as_us().into()),
-            ("min_rto_us", self.min_rto.as_us().into()),
-            ("rto_give_up", self.rto_give_up.into()),
-            ("syn_retry_us", self.syn_retry.as_us().into()),
-            ("bucket_us", self.bucket.as_us().into()),
+            ("req_size", REQ_SIZE.into()),
+            ("resp_size", RESP_SIZE.into()),
+            ("think_us", THINK.as_us().into()),
+            ("min_rto_us", MIN_RTO.as_us().into()),
+            ("rto_give_up", RTO_GIVE_UP.into()),
+            ("syn_retry_us", SYN_RETRY.as_us().into()),
+            ("bucket_us", BUCKET.as_us().into()),
             ("t_fault_us", self.t_fault.as_us().into()),
             ("t_heal_us", self.t_heal.as_us().into()),
             ("t_end_us", self.t_end.as_us().into()),
@@ -703,5 +841,35 @@ mod tests {
         r.set("issued", r["issued"].num() as u64 + 1);
         let err = check_row(&r).unwrap_err();
         assert_eq!(err, "row baseline: issued != completed + dead_requests");
+    }
+
+    /// The drain audit names each clause that doctored counts violate.
+    #[test]
+    fn audit_names_each_violated_clause() {
+        let clean = || FaultsCounts {
+            issued: 10,
+            completed: 8,
+            dead_requests: 2,
+            ..Default::default()
+        };
+        assert_eq!(clean().audit(), Ok(()));
+        type Doctor = fn(&mut FaultsCounts);
+        let cases: [(&str, Doctor); 6] = [
+            ("accounting", |c| c.issued += 1),
+            ("live request", |c| c.in_flight_end = 1),
+            ("work pool", |c| c.gauges.work_in_use = 1),
+            ("buffers", |c| c.buf_delta = -1),
+            ("bad frame", |c| c.bad_frames = 1),
+            ("progress", |c| {
+                c.completed = 0;
+                c.dead_requests = c.issued;
+            }),
+        ];
+        for (clause, doctor) in cases {
+            let mut c = clean();
+            doctor(&mut c);
+            let err = c.audit().unwrap_err();
+            assert!(err.starts_with(clause), "{clause}: {err}");
+        }
     }
 }

@@ -167,6 +167,15 @@ impl FabricRun {
         }
     }
 
+    /// The monolithic run's `Sim` and fabric, for callers that step and
+    /// read one `Sim` directly. Panics on a sharded run.
+    pub fn mono(&mut self) -> (&mut Sim, &BuiltFabric) {
+        match self {
+            FabricRun::Mono(sim, fab) => (sim, fab),
+            FabricRun::Sharded(_) => panic!("a sharded run has no single Sim"),
+        }
+    }
+
     /// Conservative-sync counters (`None` for the monolithic run).
     pub fn sync_stats(&self) -> Option<SyncStats> {
         match self {

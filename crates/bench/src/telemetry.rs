@@ -21,8 +21,8 @@
 //!   re-run with telemetry enabled (the reconnecting-session workload of
 //!   `BENCH_faults.json`). A killed switch loses its un-swept epoch while
 //!   ground truth survives, so sketch-vs-truth error *is* the blast
-//!   radius; the rows also audit that report frames obey the
-//!   buffer-conservation invariant under fire.
+//!   radius; the rows drain through the fault harness, whose audit
+//!   covers the report frames' buffers too.
 //! * **hh_ecmp** — elephants (bulk sessions) and mice (small RPC
 //!   sessions) share the fabric with collector-fed heavy-hitter ECMP off
 //!   vs on; rows report goodput, Jain fairness over the client hosts, and
@@ -31,7 +31,7 @@
 //! `BENCH_telemetry.json` is byte-identical per seed across runs,
 //! `--jobs` values, and the wheel vs. reference-heap queue.
 
-use flextoe_apps::{Arrival, ClientSpec, CloseAll, SizeDist, Wire};
+use flextoe_apps::{Arrival, ClientSpec, SizeDist, Wire};
 use flextoe_netsim::{Collector, Switch, TelemetrySpec};
 use flextoe_sim::{Ctx, Duration, Msg, Node, NodeId, Sim, Tick, Time};
 use flextoe_telemetry::score_sketch;
@@ -39,10 +39,8 @@ use flextoe_topo::{build_fabric, BuiltFabric, DynClient, FaultTarget, Role, Scen
 use flextoe_wire::{Frame, Ip4, MacAddr, SegmentSpec};
 
 use crate::driver::{has_rows, holds, Experiment, PointRun};
-use crate::faults::{
-    buf_balance, chaos_scenario, flap_schedule, kill_schedule, ChaosRow, FaultsPlan,
-};
-use crate::harness::{cross_tier_scenario, jain_index};
+use crate::faults::{drain, flap_schedule, kill_schedule, FaultsCounts, FaultsPlan};
+use crate::harness::{cross_tier_scenario, jain_index, FabricRun};
 use crate::json::{fixed, Json};
 use crate::scale::{leaf_spine_name, LEAF_SPINE, LEAVES, SPINES};
 
@@ -284,22 +282,18 @@ fn run_accuracy(
 
 // ---- session rows (fault, heavy-hitter) -------------------------------------
 
-/// Build `sc` on one `Sim`, run its session clients to `t_end`, `CloseAll`
-/// and drain to `t_drain`. Returns the sim, the fabric, each client's
-/// `bytes_in` and the requests they completed in total.
-fn run_sessions(sc: &Scenario, t_end: Time, t_drain: Time) -> (Sim, BuiltFabric, Vec<u64>, u64) {
-    let mut sim = Sim::new(sc.seed);
-    let fab = build_fabric(&mut sim, sc);
-    let sessions: Vec<NodeId> = fab.hosts.iter().filter_map(|h| h.client()).collect();
-    sim.run_until(t_end);
-    for &n in &sessions {
-        sim.schedule(sim.now(), n, CloseAll);
-    }
-    sim.run_until(t_drain);
-    let clients = sessions.iter().map(|&n| sim.node_ref::<DynClient>(n));
-    let bytes_in = clients.clone().map(|c| c.bytes_in).collect();
-    let completed = clients.map(|c| c.completed).sum();
-    (sim, fab, bytes_in, completed)
+/// Build `scenario()` on one `Sim` (the telemetry plane is not
+/// shardable), run its session clients to `t_end`, then [`drain`] them
+/// to `t_drain`.
+fn run_sessions(
+    scenario: impl Fn() -> Scenario + Send + Sync + 'static,
+    t_end: Time,
+    t_drain: Time,
+) -> (FabricRun, FaultsCounts) {
+    let mut run = FabricRun::launch(1, scenario);
+    run.run_until(t_end);
+    let counts = drain(&mut run, t_end, t_drain);
+    (run, counts)
 }
 
 /// Telemetry spec for the chaos rows: fast epochs, sweeps ending 1ms
@@ -323,18 +317,20 @@ fn run_fault(seed: u64, name: &'static str, plan: &FaultsPlan) -> Json {
         "faults-link-flap" => flap_schedule(plan.t_fault, plan.t_heal, 4),
         other => panic!("unknown fault row {other}"),
     };
-    let row = ChaosRow { name, schedule };
-    let mut sc = chaos_scenario(seed, &row, plan);
+    let fabric = plan.fabric(seed, schedule);
     let spec = fault_spec(plan);
-    sc.telemetry = Some(spec);
-    let (sim, fab, _, completed) = run_sessions(&sc, plan.t_end, plan.t_drain);
+    let scenario = move || Scenario {
+        telemetry: Some(spec),
+        ..fabric.scenario()
+    };
+    let (mut run, counts) = run_sessions(scenario, plan.t_end, plan.t_drain);
+    let (sim, fab) = run.mono();
 
-    let agg = score_fabric(&sim, &fab, spec.hh_theta);
+    let agg = score_fabric(sim, fab, spec.hh_theta);
     let col = sim.node_ref::<Collector>(fab.collector.expect("telemetry plane wired"));
     let (reports, bad_reports, sweeps_sent) = (col.reports, col.bad_reports, col.sweeps_sent);
     // a dead switch ignores SweepNow, so kill windows show up as holes
     let missed_reports = sweeps_sent * N_SWITCHES as u64 - reports;
-    let buf_delta = buf_balance(&sim, &fab);
     Json::obj([
         ("name", name.into()),
         ("kind", "faults".into()),
@@ -348,10 +344,10 @@ fn run_fault(seed: u64, name: &'static str, plan: &FaultsPlan) -> Json {
         ("reports", reports.into()),
         ("bad_reports", bad_reports.into()),
         ("missed_reports", missed_reports.into()),
-        ("completed", completed.into()),
-        ("buf_delta", buf_delta.into()),
-        ("conserved", (buf_delta == 0).into()),
-        ("sim_events", sim.events_processed().into()),
+        ("completed", counts.completed.into()),
+        ("buf_delta", counts.buf_delta.into()),
+        ("conserved", counts.audit().is_ok().into()),
+        ("sim_events", counts.sim_events.into()),
     ])
 }
 
@@ -396,8 +392,14 @@ fn hh_scenario(seed: u64, on: bool, t_drain: Time) -> Scenario {
 }
 
 fn run_hh(seed: u64, name: &'static str, on: bool, t_end: Time, t_drain: Time) -> Json {
-    let sc = hh_scenario(seed, on, t_drain);
-    let (sim, fab, per_client_bytes, completed) = run_sessions(&sc, t_end, t_drain);
+    let (mut run, counts) = run_sessions(move || hh_scenario(seed, on, t_drain), t_end, t_drain);
+    let (sim, fab) = run.mono();
+    let per_client_bytes: Vec<u64> = fab
+        .hosts
+        .iter()
+        .filter_map(|h| h.client())
+        .map(|n| sim.node_ref::<DynClient>(n).bytes_in)
+        .collect();
     let bytes_in: u64 = per_client_bytes.iter().sum();
     let goodput_gbps = bytes_in as f64 * 8.0 / t_end.as_ns() as f64; // bits/ns == Gbps
     let jfi = jain_index(&per_client_bytes);
@@ -408,21 +410,20 @@ fn run_hh(seed: u64, name: &'static str, on: bool, t_end: Time, t_drain: Time) -
         .iter()
         .map(|&s| sim.node_ref::<Switch>(s).telemetry_elephants().len())
         .sum();
-    let buf_delta = buf_balance(&sim, &fab);
     Json::obj([
         ("name", name.into()),
         ("kind", "hh_ecmp".into()),
         ("hh_ecmp", on.into()),
-        ("completed", completed.into()),
+        ("completed", counts.completed.into()),
         ("bytes_in", bytes_in.into()),
         ("goodput_gbps", fixed(goodput_gbps, 3)),
         ("jfi", fixed(jfi, 4)),
         ("steered", steered.into()),
         ("reroutes", reroutes.into()),
         ("elephants", elephants.into()),
-        ("buf_delta", buf_delta.into()),
-        ("conserved", (buf_delta == 0).into()),
-        ("sim_events", sim.events_processed().into()),
+        ("buf_delta", counts.buf_delta.into()),
+        ("conserved", counts.audit().is_ok().into()),
+        ("sim_events", counts.sim_events.into()),
     ])
 }
 
@@ -533,7 +534,10 @@ pub fn check_row(r: &Json) -> Result<(), String> {
             ),
         ],
         "faults" => [
-            (yes("conserved"), "report frames leaked"),
+            (
+                yes("conserved"),
+                "report frames leaked, or another drain-audit clause failed",
+            ),
             (n("bad_reports") == 0.0, "bad reports"),
             (
                 name != "faults-spine-kill" || n("missed_reports") > 0.0,
@@ -541,7 +545,10 @@ pub fn check_row(r: &Json) -> Result<(), String> {
             ),
         ],
         "hh_ecmp" => [
-            (yes("conserved"), "buffers leaked"),
+            (
+                yes("conserved"),
+                "buffers leaked, or another drain-audit clause failed",
+            ),
             (
                 n("completed") > 0.0 && n("jfi") > 0.0 && n("jfi") <= 1.0,
                 "no load carried, or jfi outside (0, 1]",

@@ -4,74 +4,14 @@
 //! deterministic same-timestamp fault ordering, and the conservation
 //! invariant + byte-identity contract of the `faults` chaos sweep.
 
-use flextoe_apps::{Arrival, ClientSpec, CloseAll, ServerSpec, SizeDist, Wire};
 use flextoe_bench::driver::{execute, Experiment};
-use flextoe_bench::faults::{buf_balance, check_row, run_faults_point, FaultsPlan};
+use flextoe_bench::faults::{
+    check_row, completed, drain_and_audit, run_faults_point, stack_count, FaultsPlan, SessionFabric,
+};
 use flextoe_hoststack::HostStackNode;
 use flextoe_netsim::{Faults, Link, Switch};
-use flextoe_sim::{Duration, NodeId, Sim, Time};
-use flextoe_topo::{
-    build_fabric, BuiltFabric, DynClient, DynServer, Fabric, FaultEvent, FaultTarget, LinkScope,
-    Role, Scenario, Stack,
-};
-
-/// A 4-leaf/2-spine fabric where every even host runs reconnecting
-/// sessions toward the server on the next leaf — the same traffic
-/// pattern as the `faults` sweep, with the chaos-grade RTO tuning
-/// (shrunk floor + give-up budget so a blackholed flow aborts in ~3 ms).
-/// `req_size` sets the stall surface: multi-segment requests keep the
-/// client mid-transfer (unACKed data) most of the cycle, so a cut path
-/// reliably trips the *client-side* RTO give-up, not just the server's.
-/// Every host runs `stack`.
-fn session_fabric(seed: u64, stack: Stack, req_size: u32, schedule: Vec<FaultEvent>) -> Scenario {
-    let fabric = Fabric::LeafSpine {
-        leaves: 4,
-        spines: 2,
-        hosts_per_leaf: 2,
-    };
-    let mut sc = Scenario::idle(seed, fabric, stack);
-    sc.opts.min_rto = Duration::from_us(200);
-    sc.opts.syn_retry = Duration::from_us(400);
-    sc.opts.rto_give_up = Some(3);
-    for i in 0..sc.hosts.len() {
-        sc.hosts[i].role = if i % 2 == 0 {
-            let leaf = i / 2;
-            Role::Client {
-                cfg: ClientSpec {
-                    n_conns: 4,
-                    arrival: Arrival::Sessions {
-                        think: Duration::from_us(20),
-                        backoff_base: Duration::from_us(200),
-                        backoff_cap: Duration::from_ms(2),
-                    },
-                    wire: Wire::Framed {
-                        req: SizeDist::Fixed(req_size),
-                        resp: SizeDist::Fixed(512),
-                    },
-                    warmup: Time::from_us(500),
-                    connect_spacing: Duration::from_us(1),
-                    ..Default::default()
-                },
-                target: ((leaf + 1) % 4) * 2 + 1,
-            }
-        } else {
-            Role::Server(ServerSpec::framed())
-        };
-    }
-    sc.fault_schedule = schedule;
-    sc
-}
-
-fn session_nodes(fab: &BuiltFabric) -> Vec<NodeId> {
-    fab.hosts.iter().filter_map(|h| h.client()).collect()
-}
-
-fn total_completed(sim: &Sim, sessions: &[NodeId]) -> u64 {
-    sessions
-        .iter()
-        .map(|&n| sim.node_ref::<DynClient>(n).completed)
-        .sum()
-}
+use flextoe_sim::Time;
+use flextoe_topo::{DynClient, FaultEvent, FaultTarget, LinkScope, Stack};
 
 /// A hard fabric-link failure fails over via ECMP at the leaf (the dead
 /// uplink port is excluded and the pick re-finalized). Flows whose
@@ -81,19 +21,18 @@ fn total_completed(sim: &Sim, sessions: &[NodeId]) -> u64 {
 #[test]
 fn fabric_link_down_fails_over_without_aborts() {
     let link = FaultTarget::FabricLink { index: 0 };
-    let sc = session_fabric(
-        7,
-        Stack::FlexToe,
-        128,
-        vec![
+    let mut run = SessionFabric {
+        seed: 7,
+        schedule: vec![
             FaultEvent::down(Time::from_ms(1), link),
             FaultEvent::up(Time::from_ms(2), link),
         ],
-    );
-    let mut sim = Sim::new(sc.seed);
-    let fab = build_fabric(&mut sim, &sc);
+        ..Default::default()
+    }
+    .launch(1);
+    let (sim, fab) = run.mono();
     sim.run_until(Time::from_ms(1));
-    let before = total_completed(&sim, &session_nodes(&fab));
+    let before = completed(sim, fab);
     sim.run_until(Time::from_ms(4));
 
     let rerouted: u64 = fab
@@ -102,11 +41,11 @@ fn fabric_link_down_fails_over_without_aborts() {
         .map(|&s| sim.node_ref::<Switch>(s).rerouted)
         .sum();
     assert!(rerouted > 0, "ECMP must re-finalize around the dead port");
-    for &n in &session_nodes(&fab) {
+    for n in fab.hosts.iter().filter_map(|h| h.client()) {
         let c = sim.node_ref::<DynClient>(n);
         assert_eq!(c.aborted_conns, 0, "failover must not abort sessions");
     }
-    let after = total_completed(&sim, &session_nodes(&fab));
+    let after = completed(sim, fab);
     assert!(after > before + 100, "traffic flowed through the outage");
 }
 
@@ -116,17 +55,16 @@ fn fabric_link_down_fails_over_without_aborts() {
 #[test]
 fn spine_kill_fails_over_and_heals() {
     let spine0 = FaultTarget::Switch { index: 4 };
-    let sc = session_fabric(
-        13,
-        Stack::FlexToe,
-        128,
-        vec![
+    let mut run = SessionFabric {
+        seed: 13,
+        schedule: vec![
             FaultEvent::down(Time::from_ms(1), spine0),
             FaultEvent::up(Time::from_ms(2), spine0),
         ],
-    );
-    let mut sim = Sim::new(sc.seed);
-    let fab = build_fabric(&mut sim, &sc);
+        ..Default::default()
+    }
+    .launch(1);
+    let (sim, fab) = run.mono();
     sim.run_until(Time::from_ms(4));
 
     let rerouted: u64 = fab
@@ -135,7 +73,7 @@ fn spine_kill_fails_over_and_heals() {
         .map(|&s| sim.node_ref::<Switch>(s).rerouted)
         .sum();
     assert!(rerouted > 0, "leaf uplink picks moved to the live spine");
-    for &n in &session_nodes(&fab) {
+    for n in fab.hosts.iter().filter_map(|h| h.client()) {
         let c = sim.node_ref::<DynClient>(n);
         assert_eq!(c.aborted_conns, 0);
         assert!(c.completed > 0);
@@ -163,28 +101,29 @@ fn blackholed_flow_gives_up_and_aborts_to_the_app() {
 
 fn blackholed_flow_gives_up(stack: Stack) {
     // host 0 (leaf 0) targets host 3 (leaf 1): kill host 3's edge link
-    let sc = session_fabric(
-        19,
+    let mut run = SessionFabric {
         stack,
-        8192,
-        vec![FaultEvent::down(
+        seed: 19,
+        req_size: 8192,
+        schedule: vec![FaultEvent::down(
             Time::from_ms(1),
             FaultTarget::EdgeLink { host: 3 },
         )],
-    );
-    let mut sim = Sim::new(sc.seed);
-    let fab = build_fabric(&mut sim, &sc);
+        ..Default::default()
+    }
+    .launch(1);
+    let (sim, fab) = run.mono();
     sim.run_until(Time::from_ms(16));
 
     if let Some(node) = fab.hosts[0].ep.baseline {
         let host = sim.node_ref::<HostStackNode>(node);
         assert!(host.retransmits > 0, "{stack:?}");
-        assert!(host.aborts > 0, "{stack:?}: give-up must abort");
         assert!(host.connect_give_ups > 0, "{stack:?}");
     } else {
         assert!(sim.stats.get_named("ctrl.rto_fired") > 0);
-        assert!(sim.stats.get_named("ctrl.abort") > 0, "give-up must abort");
     }
+    let aborts = stack_count(sim, fab, "ctrl.abort", |h| h.aborts);
+    assert!(aborts > 0, "{stack:?}: give-up must abort");
     let victim = fab.hosts[0].client().unwrap();
     let c = sim.node_ref::<DynClient>(victim);
     assert!(c.aborted_conns > 0, "{stack:?}: client saw the typed abort");
@@ -245,11 +184,9 @@ fn leaf_kill_aborts_then_reconnects_and_conserves() {
 /// still drains to zero.
 #[test]
 fn corrupted_frames_drop_exactly_once_and_conserve() {
-    let sc = session_fabric(
-        29,
-        Stack::FlexToe,
-        128,
-        vec![
+    let mut run = SessionFabric {
+        seed: 29,
+        schedule: vec![
             FaultEvent::degrade(
                 Time::from_ms(1),
                 LinkScope::Fabric,
@@ -260,16 +197,16 @@ fn corrupted_frames_drop_exactly_once_and_conserve() {
             ),
             FaultEvent::degrade(Time::from_us(2500), LinkScope::Fabric, Faults::default()),
         ],
-    );
-    let mut sim = Sim::new(sc.seed);
-    let fab = build_fabric(&mut sim, &sc);
-    sim.run_until(Time::from_ms(4));
-    let sessions = session_nodes(&fab);
-    for &n in &sessions {
-        sim.schedule(sim.now(), n, CloseAll);
+        ..Default::default()
     }
-    sim.run_until(Time::from_ms(6));
+    .launch(1);
+    run.run_until(Time::from_ms(4));
+    // exactly-once in buffer terms: dropped corrupt frames were recycled,
+    // not leaked or double-freed; every request accounted once; and no
+    // corruption leaked into a server's stream
+    drain_and_audit(&mut run, Time::from_ms(4), Time::from_ms(6)).unwrap_or_else(|e| panic!("{e}"));
 
+    let (sim, fab) = run.mono();
     let corrupted: u64 = fab
         .fabric_links
         .iter()
@@ -284,25 +221,6 @@ fn corrupted_frames_drop_exactly_once_and_conserve() {
         malformed <= corrupted,
         "a frame must not be counted malformed twice ({malformed} > {corrupted})"
     );
-    for h in &fab.hosts {
-        if let Some(app) = h.app {
-            if h.role == flextoe_topo::BuiltRole::Server {
-                let s = sim.node_ref::<DynServer>(app);
-                assert_eq!(s.bad_frames, 0, "corruption leaked into a stream");
-            }
-        }
-    }
-    // exactly-once in buffer terms: dropped corrupt frames were recycled,
-    // not leaked or double-freed
-    assert_eq!(buf_balance(&sim, &fab), 0);
-    let (mut issued, mut completed, mut dead) = (0u64, 0u64, 0u64);
-    for &n in &sessions {
-        let c = sim.node_ref::<DynClient>(n);
-        issued += c.issued;
-        completed += c.completed;
-        dead += c.dead_requests;
-    }
-    assert_eq!(issued, completed + dead, "every request accounted once");
 }
 
 /// Same-timestamp fault events apply in schedule order (the builder
@@ -313,9 +231,13 @@ fn same_timestamp_fault_events_apply_in_schedule_order() {
     let link = FaultTarget::FabricLink { index: 0 };
     let t = Time::from_ms(1);
     let run = |schedule: Vec<FaultEvent>| -> (u64, u64) {
-        let sc = session_fabric(11, Stack::FlexToe, 128, schedule);
-        let mut sim = Sim::new(sc.seed);
-        let fab = build_fabric(&mut sim, &sc);
+        let mut fabric = SessionFabric {
+            seed: 11,
+            schedule,
+            ..Default::default()
+        }
+        .launch(1);
+        let (sim, fab) = fabric.mono();
         sim.run_until(Time::from_ms(3));
         let rerouted = fab
             .switches

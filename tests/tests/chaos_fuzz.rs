@@ -5,13 +5,12 @@
 //! same trial set every run (and under `FLEXTOE_SIM_REFERENCE=1`); any
 //! violation reports its trial seed for standalone reproduction.
 
-use flextoe_apps::{Arrival, ClientSpec, CloseAll, ServerSpec, SizeDist, Wire};
-use flextoe_bench::faults::buf_balance;
+use flextoe_apps::{SizeDist, Wire};
+use flextoe_bench::faults::{drain_and_audit, SessionFabric};
+use flextoe_bench::harness::FabricRun;
 use flextoe_netsim::{Faults, GeParams};
-use flextoe_sim::{Duration, Rng, Sim, Time};
-use flextoe_topo::{
-    build_fabric, DynClient, Fabric, FaultEvent, FaultTarget, LinkScope, Role, Scenario, Stack,
-};
+use flextoe_sim::{Duration, Rng, Time};
+use flextoe_topo::{Fabric, FaultEvent, FaultTarget, LinkScope, Role, Scenario};
 
 /// Pinned fuzzer namespace: trial `k` derives everything from
 /// `Rng::new(FUZZ_SEED ^ k)`.
@@ -115,48 +114,32 @@ fn random_scenario(trial: u64) -> (Scenario, u64) {
     let seed = meta.next_u64();
     let leaves = 2 + meta.below(2) as usize; // 2..=3
     let spines = 1 + meta.below(2) as usize; // 1..=2
-    let hosts_per_leaf = 2usize;
-    let fabric = Fabric::LeafSpine {
-        leaves,
-        spines,
-        hosts_per_leaf,
-    };
     let n_fabric_links = leaves * spines;
     let n_switches = leaves + spines;
-
-    let mut sc = Scenario::idle(seed, fabric, Stack::FlexToe);
-    sc.opts.min_rto = Duration::from_us(200);
-    sc.opts.syn_retry = Duration::from_us(400);
-    sc.opts.rto_give_up = Some(3);
+    let mut sc = SessionFabric {
+        seed,
+        shape: Fabric::LeafSpine {
+            leaves,
+            spines,
+            hosts_per_leaf: 2,
+        },
+        warmup: Time::from_us(300),
+        ..Default::default()
+    }
+    .scenario();
     // one in four trials also caps the work pool: exhaustion shedding
     // must compose with whatever faults the schedule draws
     if meta.below(4) == 0 {
         sc.opts.cfg.work_pool_cap = Some(8 + meta.below(24) as usize);
     }
-    for i in 0..sc.hosts.len() {
-        sc.hosts[i].role = if i % 2 == 0 {
-            let leaf = i / hosts_per_leaf;
-            Role::Client {
-                cfg: ClientSpec {
-                    n_conns: 2 + meta.below(3) as u32,
-                    arrival: Arrival::Sessions {
-                        think: Duration::from_us(20),
-                        backoff_base: Duration::from_us(200),
-                        backoff_cap: Duration::from_ms(2),
-                    },
-                    wire: Wire::Framed {
-                        req: SizeDist::Fixed(if meta.below(2) == 0 { 512 } else { 8192 }),
-                        resp: SizeDist::Fixed(512),
-                    },
-                    warmup: Time::from_us(300),
-                    connect_spacing: Duration::from_us(1),
-                    ..Default::default()
-                },
-                target: ((leaf + 1) % leaves) * hosts_per_leaf + 1,
+    // each client host draws its session count, then its request size
+    for host in &mut sc.hosts {
+        if let Role::Client { cfg, .. } = &mut host.role {
+            cfg.n_conns = 2 + meta.below(3) as u32;
+            if let Wire::Framed { req, .. } = &mut cfg.wire {
+                *req = SizeDist::Fixed(if meta.below(2) == 0 { 512 } else { 8192 });
             }
-        } else {
-            Role::Server(ServerSpec::framed())
-        };
+        }
     }
     let n_faults = 1 + meta.below(3);
     for _ in 0..n_faults {
@@ -173,51 +156,23 @@ fn random_scenario(trial: u64) -> (Scenario, u64) {
     (sc, seed)
 }
 
-/// ≥ 25 random gray+hard schedules: every trial must run to drain
+/// [`TRIALS`] (30) random gray+hard schedules: every trial must run to drain
 /// without panicking, account every request exactly once, release every
-/// work slot and packet buffer, and have made progress.
+/// work slot and packet buffer, keep every server's stream intact, and
+/// have made progress.
 #[test]
 fn random_gray_and_hard_schedules_conserve_and_drain() {
     for trial in 0..TRIALS {
         let (sc, seed) = random_scenario(trial);
-        let mut sim = Sim::new(sc.seed);
-        let fab = build_fabric(&mut sim, &sc);
-        // all faults are healed by ~1.7 ms; close at 2 ms, drain to 5 ms
-        // (give-up budget ≈ min_rto × 2^3 = 1.6 ms bounds abort latency)
-        sim.run_until(Time::from_ms(2));
-        for h in &fab.hosts {
-            if let Some(n) = h.client() {
-                sim.schedule(sim.now(), n, CloseAll);
-            }
-        }
-        sim.run_until(Time::from_ms(5));
-
         let ctx = format!(
             "trial {trial} (seed {seed}, schedule {:?})",
             sc.fault_schedule
         );
-        let (mut issued, mut completed, mut dead) = (0u64, 0u64, 0u64);
-        for h in &fab.hosts {
-            let Some(n) = h.client() else { continue };
-            let c = sim.node_ref::<DynClient>(n);
-            issued += c.issued;
-            completed += c.completed;
-            dead += c.dead_requests;
-            assert_eq!(c.in_flight(), 0, "live request after drain in {ctx}");
-        }
-        assert!(completed > 0, "no progress in {ctx}");
-        assert_eq!(
-            issued,
-            completed + dead,
-            "request accounting broke in {ctx}"
-        );
-        let mut work_in_use = 0;
-        for h in &fab.hosts {
-            if let Some((nic, _)) = &h.ep.flextoe {
-                work_in_use += nic.pool_gauges(&sim).work_in_use;
-            }
-        }
-        assert_eq!(work_in_use, 0, "work-pool slots leaked in {ctx}");
-        assert_eq!(buf_balance(&sim, &fab), 0, "buffers leaked in {ctx}");
+        let mut run = FabricRun::launch(1, move || random_scenario(trial).0);
+        // all faults are healed by ~1.7 ms; close at 2 ms, drain to 5 ms
+        // (give-up budget ≈ min_rto × 2^3 = 1.6 ms bounds abort latency)
+        run.run_until(Time::from_ms(2));
+        drain_and_audit(&mut run, Time::from_ms(2), Time::from_ms(5))
+            .unwrap_or_else(|e| panic!("{e} in {ctx}"));
     }
 }
