@@ -1,5 +1,6 @@
 //! Microbenchmarks on the data-path's hot structures — the engine's event
-//! core (the event wheel vs. its binary-heap ordering oracle),
+//! core (the event wheel vs. its binary-heap ordering oracle), the FPC
+//! timing model and local CAM,
 //! the checksum/CRC paths, segment build/parse, the reorder buffer, the
 //! Carousel wheel, the protocol state machine, and the eBPF VM.
 //!
@@ -21,7 +22,8 @@ use flextoe_core::reorder::Reorder;
 use flextoe_core::sched::Carousel;
 use flextoe_core::ProtoState;
 use flextoe_ebpf::{programs, Map, MapSet, Vm};
-use flextoe_sim::{Duration, QueueKind, Time};
+use flextoe_nfp::{Cost, FpcTimer, LocalCam};
+use flextoe_sim::{clocks, Duration, QueueKind, Rng, Time};
 use flextoe_wire::{crc32, SegmentSpec, SegmentView, SeqNum, TcpFlags};
 
 // ---- harness -------------------------------------------------------------
@@ -100,6 +102,26 @@ fn bench_engine() {
         let eps = best_of(2, || dispatch_events_per_sec(nodes));
         println!("{name:<44} {:>10.2} M events/s", eps / 1e6);
     }
+
+    // The timing-model kernels every FlexTOE stage event pays on top of
+    // its dispatch: the FPC issue/thread model and the local CAM lookup.
+    println!("-- timing kernels: ns per call --");
+    bench_n("fpc/execute (8 threads, back-to-back)", 100_000, || {
+        let mut fpc = FpcTimer::new(clocks::FPC_800MHZ, 8);
+        let mut now = Time::ZERO;
+        for i in 0..100_000u64 {
+            now += Duration::from_ns(40);
+            black_box(fpc.execute(now, Cost::new(60, 160 * (i & 1))));
+        }
+    });
+    let mut rng = Rng::new(0xCA4);
+    let keys: Vec<u32> = (0..4096).map(|_| rng.below(18) as u32).collect();
+    bench_n("cam/local (18 ids over 16 entries)", 100_000, || {
+        let mut cam = LocalCam::default();
+        for &key in keys.iter().cycle().take(100_000) {
+            black_box(cam.access(key));
+        }
+    });
 
     // The heap is the wheel's ordering oracle; if it also wins on speed it
     // should be the production queue. Same process, same messages.

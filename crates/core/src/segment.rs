@@ -45,6 +45,9 @@ pub struct ConnEntry {
 pub struct ConnTable {
     pub nic: NicConfig,
     conns: Vec<Option<ConnEntry>>,
+    /// Installed entries: the control plane reads the count on every
+    /// redirected handshake segment, so it is kept, not counted.
+    live: usize,
 }
 
 impl ConnTable {
@@ -52,14 +55,17 @@ impl ConnTable {
         ConnTable {
             nic,
             conns: Vec::new(),
+            live: 0,
         }
     }
 
     pub fn install(&mut self, entry: ConnEntry) -> u32 {
-        // reuse the lowest free index to keep ids dense
-        for (i, slot) in self.conns.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(entry);
+        self.live += 1;
+        // reuse the lowest free index to keep ids dense (a table with no
+        // holes has none to search for)
+        if self.live <= self.conns.len() {
+            if let Some(i) = self.conns.iter().position(Option::is_none) {
+                self.conns[i] = Some(entry);
                 return i as u32;
             }
         }
@@ -68,7 +74,9 @@ impl ConnTable {
     }
 
     pub fn remove(&mut self, conn: u32) -> Option<ConnEntry> {
-        self.conns.get_mut(conn as usize)?.take()
+        let entry = self.conns.get_mut(conn as usize)?.take();
+        self.live -= entry.is_some() as usize;
+        entry
     }
 
     pub fn get(&self, conn: u32) -> Option<&ConnEntry> {
@@ -80,10 +88,10 @@ impl ConnTable {
     }
 
     pub fn len(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
+        self.live
     }
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (u32, &ConnEntry)> {
@@ -424,6 +432,41 @@ mod tests {
         let d = t.install(entry());
         assert_eq!(d, 1, "freed slot reused to keep ids dense");
         assert_eq!(t.len(), 3);
+    }
+
+    /// `len`/`is_empty` are a kept count: they must track installs,
+    /// removals (including of absent or already removed ids) and slot
+    /// reuse exactly as a count of the occupied slots would, and the
+    /// no-holes shortcut in `install` must still hand out the lowest free id.
+    #[test]
+    fn len_tracks_installs_removals_and_reuse() {
+        let mut t = ConnTable::new(NicConfig {
+            mac: MacAddr::local(1),
+            ip: Ip4::host(1),
+        });
+        let occupied = |t: &ConnTable| t.iter().count();
+        assert!(t.is_empty());
+        let mut rng = flextoe_sim::Rng::new(0x7AB1E);
+        let mut ids = Vec::new();
+        for _ in 0..2_000 {
+            if rng.chance(0.55) {
+                let lowest_free = (0..).find(|i| !ids.contains(i));
+                let id = t.install(entry());
+                assert_eq!(Some(id), lowest_free, "ids stay dense");
+                ids.push(id);
+            } else {
+                // sometimes an id that was never installed or is gone
+                let id = rng.below(ids.len() as u64 + 3) as u32;
+                let was = ids.iter().position(|&i| i == id);
+                assert_eq!(t.remove(id).is_some(), was.is_some());
+                if let Some(at) = was {
+                    ids.swap_remove(at);
+                }
+            }
+            assert_eq!(t.len(), ids.len());
+            assert_eq!(t.len(), occupied(&t));
+            assert_eq!(t.is_empty(), ids.is_empty());
+        }
     }
 
     fn hc(conn: u32) -> Work {

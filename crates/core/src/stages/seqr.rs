@@ -41,6 +41,7 @@ pub struct SeqrNode {
     scratch_frames: Vec<Frame>,
     /// Routing.
     pub pre_pool: Vec<NodeId>,
+    /// Next `pre_pool` index, wrapped in place (no `%` per item).
     pre_rr: usize,
     pub protos: Vec<NodeId>,
     pub mac: NodeId,
@@ -85,8 +86,11 @@ impl SeqrNode {
         let delay = done.saturating_since(ctx.now()) + self.cfg.hop_intra();
         // round-robin across the pre-processor pool ("pre-processors
         // handle segments for any flow", §4.1)
-        let to = self.pre_pool[self.pre_rr % self.pre_pool.len()];
+        let to = self.pre_pool[self.pre_rr];
         self.pre_rr += 1;
+        if self.pre_rr == self.pre_pool.len() {
+            self.pre_rr = 0;
+        }
         ctx.send(
             to,
             delay,

@@ -3,8 +3,8 @@
 //! The NFP exposes a content-addressable memory per FPC and hash-lookup
 //! acceleration. FlexTOE builds "16-entry fully-associative local memory
 //! caches that evict entries based on LRU" and a "512-entry direct-mapped
-//! second-level cache in CLS". Both structures are implemented here and
-//! reused for the EMEM SRAM cache model.
+//! second-level cache in CLS". Both structures are implemented here; the
+//! LRU list is reused for the EMEM SRAM cache model.
 
 use std::hash::Hash;
 
@@ -173,6 +173,47 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
+/// Entries of an FPC's local CAM cache.
+const CAM_ENTRIES: usize = 16;
+
+/// The FPC-local 16-entry fully-associative CAM cache of connection ids:
+/// an MRU-ordered array with [`LruCache`]'s exact hit, miss and eviction
+/// order, but no hash map or linked list — a lookup scans 16 words, a
+/// promotion shifts the ones ahead of the hit.
+#[derive(Default)]
+pub struct LocalCam {
+    /// Resident ids, most recently used first; `keys[..len]` are live.
+    keys: [u32; CAM_ENTRIES],
+    len: usize,
+}
+
+impl LocalCam {
+    /// Look `key` up and make it the most recent entry: a hit moves it to
+    /// the front, a miss installs it there, evicting the least recent
+    /// entry when the CAM is full. Returns whether it hit.
+    pub fn access(&mut self, key: u32) -> bool {
+        let hit = self.keys[..self.len].iter().position(|&k| k == key);
+        let shifted = match hit {
+            Some(i) => i,
+            None => {
+                self.len = (self.len + 1).min(CAM_ENTRIES);
+                self.len - 1
+            }
+        };
+        self.keys.copy_within(..shifted, 1);
+        self.keys[0] = key;
+        hit.is_some()
+    }
+
+    /// Drop `key` if resident.
+    pub fn remove(&mut self, key: u32) {
+        if let Some(i) = self.keys[..self.len].iter().position(|&k| k == key) {
+            self.keys.copy_within(i + 1..self.len, i);
+            self.len -= 1;
+        }
+    }
+}
+
 /// A direct-mapped tag cache: `slots[hash % n]` holds one key.
 ///
 /// Models the 512-entry CLS second-level connection-state cache and the
@@ -294,6 +335,33 @@ mod tests {
         assert!(!c.contains(&1));
         assert_eq!(c.remove(&1), None);
         assert_eq!(c.len(), 1);
+    }
+
+    /// The array CAM is the arena LRU it replaces: the same hits and
+    /// misses, and the same residents after every access or removal,
+    /// under a key range that keeps it full and evicting.
+    #[test]
+    fn local_cam_matches_lru_cache() {
+        let mut rng = flextoe_sim::Rng::new(0xCA4);
+        let mut cam = LocalCam::default();
+        let mut lru: LruCache<u32, ()> = LruCache::new(CAM_ENTRIES);
+        for _ in 0..100_000 {
+            let key = rng.below(40) as u32;
+            if rng.chance(0.05) {
+                cam.remove(key);
+                lru.remove(&key);
+            } else {
+                let hit = lru.get(&key).is_some();
+                if !hit {
+                    lru.insert(key, ());
+                }
+                assert_eq!(cam.access(key), hit, "key {key}");
+            }
+            assert_eq!(cam.len, lru.len());
+            for k in 0..40 {
+                assert_eq!(cam.keys[..cam.len].contains(&k), lru.contains(&k));
+            }
+        }
     }
 
     #[test]

@@ -58,6 +58,9 @@ pub struct FpcTimer {
     core_free: Time,
     /// Completion times of in-flight items (one slot per busy hw thread).
     inflight: Vec<Time>,
+    /// A lower bound on every `inflight` time (`Time::MAX` when empty):
+    /// before it nothing can retire, so `execute` skips the scan.
+    min_done: Time,
     /// Total cycles of compute issued (utilization accounting).
     pub busy: Duration,
     pub items: u64,
@@ -71,6 +74,7 @@ impl FpcTimer {
             threads,
             core_free: Time::ZERO,
             inflight: Vec::with_capacity(threads),
+            min_done: Time::MAX,
             busy: Duration::ZERO,
             items: 0,
         }
@@ -84,17 +88,30 @@ impl FpcTimer {
     ///
     /// With `threads == 1` the item also blocks the core during its memory
     /// wait (no latency hiding) — the Table 3 "pipelining only" config.
+    ///
+    /// Arrivals need not be monotone (the protocol stage holds an item
+    /// back until its connection's previous one completes). The retire
+    /// scan is skipped only when `now` is before every completion, where
+    /// it would remove nothing, so the in-flight set is always exactly
+    /// what a scan on every call leaves.
     pub fn execute(&mut self, now: Time, cost: Cost) -> Time {
         // Retire completed items: reverse swap_remove scan — no element
         // shifting, and the slot swapped in from the tail was already
         // examined. (The list is a multiset of completion times; order
         // never matters.)
-        let mut i = self.inflight.len();
-        while i > 0 {
-            i -= 1;
-            if self.inflight[i] <= now {
-                self.inflight.swap_remove(i);
+        if now >= self.min_done {
+            let mut min_done = Time::MAX;
+            let mut i = self.inflight.len();
+            while i > 0 {
+                i -= 1;
+                let t = self.inflight[i];
+                if t <= now {
+                    self.inflight.swap_remove(i);
+                } else {
+                    min_done = min_done.min(t);
+                }
             }
+            self.min_done = min_done;
         }
 
         // Wait for a hardware thread.
@@ -123,7 +140,9 @@ impl FpcTimer {
             self.core_free = compute_end;
             compute_end + self.cycles(cost.mem)
         };
+        // (taking the earliest item above leaves `min_done` a lower bound)
         self.inflight.push(done);
+        self.min_done = self.min_done.min(done);
         self.busy += self.cycles(cost.compute);
         self.items += 1;
         done
@@ -241,6 +260,98 @@ mod tests {
         let mut f = FpcTimer::new(FPC_800MHZ, 8);
         f.execute(Time::ZERO, Cost::new(100, 900));
         assert_eq!(f.busy.as_ns(), 125);
+    }
+
+    /// `execute` with a retire scan on every call: the reference for
+    /// `matches_eager_reference`.
+    struct EagerFpc {
+        cycle: Duration,
+        threads: usize,
+        core_free: Time,
+        inflight: Vec<Time>,
+        busy: Duration,
+    }
+
+    impl EagerFpc {
+        fn new(threads: usize) -> EagerFpc {
+            EagerFpc {
+                cycle: FPC_800MHZ.cycles(1),
+                threads,
+                core_free: Time::ZERO,
+                inflight: Vec::new(),
+                busy: Duration::ZERO,
+            }
+        }
+
+        fn cycles(&self, n: u64) -> Duration {
+            Duration::from_ps(self.cycle.ps() * n)
+        }
+
+        fn execute(&mut self, now: Time, cost: Cost) -> Time {
+            self.inflight.retain(|&t| t > now);
+            let thread_free = if self.inflight.len() < self.threads {
+                now
+            } else {
+                let (idx, &t) = (self.inflight.iter().enumerate())
+                    .min_by_key(|(_, &t)| t)
+                    .unwrap();
+                self.inflight.swap_remove(idx);
+                t
+            };
+            let start = thread_free.max(now).max(self.core_free);
+            let compute_end = start + self.cycles(cost.compute);
+            let done = compute_end + self.cycles(cost.mem);
+            self.core_free = if self.threads == 1 { done } else { compute_end };
+            self.inflight.push(done);
+            self.busy += self.cycles(cost.compute);
+            done
+        }
+    }
+
+    /// The scan-skipping `execute` is the eager one, under the arrivals
+    /// the protocol stage makes: the clock only moves forward, but an item
+    /// arrives no earlier than its connection's previous completion, so
+    /// successive arrivals go back and forth in time. Beyond the outputs,
+    /// the in-flight set must match too: a timer that keeps stale items
+    /// (say, one that retires only when every thread is busy) still
+    /// computes the same completions, because a stale item ends before
+    /// `core_free`, but it no longer models which threads are busy.
+    #[test]
+    fn matches_eager_reference() {
+        let mut rng = flextoe_sim::Rng::new(0xF9C);
+        for threads in [1, 2, 8] {
+            for _case in 0..200 {
+                let mut fast = FpcTimer::new(FPC_800MHZ, threads);
+                let mut eager = EagerFpc::new(threads);
+                let mut conn_busy = [Time::ZERO; 6];
+                let mut now = Time::ZERO;
+                for _ in 0..300 {
+                    now += Duration::from_ps(rng.below(2_000) * rng.below(2));
+                    let conn = rng.below(conn_busy.len() as u64) as usize;
+                    let arrival = now.max(conn_busy[conn]);
+                    let cost = Cost::new(rng.below(200), rng.below(3) * rng.below(600));
+                    let done = fast.execute(arrival, cost);
+                    assert_eq!(done, eager.execute(arrival, cost), "threads {threads}");
+                    conn_busy[conn] = done;
+                    assert_eq!(fast.busy, eager.busy);
+                    let mut inflight = fast.inflight.clone();
+                    inflight.sort();
+                    eager.inflight.sort();
+                    assert_eq!(inflight, eager.inflight, "threads {threads}");
+                    let probe = now + Duration::from_ps(rng.below(1_000));
+                    let mut live: Vec<Time> = (eager.inflight.iter().copied())
+                        .filter(|&t| t > probe)
+                        .collect();
+                    live.sort();
+                    let eager_next_free = if live.len() < threads {
+                        probe.max(eager.core_free)
+                    } else {
+                        live[live.len() - threads].max(eager.core_free)
+                    };
+                    assert_eq!(fast.next_free(probe), eager_next_free);
+                }
+            }
+        }
     }
 
     #[test]

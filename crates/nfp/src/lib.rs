@@ -18,7 +18,7 @@ pub mod mac;
 pub mod memory;
 pub mod params;
 
-pub use cam::{DirectMapped, LruCache};
+pub use cam::{DirectMapped, LocalCam, LruCache};
 pub use dma::{dma_req, DmaDir, DmaEngine};
 pub use fpc::{Cost, FpcTimer};
 pub use lookup::{ConnDb, LookupCache};

@@ -8,7 +8,7 @@
 //! (Fig. 13). This module turns a connection-state access into a cycle
 //! cost by walking that hierarchy.
 
-use crate::cam::{DirectMapped, LruCache};
+use crate::cam::{DirectMapped, LocalCam, LruCache};
 use crate::fpc::Cost;
 use crate::params::Platform;
 
@@ -24,7 +24,7 @@ pub enum StateHit {
 /// Per-island connection-state cache for the protocol stage.
 pub struct ConnStateCache {
     /// 16-entry fully-associative FPC-local CAM cache.
-    local: LruCache<u32, ()>,
+    local: LocalCam,
     /// 512-entry direct-mapped CLS cache.
     cls: DirectMapped<u32>,
     /// Model of the shared 3 MB EMEM SRAM cache (entries of conn state +
@@ -53,7 +53,7 @@ pub const DEFAULT_EMEM_SRAM_CONNS: usize = 6144;
 impl ConnStateCache {
     pub fn new(p: &Platform, emem_sram_conns: usize) -> ConnStateCache {
         ConnStateCache {
-            local: LruCache::new(16),
+            local: LocalCam::default(),
             cls: DirectMapped::new(512),
             emem_sram: LruCache::new(emem_sram_conns.max(1)),
             lat_local: p.mem.local,
@@ -78,12 +78,12 @@ impl ConnStateCache {
     /// collisions on the direct-mapped CLS cache" (§4.1) — we index the
     /// CLS cache by connection id directly, which is exactly that scheme.
     pub fn access(&mut self, conn: u32) -> (Cost, StateHit) {
-        if self.local.get(&conn).is_some() {
+        // A miss fetches into the local CAM (evicting LRU), from wherever
+        // the state lives.
+        if self.local.access(conn) {
             self.local_hits += 1;
             return (Cost::new(0, self.lat_local), StateHit::Local);
         }
-        // Fetch into local CAM (evicting LRU), from wherever it lives.
-        self.local.insert(conn, ());
         if self.cls.access(&conn, conn as u64) {
             self.cls_hits += 1;
             return (Cost::new(0, self.lat_cls), StateHit::Cls);
@@ -106,7 +106,7 @@ impl ConnStateCache {
 
     /// Remove a connection's cached state (teardown).
     pub fn evict(&mut self, conn: u32) {
-        self.local.remove(&conn);
+        self.local.remove(conn);
         self.cls.invalidate(&conn, conn as u64);
         self.emem_sram.remove(&conn);
     }

@@ -256,12 +256,17 @@ fn fmt_ps(ps: u64) -> String {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Clock {
     hz: u64,
+    /// `PS_PER_S / hz` when that divides exactly (800 MHz, 2 GHz), else 0
+    /// (2.35 GHz): a cycle is then a whole number of picoseconds and
+    /// [`Clock::cycles`] multiplies instead of dividing.
+    ps_per_cycle: u64,
 }
 
 impl Clock {
     pub const fn new(hz: u64) -> Clock {
         assert!(hz > 0);
-        Clock { hz }
+        let ps_per_cycle = if PS_PER_S.is_multiple_of(hz) { PS_PER_S / hz } else { 0 };
+        Clock { hz, ps_per_cycle }
     }
     pub const fn mhz(mhz: u64) -> Clock {
         Clock::new(mhz * 1_000_000)
@@ -273,10 +278,15 @@ impl Clock {
     #[inline]
     pub fn cycles(&self, n: u64) -> Duration {
         // ps = n * 1e12 / hz. Per-event cycle counts (hops, stage costs) are
-        // small, so the product fits a u64 and the divide stays a hardware
-        // one; only huge counts pay the 128-bit (`__udivti3`) path.
+        // small, so the product fits a u64: a whole-ps cycle makes it one
+        // multiply, any other clock a hardware divide; only huge counts pay
+        // the 128-bit (`__udivti3`) path.
         if n <= Self::NARROW_MAX_CYCLES {
-            Duration((n * PS_PER_S).div_ceil(self.hz))
+            if self.ps_per_cycle != 0 {
+                Duration(n * self.ps_per_cycle)
+            } else {
+                Duration((n * PS_PER_S).div_ceil(self.hz))
+            }
         } else {
             self.cycles_wide(n)
         }
@@ -383,6 +393,36 @@ mod tests {
                 .chain(EDGE - 64..=EDGE + 64);
             for n in sweep {
                 assert_eq!(c.cycles(n), c.cycles_wide(n), "{c:?} n={n}");
+            }
+        }
+    }
+
+    /// The multiply path is the `div_ceil` it replaces, on every clock
+    /// domain the platforms use: the whole-ps ones (800 MHz, 2 GHz) take
+    /// it, 1.2 and 2.35 GHz keep dividing.
+    #[test]
+    fn clock_cycles_multiply_path_matches_div_ceil() {
+        let reference = |c: Clock, n: u64| {
+            if n <= Clock::NARROW_MAX_CYCLES {
+                Duration((n * PS_PER_S).div_ceil(c.hz()))
+            } else {
+                c.cycles_wide(n)
+            }
+        };
+        let all = [
+            (clocks::FPC_800MHZ, 1250),
+            (clocks::FPC_1200MHZ, 0),
+            (clocks::HOST_2GHZ, 500),
+            (clocks::X86_2350MHZ, 0),
+            (clocks::BLUEFIELD_800MHZ, 1250),
+        ];
+        const EDGE: u64 = Clock::NARROW_MAX_CYCLES;
+        let mut rng = crate::rng::Rng::new(0x3A17);
+        for (c, ps_per_cycle) in all {
+            assert_eq!(c.ps_per_cycle, ps_per_cycle, "{c:?}");
+            let sample = (0..1024).map(|_| rng.below(EDGE + 1));
+            for n in [0, 1, 1250, EDGE, EDGE + 1].into_iter().chain(sample) {
+                assert_eq!(c.cycles(n), reference(c, n), "{c:?} n={n}");
             }
         }
     }

@@ -38,9 +38,12 @@
 //! slots as were ever queued *at once* — a few hundred in-flight events
 //! that stay cache-resident — no matter how many of the 16384 buckets a
 //! run sweeps through. Staging unlinks a bucket's list into `ready` as
-//! slot indices sorted by key — an event is copied twice in its life, into
-//! its slot on push and out of it on pop, which frees the slot. Overflow
-//! migration links into the same lists.
+//! `(time, seq, slot)` entries sorted by key, so the sort, a same-bucket
+//! insert and the pop's deadline check read keys inline rather than
+//! through the arena. An event is copied twice in its life, into its slot
+//! on push and out of it on pop: a slot holds `Option<Ev>` and a pop
+//! `take`s it, writing back nothing but the `None` tag. Overflow migration
+//! links into the same lists.
 //!
 //! # Sends into the staged bucket
 //!
@@ -54,9 +57,10 @@
 //! full key; the common case, a zero-delay chain with nothing later left
 //! in its bucket, lands at the end. The delivered prefix of `ready` is
 //! reclaimed on the same path, once it outweighs the undelivered tail, so
-//! a zero-delay chain that never leaves its bucket runs in constant space. `ready` is always exhausted by the time the
-//! cursor advances, so a same-bucket send can never be overtaken by later
-//! buckets or the overflow heap.
+//! a zero-delay chain that never leaves its bucket runs in constant space.
+//! `ready` is always exhausted by the time the cursor advances, so a
+//! same-bucket send can never be overtaken by later buckets or the
+//! overflow heap.
 //!
 //! Pushes below `base` cannot happen — `base` never passes the sim clock
 //! (rotation happens only while delivering an event at the new base), and
@@ -70,7 +74,7 @@
 
 use std::collections::BinaryHeap;
 
-use crate::engine::{Ev, Msg};
+use crate::engine::Ev;
 use crate::time::Time;
 
 /// log2 of the bucket width in picoseconds (4096 ps ≈ 4 ns).
@@ -80,16 +84,6 @@ const SHIFT: u32 = 12;
 /// take the overflow path.
 const NBUCKETS: usize = 16384;
 const SPAN: u64 = (NBUCKETS as u64) << SHIFT;
-
-/// Placeholder left in an arena slot once its event is popped.
-fn dummy_ev() -> Ev {
-    Ev {
-        time: Time(0),
-        seq: 0,
-        to: 0,
-        msg: Msg::FreeDesc,
-    }
-}
 
 /// End-of-list marker of the arena's `u32` links.
 const NIL: u32 = u32::MAX;
@@ -109,10 +103,18 @@ const EMPTY: Bucket = Bucket {
 
 /// An arena slot: a queued event plus its list link — the next event of
 /// its bucket, or the next free slot while on the free list (where `ev`
-/// is a `dummy_ev`).
+/// is `None`).
 struct Slot {
-    ev: Ev,
+    ev: Option<Ev>,
     next: u32,
+}
+
+/// A staged event: its arena slot behind its `(time, seq)` key.
+#[derive(Clone, Copy)]
+struct Staged {
+    time: Time,
+    seq: u64,
+    slot: u32,
 }
 
 /// The slots of the list starting at `head`, in link order.
@@ -138,10 +140,10 @@ pub(crate) struct EventWheel {
     /// True once bucket `cursor` has been drained into `ready`; new events
     /// due in that bucket are then inserted into `ready`, not the bucket.
     ready_active: bool,
-    /// The staged events of bucket `cursor`: their arena slots, sorted by
-    /// `(time, seq)`; `ready_pos` is the next undelivered index. An event
-    /// stays in its slot until it is popped.
-    ready: Vec<u32>,
+    /// The staged events of bucket `cursor`, sorted by `(time, seq)`;
+    /// `ready_pos` is the next undelivered index. An event stays in its
+    /// arena slot until it is popped.
+    ready: Vec<Staged>,
     ready_pos: usize,
     /// Far-future events (time >= base + SPAN). `Ev`'s reversed `Ord`
     /// makes this max-heap pop earliest-first.
@@ -188,12 +190,18 @@ impl EventWheel {
             let slot = self.free;
             let s = &mut self.slab[slot as usize];
             self.free = s.next;
-            *s = Slot { ev, next: NIL };
+            *s = Slot {
+                ev: Some(ev),
+                next: NIL,
+            };
             slot
         } else {
             let slot = self.slab.len();
             assert!(slot < NIL as usize, "event arena outgrew its u32 links");
-            self.slab.push(Slot { ev, next: NIL });
+            self.slab.push(Slot {
+                ev: Some(ev),
+                next: NIL,
+            });
             slot as u32
         }
     }
@@ -245,14 +253,11 @@ impl EventWheel {
             self.ready.drain(..self.ready_pos);
             self.ready_pos = 0;
         }
-        let key = (ev.time, ev.seq);
+        let (time, seq) = (ev.time, ev.seq);
         let slot = self.alloc(ev);
-        let slab = &self.slab;
-        let at = self.ready[self.ready_pos..].partition_point(|&s| {
-            let e = &slab[s as usize].ev;
-            (e.time, e.seq) <= key
-        });
-        self.ready.insert(self.ready_pos + at, slot);
+        let at = self.ready[self.ready_pos..].partition_point(|s| (s.time, s.seq) <= (time, seq));
+        self.ready
+            .insert(self.ready_pos + at, Staged { time, seq, slot });
     }
 
     /// The first bucket not yet staged: the cursor's, or the one after it
@@ -329,13 +334,20 @@ impl EventWheel {
         self.ready.clear();
         self.ready_pos = 0;
         let head = std::mem::replace(&mut self.buckets[idx], EMPTY).head;
-        self.ready.extend(chain(&self.slab, head));
+        let slab = &self.slab;
+        self.ready.extend(chain(slab, head).map(|slot| {
+            let ev = slab[slot as usize]
+                .ev
+                .as_ref()
+                .expect("linked slot holds an event");
+            Staged {
+                time: ev.time,
+                seq: ev.seq,
+                slot,
+            }
+        }));
         if self.ready.len() > 1 {
-            let slab = &self.slab;
-            self.ready.sort_unstable_by_key(|&s| {
-                let e = &slab[s as usize].ev;
-                (e.time, e.seq)
-            });
+            self.ready.sort_unstable_by_key(|s| (s.time, s.seq));
         }
     }
 
@@ -348,26 +360,28 @@ impl EventWheel {
         if self.ready_pos >= self.ready.len() && !self.stage_next(deadline.ps()) {
             return None;
         }
-        let slot = self.ready[self.ready_pos];
-        let s = &mut self.slab[slot as usize];
-        if s.ev.time > deadline {
+        let Staged { time, slot, .. } = self.ready[self.ready_pos];
+        if time > deadline {
             return None;
         }
         self.ready_pos += 1;
         self.len -= 1;
+        let s = &mut self.slab[slot as usize];
         s.next = std::mem::replace(&mut self.free, slot);
-        Some(std::mem::replace(&mut s.ev, dummy_ev()))
+        debug_assert!(s.ev.is_some(), "staged slot holds an event");
+        s.ev.take()
     }
 
     /// Earliest queued timestamp without mutating the wheel (public
     /// `next_event_time` API; the hot path uses `pop_due`).
     pub(crate) fn next_time(&self) -> Option<Time> {
-        if let Some(&slot) = self.ready.get(self.ready_pos) {
-            return Some(self.slab[slot as usize].ev.time);
+        if let Some(staged) = self.ready.get(self.ready_pos) {
+            return Some(staged.time);
         }
         if let Some(idx) = self.next_occupied(self.scan_from()) {
             return chain(&self.slab, self.buckets[idx].head)
-                .map(|slot| self.slab[slot as usize].ev.time)
+                .filter_map(|slot| self.slab[slot as usize].ev.as_ref())
+                .map(|ev| ev.time)
                 .min();
         }
         self.overflow.peek().map(|e| e.time)
@@ -377,6 +391,7 @@ impl EventWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Msg;
 
     impl EventWheel {
         fn pop(&mut self) -> Option<Ev> {
