@@ -11,7 +11,7 @@ use flextoe_apps::{Arrival, ClientSpec, ServerSpec, Wire};
 use flextoe_ccp::{FoldProg, FoldSpec};
 use flextoe_control::CcAlgo;
 use flextoe_netsim::{PortConfig, Switch, WredParams};
-use flextoe_sim::{Duration, Sim, Tick, Time};
+use flextoe_sim::{Duration, Sim, Time};
 
 use crate::driver::{has_rows, holds, Experiment, PointRun};
 use crate::harness::*;
@@ -64,31 +64,20 @@ pub fn run_cc_one(seed: u64, algo: CcAlgo, fold: FoldSpec, scale: CcScale) -> Js
     };
     let mut sim = Sim::new(seed);
     let (clients, srv_ep, sw) = build_star(&mut sim, Stack::FlexToe, scale.senders, port, &opts);
-    let srv = sim.add_node(DynServer::new(
-        ServerSpec {
-            wire: Wire::Fixed { req: MSG, resp: 32 },
-            ..Default::default()
-        },
-        srv_ep.stack_init(Stack::FlexToe, 1),
-    ));
-    sim.schedule(Time::ZERO, srv, Tick);
-    let mut client_nodes = Vec::new();
-    for (i, ep) in clients.iter().enumerate() {
-        let c = sim.add_node(DynClient::new(
-            ClientSpec {
-                server_ip: srv_ep.ip,
-                n_conns: 1,
-                wire: Wire::Fixed { req: MSG, resp: 32 },
-                arrival: Arrival::Closed { pipeline: 2 },
-                warmup: scale.warmup,
-                connect_spacing: Duration::from_us(3),
-                ..Default::default()
-            },
-            ep.stack_init(Stack::FlexToe, 1),
-        ));
-        sim.schedule(Time::from_us(30 + i as u64), c, Tick);
-        client_nodes.push(c);
-    }
+    let wire = Wire::Fixed { req: MSG, resp: 32 };
+    let server = ServerSpec {
+        wire,
+        ..Default::default()
+    };
+    let client = ClientSpec {
+        n_conns: 1,
+        wire,
+        arrival: Arrival::Closed { pipeline: 2 },
+        warmup: scale.warmup,
+        connect_spacing: Duration::from_us(3),
+        ..Default::default()
+    };
+    let client_nodes = incast(&mut sim, (&clients, &srv_ep), server, client);
 
     // windowed sampling from outside the simulation: per-flow delivered
     // bytes per window drive the convergence detector

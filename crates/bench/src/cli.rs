@@ -1,10 +1,9 @@
-//! The experiment CLI options. The sweep experiments (`cc`, `scale`,
-//! `faults`, `telemetry`) understand `--seed N`, `--out DIR`, `--smoke`
-//! and `--jobs N`; the two that can shard also take `--shards N`. The
-//! table/figure reproductions and `verify` are parameterless by design
-//! (they *are* the paper's fixed configurations, and the committed
-//! artifacts). A flag an experiment does not accept is an error, never
-//! ignored.
+//! The experiment CLI options. The sweep experiments (`paper`, `cc`,
+//! `scale`, `faults`, `telemetry`) understand `--seed N`, `--out DIR`,
+//! `--smoke` and `--jobs N`; the two that can shard also take
+//! `--shards N`. `verify` is parameterless by design (it re-runs the
+//! committed artifacts). A flag an experiment does not accept is an
+//! error, never ignored.
 
 use std::path::PathBuf;
 
@@ -29,7 +28,7 @@ pub struct RunOpts {
 /// What a subcommand declares it accepts.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Accepts {
-    /// No options at all (paper tables, `verify`).
+    /// No options at all (`verify`).
     Nothing,
     /// The sweep options, and `--shards N > 1` only if it can shard.
     Sweep { shards: bool },
@@ -159,7 +158,7 @@ mod tests {
         );
         let err = opts(&["--smoke", "--shards", "4"]).check("cc", unsharded);
         assert_eq!(err.unwrap_err(), "cc does not accept --shards");
-        assert_eq!(opts(&[]).check("table1", Accepts::Nothing), Ok(()));
+        assert_eq!(opts(&[]).check("verify", Accepts::Nothing), Ok(()));
         for (flag, args) in [
             ("--seed", &["--seed", "99"][..]),
             ("--smoke", &["--smoke"]),
@@ -167,8 +166,8 @@ mod tests {
             ("--jobs", &["--jobs", "2"]),
             ("--shards", &["--shards", "3"]),
         ] {
-            let err = opts(args).check("table1", Accepts::Nothing).unwrap_err();
-            assert_eq!(err, format!("table1 does not accept {flag}"));
+            let err = opts(args).check("verify", Accepts::Nothing).unwrap_err();
+            assert_eq!(err, format!("verify does not accept {flag}"));
         }
     }
 }

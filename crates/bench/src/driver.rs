@@ -1,9 +1,9 @@
 //! The one experiment driver and the one verifier.
 //!
-//! A sweep experiment (`cc`, `scale`, `faults`, `telemetry`) is its plan:
-//! the plan type implements [`Experiment`] with its full and smoke
-//! values, how to run one point, the fields of a row and the invariants
-//! a row set must satisfy. Everything else happens here,
+//! A sweep experiment (`paper`, `cc`, `scale`, `faults`, `telemetry`) is
+//! its plan: the plan type implements [`Experiment`] with its full and
+//! smoke values, how to run one point, the fields of a row and the
+//! invariants a row set must satisfy. Everything else happens here,
 //! once: plan selection, the default seed, the timed parallel sweep, the
 //! console table, and the two artifacts —
 //!
@@ -15,8 +15,9 @@
 //!   depends on where and how the sweep ran.
 //!
 //! [`verify`] re-runs an experiment in-process and compares: row
-//! invariants, the committed smoke body, the `--jobs` / `--shards`
-//! identity matrix and the committed artifact of record.
+//! invariants on the smoke and the full rows, the committed smoke body,
+//! the `--jobs` / `--shards` identity matrix and the committed artifact
+//! of record.
 
 use std::time::Instant;
 
@@ -33,6 +34,26 @@ pub fn holds(subject: impl std::fmt::Display, checks: &[(bool, &str)]) -> Result
     match checks.iter().find(|(ok, _)| !ok) {
         Some((_, what)) => Err(format!("{subject}: {what}")),
         None => Ok(()),
+    }
+}
+
+/// The known-miss rule, shared by the paper's cells and the sweep rows:
+/// a `claim` the model knowingly misses carries a one-line reason instead
+/// of a wider band, and that reason must stay true. A claim that fails
+/// without one, or holds with one, is an error naming `subject`, so a fix
+/// flips its cell visibly instead of leaving a stale excuse behind.
+pub fn expect(
+    subject: impl std::fmt::Display,
+    claim: &str,
+    holds: bool,
+    known_miss: Option<&str>,
+) -> Result<(), String> {
+    match (holds, known_miss) {
+        (true, None) | (false, Some(_)) => Ok(()),
+        (false, None) => Err(format!("{subject}: does not hold: {claim}")),
+        (true, Some(why)) => Err(format!(
+            "{subject}: holds, yet is recorded as a known miss ({why}); drop the reason: {claim}"
+        )),
     }
 }
 
@@ -73,7 +94,9 @@ pub trait Experiment: Sized + Sync {
     /// `shards`.
     fn run_point(&self, seed: u64, point: &Self::Point, shards: usize) -> PointRun;
     fn scenario_json(&self, seed: u64) -> Json;
-    /// Invariants of a smoke row set; the error names the offending row.
+    /// Invariants of a row set, smoke or full; the error names the
+    /// offending row. A claim a row knowingly misses goes through
+    /// [`expect`].
     fn check(rows: &[Json]) -> Result<(), String>;
     /// Work beyond the sweep (the `scale` fat-tree headline).
     fn extras(&self, _seed: u64) -> Extras {
@@ -276,6 +299,7 @@ pub fn verify<E: Experiment>() -> usize {
     }
     let record = format!("BENCH_{}.json", E::NAME);
     let full = execute::<E>(E::SEED, false, None, 1);
+    report("full row invariants", E::check(&full.rows));
     report(
         &format!("full body == {record}"),
         same_as_file(&record, &full.body),

@@ -31,7 +31,7 @@ use flextoe_topo::{
     Scenario, Stack,
 };
 
-use crate::driver::{has_rows, holds, Experiment, PointRun};
+use crate::driver::{expect, has_rows, holds, Experiment, PointRun};
 use crate::harness::{cross_tier_scenario, owned_gauges, FabricRun};
 use crate::json::{fixed, Json};
 use crate::scale::{leaf_spine_name, LEAF_SPINE, LEAVES};
@@ -694,9 +694,17 @@ pub fn run_faults_point(seed: u64, row: &ChaosRow, plan: &FaultsPlan, shards: us
     }
 }
 
-/// The invariants of one chaos row: it conserves, it recovers, its
-/// fault left the signature it exists to produce, and a gray fault
-/// never hard-kills.
+/// Rows known not to recover, each with why: the known-miss rule of
+/// `driver::expect`, so a fix that makes one recover fails the check
+/// until its line goes.
+const KNOWN_UNRECOVERED: [(&str, &str); 1] = [(
+    "link-flap-x1",
+    "one flap leaves goodput below its pre-fault rate, unexplained (ROADMAP item 5)",
+)];
+
+/// The invariants of one chaos row: it conserves, it recovers (or is a
+/// known miss), its fault left the signature it exists to produce, and a
+/// gray fault never hard-kills.
 pub fn check_row(r: &Json) -> Result<(), String> {
     let n = |key: &str| r[key].num();
     let yes = |key: &str| r[key] == Json::Bool(true);
@@ -721,7 +729,6 @@ pub fn check_row(r: &Json) -> Result<(), String> {
                 n("pools.work_in_use") == 0.0 && n("pools.buf_delta") == 0.0,
                 "pools not drained",
             ),
-            (yes("recovered"), "goodput never recovered"),
             (n("pre_rps") > 0.0, "no pre-fault goodput"),
             (
                 yes("counters_consistent"),
@@ -736,6 +743,13 @@ pub fn check_row(r: &Json) -> Result<(), String> {
                 "a gray fault hard-killed",
             ),
         ],
+    )?;
+    let known_miss = KNOWN_UNRECOVERED.iter().find(|(row, _)| *row == name);
+    expect(
+        format_args!("row {name}"),
+        "goodput recovers",
+        yes("recovered"),
+        known_miss.map(|(_, why)| *why),
     )
 }
 
@@ -841,6 +855,28 @@ mod tests {
         r.set("issued", r["issued"].num() as u64 + 1);
         let err = check_row(&r).unwrap_err();
         assert_eq!(err, "row baseline: issued != completed + dead_requests");
+    }
+
+    /// A full-mode row goes through the same check: a row that does not
+    /// recover fails unless it is a known miss, and a known miss that
+    /// recovers fails until its reason goes.
+    #[test]
+    fn full_rows_follow_the_known_miss_rule() {
+        let plan = FaultsPlan::smoke();
+        let mut r = run_faults_point(FaultsPlan::SEED, &plan.rows[0], &plan, 1).row;
+        r.set("recovered", false);
+        let err = check_row(&r).unwrap_err();
+        assert_eq!(err, "row baseline: does not hold: goodput recovers");
+        // the committed full link-flap-x1 row: unrecovered, a known miss
+        r.set("name", "link-flap-x1");
+        assert_eq!(check_row(&r), Ok(()));
+        r.set("recovered", true);
+        let err = check_row(&r).unwrap_err();
+        assert!(
+            err.starts_with("row link-flap-x1: holds, yet is recorded as a known miss")
+                && err.contains("ROADMAP item 5"),
+            "{err}"
+        );
     }
 
     /// The drain audit names each clause that doctored counts violate.

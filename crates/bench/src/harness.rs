@@ -1,5 +1,5 @@
 //! Shared experiment harness: scenario runners and metric helpers used by
-//! every table/figure reproduction and sweep. Topology building
+//! every sweep, the paper's tables and figures included. Topology building
 //! (endpoints, the pair and star testbeds, and the declarative
 //! leaf-spine/fat-tree fabrics) lives in `flextoe-topo`; the
 //! long-standing names are re-exported here so experiments keep reading
@@ -8,7 +8,7 @@
 use flextoe_apps::{ClientSpec, ServerSpec};
 use flextoe_core::PoolGauges;
 use flextoe_shard::{ShardedSim, SyncStats};
-use flextoe_sim::{Histogram, Sim, Tick, Time};
+use flextoe_sim::{Histogram, NodeId, Sim, Tick, Time};
 use flextoe_topo::{partition_fabric, Fabric, Role, Scenario};
 
 pub use flextoe_topo::{
@@ -70,6 +70,30 @@ pub fn echo_between(
         latency: c.latency.clone(),
         per_conn_bytes: c.per_conn_bytes(),
     }
+}
+
+/// An incast over a `build_star` star: one `server` app behind `srv_ep`,
+/// started at zero, and one `client` app per client endpoint, started
+/// 1 us apart from 30 us, all on FlexTOE. Returns the client apps.
+pub fn incast(
+    sim: &mut Sim,
+    (clients, srv_ep): (&[Endpoint], &Endpoint),
+    server: ServerSpec,
+    client: ClientSpec,
+) -> Vec<NodeId> {
+    let flex = Stack::FlexToe;
+    let srv = sim.add_node(DynServer::new(server, srv_ep.stack_init(flex, 1)));
+    sim.schedule(Time::ZERO, srv, Tick);
+    let client = ClientSpec {
+        server_ip: srv_ep.ip,
+        ..client
+    };
+    let start = |(i, ep): (usize, &Endpoint)| {
+        let c = sim.add_node(DynClient::new(client, ep.stack_init(flex, 1)));
+        sim.schedule(Time::from_us(30 + i as u64), c, Tick);
+        c
+    };
+    clients.iter().enumerate().map(start).collect()
 }
 
 /// The traffic matrix `scale`, `faults` and `telemetry` share. Hosts come
@@ -182,25 +206,6 @@ impl FabricRun {
             FabricRun::Mono(..) => None,
             FabricRun::Sharded(sharded) => Some(sharded.sync_stats()),
         }
-    }
-}
-
-/// Format bits/second.
-pub fn fmt_bps(bps: f64) -> String {
-    if bps >= 1e9 {
-        format!("{:6.2} Gbps", bps / 1e9)
-    } else if bps >= 1e6 {
-        format!("{:6.2} Mbps", bps / 1e6)
-    } else {
-        format!("{:6.2} Kbps", bps / 1e3)
-    }
-}
-
-pub fn fmt_ops(ops: f64) -> String {
-    if ops >= 1e6 {
-        format!("{:5.2} MOps", ops / 1e6)
-    } else {
-        format!("{:5.1} kOps", ops / 1e3)
     }
 }
 

@@ -1,13 +1,13 @@
-//! FlexTOE reproduction experiment harness: one subcommand per table and
-//! figure of the paper's evaluation, the four sweep experiments — the
-//! congested fabric (`cc`), connection scalability (`scale`), the chaos
-//! plane (`faults`) and sketch telemetry (`telemetry`) — and `verify`,
-//! which re-runs the sweeps against their committed artifacts
-//! (ARCHITECTURE.md "Benchmarks").
+//! FlexTOE reproduction experiment harness: five sweep experiments under
+//! one driver — the paper's tables and figures (`paper`), the congested
+//! fabric (`cc`), connection scalability (`scale`), the chaos plane
+//! (`faults`) and sketch telemetry (`telemetry`) — and `verify`, which
+//! re-runs all five against their committed artifacts (ARCHITECTURE.md
+//! "Benchmarks").
 //!
 //! ```text
 //! cargo run -p flextoe-bench --release -- all
-//! cargo run -p flextoe-bench --release -- table3 fig15
+//! cargo run -p flextoe-bench --release -- paper --smoke --out target
 //! cargo run -p flextoe-bench --release -- scale --smoke --seed 17 --out target
 //! cargo run -p flextoe-bench --release -- verify
 //! ```
@@ -15,7 +15,7 @@
 use flextoe_bench::cc::CcScale;
 use flextoe_bench::cli::{Accepts, RunOpts};
 use flextoe_bench::driver::{self, Experiment};
-use flextoe_bench::exp;
+use flextoe_bench::exp::PaperPlan;
 use flextoe_bench::faults::FaultsPlan;
 use flextoe_bench::scale::ScalePlan;
 use flextoe_bench::telemetry::TelemetryPlan;
@@ -30,7 +30,8 @@ fn sweep<E: Experiment>() -> Entry {
 }
 
 fn verify(_: &RunOpts) {
-    let failed = driver::verify::<CcScale>()
+    let failed = driver::verify::<PaperPlan>()
+        + driver::verify::<CcScale>()
         + driver::verify::<ScalePlan>()
         + driver::verify::<FaultsPlan>()
         + driver::verify::<TelemetryPlan>();
@@ -50,35 +51,19 @@ fn main() {
     let (opts, names) = RunOpts::parse(&args).unwrap_or_else(|e| die(&e));
     let run_all = names.is_empty() || names.iter().any(|a| a == "all");
     // the long sweeps and the verifier only run on explicit request, not
-    // under `all`; `cc` stays in `all` (it reproduces the §D
-    // congestion-control evaluation)
+    // under `all`; `paper` and `cc` (the §D congestion-control
+    // evaluation) make up `all`
     let explicit_only = ["scale", "faults", "telemetry", "verify"];
     let want =
         |name: &str| names.iter().any(|a| a == name) || (run_all && !explicit_only.contains(&name));
 
-    let no = Accepts::Nothing;
     let experiments: &[Entry] = &[
-        ("table1", no, |_| exp::table1()),
-        ("table2", no, |_| exp::table2()),
-        ("table3", no, |_| exp::table3()),
-        ("table4", no, |_| exp::table4()),
-        ("table5", no, |_| exp::table5()),
-        ("table6", no, |_| exp::table6()),
-        ("fig8", no, |_| exp::fig8()),
-        ("fig9", no, |_| exp::fig9()),
-        ("fig10", no, |_| exp::fig10()),
-        ("fig11", no, |_| exp::fig11()),
-        ("fig12", no, |_| exp::fig12()),
-        ("fig13", no, |_| exp::fig13()),
-        ("fig14", no, |_| exp::fig14()),
-        ("fig15", no, |_| exp::fig15()),
-        ("fig16", no, |_| exp::fig16()),
-        ("ablate-reorder", no, |_| exp::ablate_reorder()),
+        sweep::<PaperPlan>(),
         sweep::<CcScale>(),
         sweep::<ScalePlan>(),
         sweep::<FaultsPlan>(),
         sweep::<TelemetryPlan>(),
-        ("verify", no, verify),
+        ("verify", Accepts::Nothing, verify),
     ];
 
     let known = |n: &str| n == "all" || experiments.iter().any(|(name, ..)| *name == n);

@@ -452,12 +452,15 @@ impl Experiment for ScalePlan {
         ])
     }
 
-    /// Every point carried load, spread it over every spine by ECMP and
-    /// left its pressure gauges readable.
+    /// Every point carried load, spread it over every spine by ECMP and,
+    /// on FlexTOE hosts, left its NIC pool gauges readable.
     fn check(rows: &[Json]) -> Result<(), String> {
         holds("sweep", &[(rows.len() >= 2, "fewer than two points")])?;
         rows.iter().try_for_each(|r| {
             let (jain, frames) = (r["jain_hosts"].num(), &r["spine_frames"]);
+            // only FlexTOE hosts have NIC pools; a host stack's read zero
+            let nic_pools =
+                r["pools.work_hwm"].num() > 0.0 && r["pools.conn_cache_hwm"].num() > 0.0;
             let Json::Arr(frames) = frames else {
                 return Err(format!("row {}: no spine_frames", r["stack"].as_str()));
             };
@@ -474,8 +477,8 @@ impl Experiment for ScalePlan {
                         "ECMP left a spine idle (a zero in spine_frames)",
                     ),
                     (
-                        r["pools.work_hwm"].num() > 0.0 && r["pools.conn_cache_hwm"].num() > 0.0,
-                        "pool gauges read zero",
+                        nic_pools == (r["stack"].as_str() == Stack::FlexToe.name()),
+                        "pool gauges read zero on FlexTOE, or non-zero on a host stack",
                     ),
                 ],
             )

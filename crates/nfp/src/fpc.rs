@@ -53,14 +53,11 @@ impl core::ops::AddAssign for Cost {
 #[derive(Clone, Debug)]
 pub struct FpcTimer {
     cycle: Duration,
-    threads: usize,
     /// When the issue pipeline frees up.
     core_free: Time,
-    /// Completion times of in-flight items (one slot per busy hw thread).
-    inflight: Vec<Time>,
-    /// A lower bound on every `inflight` time (`Time::MAX` when empty):
-    /// before it nothing can retire, so `execute` skips the scan.
-    min_done: Time,
+    /// When each hardware thread frees up: the completion of the last item
+    /// it ran (one slot per thread, allocated once).
+    slots: Box<[Time]>,
     /// Total cycles of compute issued (utilization accounting).
     pub busy: Duration,
     pub items: u64,
@@ -71,10 +68,8 @@ impl FpcTimer {
         assert!(threads >= 1);
         FpcTimer {
             cycle: clock.cycles(1),
-            threads,
             core_free: Time::ZERO,
-            inflight: Vec::with_capacity(threads),
-            min_done: Time::MAX,
+            slots: vec![Time::ZERO; threads].into_boxed_slice(),
             busy: Duration::ZERO,
             items: 0,
         }
@@ -84,65 +79,36 @@ impl FpcTimer {
         Duration::from_ps(self.cycle.ps().saturating_mul(n))
     }
 
+    /// The thread that frees up first, and when.
+    fn earliest_slot(&self) -> (usize, Time) {
+        let (slot, &t) = (self.slots.iter().enumerate())
+            .min_by_key(|(_, &t)| t)
+            .expect("threads >= 1");
+        (slot, t)
+    }
+
     /// Admit a work item arriving at `now`; returns its completion time.
     ///
     /// With `threads == 1` the item also blocks the core during its memory
     /// wait (no latency hiding) — the Table 3 "pipelining only" config.
     ///
     /// Arrivals need not be monotone (the protocol stage holds an item
-    /// back until its connection's previous one completes). The retire
-    /// scan is skipped only when `now` is before every completion, where
-    /// it would remove nothing, so the in-flight set is always exactly
-    /// what a scan on every call leaves.
+    /// back until its connection's previous one completes). The item takes
+    /// the thread that frees up first. A slot that an earlier arrival
+    /// already saw free ends no later than that arrival, and so no later
+    /// than `core_free`: an earlier `now` cannot make it delay the item.
     pub fn execute(&mut self, now: Time, cost: Cost) -> Time {
-        // Retire completed items: reverse swap_remove scan — no element
-        // shifting, and the slot swapped in from the tail was already
-        // examined. (The list is a multiset of completion times; order
-        // never matters.)
-        if now >= self.min_done {
-            let mut min_done = Time::MAX;
-            let mut i = self.inflight.len();
-            while i > 0 {
-                i -= 1;
-                let t = self.inflight[i];
-                if t <= now {
-                    self.inflight.swap_remove(i);
-                } else {
-                    min_done = min_done.min(t);
-                }
-            }
-            self.min_done = min_done;
-        }
-
-        // Wait for a hardware thread.
-        let thread_free = if self.inflight.len() < self.threads {
-            now
-        } else {
-            // earliest completion
-            let (idx, &t) = self
-                .inflight
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &t)| t)
-                .unwrap();
-            self.inflight.swap_remove(idx);
-            t
-        };
-
+        let (slot, thread_free) = self.earliest_slot();
         let start = thread_free.max(now).max(self.core_free);
         let compute_end = start + self.cycles(cost.compute);
-        let done = if self.threads == 1 {
-            // single-threaded: memory stalls the issue pipeline too
-            let d = compute_end + self.cycles(cost.mem);
-            self.core_free = d;
-            d
+        let done = compute_end + self.cycles(cost.mem);
+        // single-threaded: memory stalls the issue pipeline too
+        self.core_free = if self.slots.len() == 1 {
+            done
         } else {
-            self.core_free = compute_end;
-            compute_end + self.cycles(cost.mem)
+            compute_end
         };
-        // (taking the earliest item above leaves `min_done` a lower bound)
-        self.inflight.push(done);
-        self.min_done = self.min_done.min(done);
+        self.slots[slot] = done;
         self.busy += self.cycles(cost.compute);
         self.items += 1;
         done
@@ -150,16 +116,11 @@ impl FpcTimer {
 
     /// Earliest time a new arrival could *start* executing.
     pub fn next_free(&self, now: Time) -> Time {
-        let mut live: Vec<Time> = self.inflight.iter().copied().filter(|&t| t > now).collect();
-        if live.len() < self.threads {
-            return now.max(self.core_free);
-        }
-        live.sort();
-        live[live.len() - self.threads].max(self.core_free)
+        self.earliest_slot().1.max(now).max(self.core_free)
     }
 
     pub fn threads(&self) -> usize {
-        self.threads
+        self.slots.len()
     }
 }
 
@@ -262,8 +223,8 @@ mod tests {
         assert_eq!(f.busy.as_ns(), 125);
     }
 
-    /// `execute` with a retire scan on every call: the reference for
-    /// `matches_eager_reference`.
+    /// An in-flight list with a retire scan on every call: the reference
+    /// for `matches_eager_reference`.
     struct EagerFpc {
         cycle: Duration,
         threads: usize,
@@ -308,18 +269,17 @@ mod tests {
         }
     }
 
-    /// The scan-skipping `execute` is the eager one, under the arrivals
-    /// the protocol stage makes: the clock only moves forward, but an item
-    /// arrives no earlier than its connection's previous completion, so
-    /// successive arrivals go back and forth in time. Beyond the outputs,
-    /// the in-flight set must match too: a timer that keeps stale items
-    /// (say, one that retires only when every thread is busy) still
-    /// computes the same completions, because a stale item ends before
-    /// `core_free`, but it no longer models which threads are busy.
+    /// The per-thread slots compute what an in-flight list retired on
+    /// every call computes, under the arrivals the protocol stage makes:
+    /// the clock only moves forward, but an item arrives no earlier than
+    /// its connection's previous completion, so successive arrivals go
+    /// back and forth in time. A slot the list would already have retired
+    /// ends before `core_free`, so completions, busy time and `next_free`
+    /// agree on every call.
     #[test]
     fn matches_eager_reference() {
         let mut rng = flextoe_sim::Rng::new(0xF9C);
-        for threads in [1, 2, 8] {
+        for threads in [1, 2, 3, 8] {
             for _case in 0..200 {
                 let mut fast = FpcTimer::new(FPC_800MHZ, threads);
                 let mut eager = EagerFpc::new(threads);
@@ -334,10 +294,6 @@ mod tests {
                     assert_eq!(done, eager.execute(arrival, cost), "threads {threads}");
                     conn_busy[conn] = done;
                     assert_eq!(fast.busy, eager.busy);
-                    let mut inflight = fast.inflight.clone();
-                    inflight.sort();
-                    eager.inflight.sort();
-                    assert_eq!(inflight, eager.inflight, "threads {threads}");
                     let probe = now + Duration::from_ps(rng.below(1_000));
                     let mut live: Vec<Time> = (eager.inflight.iter().copied())
                         .filter(|&t| t > probe)

@@ -46,9 +46,9 @@ fn main() {
             Time::from_ms(40),
         );
         println!(
-            "loss {:>5.2}%  goodput {:>12}  fast-retx {:>4}  rto-retx {:>4}  ooo-segs {:>5}",
+            "loss {:>5.2}%  goodput {:>7.2} Gbps  fast-retx {:>4}  rto-retx {:>4}  ooo-segs {:>5}",
             loss * 100.0,
-            fmt_bps(res.rps * (1u64 << 20) as f64 * 8.0),
+            res.rps * (1u64 << 20) as f64 * 8.0 / 1e9,
             sim.stats.get_named("proto.fast_retx"),
             sim.stats.get_named("proto.rto_retx"),
             sim.stats.get_named("proto.ooo"),
