@@ -657,29 +657,39 @@ fn shape(what: String, holds: bool) -> Cell {
     (format!("shape: {what}"), holds)
 }
 
-/// The cells the model knowingly misses, by row and the start of the
-/// claim, each with its one-line reason.
+/// Table 5's protocol partition carries `snd_max` (ARCHITECTURE.md).
+const SND_MAX: &str = "+4 B snd_max, the go-back-N ACK bound";
+
+/// The cells the model knowingly misses: the row, the start of the
+/// claim, and its one-line reason.
+const KNOWN_MISSES: [(&str, &str, &str); 6] = [
+    ("table5", "exact: proto", SND_MAX),
+    ("table5", "exact: total", SND_MAX),
+    (
+        "fig12",
+        "shape: Linux",
+        "Linux 8192K bidirectional stalls; unclassified, ROADMAP item 14 or 18 suspected",
+    ),
+    (
+        "fig13",
+        "shape: TAS",
+        "TAS saturates its host core at 512 and 2048 conns: 772.78 -> 772.82 kOps",
+    ),
+    (
+        "fig13",
+        "shape: FlexTOE",
+        "FlexTOE recovers at 8192 conns (719.4 -> 777.7 kOps), unexplained (ROADMAP item 5)",
+    ),
+    (
+        "fig15",
+        "shape: 15b at 2%",
+        "Linux stalls at 2% loss; the dup-ACK go-back-N rule is the suspect (ROADMAP item 14)",
+    ),
+];
+
 fn known_miss(row: &str, claim: &str) -> Option<&'static str> {
-    let (starts, why): (&[&str], _) = match row {
-        "table5" => (
-            &["exact: proto", "exact: total"],
-            "+4 B snd_max, the go-back-N ACK bound",
-        ),
-        "fig12" => (
-            &["shape: Linux"],
-            "Linux 8192K bidirectional stalls; unclassified, ROADMAP item 14 or 18 suspected",
-        ),
-        "fig13" => (
-            &["shape: FlexTOE"],
-            "FlexTOE recovers at 8192 conns, unexplained (ROADMAP item 5)",
-        ),
-        "fig15" => (
-            &["shape: 15b at 2%"],
-            "Linux stalls at 2% loss; the dup-ACK go-back-N rule is the suspect (ROADMAP item 14)",
-        ),
-        _ => return None,
-    };
-    starts.iter().any(|s| claim.starts_with(s)).then_some(why)
+    let hit = |(r, start, _): &&(&str, &str, &str)| *r == row && claim.starts_with(start);
+    KNOWN_MISSES.iter().find(hit).map(|&(_, _, why)| why)
 }
 
 /// Column `key` of row `r`, over the lines whose column `by` reads `is`
@@ -812,27 +822,30 @@ mod tests {
     /// exact cells read the state encodings, with `snd_max` as the miss.
     #[test]
     fn check_fails_a_broken_shape_and_a_known_miss_that_holds() {
-        let fig13 = |tas: [f64; 4], flextoe: [f64; 4]| {
+        // series in `Stack::all4` order: Linux, Chelsio, TAS, FlexTOE
+        let fig13 = |series: [[f64; 4]; 4]| {
             let mut t = Table::new("stack conns kops");
-            let (linux, chelsio) = ([258.0, 190.0, 120.0, 70.0], [150.0, 70.0, 70.0, 70.0]);
-            for (stack, kops) in Stack::all4()
-                .into_iter()
-                .zip([linux, chelsio, tas, flextoe])
-            {
+            for (stack, kops) in Stack::all4().into_iter().zip(series) {
                 for (conns, v) in [512u32, 2048, 4096, 8192].into_iter().zip(kops) {
                     t.line([name(stack), conns.into(), fixed(v, 1)]);
                 }
             }
             check_row(&t.row("fig13"))
         };
-        let (tas, missing) = ([770.0, 770.0, 490.0, 460.0], [770.0, 770.0, 480.0, 600.0]);
-        assert_eq!(fig13(tas, missing), Ok(()));
-        let err = fig13([770.0, 770.0, 460.0, 490.0], missing).unwrap_err();
+        let (linux, chelsio) = ([260.0, 204.0, 192.0, 120.0], [155.0, 71.0, 70.0, 70.0]);
+        let (tas, flextoe) = ([772.78, 772.82, 743.0, 683.0], [773.0, 772.0, 719.0, 778.0]);
+        assert_eq!(fig13([linux, chelsio, tas, flextoe]), Ok(()));
+        let broken = [260.0, 204.0, 120.0, 192.0];
+        let err = fig13([broken, chelsio, tas, flextoe]).unwrap_err();
         assert!(
-            err.starts_with("row fig13: does not hold: shape: TAS"),
+            err.starts_with("row fig13: does not hold: shape: Linux"),
             "{err}"
         );
-        let err = fig13(tas, [770.0, 770.0, 600.0, 480.0]).unwrap_err();
+        let held = [772.8, 772.8, 743.0, 683.0];
+        let err = fig13([linux, chelsio, held, flextoe]).unwrap_err();
+        assert!(err.contains("known miss (TAS saturates"), "{err}");
+        let held = [778.0, 773.0, 772.0, 719.0];
+        let err = fig13([linux, chelsio, tas, held]).unwrap_err();
         assert!(err.contains("known miss (FlexTOE recovers"), "{err}");
 
         let r = table5(PaperPlan::SEED);

@@ -636,7 +636,7 @@ impl ControlPlane {
             let Some(entry) = table.get(conn) else {
                 continue;
             };
-            let srtt_us = entry.post.rtt_est.max(20);
+            let srtt_us = entry.post.rtt_est;
             let verdict = self.rto.observe(conn, &entry.proto, srtt_us, ctx.now());
             drop(table);
 

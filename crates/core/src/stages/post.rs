@@ -20,6 +20,7 @@ use crate::hostmem::NicToApp;
 use crate::proto::TxSeg;
 use crate::segment::{SharedConnTable, SharedSegPool, SharedWorkPool, Work, WorkPool};
 use crate::stages::SharedCfg;
+use crate::transport;
 
 pub struct PostStage {
     cfg: SharedCfg,
@@ -195,16 +196,8 @@ impl PostStage {
             post.cnt_fretx = post.cnt_fretx.wrapping_add(1);
         }
         if let Some(tsecr) = out.rtt_sample_ts {
-            // our ACK stamps carry microseconds; RTT = now - echo
-            let rtt = now_us.wrapping_sub(tsecr);
-            if rtt < 1_000_000 {
-                // EWMA 7/8, as TAS
-                post.rtt_est = if post.rtt_est == 0 {
-                    rtt
-                } else {
-                    (post.rtt_est * 7 + rtt) / 8
-                };
-            }
+            // our ACK stamps carry microseconds
+            transport::rtt_sample(&mut post.rtt_est, now_us, tsecr);
         }
         let ctx_id = post.context;
         let rtt_est = post.rtt_est;

@@ -1,5 +1,5 @@
-//! The retransmit and connect policy every host runs, and the one
-//! retransmission-timeout tracker both stack families drive.
+//! The retransmit and connect policy every host runs, and the one RTT
+//! estimator and retransmission-timeout tracker both stack families drive.
 //!
 //! [`TransportPolicy`] is the one copy of the connection-control knobs:
 //! the FlexTOE control plane (`flextoe-control`: its RTO monitor and SYN
@@ -7,8 +7,9 @@
 //! it, so a FlexTOE-vs-TAS comparison compares data paths, not timer
 //! policies. [`RtoTracker`] is the one copy of the per-connection state
 //! around the RTO rule (§D: "We also monitor retransmission timeouts in
-//! the control iteration"). Like [`crate::proto`] neither owns a timer:
-//! callers scan on their own cadence and act on the verdict.
+//! the control iteration"), fed by the one sRTT update, [`rtt_sample`].
+//! Like [`crate::proto`] neither owns a timer: callers scan on their own
+//! cadence and act on the verdict.
 
 use flextoe_sim::{Duration, Time};
 use flextoe_wire::SeqNum;
@@ -24,7 +25,8 @@ pub const SYN_ATTEMPTS: u32 = 4;
 /// The transport knobs both stack families read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TransportPolicy {
-    /// RTO floor: `RTO = max(min_rto, 4 × sRTT)` before backoff.
+    /// RTO floor: `RTO = max(min_rto, 4 × sRTT)` before backoff, or
+    /// `max(min_rto, syn_retry)` while the flow has no RTT sample.
     pub min_rto: Duration,
     /// Consecutive no-progress RTO firings before an established
     /// connection is aborted (RST + a typed abort to the app) instead of
@@ -54,9 +56,15 @@ impl Default for TransportPolicy {
 impl TransportPolicy {
     /// The RTO after `backoff` consecutive firings:
     /// `max(min_rto, 4 × sRTT) << min(backoff, 6)`, capped at [`MAX_RTO`].
+    /// sRTT 0 means "no sample yet": the base is then the wait an
+    /// unanswered SYN gets, `max(min_rto, syn_retry)`.
     pub fn rto(&self, srtt_us: u32, backoff: u32) -> Duration {
-        let base = Duration::from_us(4 * u64::from(srtt_us)).max(self.min_rto);
-        (base * (1u64 << backoff.min(6))).min(MAX_RTO)
+        let base = if srtt_us == 0 {
+            self.syn_retry
+        } else {
+            Duration::from_us(4 * u64::from(srtt_us))
+        };
+        (base.max(self.min_rto) * (1u64 << backoff.min(6))).min(MAX_RTO)
     }
 
     /// Whether a flow that has fired `backoff` RTOs without progress has
@@ -69,6 +77,20 @@ impl TransportPolicy {
     /// next one, before any jitter.
     pub fn syn_timeout(&self, attempts: u32) -> Duration {
         self.syn_retry * (1u64 << attempts.saturating_sub(1).min(5))
+    }
+}
+
+/// Folds the RTT that the echo `tsecr` measures at `now_us` (µs stamps)
+/// into `srtt_us` (0 = no sample yet): the first sample as is, then the
+/// 7/8 EWMA (as TAS). An echo 1 s or more old is ignored.
+pub fn rtt_sample(srtt_us: &mut u32, now_us: u32, tsecr: u32) {
+    let rtt = now_us.wrapping_sub(tsecr);
+    if rtt < 1_000_000 {
+        *srtt_us = if *srtt_us == 0 {
+            rtt
+        } else {
+            (*srtt_us * 7 + rtt) / 8
+        };
     }
 }
 
@@ -181,13 +203,14 @@ impl RtoTracker {
 mod tests {
     use super::*;
 
-    /// At the defaults the shared rule is the baseline stacks' historical
-    /// `4 × max(sRTT, 250 µs) << min(backoff, 6)`; it differs only where
-    /// the 200 ms cap bites (sRTT above 781 µs at full backoff).
+    /// Once a flow has a sample, the shared rule at the defaults is the
+    /// baseline stacks' historical `4 × max(sRTT, 250 µs) << min(backoff,
+    /// 6)`; it differs only where the 200 ms cap bites (sRTT above 781 µs
+    /// at full backoff). sRTT 0 is the pre-sample rule, tested below.
     #[test]
     fn default_rule_matches_the_old_host_stack_formula() {
         let p = TransportPolicy::default();
-        for srtt_us in [0, 1, 20, 249, 250, 251, 400, 781] {
+        for srtt_us in [1, 20, 249, 250, 251, 400, 781] {
             for backoff in 0..10 {
                 let old =
                     Duration::from_us(4 * u64::from(srtt_us.max(250))) * (1u64 << backoff.min(6));
@@ -196,6 +219,50 @@ mod tests {
         }
         assert_eq!(p.rto(782, 6), MAX_RTO);
         assert_eq!(p.rto(10_000, 0), Duration::from_ms(40));
+    }
+
+    /// Before its first RTT sample a flow waits what an unanswered SYN
+    /// waits, not the `min_rto` floor: 5 ms at the defaults, 400 µs at
+    /// the chaos experiments' 200 µs floor and 400 µs SYN retry.
+    #[test]
+    fn no_sample_waits_the_syn_timeout() {
+        let p = TransportPolicy::default();
+        for backoff in 0..6 {
+            assert_eq!(p.rto(0, backoff), p.syn_timeout(backoff + 1));
+        }
+        assert_eq!((p.rto(0, 0), p.rto(0, 6)), (Duration::from_ms(5), MAX_RTO));
+        let chaos = TransportPolicy {
+            min_rto: Duration::from_us(200),
+            syn_retry: Duration::from_us(400),
+            ..p
+        };
+        assert_eq!(chaos.rto(0, 0), Duration::from_us(400));
+        let fast_syn = TransportPolicy {
+            syn_retry: Duration::from_us(100),
+            ..p
+        };
+        assert_eq!(fast_syn.rto(0, 0), p.min_rto, "the floor still holds");
+    }
+
+    #[test]
+    fn rtt_sample_takes_the_first_then_the_7_8_ewma() {
+        let mut srtt = 0;
+        rtt_sample(&mut srtt, 1_000, 920);
+        assert_eq!(srtt, 80, "the first sample as is");
+        rtt_sample(&mut srtt, 2_000, 1_840);
+        assert_eq!(srtt, (80 * 7 + 160) / 8);
+        rtt_sample(&mut srtt, 40, u32::MAX - 59); // the µs stamps wrap
+        assert_eq!(srtt, (90 * 7 + 100) / 8);
+    }
+
+    #[test]
+    fn rtt_sample_ignores_an_echo_of_a_second_or_more() {
+        let mut srtt = 0;
+        rtt_sample(&mut srtt, 1_000_000, 0);
+        assert_eq!(srtt, 0, "still no sample");
+        rtt_sample(&mut srtt, 1_999_999, 1_000_000);
+        rtt_sample(&mut srtt, 3_000_000, 1_000_000);
+        assert_eq!(srtt, 999_999);
     }
 
     #[test]

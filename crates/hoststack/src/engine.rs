@@ -25,7 +25,7 @@
 use flextoe_core::handshake::{Handshake, Refusal, SynTimeout, Verdict};
 use flextoe_core::hostmem::{shared_buf, AppToNic, SharedBuf};
 use flextoe_core::proto::{self, Reassembly, RxSummary};
-use flextoe_core::transport::{RtoTracker, RtoVerdict, TransportPolicy};
+use flextoe_core::transport::{self, RtoTracker, RtoVerdict, TransportPolicy};
 use flextoe_core::ProtoState;
 use flextoe_nfp::{Cost, FpcTimer};
 use flextoe_sim::{try_cast, AppNotify, Ctx, Duration, FxHashMap, Msg, Node, NodeId, Tick, Time};
@@ -338,14 +338,7 @@ impl HostStackNode {
             c.cwnd = c.cwnd.min(BUF_SIZE);
         }
         if let Some(tsecr) = out.rtt_sample_ts {
-            let rtt = (now.as_us() as u32).wrapping_sub(tsecr);
-            if rtt < 1_000_000 {
-                c.srtt_us = if c.srtt_us == 0 {
-                    rtt
-                } else {
-                    (c.srtt_us * 7 + rtt) / 8
-                };
-            }
+            transport::rtt_sample(&mut c.srtt_us, now.as_us() as u32, tsecr);
         }
         if out.fast_retransmit {
             c.ssthresh = (c.cwnd / 2).max(2 * MSS);

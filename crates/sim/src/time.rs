@@ -265,7 +265,11 @@ pub struct Clock {
 impl Clock {
     pub const fn new(hz: u64) -> Clock {
         assert!(hz > 0);
-        let ps_per_cycle = if PS_PER_S.is_multiple_of(hz) { PS_PER_S / hz } else { 0 };
+        let ps_per_cycle = if PS_PER_S.is_multiple_of(hz) {
+            PS_PER_S / hz
+        } else {
+            0
+        };
         Clock { hz, ps_per_cycle }
     }
     pub const fn mhz(mhz: u64) -> Clock {

@@ -99,11 +99,13 @@ pub struct PairOpts {
     /// Consecutive no-progress RTOs before a host aborts a flow (`None` =
     /// retry forever).
     pub rto_give_up: Option<u32>,
-    /// RTO floor (`RTO = max(min_rto, 4 × sRTT)`). The chaos experiments
+    /// RTO floor (`RTO = max(min_rto, 4 × sRTT)`, or `max(min_rto,
+    /// syn_retry)` before the first RTT sample). The chaos experiments
     /// shrink this so give-up fits inside a millisecond-scale fault window.
     pub min_rto: Duration,
     /// Base SYN retransmission interval (exponential backoff; FlexTOE
-    /// hosts add jitter).
+    /// hosts add jitter), and the RTO of data sent before the first RTT
+    /// sample.
     pub syn_retry: Duration,
     /// SYN admission cap: refuse passive opens with an RST past this many
     /// installed + pending connections (`None` = unbounded; see

@@ -338,3 +338,48 @@ fn loss_free_idle_connections_fire_no_rto() {
         "RTOs fired per host on a loss-free fabric: {fired:?}"
     );
 }
+
+/// Fig. 15a's Linux cell at 0% loss (seed 81: 100 connections, 64 B
+/// echoes pipelined 8 deep, 24 ms): nothing is lost, so no RTO may fire.
+/// While the first 800 requests queue behind the server core a flow has
+/// data in flight and no RTT sample yet; when such a flow waited only
+/// the 1 ms `min_rto` floor, the two hosts fired 14 + 66 RTOs. Before
+/// its first sample a flow now waits what an unanswered SYN waits.
+#[test]
+fn no_rto_before_the_first_rtt_sample() {
+    let linux = Stack::Linux;
+    let mut sim = Sim::new(81);
+    let (cli_ep, srv_ep) = build_pair(&mut sim, linux, linux, &PairOpts::default());
+    let wire = Wire::Fixed { req: 64, resp: 64 };
+    let server = sim.add_node(Server::new(
+        ServerSpec {
+            wire,
+            ..Default::default()
+        },
+        srv_ep.stack_init(linux, 1),
+    ));
+    let client = sim.add_node(Client::new(
+        ClientSpec {
+            server_ip: srv_ep.ip,
+            n_conns: 100,
+            wire,
+            arrival: Arrival::Closed { pipeline: 8 },
+            warmup: Time::from_ms(4),
+            connect_spacing: Duration::from_us(3),
+            ..Default::default()
+        },
+        cli_ep.stack_init(linux, 1),
+    ));
+    sim.schedule(Time::ZERO, server, Tick);
+    sim.schedule(Time::from_us(20), client, Tick);
+    sim.run_until(Time::from_ms(24));
+
+    let c = sim.node_ref::<Client>(client);
+    assert_eq!(c.connected, 100);
+    assert!(c.measured > 1_000, "{} responses", c.measured);
+    let fired = [cli_ep, srv_ep].map(|ep| {
+        let host = sim.node_ref::<HostStackNode>(ep.baseline.unwrap());
+        host.rto_fired()
+    });
+    assert_eq!(fired, [0, 0], "RTOs fired (client, server) at 0% loss");
+}
