@@ -81,8 +81,6 @@ pub struct Server<S: StackApi> {
     scratch: Vec<u8>,
     pub requests: u64,
     pub accepted: u64,
-    pub bytes_in: u64,
-    pub bytes_out: u64,
     /// Framed requests whose header failed the magic check (0 on a
     /// healthy run).
     pub bad_frames: u64,
@@ -103,8 +101,6 @@ impl<S: StackApi + 'static> Server<S> {
             scratch: Vec::new(),
             requests: 0,
             accepted: 0,
-            bytes_in: 0,
-            bytes_out: 0,
             bad_frames: 0,
             aborted: 0,
         }
@@ -176,7 +172,6 @@ impl<S: StackApi + 'static> Server<S> {
         } else {
             stack.recv_bytes(ctx, conn, u32::MAX)
         };
-        self.bytes_in += n as u64;
         st.pending += n;
         let complete = st.pending / req;
         st.pending %= req;
@@ -203,7 +198,6 @@ impl<S: StackApi + 'static> Server<S> {
                 }
                 st.hdr[st.hdr_have..st.hdr_have + got].copy_from_slice(&self.scratch);
                 st.hdr_have += got;
-                self.bytes_in += got as u64;
                 if st.hdr_have < FRAME_HDR as usize {
                     continue; // maybe more readable bytes
                 }
@@ -225,7 +219,6 @@ impl<S: StackApi + 'static> Server<S> {
                     return;
                 }
                 st.pending -= n;
-                self.bytes_in += n as u64;
                 if st.pending > 0 {
                     return;
                 }
@@ -261,7 +254,6 @@ impl<S: StackApi + 'static> Server<S> {
                 break; // socket buffer full: resume on Writable
             }
             st.backlog -= sent;
-            self.bytes_out += sent as u64;
         }
     }
 }

@@ -23,7 +23,6 @@
 
 use flextoe_apps::{Arrival, ClientSpec, CloseAll, SizeDist, Wire};
 use flextoe_core::PoolGauges;
-use flextoe_hoststack::HostStackNode;
 use flextoe_netsim::{Faults, GeParams, Link, Switch};
 use flextoe_sim::{Duration, Histogram, NodeId, Sim, Time};
 use flextoe_topo::{
@@ -448,24 +447,6 @@ pub fn completed(sim: &Sim, fab: &BuiltFabric) -> u64 {
     owned_clients(sim, fab).map(|c| c.completed).sum()
 }
 
-/// A control-plane counter plus its twin on every baseline host this
-/// `Sim` owns, so one read covers either stack family.
-pub fn stack_count(
-    sim: &Sim,
-    fab: &BuiltFabric,
-    ctrl: &str,
-    host: fn(&HostStackNode) -> u64,
-) -> u64 {
-    let hosts: u64 = fab
-        .hosts
-        .iter()
-        .filter_map(|h| h.ep.baseline)
-        .filter(|&n| sim.owns(n))
-        .map(|n| host(sim.node_ref::<HostStackNode>(n)))
-        .sum();
-    sim.stats.get_named(ctrl) + hosts
-}
-
 /// Global packet-buffer balance (takes − returns) over the simulation-
 /// wide pool and every FlexTOE NIC segment pool. Buffers migrate between
 /// pools — taken from the sending NIC's pool, returned to the receiver's,
@@ -498,10 +479,10 @@ fn harvest(sim: &Sim, fab: &BuiltFabric) -> FaultsCounts {
         ge_drops: named("link.ge_drops"),
         ooo_accepted: named("proto.ooo"),
         pool_exhausted: named("nic.pool_exhausted"),
-        admission_refused: stack_count(sim, fab, "ctrl.admission_refused", |h| h.admission_refused),
+        admission_refused: named("ctrl.admission_refused"),
         dup_handshake: named("ctrl.dup_handshake"),
         rto_fired: named("ctrl.rto_fired"),
-        ctrl_aborts: stack_count(sim, fab, "ctrl.abort", |h| h.aborts),
+        ctrl_aborts: named("ctrl.abort"),
         named: [
             named("switch.ecmp_rerouted"),
             named("switch.blackholed"),

@@ -256,8 +256,8 @@ fn run_accuracy(
     sim.run();
 
     let agg = score_fabric(&sim, &fab, spec.hh_theta);
-    let col = sim.node_ref::<Collector>(fab.collector.expect("telemetry plane wired"));
-    let (reports, report_bytes) = (col.reports, col.report_bytes);
+    let named = |name| sim.stats.get_named(name);
+    let (reports, report_bytes) = (named("telemetry.reports"), named("telemetry.report_bytes"));
     Json::obj([
         ("name", name.into()),
         ("kind", "accuracy".into()),
@@ -327,8 +327,12 @@ fn run_fault(seed: u64, name: &'static str, plan: &FaultsPlan) -> Json {
     let (sim, fab) = run.mono();
 
     let agg = score_fabric(sim, fab, spec.hh_theta);
-    let col = sim.node_ref::<Collector>(fab.collector.expect("telemetry plane wired"));
-    let (reports, bad_reports, sweeps_sent) = (col.reports, col.bad_reports, col.sweeps_sent);
+    let named = |name| sim.stats.get_named(name);
+    let (reports, bad_reports, sweeps_sent) = (
+        named("telemetry.reports"),
+        named("telemetry.bad_reports"),
+        named("telemetry.sweeps"),
+    );
     // a dead switch ignores SweepNow, so kill windows show up as holes
     let missed_reports = sweeps_sent * N_SWITCHES as u64 - reports;
     Json::obj([

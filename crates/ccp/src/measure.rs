@@ -100,9 +100,6 @@ impl Default for MeasureCfg {
 pub struct AckOutcome {
     /// A batch was sealed: send this token to the control plane.
     pub sealed: Option<ReportBatchToken>,
-    /// Flow reports inside the sealed batch (diagnostics; the
-    /// authoritative counters are bumped where batches are consumed).
-    pub sealed_entries: u32,
     /// eBPF instructions executed (0 on the native fast path) — charged
     /// against the FPC cost model by the post stage.
     pub vm_insns: u64,
@@ -124,12 +121,8 @@ pub struct CcpDatapath {
     vm: Vm,
     maps: MapSet,
     buf: [u8; FOLD_BUF_SIZE],
-    /// Fold events processed (diagnostics).
-    pub events: u64,
     /// Flow reports emitted.
     pub reports: u64,
-    /// Batches sealed.
-    pub batches: u64,
 }
 
 impl CcpDatapath {
@@ -144,9 +137,7 @@ impl CcpDatapath {
             vm: Vm::new(),
             maps: MapSet::new(),
             buf: [0u8; FOLD_BUF_SIZE],
-            events: 0,
             reports: 0,
-            batches: 0,
         }
     }
 
@@ -192,7 +183,6 @@ impl CcpDatapath {
         let Some(Some(flow)) = self.flows.get_mut(conn as usize) else {
             return AckOutcome::default();
         };
-        self.events += 1;
         let vm_insns = match &flow.exec {
             Exec::Native => {
                 builtin_step(&mut flow.state, ev);
@@ -264,13 +254,8 @@ impl CcpDatapath {
             };
         }
 
-        let sealed = self.append(report, ev.now_us);
-        let sealed_entries = sealed
-            .map(|t| self.pool[t.slot as usize].entries.len() as u32)
-            .unwrap_or(0);
         AckOutcome {
-            sealed,
-            sealed_entries,
+            sealed: self.append(report, ev.now_us),
             vm_insns,
             folded: true,
         }
@@ -305,7 +290,6 @@ impl CcpDatapath {
 
     fn seal(&mut self, slot: u32) -> ReportBatchToken {
         self.open = None;
-        self.batches += 1;
         ReportBatchToken {
             slot,
             urgent: self.pool[slot as usize].urgent,

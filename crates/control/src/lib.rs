@@ -583,7 +583,6 @@ impl ControlPlane {
         let c = self.counters.expect("control plane attached to a sim");
         ctx.stats.inc(c.ccp_batches);
         ctx.stats.add(c.ccp_reports, entries.len() as u64);
-        ctx.stats.inc(c.report_batches);
         self.process_reports(ctx, &entries);
         self.nic.ccp.borrow_mut().release(token.slot, entries);
     }
@@ -744,7 +743,6 @@ impl ControlPlane {
 struct CtrlCounters {
     ccp_batches: CounterHandle,
     ccp_reports: CounterHandle,
-    report_batches: CounterHandle,
     rto_fired: CounterHandle,
     teardown: CounterHandle,
     stray_rst: CounterHandle,
@@ -821,7 +819,6 @@ impl Node for ControlPlane {
         self.counters = Some(CtrlCounters {
             ccp_batches: stats.counter("ccp.batches"),
             ccp_reports: stats.counter("ccp.reports"),
-            report_batches: stats.counter("ctrl.report_batches"),
             rto_fired: stats.counter("ctrl.rto_fired"),
             teardown: stats.counter("ctrl.teardown"),
             stray_rst: stats.counter("ctrl.stray_rst"),

@@ -141,7 +141,6 @@ pub use flextoe_sim::NicToApp;
 pub struct CtxQueueInner<T> {
     q: VecDeque<T>,
     capacity: usize,
-    pub enqueued: u64,
     pub full_rejects: u64,
 }
 
@@ -150,7 +149,6 @@ impl<T> CtxQueueInner<T> {
         CtxQueueInner {
             q: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
-            enqueued: 0,
             full_rejects: 0,
         }
     }
@@ -161,7 +159,6 @@ impl<T> CtxQueueInner<T> {
             return Err(item);
         }
         self.q.push_back(item);
-        self.enqueued += 1;
         Ok(())
     }
 

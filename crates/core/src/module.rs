@@ -62,7 +62,6 @@ pub struct XdpModule {
     vm: Vm,
     maps: SharedMaps,
     pub runs: u64,
-    pub aborted: u64,
 }
 
 impl XdpModule {
@@ -82,7 +81,6 @@ impl XdpModule {
             vm: Vm::new(),
             maps,
             runs: 0,
-            aborted: 0,
         })
     }
 
@@ -115,19 +113,14 @@ impl DataPathModule for XdpModule {
                 );
                 let verdict = match XdpAction::from_ret(res.ret) {
                     XdpAction::Pass => ModuleVerdict::Pass,
-                    XdpAction::Drop => ModuleVerdict::Drop,
                     XdpAction::Tx => ModuleVerdict::Tx,
                     XdpAction::Redirect => ModuleVerdict::Redirect,
-                    XdpAction::Aborted => {
-                        self.aborted += 1;
-                        ModuleVerdict::Drop
-                    }
+                    XdpAction::Drop | XdpAction::Aborted => ModuleVerdict::Drop,
                 };
                 (verdict, cost)
             }
             Err(_) => {
                 // A trapping program drops the packet (XDP_ABORTED).
-                self.aborted += 1;
                 (ModuleVerdict::Drop, ext::XDP_HARNESS)
             }
         }

@@ -210,8 +210,7 @@ impl FlexToeNic {
 /// and packet-buffer high-water marks plus the protocol stages' cache
 /// hierarchy counters (summed across flow groups). The scale sweep — and
 /// any future experiment — reads pressure from here instead of debug
-/// prints; [`PoolGauges::export`] mirrors it onto the named-counter stats
-/// surface.
+/// prints.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PoolGauges {
     /// Work-pool slots holding live items right now (0 after quiescence).
@@ -247,25 +246,6 @@ impl PoolGauges {
         self.cache_cls_hits += other.cache_cls_hits;
         self.cache_sram_hits += other.cache_sram_hits;
         self.cache_dram_accesses += other.cache_dram_accesses;
-    }
-
-    /// Publish the gauges as named counters (`{prefix}.work_pool.hwm`,
-    /// `{prefix}.pktbuf.hwm`, `{prefix}.conn_cache.hwm`, …).
-    pub fn export(&self, stats: &mut flextoe_sim::Stats, prefix: &str) {
-        let set = |stats: &mut flextoe_sim::Stats, name: &str, v: u64| {
-            let h = stats.counter(&format!("{prefix}.{name}"));
-            stats.set(h, v);
-        };
-        set(stats, "work_pool.in_use", self.work_in_use as u64);
-        set(stats, "work_pool.hwm", self.work_high_water as u64);
-        set(stats, "pktbuf.in_flight", self.seg_in_flight);
-        set(stats, "pktbuf.hwm", self.seg_high_water);
-        set(stats, "conn_cache.occupancy", self.cache_occupancy as u64);
-        set(stats, "conn_cache.hwm", self.cache_high_water as u64);
-        set(stats, "conn_cache.local_hits", self.cache_local_hits);
-        set(stats, "conn_cache.cls_hits", self.cache_cls_hits);
-        set(stats, "conn_cache.sram_hits", self.cache_sram_hits);
-        set(stats, "conn_cache.dram", self.cache_dram_accesses);
     }
 }
 

@@ -61,10 +61,6 @@ pub struct CtxqStage {
     /// Routing.
     pub engine: NodeId,
     pub seqr: NodeId,
-    pub doorbells: u64,
-    pub hc_fetched: u64,
-    pub notifies_delivered: u64,
-    pub interrupts: u64,
     notify_drops: Option<CounterHandle>,
 }
 
@@ -87,10 +83,6 @@ impl CtxqStage {
             desc_bufs: Vec::new(),
             engine,
             seqr,
-            doorbells: 0,
-            hc_fetched: 0,
-            notifies_delivered: 0,
-            interrupts: 0,
             notify_drops: None,
         }
     }
@@ -184,7 +176,6 @@ impl CtxqStage {
 
     /// Descriptors arrived in NIC memory: enter the pipeline.
     fn complete_fetch(&mut self, ctx: &mut Ctx<'_>, mut descs: Vec<AppToNic>) {
-        self.hc_fetched += descs.len() as u64;
         let d = self.exec(ctx, costs::CTXQ_STAGE);
         for desc in descs.drain(..) {
             let slot = self.work_pool.borrow_mut().alloc(Work::Hc(HcWork {
@@ -222,11 +213,9 @@ impl CtxqStage {
                 .inc(self.notify_drops.expect("ctxq stage attached"));
             return;
         }
-        self.notifies_delivered += 1;
         // interrupt on empty->nonempty transition (MSI-X -> eventfd)
         if was_empty {
             if let Some(app) = reg.app {
-                self.interrupts += 1;
                 // driver interrupt handling + eventfd wake
                 let irq_latency = self.cfg.platform.pcie.write_latency + Duration::from_us(2);
                 ctx.send(app, irq_latency, AppNotify { ctx: ctx_id });
@@ -238,10 +227,7 @@ impl CtxqStage {
 impl Node for CtxqStage {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         match msg {
-            Msg::Doorbell(db) => {
-                self.doorbells += 1;
-                self.pump_fetch(ctx, db.ctx);
-            }
+            Msg::Doorbell(db) => self.pump_fetch(ctx, db.ctx),
             Msg::FreeDesc => {
                 self.pool = (self.pool + 1).min(DESC_POOL);
                 self.resume_dirty(ctx);

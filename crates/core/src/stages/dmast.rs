@@ -13,20 +13,19 @@
 //! On the x86/BlueField ports there is no DMA engine: payload is copied
 //! through shared memory on the stage's own core (§E).
 
-use flextoe_nfp::{dma_req, Cost, DmaDir, FpcTimer};
-use flextoe_sim::{Ctx, Duration, Msg, NbiFrame, Node, NodeId, XferDone};
+use flextoe_nfp::{dma_req, Cost, DmaDir};
+use flextoe_sim::{Ctx, Msg, NbiFrame, Node, NodeId, XferDone};
 use flextoe_wire::{Frame, TcpOptions};
 
 use crate::costs;
 use crate::segment::{
     RxWork, SharedConnTable, SharedSegPool, SharedWorkPool, TxWork, Work, WorkPool,
 };
-use crate::stages::{NotifyJob, SharedCfg};
+use crate::stages::{FpcPool, NotifyJob, SharedCfg};
 
 pub struct DmaStage {
     cfg: SharedCfg,
-    fpcs: Vec<FpcTimer>,
-    rr: usize,
+    fpcs: FpcPool,
     table: SharedConnTable,
     pool: SharedWorkPool,
     seg_pool: SharedSegPool,
@@ -34,8 +33,6 @@ pub struct DmaStage {
     pub engine: NodeId,
     pub seqr: NodeId,
     pub ctxq: NodeId,
-    pub rx_payload_bytes: u64,
-    pub tx_payload_bytes: u64,
 }
 
 impl DmaStage {
@@ -50,29 +47,17 @@ impl DmaStage {
         ctxq: NodeId,
     ) -> DmaStage {
         // "DMA managers are replicated to hide PCIe latencies" (§4.1).
-        let fpcs = (0..2)
-            .map(|_| FpcTimer::new(cfg.platform.clock, cfg.threads_per_fpc))
-            .collect();
+        let fpcs = FpcPool::new(&cfg, 2);
         DmaStage {
             cfg,
             fpcs,
-            rr: 0,
             table,
             pool,
             seg_pool,
             engine,
             seqr,
             ctxq,
-            rx_payload_bytes: 0,
-            tx_payload_bytes: 0,
         }
-    }
-
-    fn exec(&mut self, ctx: &mut Ctx<'_>, cost: Cost) -> Duration {
-        let i = self.rr % self.fpcs.len();
-        self.rr += 1;
-        let done = self.fpcs[i].execute(ctx.now(), cost + self.cfg.trace_cost());
-        done.saturating_since(ctx.now())
     }
 
     /// Software-copy latency on ports without a DMA engine (§E).
@@ -87,7 +72,7 @@ impl DmaStage {
     /// in the pool as the in-flight continuation).
     fn issue(&mut self, ctx: &mut Ctx<'_>, slot: u32, bytes: usize, dir: DmaDir) {
         if self.cfg.platform.hw_dma {
-            let d = self.exec(ctx, costs::DMA_STAGE);
+            let d = self.fpcs.exec(ctx.now(), costs::DMA_STAGE);
             ctx.send(
                 self.engine,
                 d,
@@ -95,7 +80,9 @@ impl DmaStage {
             );
         } else {
             // software copy: the stage core does the move itself
-            let d = self.exec(ctx, costs::DMA_STAGE + self.sw_copy_cost(bytes));
+            let d = self
+                .fpcs
+                .exec(ctx.now(), costs::DMA_STAGE + self.sw_copy_cost(bytes));
             ctx.wake(d, XferDone { token: slot as u64 });
         }
     }
@@ -120,12 +107,11 @@ impl DmaStage {
                 let base = placement.frame_off as usize + payload_base(&frame);
                 let src = &frame[base..base + placement.len as usize];
                 entry.rx_buf.borrow_mut().write(placement.buf_pos, src);
-                self.rx_payload_bytes += placement.len as u64;
             }
         }
         ctx.pool.put_for(&mut self.seg_pool.borrow_mut(), frame);
 
-        let d = self.exec(ctx, costs::DMA_STAGE);
+        let d = self.fpcs.exec(ctx.now(), costs::DMA_STAGE);
         if let Some(nbi_seq) = nbi_seq {
             // ack_frame None = the connection vanished before post could
             // build the ACK; an empty frame still releases the allocated
@@ -164,7 +150,7 @@ impl DmaStage {
             // allocated this frame's NBI slot, so release it with an empty
             // skip frame or the flow group's egress reorderer stalls
             drop(table);
-            let d = self.exec(ctx, costs::DMA_STAGE);
+            let d = self.fpcs.exec(ctx.now(), costs::DMA_STAGE);
             ctx.send(
                 self.seqr,
                 d,
@@ -176,7 +162,6 @@ impl DmaStage {
             );
             return;
         };
-        self.tx_payload_bytes += seg.len as u64;
         // finalize the frame: protocol fields + timestamps + payload
         spec.seq = seg.seq;
         spec.ack = seg.ack;
@@ -198,7 +183,7 @@ impl DmaStage {
         let frame = spec.emit_frame_into(buf, |payload| tx_buf.read(seg.buf_pos, payload));
         drop(tx_buf);
         drop(table);
-        let d = self.exec(ctx, costs::CHECKSUM);
+        let d = self.fpcs.exec(ctx.now(), costs::CHECKSUM);
         ctx.send(
             self.seqr,
             d,
@@ -256,7 +241,7 @@ impl DmaStage {
                 match plan {
                     Plan::Issue(bytes, dir) => self.issue(ctx, slot, bytes, dir),
                     Plan::TxZeroLen => {
-                        let d = self.exec(ctx, costs::DMA_STAGE);
+                        let d = self.fpcs.exec(ctx.now(), costs::DMA_STAGE);
                         ctx.wake(d, XferDone { token: slot as u64 });
                     }
                     Plan::Finish => {
@@ -271,7 +256,7 @@ impl DmaStage {
                                 // before post could build the window-update
                                 // ACK; an empty frame still releases the
                                 // allocated NBI slot (seqr skips it)
-                                let d = self.exec(ctx, costs::DMA_STAGE);
+                                let d = self.fpcs.exec(ctx.now(), costs::DMA_STAGE);
                                 ctx.send(
                                     self.seqr,
                                     d,

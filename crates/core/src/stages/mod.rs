@@ -16,8 +16,8 @@ pub mod seqr;
 
 use std::rc::Rc;
 
-use flextoe_nfp::Platform;
-use flextoe_sim::Duration;
+use flextoe_nfp::{Cost, FpcTimer, Platform};
+use flextoe_sim::{Duration, Time};
 
 /// Pipeline configuration — the knobs behind Table 3, Figure 14 and the
 /// Table 2 extension rows.
@@ -137,6 +137,36 @@ impl PipeCfg {
 }
 
 pub type SharedCfg = Rc<PipeCfg>;
+
+/// A stage's replicated FPCs (§3.3), taking work items round robin.
+pub(crate) struct FpcPool {
+    fpcs: Vec<FpcTimer>,
+    rr: usize,
+    /// Tracepoint overhead added to every item ([`PipeCfg::trace_cost`]).
+    trace: Cost,
+}
+
+impl FpcPool {
+    /// `n` FPCs (at least one) of `cfg.threads_per_fpc` threads each.
+    pub(crate) fn new(cfg: &PipeCfg, n: usize) -> FpcPool {
+        FpcPool {
+            fpcs: (0..n.max(1))
+                .map(|_| FpcTimer::new(cfg.platform.clock, cfg.threads_per_fpc))
+                .collect(),
+            rr: 0,
+            trace: cfg.trace_cost(),
+        }
+    }
+
+    /// Run one item of `cost` on the next FPC; the delay from `now` until
+    /// it completes.
+    pub(crate) fn exec(&mut self, now: Time, cost: Cost) -> Duration {
+        let i = self.rr % self.fpcs.len();
+        self.rr += 1;
+        let done = self.fpcs[i].execute(now, cost + self.trace);
+        done.saturating_since(now)
+    }
+}
 
 // ---- inter-stage messages ------------------------------------------------
 //

@@ -11,7 +11,7 @@
 //! per flow group.
 
 use flextoe_ccp::{AckEvent, SharedCcp};
-use flextoe_nfp::{Cost, FpcTimer};
+use flextoe_nfp::Cost;
 use flextoe_sim::{CounterHandle, Ctx, FreeDesc, FsUpdate, Msg, Node, NodeId, Stats, WorkToken};
 use flextoe_wire::{Ecn, SegmentSpec, TcpFlags, TcpOptions};
 
@@ -19,14 +19,13 @@ use crate::costs;
 use crate::hostmem::NicToApp;
 use crate::proto::TxSeg;
 use crate::segment::{SharedConnTable, SharedSegPool, SharedWorkPool, Work, WorkPool};
-use crate::stages::SharedCfg;
+use crate::stages::{FpcPool, SharedCfg};
 use crate::transport;
 
 pub struct PostStage {
     cfg: SharedCfg,
     pub group: usize,
-    fpcs: Vec<FpcTimer>,
-    rr: usize,
+    fpcs: FpcPool,
     table: SharedConnTable,
     pool: SharedWorkPool,
     seg_pool: SharedSegPool,
@@ -38,8 +37,6 @@ pub struct PostStage {
     pub ctxq: NodeId,
     /// Control-plane node sealed report batches are sent to.
     pub ctrl: NodeId,
-    pub acks_prepared: u64,
-    pub notifications: u64,
     ccp_events: Option<CounterHandle>,
 }
 
@@ -57,14 +54,11 @@ impl PostStage {
         ctxq: NodeId,
         ctrl: NodeId,
     ) -> PostStage {
-        let fpcs = (0..cfg.post_replicas.max(1))
-            .map(|_| FpcTimer::new(cfg.platform.clock, cfg.threads_per_fpc))
-            .collect();
+        let fpcs = FpcPool::new(&cfg, cfg.post_replicas);
         PostStage {
             cfg,
             group,
             fpcs,
-            rr: 0,
             table,
             pool,
             seg_pool,
@@ -73,17 +67,8 @@ impl PostStage {
             sched,
             ctxq,
             ctrl,
-            acks_prepared: 0,
-            notifications: 0,
             ccp_events: None,
         }
-    }
-
-    fn exec(&mut self, ctx: &mut Ctx<'_>, cost: flextoe_nfp::Cost) -> flextoe_sim::Duration {
-        let i = self.rr % self.fpcs.len();
-        self.rr += 1;
-        let done = self.fpcs[i].execute(ctx.now(), cost + self.cfg.trace_cost());
-        done.saturating_since(ctx.now())
     }
 
     /// Build an ACK frame into `buf` by reversing the identity of a
@@ -95,13 +80,11 @@ impl PostStage {
         view: &flextoe_wire::SegmentView,
         out: &crate::proto::RxOutcome,
         tsval_peer: u32,
-        fin_ack: bool,
     ) -> flextoe_wire::Frame {
         let mut flags = TcpFlags::ACK;
         if out.ecn_echo {
             flags = flags | TcpFlags::ECE;
         }
-        let _ = fin_ack; // the ack number already covers the FIN
         let spec = SegmentSpec {
             src_mac: view.dst_mac,
             dst_mac: view.src_mac,
@@ -161,7 +144,7 @@ impl PostStage {
                 if let Some(out) = w.outcome.as_mut() {
                     out.placement = None; // no payload movement for a dead conn
                 }
-                let d = self.exec(ctx, costs::POST_RX);
+                let d = self.fpcs.exec(ctx.now(), costs::POST_RX);
                 ctx.send(
                     self.dma,
                     d + self.cfg.hop_cross(),
@@ -250,13 +233,12 @@ impl PostStage {
 
         // ---- Ack + ECN + Stamp -----------------------------------
         if out.send_ack {
-            self.acks_prepared += 1;
             cost += costs::CHECKSUM;
             let buf = ctx.pool.take_for(&mut self.seg_pool.borrow_mut());
             let w = pool.rx_mut(slot);
             let frame = {
                 let view = w.view.as_ref().expect("post stage after pre");
-                Self::build_ack(buf, now_us, view, &out, w.summary.tsval, out.fin_delivered)
+                Self::build_ack(buf, now_us, view, &out, w.summary.tsval)
             };
             w.ack_frame = Some(frame);
         }
@@ -270,18 +252,16 @@ impl PostStage {
                 len: out.delivered,
                 fin: out.fin_delivered,
             });
-            self.notifications += 1;
         }
         if out.acked_bytes > 0 {
             w.notify_tx = Some(NicToApp::TxFreed {
                 conn,
                 len: out.acked_bytes,
             });
-            self.notifications += 1;
         }
 
         // ---- Pos: hand off to the DMA stage -----------------------
-        let d = self.exec(ctx, cost);
+        let d = self.fpcs.exec(ctx.now(), cost);
         ctx.send(
             self.dma,
             d + self.cfg.hop_cross(),
@@ -304,7 +284,7 @@ impl PostStage {
                 FsUpdate { conn, sendable },
             );
         }
-        let d = self.exec(ctx, costs::POST_TX);
+        let d = self.fpcs.exec(ctx.now(), costs::POST_TX);
         ctx.send(
             self.dma,
             d + self.cfg.hop_cross(),
@@ -340,7 +320,7 @@ impl PostStage {
                 let frame = ack_from_identity(&table.nic, &entry.pre, &seg, now_us, buf);
                 drop(table);
                 pool.hc_mut(slot).ack_frame = Some(frame);
-                let d = self.exec(ctx, cost);
+                let d = self.fpcs.exec(ctx.now(), cost);
                 ctx.send(
                     self.dma,
                     d + self.cfg.hop_cross(),
@@ -353,7 +333,7 @@ impl PostStage {
                 return;
             }
         }
-        let d = self.exec(ctx, cost);
+        let d = self.fpcs.exec(ctx.now(), cost);
         if pool.hc_mut(slot).nbi_seq.is_some() {
             // the connection vanished between the protocol stage
             // (which allocated an NBI slot for the window-update

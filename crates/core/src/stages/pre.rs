@@ -15,7 +15,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use flextoe_nfp::{ConnDb, FpcTimer, LookupCache, MacTx};
+use flextoe_nfp::{ConnDb, LookupCache, MacTx};
 use flextoe_sim::{CounterHandle, Ctx, Msg, Node, NodeId, Stats, WorkToken};
 use flextoe_wire::{Ecn, Frame, SegmentSpec, SegmentView, TcpOptions};
 
@@ -23,12 +23,11 @@ use crate::costs;
 use crate::module::{ModuleChain, ModuleVerdict};
 use crate::proto::RxSummary;
 use crate::segment::{SharedConnTable, SharedSegPool, SharedWorkPool, Work, WorkPool};
-use crate::stages::{Redirect, SharedCfg};
+use crate::stages::{FpcPool, Redirect, SharedCfg};
 
 pub struct PreStage {
     cfg: SharedCfg,
-    fpcs: Vec<FpcTimer>,
-    rr: usize,
+    fpcs: FpcPool,
     table: SharedConnTable,
     pool: SharedWorkPool,
     seg_pool: SharedSegPool,
@@ -40,12 +39,8 @@ pub struct PreStage {
     pub seqr: NodeId,
     pub ctrl: NodeId,
     pub mac: NodeId,
-    // counters
-    pub redirected: u64,
-    pub xdp_tx: u64,
+    /// Frames an ingress module dropped.
     pub dropped: u64,
-    pub malformed: u64,
-    pub unknown_flow: u64,
     malformed_ctr: Option<CounterHandle>,
 }
 
@@ -61,14 +56,11 @@ impl PreStage {
         ctrl: NodeId,
         mac: NodeId,
     ) -> PreStage {
-        let fpcs = (0..cfg.pre_replicas.max(1))
-            .map(|_| FpcTimer::new(cfg.platform.clock, cfg.threads_per_fpc))
-            .collect();
+        let fpcs = FpcPool::new(&cfg, cfg.pre_replicas);
         let lookup = LookupCache::new(&cfg.platform);
         PreStage {
             cfg,
             fpcs,
-            rr: 0,
             table,
             pool,
             seg_pool,
@@ -78,20 +70,9 @@ impl PreStage {
             seqr,
             ctrl,
             mac,
-            redirected: 0,
-            xdp_tx: 0,
             dropped: 0,
-            malformed: 0,
-            unknown_flow: 0,
             malformed_ctr: None,
         }
-    }
-
-    fn exec(&mut self, ctx: &mut Ctx<'_>, cost: flextoe_nfp::Cost) -> flextoe_sim::Duration {
-        let i = self.rr % self.fpcs.len();
-        self.rr += 1;
-        let done = self.fpcs[i].execute(ctx.now(), cost + self.cfg.trace_cost());
-        done.saturating_since(ctx.now())
     }
 
     /// Tell the sequencer this entry left the pipeline early; the item is
@@ -127,25 +108,23 @@ impl PreStage {
                 ModuleVerdict::Pass => {}
                 ModuleVerdict::Drop => {
                     self.dropped += 1;
-                    let d = self.exec(ctx, cost);
+                    let d = self.fpcs.exec(ctx.now(), cost);
                     self.skip(ctx, pool, slot, entry_seq, d);
                     return;
                 }
                 ModuleVerdict::Tx => {
                     // send out the MAC, bypassing the TCP data-path
-                    self.xdp_tx += 1;
                     // the harness re-checksums spliced frames
                     fixup_checksums(&mut w.frame);
                     let frame = std::mem::take(&mut w.frame);
-                    let d = self.exec(ctx, cost + costs::CHECKSUM);
+                    let d = self.fpcs.exec(ctx.now(), cost + costs::CHECKSUM);
                     ctx.send(self.mac, d, MacTx(Frame::raw(frame)));
                     self.skip(ctx, pool, slot, entry_seq, d);
                     return;
                 }
                 ModuleVerdict::Redirect => {
-                    self.redirected += 1;
                     let frame = std::mem::take(&mut w.frame);
-                    let d = self.exec(ctx, cost);
+                    let d = self.fpcs.exec(ctx.now(), cost);
                     let pcie = self.cfg.platform.pcie.write_latency;
                     ctx.send(self.ctrl, d + pcie, Redirect(Frame::raw(frame)));
                     self.skip(ctx, pool, slot, entry_seq, d);
@@ -162,19 +141,17 @@ impl PreStage {
         let view = match SegmentView::parse(&w.frame, verify) {
             Ok(v) => v,
             Err(_) => {
-                self.malformed += 1;
                 ctx.stats
                     .inc(self.malformed_ctr.expect("pre stage attached"));
-                let d = self.exec(ctx, cost);
+                let d = self.fpcs.exec(ctx.now(), cost);
                 self.skip(ctx, pool, slot, entry_seq, d);
                 return;
             }
         };
         // Non-data-path segments (SYN/RST/…) go to the control plane.
         if !view.flags.is_datapath() {
-            self.redirected += 1;
             let frame = std::mem::take(&mut w.frame);
-            let d = self.exec(ctx, cost);
+            let d = self.fpcs.exec(ctx.now(), cost);
             let pcie = self.cfg.platform.pcie.write_latency;
             ctx.send(self.ctrl, d + pcie, Redirect(Frame::raw(frame)));
             self.skip(ctx, pool, slot, entry_seq, d);
@@ -187,9 +164,8 @@ impl PreStage {
         cost += lcost;
         let Some(conn) = conn else {
             // segment for an unknown connection -> control plane
-            self.unknown_flow += 1;
             let frame = std::mem::take(&mut w.frame);
-            let d = self.exec(ctx, cost);
+            let d = self.fpcs.exec(ctx.now(), cost);
             let pcie = self.cfg.platform.pcie.write_latency;
             ctx.send(self.ctrl, d + pcie, Redirect(Frame::raw(frame)));
             self.skip(ctx, pool, slot, entry_seq, d);
@@ -209,7 +185,7 @@ impl PreStage {
         w.view = Some(view);
 
         // --- Steer: back to the sequencer for in-order protocol admission
-        let d = self.exec(ctx, cost);
+        let d = self.fpcs.exec(ctx.now(), cost);
         ctx.send(
             self.seqr,
             d,
@@ -226,7 +202,7 @@ impl PreStage {
         let table = self.table.borrow();
         let Some(entry) = table.get(w.conn) else {
             drop(table);
-            let d = self.exec(ctx, costs::PRE_TX);
+            let d = self.fpcs.exec(ctx.now(), costs::PRE_TX);
             self.skip(ctx, pool, slot, entry_seq, d);
             return;
         };
@@ -245,7 +221,7 @@ impl PreStage {
         });
         w.group = entry.pre.flow_group as usize % self.cfg.n_groups;
         drop(table);
-        let d = self.exec(ctx, costs::PRE_TX);
+        let d = self.fpcs.exec(ctx.now(), costs::PRE_TX);
         ctx.send(
             self.seqr,
             d,
@@ -265,7 +241,7 @@ impl PreStage {
             .map(|e| e.pre.flow_group as usize)
             .unwrap_or(0)
             % self.cfg.n_groups;
-        let d = self.exec(ctx, costs::PRE_HC);
+        let d = self.fpcs.exec(ctx.now(), costs::PRE_HC);
         ctx.send(
             self.seqr,
             d,

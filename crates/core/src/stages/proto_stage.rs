@@ -34,12 +34,6 @@ pub struct ProtoStage {
     next_nbi: u64,
     /// Routing: this group's post-processing stage.
     pub post: NodeId,
-    pub rx_segments: u64,
-    pub tx_segments: u64,
-    pub hc_events: u64,
-    pub ooo_segments: u64,
-    pub fast_retx: u64,
-    pub empty_tx: u64,
     counters: Option<ProtoCounters>,
 }
 
@@ -70,12 +64,6 @@ impl ProtoStage {
             seg_pool,
             next_nbi: 0,
             post,
-            rx_segments: 0,
-            tx_segments: 0,
-            hc_events: 0,
-            ooo_segments: 0,
-            fast_retx: 0,
-            empty_tx: 0,
             counters: None,
         }
     }
@@ -133,7 +121,6 @@ impl ProtoStage {
     }
 
     fn rx(&mut self, ctx: &mut Ctx<'_>, pool: &mut WorkPool, slot: u32) {
-        self.rx_segments += 1;
         let w = pool.rx_mut(slot);
         let logic = if w.summary.payload_len == 0 && !w.summary.flags.fin() {
             costs::PROTO_RX_ACK
@@ -152,11 +139,9 @@ impl ProtoStage {
         drop(table);
         let counters = self.counters.expect("proto stage attached to a sim");
         if out.out_of_order {
-            self.ooo_segments += 1;
             ctx.stats.inc(counters.ooo);
         }
         if out.fast_retransmit {
-            self.fast_retx += 1;
             ctx.stats.inc(counters.fast_retx);
         }
         if out.send_ack {
@@ -191,7 +176,6 @@ impl ProtoStage {
         drop(table);
         match seg {
             Some(seg) => {
-                self.tx_segments += 1;
                 w.seg = Some(seg);
                 w.sendable_after = Some(sendable);
                 w.nbi_seq = Some(self.next_nbi);
@@ -207,14 +191,12 @@ impl ProtoStage {
             }
             None => {
                 // scheduler raced an ACK/window change; item dies
-                self.empty_tx += 1;
                 self.retire(ctx, pool, slot);
             }
         }
     }
 
     fn hc(&mut self, ctx: &mut Ctx<'_>, pool: &mut WorkPool, slot: u32) {
-        self.hc_events += 1;
         let w = pool.hc_mut(slot);
         let conn = w.conn;
         let d = self.exec(ctx, conn, costs::PROTO_HC);

@@ -4,18 +4,16 @@
 //! throughput and by line-rate serialization of the estimated segment —
 //! keeping the MAC egress queue shallow while staying work-conserving.
 
-use flextoe_nfp::FpcTimer;
 use flextoe_sim::{Ctx, Duration, Msg, Node, NodeId, Tick, Time, WorkToken};
 
 use crate::costs;
 use crate::sched::Carousel;
 use crate::segment::{SharedWorkPool, TxWork, Work};
-use crate::stages::{SchedCtl, SharedCfg};
+use crate::stages::{FpcPool, SchedCtl, SharedCfg};
 
 pub struct SchedNode {
     cfg: SharedCfg,
-    fpcs: Vec<FpcTimer>,
-    rr: usize,
+    fpcs: FpcPool,
     pool: SharedWorkPool,
     pub carousel: Carousel,
     /// Flow group per connection (for steering TX work).
@@ -27,25 +25,19 @@ pub struct SchedNode {
     /// Global emission gate: next instant a trigger may be emitted
     /// (line-rate pacing shared by all flows).
     next_allowed: Time,
-    pub triggers_emitted: u64,
 }
 
 impl SchedNode {
     pub fn new(cfg: SharedCfg, pool: SharedWorkPool, seqr: NodeId) -> SchedNode {
-        let fpcs = (0..cfg.sched_fpcs.max(1))
-            .map(|_| FpcTimer::new(cfg.platform.clock, cfg.threads_per_fpc))
-            .collect();
         SchedNode {
+            fpcs: FpcPool::new(&cfg, cfg.sched_fpcs),
             cfg,
-            fpcs,
-            rr: 0,
             pool,
             carousel: Carousel::with_defaults(),
             groups: Vec::new(),
             seqr,
             armed: None,
             next_allowed: Time::ZERO,
-            triggers_emitted: 0,
         }
     }
 
@@ -62,10 +54,7 @@ impl SchedNode {
         }
         if let Some(trigger) = self.carousel.next_trigger(now, self.cfg.mss) {
             // SCH decision cost on one of the scheduler FPCs
-            let i = self.rr % self.fpcs.len();
-            self.rr += 1;
-            let done = self.fpcs[i].execute(now, costs::SCHED_DECISION + self.cfg.trace_cost());
-            self.triggers_emitted += 1;
+            let decision = self.fpcs.exec(now, costs::SCHED_DECISION);
             let slot = self.pool.borrow_mut().alloc(Work::Tx(TxWork {
                 conn: trigger.conn,
                 group: self.group_of(trigger.conn),
@@ -75,7 +64,7 @@ impl SchedNode {
                 nbi_seq: None,
                 arrival: now,
             }));
-            let d = done.saturating_since(now) + self.cfg.hop_cross();
+            let d = decision + self.cfg.hop_cross();
             ctx.send(
                 self.seqr,
                 d,
@@ -89,7 +78,6 @@ impl SchedNode {
             // frame just scheduled (whichever is slower)
             let frame_bytes = trigger.bytes_est as usize + flextoe_wire::FRAME_OVERHEAD_TS;
             let wire = self.cfg.platform.mac_serialize(frame_bytes);
-            let decision = done.saturating_since(now);
             self.next_allowed = now + wire.max(decision);
             self.arm(ctx, self.next_allowed);
         } else if let Some(at) = self.carousel.earliest_work(now) {

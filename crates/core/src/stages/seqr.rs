@@ -45,12 +45,9 @@ pub struct SeqrNode {
     pre_rr: usize,
     pub protos: Vec<NodeId>,
     pub mac: NodeId,
-    pub rx_frames: u64,
-    pub tx_triggers: u64,
-    /// RX frames shed at ingress because a capped work pool was full —
-    /// backpressure as a counted degraded mode instead of unbounded slab
-    /// growth (or a panic).
-    pub pool_exhausted: u64,
+    /// `nic.pool_exhausted`: RX frames shed at ingress because a capped
+    /// work pool was full — backpressure as a counted degraded mode
+    /// instead of unbounded slab growth (or a panic).
     exhausted_counter: Option<CounterHandle>,
 }
 
@@ -70,9 +67,6 @@ impl SeqrNode {
             pre_rr: 0,
             protos: Vec::new(),
             mac: 0,
-            rx_frames: 0,
-            tx_triggers: 0,
-            pool_exhausted: 0,
             exhausted_counter: None,
         }
     }
@@ -138,14 +132,12 @@ impl SeqrNode {
         match msg {
             // raw ingress frame from the MAC
             Msg::Frame(frame) => {
-                self.rx_frames += 1;
                 // pool-exhaustion backpressure: a capped work pool with
                 // no free slot sheds the frame at ingress (the NBI's
                 // behavior when its work memory is gone) — a counted
                 // drop, recycled to the fabric pool so the conservation
                 // invariant holds through exhaustion
                 if pool.at_capacity() {
-                    self.pool_exhausted += 1;
                     if let Some(c) = self.exhausted_counter {
                         ctx.stats.inc(c);
                     }
@@ -172,12 +164,7 @@ impl SeqrNode {
             Msg::Work(token) => match token.entry_seq {
                 // work entering from scheduler (TX) or context-queue
                 // stage (HC): no entry sequence yet
-                None => {
-                    if matches!(pool.get(token.slot), Work::Tx(_)) {
-                        self.tx_triggers += 1;
-                    }
-                    self.enter(ctx, token.slot);
-                }
+                None => self.enter(ctx, token.slot),
                 // pre-processing finished: admit to protocol in entry order
                 Some(entry_seq) => {
                     let mut released = std::mem::take(&mut self.scratch_slots);

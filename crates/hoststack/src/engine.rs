@@ -118,12 +118,6 @@ pub struct HostStackNode {
     /// Active opens abandoned after
     /// [`flextoe_core::transport::SYN_ATTEMPTS`] transmissions.
     pub connect_give_ups: u64,
-    /// Passive opens refused with an RST at the policy's
-    /// [`TransportPolicy::max_conns`].
-    pub admission_refused: u64,
-    /// Established connections aborted once the policy's RTO budget
-    /// ([`TransportPolicy::rto_give_up`]) is spent.
-    pub aborts: u64,
 }
 
 impl HostStackNode {
@@ -180,8 +174,6 @@ impl HostStackNode {
             copy_cycles_per_byte: 0.07,
             retransmits: 0,
             connect_give_ups: 0,
-            admission_refused: 0,
-            aborts: 0,
         }
     }
 
@@ -538,8 +530,9 @@ impl HostStackNode {
                 }
             }
             Verdict::Refuse(why) => {
+                // a passive open refused at the policy's `max_conns`
                 if why == Refusal::Admission {
-                    self.admission_refused += 1;
+                    ctx.stats.bump("ctrl.admission_refused", 1);
                 }
                 let flags = TcpFlags::RST | TcpFlags::ACK;
                 self.emit_handshake(ctx, view.src_mac, tuple, view.ack, view.seq_end(), flags);
@@ -625,7 +618,7 @@ impl HostStackNode {
     /// peer, surface [`SockEvent::Aborted`], reclaim the state.
     fn abort(&mut self, ctx: &mut Ctx<'_>, id: u32) {
         let Some(c) = self.take(id) else { return };
-        self.aborts += 1;
+        ctx.stats.bump("ctrl.abort", 1);
         let mut spec = spec_for(self.mac, self.ip, &c);
         spec.seq = c.ps.seq;
         spec.ack = c.ps.ack;

@@ -70,7 +70,6 @@ pub struct Link {
     /// in `down_drops`); coming back up is an explicit `SetLinkUp(true)`
     /// event — there is no implicit healing.
     pub up: bool,
-    pub forwarded: u64,
     pub dropped: u64,
     pub corrupted: u64,
     /// Frames blackholed while the link was administratively down.
@@ -90,7 +89,6 @@ pub struct Link {
 struct LinkCounters {
     size_drops: CounterHandle,
     drops: CounterHandle,
-    corrupted: CounterHandle,
     down_drops: CounterHandle,
     ge_drops: CounterHandle,
     duplicated: CounterHandle,
@@ -116,7 +114,6 @@ impl Link {
             propagation,
             faults: Faults::default(),
             up: true,
-            forwarded: 0,
             dropped: 0,
             corrupted: 0,
             down_drops: 0,
@@ -228,9 +225,7 @@ impl Node for Link {
             // frame so its receiver verifies them and drops it
             frame.corrupted = true;
             self.corrupted += 1;
-            ctx.stats.inc(counters.corrupted);
         }
-        self.forwarded += 1;
         let delay = self.copy_delay(ctx);
         let dup = if ctx.rng.chance(self.faults.dup_chance) {
             // clone into a pooled buffer so the extra copy participates in
@@ -259,7 +254,6 @@ impl Node for Link {
         self.counters = Some(LinkCounters {
             size_drops: stats.counter("link.size_drops"),
             drops: stats.counter("link.drops"),
-            corrupted: stats.counter("link.corrupted"),
             down_drops: stats.counter("link.down_drops"),
             ge_drops: stats.counter("link.ge_drops"),
             duplicated: stats.counter("link.duplicated"),

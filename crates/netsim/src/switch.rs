@@ -145,9 +145,6 @@ pub struct Switch {
     /// Frames dropped because the switch itself was dead, plus queued
     /// frames flushed by a port-down/switch-kill event.
     pub dead_drops: u64,
-    /// Elephant flows routed by collector rank instead of hash (the
-    /// heavy-hitter ECMP mode; always 0 when `hh_ecmp` is off).
-    pub steered: u64,
     /// Sketch telemetry state, present only when the scenario wires a
     /// telemetry plane ([`Switch::enable_telemetry`]). Boxed so the
     /// telemetry-off fast path carries one pointer, not sketch arrays.
@@ -193,10 +190,12 @@ struct SwitchCounters {
     wred_drops: CounterHandle,
     ecn_marked: CounterHandle,
     routed: CounterHandle,
-    flooded: CounterHandle,
     rerouted: CounterHandle,
     blackholed: CounterHandle,
     dead_drops: CounterHandle,
+    /// `switch.hh_steered`: elephant flows routed by collector rank
+    /// instead of hash (the heavy-hitter ECMP mode; 0 when `hh_ecmp` is
+    /// off).
     steered: CounterHandle,
 }
 
@@ -255,7 +254,6 @@ impl Switch {
             rerouted: 0,
             blackholed: 0,
             dead_drops: 0,
-            steered: 0,
             telemetry: None,
             counters: None,
         }
@@ -686,7 +684,6 @@ impl Node for Switch {
                 }
                 RouteOutcome::Steered(port) => {
                     self.routed += 1;
-                    self.steered += 1;
                     ctx.stats.inc(counters.routed);
                     ctx.stats.inc(counters.steered);
                     self.enqueue(ctx, port, frame, meta, counters);
@@ -698,7 +695,6 @@ impl Node for Switch {
                 }
                 RouteOutcome::NoRoute => {
                     self.flooded += 1;
-                    ctx.stats.inc(counters.flooded);
                     ctx.pool.put(frame.into_bytes());
                 }
             },
@@ -711,7 +707,6 @@ impl Node for Switch {
             wred_drops: stats.counter("switch.wred_drops"),
             ecn_marked: stats.counter("switch.ecn_marked"),
             routed: stats.counter("switch.routed"),
-            flooded: stats.counter("switch.flooded"),
             rerouted: stats.counter("switch.ecmp_rerouted"),
             blackholed: stats.counter("switch.blackholed"),
             dead_drops: stats.counter("switch.dead_drops"),

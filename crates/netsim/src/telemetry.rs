@@ -84,10 +84,6 @@ pub struct Collector {
     views: Vec<MergedView>,
     /// Sort buffer for one report's keys, shared by every view.
     key_scratch: Vec<u64>,
-    pub reports: u64,
-    pub report_bytes: u64,
-    pub sweeps_sent: u64,
-    pub bad_reports: u64,
     counters: Option<CollectorCounters>,
 }
 
@@ -102,10 +98,6 @@ impl Collector {
             switch_nodes,
             views,
             key_scratch: Vec::new(),
-            reports: 0,
-            report_bytes: 0,
-            sweeps_sent: 0,
-            bad_reports: 0,
             counters: None,
         }
     }
@@ -124,34 +116,14 @@ impl Collector {
         heavy_hitters(&flows, v.bytes, self.spec.hh_theta)
     }
 
-    /// Snapshot the merged state onto named stats (idempotent `set`s,
-    /// name-sorted by `Stats::dump_counters` consumers): per-switch
-    /// observed bytes/frames/epochs/candidate counts.
-    pub fn export(&self, stats: &mut Stats) {
-        for (i, v) in self.views.iter().enumerate() {
-            for (field, val) in [
-                ("bytes", v.bytes),
-                ("frames", v.frames),
-                ("epochs", v.epochs as u64),
-                ("keys", v.keys.len() as u64),
-            ] {
-                let h = stats.counter(&format!("telemetry.sw{i:02}.{field}"));
-                stats.set(h, val);
-            }
-        }
-    }
-
     fn on_report(&mut self, ctx: &mut Ctx<'_>, frame: Frame) {
         let counters = self.counters.expect("collector attached to a sim");
         match ReportView::parse(frame.bytes()) {
             Some(rep) if (rep.switch as usize) < self.views.len() => {
                 let idx = rep.switch as usize;
-                self.reports += 1;
-                self.report_bytes += frame.len() as u64;
                 ctx.stats.inc(counters.reports);
                 ctx.stats.add(counters.report_bytes, frame.len() as u64);
                 if !self.views[idx].absorb(&rep, &mut self.key_scratch) {
-                    self.bad_reports += 1;
                     ctx.stats.inc(counters.bad_reports);
                 } else if self.spec.hh_ecmp {
                     let hh = self.elephants(idx);
@@ -159,7 +131,6 @@ impl Collector {
                 }
             }
             _ => {
-                self.bad_reports += 1;
                 ctx.stats.inc(counters.bad_reports);
             }
         }
@@ -172,7 +143,6 @@ impl Node for Collector {
         match msg {
             Msg::Tick => {
                 let counters = self.counters.expect("collector attached to a sim");
-                self.sweeps_sent += 1;
                 ctx.stats.inc(counters.sweeps);
                 for i in 0..self.switch_nodes.len() {
                     ctx.send(self.switch_nodes[i], Duration::ZERO, SweepNow);

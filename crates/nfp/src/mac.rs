@@ -32,7 +32,6 @@ pub struct MacPort {
     pub tx_frames: u64,
     pub tx_bytes: u64,
     pub rx_frames: u64,
-    pub rx_bytes: u64,
     tx_drops: Option<CounterHandle>,
 }
 
@@ -47,7 +46,6 @@ impl MacPort {
             tx_frames: 0,
             tx_bytes: 0,
             rx_frames: 0,
-            rx_bytes: 0,
             tx_drops: None,
         }
     }
@@ -92,7 +90,6 @@ impl Node for MacPort {
             Msg::Frame(frame) => {
                 // ingress frame from the wire
                 self.rx_frames += 1;
-                self.rx_bytes += frame.len() as u64;
                 ctx.send(self.rx_to, NBI_INGRESS_LATENCY, frame);
             }
             m => panic!("mac-port: unexpected message {}", m.variant_name()),

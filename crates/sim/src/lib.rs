@@ -49,6 +49,6 @@ pub use hist::Histogram;
 pub use pool::{PktBufPool, PoolCounters};
 pub use queue::BoundedQueue;
 pub use rng::Rng;
-pub use stats::{CounterHandle, HistHandle, Stats};
+pub use stats::{CounterHandle, Stats};
 pub use time::{clocks, Clock, Duration, Time};
 pub use txgate::TxGate;

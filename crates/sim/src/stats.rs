@@ -1,28 +1,22 @@
-//! Named counters and histograms shared by all nodes of a simulation.
+//! Named counters shared by all nodes of a simulation.
 //!
-//! Baseline-stack cost accounting (Table 1/6), drop counts, tracepoints
-//! (Table 2's 48-tracepoint profiling build) all land here. Counters are
-//! created on first use; lookups are by string key, which is fine because
-//! hot paths cache [`CounterHandle`]s.
+//! Drops, retransmits, control-plane events, congestion reports and
+//! telemetry sweeps land here, one name per fact, summed over every node
+//! that counts it. Counters are created on first use; lookups are by
+//! string key, which is fine because hot paths resolve a
+//! [`CounterHandle`] once in `Node::on_attach` and cold paths call
+//! [`Stats::bump`].
 
 use std::collections::HashMap;
-
-use crate::hist::Histogram;
 
 /// Index into the counter table; cheap to copy into hot paths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CounterHandle(usize);
 
-/// Index into the histogram table.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct HistHandle(usize);
-
 #[derive(Default)]
 pub struct Stats {
     counter_names: HashMap<String, usize>,
     counters: Vec<u64>,
-    hist_names: HashMap<String, usize>,
-    hists: Vec<Histogram>,
 }
 
 impl Stats {
@@ -67,33 +61,6 @@ impl Stats {
             .unwrap_or(0)
     }
 
-    pub fn set(&mut self, h: CounterHandle, v: u64) {
-        self.counters[h.0] = v;
-    }
-
-    pub fn hist(&mut self, name: &str) -> HistHandle {
-        if let Some(&i) = self.hist_names.get(name) {
-            return HistHandle(i);
-        }
-        let i = self.hists.len();
-        self.hists.push(Histogram::new());
-        self.hist_names.insert(name.to_string(), i);
-        HistHandle(i)
-    }
-
-    #[inline]
-    pub fn record(&mut self, h: HistHandle, v: u64) {
-        self.hists[h.0].record(v);
-    }
-
-    pub fn hist_ref(&self, h: HistHandle) -> &Histogram {
-        &self.hists[h.0]
-    }
-
-    pub fn hist_named(&self, name: &str) -> Option<&Histogram> {
-        self.hist_names.get(name).map(|&i| &self.hists[i])
-    }
-
     /// All counters sorted by name, for experiment reports.
     pub fn dump_counters(&self) -> Vec<(String, u64)> {
         let mut v: Vec<(String, u64)> = self
@@ -103,15 +70,6 @@ impl Stats {
             .collect();
         v.sort();
         v
-    }
-
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn sum_prefixed(&self, prefix: &str) -> u64 {
-        self.counter_names
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, &i)| self.counters[i])
-            .sum()
     }
 }
 
@@ -133,19 +91,7 @@ mod tests {
     }
 
     #[test]
-    fn hist_records() {
-        let mut s = Stats::new();
-        let h = s.hist("rtt");
-        for v in [10u64, 20, 30] {
-            s.record(h, v);
-        }
-        assert_eq!(s.hist_ref(h).count(), 3);
-        assert!(s.hist_named("rtt").is_some());
-        assert!(s.hist_named("nope").is_none());
-    }
-
-    #[test]
-    fn dump_sorted_and_prefix_sum() {
+    fn dump_is_name_sorted() {
         let mut s = Stats::new();
         s.bump("z.last", 1);
         s.bump("a.first", 2);
@@ -153,7 +99,6 @@ mod tests {
         let d = s.dump_counters();
         assert_eq!(d[0].0, "a.first");
         assert_eq!(d[2].0, "z.last");
-        assert_eq!(s.sum_prefixed("a."), 5);
-        assert_eq!(s.sum_prefixed("z."), 1);
+        assert_eq!(d[1], ("a.second".to_string(), 3));
     }
 }

@@ -6,7 +6,7 @@
 
 use flextoe_bench::driver::{execute, Experiment};
 use flextoe_bench::faults::{
-    check_row, completed, drain_and_audit, run_faults_point, stack_count, FaultsPlan, SessionFabric,
+    check_row, completed, drain_and_audit, run_faults_point, FaultsPlan, SessionFabric,
 };
 use flextoe_hoststack::HostStackNode;
 use flextoe_netsim::{Faults, Link, Switch};
@@ -122,7 +122,7 @@ fn blackholed_flow_gives_up(stack: Stack) {
     } else {
         assert!(sim.stats.get_named("ctrl.rto_fired") > 0);
     }
-    let aborts = stack_count(sim, fab, "ctrl.abort", |h| h.aborts);
+    let aborts = sim.stats.get_named("ctrl.abort");
     assert!(aborts > 0, "{stack:?}: give-up must abort");
     let victim = fab.hosts[0].client().unwrap();
     let c = sim.node_ref::<DynClient>(victim);

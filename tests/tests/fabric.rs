@@ -6,7 +6,7 @@
 use flextoe_apps::{Arrival, ClientSpec, ServerSpec, SizeDist, Wire};
 use flextoe_bench::driver::{execute, Experiment};
 use flextoe_bench::scale::{run_scale_point, ScalePlan};
-use flextoe_netsim::{Faults, Link, Switch};
+use flextoe_netsim::{Faults, Link, Switch, TelemetrySpec};
 use flextoe_sim::{Duration, Sim, Time};
 use flextoe_topo::{
     build_fabric, BuiltRole, DynClient, DynServer, Fabric, FaultEvent, LinkScope, Role, Scenario,
@@ -44,6 +44,54 @@ fn mini_leaf_spine(seed: u64) -> Scenario {
         };
     }
     sc
+}
+
+/// Every counter name the repository benchmark reads per layer
+/// (`benchmark/src/child.rs`, `layer_counts`) is registered by a FlexTOE
+/// leaf-spine fabric with telemetry. The benchmark reads a missing name
+/// as 0, so deleting or renaming one of these counters would silently
+/// zero a per-layer metric instead of failing.
+#[test]
+fn benchmark_counter_names_are_registered() {
+    const READ_BY_BENCHMARK: [&str; 25] = [
+        "proto.ooo",
+        "proto.fast_retx",
+        "proto.rto_retx",
+        "nic.pool_exhausted",
+        "pre.malformed",
+        "ctxq.notify_drops",
+        "mac.tx_drops",
+        "switch.tail_drops",
+        "switch.wred_drops",
+        "switch.ecn_marked",
+        "switch.routed",
+        "link.drops",
+        "link.ge_drops",
+        "link.size_drops",
+        "link.down_drops",
+        "link.duplicated",
+        "telemetry.sweeps",
+        "telemetry.report_bytes",
+        "ctrl.rto_fired",
+        "ctrl.abort",
+        "ctrl.teardown",
+        "ctrl.admission_refused",
+        "ccp.events",
+        "ccp.reports",
+        "ccp.batches",
+    ];
+    let sc = Scenario {
+        telemetry: Some(TelemetrySpec::default()),
+        ..mini_leaf_spine(1)
+    };
+    let mut sim = Sim::new(sc.seed);
+    build_fabric(&mut sim, &sc);
+    let registered = sim.stats.dump_counters();
+    let missing: Vec<&str> = READ_BY_BENCHMARK
+        .into_iter()
+        .filter(|&want| registered.iter().all(|(name, _)| name != want))
+        .collect();
+    assert!(missing.is_empty(), "unregistered: {missing:?}");
 }
 
 /// Traffic between leaves spreads over *both* spines (ECMP), and every

@@ -8,7 +8,7 @@
 //! event queues (CI repeats the suite on the heap oracle with
 //! `FLEXTOE_SIM_REFERENCE=1`).
 
-use flextoe_bench::faults::{completed, drain_and_audit, stack_count, SessionFabric};
+use flextoe_bench::faults::{completed, drain_and_audit, SessionFabric};
 use flextoe_bench::harness::FabricRun;
 use flextoe_netsim::{Faults, GeParams, Link};
 use flextoe_sim::{Duration, Time};
@@ -84,7 +84,7 @@ fn handshake_duplicates_keep_connections_in_sync() {
             sim.stats.get_named("link.duplicated") > 0,
             "{stack:?}: the storm duplicated frames"
         );
-        let aborts = stack_count(sim, fab, "ctrl.abort", |h| h.aborts);
+        let aborts = sim.stats.get_named("ctrl.abort");
         assert_eq!(
             aborts, 0,
             "{stack:?}: a duplicated handshake broke a connection"
@@ -248,7 +248,7 @@ fn admission_cap_case(stack: Stack) {
     let (sim, fab) = run.mono();
     sim.run_until(Time::from_ms(3));
 
-    let refused = stack_count(sim, fab, "ctrl.admission_refused", |h| h.admission_refused);
+    let refused = sim.stats.get_named("ctrl.admission_refused");
     assert!(refused > 0, "{stack:?}: the cap must refuse surplus SYNs");
     let failed: u64 = fab
         .hosts

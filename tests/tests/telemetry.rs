@@ -71,10 +71,11 @@ fn collector_merges_exact_fabric_truth() {
     sim.run();
 
     let col = sim.node_ref::<Collector>(fab.collector.expect("collector wired"));
-    assert_eq!(col.bad_reports, 0);
+    let named = |name| sim.stats.get_named(name);
+    assert_eq!(named("telemetry.bad_reports"), 0);
     assert_eq!(
-        col.reports,
-        col.sweeps_sent * fab.switches.len() as u64,
+        named("telemetry.reports"),
+        named("telemetry.sweeps") * fab.switches.len() as u64,
         "every sweep of every live switch must report"
     );
     for (i, &s) in fab.switches.iter().enumerate() {
@@ -149,11 +150,12 @@ fn dead_switch_loses_epoch_but_truth_survives() {
         v.bytes
     );
     assert!(v.bytes > 0, "the pre-kill sweep was merged");
+    let named = |name| sim.stats.get_named(name);
     assert!(
-        col.reports < col.sweeps_sent * fab.switches.len() as u64,
+        named("telemetry.reports") < named("telemetry.sweeps") * fab.switches.len() as u64,
         "dead switch must miss sweeps"
     );
-    assert_eq!(col.bad_reports, 0);
+    assert_eq!(named("telemetry.bad_reports"), 0);
 }
 
 /// Stands in for a switch the collector never has to message.
@@ -173,6 +175,12 @@ fn collect_one(spec: TelemetrySpec, report: Vec<u8>) -> (Sim, NodeId) {
     (sim, col)
 }
 
+/// The collector's merged and rejected report counts.
+fn reports_and_bad(sim: &Sim) -> (u64, u64) {
+    let named = |name| sim.stats.get_named(name);
+    (named("telemetry.reports"), named("telemetry.bad_reports"))
+}
+
 /// A report header that sizes its sections past the buffer — a shape
 /// whose cell count overflows, a key count of 2^40 or of u64::MAX — is
 /// one bad report: no panic, no allocation sized from the header, and
@@ -186,7 +194,7 @@ fn oversized_report_headers_count_as_bad_reports() {
     sketch.encode_sweep(0, 0, &mut report);
     let (sim, col) = collect_one(spec, report.clone());
     let good = sim.node_ref::<Collector>(col);
-    assert_eq!((good.reports, good.bad_reports), (1, 0));
+    assert_eq!(reports_and_bad(&sim), (1, 0));
     assert_eq!(good.views()[0].keys, [0xfeed_f00d]);
 
     let nkeys_word = 7 + 2 * spec.sketch.depth * spec.sketch.width;
@@ -196,7 +204,7 @@ fn oversized_report_headers_count_as_bad_reports() {
         let (sim, col) = collect_one(spec, bad);
         let col = sim.node_ref::<Collector>(col);
         let what = format!("header word {word} = {value:#x}");
-        assert_eq!((col.reports, col.bad_reports), (0, 1), "{what}");
+        assert_eq!(reports_and_bad(&sim), (0, 1), "{what}");
         let v = &col.views()[0];
         assert_eq!((v.epochs, v.frames, v.bytes), (0, 0, 0), "{what}");
         assert!(v.keys.is_empty(), "{what}");
