@@ -10,6 +10,12 @@
 //! The model: each work item costs `compute` cycles (exclusive use of the
 //! issue pipeline) followed by `mem` cycles of memory waiting (thread
 //! parked). At most `threads` items are in flight; further arrivals queue.
+//!
+//! Each hardware thread is a slot holding the completion of the last item
+//! it ran. Every result depends only on the multiset of slot values, so
+//! the slots are kept sorted: the thread that frees up first is always
+//! `slots[0]`, and an item's completion usually sorts last, where it
+//! lands without a search.
 
 use flextoe_sim::{Duration, Time};
 
@@ -56,11 +62,10 @@ pub struct FpcTimer {
     /// When the issue pipeline frees up.
     core_free: Time,
     /// When each hardware thread frees up: the completion of the last item
-    /// it ran (one slot per thread, allocated once).
+    /// it ran (one slot per thread, allocated once), in ascending order.
     slots: Box<[Time]>,
     /// Total cycles of compute issued (utilization accounting).
     pub busy: Duration,
-    pub items: u64,
 }
 
 impl FpcTimer {
@@ -71,20 +76,11 @@ impl FpcTimer {
             core_free: Time::ZERO,
             slots: vec![Time::ZERO; threads].into_boxed_slice(),
             busy: Duration::ZERO,
-            items: 0,
         }
     }
 
     fn cycles(&self, n: u64) -> Duration {
         Duration::from_ps(self.cycle.ps().saturating_mul(n))
-    }
-
-    /// The thread that frees up first, and when.
-    fn earliest_slot(&self) -> (usize, Time) {
-        let (slot, &t) = (self.slots.iter().enumerate())
-            .min_by_key(|(_, &t)| t)
-            .expect("threads >= 1");
-        (slot, t)
     }
 
     /// Admit a work item arriving at `now`; returns its completion time.
@@ -98,8 +94,7 @@ impl FpcTimer {
     /// already saw free ends no later than that arrival, and so no later
     /// than `core_free`: an earlier `now` cannot make it delay the item.
     pub fn execute(&mut self, now: Time, cost: Cost) -> Time {
-        let (slot, thread_free) = self.earliest_slot();
-        let start = thread_free.max(now).max(self.core_free);
+        let start = self.slots[0].max(now).max(self.core_free);
         let compute_end = start + self.cycles(cost.compute);
         let done = compute_end + self.cycles(cost.mem);
         // single-threaded: memory stalls the issue pipeline too
@@ -108,15 +103,21 @@ impl FpcTimer {
         } else {
             compute_end
         };
-        self.slots[slot] = done;
+        // retire the first free thread and insert `done` from the back
+        self.slots.copy_within(1.., 0);
+        let mut at = self.slots.len() - 1;
+        while at > 0 && self.slots[at - 1] > done {
+            self.slots[at] = self.slots[at - 1];
+            at -= 1;
+        }
+        self.slots[at] = done;
         self.busy += self.cycles(cost.compute);
-        self.items += 1;
         done
     }
 
     /// Earliest time a new arrival could *start* executing.
     pub fn next_free(&self, now: Time) -> Time {
-        self.earliest_slot().1.max(now).max(self.core_free)
+        self.slots[0].max(now).max(self.core_free)
     }
 
     pub fn threads(&self) -> usize {
@@ -195,7 +196,6 @@ mod tests {
         // third item must wait for a thread (the earliest of a, b)
         let c = f.execute(Time::ZERO, Cost::new(10, 0));
         assert!(c >= a.min(b));
-        assert_eq!(f.items, 3);
     }
 
     #[test]
@@ -275,12 +275,21 @@ mod tests {
     /// its connection's previous completion, so successive arrivals go
     /// back and forth in time. A slot the list would already have retired
     /// ends before `core_free`, so completions, busy time and `next_free`
-    /// agree on every call.
+    /// agree on every call. Half the cases draw costs from a short list
+    /// with no memory wait in one of them, so completions tie and the
+    /// sorted insert walks past equal and later slots.
     #[test]
     fn matches_eager_reference() {
+        let tied_costs = [
+            Cost::new(40, 0),
+            Cost::new(40, 0),
+            Cost::ZERO,
+            Cost::new(40, 400),
+        ];
         let mut rng = flextoe_sim::Rng::new(0xF9C);
-        for threads in [1, 2, 3, 8] {
-            for _case in 0..200 {
+        let (mut tied, mut walked) = (false, false);
+        for threads in [1, 2, 3, 4, 8, 16] {
+            for case in 0..200 {
                 let mut fast = FpcTimer::new(FPC_800MHZ, threads);
                 let mut eager = EagerFpc::new(threads);
                 let mut conn_busy = [Time::ZERO; 6];
@@ -289,9 +298,19 @@ mod tests {
                     now += Duration::from_ps(rng.below(2_000) * rng.below(2));
                     let conn = rng.below(conn_busy.len() as u64) as usize;
                     let arrival = now.max(conn_busy[conn]);
-                    let cost = Cost::new(rng.below(200), rng.below(3) * rng.below(600));
+                    let cost = if case % 2 == 0 {
+                        Cost::new(rng.below(200), rng.below(3) * rng.below(600))
+                    } else {
+                        tied_costs[rng.below(tied_costs.len() as u64) as usize]
+                    };
+                    let last = fast.slots[threads - 1];
                     let done = fast.execute(arrival, cost);
                     assert_eq!(done, eager.execute(arrival, cost), "threads {threads}");
+                    walked |= threads > 1 && done < last;
+                    tied |= fast
+                        .slots
+                        .windows(2)
+                        .any(|w| w[0] == w[1] && w[0] > Time::ZERO);
                     conn_busy[conn] = done;
                     assert_eq!(fast.busy, eager.busy);
                     let probe = now + Duration::from_ps(rng.below(1_000));
@@ -308,6 +327,7 @@ mod tests {
                 }
             }
         }
+        assert!(tied && walked, "tied {tied}, walked {walked}");
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! [`crate::wheel`]) with a binary-heap overflow for far-future timers;
 //! [`QueueKind::Heap`] (or `FLEXTOE_SIM_REFERENCE=1`) selects the plain
 //! `BinaryHeap` reference scheduler instead. Both run under the same step
-//! loop — pop, check out the node, [`Node::on_msg`], restore — and deliver
+//! loop — pop, borrow the node in place, [`Node::on_msg`] — and deliver
 //! the exact same total order, `(time, enqueue seq)`, which the
 //! integration suite proves by differential testing.
 
@@ -518,7 +518,9 @@ impl<'a> Ctx<'a> {
 
     /// The one send path. Out of line: inlined into each of the send
     /// sites across the stage crates it measured 1.4% slower on
-    /// `echo_pair` than one shared copy.
+    /// `echo_pair` than one shared copy. The queue's push inlines into it
+    /// down to the arena slot (all but the wheel's `insert_staged`), so
+    /// the event is written once, in place.
     #[inline(never)]
     fn push(&mut self, time: Time, to: NodeId, msg: Msg) {
         let seq = self.seq_base | *self.send_seq;
@@ -586,9 +588,11 @@ pub(crate) struct Ev {
     pub(crate) msg: Msg,
 }
 
-// Copied twice per event (into the wheel's arena on push, out to the
-// handler on pop; the pop `take`s the slot's `Option<Ev>`, so nothing is
-// written back but the `None` tag). `Msg` is 48 bytes, set by
+// Copied once per event on each side of the queue. A send builds it in
+// its arena slot: `Ctx::push`, the one out-of-line send path, inlines the
+// queue's push down to the slot write. A pop copies it out to the handler
+// (it `take`s the slot's `Option<Ev>`, so nothing is written back but the
+// `None` tag). `Msg` is 48 bytes, set by
 // `Nbi(NbiFrame)`: a 32-byte `Frame` (a `Vec` plus the `corrupted` bit)
 // and 16 bytes of group / sequence number, the enum tag riding in the
 // bit's niche — as does `Option<Ev>`'s, so an arena slot costs no more
@@ -634,7 +638,7 @@ enum Queue {
 }
 
 impl Queue {
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, ev: Ev) {
         match self {
             Queue::Wheel(w) => w.push(ev),
@@ -987,12 +991,14 @@ impl Sim {
         self.time = ev.time;
 
         let to = ev.to;
-        let mut node = self.nodes[to].take().unwrap_or_else(|| {
+        // Borrowed in place: the context below borrows only the other
+        // fields of `self`, never `nodes`.
+        let Some(node) = self.nodes[to].as_mut() else {
             panic!(
                 "message delivered to vacant node {} ({})",
                 to, self.node_names[to]
             )
-        });
+        };
         let t0 = self.prof_enabled.then(std::time::Instant::now);
         if self.prof_enabled {
             self.prof_kinds[ev.msg.kind_idx()] += 1;
@@ -1020,7 +1026,6 @@ impl Sim {
             p.0 += t0.elapsed().as_nanos() as u64;
             p.1 += 1;
         }
-        self.nodes[to] = Some(node);
         true
     }
 
@@ -1301,6 +1306,18 @@ mod tests {
         let mut sim = Sim::new(1);
         let id = sim.add_node(Named);
         sim.node_ref::<Halter>(id);
+    }
+
+    /// An event reaching a slot that was reserved but never filled is a
+    /// wiring bug the dispatch names.
+    #[test]
+    #[should_panic(expected = "message delivered to vacant node 1 (<reserved>)")]
+    fn delivery_to_reserved_slot_panics() {
+        let mut sim = Sim::new(1);
+        sim.add_node(Named);
+        let hole = sim.reserve_node();
+        sim.schedule(Time::from_ns(1), hole, Tick);
+        sim.run();
     }
 
     #[test]

@@ -40,10 +40,11 @@
 //! run sweeps through. Staging unlinks a bucket's list into `ready` as
 //! `(time, seq, slot)` entries sorted by key, so the sort, a same-bucket
 //! insert and the pop's deadline check read keys inline rather than
-//! through the arena. An event is copied twice in its life, into its slot
-//! on push and out of it on pop: a slot holds `Option<Ev>` and a pop
-//! `take`s it, writing back nothing but the `None` tag. Overflow migration
-//! links into the same lists.
+//! through the arena. An event is written into its slot once on push (the
+//! push path inlines into the engine's one send function, which builds the
+//! event there) and copied out once on pop: a slot holds `Option<Ev>` and
+//! a pop `take`s it, writing back nothing but the `None` tag. Overflow
+//! migration links into the same lists.
 //!
 //! # Sends into the staged bucket
 //!
@@ -183,17 +184,17 @@ impl EventWheel {
         self.occ[idx >> 6] &= !(1 << (idx & 63));
     }
 
-    /// Store `ev` in the arena, reusing a freed slot if any.
-    #[inline]
+    /// Store `ev` in the arena, reusing a freed slot if any (written field
+    /// by field, once its free-list link is read).
+    #[inline(always)]
     fn alloc(&mut self, ev: Ev) -> u32 {
         if self.free != NIL {
             let slot = self.free;
             let s = &mut self.slab[slot as usize];
             self.free = s.next;
-            *s = Slot {
-                ev: Some(ev),
-                next: NIL,
-            };
+            debug_assert!(s.ev.is_none(), "free slot holds an event");
+            s.ev = Some(ev);
+            s.next = NIL;
             slot
         } else {
             let slot = self.slab.len();
@@ -207,7 +208,7 @@ impl EventWheel {
     }
 
     /// Append `ev` to bucket `idx`'s list.
-    #[inline]
+    #[inline(always)]
     fn link(&mut self, idx: usize, ev: Ev) {
         let slot = self.alloc(ev);
         let b = &mut self.buckets[idx];
@@ -220,7 +221,7 @@ impl EventWheel {
         b.tail = slot;
     }
 
-    #[inline]
+    #[inline(always)]
     pub(crate) fn push(&mut self, ev: Ev) {
         let t = ev.time.ps();
         self.len += 1;
