@@ -11,7 +11,7 @@ pub mod link;
 pub mod switch;
 pub mod telemetry;
 
-pub use link::{Faults, GeParams, Link, SetFaults, SetLinkUp};
+pub use link::{fill_link, Faults, GeParams, Link, SetFaults, SetLinkUp};
 pub use switch::{
     ecmp_hash, PortConfig, SetPortUp, SetSwitchAlive, SetSwitchLimp, Switch, WredParams,
 };

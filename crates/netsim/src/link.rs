@@ -6,7 +6,7 @@
 //! packet losses in the network by randomly dropping packets … with a
 //! fixed probability" — that is this node.
 
-use flextoe_sim::{CounterHandle, Ctx, Duration, Msg, Node, NodeId, Stats};
+use flextoe_sim::{CounterHandle, Ctx, Duration, Msg, Node, NodeId, Sim, Stats};
 use flextoe_wire::Frame;
 
 /// Gilbert–Elliott two-state bursty-loss parameters. The link is in a
@@ -147,6 +147,21 @@ impl Link {
     }
 }
 
+/// Fill the reserved slot `id` with `link`. A link that is up with
+/// default [`Faults`] draws nothing and counts nothing per frame, so it
+/// also becomes an engine relay ([`Sim::set_relay`]): its frames reach
+/// the far end with the keys this node would have given them, without
+/// the delivery to it. An admin message ([`SetFaults`], [`SetLinkUp`])
+/// hands it back to the node; a faulty link is the node from the start.
+pub fn fill_link(sim: &mut Sim, id: NodeId, link: Link) {
+    let relay = link.up && link.faults == Faults::default();
+    let (far, delay) = (link.to, link.propagation);
+    sim.fill_node(id, link);
+    if relay {
+        sim.set_relay(id, far, delay);
+    }
+}
+
 impl Node for Link {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         let mut frame = match msg {
@@ -271,8 +286,11 @@ mod tests {
     use flextoe_sim::{Sim, Time};
     use flextoe_wire::Frame;
 
+    /// `(ns, frame bytes)` of one arrival.
+    type Arrival = (u64, Vec<u8>);
+
     struct Probe {
-        frames: Vec<(u64, Vec<u8>)>,
+        frames: Vec<Arrival>,
     }
     impl Node for Probe {
         fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
@@ -585,6 +603,107 @@ mod tests {
             .collect();
         assert_eq!(got, vec![2]);
         assert_eq!(sim.node_ref::<Link>(link).ge_drops, 1);
+    }
+
+    /// A feeder that sends a train of frames to a link, one every 3 ns.
+    struct Train {
+        link: NodeId,
+        n: u8,
+    }
+    impl Node for Train {
+        fn on_msg(&mut self, ctx: &mut Ctx<'_>, _msg: Msg) {
+            for i in 0..self.n {
+                let at = ctx.now() + Duration::from_ns(3 * i as u64);
+                ctx.send_at(self.link, at, Frame::raw(vec![i]));
+            }
+        }
+    }
+
+    /// A fault-free link filled with `fill_link` (a relay) or as a plain
+    /// node, fed a 40-frame train from t = 0 with `admin` scheduled at
+    /// 31 ns before the run: the probe's log, the link's drop counts and
+    /// the delivered event count.
+    fn admin_run(relay: bool, admin: Msg) -> (Vec<Arrival>, [u64; 3], u64) {
+        let mut sim = Sim::new(4);
+        let probe = sim.add_node(Probe { frames: vec![] });
+        let link = sim.reserve_node();
+        let l = Link::new(probe, Duration::from_ns(100));
+        if relay {
+            fill_link(&mut sim, link, l);
+        } else {
+            sim.fill_node(link, l);
+        }
+        let train = sim.add_node(Train { link, n: 40 });
+        sim.schedule(Time::from_ns(31), link, admin);
+        sim.schedule(Time::ZERO, train, flextoe_sim::Tick);
+        sim.run();
+        let l = sim.node_ref::<Link>(link);
+        let counts = [l.dropped, l.down_drops, l.corrupted];
+        let frames = sim.node_ref::<Probe>(probe).frames.clone();
+        (frames, counts, sim.events_processed())
+    }
+
+    /// An admin message scheduled before the run demotes the relay, and
+    /// the demoted link then drops or degrades frames exactly as the node
+    /// does: same arrivals, same bytes, same counts, same events.
+    #[test]
+    fn scheduled_admin_demotes_a_relay_to_the_node() {
+        let degrade = || {
+            Msg::custom(SetFaults(Faults {
+                drop_chance: 0.3,
+                corrupt_chance: 0.3,
+                jitter: Duration::from_ns(7),
+                ..Default::default()
+            }))
+        };
+        let down = || Msg::custom(SetLinkUp(false));
+        for admin in [degrade, down] {
+            let node = admin_run(false, admin());
+            // equal event counts: every frame went through the node
+            assert_eq!(admin_run(true, admin()), node);
+            assert!(node.1[0] > 0, "the admin message took effect");
+        }
+        // without an admin message the frames skip the link's delivery
+        let mut sim = Sim::new(4);
+        let probe = sim.add_node(Probe { frames: vec![] });
+        let link = sim.reserve_node();
+        fill_link(&mut sim, link, Link::new(probe, Duration::from_ns(100)));
+        let train = sim.add_node(Train { link, n: 40 });
+        sim.schedule(Time::ZERO, train, flextoe_sim::Tick);
+        sim.run();
+        assert_eq!(sim.events_processed(), 1 + 40, "no delivery to the link");
+        assert_eq!(sim.node_ref::<Probe>(probe).frames[39].0, 217);
+    }
+
+    /// A link with faults, or one that starts down, keeps its node.
+    #[test]
+    fn faulty_links_are_not_relays() {
+        for l in [
+            Link::with_faults(
+                0,
+                Duration::from_ns(100),
+                Faults {
+                    latency_mult: 2,
+                    ..Default::default()
+                },
+            ),
+            Link {
+                up: false,
+                ..Link::new(0, Duration::from_ns(100))
+            },
+        ] {
+            let mut sim = Sim::new(4);
+            let probe = sim.add_node(Probe { frames: vec![] });
+            let link = sim.reserve_node();
+            fill_link(&mut sim, link, Link { to: probe, ..l });
+            let train = sim.add_node(Train { link, n: 4 });
+            sim.schedule(Time::ZERO, train, flextoe_sim::Tick);
+            sim.run();
+            assert_eq!(
+                sim.events_processed(),
+                1 + 4 + 4 * sim.node_ref::<Link>(link).up as u64
+            );
+        }
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //!   interleaving — which is what makes a sharded run byte-identical to
 //!   the monolithic one.
 //!
+//! A frame sent to a fault-free link registered as a relay
+//! ([`Sim::set_relay`]) is queued for the link's far end under the link's
+//! band and counter: the key the link node would have given it had it
+//! been delivered there and forwarded ([`crate::relay`]).
+//!
 //! At equal timestamps this orders all externally scheduled events first,
 //! then runtime sends by `(source id, per-source send count)`. Every
 //! scheduler (wheel, reference heap, sharded) delivers the greedy minimum
@@ -59,6 +64,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::pool::{PktBufPool, SIM_POOL_BOUND};
+use crate::relay::Relays;
 use crate::rng::Rng;
 use crate::stats::Stats;
 use crate::time::{Duration, Time};
@@ -74,13 +80,13 @@ pub type NodeId = usize;
 /// docs): 2^40 sends per source, 2^24 - 1 bands.
 const SEQ_BAND_SHIFT: u32 = 40;
 /// Per-band counter capacity.
-const SEQ_BAND_SPAN: u64 = 1 << SEQ_BAND_SHIFT;
+pub(crate) const SEQ_BAND_SPAN: u64 = 1 << SEQ_BAND_SHIFT;
 /// Highest admissible node id (band `id + 1` must fit above the shift).
 const MAX_NODE_ID: usize = (1 << (64 - SEQ_BAND_SHIFT as usize)) - 2;
 
 /// The seq band of runtime sends from node `id`.
 #[inline]
-fn node_band(id: NodeId) -> u64 {
+pub(crate) fn node_band(id: NodeId) -> u64 {
     ((id as u64) + 1) << SEQ_BAND_SHIFT
 }
 
@@ -487,10 +493,12 @@ pub struct Ctx<'a> {
     now: Time,
     self_id: NodeId,
     queue: &'a mut Queue,
-    /// Per-source send counter of `self_id` (low bits of the seq key).
-    send_seq: &'a mut u64,
+    /// Per-source send counters (low bits of the seq key): `self_id`'s
+    /// for every send, a relay's for the frames it forwards.
+    send_seqs: &'a mut [u64],
     /// `node_band(self_id)`, precomputed.
     seq_base: u64,
+    relays: &'a mut Relays,
     /// Shard ownership mask (`None` in monolithic runs).
     owned: Option<&'a [bool]>,
     /// Outbox for sends addressed to nodes another shard owns.
@@ -521,14 +529,20 @@ impl<'a> Ctx<'a> {
     /// `echo_pair` than one shared copy. The queue's push inlines into it
     /// down to the arena slot (all but the wheel's `insert_staged`), so
     /// the event is written once, in place.
+    ///
+    /// A send to a relay ([`Sim::set_relay`]) is queued for the relay's
+    /// far end under the key the link node would have produced.
     #[inline(never)]
     fn push(&mut self, time: Time, to: NodeId, msg: Msg) {
-        let seq = self.seq_base | *self.send_seq;
-        *self.send_seq += 1;
-        debug_assert!(
-            *self.send_seq < SEQ_BAND_SPAN,
-            "per-source seq band overflow"
-        );
+        let count = &mut self.send_seqs[self.self_id];
+        let seq = self.seq_base | *count;
+        *count += 1;
+        debug_assert!(*count < SEQ_BAND_SPAN, "per-source seq band overflow");
+        let (time, seq, to) = if self.relays.contains(to) {
+            self.relays.route(self.send_seqs, time, seq, to, &msg)
+        } else {
+            (time, seq, to)
+        };
         if let Some(owned) = self.owned {
             if !owned[to] {
                 // Cross-shard hop: only link traversals (frames with
@@ -683,6 +697,10 @@ fn wrong_node_type<N>(id: NodeId, name: &str) -> ! {
     panic!("node {id} is {name}, not {}", std::any::type_name::<N>())
 }
 
+/// One delivery: `(ps, seq, to, frame bytes or variant name)`.
+#[cfg(test)]
+pub(crate) type Delivery = (u64, u64, NodeId, Vec<u8>);
+
 /// The simulation: event queue + nodes + RNG streams and statistics.
 pub struct Sim {
     time: Time,
@@ -705,6 +723,8 @@ pub struct Sim {
     /// identical call).
     owned: Option<Vec<bool>>,
     exports: Vec<Envelope>,
+    /// Fault-free links that forward at send time ([`Sim::set_relay`]).
+    relays: Relays,
     /// Build-time random stream (ECMP salts, wiring-order draws).
     /// Delivery handlers use [`Ctx::rng`] — their per-node streams —
     /// instead.
@@ -721,6 +741,9 @@ pub struct Sim {
     pub prof: Vec<(u64, u64)>,
     /// Delivered-event counts per [`Msg`] kind (profiling only).
     prof_kinds: [u64; N_MSG_KINDS],
+    /// Every delivery, when set (the relay differential test).
+    #[cfg(test)]
+    pub(crate) delivery_log: Option<Vec<Delivery>>,
 }
 
 impl Sim {
@@ -750,6 +773,7 @@ impl Sim {
             node_rngs: Vec::new(),
             owned: None,
             exports: Vec::new(),
+            relays: Relays::default(),
             rng: Rng::new(seed),
             stats: Stats::new(),
             frame_pool: PktBufPool::new(SIM_POOL_BOUND),
@@ -758,6 +782,8 @@ impl Sim {
             prof_enabled: env_on("FLEXTOE_SIM_PROF"),
             prof: Vec::new(),
             prof_kinds: [0; N_MSG_KINDS],
+            #[cfg(test)]
+            delivery_log: None,
         }
     }
 
@@ -832,6 +858,7 @@ impl Sim {
             "add every node before set_owned (ownership mask is fixed-size)"
         );
         self.send_seqs.push(0);
+        self.relays.add_slot();
         self.node_rngs.push(Rng::new(
             self.seed ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         ));
@@ -906,7 +933,29 @@ impl Sim {
                 return;
             }
         }
+        let (time, seq, to) = if self.relays.contains(to) {
+            let routed = self.relays.route(&mut self.send_seqs, time, seq, to, &msg);
+            assert!(
+                self.owns(routed.2),
+                "scheduled frame relayed across a shard cut to node {}",
+                routed.2
+            );
+            routed
+        } else {
+            (time, seq, to)
+        };
         self.queue.push(Ev { time, seq, to, msg });
+    }
+
+    /// Make node `link` a relay: a `Frame` sent to it is queued straight
+    /// for `far`, `delay` after it arrives at `link`, under the key
+    /// `(arrival + delay, band(link) | link's own counter)` that the node
+    /// would have produced by forwarding it. The node keeps its slot; the
+    /// first other message sent to it demotes the relay back to it for
+    /// the rest of the run. Exactness conditions and their checks:
+    /// [`crate::relay`]. Register before anything is sent to `link`.
+    pub fn set_relay(&mut self, link: NodeId, far: NodeId, delay: Duration) {
+        self.relays.register(link, far, delay);
     }
 
     // ---- shard ownership (see `flextoe-shard`) ---------------------------
@@ -999,6 +1048,14 @@ impl Sim {
                 to, self.node_names[to]
             )
         };
+        #[cfg(test)]
+        if let Some(log) = self.delivery_log.as_mut() {
+            let payload = match &ev.msg {
+                Msg::Frame(f) => f.bytes.clone(),
+                m => m.variant_name().as_bytes().to_vec(),
+            };
+            log.push((ev.time.ps(), ev.seq, to, payload));
+        }
         let t0 = self.prof_enabled.then(std::time::Instant::now);
         if self.prof_enabled {
             self.prof_kinds[ev.msg.kind_idx()] += 1;
@@ -1007,8 +1064,9 @@ impl Sim {
             now: self.time,
             self_id: to,
             queue: &mut self.queue,
-            send_seq: &mut self.send_seqs[to],
+            send_seqs: &mut self.send_seqs,
             seq_base: node_band(to),
+            relays: &mut self.relays,
             owned: self.owned.as_deref(),
             exports: &mut self.exports,
             rng: &mut self.node_rngs[to],

@@ -33,6 +33,7 @@ pub mod fxhash;
 pub mod hist;
 pub mod pool;
 pub mod queue;
+pub mod relay;
 pub mod rng;
 pub mod stats;
 pub mod time;

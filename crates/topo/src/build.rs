@@ -17,7 +17,8 @@
 
 use flextoe_apps::{Client, Server, StackApi};
 use flextoe_netsim::{
-    Collector, Link, SetFaults, SetLinkUp, SetPortUp, SetSwitchAlive, SetSwitchLimp, Switch,
+    fill_link, Collector, Link, SetFaults, SetLinkUp, SetPortUp, SetSwitchAlive, SetSwitchLimp,
+    Switch,
 };
 use flextoe_sim::{NodeId, Sim, Tick, Time};
 use flextoe_wire::{Ip4, MacAddr};
@@ -153,11 +154,13 @@ fn connect_switches(
     let l_ba = sim.reserve_node();
     let pa = switches[a].sw.add_port(l_ab, class.port);
     let pb = switches[b].sw.add_port(l_ba, class.port);
-    sim.fill_node(
+    fill_link(
+        sim,
         l_ab,
         Link::with_faults(switches[b].node, class.propagation, class.faults),
     );
-    sim.fill_node(
+    fill_link(
+        sim,
         l_ba,
         Link::with_faults(switches[a].node, class.propagation, class.faults),
     );
@@ -190,14 +193,16 @@ fn attach_hosts(
         let edge = edge_of_host[i];
         let uplink = sim.reserve_node();
         let ep = build_endpoint(sim, spec.stack, (i + 1) as u8, uplink, &sc.opts);
-        sim.fill_node(
+        fill_link(
+            sim,
             uplink,
             Link::with_faults(switches[edge].node, class.propagation, class.faults),
         );
         let downlink = sim.reserve_node();
         let port = switches[edge].sw.add_port(downlink, class.port);
         switches[edge].sw.learn(ep.mac, port);
-        sim.fill_node(
+        fill_link(
+            sim,
             downlink,
             Link::with_faults(ep.ingress, class.propagation, class.faults),
         );

@@ -8,7 +8,7 @@ use flextoe_ccp::FoldSpec;
 use flextoe_control::{CcAlgo, ControlPlane, CtrlConfig};
 use flextoe_core::{FlexToeNic, NicConfig, PipeCfg, TransportPolicy};
 use flextoe_hoststack::{build_host, HostSocketApi, HostStackNode, StackKind};
-use flextoe_netsim::{Faults, Link, PortConfig, Switch};
+use flextoe_netsim::{fill_link, Faults, Link, PortConfig, Switch};
 use flextoe_sim::{Duration, NodeId, Sim};
 use flextoe_wire::{Ip4, MacAddr};
 
@@ -201,11 +201,13 @@ pub fn build_pair(sim: &mut Sim, a: Stack, b: Stack, opts: &PairOpts) -> (Endpoi
     let l_ba = sim.reserve_node();
     let ea = build_endpoint(sim, a, 1, l_ab, opts);
     let eb = build_endpoint(sim, b, 2, l_ba, opts);
-    sim.fill_node(
+    fill_link(
+        sim,
         l_ab,
         Link::with_faults(eb.ingress, opts.propagation, opts.faults),
     );
-    sim.fill_node(
+    fill_link(
+        sim,
         l_ba,
         Link::with_faults(ea.ingress, opts.propagation, opts.faults),
     );
@@ -227,7 +229,11 @@ pub fn build_star(
     // server = host id 1
     let server_link = sim.reserve_node();
     let server = build_endpoint(sim, stack, 1, sw, opts);
-    sim.fill_node(server_link, Link::new(server.ingress, opts.propagation));
+    fill_link(
+        sim,
+        server_link,
+        Link::new(server.ingress, opts.propagation),
+    );
     let sport = switch.add_port(server_link, server_port_cfg);
     switch.learn(server.mac, sport);
 
@@ -236,7 +242,7 @@ pub fn build_star(
         let id = 2 + i;
         let clink = sim.reserve_node();
         let ep = build_endpoint(sim, stack, id, sw, opts);
-        sim.fill_node(clink, Link::new(ep.ingress, opts.propagation));
+        fill_link(sim, clink, Link::new(ep.ingress, opts.propagation));
         let p = switch.add_port(clink, PortConfig::default());
         switch.learn(ep.mac, p);
         clients.push(ep);

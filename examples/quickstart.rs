@@ -12,7 +12,7 @@
 use flextoe_apps::{LibToe, SockEvent, StackApi};
 use flextoe_control::{ControlPlane, CtrlConfig};
 use flextoe_core::{FlexToeNic, NicConfig, PipeCfg};
-use flextoe_netsim::Link;
+use flextoe_netsim::{fill_link, Link};
 use flextoe_sim::{cast, try_cast, Ctx, Duration, Msg, Node, NodeId, Sim, Tick, Time};
 use flextoe_wire::{Ip4, MacAddr};
 
@@ -112,8 +112,8 @@ fn main() {
         l_ba,
         ctrl_b,
     );
-    sim.fill_node(l_ab, Link::new(nic_b.mac, Duration::from_us(2)));
-    sim.fill_node(l_ba, Link::new(nic_a.mac, Duration::from_us(2)));
+    fill_link(&mut sim, l_ab, Link::new(nic_b.mac, Duration::from_us(2)));
+    fill_link(&mut sim, l_ba, Link::new(nic_a.mac, Duration::from_us(2)));
     let mut cp_a = ControlPlane::new(CtrlConfig::default(), nic_a.handle());
     cp_a.add_peer(ips[1], macs[1]);
     let mut cp_b = ControlPlane::new(CtrlConfig::default(), nic_b.handle());
