@@ -646,11 +646,13 @@ impl ControlPlane {
                 RtoVerdict::Fire => {
                     ctx.stats
                         .inc(self.counters.expect("control plane attached").rto_fired);
-                    let _ = self
+                    let ok = self
                         .kernel_q
                         .borrow_mut()
                         .to_nic
-                        .push(AppToNic::Retransmit { conn });
+                        .push(AppToNic::Retransmit { conn })
+                        .is_ok();
+                    debug_assert!(ok, "kernel context queue overflow: RTO descriptor lost");
                     ctx.send(
                         self.nic.ctxq,
                         self.nic.cfg.platform.pcie.mmio_latency,

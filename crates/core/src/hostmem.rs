@@ -9,8 +9,8 @@
 //! one-shot offload (§3 design principle 1) — so these buffers are the
 //! only payload storage in the system.
 
+use flextoe_sim::BoundedQueue;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// A per-socket circular payload buffer (RX or TX PAYLOAD-BUF).
@@ -136,64 +136,20 @@ impl AppToNic {
 // Defined beside `Msg::Notify`, which carries one inline.
 pub use flextoe_sim::NicToApp;
 
-/// One direction of a context queue (bounded, in host shared memory).
-#[derive(Debug)]
-pub struct CtxQueueInner<T> {
-    q: VecDeque<T>,
-    capacity: usize,
-    pub full_rejects: u64,
-}
-
-impl<T> CtxQueueInner<T> {
-    pub fn new(capacity: usize) -> Self {
-        CtxQueueInner {
-            q: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            full_rejects: 0,
-        }
-    }
-
-    pub fn push(&mut self, item: T) -> Result<(), T> {
-        if self.q.len() >= self.capacity {
-            self.full_rejects += 1;
-            return Err(item);
-        }
-        self.q.push_back(item);
-        Ok(())
-    }
-
-    pub fn pop(&mut self) -> Option<T> {
-        self.q.pop_front()
-    }
-
-    pub fn len(&self) -> usize {
-        self.q.len()
-    }
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    /// Drain up to `n` entries into a caller-owned buffer (doorbell
-    /// batching; callers recycle the buffer instead of allocating).
-    pub fn pop_batch_into(&mut self, n: usize, out: &mut Vec<T>) {
-        let take = n.min(self.q.len());
-        out.extend(self.q.drain(..take));
-    }
-}
-
 /// A per-thread context-queue pair (Figure 2: "pairs of context queues,
-/// one for each communication direction").
+/// one for each communication direction"), bounded, in host shared
+/// memory.
 #[derive(Debug)]
 pub struct CtxQueuePair {
-    pub to_nic: CtxQueueInner<AppToNic>,
-    pub to_app: CtxQueueInner<NicToApp>,
+    pub to_nic: BoundedQueue<AppToNic>,
+    pub to_app: BoundedQueue<NicToApp>,
 }
 
 impl CtxQueuePair {
     pub fn new(capacity: usize) -> CtxQueuePair {
         CtxQueuePair {
-            to_nic: CtxQueueInner::new(capacity),
-            to_app: CtxQueueInner::new(capacity),
+            to_nic: BoundedQueue::new(capacity),
+            to_app: BoundedQueue::new(capacity),
         }
     }
 }
@@ -294,16 +250,16 @@ mod tests {
 
     #[test]
     fn ctx_queue_fifo_and_capacity() {
-        let mut q: CtxQueueInner<u32> = CtxQueueInner::new(2);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        assert_eq!(q.push(3), Err(3));
-        assert_eq!(q.full_rejects, 1);
-        assert_eq!(q.pop(), Some(1));
-        q.push(3).unwrap();
+        let mut q = CtxQueuePair::new(2).to_nic;
+        let close = |conn| AppToNic::Close { conn };
+        q.push(close(1)).unwrap();
+        q.push(close(2)).unwrap();
+        assert_eq!(q.push(close(3)), Err(close(3)));
+        assert_eq!(q.pop(), Some(close(1)));
+        q.push(close(3)).unwrap();
         let mut batch = Vec::new();
         q.pop_batch_into(10, &mut batch);
-        assert_eq!(batch, vec![2, 3]);
+        assert_eq!(batch, vec![close(2), close(3)]);
         assert!(q.is_empty());
     }
 

@@ -234,13 +234,6 @@ impl Carousel {
         self.conn_mut(conn).interval_ps_per_byte = interval_ps_per_byte;
     }
 
-    pub fn rate_of(&self, conn: u32) -> u64 {
-        self.conns
-            .get(conn as usize)
-            .map(|c| c.interval_ps_per_byte)
-            .unwrap_or(0)
-    }
-
     /// FS feedback: absolute sendable-byte count from the protocol stage.
     pub fn update_sendable(&mut self, conn: u32, sendable: u32, now: Time) {
         let c = self.conn_mut(conn);

@@ -219,8 +219,7 @@ impl HostStackNode {
 
     /// Transmit a frame, serialized on the NIC at line rate.
     fn emit(&mut self, ctx: &mut Ctx<'_>, after: Duration, frame: Frame) {
-        let bits = frame.len() as u64 * 8;
-        let ser = Duration::from_ps(bits.saturating_mul(1_000_000_000_000) / self.mac_bps);
+        let ser = Duration::line_rate(frame.len(), self.mac_bps);
         let start = (ctx.now() + after + self.nic_latency).max(self.mac_free);
         self.mac_free = start + ser;
         ctx.send_at(self.link_out, self.mac_free, frame);

@@ -294,7 +294,9 @@ mod tests {
     }
     impl Node for Probe {
         fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-            let f = flextoe_sim::cast::<Frame>(msg);
+            let Msg::Frame(f) = msg else {
+                panic!("expected a frame")
+            };
             self.frames.push((ctx.now().as_ns(), f.into_bytes()));
         }
     }
@@ -358,7 +360,10 @@ mod tests {
         struct Marks(Vec<bool>);
         impl Node for Marks {
             fn on_msg(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-                self.0.push(flextoe_sim::cast::<Frame>(msg).corrupted);
+                let Msg::Frame(f) = msg else {
+                    panic!("expected a frame")
+                };
+                self.0.push(f.corrupted);
             }
         }
         let mut sim = Sim::new(3);

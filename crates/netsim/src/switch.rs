@@ -107,7 +107,7 @@ impl Port {
     /// so rate is the right lever here).
     fn transmit(&mut self, ctx: &mut Ctx<'_>, limp: u32, frame: Frame) {
         self.tx_frames += 1;
-        let d = Switch::serialize(&self.cfg, frame.len()) * limp.max(1) as u64;
+        let d = Duration::line_rate(frame.len(), self.cfg.rate_bps) * limp.max(1) as u64;
         self.tx.start(ctx.now(), d);
         ctx.send(self.to, d, frame);
     }
@@ -377,11 +377,6 @@ impl Switch {
         }
     }
 
-    /// Is `port` administratively up?
-    pub fn port_up(&self, port: usize) -> bool {
-        self.ports[port].up
-    }
-
     pub fn port_stats(&self, port: usize) -> (u64, u64, u64) {
         let p = &self.ports[port];
         (p.tx_frames, p.drops, p.ecn_marked)
@@ -401,14 +396,6 @@ impl Switch {
             integral as f64 / now_ns as f64
         };
         (p.peak_bytes, avg)
-    }
-
-    pub fn set_port_rate(&mut self, port: usize, rate_bps: u64) {
-        self.ports[port].cfg.rate_bps = rate_bps;
-    }
-
-    fn serialize(cfg: &PortConfig, bytes: usize) -> Duration {
-        Duration::from_ps((bytes as u64 * 8).saturating_mul(1_000_000_000_000) / cfg.rate_bps)
     }
 
     fn start_tx(&mut self, ctx: &mut Ctx<'_>, port: usize) {
@@ -730,7 +717,9 @@ mod tests {
     }
     impl Node for Probe {
         fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-            let f = flextoe_sim::cast::<Frame>(msg);
+            let Msg::Frame(f) = msg else {
+                panic!("expected a frame")
+            };
             self.frames.push((ctx.now().as_ns(), f.into_bytes()));
         }
     }
@@ -810,7 +799,7 @@ mod tests {
             sim.fill_node(id, Feeder { to: swid });
         }
         let first = tcp_frame(Ecn::NotEct, 0);
-        let end = Time::ZERO + Switch::serialize(&cfg, first.len());
+        let end = Time::ZERO + Duration::line_rate(first.len(), cfg.rate_bps);
         sim.schedule(Time::ZERO, swid, Frame::raw(first));
         let (a, b) = (tcp_frame(Ecn::NotEct, 100), tcp_frame(Ecn::NotEct, 300));
         let lens = (a.len(), b.len());
@@ -878,7 +867,7 @@ mod tests {
             let got = &sim.node_ref::<Probe>(probe).frames[10..];
             let mut at = start;
             for (f, (ns, bytes)) in burst.iter().zip(got) {
-                at += Switch::serialize(&cfg, f.len());
+                at += Duration::line_rate(f.len(), cfg.rate_bps);
                 assert_eq!((*ns, bytes), (at.as_ns(), f), "{kind:?}: FIFO at line rate");
             }
         }

@@ -98,7 +98,7 @@ impl Platform {
     }
     /// Serialization time of `bytes` on the MAC.
     pub fn mac_serialize(&self, bytes: usize) -> Duration {
-        Duration::from_ps((bytes as u64 * 8).saturating_mul(1_000_000_000_000) / self.mac_bps)
+        Duration::line_rate(bytes, self.mac_bps)
     }
 }
 

@@ -491,7 +491,7 @@ impl<B> Drop for ShardedSim<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flextoe_sim::{cast, Ctx, Msg, Node};
+    use flextoe_sim::{Ctx, Msg, Node};
     use flextoe_wire::Frame;
 
     /// Echoes every received frame back to a peer on another shard
@@ -504,9 +504,8 @@ mod tests {
     }
     impl Node for PingPong {
         fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-            let frame = match msg {
-                Msg::Frame(f) => f,
-                other => *cast::<Frame>(other),
+            let Msg::Frame(frame) = msg else {
+                panic!("expected a frame")
             };
             self.log.push((ctx.now().ps(), frame.bytes[0]));
             if self.hops > 0 {

@@ -45,9 +45,10 @@
 //! tokens, notification descriptors, application wake-ups, scheduler MMIO
 //! — so nothing sent once per frame, per request or per CC report touches
 //! the heap. Cold control (connection set-up, fault injection, test
-//! fixtures) rides in [`Msg::Custom`], a type-erased box with exactly the
-//! semantics the engine had before the typed core: [`cast`] / [`try_cast`]
-//! keep working for every message type, typed variants included.
+//! fixtures) rides in [`Msg::Custom`], a type-erased box. There is one way
+//! to read a message: receivers `match` on [`Msg`] for the typed variants,
+//! and [`cast`] / [`try_cast`] downcast `Custom` payloads only (a typed
+//! variant comes back unchanged from `try_cast`, and `cast` panics on it).
 //!
 //! # Scheduling
 //!
@@ -59,7 +60,7 @@
 //! the exact same total order, `(time, enqueue seq)`, which the
 //! integration suite proves by differential testing.
 
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -405,48 +406,19 @@ macro_rules! custom_msg {
 // u32 is the conventional scalar payload in unit tests.
 custom_msg!(u32);
 
-/// Compatibility downcast helper: box a typed variant's payload when it
-/// is the `T` asked for, so a `cast::<T>` / `try_cast::<T>` written
-/// against the old fully-type-erased engine still observes the same
-/// types. A mismatch hands the message back untouched (no allocation).
-fn repack<T: 'static, U: Any>(value: U, back: impl FnOnce(U) -> Msg) -> Result<Box<T>, Msg> {
-    if TypeId::of::<T>() != TypeId::of::<U>() {
-        return Err(back(value));
-    }
-    let boxed: Box<dyn Any> = Box::new(value);
-    Ok(boxed.downcast::<T>().expect("type ids match"))
-}
-
-/// Downcast a message, returning it back on mismatch.
-///
-/// Typed variants still downcast to their payload type (`Tick`, `Frame`,
-/// `MacTx`, …) so dispatch chains written before the typed core behave
-/// identically; only a *successful* downcast of a typed variant pays a
-/// compatibility box, so per-event receivers match on [`Msg`] directly.
+/// Downcast a [`Msg::Custom`] payload, returning the message back on
+/// mismatch. Typed variants always come back unchanged: receivers read
+/// them by matching on [`Msg`].
 pub fn try_cast<T: 'static>(msg: Msg) -> Result<Box<T>, Msg> {
     match msg {
         Msg::Custom(b) => b.downcast::<T>().map_err(Msg::Custom),
-        Msg::Tick => repack(Tick, |_| Msg::Tick),
-        Msg::Frame(f) => repack(f, Msg::Frame),
-        Msg::MacTx(m) => repack(m, Msg::MacTx),
-        Msg::Work(w) => repack(w, Msg::Work),
-        Msg::Nbi(n) => repack(n, Msg::Nbi),
-        Msg::Xfer(x) => repack(x, Msg::Xfer),
-        Msg::XferDone(x) => repack(x, Msg::XferDone),
-        Msg::Token(t) => repack(t, Msg::Token),
-        Msg::FsUpdate(f) => repack(f, Msg::FsUpdate),
-        Msg::Doorbell(d) => repack(d, Msg::Doorbell),
-        Msg::FreeDesc => repack(FreeDesc, |_| Msg::FreeDesc),
-        Msg::Report(r) => repack(r, Msg::Report),
-        Msg::Notify(n) => repack(n, Msg::Notify),
-        Msg::AppNotify(a) => repack(a, Msg::AppNotify),
-        Msg::SchedCtl(c) => repack(c, Msg::SchedCtl),
-        Msg::Skip(s) => Err(Msg::Skip(s)),
+        msg => Err(msg),
     }
 }
 
-/// Downcast a message to a concrete type, panicking with a useful message
-/// on mismatch (a mismatch is always a wiring bug, never a runtime input).
+/// Downcast a [`Msg::Custom`] payload to a concrete type, panicking with
+/// a useful message on mismatch or on a typed variant (a mismatch is
+/// always a wiring bug, never a runtime input).
 pub fn cast<T: 'static>(msg: Msg) -> Box<T> {
     try_cast::<T>(msg).unwrap_or_else(|m| mismatch(std::any::type_name::<T>(), &m))
 }
@@ -1383,25 +1355,9 @@ mod tests {
         let m: Msg = Msg::custom(42u32);
         let m = try_cast::<String>(m).unwrap_err();
         assert_eq!(*cast::<u32>(m), 42);
-    }
-
-    #[test]
-    fn typed_variants_survive_compat_cast() {
-        // dispatch chains written against the old type-erased engine keep
-        // working on typed variants via the repack path
-        let m = Tick.into_msg();
-        let m = try_cast::<Frame>(m).unwrap_err();
-        assert!(try_cast::<Tick>(m).is_ok());
-
-        let m = Frame::raw(vec![1, 2, 3]).into_msg();
-        let m = try_cast::<MacTx>(m).unwrap_err();
-        assert_eq!(cast::<Frame>(m).bytes, vec![1, 2, 3]);
-
-        let m = MacTx(Frame::raw(vec![9])).into_msg();
-        assert_eq!(cast::<MacTx>(m).0.bytes, vec![9]);
-
-        let m = 7u64.into_msg();
-        assert_eq!(*cast::<u64>(m), 7);
+        // a typed variant is never downcast, even to its payload type
+        let m = try_cast::<Frame>(Frame::raw(vec![1, 2, 3]).into_msg()).unwrap_err();
+        assert!(matches!(m, Msg::Frame(f) if f.bytes == [1, 2, 3]));
     }
 
     #[test]
@@ -1431,11 +1387,6 @@ mod tests {
         assert!(matches!(job.into_msg(), Msg::Notify(j) if j == job));
         assert!(matches!(wake.into_msg(), Msg::AppNotify(w) if w == wake));
         assert!(matches!(rate.into_msg(), Msg::SchedCtl(r) if r == rate));
-        // the compatibility downcast still sees the payload types
-        let m = try_cast::<AppNotify>(job.into_msg()).unwrap_err();
-        assert_eq!(*cast::<NotifyJob>(m), job);
-        assert_eq!(*cast::<AppNotify>(wake.into_msg()), wake);
-        assert_eq!(*cast::<SchedCtl>(rate.into_msg()), rate);
         // every kind has a distinct name, `Custom` last
         assert_eq!(Msg::custom(1u8).kind_idx(), N_MSG_KINDS - 1);
         let mut names = MSG_KIND_NAMES.to_vec();
@@ -1531,8 +1482,10 @@ mod tests {
         }
         impl Node for Fwd {
             fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-                let f = cast::<Frame>(msg);
-                ctx.send(self.peer, Duration::from_ns(500), *f);
+                let Msg::Frame(f) = msg else {
+                    panic!("expected a frame")
+                };
+                ctx.send(self.peer, Duration::from_ns(500), f);
             }
         }
         struct Sink {
@@ -1540,7 +1493,9 @@ mod tests {
         }
         impl Node for Sink {
             fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-                let f = cast::<Frame>(msg);
+                let Msg::Frame(f) = msg else {
+                    panic!("expected a frame")
+                };
                 self.got.push((ctx.now().as_ns(), f.bytes.clone()));
             }
         }

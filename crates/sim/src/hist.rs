@@ -131,9 +131,6 @@ impl Histogram {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
     pub fn p9999(&self) -> u64 {
         self.quantile(0.9999)
     }

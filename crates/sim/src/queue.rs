@@ -1,10 +1,10 @@
-//! Bounded FIFO with occupancy statistics.
+//! Bounded FIFO: the model's one bounded ring.
 //!
-//! Inter-stage rings (CLS rings, IMEM/EMEM work queues) and switch port
-//! queues are all bounded; overflow behaviour (drop / backpressure) is a
-//! policy of the owner. This wrapper counts drops and tracks high-water
-//! occupancy — the paper's Table 2 profiling build traces "inter-module
-//! queue occupancies".
+//! It backs the NIC MAC's egress ring and both directions of every
+//! host context-queue pair (Figure 2). A push at capacity is rejected
+//! and hands the item back; what happens next (tail drop, a counted
+//! notification drop, a debug check) is the owner's policy, and the
+//! owner counts it under its own `Stats` name.
 
 use std::collections::VecDeque;
 
@@ -12,9 +12,6 @@ use std::collections::VecDeque;
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
-    pub enqueued: u64,
-    pub dropped: u64,
-    pub high_water: usize,
 }
 
 impl<T> BoundedQueue<T> {
@@ -23,67 +20,35 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             items: VecDeque::with_capacity(capacity.min(1024)),
             capacity,
-            enqueued: 0,
-            dropped: 0,
-            high_water: 0,
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
     pub fn len(&self) -> usize {
         self.items.len()
     }
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.capacity
-    }
-    pub fn free(&self) -> usize {
-        self.capacity - self.items.len()
-    }
 
-    /// Enqueue; on overflow the item is rejected and returned.
+    /// Enqueue; at capacity the item is rejected and returned.
     pub fn push(&mut self, item: T) -> Result<(), T> {
-        if self.is_full() {
-            self.dropped += 1;
+        if self.items.len() >= self.capacity {
             return Err(item);
         }
         self.items.push_back(item);
-        self.enqueued += 1;
-        self.high_water = self.high_water.max(self.items.len());
         Ok(())
-    }
-
-    /// Enqueue dropping on overflow (tail-drop); returns whether accepted.
-    pub fn push_or_drop(&mut self, item: T) -> bool {
-        self.push(item).is_ok()
     }
 
     pub fn pop(&mut self) -> Option<T> {
         self.items.pop_front()
     }
 
-    pub fn peek(&self) -> Option<&T> {
-        self.items.front()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-
-    pub fn drain_all(&mut self) -> impl Iterator<Item = T> + '_ {
-        self.items.drain(..)
-    }
-
-    /// Drain up to `n` items from the front in one call — batch consumers
-    /// (event-wheel bucket refills, descriptor fetch batching) avoid the
-    /// per-item `pop` loop.
-    pub fn drain_batch(&mut self, n: usize) -> impl Iterator<Item = T> + '_ {
+    /// Drain up to `n` items from the front into a caller-owned buffer
+    /// (doorbell batching; callers recycle the buffer instead of
+    /// allocating).
+    pub fn pop_batch_into(&mut self, n: usize, out: &mut Vec<T>) {
         let take = n.min(self.items.len());
-        self.items.drain(..take)
+        out.extend(self.items.drain(..take));
     }
 }
 
@@ -97,35 +62,20 @@ mod tests {
         for i in 0..4 {
             assert!(q.push(i).is_ok());
         }
-        assert!(q.is_full());
         assert_eq!(q.pop(), Some(0));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.free(), 2);
     }
 
     #[test]
-    fn overflow_rejects_and_counts() {
+    fn overflow_rejects_at_capacity() {
         let mut q = BoundedQueue::new(2);
         q.push(1).unwrap();
         q.push(2).unwrap();
         assert_eq!(q.push(3), Err(3));
-        assert!(!q.push_or_drop(4));
-        assert_eq!(q.dropped, 2);
-        assert_eq!(q.enqueued, 2);
-    }
-
-    #[test]
-    fn high_water_tracks_peak() {
-        let mut q = BoundedQueue::new(10);
-        for i in 0..7 {
-            q.push(i).unwrap();
-        }
-        for _ in 0..5 {
-            q.pop();
-        }
-        q.push(1).unwrap();
-        assert_eq!(q.high_water, 7);
+        assert_eq!(q.pop(), Some(1));
+        q.push(3).unwrap();
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
@@ -134,35 +84,12 @@ mod tests {
         for i in 0..5 {
             q.push(i).unwrap();
         }
-        let first: Vec<_> = q.drain_batch(2).collect();
-        assert_eq!(first, vec![0, 1]);
-        let rest: Vec<_> = q.drain_batch(99).collect();
-        assert_eq!(rest, vec![2, 3, 4]);
-        assert!(q.is_empty());
-        // high_water unaffected by draining
-        assert_eq!(q.high_water, 5);
-    }
-
-    #[test]
-    fn high_water_tracked_on_every_push_path() {
-        let mut q = BoundedQueue::new(4);
-        q.push(1).unwrap();
-        assert_eq!(q.high_water, 1);
-        assert!(q.push_or_drop(2));
-        assert_eq!(q.high_water, 2);
-        q.pop();
-        q.push(3).unwrap();
-        assert_eq!(q.high_water, 2, "peak, not current occupancy");
-    }
-
-    #[test]
-    fn peek_and_drain() {
-        let mut q = BoundedQueue::new(3);
-        q.push("a").unwrap();
-        q.push("b").unwrap();
-        assert_eq!(q.peek(), Some(&"a"));
-        let all: Vec<_> = q.drain_all().collect();
-        assert_eq!(all, vec!["a", "b"]);
+        let mut batch = Vec::new();
+        q.pop_batch_into(2, &mut batch);
+        assert_eq!(batch, vec![0, 1]);
+        batch.clear();
+        q.pop_batch_into(99, &mut batch);
+        assert_eq!(batch, vec![2, 3, 4]);
         assert!(q.is_empty());
     }
 }

@@ -301,7 +301,9 @@ mod tests {
     struct Sink(Vec<(u64, u8)>);
     impl Node for Sink {
         fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-            let f = crate::cast::<Frame>(msg);
+            let Msg::Frame(f) = msg else {
+                panic!("expected a frame")
+            };
             self.0.push((ctx.now().as_ns(), f.bytes[0]));
         }
     }

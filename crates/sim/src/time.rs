@@ -107,6 +107,12 @@ impl Duration {
     pub fn from_secs_f64(s: f64) -> Duration {
         Duration((s * PS_PER_S as f64) as u64)
     }
+    /// Time to serialize `bytes` at a line rate of `bps` bits per second
+    /// (truncated to whole ps).
+    #[inline]
+    pub fn line_rate(bytes: usize, bps: u64) -> Duration {
+        Duration((bytes as u64 * 8).saturating_mul(PS_PER_S) / bps)
+    }
     #[inline]
     pub fn ps(self) -> u64 {
         self.0
@@ -122,10 +128,6 @@ impl Duration {
     #[inline]
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
-    }
-    #[inline]
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
     }
     #[inline]
     pub fn as_secs_f64(self) -> f64 {

@@ -162,7 +162,10 @@ impl EventWheel {
             base: 0,
             cursor: 0,
             ready_active: false,
-            ready: Vec::new(),
+            // 1.5 KiB up front: a bucket staging a new high-water mark of
+            // events grows `ready` once per process, and starting above
+            // the common run length keeps that out of steady-state runs
+            ready: Vec::with_capacity(64),
             ready_pos: 0,
             overflow: BinaryHeap::new(),
             len: 0,

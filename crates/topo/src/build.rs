@@ -113,12 +113,6 @@ pub struct BuiltFabric {
     pub collector: Option<NodeId>,
 }
 
-impl BuiltFabric {
-    pub fn host_ips(&self) -> Vec<Ip4> {
-        self.hosts.iter().map(|h| h.ep.ip).collect()
-    }
-}
-
 /// In-flight switch state while the topology is being wired (the node id
 /// is reserved up front because links point at switches and vice versa).
 struct Sw {

@@ -13,7 +13,7 @@ use flextoe_apps::{LibToe, SockEvent, StackApi};
 use flextoe_control::{ControlPlane, CtrlConfig};
 use flextoe_core::{FlexToeNic, NicConfig, PipeCfg};
 use flextoe_netsim::{fill_link, Link};
-use flextoe_sim::{cast, try_cast, Ctx, Duration, Msg, Node, NodeId, Sim, Tick, Time};
+use flextoe_sim::{Ctx, Duration, Msg, Node, NodeId, Sim, Tick, Time};
 use flextoe_wire::{Ip4, MacAddr};
 
 type MakeStack = Box<dyn FnOnce(&mut Ctx<'_>, NodeId) -> LibToe>;
@@ -38,7 +38,7 @@ impl Node for Echo {
                 stack.connect(ctx, self.peer_ip, 7, 0);
             }
             self.stack = Some(stack);
-            let _ = try_cast::<Tick>(msg);
+            assert!(matches!(msg, Msg::Tick), "first message is the start tick");
             return;
         }
         let stack = self.stack.as_mut().unwrap();
@@ -153,5 +153,4 @@ fn main() {
         sim.events_processed(),
         sim.stats.get_named("ctrl.teardown"),
     );
-    let _ = cast::<()>; // silence unused-import lint paths
 }

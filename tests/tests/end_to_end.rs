@@ -3,11 +3,10 @@
 //! context queues → libTOE) on both hosts, over a simulated link.
 
 use flextoe_control::AppReply;
-use flextoe_core::stages::AppNotify;
 use flextoe_core::NicHandle;
 use flextoe_integration::default_setup;
 use flextoe_libtoe::{LibToe, SockEvent, StackApi};
-use flextoe_sim::{cast, try_cast, Ctx, Msg, Node, NodeId, Sim, Tick, Time};
+use flextoe_sim::{try_cast, Ctx, Msg, Node, NodeId, Sim, Tick, Time};
 use flextoe_wire::Ip4;
 
 /// Test server: listens, echoes everything it reads, closes on EOF.
@@ -63,7 +62,7 @@ impl Node for EchoServer {
             }
             Err(m) => m,
         };
-        let _ = cast::<AppNotify>(msg);
+        assert!(matches!(msg, Msg::AppNotify(_)), "{}", msg.variant_name());
         self.pump(ctx);
     }
 }
@@ -162,7 +161,7 @@ impl Node for EchoClient {
             }
             Err(m) => m,
         };
-        let _ = cast::<AppNotify>(msg);
+        assert!(matches!(msg, Msg::AppNotify(_)), "{}", msg.variant_name());
         self.pump(ctx);
     }
 }

@@ -19,7 +19,7 @@ use flextoe_bench::faults::{check_row, run_faults_point, FaultsPlan};
 use flextoe_bench::json::Json;
 use flextoe_bench::scale::run_scale_point;
 use flextoe_shard::{Partition, ShardedSim};
-use flextoe_sim::{cast, Ctx, Duration, Msg, Node, Sim, Time};
+use flextoe_sim::{Ctx, Duration, Msg, Node, Sim, Time};
 use flextoe_topo::Stack;
 use flextoe_wire::Frame;
 
@@ -69,9 +69,8 @@ struct Chatter {
 
 impl Node for Chatter {
     fn on_msg(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        let frame = match msg {
-            Msg::Frame(f) => f,
-            other => *cast::<Frame>(other),
+        let Msg::Frame(frame) = msg else {
+            panic!("expected a frame")
         };
         let draw = ctx.rng.next_u32();
         self.log.push((ctx.now().ps(), frame.bytes[0], draw));
